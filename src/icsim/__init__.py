@@ -46,11 +46,6 @@ from .simulate import (
     SimOutcome,
     SlepianWolfCoder,
     auto_round_plans,
-    protocol1_sw,
-    protocol2_interactive_sw,
-    protocol3_simulate_round,
-    protocol4_improved,
-    protocol5_full,
     run_trials,
 )
 from .bounds import (

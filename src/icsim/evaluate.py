@@ -36,8 +36,12 @@ def exact_view_law(engine) -> FiniteDistribution:
 
 
 def _aligned_true(true_law: FiniteDistribution,
-                  observed: Counter) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Common universe of true atoms and everything the simulator produced."""
+                  observed) -> tuple[tuple, np.ndarray]:
+    """Common universe of true atoms and every ``observed`` atom.
+
+    True atoms come first, then new atoms in first-seen order; returns the
+    symbols and the true probabilities on them.
+    """
     symbols = list(true_law.symbols)
     seen = set(symbols)
     for v in observed:
@@ -46,7 +50,7 @@ def _aligned_true(true_law: FiniteDistribution,
             seen.add(v)
     tp = np.array([true_law.prob(s) if s in true_law.index else 0.0
                    for s in symbols])
-    return tuple(symbols), tp, None
+    return tuple(symbols), tp
 
 
 def measure_sim_error(engine, mode: str, trials: int = 0,
@@ -61,14 +65,7 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
     true_law = engine.true_view_law()
     if mode == "exact":
         sim_law = exact_view_law(engine)
-        symbols = list(true_law.symbols)
-        seen = set(symbols)
-        for s in sim_law.symbols:
-            if s not in seen:
-                symbols.append(s)
-                seen.add(s)
-        tp = np.array([true_law.prob(s) if s in true_law.index else 0.0
-                       for s in symbols])
+        symbols, tp = _aligned_true(true_law, sim_law.symbols)
         sp = np.array([sim_law.prob(s) if s in sim_law.index else 0.0
                        for s in symbols])
         return TVEstimate(0.5 * float(np.abs(tp - sp).sum()), "exact", 0.0, 0)
@@ -79,7 +76,7 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
             raise OutOfRange("plugin mode needs trials >= 1")
         agg = run_trials(engine, trials, master_seed)
     n = agg.trials
-    symbols, tp, _ = _aligned_true(true_law, agg.views)
+    symbols, tp = _aligned_true(true_law, agg.views)
     counts = np.array([agg.views.get(s, 0) for s in symbols], dtype=float)
     phat = counts / n
     value = 0.5 * float(np.abs(tp - phat).sum())

@@ -9,9 +9,12 @@ Five engines of increasing strength:
 5. ``ProtocolSimulator``     round-by-round simulation of a full transcript law
 
 Each engine precomputes its tables once and exposes ``run`` for a single
-trial; ``run_trials`` drives independent seed streams.  Engines whose
-randomness is small enough also expose ``exact_view_law`` which enumerates
-every hash seed and shared-randomness value.
+trial; ``run_trials`` drives independent seed streams.  Engines 3 and 4 also
+run batched through ``batch_round_trials``, and engine 5 trials always run
+batched (``ProtocolSimulator.run_batch``); both batch paths share one round
+kernel, ``_round_kernel``.  Engines whose randomness is small enough also
+expose ``exact_view_law`` which enumerates every hash seed and
+shared-randomness value.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ from .protocol import TranscriptLaw
 
 ERROR_CAUSES = ("tail", "no_match", "multiple_match", "bad_J",
                 "budget_exceeded")
+# cause codes of the batch paths: 0 for no error, else 1 + ERROR_CAUSES index
+_TAIL, _NO_MATCH, _MULTIPLE, _BAD_J, _BUDGET = range(1, len(ERROR_CAUSES) + 1)
+
+#: trials per chunk of the batch paths; each chunk has its own seed stream
+BATCH_CHUNK = 100_000
+#: bytes per chunk that the round kernel may allocate on engine 5's path
+BATCH_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -94,16 +104,25 @@ class TrialAggregate:
         return self.mismatches / self.trials
 
 
-def run_trials(engine, trials: int, master_seed: int,
-               keep_log: bool = False) -> TrialAggregate:
-    """Run independent trials on per-trial child seed streams."""
+def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
+    """Run independent trials on child seed streams.
+
+    Engine 5 (:class:`ProtocolSimulator`) trials run batched: chunks of
+    ``engine.chunk`` trials go through ``run_batch``, chunk ``part`` on the
+    stream ``[master_seed, part]``, as in :func:`batch_round_trials`.
+    Every other engine runs one scalar ``run`` per trial on the stream
+    ``[master_seed, t]``.
+    """
+    if isinstance(engine, ProtocolSimulator):
+        return _chunked_trials(_protocol_chunk, engine, trials, master_seed,
+                               engine.chunk)
     views: Counter = Counter()
     errors: Counter = Counter()
     bits = np.empty(trials, dtype=np.int64)
     mismatches = 0
     for t in range(trials):
         rng = np.random.default_rng([master_seed, t])
-        out = engine.run(rng, log=keep_log)
+        out = engine.run(rng)
         views[out.view] += 1
         bits[t] = out.bits
         if out.error is not None:
@@ -111,6 +130,36 @@ def run_trials(engine, trials: int, master_seed: int,
         if out.tau_x != out.tau_y:
             mismatches += 1
     return TrialAggregate(trials, views, bits, errors, mismatches)
+
+
+def _chunked_trials(chunk_fn, engine, trials: int, master_seed: int,
+                    chunk: int) -> TrialAggregate:
+    """Aggregate ``chunk_fn(engine, n, [master_seed, part])`` over chunks."""
+    views: Counter = Counter()
+    errors: Counter = Counter()
+    bits_parts = []
+    mism = 0
+    done = 0
+    part = 0
+    while done < trials:
+        n = min(chunk, trials - done)
+        v, e, b, mm = chunk_fn(engine, n, [master_seed, part])
+        views.update(v)
+        errors.update(e)
+        bits_parts.append(b)
+        mism += mm
+        done += n
+        part += 1
+    bits = (np.concatenate(bits_parts) if bits_parts
+            else np.empty(0, dtype=np.int64))
+    return TrialAggregate(trials, views, bits, errors, mism)
+
+
+def _cause_counts(cause: np.ndarray) -> Counter:
+    """Error counts from an array of cause codes."""
+    counts = np.bincount(cause, minlength=len(ERROR_CAUSES) + 1)[1:]
+    return Counter({name: int(n) for name, n in zip(ERROR_CAUSES, counts)
+                    if n})
 
 
 def _conditional_density(cond: np.ndarray) -> np.ndarray:
@@ -212,13 +261,6 @@ class SlepianWolfCoder:
                 if w > 0:
                     acc[(x, x, x, y)] += w
         return FiniteDistribution.from_mapping(acc)
-
-
-def protocol1_sw(source: JointSource, l: int, gamma: float, seed,
-                 aux: np.ndarray | None = None) -> SimOutcome:
-    """One trial of the one-shot coder."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return SlepianWolfCoder(source, l, gamma, aux).run(rng)
 
 
 def protocol1_batch(coder: SlepianWolfCoder, trials: int,
@@ -353,13 +395,6 @@ class InteractiveSWCoder:
                 if w > 0:
                     acc[(x, x, x, y)] += w
         return FiniteDistribution.from_mapping(acc)
-
-
-def protocol2_interactive_sw(source: JointSource, cfg: SliceConfig, seed,
-                             l: int | None = None,
-                             aux: np.ndarray | None = None) -> SimOutcome:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return InteractiveSWCoder(source, cfg, l, aux).run(rng)
 
 
 def protocol2_batch(coder: InteractiveSWCoder, trials: int,
@@ -505,8 +540,12 @@ class RoundSimulator:
     def run(self, rng, x=None, y=None, fam: HashFamily | None = None,
             u_bits: np.ndarray | None = None, log: bool = False,
             restrict: np.ndarray | None = None,
-            extra_bits: int = 0, k: int | None = None) -> SimOutcome:
+            extra_bits: int = 0, k: int | None = None,
+            slice_rx: np.ndarray | None = None) -> SimOutcome:
+        """One trial.  ``slice_rx`` is the receiver's (M, ny) slice table,
+        ``self.slice_rx`` unless given."""
         k = self.k if k is None else k
+        slice_rx = self.slice_rx if slice_rx is None else slice_rx
         if x is None:
             i, j = self.source.sample(rng)
         else:
@@ -523,7 +562,7 @@ class RoundSimulator:
         m_star = self._sample_conditioned(rng, i, prefix_ok, restrict)
         received = (int(h[m_star]) & ~mask_k) | u_int
         chan = ChannelLog() if log else None
-        slc = self.slice_rx[:, j]
+        slc = slice_rx[:, j]
         decoded, cause, hit = None, None, self.n_slices
         for s in range(1, self.n_slices + 1):
             pos = self.pos_at(s)
@@ -542,7 +581,7 @@ class RoundSimulator:
                 cause, hit = "multiple_match", s
                 break
         if decoded is None and cause is None:
-            cause = ("tail" if self.slice_rx[m_star, j] == 0 else "no_match")
+            cause = ("tail" if slice_rx[m_star, j] == 0 else "no_match")
         bits = max(0, self.pos_at(hit) - k) + hit + extra_bits
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
         return SimOutcome(xs[i], ys[j], self.messages[m_star],
@@ -628,12 +667,6 @@ class RoundSimulator:
         return FiniteDistribution.from_mapping(acc)
 
 
-def protocol3_simulate_round(source: JointSource, p_m_given_x, messages,
-                             cfg_rx: SliceConfig, k: int, seed) -> SimOutcome:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return RoundSimulator(source, p_m_given_x, messages, cfg_rx, k).run(rng)
-
-
 # ---------------------------------------------------------------------------
 # engine 4: one-round simulation with a transmitted slice index
 # ---------------------------------------------------------------------------
@@ -645,13 +678,21 @@ class ImprovedRoundSimulator:
     The slice index J of -log2 P(M|x) is sampled and sent with
     ceil(log2 N) + 1 bits; indices of small prior mass are rejected outright.
     Knowing J certifies enough min-entropy to share k(J) hash bits for free.
+
+    ``aux_m_given_y`` is the receiver's conditional, passed on to
+    :class:`RoundSimulator`.  ``prior_x`` is the transmitter-input prior
+    that weighs the slice-index prior ``p_j`` and so decides which indices
+    are ``good``; it defaults to the source marginal.
     """
 
     def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
                  messages: Sequence, cfg_rx: SliceConfig, cfg_tx: SliceConfig,
-                 k_override: int | None = None):
+                 k_override: int | None = None,
+                 aux_m_given_y: np.ndarray | None = None,
+                 prior_x: np.ndarray | None = None):
         self.cfg_tx = cfg_tx
-        self.inner = RoundSimulator(source, p_m_given_x, messages, cfg_rx, 0)
+        self.inner = RoundSimulator(source, p_m_given_x, messages, cfg_rx, 0,
+                                    aux_m_given_y)
         h_tx = _conditional_density(self.inner.p_m_given_x.T)  # (M, nx)
         vec = np.vectorize(cfg_tx.slice_of)
         self.slice_tx = np.where(np.isfinite(h_tx),
@@ -664,7 +705,8 @@ class ImprovedRoundSimulator:
             for m in range(len(messages)):
                 self.p_j_given_x[i, self.slice_tx[m, i]] += \
                     self.inner.p_m_given_x[i, m]
-        self.p_j = self.p_j_given_x.T @ source.p_x
+        self.p_j = self.p_j_given_x.T @ (source.p_x if prior_x is None
+                                         else np.asarray(prior_x, float))
         self.good = self.p_j >= 1.0 / n_tx ** 2 - 1e-12
         self.good[0] = False
         self.j_cost = max(1, math.ceil(math.log2(max(n_tx, 2)))) + 1 \
@@ -718,94 +760,66 @@ class ImprovedRoundSimulator:
         return self.inner.true_view_law()
 
 
-def protocol4_improved(source: JointSource, p_m_given_x, messages,
-                       cfg_rx: SliceConfig, cfg_tx: SliceConfig,
-                       seed) -> SimOutcome:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return ImprovedRoundSimulator(source, p_m_given_x, messages,
-                                  cfg_rx, cfg_tx).run(rng)
-
-
 def batch_round_trials(engine, trials: int, master_seed: int,
-                       chunk: int = 100_000) -> TrialAggregate:
+                       chunk: int = BATCH_CHUNK) -> TrialAggregate:
     """Vectorized trials of a round simulator (engines 3 and 4).
 
     Statistically equivalent to :func:`run_trials` on the same engine but
     draws all randomness in bulk from one seed stream.
     """
-    views: Counter = Counter()
-    errors: Counter = Counter()
-    bits_parts = []
-    mism = 0
-    done = 0
-    part = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        v, e, b, mm = _batch_round_chunk(engine, n, [master_seed, part])
-        views.update(v)
-        errors.update(e)
-        bits_parts.append(b)
-        mism += mm
-        done += n
-        part += 1
-    return TrialAggregate(trials, views, np.concatenate(bits_parts), errors,
-                          mism)
+    return _chunked_trials(_batch_round_chunk, engine, trials, master_seed,
+                           chunk)
 
 
-def _batch_round_chunk(engine, T: int, seed):
-    improved = isinstance(engine, ImprovedRoundSimulator)
-    inner = engine.inner if improved else engine
-    rng = np.random.default_rng(seed)
-    M = len(inner.messages)
-    L = inner.total_hash_bits
+def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Slice index per trial from cumulative J-prior rows and uniforms."""
+    return (cum_rows < u[:, None] * cum_rows[:, -1:]).sum(axis=1)
+
+
+def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
+                  restrict: np.ndarray, slc: np.ndarray, k_t: np.ndarray,
+                  blocks: np.ndarray, u: np.ndarray, u_m: np.ndarray,
+                  extra_bits: int):
+    """One simulated round for T trials; draws nothing itself.
+
+    Per trial: the transmitter's message row ``p_rows`` (T, M), the
+    ``restrict`` mask (T, M), the receiver's slice row ``slc`` (T, M), the
+    shared-prefix length ``k_t``, the hash block (L, w + 1) of ``blocks``,
+    the shared string ``u`` (masked to k bits here) and the uniform ``u_m``
+    that picks M*.  ``inner`` supplies the round's encoding and hash
+    schedule; ``extra_bits`` (the slice-index cost) is added to each
+    trial's bits.  Returns ``(m_star, decoded, cause, bits)``: ``decoded``
+    is -1 when the receiver declares failure, and ``cause`` is a cause code
+    (tail, no_match or multiple_match).
+    """
+    T, M = p_rows.shape
     w = inner.width
-    xi, yj = inner.source.sample(rng, size=T)
-    blocks = rng.integers(0, 2, size=(T, L, w + 1), dtype=np.uint8)
     hv = (np.einsum("tlw,mw->tml", blocks[:, :, :w], inner.enc)
           + blocks[:, :, w][:, None, :]) % 2
     h = hv.astype(np.int64) @ inner._pow2  # (T, M)
-
-    alive = np.ones(T, dtype=bool)
-    j_cost = 0
-    k_t = np.full(T, inner.k if not improved else 0, dtype=np.int64)
-    restr = np.ones((T, M), dtype=bool)
-    bad_j = np.zeros(T, dtype=bool)
-    if improved:
-        j_cost = engine.j_cost
-        cum_rows = np.cumsum(engine.p_j_given_x, axis=1)[xi]
-        jj = (cum_rows < rng.random(T)[:, None] * cum_rows[:, -1:]).sum(axis=1)
-        bad_j = ~engine.good[jj]
-        alive = ~bad_j
-        k_arr = np.array([engine.k_of(j)
-                          for j in range(engine.cfg_tx.n_slices + 1)])
-        k_t = k_arr[jj]
-        restr = engine.slice_tx[:, xi].T == jj[:, None]
-    k_max = int(k_t.max()) if T else 0
     mask_t = (np.int64(1) << k_t) - 1
-    u = rng.integers(0, 1 << k_max, size=T, dtype=np.int64,
-                     endpoint=False) & mask_t if k_max else np.zeros(T, np.int64)
+    u = u & mask_t
     prefix_ok = (h & mask_t[:, None]) == u[:, None]
 
-    wts = inner.p_m_given_x[xi] * (prefix_ok & restr)
+    wts = p_rows * (prefix_ok & restrict)
     tot = wts.sum(axis=1)
-    r2 = rng.random(T) * tot
+    r2 = u_m * tot
     m_star = np.minimum((np.cumsum(wts, axis=1) < r2[:, None]).sum(axis=1),
                         M - 1)
     empty = tot <= 0.0
     if empty.any():
         # canonical fallback: first supported message of the restriction
-        fb = restr & (inner.p_m_given_x[xi] > 0)
+        fb = restrict & (p_rows > 0)
         has = fb.any(axis=1)
         first = np.argmax(fb, axis=1)
         m_star = np.where(empty, np.where(has, first, 0), m_star)
 
     own = h[np.arange(T), m_star]
     received = (own & ~mask_t) | u
-    slc = inner.slice_rx[:, yj].T  # (T, M)
     decoded = np.full(T, -1, dtype=np.int64)
     hit = np.full(T, inner.n_slices, dtype=np.int64)
     multi = np.zeros(T, dtype=bool)
-    active = alive.copy()
+    active = np.ones(T, dtype=bool)
     for s in range(1, inner.n_slices + 1):
         mask_pos = (1 << inner.pos_at(s)) - 1
         match = (slc == s) & (((h ^ received[:, None]) & mask_pos) == 0)
@@ -822,20 +836,62 @@ def _batch_round_chunk(engine, T: int, seed):
     exhausted = active
     tail = exhausted & (slc[np.arange(T), m_star] == 0)
     pos_hit = inner.l + (hit - 1) * inner.delta
-    bits = np.maximum(0, pos_hit - k_t) + hit + j_cost
-    bits[bad_j] = j_cost
+    bits = np.maximum(0, pos_hit - k_t) + hit + extra_bits
 
-    cause = np.zeros(T, dtype=np.int64)  # 0 ok
-    cause[exhausted & ~tail] = 2
-    cause[tail] = 1
-    cause[multi] = 3
-    cause[bad_j] = 4
-    errors = Counter()
-    names = {1: "tail", 2: "no_match", 3: "multiple_match", 4: "bad_J"}
-    for code, name in names.items():
-        c = int((cause == code).sum())
-        if c:
-            errors[name] = c
+    cause = np.zeros(T, dtype=np.int64)
+    cause[exhausted & ~tail] = _NO_MATCH
+    cause[tail] = _TAIL
+    cause[multi] = _MULTIPLE
+    return m_star, decoded, cause, bits
+
+
+def _kernel_bytes(inner: RoundSimulator) -> int:
+    """Bytes per trial of the arrays :func:`_round_kernel` builds: the
+    (L, w + 1) uint8 hash block, the (M, L) hash bits in uint8 and in int64
+    and the (M,) int64 packed hashes."""
+    M, L = len(inner.messages), inner.total_hash_bits
+    return L * (inner.width + 1) + 9 * M * L + 8 * M
+
+
+def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
+    """Shared strings: one draw of max(k_t) bits per trial, or zeros."""
+    k_max = int(k_t.max()) if k_t.size else 0
+    if not k_max:
+        return np.zeros(k_t.size, dtype=np.int64)
+    return rng.integers(0, 1 << k_max, size=k_t.size, dtype=np.int64)
+
+
+def _batch_round_chunk(engine, T: int, seed):
+    improved = isinstance(engine, ImprovedRoundSimulator)
+    inner = engine.inner if improved else engine
+    rng = np.random.default_rng(seed)
+    M = len(inner.messages)
+    L = inner.total_hash_bits
+    w = inner.width
+    xi, yj = inner.source.sample(rng, size=T)
+    blocks = rng.integers(0, 2, size=(T, L, w + 1), dtype=np.uint8)
+
+    j_cost = 0
+    k_t = np.full(T, inner.k, dtype=np.int64)
+    restr = np.ones((T, M), dtype=bool)
+    bad_j = np.zeros(T, dtype=bool)
+    if improved:
+        j_cost = engine.j_cost
+        jj = _pick_slice(np.cumsum(engine.p_j_given_x, axis=1)[xi],
+                         rng.random(T))
+        bad_j = ~engine.good[jj]
+        k_arr = np.array([engine.k_of(j)
+                          for j in range(engine.cfg_tx.n_slices + 1)])
+        k_t = k_arr[jj]
+        restr = engine.slice_tx[:, xi].T == jj[:, None]
+    u = _draw_prefix(rng, k_t)
+    m_star, decoded, cause, bits = _round_kernel(
+        inner, inner.p_m_given_x[xi], restr, inner.slice_rx[:, yj].T, k_t,
+        blocks, u, rng.random(T), j_cost)
+    decoded[bad_j] = -1
+    bits[bad_j] = j_cost
+    cause[bad_j] = _BAD_J
+    errors = _cause_counts(cause)
 
     tx_col = np.where(bad_j, -1, m_star)
     cols = np.stack([tx_col, decoded, xi, yj], axis=1)
@@ -850,11 +906,6 @@ def _batch_round_chunk(engine, T: int, seed):
     return views, errors, bits, mism
 
 
-def protocol3_tv_trials(engine, trials: int, master_seed: int):
-    """Convenience: batch trials plus aggregate for plug-in estimation."""
-    return batch_round_trials(engine, trials, master_seed)
-
-
 # ---------------------------------------------------------------------------
 # engine 5: full protocol simulation
 # ---------------------------------------------------------------------------
@@ -866,6 +917,40 @@ class RoundPlan:
     transmitter density."""
     rx: SliceConfig
     tx: SliceConfig
+
+
+@dataclass(frozen=True)
+class _RoundTables:
+    """One round's per-history tables, stacked on a leading history axis.
+
+    History h is ``law.histories(t)[h]``; ``n_tx`` and ``n_rx`` are the
+    alphabet sizes of the speaking and the listening party.  ``inner`` is
+    the round simulator of one history: its encoding, hash schedule and
+    costs are the same for every history of the round.
+    """
+    inner: RoundSimulator
+    j_cost: int
+    p_m: np.ndarray         # (H, n_tx, M) transmitter message law
+    slice_tx: np.ndarray    # (H, n_tx, M) transmitter slice of each message
+    slice_rx: np.ndarray    # (H, n_rx, M) receiver slice of each message
+    cum_j: np.ndarray       # (H, n_tx, n_j) cumulative slice-index law
+    good: np.ndarray        # (H, n_j) slice indices the transmitter accepts
+    k_of: np.ndarray        # (n_j,) shared prefix length per slice index
+    next: np.ndarray | None  # (H, M) next history index or -1; None last
+
+
+@dataclass(frozen=True)
+class ProtocolBatch:
+    """Per-trial results of :meth:`ProtocolSimulator.run_batch`.
+
+    Row n of ``keys`` holds party x's message index for every round, then
+    party y's (all -1 after an error), then the x and y source indices;
+    :meth:`ProtocolSimulator.view_of` turns a row into the trial's view.
+    ``cause`` holds the cause codes.
+    """
+    keys: np.ndarray   # (T, 2 R + 2)
+    bits: np.ndarray   # (T,)
+    cause: np.ndarray  # (T,)
 
 
 class ProtocolSimulator:
@@ -890,10 +975,11 @@ class ProtocolSimulator:
         self.round_universe = [law.round_messages(t)
                                for t in range(1, law.n_rounds + 1)]
         self.engines: dict = {}
-        for t in range(1, law.n_rounds + 1):
+        histories = [law.histories(t) for t in range(1, law.n_rounds + 1)]
+        for t, hists in enumerate(histories, start=1):
             universe = self.round_universe[t - 1]
             uindex = {m: a for a, m in enumerate(universe)}
-            for hist in law.histories(t):
+            for hist in hists:
                 view = law.round_view(t, hist)
                 M = len(universe)
                 if t % 2 == 1:
@@ -909,6 +995,14 @@ class ProtocolSimulator:
                     p_rx[:, uindex[m]] = own_rx[:, a]
                 self.engines[(t, hist)] = self._make_engine(
                     t, p_tx, p_rx, universe, view)
+        self.tables = [self._stack_round(t, histories[t - 1],
+                                         histories[t] if t < law.n_rounds
+                                         else None)
+                       for t in range(1, law.n_rounds + 1)]
+        # trials per chunk of run_trials: the largest round's kernel arrays
+        # stay within BATCH_BYTES
+        per_trial = max(_kernel_bytes(tab.inner) for tab in self.tables)
+        self.chunk = max(1, min(BATCH_CHUNK, BATCH_BYTES // per_trial))
 
     def _make_engine(self, t, p_tx, p_rx, universe, view):
         plan = self.plans[t - 1]
@@ -918,23 +1012,37 @@ class ProtocolSimulator:
         else:
             src = JointSource(self.src.y_alphabet, self.src.x_alphabet,
                               self.src.mass.T)
-        eng = ImprovedRoundSimulator(src, p_tx, universe, plan.rx, plan.tx,
-                                     k_override=self.k_override)
-        # reweight the slice-index prior by the history-conditional
-        # transmitter marginal; the constructor used the unconditional one
+        # the slice-index prior is weighed by the history-conditional
+        # transmitter marginal; the receiver slices its history-conditional
+        # law of the message
         hist_tx = view.p_hist_xy.sum(axis=1 if t % 2 == 1 else 0)
         total = hist_tx.sum()
-        if total > 0:
-            eng.p_j = eng.p_j_given_x.T @ (hist_tx / total)
-            eng.good = eng.p_j >= 1.0 / plan.tx.n_slices ** 2 - 1e-12
-            eng.good[0] = False
-        eng.inner.p_m_given_y = p_rx
-        h_rx = _conditional_density(p_rx.T)
-        vec = np.vectorize(plan.rx.slice_of)
-        eng.inner.slice_rx = np.where(
-            np.isfinite(h_rx),
-            vec(np.where(np.isfinite(h_rx), h_rx, 0.0)), 0).astype(int)
-        return eng
+        return ImprovedRoundSimulator(
+            src, p_tx, universe, plan.rx, plan.tx, k_override=self.k_override,
+            aux_m_given_y=p_rx,
+            prior_x=hist_tx / total if total > 0 else None)
+
+    def _stack_round(self, t: int, hists: tuple,
+                     next_hists: tuple | None) -> _RoundTables:
+        engs = [self.engines[(t, h)] for h in hists]
+        first = engs[0]
+        nxt = None
+        if next_hists is not None:
+            index = {h: a for a, h in enumerate(next_hists)}
+            nxt = np.array([[index.get(h + (m,), -1)
+                             for m in self.round_universe[t - 1]]
+                            for h in hists], dtype=np.int64)
+        return _RoundTables(
+            inner=first.inner,
+            j_cost=first.j_cost,
+            p_m=np.stack([e.inner.p_m_given_x for e in engs]),
+            slice_tx=np.stack([e.slice_tx.T for e in engs]),
+            slice_rx=np.stack([e.inner.slice_rx.T for e in engs]),
+            cum_j=np.cumsum(np.stack([e.p_j_given_x for e in engs]), axis=2),
+            good=np.stack([e.good for e in engs]),
+            k_of=np.array([first.k_of(j)
+                           for j in range(first.cfg_tx.n_slices + 1)]),
+            next=nxt)
 
     def run(self, rng, x=None, y=None, chains=None,
             log: bool = False) -> SimOutcome:
@@ -977,9 +1085,7 @@ class ProtocolSimulator:
         """One round where transmitter tables and receiver tables may come
         from different histories."""
         i = eng.source.x_index[tx_sym]
-        j_y = eng.source.y_index[rx_sym]
         if rng is None:
-            cum = np.cumsum(eng.p_j_given_x[i])
             nz = np.nonzero(eng.p_j_given_x[i] > 0)[0]
             if nz.size != 1:
                 raise OutOfRange("exact mode needs deterministic rounds")
@@ -992,24 +1098,84 @@ class ProtocolSimulator:
             return SimOutcome(tx_sym, rx_sym, None, None, eng.j_cost,
                               "bad_J", 0, None)
         k = eng.k_of(jj)
-        restrict = eng.slice_tx[:, i] == jj
-        inner = eng.inner
-        fam = chain if chain is not None else None
-        u_bits = (np.zeros(k, dtype=np.uint8) if rng is None and k == 0
-                  else None)
         if rng is None and k > 0:
             raise OutOfRange("exact mode requires k = 0 rounds")
         # decode against the receiver-history slice table
-        saved = inner.slice_rx
-        inner.slice_rx = rx_eng.inner.slice_rx
-        try:
-            out = inner.run(rng, x=tx_sym, y=rx_sym, fam=fam,
-                            u_bits=np.zeros(0, dtype=np.uint8) if rng is None
-                            else u_bits,
-                            restrict=restrict, extra_bits=eng.j_cost, k=k)
-        finally:
-            inner.slice_rx = saved
-        return out
+        return eng.inner.run(
+            rng, x=tx_sym, y=rx_sym, fam=chain,
+            u_bits=np.zeros(0, dtype=np.uint8) if rng is None else None,
+            restrict=eng.slice_tx[:, i] == jj, extra_bits=eng.j_cost, k=k,
+            slice_rx=rx_eng.inner.slice_rx)
+
+    def run_batch(self, rng, T: int, blocks=None) -> ProtocolBatch:
+        """T independent trials at once, every draw taken from ``rng``.
+
+        Draw order: the T source pairs, then per round, for the trials still
+        running, the hash blocks, the J uniforms, the shared strings and the
+        M* uniforms.  ``blocks`` replaces the hash draws with one
+        (T, L, w + 1) array per round, indexed by trial.  Each round gathers
+        the table rows of every trial by its (transmitter history,
+        receiver history, input) and calls the round kernel once.
+        """
+        xi, yj = self.src.sample(rng, size=T)
+        syms = (xi, yj)
+        R = self.law.n_rounds
+        hist = np.zeros((2, T), dtype=np.int64)  # history code, party x / y
+        msgs = np.full((2, T, R), -1, dtype=np.int64)
+        bits = np.zeros(T, dtype=np.int64)
+        cause = np.zeros(T, dtype=np.int64)
+        live = np.arange(T)
+        for t, tab in enumerate(self.tables, start=1):
+            tx = 1 - t % 2  # party x speaks in odd rounds
+            rx = 1 - tx
+            h_tx, h_rx = hist[tx, live], hist[rx, live]
+            known = (h_tx >= 0) & (h_rx >= 0)
+            cause[live[~known]] = _NO_MATCH
+            live, h_tx, h_rx = live[known], h_tx[known], h_rx[known]
+            n = live.size
+            s_tx, s_rx = syms[tx][live], syms[rx][live]
+            inner = tab.inner
+            blk = (rng.integers(0, 2, dtype=np.uint8, size=(
+                n, inner.total_hash_bits, inner.width + 1))
+                if blocks is None else blocks[t - 1][live])
+            jj = _pick_slice(tab.cum_j[h_tx, s_tx], rng.random(n))
+            k_t = tab.k_of[jj]
+            u = _draw_prefix(rng, k_t)
+            m_star, decoded, c, b = _round_kernel(
+                inner, tab.p_m[h_tx, s_tx],
+                tab.slice_tx[h_tx, s_tx] == jj[:, None],
+                tab.slice_rx[h_rx, s_rx], k_t, blk, u, rng.random(n),
+                tab.j_cost)
+            bad = ~tab.good[h_tx, jj]
+            c[bad] = _BAD_J
+            b[bad] = tab.j_cost
+            bits[live] += b
+            c[(c == 0) & (bits[live] > self.l_max)] = _BUDGET
+            cause[live] = c
+            ok = c == 0
+            live, h_tx, h_rx = live[ok], h_tx[ok], h_rx[ok]
+            m_star, decoded = m_star[ok], decoded[ok]
+            # the transmitter appends M*, the receiver what it decoded
+            msgs[tx, live, t - 1] = m_star
+            msgs[rx, live, t - 1] = decoded
+            if tab.next is not None:
+                hist[tx, live] = tab.next[h_tx, m_star]
+                hist[rx, live] = tab.next[h_rx, decoded]
+        msgs[:, cause != 0] = -1
+        return ProtocolBatch(np.column_stack([msgs[0], msgs[1], xi, yj]),
+                             bits, cause)
+
+    def view_of(self, key) -> tuple:
+        """The view ``(hist_x, hist_y, x, y)`` of one ``run_batch`` key row,
+        ``(None, None, x, y)`` after an error."""
+        R = self.law.n_rounds
+        x = self.src.x_alphabet[key[2 * R]]
+        y = self.src.y_alphabet[key[2 * R + 1]]
+        if key[0] < 0:
+            return (None, None, x, y)
+        U = self.round_universe
+        return (tuple(U[t][key[t]] for t in range(R)),
+                tuple(U[t][key[R + t]] for t in range(R)), x, y)
 
     def true_view_law(self) -> FiniteDistribution:
         acc: Counter = Counter()
@@ -1029,9 +1195,8 @@ class ProtocolSimulator:
 
     def exact_atom_count(self) -> int:
         total = int((self.src.mass > 0).sum())
-        for t in range(1, self.law.n_rounds + 1):
-            eng = next(e for (tt, _), e in self.engines.items() if tt == t)
-            total *= family_size(eng.inner.width, eng.inner.total_hash_bits)
+        for tab in self.tables:
+            total *= family_size(tab.inner.width, tab.inner.total_hash_bits)
         return total
 
     def exact_view_law(self) -> FiniteDistribution:
@@ -1042,10 +1207,9 @@ class ProtocolSimulator:
             raise TooLarge("seed space too large for exact enumeration")
         fams = []
         seed_p = 1.0
-        for t in range(1, self.law.n_rounds + 1):
-            eng = next(e for (tt, _), e in self.engines.items() if tt == t)
-            fams.append(list(enumerate_family(eng.inner.width,
-                                              eng.inner.total_hash_bits)))
+        for tab in self.tables:
+            fams.append(list(enumerate_family(tab.inner.width,
+                                              tab.inner.total_hash_bits)))
             seed_p /= len(fams[-1])
         acc: Counter = Counter()
         for i, x in enumerate(self.src.x_alphabet):
@@ -1059,11 +1223,14 @@ class ProtocolSimulator:
         return FiniteDistribution.from_mapping(acc)
 
 
-def protocol5_full(law: TranscriptLaw, plans: Sequence[RoundPlan], seed,
-                   l_max: float = math.inf,
-                   k_override: int | None = None) -> SimOutcome:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return ProtocolSimulator(law, plans, l_max, k_override).run(rng)
+def _protocol_chunk(sim: ProtocolSimulator, T: int, seed):
+    batch = sim.run_batch(np.random.default_rng(seed), T)
+    uniq, counts = np.unique(batch.keys, axis=0, return_counts=True)
+    views = Counter({sim.view_of(k): int(c) for k, c in zip(uniq, counts)})
+    R = sim.law.n_rounds
+    mism = int(np.any(batch.keys[:, :R] != batch.keys[:, R:2 * R],
+                      axis=1).sum())
+    return views, _cause_counts(batch.cause), batch.bits, mism
 
 
 def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:

@@ -10,13 +10,17 @@ from icsim.bounds import (
 )
 from icsim.errors import OutOfRange
 from icsim.evaluate import measure_sim_error
-from icsim.probcore import SliceConfig, dsbs_source, spectrum
+from icsim.hashing import HashFamily
+from icsim.probcore import SliceConfig, dsbs_source, product_source, spectrum
 from icsim.protocol import (
     data_exchange_protocol,
     noisy_send_protocol,
     send_value_protocol,
+    xor_reply_protocol,
 )
 from icsim.simulate import (
+    BATCH_BYTES,
+    BATCH_CHUNK,
     ERROR_CAUSES,
     ImprovedRoundSimulator,
     InteractiveSWCoder,
@@ -55,7 +59,7 @@ def round_sim(k=0, gamma=2.0, q=0.25):
 class TestSlepianWolf:
     def test_transmitter_always_keeps_its_input(self):
         coder = sw_coder()
-        agg = run_trials(coder, 200, 1, keep_log=True)
+        agg = run_trials(coder, 200, 1)
         for t in range(50):
             out = coder.run(np.random.default_rng([3, t]))
             assert out.tau_x == out.x
@@ -238,3 +242,130 @@ def test_run_trials_reproducible():
     b = run_trials(coder, 500, 42)
     assert a.views == b.views
     assert np.array_equal(a.bits, b.bits)
+
+
+# -- engine 5: the batch path against the scalar reference -------------------
+
+
+def criterion7_sim(law=None, l_max=math.inf):
+    """The criterion-7 instance: deterministic target, k = 0 rounds."""
+    law = law or data_exchange_protocol(dsbs_source(0.25))
+    rx = SliceConfig(0.0, 2.0, 1.0, 0.5)
+    tx = SliceConfig(0.0, 1e-9, 1e-9, 0.5)
+    return ProtocolSimulator(law, [RoundPlan(rx, tx)] * 2, l_max=l_max,
+                             k_override=0)
+
+
+@pytest.mark.parametrize("make, outcomes", [
+    (lambda: criterion7_sim(), {None, "mismatch", "tail"}),
+    (lambda: criterion7_sim(xor_reply_protocol(dsbs_source(0.25))),
+     {None, "mismatch", "tail"}),
+    (lambda: criterion7_sim(l_max=3), {"budget_exceeded", "tail"}),
+], ids=["data-exchange", "xor-reply", "l_max=3"])
+def test_protocol_batch_matches_scalar_seed_for_seed(make, outcomes):
+    sim = make()
+    T = 1_500
+    rng = np.random.default_rng(17)
+    blocks = [rng.integers(0, 2, dtype=np.uint8, size=(
+        T, tab.inner.total_hash_bits, tab.inner.width + 1))
+        for tab in sim.tables]
+    batch = sim.run_batch(rng, T, blocks=blocks)
+    R = sim.law.n_rounds
+    seen = set()
+    for n in range(T):
+        i, j = batch.keys[n, 2 * R:]
+        chains = [HashFamily(b.shape[2] - 1, b.shape[1], b[n, :, :-1],
+                             b[n, :, -1]) for b in blocks]
+        out = sim.run(None, x=sim.src.x_alphabet[i],
+                      y=sim.src.y_alphabet[j], chains=chains)
+        c = int(batch.cause[n])
+        got = (sim.view_of(batch.keys[n]), int(batch.bits[n]),
+               None if c == 0 else ERROR_CAUSES[c - 1])
+        assert got == (out.view, out.bits, out.error), n
+        seen.add("mismatch" if out.tau_x != out.tau_y else out.error)
+    # the trials reach the outcomes the instance is meant to cover
+    assert outcomes <= seen
+
+
+def _scalar_trials(sim, n, seed):
+    outs = [sim.run(np.random.default_rng([seed, t])) for t in range(n)]
+    errors = {}
+    for o in outs:
+        if o.error is not None:
+            errors[o.error] = errors.get(o.error, 0) + 1
+    return errors, np.array([o.bits for o in outs], dtype=float)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TestProtocolSimulator().make(l_max=3),
+    lambda: ProtocolSimulator(
+        data_exchange_protocol(dsbs_source(0.25)),
+        auto_round_plans(data_exchange_protocol(dsbs_source(0.25)),
+                         gamma=0.5), k_override=None),
+    lambda: ProtocolSimulator(
+        xor_reply_protocol(dsbs_source(0.3)),
+        auto_round_plans(xor_reply_protocol(dsbs_source(0.3)), gamma=2.0),
+        k_override=0),
+    lambda: ProtocolSimulator(
+        noisy_send_protocol(dsbs_source(0.25), 0.15),
+        auto_round_plans(noisy_send_protocol(dsbs_source(0.25), 0.15),
+                         gamma=1.0)),
+], ids=["l_max=3", "k_override=None", "xor-reply", "noisy-send"])
+def test_protocol_batch_same_distribution_as_scalar(make):
+    sim = make()
+    n_b, n_s = 40_000, 4_000
+    agg = run_trials(sim, n_b, 21)
+    err_s, bits_s = _scalar_trials(sim, n_s, 22)
+
+    def close(p_b, p_s):
+        pool = (p_b * n_b + p_s * n_s) / (n_b + n_s)
+        se = math.sqrt(pool * (1 - pool) * (1 / n_b + 1 / n_s))
+        return abs(p_b - p_s) <= 5 * se
+
+    assert close(agg.error_rate, sum(err_s.values()) / n_s)
+    for cause in ERROR_CAUSES:
+        assert close(agg.errors.get(cause, 0) / n_b,
+                     err_s.get(cause, 0) / n_s), cause
+    se = math.sqrt(agg.bits.var() / n_b + bits_s.var() / n_s)
+    assert abs(agg.bits.mean() - bits_s.mean()) <= 5 * se
+    assert agg.error_rate > 0
+
+
+def test_protocol_k_override_none_shares_prefix_bits():
+    # the k_override=None instance above really runs rounds with k > 0
+    law = data_exchange_protocol(dsbs_source(0.25))
+    sim = ProtocolSimulator(law, auto_round_plans(law, gamma=0.5))
+    assert all(tab.k_of[tab.good.any(axis=0)].max() > 0
+               for tab in sim.tables)
+
+
+def test_protocol_run_trials_reproducible():
+    sim = TestProtocolSimulator().make(gamma=2.0)
+    a = run_trials(sim, 3_000, 42)
+    b = run_trials(sim, 3_000, 42)
+    assert a.views == b.views
+    assert np.array_equal(a.bits, b.bits)
+    assert a.errors == b.errors and a.mismatches == b.mismatches
+
+
+def test_protocol_chunk_shrinks_for_large_rounds():
+    small = TestProtocolSimulator().make()
+    assert small.chunk == BATCH_CHUNK
+    # send-x over dsbs^6: 64 messages, so a full chunk would need ~0.9 GB
+    law = send_value_protocol(product_source(dsbs_source(0.11), 6))
+    sim = ProtocolSimulator(law, auto_round_plans(law, gamma=3.0),
+                            k_override=0)
+    inner = sim.tables[0].inner
+    per_trial = 9 * len(inner.messages) * inner.total_hash_bits
+    assert len(inner.messages) == 64
+    assert 1 <= sim.chunk < BATCH_CHUNK
+    assert sim.chunk * per_trial <= BATCH_BYTES
+
+
+def test_protocol_run_trials_chunks_on_part_streams():
+    sim = TestProtocolSimulator().make(gamma=2.0)
+    sim.chunk = 300
+    agg = run_trials(sim, 700, 9)
+    for part, (lo, hi) in enumerate([(0, 300), (300, 600), (600, 700)]):
+        batch = sim.run_batch(np.random.default_rng([9, part]), hi - lo)
+        assert np.array_equal(agg.bits[lo:hi], batch.bits)
