@@ -60,8 +60,6 @@ from .simulate import (
     SlepianWolfCoder,
     auto_round_plans,
     batch_round_trials,
-    protocol1_batch,
-    protocol2_batch,
     round_density_spectrum,
     run_trials,
 )
@@ -229,7 +227,8 @@ def cmd_eval(args):
     engine = build_engine(cfg)
     if args.mode == "plugin":
         agg = batch_round_trials(engine, args.trials, args.seed) \
-            if isinstance(engine, (RoundSimulator, ImprovedRoundSimulator)) \
+            if isinstance(engine, (InteractiveSWCoder, RoundSimulator,
+                                   ImprovedRoundSimulator)) \
             else run_trials(engine, args.trials, args.seed)
         est = measure_sim_error(engine, "plugin", master_seed=args.seed,
                                 agg=agg)

@@ -8,13 +8,14 @@ Five engines of increasing strength:
 4. ``ImprovedRoundSimulator`` adds the transmitted slice index J
 5. ``ProtocolSimulator``     round-by-round simulation of a full transcript law
 
-Each engine precomputes its tables once and exposes ``run`` for a single
-trial; ``run_trials`` drives independent seed streams.  Engines 3 and 4 also
-run batched through ``batch_round_trials``, and engine 5 trials always run
-batched (``ProtocolSimulator.run_batch``); both batch paths share one round
-kernel, ``_round_kernel``.  Engines whose randomness is small enough also
-expose ``exact_view_law`` which enumerates every hash seed and
-shared-randomness value.
+Engine 2 is engine 3 on the identity channel, and engines 4 and 5 run
+engine 3 rounds.  Each engine precomputes its tables once and exposes
+``run`` for a single trial; ``run_trials`` drives independent seed streams.
+Engines 2, 3 and 4 also run batched through ``batch_round_trials``, and
+engine 5 trials always run batched (``ProtocolSimulator.run_batch``); both
+batch paths share one round kernel, ``_round_kernel``.  Engines whose
+randomness is small enough also expose ``exact_view_law`` which enumerates
+every hash seed and shared-randomness value.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, SupportViolation, TooLarge
+from .errors import OutOfRange, TooLarge
 from .hashing import (
     ENUMERATION_CAP,
     HashFamily,
@@ -52,26 +53,6 @@ BATCH_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
-class Message:
-    round: int
-    sender: str
-    nbits: int
-    kind: str  # "hash", "ack", "index", ...
-
-
-@dataclass
-class ChannelLog:
-    messages: list = field(default_factory=list)
-
-    def send(self, round_: int, sender: str, nbits: int, kind: str):
-        self.messages.append(Message(round_, sender, nbits, kind))
-
-    @property
-    def total_bits(self) -> int:
-        return sum(m.nbits for m in self.messages)
-
-
-@dataclass(frozen=True)
 class SimOutcome:
     x: object
     y: object
@@ -80,7 +61,6 @@ class SimOutcome:
     bits: int
     error: str | None      # None or one of ERROR_CAUSES
     slice_hit: int         # terminating slice (engines 1-4), rounds done (5)
-    log: ChannelLog | None = None
 
     @property
     def view(self) -> tuple:
@@ -209,8 +189,8 @@ class SlepianWolfCoder:
         atyp = float(self.source.mass[~self.typical].sum())
         return atyp + 2.0 ** (-self.gamma)
 
-    def run(self, rng, x=None, y=None, fam: HashFamily | None = None,
-            log: bool = False) -> SimOutcome:
+    def run(self, rng, x=None, y=None,
+            fam: HashFamily | None = None) -> SimOutcome:
         if x is None:
             i, j = self.source.sample(rng)
         else:
@@ -220,17 +200,14 @@ class SlepianWolfCoder:
         hashes = fam.apply_packed(self.enc)
         cands = self.cands[j]
         match = cands[hashes[cands] == hashes[i]]
-        chan = ChannelLog() if log else None
-        if chan is not None:
-            chan.send(1, "x", self.l, "hash")
         xs = self.source.x_alphabet
         if match.size == 1:
             return SimOutcome(xs[i], self.source.y_alphabet[j], xs[i],
-                              xs[int(match[0])], self.l, None, 1, chan)
+                              xs[int(match[0])], self.l, None, 1)
         cause = ("multiple_match" if match.size > 1
                  else ("tail" if not self.typical[i, j] else "no_match"))
         return SimOutcome(xs[i], self.source.y_alphabet[j], xs[i], None,
-                          self.l, cause, 1, chan)
+                          self.l, cause, 1)
 
     # -- exact enumeration ---------------------------------------------------
 
@@ -299,146 +276,46 @@ class InteractiveSWCoder:
     First l hash bits, then one delta-bit hash block per extra slice; the
     receiver searches slice i after i blocks and answers ACK or NACK.  A
     trial terminating in slice i costs exactly l + (i - 1) delta + i bits.
+
+    This is engine 3 on the identity channel (M = X) with no shared prefix:
+    ``inner`` is that :class:`RoundSimulator` and runs every trial.  ``aux``
+    is the receiver's conditional Q(x|y), on the source's (x, y) axes.
     """
 
     def __init__(self, source: JointSource, cfg: SliceConfig,
                  l: int | None = None, aux: np.ndarray | None = None):
         self.source = source
         self.cfg = cfg
-        self.delta = _int_param(cfg.delta, "delta")
-        self.n_slices = cfg.n_slices
-        if l is None:
-            l = math.ceil(cfg.lambda_min + cfg.delta + cfg.gamma - 1e-9)
-        self.l = _int_param(l, "l")
-        cond = source.p_x_given_y if aux is None else np.asarray(aux, float)
-        self.h_q = _conditional_density(cond)
-        vec = np.vectorize(cfg.slice_of)
-        self.slice_of = np.where(np.isfinite(self.h_q),
-                                 vec(np.where(np.isfinite(self.h_q),
-                                              self.h_q, 0.0)), 0).astype(int)
-        self.width = encoding_width(len(source.x_alphabet))
-        self.enc = encode_universe(len(source.x_alphabet), self.width)
-        self.total_hash_bits = self.l + (self.n_slices - 1) * self.delta
-        self.members = [[np.nonzero(self.slice_of[:, j] == i)[0]
-                         for i in range(self.n_slices + 1)]
-                        for j in range(len(source.y_alphabet))]
-
-    def pos_at(self, i: int) -> int:
-        return self.l + (i - 1) * self.delta
+        nx = len(source.x_alphabet)
+        self.inner = RoundSimulator(
+            source, np.eye(nx), source.x_alphabet, cfg, 0,
+            None if aux is None else np.asarray(aux, float).T, l=l)
+        self.l = self.inner.l
+        self.delta = self.inner.delta
+        self.n_slices = self.inner.n_slices
+        self.total_hash_bits = self.inner.total_hash_bits
 
     def tail_mass(self) -> float:
-        return float(self.source.mass[self.slice_of == 0].sum())
+        return self.inner.tail_mass()
 
     def analytic_error_bound(self) -> float:
         return self.tail_mass() + self.n_slices * 2.0 ** (-self.cfg.gamma)
 
     def bits_for_slice(self, i: int) -> int:
-        return self.pos_at(i) + i
+        return self.inner.pos_at(i) + i
 
-    def run(self, rng, x=None, y=None, fam: HashFamily | None = None,
-            log: bool = False) -> SimOutcome:
-        if x is None:
-            i, j = self.source.sample(rng)
-        else:
-            i, j = self.source.x_index[x], self.source.y_index[y]
-        if fam is None:
-            fam = draw_hash(self.width, self.total_hash_bits, rng)
-        bits_all = fam.apply_bits(self.enc)  # (M, total_hash_bits)
-        chan = ChannelLog() if log else None
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        decoded, cause, hit = None, None, self.n_slices
-        for s in range(1, self.n_slices + 1):
-            pos = self.pos_at(s)
-            if chan is not None:
-                chan.send(s, "x", self.l if s == 1 else self.delta, "hash")
-            cand = self.members[j][s]
-            ok = cand[np.all(bits_all[cand, :pos] == bits_all[i, :pos], axis=1)]
-            if chan is not None:
-                chan.send(s, "y", 1, "ack" if ok.size == 1 else "nack")
-            if ok.size == 1:
-                decoded, hit = int(ok[0]), s
-                break
-            if ok.size > 1 and s > 1:
-                cause, hit = "multiple_match", s
-                break
-        if decoded is None and cause is None:
-            cause = "tail" if self.slice_of[i, j] == 0 else "no_match"
-        bits = self.bits_for_slice(hit)
-        return SimOutcome(xs[i], ys[j], xs[i],
-                          None if decoded is None else xs[decoded],
-                          bits, cause, hit, chan)
+    def run(self, rng, x=None, y=None,
+            fam: HashFamily | None = None) -> SimOutcome:
+        return self.inner.run(rng, x, y, fam)
 
     def exact_atom_count(self) -> int:
-        live = int((self.source.mass > 0).sum())
-        return live * family_size(self.width, self.total_hash_bits)
+        return self.inner.exact_atom_count()
 
     def exact_view_law(self) -> FiniteDistribution:
-        if self.exact_atom_count() > ENUMERATION_CAP:
-            raise TooLarge("seed space too large for exact enumeration")
-        seed_p = 1.0 / family_size(self.width, self.total_hash_bits)
-        acc: Counter = Counter()
-        for i, x in enumerate(self.source.x_alphabet):
-            for j, y in enumerate(self.source.y_alphabet):
-                w = float(self.source.mass[i, j])
-                if w <= 0:
-                    continue
-                for fam in enumerate_family(self.width, self.total_hash_bits):
-                    out = self.run(None, x=x, y=y, fam=fam)
-                    acc[out.view] += w * seed_p
-        return FiniteDistribution.from_mapping(acc)
+        return self.inner.exact_view_law()
 
     def true_view_law(self) -> FiniteDistribution:
-        acc: Counter = Counter()
-        for i, x in enumerate(self.source.x_alphabet):
-            for j, y in enumerate(self.source.y_alphabet):
-                w = float(self.source.mass[i, j])
-                if w > 0:
-                    acc[(x, x, x, y)] += w
-        return FiniteDistribution.from_mapping(acc)
-
-
-def protocol2_batch(coder: InteractiveSWCoder, trials: int,
-                    master_seed: int) -> dict:
-    """Vectorized trials of the interactive coder.
-
-    Returns wrong/declared counts, per-trial bits and terminating slices.
-    """
-    rng = np.random.default_rng([master_seed, 0])
-    M = len(coder.source.x_alphabet)
-    xi, yj = coder.source.sample(rng, size=trials)
-    L = coder.total_hash_bits
-    mats = rng.integers(0, 2, size=(trials, L, coder.width), dtype=np.uint8)
-    hv = np.einsum("tlw,mw->tml", mats, coder.enc) % 2  # (T, M, L)
-    own = hv[np.arange(trials), xi]                     # (T, L)
-    slc = coder.slice_of[:, yj].T                       # (T, M)
-    active = np.ones(trials, dtype=bool)
-    decoded = np.full(trials, -1, dtype=np.int64)
-    hit = np.full(trials, coder.n_slices, dtype=np.int64)
-    declared = np.zeros(trials, dtype=bool)
-    for s in range(1, coder.n_slices + 1):
-        pos = coder.pos_at(s)
-        agree = np.all(hv[:, :, :pos] == own[:, None, :pos], axis=2)  # (T, M)
-        match = agree & (slc == s)
-        cnt = match.sum(axis=1)
-        ack = active & (cnt == 1)
-        decoded[ack] = np.argmax(match[ack], axis=1)
-        hit[ack] = s
-        if s > 1:
-            multi = active & (cnt > 1)
-            declared |= multi
-            hit[multi] = s
-            active &= ~multi
-        active &= ~ack
-    declared |= active  # exhausted every slice
-    wrong = declared | (decoded != xi)
-    bits = coder.l + (hit - 1) * coder.delta + hit
-    return {
-        "wrong": int(wrong.sum()),
-        "declared": int(declared.sum()),
-        "bits": bits,
-        "slice_hit": hit,
-        "trials": trials,
-    }
+        return self.inner.true_view_law()
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +328,15 @@ class RoundSimulator:
 
     The transmitter samples M conditioned on the first k hash bits agreeing
     with the shared uniform string, then finishes the transmission with the
-    interactive coder; the first k hash bits are never sent.
+    interactive coder; the first k hash bits are never sent.  The first
+    slice needs ``l`` hash bits, ``ceil(lambda_min + delta + gamma)`` of the
+    receiver's slicing unless given.
     """
 
     def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
                  messages: Sequence, cfg_rx: SliceConfig, k: int,
-                 aux_m_given_y: np.ndarray | None = None):
+                 aux_m_given_y: np.ndarray | None = None,
+                 l: int | None = None):
         self.source = source
         self.messages = tuple(messages)
         self.p_m_given_x = np.asarray(p_m_given_x, dtype=float)
@@ -467,8 +347,10 @@ class RoundSimulator:
         self.cfg_rx = cfg_rx
         self.delta = _int_param(cfg_rx.delta, "delta")
         self.n_slices = cfg_rx.n_slices
-        self.l = _int_param(
-            math.ceil(cfg_rx.lambda_min + cfg_rx.delta + cfg_rx.gamma - 1e-9), "l")
+        if l is None:
+            l = math.ceil(cfg_rx.lambda_min + cfg_rx.delta + cfg_rx.gamma
+                          - 1e-9)
+        self.l = _int_param(l, "l")
         self.total_hash_bits = self.l + (self.n_slices - 1) * self.delta
         if not 0 <= k <= self.total_hash_bits:
             raise OutOfRange("shared prefix k must fit inside the hash budget")
@@ -483,7 +365,6 @@ class RoundSimulator:
                                  0).astype(int)
         self.width = encoding_width(M)
         self.enc = encode_universe(M, self.width)
-        self.cum_m_given_x = np.cumsum(self.p_m_given_x, axis=1)
         if self.total_hash_bits > 62:
             raise OutOfRange("hash budget exceeds 62 bits")
         self._pow2 = (1 << np.arange(self.total_hash_bits, dtype=np.int64))
@@ -506,39 +387,63 @@ class RoundSimulator:
         """Joint table P(M, X) with messages on rows."""
         return (self.p_m_given_x * self.source.p_x[:, None]).T
 
+    def _fallback(self, i: int, restrict: np.ndarray | None = None) -> int:
+        """M* when the conditioning event is empty: the first message of
+        P(.|x_i)'s support (within ``restrict`` when given), else 0."""
+        support = self.p_m_given_x[i] > 0
+        if restrict is not None:
+            support = support & restrict
+        base = np.nonzero(support)[0]
+        return int(base[0]) if base.size else 0
+
     def _sample_conditioned(self, rng, i: int, allowed: np.ndarray,
                             restrict: np.ndarray | None = None) -> int:
-        """Sample M ~ P(.|x_i) restricted to ``allowed`` (boolean mask)."""
-        mask = allowed.copy()
-        if restrict is not None:
-            mask &= restrict
-        w = self.p_m_given_x[i] * mask
-        tot = w.sum()
-        if tot <= 0.0:
-            # empty conditioning event: fall back to the canonical first
-            # supported message (within the restriction when one is given)
-            support = self.p_m_given_x[i] > 0
-            if restrict is not None:
-                support = support & restrict
-            base = np.nonzero(support)[0]
-            if base.size:
-                return int(base[0])
-            return 0
-        u = rng.random() if rng is not None else 0.0
+        """Sample M ~ P(.|x_i) restricted to ``allowed`` (boolean mask).
+
+        M* is the first message whose cumulative weight exceeds u times the
+        total, so it always has positive weight.  Without ``rng`` (exact
+        mode) the choice must be deterministic.
+        """
+        w = self.p_m_given_x[i] * (allowed if restrict is None
+                                   else allowed & restrict)
+        cum = np.cumsum(w)
+        if cum[-1] <= 0.0:
+            return self._fallback(i, restrict)
         if rng is None:
-            # deterministic conditioning only (exact mode)
             nz = np.nonzero(w)[0]
             if nz.size != 1:
                 raise OutOfRange("exact mode needs a deterministic choice")
             return int(nz[0])
-        return int(np.searchsorted(np.cumsum(w / tot), u, side="right"))
+        return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
 
     def hash_ints(self, fam: HashFamily) -> np.ndarray:
         """Packed hash outputs of every message, bit p at weight 2^p."""
         return fam.apply_bits(self.enc).astype(np.int64) @ self._pow2
 
+    def _decode(self, h: np.ndarray, received: int, slc: np.ndarray,
+                m_star: int) -> tuple[int | None, str | None, int]:
+        """The receiver's slice-by-slice search on packed hashes.
+
+        ``h`` holds the packed hash of every message, ``received`` the packed
+        hash the receiver holds (the shared prefix and the bits sent) and
+        ``slc`` the receiver's slice of every message.  After i hash blocks
+        the receiver matches the first ``pos_at(i)`` bits against its slice
+        i: one match is an ACK, several after the first slice are declared.
+        Returns ``(decoded, cause, hit)``: the decoded message index (None
+        on an error), the error cause or None, and the terminating slice.
+        """
+        diff = h ^ received
+        for s in range(1, self.n_slices + 1):
+            ok = np.nonzero((slc == s)
+                            & ((diff & ((1 << self.pos_at(s)) - 1)) == 0))[0]
+            if ok.size == 1:
+                return int(ok[0]), None, s
+            if ok.size > 1 and s > 1:
+                return None, "multiple_match", s
+        return (None, "tail" if slc[m_star] == 0 else "no_match",
+                self.n_slices)
+
     def run(self, rng, x=None, y=None, fam: HashFamily | None = None,
-            u_bits: np.ndarray | None = None, log: bool = False,
             restrict: np.ndarray | None = None,
             extra_bits: int = 0, k: int | None = None,
             slice_rx: np.ndarray | None = None) -> SimOutcome:
@@ -552,106 +457,64 @@ class RoundSimulator:
             i, j = self.source.x_index[x], self.source.y_index[y]
         if fam is None:
             fam = draw_hash(self.width, self.total_hash_bits, rng)
-        if u_bits is None:
-            u_int = int(rng.integers(0, 1 << k)) if k else 0
-        else:
-            u_int = int(np.dot(u_bits.astype(np.int64), self._pow2[:k]))
+        u_int = int(rng.integers(0, 1 << k)) if k else 0
         h = self.hash_ints(fam)  # (M,) packed
         mask_k = (1 << k) - 1
-        prefix_ok = (h & mask_k) == u_int
-        m_star = self._sample_conditioned(rng, i, prefix_ok, restrict)
+        m_star = self._sample_conditioned(rng, i, (h & mask_k) == u_int,
+                                          restrict)
         received = (int(h[m_star]) & ~mask_k) | u_int
-        chan = ChannelLog() if log else None
-        slc = slice_rx[:, j]
-        decoded, cause, hit = None, None, self.n_slices
-        for s in range(1, self.n_slices + 1):
-            pos = self.pos_at(s)
-            if chan is not None:
-                sent_now = max(0, pos - k) - max(0, self.pos_at(s - 1) - k) \
-                    if s > 1 else max(0, pos - k)
-                chan.send(s, "x", sent_now, "hash")
-            mask_pos = (1 << pos) - 1
-            ok = np.nonzero((slc == s) & (((h ^ received) & mask_pos) == 0))[0]
-            if chan is not None:
-                chan.send(s, "y", 1, "ack" if ok.size == 1 else "nack")
-            if ok.size == 1:
-                decoded, hit = int(ok[0]), s
-                break
-            if ok.size > 1 and s > 1:
-                cause, hit = "multiple_match", s
-                break
-        if decoded is None and cause is None:
-            cause = ("tail" if slice_rx[m_star, j] == 0 else "no_match")
+        decoded, cause, hit = self._decode(h, received, slice_rx[:, j],
+                                           m_star)
         bits = max(0, self.pos_at(hit) - k) + hit + extra_bits
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
         return SimOutcome(xs[i], ys[j], self.messages[m_star],
                           None if decoded is None else self.messages[decoded],
-                          bits, cause, hit, chan)
+                          bits, cause, hit)
 
     # -- exact enumeration ---------------------------------------------------
 
     def exact_atom_count(self) -> int:
-        live = int((self.source.mass > 0).sum())
-        M = len(self.messages)
-        return live * family_size(self.width, self.total_hash_bits) \
-            * (1 << self.k) * M
+        """Decodes ``exact_view_law`` runs: one per supported message of
+        each live (x, y), hash family and shared string."""
+        live = self.source.mass > 0
+        msgs = (self.p_m_given_x > 0).sum(axis=1)  # (nx,)
+        supported = int((live * msgs[:, None]).sum())
+        return supported * family_size(self.width, self.total_hash_bits) \
+            * (1 << self.k)
 
     def exact_view_law(self) -> FiniteDistribution:
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
         seed_p = 1.0 / family_size(self.width, self.total_hash_bits)
         u_p = 2.0 ** (-self.k)
+        mask_k = (1 << self.k) - 1
+        # shared strings in enumeration order, packed like the hash prefix
+        u_space = [int(np.dot(u, self._pow2[:self.k]))
+                   for u in itertools.product((0, 1), repeat=self.k)]
+        msgs = self.messages
         acc: Counter = Counter()
-        u_space = list(itertools.product((0, 1), repeat=self.k))
         for i, x in enumerate(self.source.x_alphabet):
             for j, y in enumerate(self.source.y_alphabet):
                 w = float(self.source.mass[i, j])
                 if w <= 0:
                     continue
                 for fam in enumerate_family(self.width, self.total_hash_bits):
-                    bits_all = fam.apply_bits(self.enc)
+                    h = self.hash_ints(fam)
                     for u in u_space:
-                        ub = np.array(u, dtype=np.uint8)
-                        prefix_ok = np.all(bits_all[:, :self.k] == ub[None, :],
-                                           axis=1)
-                        wt = self.p_m_given_x[i] * prefix_ok
+                        wt = self.p_m_given_x[i] * ((h & mask_k) == u)
                         tot = wt.sum()
                         base = w * seed_p * u_p
-                        if tot <= 0.0:
-                            sup = np.nonzero(self.p_m_given_x[i] > 0)[0]
-                            fb = int(sup[0]) if sup.size else 0
-                            out = self._run_fixed(i, j, fam, ub, fb)
-                            acc[out.view] += base
-                            continue
-                        for m in np.nonzero(wt)[0]:
-                            out = self._run_fixed(i, j, fam, ub, int(m))
-                            acc[out.view] += base * wt[m] / tot
+                        choices = ([(self._fallback(i), base)]
+                                   if tot <= 0.0 else
+                                   [(m, base * wt[m] / tot)
+                                    for m in np.nonzero(wt)[0]])
+                        for m, p in choices:
+                            d, _, _ = self._decode(
+                                h, (int(h[m]) & ~mask_k) | u,
+                                self.slice_rx[:, j], m)
+                            acc[(msgs[m], None if d is None else msgs[d],
+                                 x, y)] += p
         return FiniteDistribution.from_mapping(acc)
-
-    def _run_fixed(self, i: int, j: int, fam, u_bits, m_star: int) -> SimOutcome:
-        """Deterministic decode pass for a fixed transmitter choice."""
-        bits_all = fam.apply_bits(self.enc)
-        received = bits_all[m_star].copy()
-        received[: self.k] = u_bits
-        decoded, cause, hit = None, None, self.n_slices
-        for s in range(1, self.n_slices + 1):
-            pos = self.pos_at(s)
-            cand = np.nonzero(self.slice_rx[:, j] == s)[0]
-            ok = cand[np.all(bits_all[cand, :pos] == received[None, :pos],
-                             axis=1)]
-            if ok.size == 1:
-                decoded, hit = int(ok[0]), s
-                break
-            if ok.size > 1 and s > 1:
-                cause, hit = "multiple_match", s
-                break
-        if decoded is None and cause is None:
-            cause = ("tail" if self.slice_rx[m_star, j] == 0 else "no_match")
-        bits = max(0, self.pos_at(hit) - self.k) + hit
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        return SimOutcome(xs[i], ys[j], self.messages[m_star],
-                          None if decoded is None else self.messages[decoded],
-                          bits, cause, hit, None)
 
     def true_view_law(self) -> FiniteDistribution:
         acc: Counter = Counter()
@@ -733,7 +596,7 @@ class ImprovedRoundSimulator:
     def tail_mass_tx(self) -> float:
         return float(self.p_j[0])
 
-    def run(self, rng, x=None, y=None, log: bool = False) -> SimOutcome:
+    def run(self, rng, x=None, y=None) -> SimOutcome:
         if x is None:
             i, j_y = self.source.sample(rng)
         else:
@@ -741,20 +604,12 @@ class ImprovedRoundSimulator:
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
         cum = np.cumsum(self.p_j_given_x[i])
         jj = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        chan = ChannelLog() if log else None
-        if chan is not None:
-            chan.send(0, "x", self.j_cost, "index")
         if not self.good[jj]:
             return SimOutcome(xs[i], ys[j_y], None, None, self.j_cost,
-                              "bad_J", 0, chan)
-        k = self.k_of(jj)
-        restrict = self.slice_tx[:, i] == jj
-        out = self.inner.run(rng, x=xs[i], y=ys[j_y], log=log,
-                             restrict=restrict, extra_bits=self.j_cost, k=k)
-        if chan is not None and out.log is not None:
-            chan.messages.extend(out.log.messages)
-        return SimOutcome(out.x, out.y, out.tau_x, out.tau_y, out.bits,
-                          out.error, out.slice_hit, chan)
+                              "bad_J", 0)
+        return self.inner.run(rng, x=xs[i], y=ys[j_y],
+                              restrict=self.slice_tx[:, i] == jj,
+                              extra_bits=self.j_cost, k=self.k_of(jj))
 
     def true_view_law(self) -> FiniteDistribution:
         return self.inner.true_view_law()
@@ -762,7 +617,7 @@ class ImprovedRoundSimulator:
 
 def batch_round_trials(engine, trials: int, master_seed: int,
                        chunk: int = BATCH_CHUNK) -> TrialAggregate:
-    """Vectorized trials of a round simulator (engines 3 and 4).
+    """Vectorized trials of a round simulator (engines 2, 3 and 4).
 
     Statistically equivalent to :func:`run_trials` on the same engine but
     draws all randomness in bulk from one seed stream.
@@ -772,8 +627,12 @@ def batch_round_trials(engine, trials: int, master_seed: int,
 
 
 def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Slice index per trial from cumulative J-prior rows and uniforms."""
-    return (cum_rows < u[:, None] * cum_rows[:, -1:]).sum(axis=1)
+    """Slice index per trial from cumulative J-prior rows and uniforms.
+
+    As the scalar ``searchsorted(..., side="right")``: the first index whose
+    cumulative mass exceeds u times the total, so one of positive mass.
+    """
+    return (cum_rows <= u[:, None] * cum_rows[:, -1:]).sum(axis=1)
 
 
 def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
@@ -790,9 +649,10 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
     schedule; ``extra_bits`` (the slice-index cost) is added to each
     trial's bits.  Returns ``(m_star, decoded, cause, bits)``: ``decoded``
     is -1 when the receiver declares failure, and ``cause`` is a cause code
-    (tail, no_match or multiple_match).
+    (tail, no_match or multiple_match).  The decode is that of
+    :meth:`RoundSimulator._decode`, vectorized over trials.
     """
-    T, M = p_rows.shape
+    T = p_rows.shape[0]
     w = inner.width
     hv = (np.einsum("tlw,mw->tml", blocks[:, :, :w], inner.enc)
           + blocks[:, :, w][:, None, :]) % 2
@@ -801,12 +661,10 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
     u = u & mask_t
     prefix_ok = (h & mask_t[:, None]) == u[:, None]
 
-    wts = p_rows * (prefix_ok & restrict)
-    tot = wts.sum(axis=1)
-    r2 = u_m * tot
-    m_star = np.minimum((np.cumsum(wts, axis=1) < r2[:, None]).sum(axis=1),
-                        M - 1)
-    empty = tot <= 0.0
+    # the first message whose cumulative weight exceeds u_m times the total
+    cum = np.cumsum(p_rows * (prefix_ok & restrict), axis=1)
+    m_star = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
+    empty = cum[:, -1] <= 0.0
     if empty.any():
         # canonical fallback: first supported message of the restriction
         fb = restrict & (p_rows > 0)
@@ -814,8 +672,7 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
         first = np.argmax(fb, axis=1)
         m_star = np.where(empty, np.where(has, first, 0), m_star)
 
-    own = h[np.arange(T), m_star]
-    received = (own & ~mask_t) | u
+    received = (h[np.arange(T), m_star] & ~mask_t) | u
     decoded = np.full(T, -1, dtype=np.int64)
     hit = np.full(T, inner.n_slices, dtype=np.int64)
     multi = np.zeros(T, dtype=bool)
@@ -863,7 +720,7 @@ def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
 
 def _batch_round_chunk(engine, T: int, seed):
     improved = isinstance(engine, ImprovedRoundSimulator)
-    inner = engine.inner if improved else engine
+    inner = getattr(engine, "inner", engine)
     rng = np.random.default_rng(seed)
     M = len(inner.messages)
     L = inner.total_hash_bits
@@ -894,14 +751,18 @@ def _batch_round_chunk(engine, T: int, seed):
     errors = _cause_counts(cause)
 
     tx_col = np.where(bad_j, -1, m_star)
-    cols = np.stack([tx_col, decoded, xi, yj], axis=1)
-    uniq, counts = np.unique(cols, axis=0, return_counts=True)
-    msgs = inner.messages
+    # one mixed-radix key per (tx, decoded, x, y) row; sorting the keys sorts
+    # the rows lexicographically, and that order is the views' insertion
+    # order, which the plug-in estimate and its report bytes depend on
+    radix = (M + 1, M + 1, len(inner.source.x_alphabet),
+             len(inner.source.y_alphabet))
+    keys, counts = np.unique(np.ravel_multi_index(
+        (tx_col + 1, decoded + 1, xi, yj), radix), return_counts=True)
+    msgs = (None,) + inner.messages
     xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
     views = Counter()
-    for (a, d, i, j), c in zip(uniq, counts):
-        views[(None if a < 0 else msgs[a],
-               None if d < 0 else msgs[d], xs[i], ys[j])] = int(c)
+    for a, d, i, j, c in zip(*np.unravel_index(keys, radix), counts):
+        views[(msgs[a], msgs[d], xs[i], ys[j])] = int(c)
     mism = int((tx_col != decoded).sum())
     return views, errors, bits, mism
 
@@ -1044,15 +905,13 @@ class ProtocolSimulator:
                            for j in range(first.cfg_tx.n_slices + 1)]),
             next=nxt)
 
-    def run(self, rng, x=None, y=None, chains=None,
-            log: bool = False) -> SimOutcome:
+    def run(self, rng, x=None, y=None, chains=None) -> SimOutcome:
         if x is None:
             i, j = self.src.sample(rng)
             x, y = self.src.x_alphabet[i], self.src.y_alphabet[j]
         hist_x: tuple = ()
         hist_y: tuple = ()
         total_bits = 0
-        chan = ChannelLog() if log else None
         for t in range(1, self.law.n_rounds + 1):
             odd = t % 2 == 1
             tx_hist = hist_x if odd else hist_y
@@ -1061,23 +920,21 @@ class ProtocolSimulator:
             rx_eng = self.engines.get((t, rx_hist))
             if eng is None or rx_eng is None:
                 return SimOutcome(x, y, None, None, total_bits, "no_match",
-                                  t - 1, chan)
+                                  t - 1)
             out = self._run_round(eng, rx_eng, rng, x if odd else y,
                                   y if odd else x,
                                   chains[t - 1] if chains else None)
             total_bits += out.bits
-            if chan is not None and out.log is not None:
-                chan.messages.extend(out.log.messages)
             if out.error is not None:
                 return SimOutcome(x, y, None, None, total_bits, out.error,
-                                  t - 1, chan)
+                                  t - 1)
             if total_bits > self.l_max:
                 return SimOutcome(x, y, None, None, total_bits,
-                                  "budget_exceeded", t - 1, chan)
+                                  "budget_exceeded", t - 1)
             hist_x = hist_x + ((out.tau_x,) if odd else (out.tau_y,))
             hist_y = hist_y + ((out.tau_y,) if odd else (out.tau_x,))
         return SimOutcome(x, y, hist_x, hist_y, total_bits, None,
-                          self.law.n_rounds, chan)
+                          self.law.n_rounds)
 
     def _run_round(self, eng: ImprovedRoundSimulator,
                    rx_eng: ImprovedRoundSimulator, rng, tx_sym, rx_sym,
@@ -1096,14 +953,13 @@ class ProtocolSimulator:
                                      side="right"))
         if not eng.good[jj]:
             return SimOutcome(tx_sym, rx_sym, None, None, eng.j_cost,
-                              "bad_J", 0, None)
+                              "bad_J", 0)
         k = eng.k_of(jj)
         if rng is None and k > 0:
             raise OutOfRange("exact mode requires k = 0 rounds")
         # decode against the receiver-history slice table
         return eng.inner.run(
             rng, x=tx_sym, y=rx_sym, fam=chain,
-            u_bits=np.zeros(0, dtype=np.uint8) if rng is None else None,
             restrict=eng.slice_tx[:, i] == jj, extra_bits=eng.j_cost, k=k,
             slice_rx=rx_eng.inner.slice_rx)
 

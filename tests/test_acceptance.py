@@ -53,7 +53,6 @@ from icsim.simulate import (
     auto_round_plans,
     batch_round_trials,
     protocol1_batch,
-    protocol2_batch,
     round_density_spectrum,
     run_trials,
 )
@@ -157,12 +156,12 @@ def test_criterion_3_compression_dominance():
         if wrong / trials > one.analytic_error_bound():
             problems.append(f"p1 inst {inst} above bound")
         two = InteractiveSWCoder(src, auto_slice_config(spec, gamma=g))
-        res = protocol2_batch(two, trials, 200 + inst)
-        if res["wrong"] / trials > two.analytic_error_bound():
+        agg = batch_round_trials(two, trials, 200 + inst)
+        if agg.mismatches / trials > two.analytic_error_bound():
             problems.append(f"p2 inst {inst} above bound")
         allowed = {two.bits_for_slice(i)
                    for i in range(1, two.n_slices + 1)}
-        if not set(np.unique(res["bits"]).tolist()) <= allowed:
+        if not set(np.unique(agg.bits).tolist()) <= allowed:
             problems.append(f"p2 inst {inst} bit counts off")
         for i in range(1, two.n_slices + 1):
             if two.bits_for_slice(i) != two.l + (i - 1) * two.delta + i:

@@ -28,10 +28,11 @@ from icsim.simulate import (
     RoundPlan,
     RoundSimulator,
     SlepianWolfCoder,
+    _pick_slice,
+    _round_kernel,
     auto_round_plans,
     batch_round_trials,
     protocol1_batch,
-    protocol2_batch,
     round_density_spectrum,
     run_trials,
 )
@@ -103,15 +104,15 @@ class TestInteractive:
 
     def test_error_below_bound(self):
         coder = interactive_coder(gamma=3.0)
-        res = protocol2_batch(coder, 50_000, 2)
-        assert res["wrong"] / res["trials"] <= coder.analytic_error_bound()
+        agg = batch_round_trials(coder, 50_000, 2)
+        assert agg.mismatches / agg.trials <= coder.analytic_error_bound()
 
     def test_batch_bits_in_allowed_set(self):
         coder = interactive_coder()
-        res = protocol2_batch(coder, 20_000, 5)
+        agg = batch_round_trials(coder, 20_000, 5)
         allowed = {coder.bits_for_slice(i)
                    for i in range(1, coder.n_slices + 1)}
-        assert set(np.unique(res["bits"]).tolist()) <= allowed
+        assert set(np.unique(agg.bits).tolist()) <= allowed
 
     def test_exact_view_law_mass_one(self):
         cfg = SliceConfig(0.0, 2.0 + 1e-9, 2.0, 0.0)
@@ -369,3 +370,157 @@ def test_protocol_run_trials_chunks_on_part_streams():
     for part, (lo, hi) in enumerate([(0, 300), (300, 600), (600, 700)]):
         batch = sim.run_batch(np.random.default_rng([9, part]), hi - lo)
         assert np.array_equal(agg.bits[lo:hi], batch.bits)
+
+
+# -- engines 2 to 4: the round kernel against the scalar reference ----------
+
+
+def _kernel_replay(engine, T, seed):
+    """Replay the scalar ``run`` draws of T trials in ``_round_kernel``.
+
+    Trial n runs ``engine.run`` on ``default_rng([seed, n])`` with x and y
+    fixed.  The replay takes the same draws from the same stream in the
+    scalar's order (the J uniform on engine 4, the hash block, the shared
+    string when k > 0, the M* uniform), feeds all T trials to one kernel
+    call, and returns per trial ``(view, bits, cause)`` of both paths.
+    """
+    improved = isinstance(engine, ImprovedRoundSimulator)
+    inner = getattr(engine, "inner", engine)
+    L, w, M = inner.total_hash_bits, inner.width, len(inner.messages)
+    xi, yj = inner.source.sample(np.random.default_rng([seed, T]), size=T)
+    jj = np.zeros(T, dtype=np.int64)
+    k_t = np.full(T, inner.k, dtype=np.int64)
+    blocks = np.empty((T, L, w + 1), dtype=np.uint8)
+    u = np.zeros(T, dtype=np.int64)
+    u_m = np.empty(T)
+    for n in range(T):
+        rng = np.random.default_rng([seed, n])
+        if improved:
+            cum = np.cumsum(engine.p_j_given_x[xi[n]])
+            jj[n] = np.searchsorted(cum, rng.random() * cum[-1],
+                                    side="right")
+            k_t[n] = engine.k_of(int(jj[n]))
+        blocks[n] = rng.integers(0, 2, size=(L, w + 1), dtype=np.uint8)
+        if k_t[n]:
+            u[n] = rng.integers(0, 1 << int(k_t[n]))
+        u_m[n] = rng.random()
+    restrict = np.ones((T, M), dtype=bool)
+    bad = np.zeros(T, dtype=bool)
+    j_cost = 0
+    if improved:
+        restrict = engine.slice_tx[:, xi].T == jj[:, None]
+        bad = ~engine.good[jj]
+        j_cost = engine.j_cost
+    m_star, decoded, cause, bits = _round_kernel(
+        inner, inner.p_m_given_x[xi], restrict, inner.slice_rx[:, yj].T,
+        k_t, blocks, u, u_m, j_cost)
+    msgs = inner.messages
+    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+    pairs = []
+    for n in range(T):
+        x, y = xs[xi[n]], ys[yj[n]]
+        out = engine.run(np.random.default_rng([seed, n]), x=x, y=y)
+        if bad[n]:
+            got = ((None, None, x, y), j_cost, "bad_J")
+        else:
+            c = int(cause[n])
+            got = ((msgs[m_star[n]],
+                    None if decoded[n] < 0 else msgs[decoded[n]], x, y),
+                   int(bits[n]), None if c == 0 else ERROR_CAUSES[c - 1])
+        pairs.append((got, (out.view, out.bits, out.error)))
+    return pairs
+
+
+def _noisy_round(k=0, k_override=None, improved=False):
+    src = dsbs_source(0.25)
+    law = noisy_send_protocol(src, 0.15)
+    view = law.round_view(1, ())
+    rx = SliceConfig(0.0, 3.0 + 1e-9, 1.0, 1.0)
+    if improved:
+        # the transmitter tail, -log2 0.15 > 2, is the rejected index 0
+        tx = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
+        return ImprovedRoundSimulator(src, view.p_m_given_x, view.messages,
+                                      rx, tx, k_override=k_override)
+    return RoundSimulator(src, view.p_m_given_x, view.messages, rx, k)
+
+
+@pytest.mark.parametrize("make, outcomes", [
+    (lambda: interactive_coder(gamma=1.0), {None, "mismatch"}),
+    (lambda: InteractiveSWCoder(
+        product_source(dsbs_source(0.2), 2),
+        SliceConfig(0.0, 4.0 + 1e-9, 2.0, 0.0)),
+     {None, "mismatch", "multiple_match", "tail"}),
+    # three messages share slice 1 and often collide on its l = 2 bits
+    (lambda: InteractiveSWCoder(
+        product_source(dsbs_source(0.2), 2),
+        SliceConfig(0.0, 6.0 + 1e-9, 3.0, 0.0), l=2),
+     {None, "mismatch", "no_match"}),
+    (lambda: round_sim(k=2, gamma=1.0), {None, "mismatch", "no_match"}),
+    (lambda: _noisy_round(k=1), {None, "mismatch", "no_match"}),
+    (lambda: _noisy_round(improved=True), {None, "mismatch", "bad_J"}),
+    (lambda: _noisy_round(k_override=2, improved=True),
+     {None, "mismatch", "bad_J", "no_match"}),
+], ids=["p2", "p2-dsbs2", "p2-dsbs2-l2", "p3-k2", "p3-noisy-k1", "p4-noisy",
+        "p4-noisy-k2"])
+def test_round_kernel_matches_scalar_seed_for_seed(make, outcomes):
+    pairs = _kernel_replay(make(), 1_500, 31)
+    seen = set()
+    for n, (got, want) in enumerate(pairs):
+        assert got == want, n
+        view, _, error = want
+        seen.add("mismatch" if error is None and view[0] != view[1]
+                 else error)
+    # the trials reach the outcomes the instance is meant to cover
+    assert outcomes <= seen
+
+
+_TOP = np.nextafter(1.0, 0.0)
+
+
+def test_pick_slice_never_picks_zero_mass():
+    rows = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 0.3]])
+    for u in (0.0, _TOP):
+        for row in rows:
+            cum = np.cumsum(row)
+            got = int(_pick_slice(cum[None], np.array([u]))[0])
+            assert row[got] > 0
+            assert got == np.searchsorted(cum, u * cum[-1], side="right")
+
+
+def test_round_kernel_never_picks_zero_weight_message():
+    sim = round_sim(q=0.25)  # send-x: two messages
+    rows = np.array([[0.0, 1.0], [1.0, 0.0], [0.25, 0.75]])
+    T, M = 2 * len(rows), len(sim.messages)
+    p_rows = np.repeat(rows, 2, axis=0)
+    u_m = np.tile([0.0, _TOP], len(rows))
+    blocks = np.zeros((T, sim.total_hash_bits, sim.width + 1), np.uint8)
+    m_star, *_ = _round_kernel(
+        sim, p_rows, np.ones((T, M), dtype=bool),
+        np.ones((T, M), dtype=np.int64), np.zeros(T, dtype=np.int64),
+        blocks, np.zeros(T, dtype=np.int64), u_m, 0)
+    assert p_rows[np.arange(T), m_star].min() > 0
+    assert m_star.tolist() == [1, 1, 0, 0, 0, 1]
+
+
+def test_interactive_coder_is_round_simulator_on_identity():
+    cfg = SliceConfig(0.0, 6.0 + 1e-9, 3.0, 0.0)  # l defaults to 3
+    src = product_source(dsbs_source(0.2), 2)
+    coder = InteractiveSWCoder(src, cfg, l=2)
+    inner = coder.inner
+    assert inner.k == 0 and inner.l == coder.l == 2
+    assert inner.messages == src.x_alphabet
+    assert np.array_equal(inner.p_m_given_x, np.eye(len(src.x_alphabet)))
+    assert coder.total_hash_bits == 2 + (coder.n_slices - 1) * 3
+    assert coder.bits_for_slice(2) == 2 + 3 + 2
+    # one decode per live (x, y) and hash family, as before
+    live = int((src.mass > 0).sum())
+    assert coder.exact_atom_count() == live * (
+        1 << (coder.total_hash_bits * (inner.width + 1)))
+
+
+def test_round_exact_atom_count_counts_supported_messages():
+    # send-x supports one of two messages per x, noisy-send both
+    for sim, per_x in ((round_sim(k=1, gamma=1.0), 1), (_noisy_round(k=1), 2)):
+        live = int((sim.source.mass > 0).sum())
+        fams = 1 << (sim.total_hash_bits * (sim.width + 1))
+        assert sim.exact_atom_count() == live * per_x * fams * 2
