@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     InfeasibleBudget,
@@ -302,6 +301,10 @@ def chernoff_lower_exponent(spec: SpectrumTable, level: float) -> float:
     def neg_rate(s: float) -> float:
         mgf = float(np.dot(spec.probs, np.exp2(s * spec.values)))
         return -(s * level - math.log2(mgf))
+
+    # imported here: scipy.optimize adds about 47 MB of resident memory, and
+    # no other icsim call needs it
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(neg_rate, bounds=(-60.0, 0.0), method="bounded",
                           options={"xatol": 1e-10})

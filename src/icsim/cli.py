@@ -193,10 +193,18 @@ def cmd_analyze(args):
     _emit(doc, args.out)
 
 
+def _trials(engine, trials: int, seed: int):
+    """Trials of any engine: engines 1 to 4 run batched, engine 5 through
+    ``run_trials``, which batches it too."""
+    if isinstance(engine, ProtocolSimulator):
+        return run_trials(engine, trials, seed)
+    return batch_round_trials(engine, trials, seed)
+
+
 def cmd_simulate(args):
     cfg = _load_cfg(args.config)
     engine = build_engine(cfg)
-    agg = run_trials(engine, args.trials, args.seed)
+    agg = _trials(engine, args.trials, args.seed)
     stats = comm_stats(agg)
     doc = {
         "schema": SCHEMA,
@@ -226,10 +234,7 @@ def cmd_eval(args):
     cfg = _load_cfg(args.config)
     engine = build_engine(cfg)
     if args.mode == "plugin":
-        agg = batch_round_trials(engine, args.trials, args.seed) \
-            if isinstance(engine, (InteractiveSWCoder, RoundSimulator,
-                                   ImprovedRoundSimulator)) \
-            else run_trials(engine, args.trials, args.seed)
+        agg = _trials(engine, args.trials, args.seed)
         est = measure_sim_error(engine, "plugin", master_seed=args.seed,
                                 agg=agg)
     else:

@@ -9,7 +9,6 @@ and a suffix that is actually communicated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -20,6 +19,8 @@ from .errors import MismatchedSupport, OutOfRange
 
 #: cap on exhaustive family enumeration (number of seeds)
 ENUMERATION_CAP = 1 << 24
+#: members per block that ``enumerate_family`` builds at once
+_ENUMERATION_BLOCK = 1 << 12
 
 
 def encoding_width(universe_size: int) -> int:
@@ -85,8 +86,15 @@ def draw_hash(width: int, out_bits: int, seed) -> HashFamily:
     if out_bits < 0 or width < 1:
         raise OutOfRange("need width >= 1 and out_bits >= 0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    block = rng.integers(0, 2, size=(out_bits, width + 1), dtype=np.uint8)
-    return HashFamily(width, out_bits, block[:, :width],
+    return _member(rng.integers(0, 2, size=(out_bits, width + 1),
+                                dtype=np.uint8))
+
+
+def _member(block: np.ndarray) -> HashFamily:
+    """The member whose (out_bits, width + 1) block holds the matrix in its
+    first ``width`` columns and the offset in the last."""
+    width = block.shape[1] - 1
+    return HashFamily(width, block.shape[0], block[:, :width],
                       np.ascontiguousarray(block[:, width]))
 
 
@@ -94,22 +102,36 @@ def family_size(width: int, out_bits: int) -> int:
     return 1 << (out_bits * (width + 1))
 
 
+def family_blocks(width: int, out_bits: int, start: int,
+                  stop: int) -> np.ndarray:
+    """Members ``start`` to ``stop - 1`` of the affine family, in its fixed
+    canonical order, as (stop - start, out_bits, width + 1) uint8 blocks.
+
+    Member ``code`` has the offset bits ``code & (2^out_bits - 1)`` and the
+    matrix bits ``code >> out_bits`` in row-major order, bit 0 first; each
+    block is laid out as :func:`draw_hash` draws one.
+    """
+    total = family_size(width, out_bits)
+    if out_bits * (width + 1) > 62 or not 0 <= start <= stop <= total:
+        raise OutOfRange("family code range out of range")
+    codes = np.arange(start, stop, dtype=np.int64)[:, None]
+    matrix = (codes >> (out_bits + np.arange(out_bits * width))) & 1
+    offset = (codes >> np.arange(out_bits)) & 1
+    return np.concatenate(
+        [matrix.reshape(stop - start, out_bits, width), offset[:, :, None]],
+        axis=2).astype(np.uint8)
+
+
 def enumerate_family(width: int, out_bits: int):
-    """Yield every member of the affine family, in a fixed canonical order."""
+    """Yield every member of the affine family, in :func:`family_blocks`'
+    canonical order."""
     total = family_size(width, out_bits)
     if total > ENUMERATION_CAP:
         raise OutOfRange("family too large to enumerate")
-    n_mat = out_bits * width
-    for code in range(total):
-        mat_code = code >> out_bits
-        off_code = code & ((1 << out_bits) - 1)
-        matrix = np.array(
-            [(mat_code >> i) & 1 for i in range(n_mat)], dtype=np.uint8
-        ).reshape(out_bits, width)
-        offset = np.array(
-            [(off_code >> i) & 1 for i in range(out_bits)], dtype=np.uint8
-        )
-        yield HashFamily(width, out_bits, matrix, offset)
+    for start in range(0, total, _ENUMERATION_BLOCK):
+        for block in family_blocks(width, out_bits, start,
+                                   min(start + _ENUMERATION_BLOCK, total)):
+            yield _member(block)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ Five engines of increasing strength:
 Engine 2 is engine 3 on the identity channel, and engines 4 and 5 run
 engine 3 rounds.  Each engine precomputes its tables once and exposes
 ``run`` for a single trial; ``run_trials`` drives independent seed streams.
-Engines 2, 3 and 4 also run batched through ``batch_round_trials``, and
-engine 5 trials always run batched (``ProtocolSimulator.run_batch``); both
-batch paths share one round kernel, ``_round_kernel``.  Engines whose
-randomness is small enough also expose ``exact_view_law`` which enumerates
-every hash seed and shared-randomness value.
+Engines 1 to 4 also run batched through ``batch_round_trials``, and engine
+5 trials always run batched (``ProtocolSimulator.run_batch``).  Engine 1
+has its own trial kernel, ``_sw_kernel``; engines 2 to 5 share one round
+kernel, ``_round_kernel``.  Engines whose randomness is small enough also
+expose ``exact_view_law`` which enumerates every hash seed and
+shared-randomness value.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .hashing import (
     encode_universe,
     encoding_width,
     enumerate_family,
+    family_blocks,
     family_size,
 )
 from .probcore import FiniteDistribution, JointSource, SliceConfig, SpectrumTable
@@ -48,8 +50,13 @@ _TAIL, _NO_MATCH, _MULTIPLE, _BAD_J, _BUDGET = range(1, len(ERROR_CAUSES) + 1)
 
 #: trials per chunk of the batch paths; each chunk has its own seed stream
 BATCH_CHUNK = 100_000
-#: bytes per chunk that the round kernel may allocate on engine 5's path
+#: bytes per chunk that a trial kernel may allocate on the paths of engines
+#: 1 and 5
 BATCH_BYTES = 1 << 26
+#: bytes per block of hash families that exact mode packs and decodes at
+#: once; a block this small stays in cache, which decodes faster than one
+#: BATCH_BYTES block and leaves the peak memory where it was
+EXACT_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -182,32 +189,32 @@ class SlepianWolfCoder:
         self.typical = self.h_q <= self.l - self.gamma + 1e-12
         self.width = encoding_width(len(source.x_alphabet))
         self.enc = encode_universe(len(source.x_alphabet), self.width)
-        self.cands = [np.nonzero(self.typical[:, j])[0]
-                      for j in range(len(source.y_alphabet))]
+        self._pow2 = 1 << np.arange(self.l, dtype=np.int64)
+        # trials per chunk of batch_round_trials: a chunk's hash arrays,
+        # which also bound its decode arrays, stay within BATCH_BYTES
+        self.chunk = max(1, min(BATCH_CHUNK,
+                                BATCH_BYTES // self._trial_bytes()))
+
+    def _trial_bytes(self) -> int:
+        return _kernel_bytes(len(self.source.x_alphabet), self.l, self.width)
 
     def analytic_error_bound(self) -> float:
         atyp = float(self.source.mass[~self.typical].sum())
         return atyp + 2.0 ** (-self.gamma)
 
-    def run(self, rng, x=None, y=None,
-            fam: HashFamily | None = None) -> SimOutcome:
+    def run(self, rng, x=None, y=None) -> SimOutcome:
         if x is None:
             i, j = self.source.sample(rng)
         else:
             i, j = self.source.x_index[x], self.source.y_index[y]
-        if fam is None:
-            fam = draw_hash(self.width, self.l, rng)
-        hashes = fam.apply_packed(self.enc)
-        cands = self.cands[j]
-        match = cands[hashes[cands] == hashes[i]]
+        fam = draw_hash(self.width, self.l, rng)
+        decoded, cause = _sw_kernel(self, np.array([i]), np.array([j]),
+                                    fam.apply_packed(self.enc)[None, :])
+        d, c = int(decoded[0]), int(cause[0])
         xs = self.source.x_alphabet
-        if match.size == 1:
-            return SimOutcome(xs[i], self.source.y_alphabet[j], xs[i],
-                              xs[int(match[0])], self.l, None, 1)
-        cause = ("multiple_match" if match.size > 1
-                 else ("tail" if not self.typical[i, j] else "no_match"))
-        return SimOutcome(xs[i], self.source.y_alphabet[j], xs[i], None,
-                          self.l, cause, 1)
+        return SimOutcome(xs[i], self.source.y_alphabet[j], xs[i],
+                          None if d < 0 else xs[d], self.l,
+                          None if c == 0 else ERROR_CAUSES[c - 1], 1)
 
     # -- exact enumeration ---------------------------------------------------
 
@@ -216,18 +223,38 @@ class SlepianWolfCoder:
         return live * family_size(self.width, self.l)
 
     def exact_view_law(self) -> FiniteDistribution:
+        """Decode every live (x, y) against every hash family.
+
+        The families are walked in blocks of :func:`family_blocks`, each
+        packed once and decoded against all live pairs in one kernel call;
+        a view's probability is its pair's mass times the number of
+        families that produce it over the family size.
+        """
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
-        seed_p = 1.0 / family_size(self.width, self.l)
-        acc: Counter = Counter()
-        for i, x in enumerate(self.source.x_alphabet):
-            for j, y in enumerate(self.source.y_alphabet):
-                w = float(self.source.mass[i, j])
-                if w <= 0:
-                    continue
-                for fam in enumerate_family(self.width, self.l):
-                    out = self.run(None, x=x, y=y, fam=fam)
-                    acc[out.view] += w * seed_p
+        n_fam = family_size(self.width, self.l)
+        live_i, live_j = np.nonzero(self.source.mass > 0)
+        P, M = live_i.size, len(self.source.x_alphabet)
+        step = max(1, EXACT_BLOCK_BYTES // (P * self._trial_bytes()))
+        # counts[p, d + 1]: families that decode live pair p to d (-1: none)
+        counts = np.zeros((P, M + 1), dtype=np.int64)
+        for start in range(0, n_fam, step):
+            h = _pack_hashes(self.enc, family_blocks(
+                self.width, self.l, start, min(start + step, n_fam)),
+                self._pow2)
+            n = h.shape[0]
+            decoded, _ = _sw_kernel(self, np.repeat(live_i, n),
+                                    np.repeat(live_j, n), np.tile(h, (P, 1)))
+            counts += np.bincount(
+                np.repeat(np.arange(P), n) * (M + 1) + decoded + 1,
+                minlength=P * (M + 1)).reshape(P, M + 1)
+        xs, ys = self.source.x_alphabet, self.source.y_alphabet
+        acc = {}
+        for p, (i, j) in enumerate(zip(live_i, live_j)):
+            w = float(self.source.mass[i, j])
+            for d in np.nonzero(counts[p])[0]:
+                acc[(xs[i], None if d == 0 else xs[d - 1], xs[i], ys[j])] = \
+                    w * int(counts[p, d]) / n_fam
         return FiniteDistribution.from_mapping(acc)
 
     def true_view_law(self) -> FiniteDistribution:
@@ -240,29 +267,40 @@ class SlepianWolfCoder:
         return FiniteDistribution.from_mapping(acc)
 
 
-def protocol1_batch(coder: SlepianWolfCoder, trials: int,
-                    master_seed: int) -> tuple[int, np.ndarray]:
-    """Vectorized trials; returns (#wrong-or-failed decodes, bits array)."""
-    rng = np.random.default_rng([master_seed, 0])
-    xi, yj = coder.source.sample(rng, size=trials)
-    mats = rng.integers(0, 2, size=(trials, coder.l, coder.width), dtype=np.uint8)
-    # offsets cancel in collision checks, skip them
-    hv = np.einsum("tlw,mw->tlm", mats, coder.enc) % 2  # (T, l, M)
-    packed = np.einsum("tlm,l->tm", hv.astype(np.int64),
-                       1 << np.arange(coder.l, dtype=np.int64))
-    own = packed[np.arange(trials), xi]
-    collide = packed == own[:, None]          # (T, M)
-    typical = coder.typical[:, yj].T          # (T, M)
-    n_match = (collide & typical).sum(axis=1)
-    bad = n_match != 1
-    # unique match that is not the true value counts as a silent error
-    unique = ~bad
-    if unique.any():
-        sel = np.nonzero(unique)[0]
-        decoded = np.argmax(collide[sel] & typical[sel], axis=1)
-        bad[sel] = decoded != xi[sel]
-    bits = np.full(trials, coder.l, dtype=np.int64)
-    return int(bad.sum()), bits
+def _sw_kernel(coder: SlepianWolfCoder, xi: np.ndarray, yj: np.ndarray,
+               h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Engine 1's decode for T trials; draws nothing itself.
+
+    Per trial: the source indices ``xi`` and ``yj`` and the packed hash of
+    every x value, ``h`` (T, M).  The receiver decodes the one candidate of
+    its typical set at y whose hash matches x's; several matches are a
+    multiple match, and none is a tail when (x, y) is atypical, else no
+    match.  Returns ``(decoded, cause)``: the decoded x index, -1 on a
+    declared failure, and the cause code.
+    """
+    rows = np.arange(xi.size)
+    typical = np.take(coder.typical.T, yj, axis=0)  # (T, M)
+    match = typical & (h == h[rows, xi][:, None])
+    cnt = match.sum(axis=1)
+    decoded = np.where(cnt == 1, match.argmax(axis=1), -1)
+    cause = np.where(cnt > 1, _MULTIPLE,
+                     np.where(cnt == 1, 0, np.where(typical[rows, xi],
+                                                    _NO_MATCH, _TAIL)))
+    return decoded, cause
+
+
+def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
+    """T trials of engine 1: the source pairs, then the hash blocks."""
+    rng = np.random.default_rng(seed)
+    xi, yj = coder.source.sample(rng, size=T)
+    blocks = rng.integers(0, 2, size=(T, coder.l, coder.width + 1),
+                          dtype=np.uint8)
+    decoded, cause = _sw_kernel(coder, xi, yj,
+                                _pack_hashes(coder.enc, blocks, coder._pow2))
+    views = _count_views(xi, decoded, xi, yj, coder.source.x_alphabet,
+                         coder.source)
+    return (views, _cause_counts(cause), np.full(T, coder.l, dtype=np.int64),
+            int((decoded != xi).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +396,8 @@ class RoundSimulator:
         self.p_m_given_y = (self._true_m_given_y()
                             if aux_m_given_y is None
                             else np.asarray(aux_m_given_y, dtype=float))
+        if self.p_m_given_y.shape != (ny, M):
+            raise OutOfRange("aux conditional has the wrong shape")
         h_rx = _conditional_density(self.p_m_given_y.T)  # (M, ny)
         vec = np.vectorize(cfg_rx.slice_of)
         self.slice_rx = np.where(np.isfinite(h_rx),
@@ -485,7 +525,10 @@ class RoundSimulator:
     def exact_view_law(self) -> FiniteDistribution:
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
-        seed_p = 1.0 / family_size(self.width, self.total_hash_bits)
+        n_fam = family_size(self.width, self.total_hash_bits)
+        seed_p = 1.0 / n_fam
+        step = max(1, EXACT_BLOCK_BYTES // _kernel_bytes(
+            len(self.messages), self.total_hash_bits, self.width))
         u_p = 2.0 ** (-self.k)
         mask_k = (1 << self.k) - 1
         # shared strings in enumeration order, packed like the hash prefix
@@ -493,27 +536,32 @@ class RoundSimulator:
                    for u in itertools.product((0, 1), repeat=self.k)]
         msgs = self.messages
         acc: Counter = Counter()
-        for i, x in enumerate(self.source.x_alphabet):
-            for j, y in enumerate(self.source.y_alphabet):
-                w = float(self.source.mass[i, j])
-                if w <= 0:
-                    continue
-                for fam in enumerate_family(self.width, self.total_hash_bits):
-                    h = self.hash_ints(fam)
-                    for u in u_space:
-                        wt = self.p_m_given_x[i] * ((h & mask_k) == u)
-                        tot = wt.sum()
-                        base = w * seed_p * u_p
-                        choices = ([(self._fallback(i), base)]
-                                   if tot <= 0.0 else
-                                   [(m, base * wt[m] / tot)
-                                    for m in np.nonzero(wt)[0]])
-                        for m, p in choices:
-                            d, _, _ = self._decode(
-                                h, (int(h[m]) & ~mask_k) | u,
-                                self.slice_rx[:, j], m)
-                            acc[(msgs[m], None if d is None else msgs[d],
-                                 x, y)] += p
+        # each view holds its (x, y), so walking the families in blocks
+        # adds every view's terms in the same order as family by family
+        for start in range(0, n_fam, step):
+            hs = _pack_hashes(self.enc, family_blocks(
+                self.width, self.total_hash_bits, start,
+                min(start + step, n_fam)), self._pow2)
+            for i, x in enumerate(self.source.x_alphabet):
+                for j, y in enumerate(self.source.y_alphabet):
+                    w = float(self.source.mass[i, j])
+                    if w <= 0:
+                        continue
+                    for h in hs:
+                        for u in u_space:
+                            wt = self.p_m_given_x[i] * ((h & mask_k) == u)
+                            tot = wt.sum()
+                            base = w * seed_p * u_p
+                            choices = ([(self._fallback(i), base)]
+                                       if tot <= 0.0 else
+                                       [(m, base * wt[m] / tot)
+                                        for m in np.nonzero(wt)[0]])
+                            for m, p in choices:
+                                d, _, _ = self._decode(
+                                    h, (int(h[m]) & ~mask_k) | u,
+                                    self.slice_rx[:, j], m)
+                                acc[(msgs[m], None if d is None else msgs[d],
+                                     x, y)] += p
         return FiniteDistribution.from_mapping(acc)
 
     def true_view_law(self) -> FiniteDistribution:
@@ -617,11 +665,16 @@ class ImprovedRoundSimulator:
 
 def batch_round_trials(engine, trials: int, master_seed: int,
                        chunk: int = BATCH_CHUNK) -> TrialAggregate:
-    """Vectorized trials of a round simulator (engines 2, 3 and 4).
+    """Vectorized trials of engines 1 to 4.
 
     Statistically equivalent to :func:`run_trials` on the same engine but
-    draws all randomness in bulk from one seed stream.
+    draws all randomness in bulk: chunk ``part`` of ``chunk`` trials (at
+    most ``engine.chunk`` on engine 1) on the stream ``[master_seed,
+    part]``.
     """
+    if isinstance(engine, SlepianWolfCoder):
+        return _chunked_trials(_sw_chunk, engine, trials, master_seed,
+                               min(chunk, engine.chunk))
     return _chunked_trials(_batch_round_chunk, engine, trials, master_seed,
                            chunk)
 
@@ -653,10 +706,7 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
     :meth:`RoundSimulator._decode`, vectorized over trials.
     """
     T = p_rows.shape[0]
-    w = inner.width
-    hv = (np.einsum("tlw,mw->tml", blocks[:, :, :w], inner.enc)
-          + blocks[:, :, w][:, None, :]) % 2
-    h = hv.astype(np.int64) @ inner._pow2  # (T, M)
+    h = _pack_hashes(inner.enc, blocks, inner._pow2)  # (T, M)
     mask_t = (np.int64(1) << k_t) - 1
     u = u & mask_t
     prefix_ok = (h & mask_t[:, None]) == u[:, None]
@@ -702,12 +752,21 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
     return m_star, decoded, cause, bits
 
 
-def _kernel_bytes(inner: RoundSimulator) -> int:
-    """Bytes per trial of the arrays :func:`_round_kernel` builds: the
-    (L, w + 1) uint8 hash block, the (M, L) hash bits in uint8 and in int64
-    and the (M,) int64 packed hashes."""
-    M, L = len(inner.messages), inner.total_hash_bits
-    return L * (inner.width + 1) + 9 * M * L + 8 * M
+def _pack_hashes(enc: np.ndarray, blocks: np.ndarray,
+                 pow2: np.ndarray) -> np.ndarray:
+    """Packed hashes (T, M) of the M encodings ``enc`` (M, w) under the T
+    hash blocks (T, L, w + 1): bit p at weight ``pow2[p]``."""
+    w = enc.shape[1]
+    hv = (np.einsum("tlw,mw->tml", blocks[:, :, :w], enc)
+          + blocks[:, :, w][:, None, :]) % 2
+    return hv.astype(np.int64) @ pow2
+
+
+def _kernel_bytes(M: int, L: int, width: int) -> int:
+    """Bytes per trial of the hash arrays of M messages and L hash bits:
+    the (L, w + 1) uint8 hash block, the (M, L) hash bits in uint8 and in
+    int64 and the (M,) int64 packed hashes."""
+    return L * (width + 1) + 9 * M * L + 8 * M
 
 
 def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
@@ -751,20 +810,30 @@ def _batch_round_chunk(engine, T: int, seed):
     errors = _cause_counts(cause)
 
     tx_col = np.where(bad_j, -1, m_star)
+    views = _count_views(tx_col, decoded, xi, yj, inner.messages,
+                         inner.source)
+    mism = int((tx_col != decoded).sum())
+    return views, errors, bits, mism
+
+
+def _count_views(tx: np.ndarray, decoded: np.ndarray, xi: np.ndarray,
+                 yj: np.ndarray, messages: Sequence,
+                 source: JointSource) -> Counter:
+    """Count the views (tx, decoded, x, y) of a batch; a message index of
+    -1 is None."""
     # one mixed-radix key per (tx, decoded, x, y) row; sorting the keys sorts
     # the rows lexicographically, and that order is the views' insertion
     # order, which the plug-in estimate and its report bytes depend on
-    radix = (M + 1, M + 1, len(inner.source.x_alphabet),
-             len(inner.source.y_alphabet))
+    M = len(messages)
+    radix = (M + 1, M + 1, len(source.x_alphabet), len(source.y_alphabet))
     keys, counts = np.unique(np.ravel_multi_index(
-        (tx_col + 1, decoded + 1, xi, yj), radix), return_counts=True)
-    msgs = (None,) + inner.messages
-    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+        (tx + 1, decoded + 1, xi, yj), radix), return_counts=True)
+    msgs = (None,) + tuple(messages)
+    xs, ys = source.x_alphabet, source.y_alphabet
     views = Counter()
     for a, d, i, j, c in zip(*np.unravel_index(keys, radix), counts):
         views[(msgs[a], msgs[d], xs[i], ys[j])] = int(c)
-    mism = int((tx_col != decoded).sum())
-    return views, errors, bits, mism
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +931,10 @@ class ProtocolSimulator:
                        for t in range(1, law.n_rounds + 1)]
         # trials per chunk of run_trials: the largest round's kernel arrays
         # stay within BATCH_BYTES
-        per_trial = max(_kernel_bytes(tab.inner) for tab in self.tables)
+        per_trial = max(_kernel_bytes(len(tab.inner.messages),
+                                      tab.inner.total_hash_bits,
+                                      tab.inner.width)
+                        for tab in self.tables)
         self.chunk = max(1, min(BATCH_CHUNK, BATCH_BYTES // per_trial))
 
     def _make_engine(self, t, p_tx, p_rx, universe, view):

@@ -52,7 +52,6 @@ from icsim.simulate import (
     SlepianWolfCoder,
     auto_round_plans,
     batch_round_trials,
-    protocol1_batch,
     round_density_spectrum,
     run_trials,
 )
@@ -152,8 +151,8 @@ def test_criterion_3_compression_dominance():
         spec = spectrum(src, "cond_x_given_y")
         l = math.ceil(spec.moments().mean + g + 1)
         one = SlepianWolfCoder(src, l, g)
-        wrong, _ = protocol1_batch(one, trials, 100 + inst)
-        if wrong / trials > one.analytic_error_bound():
+        agg = batch_round_trials(one, trials, 100 + inst)
+        if agg.mismatches / trials > one.analytic_error_bound():
             problems.append(f"p1 inst {inst} above bound")
         two = InteractiveSWCoder(src, auto_slice_config(spec, gamma=g))
         agg = batch_round_trials(two, trials, 200 + inst)

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+
+from icsim.cli import build_engine
+from icsim.simulate import batch_round_trials
 
 CLI = [sys.executable, "-m", "icsim.cli"]
 
@@ -119,3 +123,46 @@ def test_eval_exact(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["mode"] == "exact"
     assert doc["tv"] <= doc["budget"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"source": "dsbs:0.25", "protocol": "p1", "l": 2, "gamma": 1.0},
+    {"source": "dsbs^2:0.25", "protocol": "p2", "gamma": 2.0},
+    {"source": "dsbs:0.25", "protocol": "p4", "target": "send-x",
+     "gamma": 2.0},
+], ids=["p1", "p2", "p4"])
+def test_simulate_runs_batched(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    doc = json.loads(run_cli("simulate", "--config", str(path), "--trials",
+                             "3000", "--seed", "4").stdout)
+    agg = batch_round_trials(build_engine(cfg), 3000, 4)
+    assert doc["errors"] == dict(sorted(agg.errors.items()))
+    assert doc["mismatch_rate"] == agg.mismatch_rate
+    assert doc["bits"]["mean"] == float(agg.bits.mean())
+
+
+def test_eval_exact_too_large_fails_fast(tmp_path):
+    # family size 2^32, past the enumeration cap: TooLarge, not MemoryError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"source": "dsbs^3:0.25", "protocol": "p1", "l": 8, "gamma": 1.0}))
+    t0 = time.monotonic()
+    proc = run_cli("eval", "--config", str(cfg), "--mode", "exact",
+                   check=False)
+    assert time.monotonic() - t0 < 30.0
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize, about 47 MB resident, loads only for direct-product
+    # thresholds; every other command runs without it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, icsim.cli; print(any(m.startswith('scipy') "
+         "for m in sys.modules))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

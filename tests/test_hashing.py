@@ -13,6 +13,7 @@ from icsim.hashing import (
     enumerate_family,
     extract,
     extraction_bound,
+    family_blocks,
     family_size,
     min_entropy,
 )
@@ -39,6 +40,35 @@ def test_family_size_and_enumeration():
     fams = list(enumerate_family(2, 1))
     assert len(fams) == family_size(2, 1)
     assert not fams[0].matrix.any() and not fams[0].offset.any()
+
+
+@pytest.mark.parametrize("width, out_bits", [
+    (1, 1), (2, 1), (1, 3), (2, 3), (3, 2), (4, 3), (2, 0)])
+def test_family_blocks_follow_enumeration_order(width, out_bits):
+    size = family_size(width, out_bits)
+    blocks = family_blocks(width, out_bits, 0, size)
+    assert blocks.shape == (size, out_bits, width + 1)
+    assert blocks.dtype == np.uint8
+    for c, fam in enumerate(enumerate_family(width, out_bits)):
+        assert np.array_equal(blocks[c, :, :width], fam.matrix), c
+        assert np.array_equal(blocks[c, :, width], fam.offset), c
+    # member c's offset holds the low out_bits bits of c, its matrix the rest
+    c = size - 2 if size > 1 else 0
+    flat = np.concatenate([blocks[c, :, width],
+                           blocks[c, :, :width].ravel()])
+    assert int(flat @ (1 << np.arange(flat.size))) == c
+    lo, hi = size // 3, size - size // 4
+    assert np.array_equal(family_blocks(width, out_bits, lo, hi),
+                          blocks[lo:hi])
+
+
+def test_family_blocks_range_checked():
+    with pytest.raises(OutOfRange):
+        family_blocks(2, 2, 3, 2)
+    with pytest.raises(OutOfRange):
+        family_blocks(2, 2, 0, family_size(2, 2) + 1)
+    with pytest.raises(OutOfRange):
+        family_blocks(31, 2, 0, 1)  # codes past 62 bits
 
 
 def test_prefix_suffix_split():

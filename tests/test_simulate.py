@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from icsim.bounds import (
 )
 from icsim.errors import OutOfRange
 from icsim.evaluate import measure_sim_error
-from icsim.hashing import HashFamily
+import icsim.simulate
+from icsim.hashing import HashFamily, enumerate_family, family_size
 from icsim.probcore import SliceConfig, dsbs_source, product_source, spectrum
 from icsim.protocol import (
     data_exchange_protocol,
@@ -28,11 +30,14 @@ from icsim.simulate import (
     RoundPlan,
     RoundSimulator,
     SlepianWolfCoder,
+    _kernel_bytes,
+    _pack_hashes,
     _pick_slice,
     _round_kernel,
+    _sw_chunk,
+    _sw_kernel,
     auto_round_plans,
     batch_round_trials,
-    protocol1_batch,
     round_density_spectrum,
     run_trials,
 )
@@ -79,15 +84,13 @@ class TestSlepianWolf:
         assert coder.analytic_error_bound() == pytest.approx(
             atyp + 0.25, abs=1e-12)
 
-    def test_batch_consistent_with_per_trial(self):
-        coder = sw_coder(l=3, gamma=1.0)
-        wrong, bits = protocol1_batch(coder, 40_000, 0)
-        agg = run_trials(coder, 5_000, 0)
-        rate_b = wrong / 40_000
-        # silent wrong decodes count as mismatches in per-trial mode
-        rate_p = agg.mismatch_rate
-        assert abs(rate_b - rate_p) < 0.03
-        assert np.all(bits == coder.l)
+    def test_batch_bits_and_mismatches(self):
+        coder = sw_coder(l=2, gamma=1.0)
+        agg = batch_round_trials(coder, 5_000, 0)
+        assert agg.trials == 5_000 and np.all(agg.bits == coder.l)
+        # silent wrong decodes count as mismatches, like declared failures
+        wrong = sum(n for v, n in agg.views.items() if v[0] != v[1])
+        assert agg.mismatches == wrong > sum(agg.errors.values()) > 0
 
     def test_int_params_enforced(self):
         with pytest.raises(OutOfRange):
@@ -119,6 +122,16 @@ class TestInteractive:
         coder = InteractiveSWCoder(dsbs_source(0.25), cfg, l=2)
         law = coder.exact_view_law()
         assert float(law.probs.sum()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_aux_shape_checked(self, shape):
+        cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
+        aux = np.full(shape, 0.5)
+        with pytest.raises(OutOfRange):
+            InteractiveSWCoder(dsbs_source(0.25), cfg, aux=aux)
+        with pytest.raises(OutOfRange):
+            RoundSimulator(dsbs_source(0.25), np.eye(2), (0, 1), cfg, 0,
+                           aux.T)
 
 
 class TestRoundSimulator:
@@ -524,3 +537,145 @@ def test_round_exact_atom_count_counts_supported_messages():
         live = int((sim.source.mass > 0).sum())
         fams = 1 << (sim.total_hash_bits * (sim.width + 1))
         assert sim.exact_atom_count() == live * per_x * fams * 2
+
+
+# -- engine 1: the trial kernel against the scalar reference -----------------
+
+
+def _p1(source, l, gamma=1.0):
+    return SlepianWolfCoder(source, l, gamma)
+
+
+@pytest.mark.parametrize("make, outcomes", [
+    # x = y typical only: a flip is atypical, decoded wrong or a tail
+    (lambda: sw_coder(l=2, gamma=1.0), {None, "mismatch", "tail"}),
+    # the exact benchmark instance: up to one flip is typical
+    (lambda: _p1(product_source(dsbs_source(0.25), 2), 4),
+     {None, "mismatch", "multiple_match", "tail"}),
+], ids=["dsbs-l2", "dsbs2-l4"])
+def test_sw_kernel_matches_scalar_seed_for_seed(make, outcomes):
+    """Trial t of the scalar ``run`` draws the pair, then the hash block
+    (matrix and offset) from ``default_rng([s, t])``; the replay takes the
+    same draws and runs all trials in one kernel call."""
+    coder = make()
+    T, s = 2_000, 17
+    xi = np.empty(T, dtype=np.int64)
+    yj = np.empty(T, dtype=np.int64)
+    blocks = np.empty((T, coder.l, coder.width + 1), dtype=np.uint8)
+    for t in range(T):
+        rng = np.random.default_rng([s, t])
+        xi[t], yj[t] = coder.source.sample(rng)
+        blocks[t] = rng.integers(0, 2, size=(coder.l, coder.width + 1),
+                                 dtype=np.uint8)
+    decoded, cause = _sw_kernel(
+        coder, xi, yj, _pack_hashes(coder.enc, blocks, coder._pow2))
+    xs, ys = coder.source.x_alphabet, coder.source.y_alphabet
+    seen = set()
+    for t in range(T):
+        out = coder.run(np.random.default_rng([s, t]))
+        c = int(cause[t])
+        got = ((xs[xi[t]], None if decoded[t] < 0 else xs[decoded[t]],
+                xs[xi[t]], ys[yj[t]]), coder.l,
+               None if c == 0 else ERROR_CAUSES[c - 1])
+        assert got == (out.view, out.bits, out.error), t
+        seen.add("mismatch" if out.error is None and out.tau_x != out.tau_y
+                 else out.error)
+    assert outcomes <= seen
+    # a typical x always matches its own hash, so engine 1 never reports
+    # no_match: the no-match branch of the rule is unreachable
+    assert "no_match" not in seen
+
+
+def test_sw_batch_runs_chunks_on_part_streams(monkeypatch):
+    # the chunk is cut so one chunk's hash arrays fit in BATCH_BYTES
+    big = SlepianWolfCoder(product_source(dsbs_source(0.11), 6), 40, 3.0)
+    per_trial = _kernel_bytes(64, 40, big.width)
+    assert big.chunk < BATCH_CHUNK
+    assert big.chunk * per_trial <= BATCH_BYTES < (big.chunk + 1) * per_trial
+    # chunk part of engine.chunk trials runs on the stream [seed, part]
+    monkeypatch.setattr(icsim.simulate, "BATCH_BYTES",
+                        300 * _kernel_bytes(2, 3, 1))
+    coder = sw_coder(l=3, gamma=1.0)
+    assert coder.chunk == 300
+    agg = batch_round_trials(coder, 700, 9)
+    views, errors, bits = Counter(), Counter(), []
+    for part, n in enumerate((300, 300, 100)):
+        v, e, b, _ = _sw_chunk(coder, n, [9, part])
+        views.update(v)
+        errors.update(e)
+        bits.append(b)
+    assert agg.views == views and agg.errors == errors
+    assert np.array_equal(agg.bits, np.concatenate(bits))
+
+
+def _sw_reference_law(coder):
+    """Engine 1's view law from the enumerated families, the scalar
+    hashing and the decode rule written out."""
+    src = coder.source
+    xs, ys = src.x_alphabet, src.y_alphabet
+    n_fam = family_size(coder.width, coder.l)
+    acc = Counter()
+    for fam in enumerate_family(coder.width, coder.l):
+        h = fam.apply_packed(coder.enc)
+        for i, j in zip(*np.nonzero(src.mass > 0)):
+            cands = np.nonzero(coder.typical[:, j])[0]
+            match = cands[h[cands] == h[i]]
+            decoded = xs[match[0]] if match.size == 1 else None
+            acc[(xs[i], decoded, xs[i], ys[j])] += src.mass[i, j] / n_fam
+    return acc
+
+
+@pytest.mark.parametrize("q, m, l, dyadic", [
+    (0.25, 1, 3, True), (0.25, 2, 3, True), (0.25, 2, 4, True),
+    (0.11, 2, 4, False)])
+def test_sw_exact_law_matches_reference(q, m, l, dyadic):
+    coder = _p1(product_source(dsbs_source(q), m), l)
+    law = coder.exact_view_law()
+    ref = _sw_reference_law(coder)
+    assert set(law.symbols) == set(ref)
+    got = np.array([law.prob(v) for v in ref])
+    want = np.array(list(ref.values()))
+    if dyadic:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def _blocks_spy(monkeypatch):
+    calls = []
+    inner = icsim.simulate.family_blocks
+
+    def spy(width, out_bits, start, stop):
+        calls.append((start, stop))
+        return inner(width, out_bits, start, stop)
+
+    monkeypatch.setattr(icsim.simulate, "family_blocks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _p1(product_source(dsbs_source(0.25), 2), 3),
+    lambda: round_sim(k=1, gamma=1.0),
+], ids=["p1", "p3-k1"])
+def test_exact_law_same_across_family_blocks(make, monkeypatch):
+    engine = make()
+    whole = engine.exact_view_law()
+    if isinstance(engine, SlepianWolfCoder):
+        out_bits, M = engine.l, len(engine.source.x_alphabet)
+        per_family = int((engine.source.mass > 0).sum()) \
+            * _kernel_bytes(M, out_bits, engine.width)
+    else:
+        out_bits, M = engine.total_hash_bits, len(engine.messages)
+        per_family = _kernel_bytes(M, out_bits, engine.width)
+    n_fam = family_size(engine.width, out_bits)
+    # blocks of 2/5 of the families: two full blocks and a partial one
+    monkeypatch.setattr(icsim.simulate, "EXACT_BLOCK_BYTES",
+                        per_family * (2 * n_fam // 5))
+    calls = _blocks_spy(monkeypatch)
+    law = engine.exact_view_law()
+    assert len(calls) >= 3
+    assert calls[-1][1] - calls[-1][0] < calls[0][1] - calls[0][0]
+    assert [c[0] for c in calls[1:]] == [c[1] for c in calls[:-1]]
+    assert calls[0][0] == 0 and calls[-1][1] == n_fam
+    assert law.symbols == whole.symbols
+    assert np.array_equal(law.probs, whole.probs)
