@@ -194,15 +194,6 @@ def upper_bound_budget(rounds: Sequence[RoundBudgetInput], gamma: float,
 # -- per-engine total-variation budgets -------------------------------------
 
 
-def protocol1_error_bound(coder) -> float:
-    """Atypicality plus collision mass for the one-shot coder."""
-    return coder.analytic_error_bound()
-
-
-def protocol2_error_bound(coder) -> float:
-    return coder.analytic_error_bound()
-
-
 def protocol3_tv_budget(sim) -> float:
     """Lemma-style view-distance budget for :class:`RoundSimulator`.
 

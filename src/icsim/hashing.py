@@ -111,14 +111,26 @@ def family_blocks(width: int, out_bits: int, start: int,
     matrix bits ``code >> out_bits`` in row-major order, bit 0 first; each
     block is laid out as :func:`draw_hash` draws one.
     """
-    total = family_size(width, out_bits)
-    if out_bits * (width + 1) > 62 or not 0 <= start <= stop <= total:
+    if not 0 <= start <= stop <= family_size(width, out_bits):
         raise OutOfRange("family code range out of range")
-    codes = np.arange(start, stop, dtype=np.int64)[:, None]
+    return member_blocks(width, out_bits,
+                         np.arange(start, stop, dtype=np.int64))
+
+
+def member_blocks(width: int, out_bits: int, codes: np.ndarray) -> np.ndarray:
+    """The members with the family codes ``codes``, in that order, as
+    (len(codes), out_bits, width + 1) uint8 blocks (see
+    :func:`family_blocks`)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if out_bits * (width + 1) > 62 or (codes.size and not (
+            0 <= codes.min() and codes.max() < family_size(width, out_bits))):
+        raise OutOfRange("family code range out of range")
+    n = codes.size
+    codes = codes[:, None]
     matrix = (codes >> (out_bits + np.arange(out_bits * width))) & 1
     offset = (codes >> np.arange(out_bits)) & 1
     return np.concatenate(
-        [matrix.reshape(stop - start, out_bits, width), offset[:, :, None]],
+        [matrix.reshape(n, out_bits, width), offset[:, :, None]],
         axis=2).astype(np.uint8)
 
 

@@ -9,19 +9,17 @@ Five engines of increasing strength:
 5. ``ProtocolSimulator``     round-by-round simulation of a full transcript law
 
 Engine 2 is engine 3 on the identity channel, and engines 4 and 5 run
-engine 3 rounds.  Each engine precomputes its tables once and exposes
-``run`` for a single trial; ``run_trials`` drives independent seed streams.
-Engines 1 to 4 also run batched through ``batch_round_trials``, and engine
-5 trials always run batched (``ProtocolSimulator.run_batch``).  Engine 1
-has its own trial kernel, ``_sw_kernel``; engines 2 to 5 share one round
-kernel, ``_round_kernel``.  Engines whose randomness is small enough also
-expose ``exact_view_law`` which enumerates every hash seed and
+engine 3 rounds.  Each engine's trial rule is implemented once, as a kernel
+vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
+(pick M*, then ``_slice_search``) for engines 2 to 5.  The scalar ``run``,
+the chunked trial loops ``run_trials`` and ``batch_round_trials`` and the
+exact enumerations all call it.  Engines whose randomness is small enough
+expose ``exact_view_law``, which enumerates every hash seed and
 shared-randomness value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,13 +30,12 @@ import numpy as np
 from .errors import OutOfRange, TooLarge
 from .hashing import (
     ENUMERATION_CAP,
-    HashFamily,
     draw_hash,
     encode_universe,
     encoding_width,
-    enumerate_family,
     family_blocks,
     family_size,
+    member_blocks,
 )
 from .probcore import FiniteDistribution, JointSource, SliceConfig, SpectrumTable
 from .protocol import TranscriptLaw
@@ -50,8 +47,9 @@ _TAIL, _NO_MATCH, _MULTIPLE, _BAD_J, _BUDGET = range(1, len(ERROR_CAUSES) + 1)
 
 #: trials per chunk of the batch paths; each chunk has its own seed stream
 BATCH_CHUNK = 100_000
-#: bytes per chunk that a trial kernel may allocate on the paths of engines
-#: 1 and 5
+#: bytes per chunk that a trial kernel may allocate on engine 1's batch path
+#: and on engine 5's batch and exact paths; engines 2 to 4 chunk by
+#: BATCH_CHUNK alone
 BATCH_BYTES = 1 << 26
 #: bytes per block of hash families that exact mode packs and decodes at
 #: once; a block this small stays in cache, which decodes faster than one
@@ -92,31 +90,17 @@ class TrialAggregate:
 
 
 def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
-    """Run independent trials on child seed streams.
+    """Run independent trials of any engine, batched.
 
-    Engine 5 (:class:`ProtocolSimulator`) trials run batched: chunks of
-    ``engine.chunk`` trials go through ``run_batch``, chunk ``part`` on the
-    stream ``[master_seed, part]``, as in :func:`batch_round_trials`.
-    Every other engine runs one scalar ``run`` per trial on the stream
-    ``[master_seed, t]``.
+    Engine 5 (:class:`ProtocolSimulator`) runs chunks of ``engine.chunk``
+    trials through ``run_batch``, chunk ``part`` on the stream
+    ``[master_seed, part]``; engines 1 to 4 run :func:`batch_round_trials`,
+    which chunks the same way.
     """
     if isinstance(engine, ProtocolSimulator):
         return _chunked_trials(_protocol_chunk, engine, trials, master_seed,
                                engine.chunk)
-    views: Counter = Counter()
-    errors: Counter = Counter()
-    bits = np.empty(trials, dtype=np.int64)
-    mismatches = 0
-    for t in range(trials):
-        rng = np.random.default_rng([master_seed, t])
-        out = engine.run(rng)
-        views[out.view] += 1
-        bits[t] = out.bits
-        if out.error is not None:
-            errors[out.error] += 1
-        if out.tau_x != out.tau_y:
-            mismatches += 1
-    return TrialAggregate(trials, views, bits, errors, mismatches)
+    return batch_round_trials(engine, trials, master_seed)
 
 
 def _chunked_trials(chunk_fn, engine, trials: int, master_seed: int,
@@ -124,21 +108,15 @@ def _chunked_trials(chunk_fn, engine, trials: int, master_seed: int,
     """Aggregate ``chunk_fn(engine, n, [master_seed, part])`` over chunks."""
     views: Counter = Counter()
     errors: Counter = Counter()
-    bits_parts = []
-    mism = 0
-    done = 0
-    part = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        v, e, b, mm = chunk_fn(engine, n, [master_seed, part])
+    bits, mism = [], 0
+    for part, done in enumerate(range(0, trials, chunk)):
+        v, e, b, mm = chunk_fn(engine, min(chunk, trials - done),
+                               [master_seed, part])
         views.update(v)
         errors.update(e)
-        bits_parts.append(b)
+        bits.append(b)
         mism += mm
-        done += n
-        part += 1
-    bits = (np.concatenate(bits_parts) if bits_parts
-            else np.empty(0, dtype=np.int64))
+    bits = np.concatenate(bits) if bits else np.empty(0, dtype=np.int64)
     return TrialAggregate(trials, views, bits, errors, mism)
 
 
@@ -153,6 +131,15 @@ def _conditional_density(cond: np.ndarray) -> np.ndarray:
     """-log2 of a conditional table, +inf where the mass is zero."""
     with np.errstate(divide="ignore"):
         return np.where(cond > 0, -np.log2(np.maximum(cond, 1e-300)), np.inf)
+
+
+def _slice_table(cond: np.ndarray, cfg: SliceConfig) -> np.ndarray:
+    """The slice of -log2 of every entry of a conditional table; 0 (the
+    tail) where the mass is zero."""
+    h = _conditional_density(cond)
+    finite = np.isfinite(h)
+    slices = np.vectorize(cfg.slice_of)(np.where(finite, h, 0.0))
+    return np.where(finite, slices, 0).astype(int)
 
 
 def _int_param(value: float, name: str) -> int:
@@ -179,6 +166,8 @@ class SlepianWolfCoder:
                  aux: np.ndarray | None = None):
         self.source = source
         self.l = _int_param(l, "l")
+        if self.l > 62:
+            raise OutOfRange("hash length l exceeds 62 bits")
         if gamma < 0:
             raise OutOfRange("gamma must be nonnegative")
         self.gamma = float(gamma)
@@ -258,13 +247,10 @@ class SlepianWolfCoder:
         return FiniteDistribution.from_mapping(acc)
 
     def true_view_law(self) -> FiniteDistribution:
-        acc: Counter = Counter()
-        for i, x in enumerate(self.source.x_alphabet):
-            for j, y in enumerate(self.source.y_alphabet):
-                w = float(self.source.mass[i, j])
-                if w > 0:
-                    acc[(x, x, x, y)] += w
-        return FiniteDistribution.from_mapping(acc)
+        xs, ys = self.source.x_alphabet, self.source.y_alphabet
+        return FiniteDistribution.from_mapping(
+            {(xs[i], xs[i], xs[i], ys[j]): self.source.mass[i, j]
+             for i, j in zip(*np.nonzero(self.source.mass > 0))})
 
 
 def _sw_kernel(coder: SlepianWolfCoder, xi: np.ndarray, yj: np.ndarray,
@@ -342,9 +328,8 @@ class InteractiveSWCoder:
     def bits_for_slice(self, i: int) -> int:
         return self.inner.pos_at(i) + i
 
-    def run(self, rng, x=None, y=None,
-            fam: HashFamily | None = None) -> SimOutcome:
-        return self.inner.run(rng, x, y, fam)
+    def run(self, rng, x=None, y=None) -> SimOutcome:
+        return self.inner.run(rng, x, y)
 
     def exact_atom_count(self) -> int:
         return self.inner.exact_atom_count()
@@ -398,11 +383,7 @@ class RoundSimulator:
                             else np.asarray(aux_m_given_y, dtype=float))
         if self.p_m_given_y.shape != (ny, M):
             raise OutOfRange("aux conditional has the wrong shape")
-        h_rx = _conditional_density(self.p_m_given_y.T)  # (M, ny)
-        vec = np.vectorize(cfg_rx.slice_of)
-        self.slice_rx = np.where(np.isfinite(h_rx),
-                                 vec(np.where(np.isfinite(h_rx), h_rx, 0.0)),
-                                 0).astype(int)
+        self.slice_rx = _slice_table(self.p_m_given_y.T, cfg_rx)  # (M, ny)
         self.width = encoding_width(M)
         self.enc = encode_universe(M, self.width)
         if self.total_hash_bits > 62:
@@ -427,89 +408,8 @@ class RoundSimulator:
         """Joint table P(M, X) with messages on rows."""
         return (self.p_m_given_x * self.source.p_x[:, None]).T
 
-    def _fallback(self, i: int, restrict: np.ndarray | None = None) -> int:
-        """M* when the conditioning event is empty: the first message of
-        P(.|x_i)'s support (within ``restrict`` when given), else 0."""
-        support = self.p_m_given_x[i] > 0
-        if restrict is not None:
-            support = support & restrict
-        base = np.nonzero(support)[0]
-        return int(base[0]) if base.size else 0
-
-    def _sample_conditioned(self, rng, i: int, allowed: np.ndarray,
-                            restrict: np.ndarray | None = None) -> int:
-        """Sample M ~ P(.|x_i) restricted to ``allowed`` (boolean mask).
-
-        M* is the first message whose cumulative weight exceeds u times the
-        total, so it always has positive weight.  Without ``rng`` (exact
-        mode) the choice must be deterministic.
-        """
-        w = self.p_m_given_x[i] * (allowed if restrict is None
-                                   else allowed & restrict)
-        cum = np.cumsum(w)
-        if cum[-1] <= 0.0:
-            return self._fallback(i, restrict)
-        if rng is None:
-            nz = np.nonzero(w)[0]
-            if nz.size != 1:
-                raise OutOfRange("exact mode needs a deterministic choice")
-            return int(nz[0])
-        return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-    def hash_ints(self, fam: HashFamily) -> np.ndarray:
-        """Packed hash outputs of every message, bit p at weight 2^p."""
-        return fam.apply_bits(self.enc).astype(np.int64) @ self._pow2
-
-    def _decode(self, h: np.ndarray, received: int, slc: np.ndarray,
-                m_star: int) -> tuple[int | None, str | None, int]:
-        """The receiver's slice-by-slice search on packed hashes.
-
-        ``h`` holds the packed hash of every message, ``received`` the packed
-        hash the receiver holds (the shared prefix and the bits sent) and
-        ``slc`` the receiver's slice of every message.  After i hash blocks
-        the receiver matches the first ``pos_at(i)`` bits against its slice
-        i: one match is an ACK, several after the first slice are declared.
-        Returns ``(decoded, cause, hit)``: the decoded message index (None
-        on an error), the error cause or None, and the terminating slice.
-        """
-        diff = h ^ received
-        for s in range(1, self.n_slices + 1):
-            ok = np.nonzero((slc == s)
-                            & ((diff & ((1 << self.pos_at(s)) - 1)) == 0))[0]
-            if ok.size == 1:
-                return int(ok[0]), None, s
-            if ok.size > 1 and s > 1:
-                return None, "multiple_match", s
-        return (None, "tail" if slc[m_star] == 0 else "no_match",
-                self.n_slices)
-
-    def run(self, rng, x=None, y=None, fam: HashFamily | None = None,
-            restrict: np.ndarray | None = None,
-            extra_bits: int = 0, k: int | None = None,
-            slice_rx: np.ndarray | None = None) -> SimOutcome:
-        """One trial.  ``slice_rx`` is the receiver's (M, ny) slice table,
-        ``self.slice_rx`` unless given."""
-        k = self.k if k is None else k
-        slice_rx = self.slice_rx if slice_rx is None else slice_rx
-        if x is None:
-            i, j = self.source.sample(rng)
-        else:
-            i, j = self.source.x_index[x], self.source.y_index[y]
-        if fam is None:
-            fam = draw_hash(self.width, self.total_hash_bits, rng)
-        u_int = int(rng.integers(0, 1 << k)) if k else 0
-        h = self.hash_ints(fam)  # (M,) packed
-        mask_k = (1 << k) - 1
-        m_star = self._sample_conditioned(rng, i, (h & mask_k) == u_int,
-                                          restrict)
-        received = (int(h[m_star]) & ~mask_k) | u_int
-        decoded, cause, hit = self._decode(h, received, slice_rx[:, j],
-                                           m_star)
-        bits = max(0, self.pos_at(hit) - k) + hit + extra_bits
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        return SimOutcome(xs[i], ys[j], self.messages[m_star],
-                          None if decoded is None else self.messages[decoded],
-                          bits, cause, hit)
+    def run(self, rng, x=None, y=None) -> SimOutcome:
+        return _round_outcome(self, rng, x, y)
 
     # -- exact enumeration ---------------------------------------------------
 
@@ -523,59 +423,59 @@ class RoundSimulator:
             * (1 << self.k)
 
     def exact_view_law(self) -> FiniteDistribution:
+        """Decode every live (x, y) against every hash family, shared
+        string u and message M* that u can pick: one row per (family, u,
+        live pair, supported message m), blocks of :func:`family_blocks`
+        decoded by :func:`_slice_search` at once.  M* = m has probability
+        P(m|x) over the weight of the messages whose hash prefix is u, or
+        is the first supported message when none is.
+        """
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
-        n_fam = family_size(self.width, self.total_hash_bits)
-        seed_p = 1.0 / n_fam
-        step = max(1, EXACT_BLOCK_BYTES // _kernel_bytes(
-            len(self.messages), self.total_hash_bits, self.width))
-        u_p = 2.0 ** (-self.k)
-        mask_k = (1 << self.k) - 1
-        # shared strings in enumeration order, packed like the hash prefix
-        u_space = [int(np.dot(u, self._pow2[:self.k]))
-                   for u in itertools.product((0, 1), repeat=self.k)]
-        msgs = self.messages
-        acc: Counter = Counter()
-        # each view holds its (x, y), so walking the families in blocks
-        # adds every view's terms in the same order as family by family
+        L, k, M = self.total_hash_bits, self.k, len(self.messages)
+        n_fam = family_size(self.width, L)
+        # shared strings packed like the hash prefix, first bit slowest
+        strings = ((np.arange(1 << k)[:, None] >> (k - 1 - np.arange(k))) & 1
+                   ) @ self._pow2[:k]
+        live_i, live_j = np.nonzero(self.source.mass > 0)
+        support = self.p_m_given_x[live_i] > 0
+        support[~support.any(axis=1), 0] = True
+        pair, m = np.nonzero(support)
+        first = np.r_[True, pair[1:] != pair[:-1]]
+        i, j = live_i[pair], live_j[pair]
+        base = self.source.mass[i, j] * (1.0 / n_fam) * 2.0 ** (-k)
+        step = max(1, EXACT_BLOCK_BYTES // (
+            strings.size * pair.size * _kernel_bytes(M, L, self.width)))
+        sums: dict = {}
         for start in range(0, n_fam, step):
             hs = _pack_hashes(self.enc, family_blocks(
-                self.width, self.total_hash_bits, start,
-                min(start + step, n_fam)), self._pow2)
-            for i, x in enumerate(self.source.x_alphabet):
-                for j, y in enumerate(self.source.y_alphabet):
-                    w = float(self.source.mass[i, j])
-                    if w <= 0:
-                        continue
-                    for h in hs:
-                        for u in u_space:
-                            wt = self.p_m_given_x[i] * ((h & mask_k) == u)
-                            tot = wt.sum()
-                            base = w * seed_p * u_p
-                            choices = ([(self._fallback(i), base)]
-                                       if tot <= 0.0 else
-                                       [(m, base * wt[m] / tot)
-                                        for m in np.nonzero(wt)[0]])
-                            for m, p in choices:
-                                d, _, _ = self._decode(
-                                    h, (int(h[m]) & ~mask_k) | u,
-                                    self.slice_rx[:, j], m)
-                                acc[(msgs[m], None if d is None else msgs[d],
-                                     x, y)] += p
-        return FiniteDistribution.from_mapping(acc)
+                self.width, L, start, min(start + step, n_fam)), self._pow2)
+            f, s, c = (a.ravel() for a in np.indices(
+                (hs.shape[0], strings.size, pair.size)))
+            h, u, mc, rows = hs[f], strings[s], m[c], np.arange(f.size)
+            wt = self.p_m_given_x[i[c]] * ((h & ((1 << k) - 1)) == u[:, None])
+            tot = wt.sum(axis=1)
+            pick = np.where(tot > 0, wt[rows, mc] > 0, first[c])
+            h, u, mc, c = h[pick], u[pick], mc[pick], c[pick]
+            w_m, tot = wt[pick, mc], tot[pick]
+            p = np.where(tot > 0, base[c] * w_m / np.where(tot > 0, tot, 1),
+                         base[c])
+            decoded = _slice_search(self, h, mc, self.slice_rx[:, j[c]].T,
+                                    np.full(c.size, k), u, 0)[0]
+            _add_views(sums, np.column_stack([mc, decoded, i[c], j[c]]), p)
+        msgs = (None,) + self.messages
+        xs, ys = self.source.x_alphabet, self.source.y_alphabet
+        return FiniteDistribution.from_mapping(
+            {(msgs[a + 1], msgs[d + 1], xs[x], ys[y]): p
+             for (a, d, x, y), p in sums.items()})
 
     def true_view_law(self) -> FiniteDistribution:
-        acc: Counter = Counter()
-        for i, x in enumerate(self.source.x_alphabet):
-            for j, y in enumerate(self.source.y_alphabet):
-                w = float(self.source.mass[i, j])
-                if w <= 0:
-                    continue
-                for m, msg in enumerate(self.messages):
-                    pm = float(self.p_m_given_x[i, m])
-                    if pm > 0:
-                        acc[(msg, msg, x, y)] += w * pm
-        return FiniteDistribution.from_mapping(acc)
+        xs, ys = self.source.x_alphabet, self.source.y_alphabet
+        mass, msgs, p = self.source.mass, self.messages, self.p_m_given_x
+        return FiniteDistribution.from_mapping(
+            {(msgs[m], msgs[m], xs[i], ys[j]): mass[i, j] * p[i, m]
+             for i, j in zip(*np.nonzero(mass > 0))
+             for m in np.nonzero(p[i] > 0)[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -604,18 +504,13 @@ class ImprovedRoundSimulator:
         self.cfg_tx = cfg_tx
         self.inner = RoundSimulator(source, p_m_given_x, messages, cfg_rx, 0,
                                     aux_m_given_y)
-        h_tx = _conditional_density(self.inner.p_m_given_x.T)  # (M, nx)
-        vec = np.vectorize(cfg_tx.slice_of)
-        self.slice_tx = np.where(np.isfinite(h_tx),
-                                 vec(np.where(np.isfinite(h_tx), h_tx, 0.0)),
-                                 0).astype(int)
+        self.slice_tx = _slice_table(self.inner.p_m_given_x.T, cfg_tx)
         n_tx = cfg_tx.n_slices
         nx = len(source.x_alphabet)
+        # P(J | x): the message law summed over each slice, messages in order
         self.p_j_given_x = np.zeros((nx, n_tx + 1))
-        for i in range(nx):
-            for m in range(len(messages)):
-                self.p_j_given_x[i, self.slice_tx[m, i]] += \
-                    self.inner.p_m_given_x[i, m]
+        np.add.at(self.p_j_given_x, (np.arange(nx), self.slice_tx),
+                  self.inner.p_m_given_x.T)
         self.p_j = self.p_j_given_x.T @ (source.p_x if prior_x is None
                                          else np.asarray(prior_x, float))
         self.good = self.p_j >= 1.0 / n_tx ** 2 - 1e-12
@@ -645,45 +540,30 @@ class ImprovedRoundSimulator:
         return float(self.p_j[0])
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
-        if x is None:
-            i, j_y = self.source.sample(rng)
-        else:
-            i, j_y = self.source.x_index[x], self.source.y_index[y]
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        cum = np.cumsum(self.p_j_given_x[i])
-        jj = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        if not self.good[jj]:
-            return SimOutcome(xs[i], ys[j_y], None, None, self.j_cost,
-                              "bad_J", 0)
-        return self.inner.run(rng, x=xs[i], y=ys[j_y],
-                              restrict=self.slice_tx[:, i] == jj,
-                              extra_bits=self.j_cost, k=self.k_of(jj))
+        return _round_outcome(self, rng, x, y)
 
     def true_view_law(self) -> FiniteDistribution:
         return self.inner.true_view_law()
 
 
-def batch_round_trials(engine, trials: int, master_seed: int,
-                       chunk: int = BATCH_CHUNK) -> TrialAggregate:
-    """Vectorized trials of engines 1 to 4.
-
-    Statistically equivalent to :func:`run_trials` on the same engine but
-    draws all randomness in bulk: chunk ``part`` of ``chunk`` trials (at
-    most ``engine.chunk`` on engine 1) on the stream ``[master_seed,
-    part]``.
-    """
+def batch_round_trials(engine, trials: int,
+                       master_seed: int) -> TrialAggregate:
+    """Vectorized trials of engines 1 to 4: chunk ``part`` of
+    ``BATCH_CHUNK`` trials (at most ``engine.chunk`` on engine 1) draws all
+    of its randomness in bulk from the stream ``[master_seed, part]``."""
     if isinstance(engine, SlepianWolfCoder):
         return _chunked_trials(_sw_chunk, engine, trials, master_seed,
-                               min(chunk, engine.chunk))
+                               engine.chunk)
     return _chunked_trials(_batch_round_chunk, engine, trials, master_seed,
-                           chunk)
+                           BATCH_CHUNK)
 
 
 def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Slice index per trial from cumulative J-prior rows and uniforms.
 
-    As the scalar ``searchsorted(..., side="right")``: the first index whose
-    cumulative mass exceeds u times the total, so one of positive mass.
+    As ``np.searchsorted(row, u * row[-1], side="right")`` on each row: the
+    first index whose cumulative mass exceeds u times the total, so one of
+    positive mass.
     """
     return (cum_rows <= u[:, None] * cum_rows[:, -1:]).sum(axis=1)
 
@@ -700,29 +580,42 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
     the shared string ``u`` (masked to k bits here) and the uniform ``u_m``
     that picks M*.  ``inner`` supplies the round's encoding and hash
     schedule; ``extra_bits`` (the slice-index cost) is added to each
-    trial's bits.  Returns ``(m_star, decoded, cause, bits)``: ``decoded``
-    is -1 when the receiver declares failure, and ``cause`` is a cause code
-    (tail, no_match or multiple_match).  The decode is that of
-    :meth:`RoundSimulator._decode`, vectorized over trials.
+    trial's bits.  M* is the first message of ``restrict`` whose hash
+    prefix is u and whose cumulative weight exceeds u_m times the total;
+    :func:`_slice_search` decodes it.  Returns ``(m_star,) +`` its result.
     """
-    T = p_rows.shape[0]
     h = _pack_hashes(inner.enc, blocks, inner._pow2)  # (T, M)
     mask_t = (np.int64(1) << k_t) - 1
     u = u & mask_t
     prefix_ok = (h & mask_t[:, None]) == u[:, None]
-
-    # the first message whose cumulative weight exceeds u_m times the total
     cum = np.cumsum(p_rows * (prefix_ok & restrict), axis=1)
     m_star = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
     empty = cum[:, -1] <= 0.0
     if empty.any():
-        # canonical fallback: first supported message of the restriction
+        # canonical choice: the first supported message of the restriction
         fb = restrict & (p_rows > 0)
-        has = fb.any(axis=1)
         first = np.argmax(fb, axis=1)
-        m_star = np.where(empty, np.where(has, first, 0), m_star)
+        m_star = np.where(empty, np.where(fb.any(axis=1), first, 0), m_star)
+    return (m_star,) + _slice_search(inner, h, m_star, slc, k_t, u,
+                                     extra_bits)
 
-    received = (h[np.arange(T), m_star] & ~mask_t) | u
+
+def _slice_search(inner: RoundSimulator, h: np.ndarray, m_star: np.ndarray,
+                  slc: np.ndarray, k_t: np.ndarray, u: np.ndarray,
+                  extra_bits: int):
+    """The receiver's slice-by-slice search for T trials, given M*.
+
+    ``h`` (T, M) holds the packed hash of every message and ``slc`` (T, M)
+    the receiver's slice of every message; the receiver holds the shared
+    string ``u`` of ``k_t`` bits in place of M*'s first hash bits.  After i
+    hash blocks it matches the first ``pos_at(i)`` bits in its slice i: one
+    match is an ACK, several after the first slice are declared.  Returns
+    ``(decoded, cause, bits, hit)``: the decoded message (-1 on a declared
+    failure), the cause code, the bits sent past the shared prefix plus
+    ``extra_bits``, and the terminating slice.
+    """
+    T = h.shape[0]
+    received = (h[np.arange(T), m_star] & ~((np.int64(1) << k_t) - 1)) | u
     decoded = np.full(T, -1, dtype=np.int64)
     hit = np.full(T, inner.n_slices, dtype=np.int64)
     multi = np.zeros(T, dtype=bool)
@@ -740,16 +633,15 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
             hit[mm] = s
             active &= ~mm
         active &= ~ack
-    exhausted = active
-    tail = exhausted & (slc[np.arange(T), m_star] == 0)
+    tail = active & (slc[np.arange(T), m_star] == 0)
     pos_hit = inner.l + (hit - 1) * inner.delta
     bits = np.maximum(0, pos_hit - k_t) + hit + extra_bits
 
     cause = np.zeros(T, dtype=np.int64)
-    cause[exhausted & ~tail] = _NO_MATCH
+    cause[active & ~tail] = _NO_MATCH
     cause[tail] = _TAIL
     cause[multi] = _MULTIPLE
-    return m_star, decoded, cause, bits
+    return decoded, cause, bits, hit
 
 
 def _pack_hashes(enc: np.ndarray, blocks: np.ndarray,
@@ -777,14 +669,19 @@ def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
     return rng.integers(0, 1 << k_max, size=k_t.size, dtype=np.int64)
 
 
-def _batch_round_chunk(engine, T: int, seed):
+def _round_trials(engine, rng, T: int, pairs=None):
+    """T trials of engines 2 to 4, every draw taken from ``rng``.
+
+    Draw order: the T source pairs (unless ``pairs`` gives their indices),
+    the hash blocks, on engine 4 the J uniforms, the shared strings and the
+    M* uniforms.  Returns ``(xi, yj, tx, decoded, cause, bits, hit)`` per
+    trial: ``tx`` is M* (-1 when engine 4 rejects J, where ``hit`` is 0);
+    the rest are as :func:`_slice_search` returns them.
+    """
     improved = isinstance(engine, ImprovedRoundSimulator)
     inner = getattr(engine, "inner", engine)
-    rng = np.random.default_rng(seed)
-    M = len(inner.messages)
-    L = inner.total_hash_bits
-    w = inner.width
-    xi, yj = inner.source.sample(rng, size=T)
+    M, L, w = len(inner.messages), inner.total_hash_bits, inner.width
+    xi, yj = inner.source.sample(rng, size=T) if pairs is None else pairs
     blocks = rng.integers(0, 2, size=(T, L, w + 1), dtype=np.uint8)
 
     j_cost = 0
@@ -796,24 +693,42 @@ def _batch_round_chunk(engine, T: int, seed):
         jj = _pick_slice(np.cumsum(engine.p_j_given_x, axis=1)[xi],
                          rng.random(T))
         bad_j = ~engine.good[jj]
-        k_arr = np.array([engine.k_of(j)
-                          for j in range(engine.cfg_tx.n_slices + 1)])
-        k_t = k_arr[jj]
+        k_t = np.array([engine.k_of(j) for j in range(engine.good.size)])[jj]
         restr = engine.slice_tx[:, xi].T == jj[:, None]
     u = _draw_prefix(rng, k_t)
-    m_star, decoded, cause, bits = _round_kernel(
+    m_star, decoded, cause, bits, hit = _round_kernel(
         inner, inner.p_m_given_x[xi], restr, inner.slice_rx[:, yj].T, k_t,
         blocks, u, rng.random(T), j_cost)
     decoded[bad_j] = -1
     bits[bad_j] = j_cost
     cause[bad_j] = _BAD_J
-    errors = _cause_counts(cause)
+    hit[bad_j] = 0
+    return xi, yj, np.where(bad_j, -1, m_star), decoded, cause, bits, hit
 
-    tx_col = np.where(bad_j, -1, m_star)
-    views = _count_views(tx_col, decoded, xi, yj, inner.messages,
-                         inner.source)
-    mism = int((tx_col != decoded).sum())
-    return views, errors, bits, mism
+
+def _batch_round_chunk(engine, T: int, seed):
+    inner = getattr(engine, "inner", engine)
+    xi, yj, tx, decoded, cause, bits, _ = _round_trials(
+        engine, np.random.default_rng(seed), T)
+    views = _count_views(tx, decoded, xi, yj, inner.messages, inner.source)
+    return views, _cause_counts(cause), bits, int((tx != decoded).sum())
+
+
+def _round_outcome(engine, rng, x, y) -> SimOutcome:
+    """One trial of engines 2 to 4: :func:`_round_trials` at T = 1, on the
+    given (x, y) unless x is None."""
+    src, msgs = engine.source, (None,) + tuple(engine.messages)
+    xi, yj, tx, decoded, cause, bits, hit = _round_trials(
+        engine, rng, 1, None if x is None else _index_pair(src, x, y))
+    c = int(cause[0])
+    return SimOutcome(src.x_alphabet[xi[0]], src.y_alphabet[yj[0]],
+                      msgs[tx[0] + 1], msgs[decoded[0] + 1], int(bits[0]),
+                      None if c == 0 else ERROR_CAUSES[c - 1], int(hit[0]))
+
+
+def _index_pair(source: JointSource, x, y):
+    """The source indices of (x, y), as one-trial arrays."""
+    return np.array([source.x_index[x]]), np.array([source.y_index[y]])
 
 
 def _count_views(tx: np.ndarray, decoded: np.ndarray, xi: np.ndarray,
@@ -834,6 +749,17 @@ def _count_views(tx: np.ndarray, decoded: np.ndarray, xi: np.ndarray,
     for a, d, i, j, c in zip(*np.unravel_index(keys, radix), counts):
         views[(msgs[a], msgs[d], xs[i], ys[j])] = int(c)
     return views
+
+
+def _add_views(sums: dict, keys: np.ndarray, p: np.ndarray):
+    """Add the terms ``p`` of the integer key rows ``keys`` to ``sums``
+    (exact mode's view masses) one at a time in row order, so each mass is
+    the float a left-to-right sum of its terms gives."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    rows = [tuple(row) for row in uniq.tolist()]
+    acc = np.array([sums.get(row, 0.0) for row in rows])
+    np.add.at(acc, inverse.ravel(), p)
+    sums.update(zip(rows, acc.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -876,11 +802,12 @@ class ProtocolBatch:
     Row n of ``keys`` holds party x's message index for every round, then
     party y's (all -1 after an error), then the x and y source indices;
     :meth:`ProtocolSimulator.view_of` turns a row into the trial's view.
-    ``cause`` holds the cause codes.
+    ``cause`` holds the cause codes and ``rounds`` the rounds completed.
     """
-    keys: np.ndarray   # (T, 2 R + 2)
-    bits: np.ndarray   # (T,)
-    cause: np.ndarray  # (T,)
+    keys: np.ndarray    # (T, 2 R + 2)
+    bits: np.ndarray    # (T,)
+    cause: np.ndarray   # (T,)
+    rounds: np.ndarray  # (T,)
 
 
 class ProtocolSimulator:
@@ -911,18 +838,13 @@ class ProtocolSimulator:
             uindex = {m: a for a, m in enumerate(universe)}
             for hist in hists:
                 view = law.round_view(t, hist)
-                M = len(universe)
-                if t % 2 == 1:
-                    p_tx = np.zeros((len(self.src.x_alphabet), M))
-                    p_rx = np.zeros((len(self.src.y_alphabet), M))
-                    own_tx, own_rx = view.p_m_given_x, view.p_m_given_y
-                else:
-                    p_tx = np.zeros((len(self.src.y_alphabet), M))
-                    p_rx = np.zeros((len(self.src.x_alphabet), M))
-                    own_tx, own_rx = view.p_m_given_y, view.p_m_given_x
-                for a, m in enumerate(view.messages):
-                    p_tx[:, uindex[m]] = own_tx[:, a]
-                    p_rx[:, uindex[m]] = own_rx[:, a]
+                # the speaker's and the listener's message laws, placed on
+                # the round's universe
+                own = (view.p_m_given_x, view.p_m_given_y)
+                own = own if t % 2 else own[::-1]
+                p_tx, p_rx = (np.zeros((len(p), len(universe))) for p in own)
+                cols = [uindex[m] for m in view.messages]
+                p_tx[:, cols], p_rx[:, cols] = own
                 self.engines[(t, hist)] = self._make_engine(
                     t, p_tx, p_rx, universe, view)
         self.tables = [self._stack_round(t, histories[t - 1],
@@ -940,11 +862,8 @@ class ProtocolSimulator:
     def _make_engine(self, t, p_tx, p_rx, universe, view):
         plan = self.plans[t - 1]
         # swap the source orientation so the transmitter is always "x"
-        if t % 2 == 1:
-            src = self.src
-        else:
-            src = JointSource(self.src.y_alphabet, self.src.x_alphabet,
-                              self.src.mass.T)
+        src = self.src if t % 2 == 1 else JointSource(
+            self.src.y_alphabet, self.src.x_alphabet, self.src.mass.T)
         # the slice-index prior is weighed by the history-conditional
         # transmitter marginal; the receiver slices its history-conditional
         # law of the message
@@ -973,85 +892,40 @@ class ProtocolSimulator:
             slice_rx=np.stack([e.inner.slice_rx.T for e in engs]),
             cum_j=np.cumsum(np.stack([e.p_j_given_x for e in engs]), axis=2),
             good=np.stack([e.good for e in engs]),
-            k_of=np.array([first.k_of(j)
-                           for j in range(first.cfg_tx.n_slices + 1)]),
+            k_of=np.array([first.k_of(j) for j in range(first.good.size)]),
             next=nxt)
 
-    def run(self, rng, x=None, y=None, chains=None) -> SimOutcome:
-        if x is None:
-            i, j = self.src.sample(rng)
-            x, y = self.src.x_alphabet[i], self.src.y_alphabet[j]
-        hist_x: tuple = ()
-        hist_y: tuple = ()
-        total_bits = 0
-        for t in range(1, self.law.n_rounds + 1):
-            odd = t % 2 == 1
-            tx_hist = hist_x if odd else hist_y
-            rx_hist = hist_y if odd else hist_x
-            eng = self.engines.get((t, tx_hist))
-            rx_eng = self.engines.get((t, rx_hist))
-            if eng is None or rx_eng is None:
-                return SimOutcome(x, y, None, None, total_bits, "no_match",
-                                  t - 1)
-            out = self._run_round(eng, rx_eng, rng, x if odd else y,
-                                  y if odd else x,
-                                  chains[t - 1] if chains else None)
-            total_bits += out.bits
-            if out.error is not None:
-                return SimOutcome(x, y, None, None, total_bits, out.error,
-                                  t - 1)
-            if total_bits > self.l_max:
-                return SimOutcome(x, y, None, None, total_bits,
-                                  "budget_exceeded", t - 1)
-            hist_x = hist_x + ((out.tau_x,) if odd else (out.tau_y,))
-            hist_y = hist_y + ((out.tau_y,) if odd else (out.tau_x,))
-        return SimOutcome(x, y, hist_x, hist_y, total_bits, None,
-                          self.law.n_rounds)
+    def run(self, rng, x=None, y=None) -> SimOutcome:
+        """One trial: :meth:`run_batch` at T = 1, on the given (x, y)
+        unless x is None."""
+        batch = self.run_batch(rng, 1, pairs=None if x is None
+                               else _index_pair(self.src, x, y))
+        tau_x, tau_y, x, y = self.view_of(batch.keys[0])
+        c = int(batch.cause[0])
+        return SimOutcome(x, y, tau_x, tau_y, int(batch.bits[0]),
+                          None if c == 0 else ERROR_CAUSES[c - 1],
+                          int(batch.rounds[0]))
 
-    def _run_round(self, eng: ImprovedRoundSimulator,
-                   rx_eng: ImprovedRoundSimulator, rng, tx_sym, rx_sym,
-                   chain) -> SimOutcome:
-        """One round where transmitter tables and receiver tables may come
-        from different histories."""
-        i = eng.source.x_index[tx_sym]
-        if rng is None:
-            nz = np.nonzero(eng.p_j_given_x[i] > 0)[0]
-            if nz.size != 1:
-                raise OutOfRange("exact mode needs deterministic rounds")
-            jj = int(nz[0])
-        else:
-            cum = np.cumsum(eng.p_j_given_x[i])
-            jj = int(np.searchsorted(cum, rng.random() * cum[-1],
-                                     side="right"))
-        if not eng.good[jj]:
-            return SimOutcome(tx_sym, rx_sym, None, None, eng.j_cost,
-                              "bad_J", 0)
-        k = eng.k_of(jj)
-        if rng is None and k > 0:
-            raise OutOfRange("exact mode requires k = 0 rounds")
-        # decode against the receiver-history slice table
-        return eng.inner.run(
-            rng, x=tx_sym, y=rx_sym, fam=chain,
-            restrict=eng.slice_tx[:, i] == jj, extra_bits=eng.j_cost, k=k,
-            slice_rx=rx_eng.inner.slice_rx)
-
-    def run_batch(self, rng, T: int, blocks=None) -> ProtocolBatch:
+    def run_batch(self, rng, T: int, blocks=None,
+                  pairs=None) -> ProtocolBatch:
         """T independent trials at once, every draw taken from ``rng``.
 
         Draw order: the T source pairs, then per round, for the trials still
         running, the hash blocks, the J uniforms, the shared strings and the
-        M* uniforms.  ``blocks`` replaces the hash draws with one
+        M* uniforms.  ``pairs`` gives the x and y indices instead of the
+        source draw, and ``blocks`` replaces the hash draws with one
         (T, L, w + 1) array per round, indexed by trial.  Each round gathers
         the table rows of every trial by its (transmitter history,
         receiver history, input) and calls the round kernel once.
         """
-        xi, yj = self.src.sample(rng, size=T)
+        xi, yj = self.src.sample(rng, size=T) if pairs is None else pairs
         syms = (xi, yj)
         R = self.law.n_rounds
         hist = np.zeros((2, T), dtype=np.int64)  # history code, party x / y
         msgs = np.full((2, T, R), -1, dtype=np.int64)
         bits = np.zeros(T, dtype=np.int64)
         cause = np.zeros(T, dtype=np.int64)
+        rounds = np.zeros(T, dtype=np.int64)
         live = np.arange(T)
         for t, tab in enumerate(self.tables, start=1):
             tx = 1 - t % 2  # party x speaks in odd rounds
@@ -1069,7 +943,7 @@ class ProtocolSimulator:
             jj = _pick_slice(tab.cum_j[h_tx, s_tx], rng.random(n))
             k_t = tab.k_of[jj]
             u = _draw_prefix(rng, k_t)
-            m_star, decoded, c, b = _round_kernel(
+            m_star, decoded, c, b, _ = _round_kernel(
                 inner, tab.p_m[h_tx, s_tx],
                 tab.slice_tx[h_tx, s_tx] == jj[:, None],
                 tab.slice_rx[h_rx, s_rx], k_t, blk, u, rng.random(n),
@@ -1083,6 +957,7 @@ class ProtocolSimulator:
             ok = c == 0
             live, h_tx, h_rx = live[ok], h_tx[ok], h_rx[ok]
             m_star, decoded = m_star[ok], decoded[ok]
+            rounds[live] = t
             # the transmitter appends M*, the receiver what it decoded
             msgs[tx, live, t - 1] = m_star
             msgs[rx, live, t - 1] = decoded
@@ -1091,7 +966,7 @@ class ProtocolSimulator:
                 hist[rx, live] = tab.next[h_rx, decoded]
         msgs[:, cause != 0] = -1
         return ProtocolBatch(np.column_stack([msgs[0], msgs[1], xi, yj]),
-                             bits, cause)
+                             bits, cause, rounds)
 
     def view_of(self, key) -> tuple:
         """The view ``(hist_x, hist_y, x, y)`` of one ``run_batch`` key row,
@@ -1106,14 +981,11 @@ class ProtocolSimulator:
                 tuple(U[t][key[R + t]] for t in range(R)), x, y)
 
     def true_view_law(self) -> FiniteDistribution:
-        acc: Counter = Counter()
-        for k, tau in enumerate(self.law.transcripts):
-            for i, x in enumerate(self.src.x_alphabet):
-                for j, y in enumerate(self.src.y_alphabet):
-                    w = float(self.law.joint[k, i, j])
-                    if w > 0:
-                        acc[(tau, tau, x, y)] += w
-        return FiniteDistribution.from_mapping(acc)
+        taus, xs, ys = self.law.transcripts, self.src.x_alphabet, \
+            self.src.y_alphabet
+        return FiniteDistribution.from_mapping(
+            {(taus[k], taus[k], xs[i], ys[j]): self.law.joint[k, i, j]
+             for k, i, j in zip(*np.nonzero(self.law.joint > 0))})
 
     # -- exact enumeration (deterministic rounds, k = 0) ---------------------
 
@@ -1122,33 +994,51 @@ class ProtocolSimulator:
         return bool(np.all((p < 1e-12) | (p > 1 - 1e-12)))
 
     def exact_atom_count(self) -> int:
-        total = int((self.src.mass > 0).sum())
-        for tab in self.tables:
-            total *= family_size(tab.inner.width, tab.inner.total_hash_bits)
-        return total
+        return int((self.src.mass > 0).sum()) * math.prod(
+            family_size(tab.inner.width, tab.inner.total_hash_bits)
+            for tab in self.tables)
 
     def exact_view_law(self) -> FiniteDistribution:
+        """Run every live (x, y) against every chain of hash families, one
+        family per round, through :meth:`run_batch`.
+
+        Rows are (pair, round-1 family, ..., round-R family) in that order,
+        cut into chunks of ``self.chunk``; each row weighs its pair's mass
+        over the number of chains.  The target and every round are
+        deterministic and share no prefix (k = 0), so a row's view does not
+        depend on the uniforms ``run_batch`` draws.
+        """
         if not self._deterministic():
             raise OutOfRange("exact chains are supported for deterministic "
                              "target protocols only")
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
-        fams = []
-        seed_p = 1.0
         for tab in self.tables:
-            fams.append(list(enumerate_family(tab.inner.width,
-                                              tab.inner.total_hash_bits)))
-            seed_p /= len(fams[-1])
-        acc: Counter = Counter()
-        for i, x in enumerate(self.src.x_alphabet):
-            for j, y in enumerate(self.src.y_alphabet):
-                w = float(self.src.mass[i, j])
-                if w <= 0:
-                    continue
-                for combo in itertools.product(*fams):
-                    out = self.run(None, x=x, y=y, chains=list(combo))
-                    acc[out.view] += w * seed_p
-        return FiniteDistribution.from_mapping(acc)
+            if ((tab.p_m > 0).sum(axis=2) > 1).any():
+                raise OutOfRange("exact mode needs deterministic rounds")
+            if (tab.good & (tab.k_of > 0)).any():
+                raise OutOfRange("exact mode requires k = 0 rounds")
+        sizes = [family_size(tab.inner.width, tab.inner.total_hash_bits)
+                 for tab in self.tables]
+        chains = math.prod(sizes)  # a power of two, so 1 / chains is exact
+        live_i, live_j = np.nonzero(self.src.mass > 0)
+        term = self.src.mass[live_i, live_j] * (1.0 / chains)
+        total = live_i.size * chains
+        rng = np.random.default_rng(0)
+        sums: dict = {}
+        for start in range(0, total, self.chunk):
+            pair, code = np.divmod(
+                np.arange(start, min(start + self.chunk, total)), chains)
+            blocks = []
+            for tab, size in zip(self.tables[::-1], sizes[::-1]):
+                code, member = np.divmod(code, size)
+                blocks.insert(0, member_blocks(
+                    tab.inner.width, tab.inner.total_hash_bits, member))
+            batch = self.run_batch(rng, pair.size, blocks=blocks,
+                                   pairs=(live_i[pair], live_j[pair]))
+            _add_views(sums, batch.keys, term[pair])
+        return FiniteDistribution.from_mapping(
+            {self.view_of(key): p for key, p in sums.items()})
 
 
 def _protocol_chunk(sim: ProtocolSimulator, T: int, seed):
@@ -1164,13 +1054,11 @@ def _protocol_chunk(sim: ProtocolSimulator, T: int, seed):
 def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:
     """Default slice plans from the per-round density spectra."""
     from .probcore import auto_slice_config
-    plans = []
-    for t in range(1, law.n_rounds + 1):
-        rx_spec = round_density_spectrum(law, t, "rx")
-        tx_spec = round_density_spectrum(law, t, "tx")
-        plans.append(RoundPlan(rx=auto_slice_config(rx_spec, gamma=gamma),
-                               tx=auto_slice_config(tx_spec, gamma=gamma)))
-    return plans
+    def plan(t, side):
+        return auto_slice_config(round_density_spectrum(law, t, side),
+                                 gamma=gamma)
+    return [RoundPlan(rx=plan(t, "rx"), tx=plan(t, "tx"))
+            for t in range(1, law.n_rounds + 1)]
 
 
 def round_density_spectrum(law: TranscriptLaw, t: int,
@@ -1184,8 +1072,8 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
     vals, probs = [], []
     for hist in law.histories(t):
         view = law.round_view(t, hist)
-        cond = view.p_m_given_x if (odd == (side == "tx")) else view.p_m_given_y
         own_is_x = odd == (side == "tx")
+        cond = view.p_m_given_x if own_is_x else view.p_m_given_y
         nx, ny = law.source.mass.shape
         for a, m in enumerate(view.messages):
             for i in range(nx):

@@ -157,6 +157,18 @@ def test_eval_exact_too_large_fails_fast(tmp_path):
     assert proc.stdout == ""
 
 
+def test_eval_p1_hash_past_62_bits_fails(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"source": "dsbs:0.25", "protocol": "p1", "l": 63, "gamma": 1.0}))
+    proc = run_cli("eval", "--config", str(cfg), "--mode", "plugin",
+                   "--trials", "10", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize, about 47 MB resident, loads only for direct-product
     # thresholds; every other command runs without it

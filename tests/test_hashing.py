@@ -15,6 +15,7 @@ from icsim.hashing import (
     extraction_bound,
     family_blocks,
     family_size,
+    member_blocks,
     min_entropy,
 )
 
@@ -69,6 +70,19 @@ def test_family_blocks_range_checked():
         family_blocks(2, 2, 0, family_size(2, 2) + 1)
     with pytest.raises(OutOfRange):
         family_blocks(31, 2, 0, 1)  # codes past 62 bits
+
+
+def test_member_blocks_take_codes_in_any_order():
+    width, out_bits = 2, 3
+    size = family_size(width, out_bits)
+    codes = np.random.default_rng(4).integers(0, size, size=50)
+    assert np.array_equal(member_blocks(width, out_bits, codes),
+                          family_blocks(width, out_bits, 0, size)[codes])
+    assert member_blocks(width, out_bits, codes[:0]).shape == (0, 3, 3)
+    with pytest.raises(OutOfRange):
+        member_blocks(width, out_bits, np.array([size]))
+    with pytest.raises(OutOfRange):
+        member_blocks(width, out_bits, np.array([-1]))
 
 
 def test_prefix_suffix_split():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +11,7 @@ from icsim.bounds import (
     protocol4_tv_budget,
     protocol5_tv_budget,
 )
-from icsim.errors import OutOfRange
+from icsim.errors import OutOfRange, TooLarge
 from icsim.evaluate import measure_sim_error
 import icsim.simulate
 from icsim.hashing import HashFamily, enumerate_family, family_size
@@ -34,6 +36,7 @@ from icsim.simulate import (
     _pack_hashes,
     _pick_slice,
     _round_kernel,
+    _round_trials,
     _sw_chunk,
     _sw_kernel,
     auto_round_plans,
@@ -96,6 +99,12 @@ class TestSlepianWolf:
         with pytest.raises(OutOfRange):
             SlepianWolfCoder(dsbs_source(0.25), 2.5, 1.0)
 
+    def test_hash_length_fits_int64(self):
+        # hash bits are packed with int64 weights 2^p, which wrap from p = 63
+        with pytest.raises(OutOfRange, match="62 bits"):
+            SlepianWolfCoder(dsbs_source(0.25), 63, 1.0)
+        assert SlepianWolfCoder(dsbs_source(0.25), 62, 1.0).l == 62
+
 
 class TestInteractive:
     def test_bits_formula(self):
@@ -152,15 +161,6 @@ class TestRoundSimulator:
     def test_k_range_guard(self):
         with pytest.raises(OutOfRange):
             round_sim(k=99)
-
-    def test_batch_matches_per_trial(self):
-        sim = round_sim(k=1, gamma=1.0)
-        agg_b = batch_round_trials(sim, 50_000, 0)
-        agg_p = run_trials(sim, 10_000, 0)
-        assert abs(agg_b.mismatch_rate - agg_p.mismatch_rate) < 0.03
-        tv_b = measure_sim_error(sim, "plugin", master_seed=0, agg=agg_b)
-        tv_e = measure_sim_error(sim, "exact")
-        assert abs(tv_b.value - tv_e.value) <= tv_b.ci_halfwidth + 0.02
 
 
 class TestImprovedRound:
@@ -258,16 +258,342 @@ def test_run_trials_reproducible():
     assert np.array_equal(a.bits, b.bits)
 
 
-# -- engine 5: the batch path against the scalar reference -------------------
+# -- the round rule written out, one trial at a time -------------------------
 
 
-def criterion7_sim(law=None, l_max=math.inf):
+def _pick(row, u):
+    """The first index whose cumulative weight exceeds u times the total."""
+    cum = np.cumsum(row)
+    return int(np.searchsorted(cum, u * cum[-1], side="right"))
+
+
+def _hash_bits(inner, block):
+    """Hash bits (M, L) of every message under the affine map of ``block``
+    (L, w + 1)."""
+    return HashFamily(inner.width, inner.total_hash_bits, block[:, :-1],
+                      block[:, -1]).apply_bits(inner.enc)
+
+
+def _string_bits(u, k):
+    """The shared string u as k bits; bit p stands for hash bit p."""
+    return np.array([(u >> p) & 1 for p in range(k)], dtype=np.uint8)
+
+
+def _search_rule(inner, hb, slc, m_star, k, u, extra_bits):
+    """The receiver's search for one trial, given M*.
+
+    The receiver holds the shared string u in place of M*'s first k hash
+    bits and M*'s bits past them.  After i hash blocks it matches the first
+    pos_at(i) bits of the messages in its slice i (``slc`` holds each
+    message's slice): one match is an ACK, several after slice 1 are
+    declared.  Returns ``(decoded, cause, bits)``, decoded None on an error.
+    """
+    held = np.concatenate([_string_bits(u, k), hb[m_star, k:]])
+    for s in range(1, inner.n_slices + 1):
+        n = inner.pos_at(s)
+        match = [m for m in range(len(slc))
+                 if slc[m] == s and np.array_equal(hb[m, :n], held[:n])]
+        bits = max(0, n - k) + s + extra_bits
+        if len(match) == 1:
+            return match[0], None, bits
+        if len(match) > 1 and s > 1:
+            return None, "multiple_match", bits
+    return None, "tail" if slc[m_star] == 0 else "no_match", bits
+
+
+def _prefix_weights(hb, p_row, restrict, k, u):
+    """P(m|x) on the restricted messages whose first k hash bits are u."""
+    return p_row * (restrict & np.all(hb[:, :k] == _string_bits(u, k),
+                                      axis=1))
+
+
+def _round_rule(inner, p_row, restrict, slc, block, k, u, u_m, extra_bits):
+    """One round of the hash-based simulator for one trial.
+
+    ``inner`` supplies the message encoding and the hash schedule.  The
+    transmitter's message row ``p_row``, the ``restrict`` mask and the
+    receiver's slice of each message ``slc`` are the round's tables at this
+    trial.  M* is sampled with the uniform ``u_m`` from the prefix weights,
+    or is the first supported restricted message when they are all zero.
+    Returns ``(m_star, decoded, cause, bits)``.
+    """
+    hb = _hash_bits(inner, block)
+    w = _prefix_weights(hb, p_row, restrict, k, u)
+    if w.sum() > 0:
+        m_star = _pick(w, u_m)
+    else:
+        supported = np.nonzero(restrict & (p_row > 0))[0]
+        m_star = int(supported[0]) if supported.size else 0
+    return (m_star,) + _search_rule(inner, hb, slc, m_star, k, u, extra_bits)
+
+
+def _improved_rule(eng, s_tx, slc, block, jj, u, u_m):
+    """An engine 4 round for one trial whose slice index is ``jj``: a
+    rejected index costs ``j_cost`` bits, else the round rule runs on the
+    messages of slice ``jj`` with k(jj) shared bits."""
+    if not eng.good[jj]:
+        return None, None, "bad_J", eng.j_cost
+    k = eng.k_of(jj)
+    return _round_rule(eng.inner, eng.inner.p_m_given_x[s_tx],
+                       eng.slice_tx[:, s_tx] == jj, slc, block, k,
+                       u & ((1 << k) - 1), u_m, eng.j_cost)
+
+
+def _draw_strings(rng, ks):
+    """One shared string of max(ks) bits per trial, or zeros."""
+    k_max = max(ks, default=0)
+    if not k_max:
+        return [0] * len(ks)
+    return rng.integers(0, 1 << k_max, size=len(ks), dtype=np.int64).tolist()
+
+
+# -- engines 2 to 4: the trial path against the rule -------------------------
+
+
+def _round_oracle(engine, seed, T):
+    """Per trial (view, bits, cause) of T trials on ``default_rng(seed)``.
+
+    The draws follow the batch path's order: the source pairs, the hash
+    blocks, on engine 4 the J uniforms, one shared string per trial, the M*
+    uniforms.  Each trial then runs the rule written out above.
+    """
+    improved = isinstance(engine, ImprovedRoundSimulator)
+    inner = getattr(engine, "inner", engine)
+    rng = np.random.default_rng(seed)
+    xi, yj = inner.source.sample(rng, size=T)
+    blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
+                                      inner.width + 1), dtype=np.uint8)
+    ks = [inner.k] * T
+    if improved:
+        jj = [_pick(engine.p_j_given_x[i], u)
+              for i, u in zip(xi, rng.random(T))]
+        ks = [engine.k_of(j) for j in jj]
+    us = _draw_strings(rng, ks)
+    u_m = rng.random(T)
+    msgs = (None,) + tuple(inner.messages)
+    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+    out = []
+    for n in range(T):
+        i, j = xi[n], yj[n]
+        if improved:
+            m, d, cause, bits = _improved_rule(
+                engine, i, inner.slice_rx[:, j], blocks[n], jj[n], us[n],
+                u_m[n])
+        else:
+            m, d, cause, bits = _round_rule(
+                inner, inner.p_m_given_x[i], np.ones(len(msgs) - 1, bool),
+                inner.slice_rx[:, j], blocks[n], ks[n],
+                us[n] & ((1 << ks[n]) - 1), u_m[n], 0)
+        txs = (None, None) if m is None else (
+            msgs[m + 1], None if d is None else msgs[d + 1])
+        out.append((txs + (xs[i], ys[j]), bits, cause))
+    return out
+
+
+def _noisy_round(k=0, k_override=None, improved=False):
+    src = dsbs_source(0.25)
+    law = noisy_send_protocol(src, 0.15)
+    view = law.round_view(1, ())
+    rx = SliceConfig(0.0, 3.0 + 1e-9, 1.0, 1.0)
+    if improved:
+        # the transmitter tail, -log2 0.15 > 2, is the rejected index 0
+        tx = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
+        return ImprovedRoundSimulator(src, view.p_m_given_x, view.messages,
+                                      rx, tx, k_override=k_override)
+    return RoundSimulator(src, view.p_m_given_x, view.messages, rx, k)
+
+
+@pytest.mark.parametrize("make, outcomes", [
+    (lambda: interactive_coder(gamma=1.0), {None, "mismatch"}),
+    (lambda: InteractiveSWCoder(
+        product_source(dsbs_source(0.2), 2),
+        SliceConfig(0.0, 4.0 + 1e-9, 2.0, 0.0)),
+     {None, "mismatch", "multiple_match", "tail"}),
+    # three messages share slice 1 and often collide on its l = 2 bits
+    (lambda: InteractiveSWCoder(
+        product_source(dsbs_source(0.2), 2),
+        SliceConfig(0.0, 6.0 + 1e-9, 3.0, 0.0), l=2),
+     {None, "mismatch", "no_match"}),
+    (lambda: round_sim(k=2, gamma=1.0), {None, "mismatch", "no_match"}),
+    (lambda: _noisy_round(k=1), {None, "mismatch", "no_match"}),
+    (lambda: _noisy_round(improved=True), {None, "mismatch", "bad_J"}),
+    (lambda: _noisy_round(k_override=2, improved=True),
+     {None, "mismatch", "bad_J", "no_match"}),
+], ids=["p2", "p2-dsbs2", "p2-dsbs2-l2", "p3-k2", "p3-noisy-k1", "p4-noisy",
+        "p4-noisy-k2"])
+def test_round_kernel_matches_scalar_seed_for_seed(make, outcomes):
+    """The trial path of engines 2 to 4 (the round kernel) against the
+    scalar rule written out, trial by trial on the same draws."""
+    engine = make()
+    T, seed = 1_500, 31
+    xi, yj, tx, decoded, cause, bits, _ = _round_trials(
+        engine, np.random.default_rng(seed), T)
+    inner = getattr(engine, "inner", engine)
+    msgs = (None,) + tuple(inner.messages)
+    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+    seen = set()
+    for n, want in enumerate(_round_oracle(engine, seed, T)):
+        c = int(cause[n])
+        got = ((msgs[tx[n] + 1], msgs[decoded[n] + 1], xs[xi[n]], ys[yj[n]]),
+               int(bits[n]), None if c == 0 else ERROR_CAUSES[c - 1])
+        assert got == want, n
+        view, _, error = want
+        seen.add("mismatch" if error is None and view[0] != view[1]
+                 else error)
+    # the trials reach the outcomes the instance is meant to cover
+    assert outcomes <= seen
+    # the scalar run is one trial of the same path, on (x, y) when given
+    for s in range(100):
+        out = engine.run(np.random.default_rng(s))
+        assert (out.view, out.bits, out.error) == _round_oracle(engine, s, 1)[0]
+        given = engine.run(np.random.default_rng(s), x=xs[s % len(xs)],
+                           y=ys[-1])
+        assert (given.x, given.y) == (xs[s % len(xs)], ys[-1])
+
+
+def _round_law(sim):
+    """Engine 3's exact view law from the rule: every live (x, y), hash
+    family, shared string u and message M* that u can pick."""
+    src = sim.source
+    n_fam = family_size(sim.width, sim.total_hash_bits)
+    acc = Counter()
+    everything = np.ones(len(sim.messages), dtype=bool)
+    for fam in enumerate_family(sim.width, sim.total_hash_bits):
+        hb = fam.apply_bits(sim.enc)
+        for i, j in zip(*np.nonzero(src.mass > 0)):
+            p_row, slc = sim.p_m_given_x[i], sim.slice_rx[:, j]
+            for u in range(1 << sim.k):
+                w = _prefix_weights(hb, p_row, everything, sim.k, u)
+                base = src.mass[i, j] / n_fam / 2 ** sim.k
+                picks = ([(m, base * w[m] / w.sum()) for m in np.nonzero(w)[0]]
+                         if w.sum() > 0 else
+                         [(int(np.nonzero(p_row > 0)[0][0]), base)])
+                for m, p in picks:
+                    d = _search_rule(sim, hb, slc, m, sim.k, u, 0)[0]
+                    acc[(sim.messages[m], None if d is None
+                         else sim.messages[d], src.x_alphabet[i],
+                         src.y_alphabet[j])] += p
+    return acc
+
+
+@pytest.mark.parametrize("make, dyadic", [
+    (lambda: round_sim(k=1, gamma=1.0), True),
+    (lambda: round_sim(k=2, gamma=1.0), True),
+    (lambda: _noisy_round(k=1), False),
+    (lambda: InteractiveSWCoder(dsbs_source(0.25),
+                                SliceConfig(0.0, 2.0 + 1e-9, 2.0, 0.0),
+                                l=2).inner, True),
+], ids=["p3-k1", "p3-k2", "p3-noisy-k1", "p2-l2"])
+def test_round_exact_law_matches_rule(make, dyadic):
+    sim = make()
+    law = sim.exact_view_law()
+    ref = _round_law(sim)
+    assert set(law.symbols) == set(ref)
+    got = np.array([law.prob(v) for v in ref])
+    want = np.array(list(ref.values()))
+    if dyadic:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sw_coder(l=3, gamma=1.0),
+    lambda: interactive_coder(gamma=1.0),
+    lambda: round_sim(k=1, gamma=1.0),
+    lambda: _noisy_round(k_override=2, improved=True),
+], ids=["p1", "p2", "p3-k1", "p4-noisy-k2"])
+def test_run_trials_is_batch_round_trials(make):
+    engine = make()
+    a = run_trials(engine, 30_000, 0)
+    b = batch_round_trials(engine, 30_000, 0)
+    assert a.views == b.views and np.array_equal(a.bits, b.bits)
+    assert a.errors == b.errors and a.mismatches == b.mismatches
+    assert a.mismatches > 0
+    # the batch trials sample the exact law: plug-in tv near the exact tv
+    if hasattr(engine, "exact_view_law"):
+        plug = measure_sim_error(engine, "plugin", master_seed=0, agg=a)
+        exact = measure_sim_error(engine, "exact")
+        assert abs(plug.value - exact.value) <= plug.ci_halfwidth + 0.02
+
+
+# -- engine 5: the batch path against the rule chained over rounds ----------
+
+
+def criterion7_sim(law=None, l_max=math.inf, k_override=0):
     """The criterion-7 instance: deterministic target, k = 0 rounds."""
     law = law or data_exchange_protocol(dsbs_source(0.25))
     rx = SliceConfig(0.0, 2.0, 1.0, 0.5)
     tx = SliceConfig(0.0, 1e-9, 1e-9, 0.5)
     return ProtocolSimulator(law, [RoundPlan(rx, tx)] * 2, l_max=l_max,
-                             k_override=0)
+                             k_override=k_override)
+
+
+def _chain_oracle(sim, rng, T, blocks=None):
+    """Per trial (view, bits, cause) of ``sim.run_batch(rng, T, blocks)``.
+
+    The draws follow ``run_batch``'s order: the source pairs, then per
+    round, for the trials still running, the hash blocks (unless given),
+    the J uniforms, one shared string per trial and the M* uniforms.  Each
+    party keeps its own history: the transmitter appends M*, the receiver
+    what it decoded, and each looks up its round tables by that history.
+    A trial stops at an unknown history (no_match), at a round's error or
+    once its bits exceed ``l_max``.
+    """
+    xi, yj = sim.src.sample(rng, size=T)
+    trials = [{"sym": (i, j), "hist": [(), ()], "bits": 0, "cause": None,
+               "rounds": 0} for i, j in zip(xi, yj)]
+    live = list(range(T))
+    for t in range(1, sim.law.n_rounds + 1):
+        tx = 1 - t % 2  # party x speaks in odd rounds
+        engs = {}
+        for n in live:
+            hist = trials[n]["hist"]
+            pair = (sim.engines.get((t, hist[tx])),
+                    sim.engines.get((t, hist[1 - tx])))
+            if None in pair:
+                trials[n]["cause"] = "no_match"
+            engs[n] = pair
+        live = [n for n in live if trials[n]["cause"] is None]
+        inner = sim.tables[t - 1].inner
+        blk = (rng.integers(0, 2, dtype=np.uint8, size=(
+            len(live), inner.total_hash_bits, inner.width + 1))
+            if blocks is None else blocks[t - 1][live])
+        jj = [_pick(engs[n][0].p_j_given_x[trials[n]["sym"][tx]], u)
+              for n, u in zip(live, rng.random(len(live)))]
+        us = _draw_strings(rng, [engs[n][0].k_of(j)
+                                 for n, j in zip(live, jj)])
+        u_m = rng.random(len(live))
+        for a, n in enumerate(live):
+            trial = trials[n]
+            e_tx, e_rx = engs[n]
+            s_tx, s_rx = trial["sym"][tx], trial["sym"][1 - tx]
+            m, d, cause, bits = _improved_rule(
+                e_tx, s_tx, e_rx.inner.slice_rx[:, s_rx], blk[a], jj[a],
+                us[a], u_m[a])
+            trial["bits"] += bits
+            if cause is None and trial["bits"] > sim.l_max:
+                cause = "budget_exceeded"
+            trial["cause"] = cause
+            if cause is None:
+                trial["hist"][tx] += (e_tx.messages[m],)
+                trial["hist"][1 - tx] += (e_tx.messages[d],)
+                trial["rounds"] = t
+        live = [n for n in live if trials[n]["cause"] is None]
+    xs, ys = sim.src.x_alphabet, sim.src.y_alphabet
+    return [(((None, None) if tr["cause"] else tuple(tr["hist"]))
+             + (xs[tr["sym"][0]], ys[tr["sym"][1]]), tr["bits"], tr["cause"],
+             tr["rounds"]) for tr in trials]
+
+
+def _blocks(sim, rng, T):
+    """One (T, L, w + 1) hash draw per round, in round order."""
+    return [rng.integers(0, 2, dtype=np.uint8, size=(
+        T, tab.inner.total_hash_bits, tab.inner.width + 1))
+        for tab in sim.tables]
+
+
+_GIVEN = ("data-exchange", "xor-reply", "l_max=3")
 
 
 @pytest.mark.parametrize("make, outcomes", [
@@ -275,74 +601,141 @@ def criterion7_sim(law=None, l_max=math.inf):
     (lambda: criterion7_sim(xor_reply_protocol(dsbs_source(0.25))),
      {None, "mismatch", "tail"}),
     (lambda: criterion7_sim(l_max=3), {"budget_exceeded", "tail"}),
-], ids=["data-exchange", "xor-reply", "l_max=3"])
-def test_protocol_batch_matches_scalar_seed_for_seed(make, outcomes):
+    (lambda: TestProtocolSimulator().make(l_max=3), {"budget_exceeded"}),
+    (lambda: ProtocolSimulator(
+        data_exchange_protocol(dsbs_source(0.25)),
+        auto_round_plans(data_exchange_protocol(dsbs_source(0.25)),
+                         gamma=0.5), k_override=None), {None, "mismatch"}),
+    (lambda: ProtocolSimulator(
+        xor_reply_protocol(dsbs_source(0.3)),
+        auto_round_plans(xor_reply_protocol(dsbs_source(0.3)), gamma=2.0),
+        k_override=0), {None}),
+    (lambda: ProtocolSimulator(
+        noisy_send_protocol(dsbs_source(0.25), 0.15),
+        auto_round_plans(noisy_send_protocol(dsbs_source(0.25), 0.15),
+                         gamma=1.0)), {None, "bad_J"}),
+], ids=["data-exchange", "xor-reply", "l_max=3", "gamma1-l_max=3",
+        "k_override=None", "xor-reply-auto", "noisy-send"])
+def test_protocol_batch_matches_scalar_seed_for_seed(make, outcomes,
+                                                     request):
+    """Engine 5's batch path against the scalar rule chained over rounds,
+    trial by trial on the same draws; the criterion-7 instances take their
+    hash blocks as given."""
     sim = make()
     T = 1_500
-    rng = np.random.default_rng(17)
-    blocks = [rng.integers(0, 2, dtype=np.uint8, size=(
-        T, tab.inner.total_hash_bits, tab.inner.width + 1))
-        for tab in sim.tables]
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    blocks = None
+    if request.node.callspec.id in _GIVEN:
+        blocks = _blocks(sim, rng, T)
+        _blocks(sim, ref, T)
     batch = sim.run_batch(rng, T, blocks=blocks)
-    R = sim.law.n_rounds
     seen = set()
-    for n in range(T):
-        i, j = batch.keys[n, 2 * R:]
-        chains = [HashFamily(b.shape[2] - 1, b.shape[1], b[n, :, :-1],
-                             b[n, :, -1]) for b in blocks]
-        out = sim.run(None, x=sim.src.x_alphabet[i],
-                      y=sim.src.y_alphabet[j], chains=chains)
+    for n, want in enumerate(_chain_oracle(sim, ref, T, blocks)):
         c = int(batch.cause[n])
         got = (sim.view_of(batch.keys[n]), int(batch.bits[n]),
-               None if c == 0 else ERROR_CAUSES[c - 1])
-        assert got == (out.view, out.bits, out.error), n
-        seen.add("mismatch" if out.tau_x != out.tau_y else out.error)
+               None if c == 0 else ERROR_CAUSES[c - 1], int(batch.rounds[n]))
+        assert got == want, n
+        view, _, error, _ = want
+        seen.add("mismatch" if error is None and view[0] != view[1]
+                 else error)
     # the trials reach the outcomes the instance is meant to cover
     assert outcomes <= seen
+    assert np.any(batch.cause != 0)
+    # the scalar run is one trial of run_batch; slice_hit counts its rounds
+    xs, ys = sim.src.x_alphabet, sim.src.y_alphabet
+    for s in range(50):
+        out = sim.run(np.random.default_rng(s))
+        assert (out.view, out.bits, out.error, out.slice_hit) == \
+            _chain_oracle(sim, np.random.default_rng(s), 1)[0]
+        given = sim.run(np.random.default_rng(s), x=xs[s % len(xs)], y=ys[-1])
+        assert given.view[2:] == (xs[s % len(xs)], ys[-1])
 
 
-def _scalar_trials(sim, n, seed):
-    outs = [sim.run(np.random.default_rng([seed, t])) for t in range(n)]
-    errors = {}
-    for o in outs:
-        if o.error is not None:
-            errors[o.error] = errors.get(o.error, 0) + 1
-    return errors, np.array([o.bits for o in outs], dtype=float)
+def _chain_law(sim):
+    """Engine 5's exact view law: the chained rule on every live (x, y) and
+    every chain of enumerated hash families, one per round.  Every round
+    of the instances is deterministic with k = 0, so the uniforms do not
+    matter (0.5 stands in)."""
+    fams = [[np.column_stack([f.matrix, f.offset])
+             for f in enumerate_family(tab.inner.width,
+                                       tab.inner.total_hash_bits)]
+            for tab in sim.tables]
+    seed_p = 1.0 / math.prod(len(f) for f in fams)
+    memo = {}
+
+    def step(t, hist, syms, f):
+        """Round t of one trial under family f of the round, memoized."""
+        tx = 1 - t % 2
+        key = (t, hist[tx], hist[1 - tx], syms[tx], syms[1 - tx], f)
+        if key not in memo:
+            e_tx = sim.engines.get((t, hist[tx]))
+            e_rx = sim.engines.get((t, hist[1 - tx]))
+            if e_tx is None or e_rx is None:
+                memo[key] = (None, None, "no_match", 0, e_tx)
+            else:
+                j_row = e_tx.p_j_given_x[syms[tx]]
+                assert np.count_nonzero(j_row) == 1
+                jj = _pick(j_row, 0.5)
+                assert not e_tx.good[jj] or e_tx.k_of(jj) == 0
+                memo[key] = _improved_rule(
+                    e_tx, syms[tx], e_rx.inner.slice_rx[:, syms[1 - tx]],
+                    fams[t - 1][f], jj, 0, 0.5) + (e_tx,)
+        return memo[key]
+
+    src = sim.src
+    acc = Counter()
+    for i, j in zip(*np.nonzero(src.mass > 0)):
+        x, y = src.x_alphabet[i], src.y_alphabet[j]
+        for chain in itertools.product(*(range(len(f)) for f in fams)):
+            hist, bits, cause = [(), ()], 0, None
+            for t, f in enumerate(chain, start=1):
+                m, d, cause, b, e_tx = step(t, hist, (i, j), f)
+                bits += b
+                if cause is None and bits > sim.l_max:
+                    cause = "budget_exceeded"
+                if cause is not None:
+                    break
+                tx = 1 - t % 2
+                hist[tx] += (e_tx.messages[m],)
+                hist[1 - tx] += (e_tx.messages[d],)
+            view = ((None, None) if cause else tuple(hist)) + (x, y)
+            acc[view] += src.mass[i, j] * seed_p
+    return acc
 
 
 @pytest.mark.parametrize("make", [
-    lambda: TestProtocolSimulator().make(l_max=3),
-    lambda: ProtocolSimulator(
-        data_exchange_protocol(dsbs_source(0.25)),
-        auto_round_plans(data_exchange_protocol(dsbs_source(0.25)),
-                         gamma=0.5), k_override=None),
-    lambda: ProtocolSimulator(
-        xor_reply_protocol(dsbs_source(0.3)),
-        auto_round_plans(xor_reply_protocol(dsbs_source(0.3)), gamma=2.0),
-        k_override=0),
-    lambda: ProtocolSimulator(
-        noisy_send_protocol(dsbs_source(0.25), 0.15),
-        auto_round_plans(noisy_send_protocol(dsbs_source(0.25), 0.15),
-                         gamma=1.0)),
-], ids=["l_max=3", "k_override=None", "xor-reply", "noisy-send"])
-def test_protocol_batch_same_distribution_as_scalar(make):
+    lambda: criterion7_sim(),
+    lambda: criterion7_sim(xor_reply_protocol(dsbs_source(0.25))),
+    lambda: criterion7_sim(l_max=3),
+], ids=["data-exchange", "xor-reply", "l_max=3"])
+def test_protocol_exact_law_matches_chained_rule(make):
     sim = make()
-    n_b, n_s = 40_000, 4_000
-    agg = run_trials(sim, n_b, 21)
-    err_s, bits_s = _scalar_trials(sim, n_s, 22)
+    law = sim.exact_view_law()
+    ref = _chain_law(sim)
+    assert set(law.symbols) == set(ref)
+    # dyadic masses: every sum is exact, whatever its order
+    assert np.array_equal([law.prob(v) for v in ref], list(ref.values()))
 
-    def close(p_b, p_s):
-        pool = (p_b * n_b + p_s * n_s) / (n_b + n_s)
-        se = math.sqrt(pool * (1 - pool) * (1 / n_b + 1 / n_s))
-        return abs(p_b - p_s) <= 5 * se
 
-    assert close(agg.error_rate, sum(err_s.values()) / n_s)
-    for cause in ERROR_CAUSES:
-        assert close(agg.errors.get(cause, 0) / n_b,
-                     err_s.get(cause, 0) / n_s), cause
-    se = math.sqrt(agg.bits.var() / n_b + bits_s.var() / n_s)
-    assert abs(agg.bits.mean() - bits_s.mean()) <= 5 * se
-    assert agg.error_rate > 0
+def test_protocol_exact_guards(monkeypatch):
+    with pytest.raises(OutOfRange, match="k = 0"):
+        criterion7_sim(k_override=1).exact_view_law()
+    noisy = noisy_send_protocol(dsbs_source(0.25), 0.15)
+    with pytest.raises(OutOfRange, match="deterministic"):
+        ProtocolSimulator(noisy, auto_round_plans(noisy)).exact_view_law()
+    # data exchange over dsbs^3: 64 pairs times 2^12 families per round
+    big = criterion7_sim(data_exchange_protocol(
+        product_source(dsbs_source(0.25), 3)))
+    assert big.exact_atom_count() > 1 << 24
+    monkeypatch.setattr(ProtocolSimulator, "run_batch", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            big.exact_view_law()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_protocol_k_override_none_shares_prefix_bits():
@@ -383,108 +776,6 @@ def test_protocol_run_trials_chunks_on_part_streams():
     for part, (lo, hi) in enumerate([(0, 300), (300, 600), (600, 700)]):
         batch = sim.run_batch(np.random.default_rng([9, part]), hi - lo)
         assert np.array_equal(agg.bits[lo:hi], batch.bits)
-
-
-# -- engines 2 to 4: the round kernel against the scalar reference ----------
-
-
-def _kernel_replay(engine, T, seed):
-    """Replay the scalar ``run`` draws of T trials in ``_round_kernel``.
-
-    Trial n runs ``engine.run`` on ``default_rng([seed, n])`` with x and y
-    fixed.  The replay takes the same draws from the same stream in the
-    scalar's order (the J uniform on engine 4, the hash block, the shared
-    string when k > 0, the M* uniform), feeds all T trials to one kernel
-    call, and returns per trial ``(view, bits, cause)`` of both paths.
-    """
-    improved = isinstance(engine, ImprovedRoundSimulator)
-    inner = getattr(engine, "inner", engine)
-    L, w, M = inner.total_hash_bits, inner.width, len(inner.messages)
-    xi, yj = inner.source.sample(np.random.default_rng([seed, T]), size=T)
-    jj = np.zeros(T, dtype=np.int64)
-    k_t = np.full(T, inner.k, dtype=np.int64)
-    blocks = np.empty((T, L, w + 1), dtype=np.uint8)
-    u = np.zeros(T, dtype=np.int64)
-    u_m = np.empty(T)
-    for n in range(T):
-        rng = np.random.default_rng([seed, n])
-        if improved:
-            cum = np.cumsum(engine.p_j_given_x[xi[n]])
-            jj[n] = np.searchsorted(cum, rng.random() * cum[-1],
-                                    side="right")
-            k_t[n] = engine.k_of(int(jj[n]))
-        blocks[n] = rng.integers(0, 2, size=(L, w + 1), dtype=np.uint8)
-        if k_t[n]:
-            u[n] = rng.integers(0, 1 << int(k_t[n]))
-        u_m[n] = rng.random()
-    restrict = np.ones((T, M), dtype=bool)
-    bad = np.zeros(T, dtype=bool)
-    j_cost = 0
-    if improved:
-        restrict = engine.slice_tx[:, xi].T == jj[:, None]
-        bad = ~engine.good[jj]
-        j_cost = engine.j_cost
-    m_star, decoded, cause, bits = _round_kernel(
-        inner, inner.p_m_given_x[xi], restrict, inner.slice_rx[:, yj].T,
-        k_t, blocks, u, u_m, j_cost)
-    msgs = inner.messages
-    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
-    pairs = []
-    for n in range(T):
-        x, y = xs[xi[n]], ys[yj[n]]
-        out = engine.run(np.random.default_rng([seed, n]), x=x, y=y)
-        if bad[n]:
-            got = ((None, None, x, y), j_cost, "bad_J")
-        else:
-            c = int(cause[n])
-            got = ((msgs[m_star[n]],
-                    None if decoded[n] < 0 else msgs[decoded[n]], x, y),
-                   int(bits[n]), None if c == 0 else ERROR_CAUSES[c - 1])
-        pairs.append((got, (out.view, out.bits, out.error)))
-    return pairs
-
-
-def _noisy_round(k=0, k_override=None, improved=False):
-    src = dsbs_source(0.25)
-    law = noisy_send_protocol(src, 0.15)
-    view = law.round_view(1, ())
-    rx = SliceConfig(0.0, 3.0 + 1e-9, 1.0, 1.0)
-    if improved:
-        # the transmitter tail, -log2 0.15 > 2, is the rejected index 0
-        tx = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
-        return ImprovedRoundSimulator(src, view.p_m_given_x, view.messages,
-                                      rx, tx, k_override=k_override)
-    return RoundSimulator(src, view.p_m_given_x, view.messages, rx, k)
-
-
-@pytest.mark.parametrize("make, outcomes", [
-    (lambda: interactive_coder(gamma=1.0), {None, "mismatch"}),
-    (lambda: InteractiveSWCoder(
-        product_source(dsbs_source(0.2), 2),
-        SliceConfig(0.0, 4.0 + 1e-9, 2.0, 0.0)),
-     {None, "mismatch", "multiple_match", "tail"}),
-    # three messages share slice 1 and often collide on its l = 2 bits
-    (lambda: InteractiveSWCoder(
-        product_source(dsbs_source(0.2), 2),
-        SliceConfig(0.0, 6.0 + 1e-9, 3.0, 0.0), l=2),
-     {None, "mismatch", "no_match"}),
-    (lambda: round_sim(k=2, gamma=1.0), {None, "mismatch", "no_match"}),
-    (lambda: _noisy_round(k=1), {None, "mismatch", "no_match"}),
-    (lambda: _noisy_round(improved=True), {None, "mismatch", "bad_J"}),
-    (lambda: _noisy_round(k_override=2, improved=True),
-     {None, "mismatch", "bad_J", "no_match"}),
-], ids=["p2", "p2-dsbs2", "p2-dsbs2-l2", "p3-k2", "p3-noisy-k1", "p4-noisy",
-        "p4-noisy-k2"])
-def test_round_kernel_matches_scalar_seed_for_seed(make, outcomes):
-    pairs = _kernel_replay(make(), 1_500, 31)
-    seen = set()
-    for n, (got, want) in enumerate(pairs):
-        assert got == want, n
-        view, _, error = want
-        seen.add("mismatch" if error is None and view[0] != view[1]
-                 else error)
-    # the trials reach the outcomes the instance is meant to cover
-    assert outcomes <= seen
 
 
 _TOP = np.nextafter(1.0, 0.0)
@@ -662,12 +953,12 @@ def test_exact_law_same_across_family_blocks(make, monkeypatch):
     whole = engine.exact_view_law()
     if isinstance(engine, SlepianWolfCoder):
         out_bits, M = engine.l, len(engine.source.x_alphabet)
-        per_family = int((engine.source.mass > 0).sum()) \
-            * _kernel_bytes(M, out_bits, engine.width)
     else:
         out_bits, M = engine.total_hash_bits, len(engine.messages)
-        per_family = _kernel_bytes(M, out_bits, engine.width)
     n_fam = family_size(engine.width, out_bits)
+    # a block decodes one row per atom of each of its families
+    per_family = engine.exact_atom_count() // n_fam \
+        * _kernel_bytes(M, out_bits, engine.width)
     # blocks of 2/5 of the families: two full blocks and a partial one
     monkeypatch.setattr(icsim.simulate, "EXACT_BLOCK_BYTES",
                         per_family * (2 * n_fam // 5))
