@@ -58,10 +58,12 @@ class HashFamily:
         return (bits @ self.matrix.T + self.offset) % 2
 
     def apply_packed(self, bits: np.ndarray) -> np.ndarray:
-        """Hash bit rows and pack each output into a Python-int scalar array."""
-        out = self.apply_bits(bits)
-        weights = (1 << np.arange(self.out_bits, dtype=np.int64))
-        return out @ weights
+        """Hash bit rows and pack each output into an int64, output bit p at
+        weight 2^p (see :func:`pack_hashes`)."""
+        bits = np.asarray(bits)
+        block = np.column_stack([self.matrix, self.offset])[None]
+        return pack_hashes(block, bits.reshape(-1, self.width)).reshape(
+            bits.shape[:-1])
 
     def prefix(self, k: int) -> "HashFamily":
         """First k output bits, itself a uniform draw of size k."""
@@ -88,6 +90,28 @@ def draw_hash(width: int, out_bits: int, seed) -> HashFamily:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return _member(rng.integers(0, 2, size=(out_bits, width + 1),
                                 dtype=np.uint8))
+
+
+def pack_hashes(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Packed hashes (T, n) of the n bit rows ``bits`` (n, w) under the T
+    hash blocks ``blocks`` (T, L, w + 1), laid out as :func:`draw_hash`
+    draws one: output bit p at weight 2^p.
+
+    The map is affine, so a row's packed hash is the packed offset XORed
+    with the packed matrix column of each of its set bits: w XOR steps on
+    (T, n) ints, with no array holding a bit per (row, output bit).
+    """
+    T, L, w1 = blocks.shape
+    if L > 62:
+        raise OutOfRange("packed hashes hold at most 62 bits")
+    # column c of each block as one int whose bit p is row p
+    cols = np.zeros((T, w1), dtype=np.int64)
+    for p in range(L):
+        cols |= blocks[:, p].astype(np.int64) << p
+    h = np.repeat(cols[:, w1 - 1:], bits.shape[0], axis=1)
+    for c in range(w1 - 1):
+        h ^= cols[:, c:c + 1] & -bits[:, c].astype(np.int64)
+    return h
 
 
 def _member(block: np.ndarray) -> HashFamily:

@@ -12,10 +12,11 @@ Engine 2 is engine 3 on the identity channel, and engines 4 and 5 run
 engine 3 rounds.  Each engine's trial rule is implemented once, as a kernel
 vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
 (pick M*, then ``_slice_search``) for engines 2 to 5.  The scalar ``run``,
-the chunked trial loops ``run_trials`` and ``batch_round_trials`` and the
-exact enumerations all call it.  Engines whose randomness is small enough
-expose ``exact_view_law``, which enumerates every hash seed and
-shared-randomness value.
+the chunked trial loop ``run_trials`` and the exact enumerations all call
+it on hashes packed by :func:`icsim.hashing.pack_hashes`, and one rule,
+:func:`_trial_chunk`, cuts every engine's trials into chunks.  Engines
+whose randomness is small enough expose ``exact_view_law``, which
+enumerates every hash seed and shared-randomness value.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .hashing import (
     family_blocks,
     family_size,
     member_blocks,
+    pack_hashes,
 )
 from .probcore import FiniteDistribution, JointSource, SliceConfig, SpectrumTable
 from .protocol import TranscriptLaw
@@ -45,15 +47,16 @@ ERROR_CAUSES = ("tail", "no_match", "multiple_match", "bad_J",
 # cause codes of the batch paths: 0 for no error, else 1 + ERROR_CAUSES index
 _TAIL, _NO_MATCH, _MULTIPLE, _BAD_J, _BUDGET = range(1, len(ERROR_CAUSES) + 1)
 
-#: trials per chunk of the batch paths; each chunk has its own seed stream
+#: most trials per chunk of the batch paths; each has its own seed stream
 BATCH_CHUNK = 100_000
-#: bytes per chunk that a trial kernel may allocate on engine 1's batch path
-#: and on engine 5's batch and exact paths; engines 2 to 4 chunk by
-#: BATCH_CHUNK alone
+#: bytes per chunk that a trial kernel may allocate, as counted by
+#: :func:`_kernel_bytes`; it cuts the chunks of every engine's batch path
+#: and of engine 5's exact path
 BATCH_BYTES = 1 << 26
-#: bytes per block of hash families that exact mode packs and decodes at
-#: once; a block this small stays in cache, which decodes faster than one
-#: BATCH_BYTES block and leaves the peak memory where it was
+#: bytes per block of hash families that exact mode of engines 1 to 3 packs
+#: and decodes at once, counted as BATCH_BYTES is; a block this small stays
+#: in cache, which decodes faster than one BATCH_BYTES block and leaves the
+#: peak memory where it was
 EXACT_BLOCK_BYTES = 1 << 21
 
 
@@ -92,20 +95,15 @@ class TrialAggregate:
 def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
     """Run independent trials of any engine, batched.
 
-    Engine 5 (:class:`ProtocolSimulator`) runs chunks of ``engine.chunk``
-    trials through ``run_batch``, chunk ``part`` on the stream
-    ``[master_seed, part]``; engines 1 to 4 run :func:`batch_round_trials`,
-    which chunks the same way.
+    Chunk ``part`` of ``engine.chunk`` trials (see :func:`_trial_chunk`)
+    draws all of its randomness in bulk from the stream
+    ``[master_seed, part]``: through ``_sw_chunk`` on engine 1,
+    ``_batch_round_chunk`` on engines 2 to 4 and ``run_batch`` on engine 5.
     """
-    if isinstance(engine, ProtocolSimulator):
-        return _chunked_trials(_protocol_chunk, engine, trials, master_seed,
-                               engine.chunk)
-    return batch_round_trials(engine, trials, master_seed)
-
-
-def _chunked_trials(chunk_fn, engine, trials: int, master_seed: int,
-                    chunk: int) -> TrialAggregate:
-    """Aggregate ``chunk_fn(engine, n, [master_seed, part])`` over chunks."""
+    chunk_fn = (_sw_chunk if isinstance(engine, SlepianWolfCoder)
+                else _protocol_chunk if isinstance(engine, ProtocolSimulator)
+                else _batch_round_chunk)
+    chunk = engine.chunk
     views: Counter = Counter()
     errors: Counter = Counter()
     bits, mism = [], 0
@@ -118,6 +116,30 @@ def _chunked_trials(chunk_fn, engine, trials: int, master_seed: int,
         mism += mm
     bits = np.concatenate(bits) if bits else np.empty(0, dtype=np.int64)
     return TrialAggregate(trials, views, bits, errors, mism)
+
+
+#: the trial loop under the name the benchmark's trial spans also patch
+batch_round_trials = run_trials
+
+
+def _kernel_bytes(M: int, L: int, width: int) -> int:
+    """Bytes that one trial (or exact row) of M messages and L hash bits
+    allocates in either trial kernel.
+
+    The (L, w + 1) uint8 hash block and its packed int64 columns; per
+    message, six 8-byte numbers (hash, weight, running sum, receiver slice
+    and two temporaries) and five bool masks; and 256 bytes for the trial's
+    source pair, uniforms, bits, cause and view key.  Engine 1's kernel
+    allocates about a third of this.
+    """
+    return L * (width + 1) + 8 * (width + 1) + 53 * M + 256
+
+
+def _trial_chunk(M: int, L: int, width: int) -> int:
+    """Trials per chunk of any engine's batch path: at most BATCH_CHUNK,
+    and few enough that the chunk's :func:`_kernel_bytes` stay within
+    BATCH_BYTES."""
+    return max(1, min(BATCH_CHUNK, BATCH_BYTES // _kernel_bytes(M, L, width)))
 
 
 def _cause_counts(cause: np.ndarray) -> Counter:
@@ -178,14 +200,7 @@ class SlepianWolfCoder:
         self.typical = self.h_q <= self.l - self.gamma + 1e-12
         self.width = encoding_width(len(source.x_alphabet))
         self.enc = encode_universe(len(source.x_alphabet), self.width)
-        self._pow2 = 1 << np.arange(self.l, dtype=np.int64)
-        # trials per chunk of batch_round_trials: a chunk's hash arrays,
-        # which also bound its decode arrays, stay within BATCH_BYTES
-        self.chunk = max(1, min(BATCH_CHUNK,
-                                BATCH_BYTES // self._trial_bytes()))
-
-    def _trial_bytes(self) -> int:
-        return _kernel_bytes(len(self.source.x_alphabet), self.l, self.width)
+        self.chunk = _trial_chunk(len(source.x_alphabet), self.l, self.width)
 
     def analytic_error_bound(self) -> float:
         atyp = float(self.source.mass[~self.typical].sum())
@@ -224,13 +239,14 @@ class SlepianWolfCoder:
         n_fam = family_size(self.width, self.l)
         live_i, live_j = np.nonzero(self.source.mass > 0)
         P, M = live_i.size, len(self.source.x_alphabet)
-        step = max(1, EXACT_BLOCK_BYTES // (P * self._trial_bytes()))
+        step = max(1, EXACT_BLOCK_BYTES // (
+            P * _kernel_bytes(M, self.l, self.width)))
         # counts[p, d + 1]: families that decode live pair p to d (-1: none)
         counts = np.zeros((P, M + 1), dtype=np.int64)
         for start in range(0, n_fam, step):
-            h = _pack_hashes(self.enc, family_blocks(
+            h = pack_hashes(family_blocks(
                 self.width, self.l, start, min(start + step, n_fam)),
-                self._pow2)
+                self.enc)
             n = h.shape[0]
             decoded, _ = _sw_kernel(self, np.repeat(live_i, n),
                                     np.repeat(live_j, n), np.tile(h, (P, 1)))
@@ -281,8 +297,7 @@ def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
     xi, yj = coder.source.sample(rng, size=T)
     blocks = rng.integers(0, 2, size=(T, coder.l, coder.width + 1),
                           dtype=np.uint8)
-    decoded, cause = _sw_kernel(coder, xi, yj,
-                                _pack_hashes(coder.enc, blocks, coder._pow2))
+    decoded, cause = _sw_kernel(coder, xi, yj, pack_hashes(blocks, coder.enc))
     views = _count_views(xi, decoded, xi, yj, coder.source.x_alphabet,
                          coder.source)
     return (views, _cause_counts(cause), np.full(T, coder.l, dtype=np.int64),
@@ -318,6 +333,7 @@ class InteractiveSWCoder:
         self.delta = self.inner.delta
         self.n_slices = self.inner.n_slices
         self.total_hash_bits = self.inner.total_hash_bits
+        self.chunk = self.inner.chunk
 
     def tail_mass(self) -> float:
         return self.inner.tail_mass()
@@ -388,21 +404,25 @@ class RoundSimulator:
         self.enc = encode_universe(M, self.width)
         if self.total_hash_bits > 62:
             raise OutOfRange("hash budget exceeds 62 bits")
-        self._pow2 = (1 << np.arange(self.total_hash_bits, dtype=np.int64))
+        self.chunk = _trial_chunk(M, self.total_hash_bits, self.width)
 
     def _true_m_given_y(self) -> np.ndarray:
-        joint_my = np.einsum("xm,xy->my", self.p_m_given_x, self.source.mass)
         py = self.source.p_y
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(py[None, :] > 0, joint_my / py[None, :], 0.0).T
+            return np.where(py[None, :] > 0, self._joint_my() / py[None, :],
+                            0.0).T
+
+    def _joint_my(self) -> np.ndarray:
+        """Joint table P(M, Y) with messages on rows, summed over x in order."""
+        return sum(np.outer(p_m, p_xy)
+                   for p_m, p_xy in zip(self.p_m_given_x, self.source.mass))
 
     def pos_at(self, i: int) -> int:
         return self.l + (i - 1) * self.delta
 
     def tail_mass(self) -> float:
         """Probability that (M, Y) falls in the receiver tail slice."""
-        joint_my = np.einsum("xm,xy->my", self.p_m_given_x, self.source.mass)
-        return float(joint_my[self.slice_rx == 0].sum())
+        return float(self._joint_my()[self.slice_rx == 0].sum())
 
     def joint_mx(self) -> np.ndarray:
         """Joint table P(M, X) with messages on rows."""
@@ -436,7 +456,7 @@ class RoundSimulator:
         n_fam = family_size(self.width, L)
         # shared strings packed like the hash prefix, first bit slowest
         strings = ((np.arange(1 << k)[:, None] >> (k - 1 - np.arange(k))) & 1
-                   ) @ self._pow2[:k]
+                   ) @ (1 << np.arange(k, dtype=np.int64))
         live_i, live_j = np.nonzero(self.source.mass > 0)
         support = self.p_m_given_x[live_i] > 0
         support[~support.any(axis=1), 0] = True
@@ -448,8 +468,8 @@ class RoundSimulator:
             strings.size * pair.size * _kernel_bytes(M, L, self.width)))
         sums: dict = {}
         for start in range(0, n_fam, step):
-            hs = _pack_hashes(self.enc, family_blocks(
-                self.width, L, start, min(start + step, n_fam)), self._pow2)
+            hs = pack_hashes(family_blocks(
+                self.width, L, start, min(start + step, n_fam)), self.enc)
             f, s, c = (a.ravel() for a in np.indices(
                 (hs.shape[0], strings.size, pair.size)))
             h, u, mc, rows = hs[f], strings[s], m[c], np.arange(f.size)
@@ -519,6 +539,7 @@ class ImprovedRoundSimulator:
             if n_tx > 1 else 2
         self.gamma = cfg_rx.gamma
         self.k_override = k_override
+        self.chunk = self.inner.chunk
 
     @property
     def source(self):
@@ -544,18 +565,6 @@ class ImprovedRoundSimulator:
 
     def true_view_law(self) -> FiniteDistribution:
         return self.inner.true_view_law()
-
-
-def batch_round_trials(engine, trials: int,
-                       master_seed: int) -> TrialAggregate:
-    """Vectorized trials of engines 1 to 4: chunk ``part`` of
-    ``BATCH_CHUNK`` trials (at most ``engine.chunk`` on engine 1) draws all
-    of its randomness in bulk from the stream ``[master_seed, part]``."""
-    if isinstance(engine, SlepianWolfCoder):
-        return _chunked_trials(_sw_chunk, engine, trials, master_seed,
-                               engine.chunk)
-    return _chunked_trials(_batch_round_chunk, engine, trials, master_seed,
-                           BATCH_CHUNK)
 
 
 def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -584,7 +593,7 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
     prefix is u and whose cumulative weight exceeds u_m times the total;
     :func:`_slice_search` decodes it.  Returns ``(m_star,) +`` its result.
     """
-    h = _pack_hashes(inner.enc, blocks, inner._pow2)  # (T, M)
+    h = pack_hashes(blocks, inner.enc)  # (T, M)
     mask_t = (np.int64(1) << k_t) - 1
     u = u & mask_t
     prefix_ok = (h & mask_t[:, None]) == u[:, None]
@@ -642,23 +651,6 @@ def _slice_search(inner: RoundSimulator, h: np.ndarray, m_star: np.ndarray,
     cause[tail] = _TAIL
     cause[multi] = _MULTIPLE
     return decoded, cause, bits, hit
-
-
-def _pack_hashes(enc: np.ndarray, blocks: np.ndarray,
-                 pow2: np.ndarray) -> np.ndarray:
-    """Packed hashes (T, M) of the M encodings ``enc`` (M, w) under the T
-    hash blocks (T, L, w + 1): bit p at weight ``pow2[p]``."""
-    w = enc.shape[1]
-    hv = (np.einsum("tlw,mw->tml", blocks[:, :, :w], enc)
-          + blocks[:, :, w][:, None, :]) % 2
-    return hv.astype(np.int64) @ pow2
-
-
-def _kernel_bytes(M: int, L: int, width: int) -> int:
-    """Bytes per trial of the hash arrays of M messages and L hash bits:
-    the (L, w + 1) uint8 hash block, the (M, L) hash bits in uint8 and in
-    int64 and the (M,) int64 packed hashes."""
-    return L * (width + 1) + 9 * M * L + 8 * M
 
 
 def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
@@ -851,13 +843,8 @@ class ProtocolSimulator:
                                          histories[t] if t < law.n_rounds
                                          else None)
                        for t in range(1, law.n_rounds + 1)]
-        # trials per chunk of run_trials: the largest round's kernel arrays
-        # stay within BATCH_BYTES
-        per_trial = max(_kernel_bytes(len(tab.inner.messages),
-                                      tab.inner.total_hash_bits,
-                                      tab.inner.width)
-                        for tab in self.tables)
-        self.chunk = max(1, min(BATCH_CHUNK, BATCH_BYTES // per_trial))
+        # the largest round sets the chunk
+        self.chunk = min(tab.inner.chunk for tab in self.tables)
 
     def _make_engine(self, t, p_tx, p_rx, universe, view):
         plan = self.plans[t - 1]
@@ -1068,21 +1055,16 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
     ``side`` is "tx" for the speaking party and "rx" for the listener,
     aggregated over histories with their true probabilities.
     """
-    odd = t % 2 == 1
+    own_is_x = (t % 2 == 1) == (side == "tx")
     vals, probs = [], []
     for hist in law.histories(t):
         view = law.round_view(t, hist)
-        own_is_x = odd == (side == "tx")
         cond = view.p_m_given_x if own_is_x else view.p_m_given_y
-        nx, ny = law.source.mass.shape
-        for a, m in enumerate(view.messages):
-            for i in range(nx):
-                for j in range(ny):
-                    w = float(view.p_hist_xy[i, j]
-                              * view.p_m_given_xy[a, i, j])
-                    if w <= 0:
-                        continue
-                    p = float(cond[i if own_is_x else j, a])
-                    vals.append(-math.log2(p))
-                    probs.append(w)
+        # the positive atoms (a, i, j) in row-major order; math.log2 per
+        # atom, since np.log2 can differ from it in the last bit
+        w = view.p_hist_xy * view.p_m_given_xy
+        a, i, j = np.nonzero(w > 0)
+        probs += w[a, i, j].tolist()
+        vals += [-math.log2(p)
+                 for p in cond[i if own_is_x else j, a].tolist()]
     return SpectrumTable.from_atoms(vals, probs)

@@ -17,6 +17,7 @@ from icsim.hashing import (
     family_size,
     member_blocks,
     min_entropy,
+    pack_hashes,
 )
 
 
@@ -102,6 +103,43 @@ def test_packed_matches_bits():
     bits = fam.apply_bits(enc)
     weights = 1 << np.arange(5)
     assert np.array_equal(packed, bits @ weights)
+
+
+def _packed_by_hand(fam, bits):
+    """Each row's hash bits as one Python int, bit p at weight 2^p."""
+    return [sum(int(b) << p for p, b in enumerate(row))
+            for row in fam.apply_bits(bits)]
+
+
+@pytest.mark.parametrize("M, L", [(5, 0), (5, 1), (37, 14), (3, 62),
+                                  (64, 14)])
+def test_pack_hashes_matches_apply_bits(M, L):
+    rng = np.random.default_rng(100 * M + L)
+    w = encoding_width(M)
+    enc = encode_universe(M, w)
+    blocks = rng.integers(0, 2, size=(20, L, w + 1), dtype=np.uint8)
+    subset = enc[[M - 1, 0, M // 2, M - 1]]  # rows as ``extract`` picks them
+    for bits in (enc, subset):
+        got = pack_hashes(blocks, bits)
+        assert got.dtype == np.int64 and got.shape == (20, len(bits))
+        for t, block in enumerate(blocks):
+            fam = HashFamily(w, L, block[:, :w], block[:, w])
+            assert got[t].tolist() == _packed_by_hand(fam, bits)
+
+
+def test_packing_past_62_bits_raises():
+    enc = encode_universe(8, 3)
+    fam = draw_hash(3, 62, 5)
+    assert fam.apply_packed(enc).tolist() == _packed_by_hand(fam, enc)
+    for out_bits in (63, 70):
+        with pytest.raises(OutOfRange):
+            draw_hash(3, out_bits, 5).apply_packed(enc)
+    with pytest.raises(OutOfRange):
+        pack_hashes(np.zeros((1, 63, 4), dtype=np.uint8), enc)
+    with pytest.raises(OutOfRange):
+        extract([0, 5, 7], 8, 63, seed=1)
+    keys, _ = extract([0, 5, 7], 8, 62, seed=1)
+    assert keys.dtype == np.int64 and keys.shape == (3,)
 
 
 def test_draw_reproducible():

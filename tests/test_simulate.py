@@ -11,15 +11,29 @@ from icsim.bounds import (
     protocol4_tv_budget,
     protocol5_tv_budget,
 )
+from icsim.cli import build_engine
 from icsim.errors import OutOfRange, TooLarge
 from icsim.evaluate import measure_sim_error
 import icsim.simulate
-from icsim.hashing import HashFamily, enumerate_family, family_size
-from icsim.probcore import SliceConfig, dsbs_source, product_source, spectrum
+from icsim.hashing import (
+    HashFamily,
+    enumerate_family,
+    family_size,
+    pack_hashes,
+)
+from icsim.probcore import (
+    JointSource,
+    SliceConfig,
+    SpectrumTable,
+    dsbs_source,
+    product_source,
+    spectrum,
+)
 from icsim.protocol import (
     data_exchange_protocol,
     noisy_send_protocol,
     send_value_protocol,
+    two_round_protocol,
     xor_reply_protocol,
 )
 from icsim.simulate import (
@@ -32,8 +46,8 @@ from icsim.simulate import (
     RoundPlan,
     RoundSimulator,
     SlepianWolfCoder,
+    _batch_round_chunk,
     _kernel_bytes,
-    _pack_hashes,
     _pick_slice,
     _round_kernel,
     _round_trials,
@@ -248,6 +262,46 @@ def test_round_density_spectrum_mass():
     got = round_density_spectrum(law, 1, "rx")
     assert got.values == pytest.approx(want.values, abs=1e-12)
     assert got.probs == pytest.approx(want.probs, abs=1e-12)
+
+
+def _spectrum_loop(law, t, side):
+    """``round_density_spectrum`` written out: every (message, x, y) atom
+    of every history, zero-weight ones skipped."""
+    own_is_x = (t % 2 == 1) == (side == "tx")
+    vals, probs = [], []
+    nx, ny = law.source.mass.shape
+    for hist in law.histories(t):
+        view = law.round_view(t, hist)
+        cond = view.p_m_given_x if own_is_x else view.p_m_given_y
+        for a in range(len(view.messages)):
+            for i in range(nx):
+                for j in range(ny):
+                    w = float(view.p_hist_xy[i, j]
+                              * view.p_m_given_xy[a, i, j])
+                    if w <= 0:
+                        continue
+                    vals.append(-math.log2(float(cond[i if own_is_x else j,
+                                                      a])))
+                    probs.append(w)
+    return SpectrumTable.from_atoms(vals, probs)
+
+
+def test_round_density_spectrum_matches_atom_loop():
+    # non-dyadic source and channels; message "z" and reply "n" never occur
+    src = JointSource(("a", "b", "c"), (0, 1),
+                      np.array([[0.3, 0.1], [0.05, 0.25], [0.2, 0.1]]))
+    ch1 = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [1 / 3, 2 / 3, 0.0]])
+    ch2 = np.zeros((2, 3, 3))
+    ch2[:, :, 0] = [[0.6, 0.9, 1.0], [0.15, 0.5, 1.0]]
+    ch2[:, :, 1] = 1.0 - ch2[:, :, 0]
+    law = two_round_protocol(src, ch1, ("x1", "x2", "z"), ch2,
+                             ("p", "q", "n"))
+    for t in (1, 2):
+        for side in ("tx", "rx"):
+            got = round_density_spectrum(law, t, side)
+            want = _spectrum_loop(law, t, side)
+            assert np.array_equal(got.values, want.values), (t, side)
+            assert np.array_equal(got.probs, want.probs), (t, side)
 
 
 def test_run_trials_reproducible():
@@ -755,18 +809,94 @@ def test_protocol_run_trials_reproducible():
     assert a.errors == b.errors and a.mismatches == b.mismatches
 
 
-def test_protocol_chunk_shrinks_for_large_rounds():
-    small = TestProtocolSimulator().make()
+# engines 1 to 5 over dsbs^6: 64 x values, and send-x's 64 messages
+_BIG = {
+    "p1": {"protocol": "p1", "l": 40},
+    "p2": {"protocol": "p2"},
+    "p3": {"protocol": "p3", "target": "send-x"},
+    "p4": {"protocol": "p4", "target": "send-x"},
+    "p5": {"protocol": "p5", "target": "send-x", "k_override": 0},
+}
+
+
+def _big(name):
+    return build_engine({"source": "dsbs^6:0.11", "gamma": 3.0,
+                         **_BIG[name]})
+
+
+def _bit_then_y():
+    """Engine 5 over dsbs^6: x sends its first bit, then y announces y, so
+    the second round is the large one."""
+    src = product_source(dsbs_source(0.11), 6)
+    ny = len(src.y_alphabet)
+    bit = np.array([[x[0] == a for a in (0, 1)] for x in src.x_alphabet],
+                   dtype=float)
+    law = two_round_protocol(src, bit, (0, 1),
+                             np.repeat(np.eye(ny)[:, None, :], 2, axis=1),
+                             src.y_alphabet)
+    return ProtocolSimulator(law, auto_round_plans(law, gamma=3.0),
+                             k_override=0)
+
+
+def _kernels(engine):
+    """(M, L, w) of every trial kernel an engine runs."""
+    if isinstance(engine, SlepianWolfCoder):
+        return [(len(engine.source.x_alphabet), engine.l, engine.width)]
+    inners = ([tab.inner for tab in engine.tables]
+              if isinstance(engine, ProtocolSimulator)
+              else [getattr(engine, "inner", engine)])
+    return [(len(i.messages), i.total_hash_bits, i.width) for i in inners]
+
+
+@pytest.mark.parametrize("name", sorted(_BIG) + ["p5-bit-then-y"])
+def test_chunk_shrinks_for_large_rounds(name):
+    small = {"p1": sw_coder, "p2": interactive_coder, "p3": round_sim,
+             "p4": TestImprovedRound().make}.get(
+        name, TestProtocolSimulator().make)()
     assert small.chunk == BATCH_CHUNK
-    # send-x over dsbs^6: 64 messages, so a full chunk would need ~0.9 GB
-    law = send_value_protocol(product_source(dsbs_source(0.11), 6))
-    sim = ProtocolSimulator(law, auto_round_plans(law, gamma=3.0),
-                            k_override=0)
-    inner = sim.tables[0].inner
-    per_trial = 9 * len(inner.messages) * inner.total_hash_bits
-    assert len(inner.messages) == 64
-    assert 1 <= sim.chunk < BATCH_CHUNK
-    assert sim.chunk * per_trial <= BATCH_BYTES
+    engine = _bit_then_y() if name == "p5-bit-then-y" else _big(name)
+    kernels = _kernels(engine)
+    assert max(M for M, _, _ in kernels) == 64
+    # one rule: the chunk fits the largest kernel's bytes in BATCH_BYTES
+    per_trial = max(_kernel_bytes(*k) for k in kernels)
+    assert engine.chunk < BATCH_CHUNK
+    assert engine.chunk * per_trial <= BATCH_BYTES \
+        < (engine.chunk + 1) * per_trial
+
+
+@pytest.mark.parametrize("name", ["p1", "p4", "p5"])
+def test_chunk_peak_memory_within_batch_bytes(name, monkeypatch):
+    budget = 4 << 20
+    monkeypatch.setattr(icsim.simulate, "BATCH_BYTES", budget)
+    engine = _big(name)
+    assert engine.chunk * max(_kernel_bytes(*k)
+                              for k in _kernels(engine)) <= budget
+    run_trials(engine, 50, 0)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        agg = run_trials(engine, engine.chunk, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert agg.trials == engine.chunk
+    assert peak <= budget
+
+
+@pytest.mark.parametrize("make", [
+    interactive_coder, round_sim, lambda: TestImprovedRound().make(),
+], ids=["p2", "p3", "p4"])
+def test_round_run_trials_chunks_on_part_streams(make):
+    engine = make()
+    engine.chunk = 300
+    agg = run_trials(engine, 700, 9)
+    views, errors, bits = Counter(), Counter(), []
+    for part, n in enumerate((300, 300, 100)):
+        v, e, b, _ = _batch_round_chunk(engine, n, [9, part])
+        views.update(v)
+        errors.update(e)
+        bits.append(b)
+    assert agg.views == views and agg.errors == errors
+    assert np.array_equal(agg.bits, np.concatenate(bits))
 
 
 def test_protocol_run_trials_chunks_on_part_streams():
@@ -858,8 +988,7 @@ def test_sw_kernel_matches_scalar_seed_for_seed(make, outcomes):
         xi[t], yj[t] = coder.source.sample(rng)
         blocks[t] = rng.integers(0, 2, size=(coder.l, coder.width + 1),
                                  dtype=np.uint8)
-    decoded, cause = _sw_kernel(
-        coder, xi, yj, _pack_hashes(coder.enc, blocks, coder._pow2))
+    decoded, cause = _sw_kernel(coder, xi, yj, pack_hashes(blocks, coder.enc))
     xs, ys = coder.source.x_alphabet, coder.source.y_alphabet
     seen = set()
     for t in range(T):
@@ -878,11 +1007,6 @@ def test_sw_kernel_matches_scalar_seed_for_seed(make, outcomes):
 
 
 def test_sw_batch_runs_chunks_on_part_streams(monkeypatch):
-    # the chunk is cut so one chunk's hash arrays fit in BATCH_BYTES
-    big = SlepianWolfCoder(product_source(dsbs_source(0.11), 6), 40, 3.0)
-    per_trial = _kernel_bytes(64, 40, big.width)
-    assert big.chunk < BATCH_CHUNK
-    assert big.chunk * per_trial <= BATCH_BYTES < (big.chunk + 1) * per_trial
     # chunk part of engine.chunk trials runs on the stream [seed, part]
     monkeypatch.setattr(icsim.simulate, "BATCH_BYTES",
                         300 * _kernel_bytes(2, 3, 1))
