@@ -249,10 +249,22 @@ def cmd_eval(args):
     }, args.out)
 
 
+def _numeric_eps(args) -> float:
+    """``--eps`` as a number; a usage error when it is ``auto`` or not a
+    number."""
+    if args.eps == "auto":
+        _fail(f"--eps auto applies only to bound lower; bound {args.kind} "
+              "needs a number", 2)
+    try:
+        return float(args.eps)
+    except ValueError:
+        _fail(f"--eps must be a number, got {args.eps!r}", 2)
+
+
 def cmd_bound(args):
     if args.kind == "lower":
         ex = appendix_threshold_example(args.n)
-        eps = ex.eps_auto if args.eps == "auto" else float(args.eps)
+        eps = ex.eps_auto if args.eps == "auto" else _numeric_eps(args)
         eta = args.eta if args.eta is not None else eps
         rep = lower_bound(SpectraBundle.from_protocol(ex), eps, eta)
         _emit({
@@ -265,15 +277,15 @@ def cmd_bound(args):
         }, args.out)
         return
     if args.kind == "second-order":
+        eps = _numeric_eps(args)
         source = parse_source(args.source)
         law = parse_target(args.target, source)
         ms = law.spectrum("ic").moments()
-        val = second_order_predict(ms, args.n, float(args.eps))
+        val = second_order_predict(ms, args.n, eps)
         _emit({
             "schema": SCHEMA,
             "config": {"kind": "second-order", "source": args.source,
-                       "target": args.target, "n": args.n,
-                       "eps": float(args.eps)},
+                       "target": args.target, "n": args.n, "eps": eps},
             "prediction": val, "mean": ms.mean, "variance": ms.variance,
         }, args.out)
         return
@@ -293,12 +305,14 @@ def cmd_bound(args):
         }, args.out)
         return
     if args.kind == "beta":
+        eps = _numeric_eps(args)
+        if args.p is None or args.q is None:
+            _fail("bound beta needs --p and --q", 2)
         p = [float(v) for v in args.p.split(",")]
         q = [float(v) for v in args.q.split(",")]
         syms = tuple(range(len(p)))
         pd = FiniteDistribution(syms, np.array(p))
         qd = FiniteDistribution(syms, np.array(q))
-        eps = float(args.eps)
         doc = {
             "schema": SCHEMA,
             "config": {"kind": "beta", "p": p, "q": q, "eps": eps},
@@ -310,6 +324,7 @@ def cmd_bound(args):
         _emit(doc, args.out)
         return
     if args.kind == "upper":
+        eps = _numeric_eps(args)
         source = parse_source(args.source)
         law = parse_target(args.target, source)
         plans = auto_round_plans(law, gamma=args.gamma)
@@ -321,12 +336,12 @@ def cmd_bound(args):
                 plan.rx.n_slices, plan.tx.n_slices, plan.rx.delta,
                 plan.tx.delta, plan.rx.tail_mass(rx_spec),
                 plan.tx.tail_mass(tx_spec)))
-        budget = upper_bound_budget(rounds, args.gamma, float(args.eps),
+        budget = upper_bound_budget(rounds, args.gamma, eps,
                                     law.spectrum("ic"))
         _emit({
             "schema": SCHEMA,
             "config": {"kind": "upper", "source": args.source,
-                       "target": args.target, "eps": float(args.eps),
+                       "target": args.target, "eps": eps,
                        "gamma": args.gamma},
             "l_max": budget.l_max, "lambda_prime": budget.lambda_prime,
             "eps_prime": budget.eps_prime,

@@ -3,19 +3,24 @@
 The view of a trial is the tuple (transmitter result, receiver result, x, y).
 Exact mode enumerates every seed; plug-in mode runs trials and reports the
 empirical total variation with a multinomial bootstrap confidence interval.
+
+The bootstrap draws its resamples over the observed view atoms only, in
+blocks of rows bounded by ``EXACT_BLOCK_BYTES``, so its memory does not grow
+with the view universe times the resample count.  numpy's multinomial spends
+no random numbers on a zero-probability category and the blocks are drawn in
+order from one generator, so the draws, and every interval's bits, are those
+of one full-width ``rng.multinomial(n, phat, size=1000)`` call.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, TooLarge
-from .probcore import FiniteDistribution, tv_distance
-from .simulate import TrialAggregate, run_trials
+from .errors import OutOfRange
+from .probcore import FiniteDistribution
+from .simulate import EXACT_BLOCK_BYTES, TrialAggregate, run_trials
 
 BOOTSTRAP_RESAMPLES = 1000
 
@@ -35,22 +40,57 @@ def exact_view_law(engine) -> FiniteDistribution:
     return engine.exact_view_law()
 
 
-def _aligned_true(true_law: FiniteDistribution,
-                  observed) -> tuple[tuple, np.ndarray]:
-    """Common universe of true atoms and every ``observed`` atom.
+def _aligned(true_law: FiniteDistribution, symbols,
+             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """True probabilities and ``weights`` on one universe of atoms.
 
-    True atoms come first, then new atoms in first-seen order; returns the
-    symbols and the true probabilities on them.
+    The universe is the true atoms in their order, then the atoms of
+    ``symbols`` that the truth lacks, in their order; ``weights[k]`` belongs
+    to ``symbols[k]``.  Both returned vectors are zero off their law's atoms.
     """
-    symbols = list(true_law.symbols)
-    seen = set(symbols)
-    for v in observed:
-        if v not in seen:
-            symbols.append(v)
-            seen.add(v)
-    tp = np.array([true_law.prob(s) if s in true_law.index else 0.0
-                   for s in symbols])
-    return tuple(symbols), tp
+    index = true_law.index
+    size = len(index)
+    pos = np.empty(len(weights), dtype=np.intp)
+    for k, s in enumerate(symbols):
+        i = index.get(s)
+        if i is None:
+            i, size = size, size + 1
+        pos[k] = i
+    tp = np.zeros(size)
+    tp[:len(index)] = true_law.probs
+    w = np.zeros(size)
+    w[pos] = weights
+    return tp, w
+
+
+def _bootstrap_tvs(rng: np.random.Generator, n: int, phat: np.ndarray,
+                   tp: np.ndarray) -> np.ndarray:
+    """TV from ``tp`` of each of BOOTSTRAP_RESAMPLES resamples of ``phat``.
+
+    Equal bit for bit to
+    ``0.5 * np.abs(rng.multinomial(n, phat, size=R) / n - tp).sum(axis=1)``
+    with the same generator, without its (R, A) arrays.  numpy draws a
+    resample one category at a time and draws nothing for a category of
+    zero probability, so a draw over the observed atoms uses the same
+    random numbers; the last atom stays in, observed or not, because the
+    last category takes the leftover count instead of a draw.  Rows are
+    drawn in blocks of at most EXACT_BLOCK_BYTES of float64, in order on
+    the one generator, and each block is scattered into full-width rows, so
+    every row sums its A terms in the same order as the one-shot formula.
+    """
+    A = phat.size
+    drawn = np.flatnonzero(phat)
+    if drawn[-1] != A - 1:
+        drawn = np.append(drawn, A - 1)
+    rows = min(BOOTSTRAP_RESAMPLES, max(1, EXACT_BLOCK_BYTES // (8 * A)))
+    buf = np.zeros((rows, A))
+    tvs = np.empty(BOOTSTRAP_RESAMPLES)
+    for start in range(0, BOOTSTRAP_RESAMPLES, rows):
+        block = buf[:min(rows, BOOTSTRAP_RESAMPLES - start)]
+        block[:, drawn] = rng.multinomial(n, phat[drawn], size=len(block))
+        tvs[start:start + len(block)] = \
+            0.5 * np.abs(block / n - tp).sum(axis=1)
+    return tvs
 
 
 def measure_sim_error(engine, mode: str, trials: int = 0,
@@ -60,14 +100,17 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
 
     ``mode="exact"`` enumerates seeds; ``mode="plugin"`` uses ``trials``
     Monte Carlo runs (or a precomputed aggregate) and bootstraps a 95 percent
-    confidence halfwidth from the empirical counts.
+    confidence halfwidth from the empirical counts.  The bootstrap draws
+    only the observed view atoms, in blocks of rows of bounded size; numpy
+    spends no random numbers on unobserved atoms and every row still sums
+    over the whole universe in order, so the interval is that of one
+    ``rng.multinomial(n, phat, size=1000)`` draw, bit for bit (see
+    :func:`_bootstrap_tvs`).
     """
     true_law = engine.true_view_law()
     if mode == "exact":
         sim_law = exact_view_law(engine)
-        symbols, tp = _aligned_true(true_law, sim_law.symbols)
-        sp = np.array([sim_law.prob(s) if s in sim_law.index else 0.0
-                       for s in symbols])
+        tp, sp = _aligned(true_law, sim_law.symbols, sim_law.probs)
         return TVEstimate(0.5 * float(np.abs(tp - sp).sum()), "exact", 0.0, 0)
     if mode != "plugin":
         raise OutOfRange(f"unknown mode {mode!r}")
@@ -76,13 +119,13 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
             raise OutOfRange("plugin mode needs trials >= 1")
         agg = run_trials(engine, trials, master_seed)
     n = agg.trials
-    symbols, tp = _aligned_true(true_law, agg.views)
-    counts = np.array([agg.views.get(s, 0) for s in symbols], dtype=float)
+    tp, counts = _aligned(true_law, agg.views,
+                          np.fromiter(agg.views.values(), dtype=float,
+                                      count=len(agg.views)))
     phat = counts / n
     value = 0.5 * float(np.abs(tp - phat).sum())
     rng = np.random.default_rng([master_seed, 2 ** 31 - 1])
-    res = rng.multinomial(n, phat, size=BOOTSTRAP_RESAMPLES) / n
-    tvs = 0.5 * np.abs(res - tp[None, :]).sum(axis=1)
+    tvs = _bootstrap_tvs(rng, n, phat, tp)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return TVEstimate(value, "plugin", 0.5 * float(hi - lo), n)
 
@@ -99,10 +142,10 @@ def comm_stats(agg: TrialAggregate,
                quantiles=(0.5, 0.9, 0.99)) -> CommStats:
     """Communication statistics of an aggregate of trials."""
     bits = agg.bits
-    hist = Counter(int(b) for b in bits)
+    values, counts = np.unique(bits, return_counts=True)
     qs = {q: float(np.quantile(bits, q)) for q in quantiles}
     return CommStats(float(bits.mean()), int(bits.max()), qs,
-                     dict(sorted(hist.items())))
+                     dict(zip(values.tolist(), counts.tolist())))
 
 
 def agreement_probability(view_law: FiniteDistribution,

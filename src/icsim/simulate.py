@@ -56,7 +56,8 @@ BATCH_BYTES = 1 << 26
 #: bytes per block of hash families that exact mode of engines 1 to 3 packs
 #: and decodes at once, counted as BATCH_BYTES is; a block this small stays
 #: in cache, which decodes faster than one BATCH_BYTES block and leaves the
-#: peak memory where it was
+#: peak memory where it was; it also bounds the float64 rows of one block of
+#: the plug-in bootstrap in :mod:`icsim.evaluate`
 EXACT_BLOCK_BYTES = 1 << 21
 
 
@@ -492,10 +493,12 @@ class RoundSimulator:
     def true_view_law(self) -> FiniteDistribution:
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
         mass, msgs, p = self.source.mass, self.messages, self.p_m_given_x
+        # (i, j, m) of every live pair (x, y) and each message x can send
+        i, j, m = np.nonzero((mass > 0)[:, :, None] & (p > 0)[:, None, :])
         return FiniteDistribution.from_mapping(
-            {(msgs[m], msgs[m], xs[i], ys[j]): mass[i, j] * p[i, m]
-             for i, j in zip(*np.nonzero(mass > 0))
-             for m in np.nonzero(p[i] > 0)[0]})
+            {(msgs[c], msgs[c], xs[a], ys[b]): w for a, b, c, w in zip(
+                i.tolist(), j.tolist(), m.tolist(),
+                (mass[i, j] * p[i, m]).tolist())})
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,32 @@ def test_bound_lower():
     assert doc["lambda_eps"] == 32.0
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("upper", ()),
+    ("second-order", ()),
+    ("beta", ("--p", "0.5,0.5", "--q", "0.1,0.9")),
+])
+def test_bound_without_eps_is_usage_error(kind, extra):
+    # --eps defaults to "auto", which only bound lower resolves
+    proc = run_cli("bound", kind, *extra, check=False)
+    assert proc.returncode == 2
+    assert "auto applies only to bound lower" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("lower", "--eps", "x"),
+    ("upper", "--eps", "x"),
+    ("beta", "--eps", "0.1"),  # no --p or --q
+])
+def test_bound_bad_arguments_are_usage_errors(argv):
+    proc = run_cli("bound", *argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_bound_infeasible_exit_code():
     proc = run_cli("bound", "upper", "--source", "dsbs:0.25", "--target",
                    "send-x", "--eps", "0.5", "--gamma", "4", check=False)

@@ -22,6 +22,7 @@ from icsim.hashing import (
     pack_hashes,
 )
 from icsim.probcore import (
+    FiniteDistribution,
     JointSource,
     SliceConfig,
     SpectrumTable,
@@ -958,6 +959,30 @@ def test_round_exact_atom_count_counts_supported_messages():
         live = int((sim.source.mass > 0).sum())
         fams = 1 << (sim.total_hash_bits * (sim.width + 1))
         assert sim.exact_atom_count() == live * per_x * fams * 2
+
+
+def _true_view_law_by_pairs(sim):
+    """The round's true view law built one (x, y) pair at a time."""
+    xs, ys = sim.source.x_alphabet, sim.source.y_alphabet
+    mass, msgs, p = sim.source.mass, sim.messages, sim.p_m_given_x
+    return FiniteDistribution.from_mapping(
+        {(msgs[m], msgs[m], xs[i], ys[j]): mass[i, j] * p[i, m]
+         for i, j in zip(*np.nonzero(mass > 0))
+         for m in np.nonzero(p[i] > 0)[0]})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_engine({"source": "dsbs^3:0.11", "protocol": "p3",
+                          "target": "send-x", "gamma": 3.0}),
+    lambda: _noisy_round(k=1),
+    lambda: _noisy_round(improved=True),
+], ids=["p3-send-x-dsbs3", "p3-noisy", "p4-noisy"])
+def test_round_true_view_law_matches_pair_loop(make):
+    engine = make()
+    law = engine.true_view_law()
+    ref = _true_view_law_by_pairs(getattr(engine, "inner", engine))
+    assert law.symbols == ref.symbols
+    assert law.probs.tobytes() == ref.probs.tobytes()
 
 
 # -- engine 1: the trial kernel against the scalar reference -----------------
