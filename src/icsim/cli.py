@@ -251,7 +251,9 @@ def cmd_eval(args):
 
 def _numeric_eps(args) -> float:
     """``--eps`` as a number; a usage error when it is ``auto`` or not a
-    number."""
+    number.  Commands that resolve ``auto`` themselves (``bound lower``,
+    ``example appendix-a``) do so before calling this, so only the bound
+    kinds, which carry ``args.kind``, reach the ``auto`` message."""
     if args.eps == "auto":
         _fail(f"--eps auto applies only to bound lower; bound {args.kind} "
               "needs a number", 2)
@@ -353,7 +355,7 @@ def cmd_bound(args):
 def cmd_example(args):
     if args.name == "appendix-a":
         ex = appendix_threshold_example(args.n)
-        eps = ex.eps_auto if args.eps == "auto" else float(args.eps)
+        eps = ex.eps_auto if args.eps == "auto" else _numeric_eps(args)
         eta = args.eta if args.eta is not None else eps
         spec = ex.spectrum("ic")
         rep = lower_bound(SpectraBundle.from_protocol(ex), eps, eta)

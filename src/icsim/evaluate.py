@@ -6,14 +6,19 @@ empirical total variation with a multinomial bootstrap confidence interval.
 
 The bootstrap draws its resamples over the observed view atoms only, in
 blocks of rows bounded by ``EXACT_BLOCK_BYTES``, so its memory does not grow
-with the view universe times the resample count.  numpy's multinomial spends
-no random numbers on a zero-probability category and the blocks are drawn in
-order from one generator, so the draws, and every interval's bits, are those
-of one full-width ``rng.multinomial(n, phat, size=1000)`` call.
+with the view universe times the resample count.  Block ``b`` draws from its
+own stream ``[master_seed, 2**31 - 1 + b]``, so the blocks are drawn in
+parallel threads and the interval depends on the seed alone, not on the
+number of threads.  numpy's multinomial spends no random numbers on a
+zero-probability category, so each block's rows are those of one full-width
+``multinomial(n, phat, size=rows)`` call on its stream; a bootstrap of one
+block is one full-width ``multinomial(n, phat, size=1000)`` call.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,10 @@ from .probcore import FiniteDistribution
 from .simulate import EXACT_BLOCK_BYTES, TrialAggregate, run_trials
 
 BOOTSTRAP_RESAMPLES = 1000
+#: block ``b`` of the bootstrap draws from ``[master_seed, _BOOTSTRAP_STREAM
+#: + b]``; trial chunks draw from ``[master_seed, part]`` with far smaller
+#: parts, so the streams never meet
+_BOOTSTRAP_STREAM = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -63,33 +72,70 @@ def _aligned(true_law: FiniteDistribution, symbols,
     return tp, w
 
 
-def _bootstrap_tvs(rng: np.random.Generator, n: int, phat: np.ndarray,
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
                    tp: np.ndarray) -> np.ndarray:
     """TV from ``tp`` of each of BOOTSTRAP_RESAMPLES resamples of ``phat``.
 
-    Equal bit for bit to
-    ``0.5 * np.abs(rng.multinomial(n, phat, size=R) / n - tp).sum(axis=1)``
-    with the same generator, without its (R, A) arrays.  numpy draws a
-    resample one category at a time and draws nothing for a category of
-    zero probability, so a draw over the observed atoms uses the same
-    random numbers; the last atom stays in, observed or not, because the
-    last category takes the leftover count instead of a draw.  Rows are
-    drawn in blocks of at most EXACT_BLOCK_BYTES of float64, in order on
-    the one generator, and each block is scattered into full-width rows, so
-    every row sums its A terms in the same order as the one-shot formula.
+    The resamples are cut into blocks of ``rows`` rows, at most
+    EXACT_BLOCK_BYTES of float64 at full width A, and block ``b``, of ``m``
+    rows, is equal bit for bit to
+    ``0.5 * np.abs(rng.multinomial(n, phat, size=m) / n - tp).sum(axis=1)``
+    with ``rng = np.random.default_rng([master_seed, 2**31 - 1 + b])``,
+    without that formula's temporaries.  numpy draws a resample one
+    category at a time and draws nothing for a category of zero
+    probability, so a draw over the observed atoms uses the same random
+    numbers; the last atom stays in, observed or not, because the last
+    category takes the leftover count instead of a draw.  Each block is
+    scattered into full-width rows, so every row sums its A terms in the
+    formula's order.
+
+    The blocks are independent, so they are drawn by ``min(blocks, usable
+    CPUs)`` threads (numpy's multinomial and ufuncs release the GIL);
+    worker ``w`` takes blocks ``w, w + W, ...``.  Every worker computes in
+    place in its own zero ``(rows, A)`` buffer, allocated here and zeroed
+    again after each block, and calls numpy only, so the result does not
+    depend on the number of workers.
     """
     A = phat.size
+    R = BOOTSTRAP_RESAMPLES
     drawn = np.flatnonzero(phat)
     if drawn[-1] != A - 1:
         drawn = np.append(drawn, A - 1)
-    rows = min(BOOTSTRAP_RESAMPLES, max(1, EXACT_BLOCK_BYTES // (8 * A)))
-    buf = np.zeros((rows, A))
-    tvs = np.empty(BOOTSTRAP_RESAMPLES)
-    for start in range(0, BOOTSTRAP_RESAMPLES, rows):
-        block = buf[:min(rows, BOOTSTRAP_RESAMPLES - start)]
-        block[:, drawn] = rng.multinomial(n, phat[drawn], size=len(block))
-        tvs[start:start + len(block)] = \
-            0.5 * np.abs(block / n - tp).sum(axis=1)
+    p = phat[drawn]
+    rows = min(R, max(1, EXACT_BLOCK_BYTES // (8 * A)))
+    blocks = -(-R // rows)
+    workers = min(blocks, _usable_cpus())
+    tvs = np.empty(R)
+
+    def work(w: int, buf: np.ndarray):
+        for b in range(w, blocks, workers):
+            start = b * rows
+            m = min(rows, R - start)
+            rng = np.random.default_rng([master_seed, _BOOTSTRAP_STREAM + b])
+            block = buf[:m]
+            block[:, drawn] = rng.multinomial(n, p, size=m)
+            np.divide(block, n, out=block)
+            np.subtract(block, tp, out=block)
+            np.abs(block, out=block)
+            tvs[start:start + m] = 0.5 * block.sum(axis=1)
+            block.fill(0.0)
+
+    bufs = [np.zeros((rows, A)) for _ in range(workers)]
+    if workers == 1:
+        work(0, bufs[0])
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(work, w, bufs[w]) for w in range(workers)]
+            for f in futures:
+                f.result()
     return tvs
 
 
@@ -101,11 +147,11 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
     ``mode="exact"`` enumerates seeds; ``mode="plugin"`` uses ``trials``
     Monte Carlo runs (or a precomputed aggregate) and bootstraps a 95 percent
     confidence halfwidth from the empirical counts.  The bootstrap draws
-    only the observed view atoms, in blocks of rows of bounded size; numpy
-    spends no random numbers on unobserved atoms and every row still sums
-    over the whole universe in order, so the interval is that of one
-    ``rng.multinomial(n, phat, size=1000)`` draw, bit for bit (see
-    :func:`_bootstrap_tvs`).
+    only the observed view atoms, in blocks of rows of bounded size, each
+    block on its own seed stream and in parallel threads; every row still
+    sums over the whole universe in order, so each block's rows are those
+    of one full-width multinomial draw on its stream, bit for bit, and the
+    interval depends on ``master_seed`` alone (see :func:`_bootstrap_tvs`).
     """
     true_law = engine.true_view_law()
     if mode == "exact":
@@ -124,8 +170,7 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
                                       count=len(agg.views)))
     phat = counts / n
     value = 0.5 * float(np.abs(tp - phat).sum())
-    rng = np.random.default_rng([master_seed, 2 ** 31 - 1])
-    tvs = _bootstrap_tvs(rng, n, phat, tp)
+    tvs = _bootstrap_tvs(master_seed, n, phat, tp)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return TVEstimate(value, "plugin", 0.5 * float(hi - lo), n)
 

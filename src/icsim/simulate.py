@@ -746,14 +746,31 @@ def _count_views(tx: np.ndarray, decoded: np.ndarray, xi: np.ndarray,
     return views
 
 
+def _unique_rows(keys: np.ndarray):
+    """``(uniq, inverse, counts)`` of the rows of the 2-D integer array
+    ``keys``: the values and order of
+    ``np.unique(keys, axis=0, return_inverse=True, return_counts=True)``
+    (rows in ascending lexicographic order), from one ``np.lexsort``,
+    an order of magnitude faster on engine 5's key batches."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[starts], inverse, np.diff(np.append(starts, len(ordered)))
+
+
 def _add_views(sums: dict, keys: np.ndarray, p: np.ndarray):
     """Add the terms ``p`` of the integer key rows ``keys`` to ``sums``
     (exact mode's view masses) one at a time in row order, so each mass is
     the float a left-to-right sum of its terms gives."""
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    uniq, inverse, _ = _unique_rows(keys)
     rows = [tuple(row) for row in uniq.tolist()]
     acc = np.array([sums.get(row, 0.0) for row in rows])
-    np.add.at(acc, inverse.ravel(), p)
+    np.add.at(acc, inverse, p)
     sums.update(zip(rows, acc.tolist()))
 
 
@@ -1033,7 +1050,7 @@ class ProtocolSimulator:
 
 def _protocol_chunk(sim: ProtocolSimulator, T: int, seed):
     batch = sim.run_batch(np.random.default_rng(seed), T)
-    uniq, counts = np.unique(batch.keys, axis=0, return_counts=True)
+    uniq, _, counts = _unique_rows(batch.keys)
     views = Counter({sim.view_of(k): int(c) for k, c in zip(uniq, counts)})
     R = sim.law.n_rounds
     mism = int(np.any(batch.keys[:, :R] != batch.keys[:, R:2 * R],

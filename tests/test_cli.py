@@ -95,6 +95,14 @@ def test_bound_bad_arguments_are_usage_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_example_non_numeric_eps_is_usage_error():
+    proc = run_cli("example", "appendix-a", "--eps", "foo", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bound_infeasible_exit_code():
     proc = run_cli("bound", "upper", "--source", "dsbs:0.25", "--target",
                    "send-x", "--eps", "0.5", "--gamma", "4", check=False)

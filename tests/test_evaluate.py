@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -86,16 +87,38 @@ def test_comm_stats():
     assert all(type(k) is int and type(v) is int for k, v in hist.items())
 
 
-# -- the blocked bootstrap against one full-width multinomial draw ----------
+# -- the blocked bootstrap against full-width multinomial draws ------------
 
 
-def _one_shot_tvs(rng, n, phat, tp):
-    res = rng.multinomial(n, phat, size=BOOTSTRAP_RESAMPLES) / n
+def _one_shot_tvs(rng, n, phat, tp, size=BOOTSTRAP_RESAMPLES):
+    res = rng.multinomial(n, phat, size=size) / n
     return 0.5 * np.abs(res - tp[None, :]).sum(axis=1)
+
+
+def _per_block_tvs(seed, n, phat, tp, rows):
+    """Block b of ``rows`` resamples as one full-width draw on its own
+    stream ``[seed, 2**31 - 1 + b]``; one block is one draw of all
+    BOOTSTRAP_RESAMPLES rows on ``[seed, 2**31 - 1]``."""
+    R = BOOTSTRAP_RESAMPLES
+    return np.concatenate([
+        _one_shot_tvs(np.random.default_rng([seed, 2 ** 31 - 1 + b]),
+                      n, phat, tp, size=min(rows, R - start))
+        for b, start in enumerate(range(0, R, rows))])
 
 
 def _block_rows(monkeypatch, rows, atoms):
     monkeypatch.setattr(icsim.evaluate, "EXACT_BLOCK_BYTES", 8 * atoms * rows)
+
+
+def _bootstrap_input(zeros=()):
+    atoms = 40
+    src = np.random.default_rng(11)
+    counts = src.integers(1, 60, size=atoms)
+    counts[list(zeros)] = 0
+    n = int(counts.sum())
+    tp = src.dirichlet(np.ones(atoms))
+    tp[[3, 17]] = 0.0  # atoms the truth lacks
+    return n, counts / n, tp
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1000])
@@ -103,27 +126,42 @@ def _block_rows(monkeypatch, rows, atoms):
     (), (0, 1), (5, 17, 18), (38, 39), (0, 9, 20, 39),
 ], ids=["positive", "leading", "interior", "trailing", "all"])
 def test_blocked_bootstrap_matches_one_shot(monkeypatch, rows, zeros):
-    atoms = 40
-    src = np.random.default_rng(11)
-    counts = src.integers(1, 60, size=atoms)
-    counts[list(zeros)] = 0
-    n = int(counts.sum())
-    phat = counts / n
-    tp = src.dirichlet(np.ones(atoms))
-    tp[[3, 17]] = 0.0  # atoms the truth lacks
-    _block_rows(monkeypatch, rows, atoms)
-    blocked, one_shot = (np.random.default_rng([4, 2 ** 31 - 1])
-                         for _ in range(2))
-    tvs = _bootstrap_tvs(blocked, n, phat, tp)
-    ref = _one_shot_tvs(one_shot, n, phat, tp)
+    # rows=1000 is one block: one full-width draw of all the resamples on
+    # the stream [seed, 2**31 - 1]; rows=1 and rows=7 are 1000 and 143
+    # blocks, each one full-width draw on its own stream
+    n, phat, tp = _bootstrap_input(zeros)
+    _block_rows(monkeypatch, rows, phat.size)
+    tvs = _bootstrap_tvs(4, n, phat, tp)
+    ref = _per_block_tvs(4, n, phat, tp, rows)
     assert tvs.tobytes() == ref.tobytes()
-    # both spent the same random numbers
-    assert blocked.bit_generator.state == one_shot.bit_generator.state
+    if rows == 1000:
+        one_shot = _one_shot_tvs(np.random.default_rng([4, 2 ** 31 - 1]),
+                                 n, phat, tp)
+        assert tvs.tobytes() == one_shot.tobytes()
 
 
-def _one_shot_estimate(engine, agg, seed):
+@pytest.mark.parametrize("rows", [7, 400])
+def test_bootstrap_independent_of_worker_count(monkeypatch, rows):
+    # 143 blocks, and 3 blocks of 400, 400 and 200 rows; three workers on
+    # fewer cores, switching threads as often as the interpreter allows
+    n, phat, tp = _bootstrap_input((0, 9, 20, 39))
+    _block_rows(monkeypatch, rows, phat.size)
+    ref = _per_block_tvs(5, n, phat, tp, rows)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(icsim.evaluate, "_usable_cpus",
+                                lambda: workers)
+            tvs = _bootstrap_tvs(5, n, phat, tp)
+            assert tvs.tobytes() == ref.tobytes(), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _one_shot_estimate(engine, agg, seed, rows):
     """The plug-in estimate with the universe built atom by atom and one
-    full-width bootstrap draw."""
+    full-width bootstrap draw per block of ``rows`` resamples."""
     true_law = engine.true_view_law()
     symbols = list(true_law.symbols)
     symbols += [v for v in agg.views if v not in true_law.index]
@@ -131,8 +169,7 @@ def _one_shot_estimate(engine, agg, seed):
                    for s in symbols])
     n = agg.trials
     phat = np.array([agg.views.get(s, 0) for s in symbols], dtype=float) / n
-    tvs = _one_shot_tvs(np.random.default_rng([seed, 2 ** 31 - 1]),
-                        n, phat, tp)
+    tvs = _per_block_tvs(seed, n, phat, tp, rows)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return 0.5 * float(np.abs(tp - phat).sum()), 0.5 * float(hi - lo)
 
@@ -157,17 +194,22 @@ def test_plugin_estimate_matches_one_shot(monkeypatch, cfg, trials, rows):
                         len(set(engine.true_view_law().symbols)
                             | set(agg.views)))
         est = measure_sim_error(engine, "plugin", master_seed=seed, agg=agg)
-        value, half = _one_shot_estimate(engine, agg, seed)
+        value, half = _one_shot_estimate(engine, agg, seed,
+                                         rows or BOOTSTRAP_RESAMPLES)
         assert (est.value, est.ci_halfwidth) == (value, half)
         assert est.samples == trials
 
 
-def test_plugin_bootstrap_memory_bounded():
+def test_plugin_bootstrap_memory_bounded(monkeypatch):
     # send-x over dsbs^6: 4,096 true atoms and about 1,400 observed ones;
-    # a full-width bootstrap holds several (1000, A) float arrays, ~100 MB
+    # a full-width bootstrap holds several (1000, A) float arrays, ~100 MB.
+    # Each bootstrap worker holds a block buffer of up to EXACT_BLOCK_BYTES,
+    # so the peak grows with the worker count; four are pinned, so that the
+    # bound does not depend on the test machine
     engine = build_engine({"source": "dsbs^6:0.11", "protocol": "p4",
                            "target": "send-x", "gamma": 3.0})
     agg = run_trials(engine, 10_000, 1)
+    monkeypatch.setattr(icsim.evaluate, "_usable_cpus", lambda: 4)
     tracemalloc.start()
     try:
         est = measure_sim_error(engine, "plugin", master_seed=1, agg=agg)

@@ -54,6 +54,7 @@ from icsim.simulate import (
     _round_trials,
     _sw_chunk,
     _sw_kernel,
+    _unique_rows,
     auto_round_plans,
     batch_round_trials,
     round_density_spectrum,
@@ -920,6 +921,23 @@ def test_pick_slice_never_picks_zero_mass():
             got = int(_pick_slice(cum[None], np.array([u]))[0])
             assert row[got] > 0
             assert got == np.searchsorted(cum, u * cum[-1], side="right")
+
+
+@pytest.mark.parametrize("keys", [
+    # engine 5's key rows: -1 messages after an error, many tied rows
+    np.random.default_rng(3).integers(-1, 3, size=(2_000, 6)),
+    np.array([[2, -1, 0, 1]]),
+    np.array([[0, -1], [-1, 0], [0, -1], [-1, -1], [0, 0], [-1, 0]]),
+    np.empty((0, 4), dtype=np.int64),
+], ids=["ties", "one-row", "signs", "empty"])
+def test_unique_rows_matches_np_unique(keys):
+    uniq, inverse, counts = _unique_rows(keys)
+    ref_uniq, ref_inverse, ref_counts = np.unique(
+        keys, axis=0, return_inverse=True, return_counts=True)
+    assert np.array_equal(uniq, ref_uniq)
+    assert np.array_equal(inverse, ref_inverse.ravel())
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(uniq[inverse], keys)
 
 
 def test_round_kernel_never_picks_zero_weight_message():
