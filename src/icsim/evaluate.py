@@ -32,6 +32,10 @@ BOOTSTRAP_RESAMPLES = 1000
 #: + b]``; trial chunks draw from ``[master_seed, part]`` with far smaller
 #: parts, so the streams never meet
 _BOOTSTRAP_STREAM = 2 ** 31 - 1
+#: most threads the bootstrap draws its blocks in.  Each holds a block buffer
+#: of up to EXACT_BLOCK_BYTES, so this also bounds the bootstrap's memory on
+#: machines with many CPUs; the speed-up was measured with two threads only
+_BOOTSTRAP_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,8 @@ def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
     formula's order.
 
     The blocks are independent, so they are drawn by ``min(blocks, usable
-    CPUs)`` threads (numpy's multinomial and ufuncs release the GIL);
+    CPUs, _BOOTSTRAP_WORKERS)`` threads (numpy's multinomial and ufuncs
+    release the GIL);
     worker ``w`` takes blocks ``w, w + W, ...``.  Every worker computes in
     place in its own zero ``(rows, A)`` buffer, allocated here and zeroed
     again after each block, and calls numpy only, so the result does not
@@ -112,7 +117,7 @@ def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
     p = phat[drawn]
     rows = min(R, max(1, EXACT_BLOCK_BYTES // (8 * A)))
     blocks = -(-R // rows)
-    workers = min(blocks, _usable_cpus())
+    workers = min(blocks, _usable_cpus(), _BOOTSTRAP_WORKERS)
     tvs = np.empty(R)
 
     def work(w: int, buf: np.ndarray):
