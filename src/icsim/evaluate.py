@@ -17,7 +17,6 @@ block is one full-width ``multinomial(n, phat, size=1000)`` call.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,17 +24,18 @@ import numpy as np
 
 from .errors import OutOfRange
 from .probcore import FiniteDistribution
-from .simulate import EXACT_BLOCK_BYTES, TrialAggregate, run_trials
+from .simulate import (
+    EXACT_BLOCK_BYTES,
+    TrialAggregate,
+    _worker_count,
+    run_trials,
+)
 
 BOOTSTRAP_RESAMPLES = 1000
 #: block ``b`` of the bootstrap draws from ``[master_seed, _BOOTSTRAP_STREAM
 #: + b]``; trial chunks draw from ``[master_seed, part]`` with far smaller
 #: parts, so the streams never meet
 _BOOTSTRAP_STREAM = 2 ** 31 - 1
-#: most threads the bootstrap draws its blocks in.  Each holds a block buffer
-#: of up to EXACT_BLOCK_BYTES, so this also bounds the bootstrap's memory on
-#: machines with many CPUs; the speed-up was measured with two threads only
-_BOOTSTRAP_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,6 @@ def _aligned(true_law: FiniteDistribution, symbols,
     return tp, w
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
                    tp: np.ndarray) -> np.ndarray:
     """TV from ``tp`` of each of BOOTSTRAP_RESAMPLES resamples of ``phat``.
@@ -101,13 +93,13 @@ def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
     scattered into full-width rows, so every row sums its A terms in the
     formula's order.
 
-    The blocks are independent, so they are drawn by ``min(blocks, usable
-    CPUs, _BOOTSTRAP_WORKERS)`` threads (numpy's multinomial and ufuncs
-    release the GIL);
-    worker ``w`` takes blocks ``w, w + W, ...``.  Every worker computes in
-    place in its own zero ``(rows, A)`` buffer, allocated here and zeroed
-    again after each block, and calls numpy only, so the result does not
-    depend on the number of workers.
+    The blocks are independent, so they are drawn by the threads of
+    :func:`icsim.simulate._worker_count` (at most two; numpy's multinomial
+    and ufuncs release the GIL), each holding one block buffer of up to
+    EXACT_BLOCK_BYTES; worker ``w`` takes blocks ``w, w + W, ...``.  Every
+    worker computes in place in its own zero ``(rows, A)`` buffer,
+    allocated here and zeroed again after each block, and calls numpy
+    only, so the result does not depend on the number of workers.
     """
     A = phat.size
     R = BOOTSTRAP_RESAMPLES
@@ -117,7 +109,7 @@ def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
     p = phat[drawn]
     rows = min(R, max(1, EXACT_BLOCK_BYTES // (8 * A)))
     blocks = -(-R // rows)
-    workers = min(blocks, _usable_cpus(), _BOOTSTRAP_WORKERS)
+    workers = _worker_count(blocks)
     tvs = np.empty(R)
 
     def work(w: int, buf: np.ndarray):

@@ -77,16 +77,42 @@ class FiniteDistribution:
 
     @classmethod
     def from_counts(cls, counts: dict) -> "FiniteDistribution":
-        symbols = tuple(sorted(counts, key=repr))
+        symbols = tuple(sorted(counts, key=_repr_key()))
         total = float(sum(counts.values()))
         probs = np.array([counts[s] / total for s in symbols])
         return cls(symbols, probs)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "FiniteDistribution":
-        symbols = tuple(sorted(mapping, key=repr))
+        symbols = tuple(sorted(mapping, key=_repr_key()))
         probs = np.array([float(mapping[s]) for s in symbols])
         return cls(symbols, probs)
+
+
+def _repr_key():
+    """A sort key equal to ``repr`` that builds a plain tuple's repr from
+    its components' reprs, memoized for the life of the key.
+
+    The symbols of a law share their components (views are tuples of
+    alphabet symbols and messages), so each component's repr is made once.
+    The memo is keyed by identity, not by value: equal values such as ``1``,
+    ``1.0`` and ``True`` have different reprs.  Every component stays alive
+    while the symbols being sorted do, so no identity is reused meanwhile.
+    """
+    memo: dict = {}
+
+    def part(c) -> str:
+        r = memo.get(id(c))
+        if r is None:
+            r = memo[id(c)] = repr(c)
+        return r
+
+    def key(s) -> str:
+        if type(s) is tuple and len(s) >= 2:
+            return "(" + ", ".join(map(part, s)) + ")"
+        return repr(s)
+
+    return key
 
 
 def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:

@@ -27,6 +27,7 @@ from .errors import (
     MismatchedSupport,
     OutOfRange,
     SupportViolation,
+    TooLarge,
     ZeroMassAtom,
 )
 from .probcore import (
@@ -37,6 +38,11 @@ from .probcore import (
 )
 
 LAW_SELECTORS = ("ic", "h_xy", "h_x_given_ypi", "hsum_ext", "compression")
+#: most bytes of the dense (transcripts, nx, ny) float64 table that the
+#: direct constructions build; send-x over dsbs^8 (128 MiB) fits, dsbs^9
+#: (1 GiB) and larger fail fast, since the law's derived tables and the
+#: engines built on it need several more tables of that size
+LAW_BYTES_CAP = 1 << 28
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +314,16 @@ def _runs(bits: str, owners: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _check_law_size(transcripts: int, nx: int, ny: int):
+    """Raise TooLarge before a dense law table over LAW_BYTES_CAP is built."""
+    size = 8 * transcripts * nx * ny
+    if size > LAW_BYTES_CAP:
+        raise TooLarge(
+            f"transcript law of {transcripts} transcripts over {nx} x {ny} "
+            f"inputs needs {size / 2 ** 20:,.0f} MiB, over the "
+            f"{LAW_BYTES_CAP >> 20} MiB cap")
+
+
 def one_round_protocol(source: JointSource, channel: np.ndarray,
                        messages: Sequence) -> TranscriptLaw:
     """Party "x" sends one message drawn from channel[i, m] given x_i."""
@@ -315,6 +331,7 @@ def one_round_protocol(source: JointSource, channel: np.ndarray,
     nx, ny = source.mass.shape
     if ch.shape != (nx, len(messages)):
         raise MismatchedSupport("channel shape disagrees with alphabet")
+    _check_law_size(len(messages), nx, ny)
     transcripts = tuple((m,) for m in messages)
     table = np.repeat(ch.T[:, :, None], ny, axis=2)
     return TranscriptLaw(source, transcripts, table)
@@ -331,6 +348,7 @@ def two_round_protocol(source: JointSource, channel1: np.ndarray,
         raise MismatchedSupport("first channel shape disagrees with alphabet")
     if ch2.shape != (ny, len(messages1), len(messages2)):
         raise MismatchedSupport("second channel shape disagrees with alphabet")
+    _check_law_size(len(messages1) * len(messages2), nx, ny)
     transcripts, slabs = [], []
     for a, m1 in enumerate(messages1):
         for b, m2 in enumerate(messages2):
@@ -363,6 +381,8 @@ def data_exchange_protocol(source: JointSource) -> TranscriptLaw:
     problem; its ic density equals the sum conditional entropy density.
     """
     nx, ny = source.mass.shape
+    # the (ny, nx, ny) reply channel alone can exceed memory: check first
+    _check_law_size(nx * ny, nx, ny)
     ch2 = np.repeat(np.eye(ny)[:, None, :], nx, axis=1)
     return two_round_protocol(source, np.eye(nx), source.x_alphabet,
                               ch2, source.y_alphabet)

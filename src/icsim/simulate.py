@@ -13,16 +13,30 @@ engine 3 rounds.  Each engine's trial rule is implemented once, as a kernel
 vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
 (pick M*, then ``_slice_search``) for engines 2 to 5.  The scalar ``run``,
 the chunked trial loop ``run_trials`` and the exact enumerations all call
-it on hashes packed by :func:`icsim.hashing.pack_hashes`, and one rule,
-:func:`_trial_chunk`, cuts every engine's trials into chunks.  Engines
-whose randomness is small enough expose ``exact_view_law``, which
-enumerates every hash seed and shared-randomness value.
+it on hashes packed by :func:`icsim.hashing.pack_hashes`.  Engines whose
+randomness is small enough expose ``exact_view_law``, which enumerates
+every hash seed and shared-randomness value.
+
+The batch paths cut their trials in two units:
+
+* a *chunk* is the unit of seed streams and of ``BATCH_BYTES``: chunk
+  ``part`` of :func:`run_trials` takes all of its draws from the stream
+  ``[master_seed, part]``, and one rule, :func:`_trial_chunk`, sizes every
+  engine's chunks;
+* a *block* is the unit of cache and threads: after a chunk's draws, its
+  deterministic decode runs in blocks of rows of ``TRIAL_BLOCK_BYTES``
+  (:func:`_in_blocks`), on up to two threads.
+
+The decode is row-independent and draws nothing, so the results depend on
+the seed alone, not on the block size or the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,6 +73,15 @@ BATCH_BYTES = 1 << 26
 #: peak memory where it was; it also bounds the float64 rows of one block of
 #: the plug-in bootstrap in :mod:`icsim.evaluate`
 EXACT_BLOCK_BYTES = 1 << 21
+#: bytes per block of rows that a batch path decodes at once, counted by
+#: :func:`_kernel_bytes`; a chunk's decode runs block by block, so its
+#: temporaries stay this small per thread.  Blocks of half this size were
+#: slower on two threads: more small numpy calls contend for the GIL
+TRIAL_BLOCK_BYTES = 1 << 22
+#: most threads that the trial decode and the plug-in bootstrap each run
+#: on; each thread holds one block's temporaries, so this also bounds their
+#: memory on machines with many CPUs.  Both speed-ups were measured on two
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -100,6 +123,7 @@ def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
     draws all of its randomness in bulk from the stream
     ``[master_seed, part]``: through ``_sw_chunk`` on engine 1,
     ``_batch_round_chunk`` on engines 2 to 4 and ``run_batch`` on engine 5.
+    Each then decodes the chunk in blocks of rows (:func:`_in_blocks`).
     """
     chunk_fn = (_sw_chunk if isinstance(engine, SlepianWolfCoder)
                 else _protocol_chunk if isinstance(engine, ProtocolSimulator)
@@ -123,9 +147,53 @@ def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
 batch_round_trials = run_trials
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for ``blocks`` independent blocks of work: at most the
+    usable CPUs and ``_MAX_WORKERS``."""
+    return min(blocks, _usable_cpus(), _MAX_WORKERS)
+
+
+def _in_blocks(decode, T: int, row_bytes: int) -> tuple:
+    """``decode(0, T)`` of a chunk of T rows, computed block by block.
+
+    ``decode(a, b)`` returns a tuple of arrays with one entry per row
+    ``a .. b - 1``, draws nothing and depends on no other row.  Blocks hold
+    ``TRIAL_BLOCK_BYTES // row_bytes`` rows and run on
+    :func:`_worker_count` threads; the outputs are concatenated in block
+    order, so they equal ``decode(0, T)`` bit for bit.  A chunk of one
+    block runs inline.  The threads may call numpy and the module's kernel
+    helpers only: tracers that wrap the public callables are not
+    thread-safe.
+    """
+    rows = max(1, TRIAL_BLOCK_BYTES // row_bytes)
+    if T <= rows:
+        return decode(0, T)
+    starts = range(0, T, rows)
+    workers = _worker_count(len(starts))
+
+    def block(a):
+        return decode(a, min(a + rows, T))
+
+    if workers == 1:
+        parts = [block(a) for a in starts]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(block, starts))
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
 def _kernel_bytes(M: int, L: int, width: int) -> int:
     """Bytes that one trial (or exact row) of M messages and L hash bits
-    allocates in either trial kernel.
+    allocates in either trial kernel: the row's share of a chunk (seed
+    streams, ``BATCH_BYTES``) and of a block (cache, threads).
 
     The (L, w + 1) uint8 hash block and its packed int64 columns; per
     message, six 8-byte numbers (hash, weight, running sum, receiver slice
@@ -139,7 +207,8 @@ def _kernel_bytes(M: int, L: int, width: int) -> int:
 def _trial_chunk(M: int, L: int, width: int) -> int:
     """Trials per chunk of any engine's batch path: at most BATCH_CHUNK,
     and few enough that the chunk's :func:`_kernel_bytes` stay within
-    BATCH_BYTES."""
+    BATCH_BYTES.  A chunk is the unit of seed streams; its decode then runs
+    in blocks of TRIAL_BLOCK_BYTES, the unit of cache and threads."""
     return max(1, min(BATCH_CHUNK, BATCH_BYTES // _kernel_bytes(M, L, width)))
 
 
@@ -298,7 +367,13 @@ def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
     xi, yj = coder.source.sample(rng, size=T)
     blocks = rng.integers(0, 2, size=(T, coder.l, coder.width + 1),
                           dtype=np.uint8)
-    decoded, cause = _sw_kernel(coder, xi, yj, pack_hashes(blocks, coder.enc))
+
+    def decode(a, b):
+        return _sw_kernel(coder, xi[a:b], yj[a:b],
+                          pack_hashes(blocks[a:b], coder.enc))
+
+    decoded, cause = _in_blocks(decode, T, _kernel_bytes(
+        len(coder.source.x_alphabet), coder.l, coder.width))
     views = _count_views(xi, decoded, xi, yj, coder.source.x_alphabet,
                          coder.source)
     return (views, _cause_counts(cause), np.full(T, coder.l, dtype=np.int64),
@@ -656,6 +731,35 @@ def _slice_search(inner: RoundSimulator, h: np.ndarray, m_star: np.ndarray,
     return decoded, cause, bits, hit
 
 
+def _decode_round(inner: RoundSimulator, p_m: np.ndarray,
+                  slice_tx: np.ndarray | None, slice_rx: np.ndarray,
+                  tx: tuple, rx: tuple, jj: np.ndarray | None,
+                  k_t: np.ndarray, blocks: np.ndarray, u: np.ndarray,
+                  u_m: np.ndarray, extra_bits: int):
+    """:func:`_round_kernel` on T trials, block by block (:func:`_in_blocks`).
+
+    The kernel's (T, M) inputs are gathered inside each block from tables
+    whose last axis is the message: trial n's message row ``p_m[tx_n]``,
+    its restriction ``slice_tx[tx_n] == jj[n]`` (every message when
+    ``slice_tx`` is None) and its receiver slice row ``slice_rx[rx_n]``,
+    where ``tx`` and ``rx`` are tuples of per-trial index arrays, one per
+    leading table axis.  The other arguments are per trial, as the kernel
+    takes them.
+    """
+    M = p_m.shape[-1]
+
+    def decode(a, b):
+        t = tuple(i[a:b] for i in tx)
+        restrict = (np.ones((b - a, M), dtype=bool) if slice_tx is None
+                    else slice_tx[t] == jj[a:b, None])
+        return _round_kernel(inner, p_m[t], restrict,
+                             slice_rx[tuple(i[a:b] for i in rx)], k_t[a:b],
+                             blocks[a:b], u[a:b], u_m[a:b], extra_bits)
+
+    return _in_blocks(decode, k_t.size, _kernel_bytes(
+        M, inner.total_hash_bits, inner.width))
+
+
 def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
     """Shared strings: one draw of max(k_t) bits per trial, or zeros."""
     k_max = int(k_t.max()) if k_t.size else 0
@@ -675,13 +779,13 @@ def _round_trials(engine, rng, T: int, pairs=None):
     """
     improved = isinstance(engine, ImprovedRoundSimulator)
     inner = getattr(engine, "inner", engine)
-    M, L, w = len(inner.messages), inner.total_hash_bits, inner.width
     xi, yj = inner.source.sample(rng, size=T) if pairs is None else pairs
-    blocks = rng.integers(0, 2, size=(T, L, w + 1), dtype=np.uint8)
+    blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
+                                      inner.width + 1), dtype=np.uint8)
 
     j_cost = 0
     k_t = np.full(T, inner.k, dtype=np.int64)
-    restr = np.ones((T, M), dtype=bool)
+    slice_tx = jj = None
     bad_j = np.zeros(T, dtype=bool)
     if improved:
         j_cost = engine.j_cost
@@ -689,11 +793,11 @@ def _round_trials(engine, rng, T: int, pairs=None):
                          rng.random(T))
         bad_j = ~engine.good[jj]
         k_t = np.array([engine.k_of(j) for j in range(engine.good.size)])[jj]
-        restr = engine.slice_tx[:, xi].T == jj[:, None]
+        slice_tx = engine.slice_tx.T
     u = _draw_prefix(rng, k_t)
-    m_star, decoded, cause, bits, hit = _round_kernel(
-        inner, inner.p_m_given_x[xi], restr, inner.slice_rx[:, yj].T, k_t,
-        blocks, u, rng.random(T), j_cost)
+    m_star, decoded, cause, bits, hit = _decode_round(
+        inner, inner.p_m_given_x, slice_tx, inner.slice_rx.T, (xi,), (yj,),
+        jj, k_t, blocks, u, rng.random(T), j_cost)
     decoded[bad_j] = -1
     bits[bad_j] = j_cost
     cause[bad_j] = _BAD_J
@@ -921,9 +1025,10 @@ class ProtocolSimulator:
         running, the hash blocks, the J uniforms, the shared strings and the
         M* uniforms.  ``pairs`` gives the x and y indices instead of the
         source draw, and ``blocks`` replaces the hash draws with one
-        (T, L, w + 1) array per round, indexed by trial.  Each round gathers
-        the table rows of every trial by its (transmitter history,
-        receiver history, input) and calls the round kernel once.
+        (T, L, w + 1) array per round, indexed by trial.  Each round draws
+        for all its trials, then :func:`_decode_round` gathers the table
+        rows of every trial by its (transmitter history, receiver history,
+        input) and runs the round kernel block by block.
         """
         xi, yj = self.src.sample(rng, size=T) if pairs is None else pairs
         syms = (xi, yj)
@@ -950,11 +1055,9 @@ class ProtocolSimulator:
             jj = _pick_slice(tab.cum_j[h_tx, s_tx], rng.random(n))
             k_t = tab.k_of[jj]
             u = _draw_prefix(rng, k_t)
-            m_star, decoded, c, b, _ = _round_kernel(
-                inner, tab.p_m[h_tx, s_tx],
-                tab.slice_tx[h_tx, s_tx] == jj[:, None],
-                tab.slice_rx[h_rx, s_rx], k_t, blk, u, rng.random(n),
-                tab.j_cost)
+            m_star, decoded, c, b, _ = _decode_round(
+                inner, tab.p_m, tab.slice_tx, tab.slice_rx, (h_tx, s_tx),
+                (h_rx, s_rx), jj, k_t, blk, u, rng.random(n), tab.j_cost)
             bad = ~tab.good[h_tx, jj]
             c[bad] = _BAD_J
             b[bad] = tab.j_cost

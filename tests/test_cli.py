@@ -191,6 +191,30 @@ def test_eval_exact_too_large_fails_fast(tmp_path):
     assert proc.stdout == ""
 
 
+def _limit_address_space():
+    # a law table allocated before the size check fails with MemoryError
+    # under this limit, instead of taking the machine's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_eval_dense_law_too_large_fails_fast(tmp_path):
+    # send-x over dsbs^10 needs a (1024, 1024, 1024) float64 law, 8 GiB:
+    # TooLarge before any of it is allocated, not numpy's MemoryError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"source": "dsbs^10:0.11", "protocol": "p4", "target": "send-x"}))
+    proc = subprocess.run(
+        CLI + ["eval", "--config", str(cfg), "--mode", "plugin",
+               "--trials", "10"],
+        capture_output=True, text=True, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: transcript law of 1024 transcripts over 1024 x 1024 inputs "
+        "needs 8,192 MiB, over the 256 MiB cap\n")
+    assert proc.stdout == ""
+
+
 def test_eval_p1_hash_past_62_bits_fails(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(

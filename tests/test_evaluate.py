@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import icsim.evaluate
+import icsim.simulate
 from icsim.cli import build_engine
 from icsim.errors import OutOfRange
 from icsim.evaluate import (
@@ -163,9 +164,9 @@ def test_bootstrap_independent_of_worker_count(monkeypatch, rows):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        monkeypatch.setattr(icsim.evaluate, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: 3)
         for workers in (1, 2, 3):
-            monkeypatch.setattr(icsim.evaluate, "_BOOTSTRAP_WORKERS", workers)
+            monkeypatch.setattr(icsim.simulate, "_MAX_WORKERS", workers)
             tvs = _bootstrap_tvs(5, n, phat, tp)
             assert tvs.tobytes() == ref.tobytes(), workers
     finally:
@@ -224,7 +225,7 @@ def test_plugin_bootstrap_memory_bounded(monkeypatch):
     agg = run_trials(engine, 10_000, 1)
     for cpus in (None, 64):
         if cpus is not None:
-            monkeypatch.setattr(icsim.evaluate, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             est = measure_sim_error(engine, "plugin", master_seed=1, agg=agg)

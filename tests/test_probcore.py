@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from icsim.probcore import (
     JointSource,
     SliceConfig,
     SpectrumTable,
+    _repr_key,
     auto_slice_config,
     dsbs_source,
     entropy_density,
@@ -50,6 +52,28 @@ class TestFiniteDistribution:
     def test_from_counts(self):
         d = FiniteDistribution.from_counts({"x": 3, "y": 1})
         assert d.prob("x") == 0.75
+
+
+Pair = namedtuple("Pair", "a b")
+_SHARED = (0, 1, 1)
+
+
+def test_repr_key_equals_repr():
+    # one key over all the symbols, so memoized component reprs are reused;
+    # 1, 1.0, True and np.int64(1) are equal but have different reprs
+    symbols = [
+        (), (5,), ((1, 2),), None, "s", 3, 2.5, np.int64(4), np.float64(0.5),
+        np.bool_(True), Pair(1, 2), Pair((1,), None), (Pair(1, 2), 3),
+        (1, 2), (1.0, 2), (True, 2), (np.int64(1), 2), (-0.0, 0.0),
+        ((), (1,), ((2, 3), None)), (_SHARED, _SHARED, (0, 1, 1), None),
+        (_SHARED, np.int64(1)), ("a", "b'c", 'd"e'), (Pair(0, 1), Pair(0, 1)),
+    ]
+    key = _repr_key()
+    for s in symbols + symbols:
+        assert key(s) == repr(s), s
+    counts = dict.fromkeys(symbols[1:], 1)  # equal symbols collapse
+    law = FiniteDistribution.from_counts(counts)
+    assert law.symbols == tuple(sorted(counts, key=repr))
 
 
 def test_tv_distance_basic():

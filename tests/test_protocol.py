@@ -1,16 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from icsim.errors import AlphabetMismatch, OutOfRange, SupportViolation
+import icsim.protocol
+from icsim.errors import (
+    AlphabetMismatch,
+    OutOfRange,
+    SupportViolation,
+    TooLarge,
+)
 from icsim.probcore import (
     JointSource,
     dsbs_source,
     entropy_density,
+    product_source,
     spectrum,
 )
 from icsim.protocol import (
+    LAW_BYTES_CAP,
     MixedProtocol,
     ProtocolTree,
     ThresholdExample,
@@ -258,3 +267,32 @@ class TestThresholdExample:
 def test_one_round_channel_shape_guard():
     with pytest.raises(Exception):
         one_round_protocol(dsbs_source(0.25), np.eye(3), (0, 1, 2))
+
+
+def test_dense_law_size_cap(monkeypatch):
+    # send-x over dsbs^8 is a 128 MiB table and fits; dsbs^10 is 8 GiB
+    assert 8 * 256 ** 3 <= LAW_BYTES_CAP < 8 * 1024 ** 3
+    src = product_source(dsbs_source(0.25), 2)  # 4 x 4 inputs
+    # send-x: 4 transcripts; data exchange: 16
+    monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 8 * 4 * 16)
+    assert send_value_protocol(src).p_tau_given_xy.nbytes == 8 * 4 * 16
+    with pytest.raises(TooLarge, match="16 transcripts over 4 x 4 inputs"):
+        data_exchange_protocol(src)
+    monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 8 * 4 * 16 - 1)
+    with pytest.raises(TooLarge, match="4 transcripts over 4 x 4 inputs"):
+        send_value_protocol(src)
+
+
+def test_data_exchange_fails_before_its_reply_channel(monkeypatch):
+    # over dsbs^7 the reply channel is a (128, 128, 128) table, 16 MiB, and
+    # the law 2 GiB; the size check comes before either
+    monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 1 << 20)
+    src = product_source(dsbs_source(0.11), 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="16384 transcripts"):
+            data_exchange_protocol(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

@@ -1,7 +1,12 @@
+import functools
+import importlib.util
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1137,3 +1142,147 @@ def test_exact_law_same_across_family_blocks(make, monkeypatch):
     assert calls[0][0] == 0 and calls[-1][1] == n_fam
     assert law.symbols == whole.symbols
     assert np.array_equal(law.probs, whole.probs)
+
+
+# -- trial chunks decoded in row blocks on threads ---------------------------
+
+
+_LAYOUT_ENGINES = {
+    "p1": lambda: sw_coder(l=3, gamma=1.0),
+    "p2": interactive_coder,  # engine 3 on the identity channel
+    "p3": lambda: round_sim(k=1),
+    "p4": lambda: TestImprovedRound().make(),
+    "p5": lambda: TestProtocolSimulator().make(gamma=2.0, k_override=None),
+}
+
+
+def _assert_same_trials(agg, ref):
+    assert list(agg.views.items()) == list(ref.views.items())
+    assert agg.bits.dtype == ref.bits.dtype
+    assert agg.bits.tobytes() == ref.bits.tobytes()
+    assert list(agg.errors.items()) == list(ref.errors.items())
+    assert agg.mismatches == ref.mismatches
+
+
+def _kernel_rows(monkeypatch) -> list:
+    """Rows of every trial-kernel call, from whichever thread."""
+    rows = []
+    for name in ("_sw_kernel", "_round_kernel"):
+        def spy(*args, _kernel=getattr(icsim.simulate, name)):
+            rows.append(len(args[1]))
+            return _kernel(*args)
+        monkeypatch.setattr(icsim.simulate, name, spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUT_ENGINES))
+def test_run_trials_same_across_blocks_and_workers(name, monkeypatch):
+    # chunks of 300, 300 and 100 trials, each on its own seed stream; each
+    # chunk decoded in blocks of 1 row, 7 rows and the whole chunk, on one
+    # to three threads, switching threads as often as the interpreter allows
+    engine = _LAYOUT_ENGINES[name]()
+    engine.chunk = 300
+    ref = run_trials(engine, 700, 5)
+    assert len(ref.views) > 1
+    # every kernel of the engine has the same row bytes, so the same rows
+    (row_bytes,) = {_kernel_bytes(*k) for k in _kernels(engine)}
+    rows = _kernel_rows(monkeypatch)
+    monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block in (1, 7, 300):
+            monkeypatch.setattr(icsim.simulate, "TRIAL_BLOCK_BYTES",
+                                block * row_bytes)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(icsim.simulate, "_MAX_WORKERS", workers)
+                rows.clear()
+                _assert_same_trials(run_trials(engine, 700, 5), ref)
+                assert max(rows) == block, (block, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_block_chunk_runs_inline(monkeypatch):
+    # a chunk that fits one block starts no thread and asks for no CPU count
+    engine = TestProtocolSimulator().make(gamma=2.0)
+    ref = run_trials(engine, 2_000, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block chunk left the calling thread")
+
+    monkeypatch.setattr(icsim.simulate, "_usable_cpus", refuse)
+    monkeypatch.setattr(icsim.simulate, "ThreadPoolExecutor", refuse)
+    _assert_same_trials(run_trials(engine, 2_000, 3), ref)
+
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+def test_traced_trial_threads_call_no_span_target(monkeypatch):
+    # benchmarks/spans.py keeps one span stack for all threads, so no span
+    # target may run in the decode threads: record the thread of every
+    # wrapped call while engines 4 and 5 decode chunks of 40 blocks
+    import icsim.cli  # noqa: F401  (holds the phase targets)
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    callers = []
+    wrap = tracer.wrap
+
+    def recording_wrap(span, fn, **kwargs):
+        wrapped = wrap(span, fn, **kwargs)
+
+        @functools.wraps(fn)
+        def recorder(*args, **kw):
+            callers.append((span, threading.get_ident()))
+            return wrapped(*args, **kw)
+        return recorder
+
+    tracer.wrap = recording_wrap
+    decoders = set()
+    kernel = icsim.simulate._round_kernel
+
+    def spy(*args):
+        decoders.add(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(icsim.simulate, "_round_kernel", spy)
+    monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: 2)
+    tracer.set_traced(True)
+    try:
+        for make in (lambda: TestImprovedRound().make(),
+                     lambda: TestProtocolSimulator().make(gamma=2.0)):
+            engine = make()
+            row_bytes = max(_kernel_bytes(*k) for k in _kernels(engine))
+            monkeypatch.setattr(icsim.simulate, "TRIAL_BLOCK_BYTES",
+                                50 * row_bytes)
+            agg = icsim.simulate.run_trials(engine, 2_000, 1)
+            assert agg.trials == 2_000
+    finally:
+        tracer.restore()
+    main = threading.get_ident()
+    assert {"simulate.build", "simulate.driver"} <= {s for s, _ in callers}
+    assert {t for _, t in callers} == {main}
+    assert decoders - {main}  # the blocks ran on the decode threads
+
+
+def test_trial_decode_memory_bounded(monkeypatch):
+    # send-x over dsbs^6: one chunk of 10,000 trials of 3.8 KB kernel rows,
+    # 38 MB of (T, M) temporaries decoded at once.  Each decode thread holds
+    # one block of TRIAL_BLOCK_BYTES, and the thread count is capped, so the
+    # bound holds on this machine and on one with 64 CPUs
+    engine = _big("p4")
+    run_trials(engine, 50, 0)  # warm up outside the trace
+    for cpus in (None, 64):
+        if cpus is not None:
+            monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            agg = run_trials(engine, 10_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert agg.trials == 10_000
+        assert peak <= 12_000_000, (cpus, peak)
