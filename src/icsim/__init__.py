@@ -53,6 +53,7 @@ from .bounds import (
     RoundBudgetInput,
     SpectraBundle,
     UpperBoundBudget,
+    berry_esseen_band,
     beta_eps,
     beta_eps_upper,
     direct_product_thresholds,

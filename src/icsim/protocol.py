@@ -43,6 +43,9 @@ LAW_SELECTORS = ("ic", "h_xy", "h_x_given_ypi", "hsum_ext", "compression")
 #: (1 GiB) and larger fail fast, since the law's derived tables and the
 #: engines built on it need several more tables of that size
 LAW_BYTES_CAP = 1 << 28
+#: bytes of the float64 (messages, nx, ny) block of P(hist + m, x, y)
+#: that a round view sums at once; a block holds at least one message
+VIEW_BLOCK_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +55,11 @@ LAW_BYTES_CAP = 1 << 28
 
 @dataclass(frozen=True)
 class RoundView:
-    """Conditional law of one round given a transcript history."""
+    """Conditional law of one round given a transcript history.
+
+    Its arrays are read-only: :meth:`TranscriptLaw.round_view` hands the
+    same view to every spectrum, slice plan and engine of the law.
+    """
 
     messages: tuple
     p_m_given_x: np.ndarray   # (nx, M)
@@ -174,7 +181,9 @@ class TranscriptLaw:
             if len(tau) < t:
                 continue
             h = tau[: t - 1]
-            if h not in seen and float(self.joint[k].sum()) > 0:
+            # P(tau) from its own slab: the full ``joint`` is not built
+            if h not in seen and float(
+                    (self.p_tau_given_xy[k] * self.source.mass).sum()) > 0:
                 seen.append(h)
         return tuple(seen)
 
@@ -183,8 +192,22 @@ class TranscriptLaw:
         msgs = {tau[t - 1] for tau in self.transcripts if len(tau) >= t}
         return tuple(sorted(msgs, key=repr))
 
+    @cached_property
+    def _views(self) -> dict:
+        """Computed round views by (t, hist)."""
+        return {}
+
     def round_view(self, t: int, hist: tuple) -> RoundView:
-        """Conditional law of the round-t message given history ``hist``."""
+        """Conditional law of the round-t message given history ``hist``.
+
+        Each view is computed once per law and then shared, read-only.
+        """
+        view = self._views.get((t, hist))
+        if view is None:
+            view = self._views[(t, hist)] = self._round_view(t, hist)
+        return view
+
+    def _round_view(self, t: int, hist: tuple) -> RoundView:
         nx, ny = self.source.mass.shape
         prefix_idx = [k for k, tau in enumerate(self.transcripts)
                       if len(tau) >= t and tau[: t - 1] == hist]
@@ -193,22 +216,33 @@ class TranscriptLaw:
         messages = tuple(sorted({self.transcripts[k][t - 1] for k in prefix_idx},
                                 key=repr))
         midx = {m: a for a, m in enumerate(messages)}
+        M = len(messages)
         # P(hist + m reached | x, y): sum over all continuations
-        p_hm_xy = np.zeros((len(messages), nx, ny))
+        p_hm_xy = np.zeros((M, nx, ny))
         for k in prefix_idx:
             p_hm_xy[midx[self.transcripts[k][t - 1]]] += self.p_tau_given_xy[k]
         p_h_xy = p_hm_xy.sum(axis=0)
         joint_h = p_h_xy * self.source.mass
-        joint_hm = p_hm_xy * self.source.mass[None, :, :]
-        num_x = joint_hm.sum(axis=2)  # (M, nx)
+        # marginals of P(hist + m, x, y) over y and over x, a block of
+        # messages at a time; each message's sums are those of the full table
+        num_x = np.empty((M, nx))
+        num_y = np.empty((M, ny))
+        step = max(1, VIEW_BLOCK_BYTES // (8 * nx * ny))
+        for a in range(0, M, step):
+            joint_hm = p_hm_xy[a:a + step] * self.source.mass
+            num_x[a:a + step] = joint_hm.sum(axis=2)
+            num_y[a:a + step] = joint_hm.sum(axis=1)
         den_x = joint_h.sum(axis=1)   # (nx,)
-        num_y = joint_hm.sum(axis=1)  # (M, ny)
         den_y = joint_h.sum(axis=0)   # (ny,)
         with np.errstate(invalid="ignore", divide="ignore"):
             p_m_x = np.where(den_x[None, :] > 0, num_x / den_x[None, :], 0.0).T
             p_m_y = np.where(den_y[None, :] > 0, num_y / den_y[None, :], 0.0).T
-            p_m_xy = np.where(p_h_xy[None, :, :] > 0,
-                              p_hm_xy / p_h_xy[None, :, :], 0.0)
+        # P(m | hist, x, y), written over P(hist + m | x, y)
+        live = p_h_xy > 0
+        p_m_xy = np.divide(p_hm_xy, p_h_xy, out=p_hm_xy, where=live)
+        p_m_xy[:, ~live] = 0.0
+        for arr in (p_m_x, p_m_y, p_m_xy, joint_h):
+            arr.flags.writeable = False
         return RoundView(messages, p_m_x, p_m_y, p_m_xy, joint_h)
 
 

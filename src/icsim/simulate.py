@@ -227,11 +227,16 @@ def _conditional_density(cond: np.ndarray) -> np.ndarray:
 
 def _slice_table(cond: np.ndarray, cfg: SliceConfig) -> np.ndarray:
     """The slice of -log2 of every entry of a conditional table; 0 (the
-    tail) where the mass is zero."""
+    tail) where the mass is zero.
+
+    This is :meth:`SliceConfig.slice_of` on whole arrays, with the same
+    float operations, so the two agree entry for entry, at slice floors too.
+    """
     h = _conditional_density(cond)
-    finite = np.isfinite(h)
-    slices = np.vectorize(cfg.slice_of)(np.where(finite, h, 0.0))
-    return np.where(finite, slices, 0).astype(int)
+    inside = (h >= cfg.lambda_min) & (h < cfg.lambda_max)
+    with np.errstate(invalid="ignore"):
+        i = (h - cfg.lambda_min) // cfg.delta + 1
+    return np.where(inside, np.minimum(i, cfg.n_slices), 0).astype(int)
 
 
 def _int_param(value: float, name: str) -> int:
@@ -1162,7 +1167,11 @@ def _protocol_chunk(sim: ProtocolSimulator, T: int, seed):
 
 
 def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:
-    """Default slice plans from the per-round density spectra."""
+    """Default slice plans from the per-round density spectra.
+
+    The spectra read the law's shared round views, so a simulator built on
+    the same law afterwards computes no view again.
+    """
     from .probcore import auto_slice_config
     def plan(t, side):
         return auto_slice_config(round_density_spectrum(law, t, side),
@@ -1176,7 +1185,9 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
     """Spectrum of -log2 P(round message | one party, history) at round t.
 
     ``side`` is "tx" for the speaking party and "rx" for the listener,
-    aggregated over histories with their true probabilities.
+    aggregated over histories with their true probabilities.  The round
+    views come from :meth:`TranscriptLaw.round_view`, computed once per law
+    and shared with the slice plans, engines and budgets built on it.
     """
     own_is_x = (t % 2 == 1) == (side == "tx")
     vals, probs = [], []
@@ -1184,10 +1195,14 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
         view = law.round_view(t, hist)
         cond = view.p_m_given_x if own_is_x else view.p_m_given_y
         # the positive atoms (a, i, j) in row-major order; math.log2 per
-        # atom, since np.log2 can differ from it in the last bit
-        w = view.p_hist_xy * view.p_m_given_xy
-        a, i, j = np.nonzero(w > 0)
-        probs += w[a, i, j].tolist()
+        # atom, since np.log2 can differ from it in the last bit.  The
+        # weight P(hist, x, y) P(m | hist, x, y) is positive only where the
+        # second factor is, so only those entries are weighed
+        a, i, j = np.nonzero(view.p_m_given_xy > 0)
+        w = view.p_hist_xy[i, j] * view.p_m_given_xy[a, i, j]
+        pos = w > 0
+        a, i, j = a[pos], i[pos], j[pos]
+        probs += w[pos].tolist()
         vals += [-math.log2(p)
                  for p in cond[i if own_is_x else j, a].tolist()]
     return SpectrumTable.from_atoms(vals, probs)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from icsim.bounds import (
+    BERRY_ESSEEN_C0,
     RoundBudgetInput,
     SpectraBundle,
+    berry_esseen_band,
     berry_esseen_shift,
     beta_eps,
     beta_eps_upper,
@@ -121,6 +123,44 @@ class TestSecondOrder:
         want = 3 * abs(ms.third_central) / (ms.variance * 5) \
             * math.sqrt(25 * ms.variance)
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_band_brackets_exact_quantile(self):
+        spec = send_value_protocol(dsbs_source(0.25)).spectrum("ic")
+        finite = 0
+        for n in range(1, 31):
+            conv = spec.convolve_n(n)
+            for eps in (0.05, 0.1, 0.25):
+                lo, hi = berry_esseen_band(spec, n, eps)
+                assert lo <= conv.eps_tail(eps, "upper") <= hi, (n, eps)
+                finite += math.isfinite(lo) and math.isfinite(hi)
+        assert finite > 0
+
+    def test_band_formula(self):
+        spec = send_value_protocol(dsbs_source(0.25)).spectrum("ic")
+        ms = spec.moments()
+        abs3 = sum(p * abs(v - ms.mean) ** 3
+                   for v, p in zip(spec.values, spec.probs))
+        # the absolute third moment, not |E(X - mu)^3|
+        assert abs3 > abs(ms.third_central)
+        n, eps = 30, 0.25
+        d = BERRY_ESSEEN_C0 * abs3 / (ms.variance ** 1.5 * math.sqrt(n))
+        lo, hi = berry_esseen_band(spec, n, eps)
+        centre, scale = n * ms.mean, math.sqrt(n * ms.variance)
+        assert lo == pytest.approx(centre + scale * q_inv(eps + d), abs=1e-9)
+        assert hi == pytest.approx(centre + scale * q_inv(eps - d), abs=1e-9)
+        # eps - Delta <= 0: no upper end
+        assert berry_esseen_band(spec, 1, 0.05)[1] == math.inf
+        assert berry_esseen_band(spec, 1, 0.9)[0] == -math.inf
+
+    def test_band_guards(self):
+        spec = send_value_protocol(dsbs_source(0.25)).spectrum("ic")
+        with pytest.raises(ParameterRange):
+            berry_esseen_band(spec, 0, 0.1)
+        with pytest.raises(ParameterRange):
+            berry_esseen_band(spec, 4, 1.0)
+        with pytest.raises(ZeroVariance):
+            berry_esseen_band(spectrum(dsbs_source(0.5), "cond_x_given_y"),
+                              4, 0.1)
 
 
 class TestDirectProduct:

@@ -20,8 +20,10 @@ from icsim.probcore import (
 )
 from icsim.protocol import (
     LAW_BYTES_CAP,
+    VIEW_BLOCK_BYTES,
     MixedProtocol,
     ProtocolTree,
+    RoundView,
     ThresholdExample,
     appendix_threshold_example,
     constant_protocol,
@@ -35,6 +37,8 @@ from icsim.protocol import (
     two_round_protocol,
     xor_reply_protocol,
 )
+from icsim.cli import build_engine
+import icsim.cli
 
 LOG2_4_3 = 2.0 - math.log2(3.0)
 
@@ -179,6 +183,166 @@ class TestRoundStructure:
         law = send_value_protocol(dsbs_source(0.25))
         with pytest.raises(SupportViolation):
             law.round_view(1, ("zzz",))
+
+
+def _round_view_reference(law, t, hist):
+    """``TranscriptLaw.round_view`` as first written: full (M, nx, ny)
+    temporaries and an ``np.where`` quotient."""
+    nx, ny = law.source.mass.shape
+    prefix_idx = [k for k, tau in enumerate(law.transcripts)
+                  if len(tau) >= t and tau[: t - 1] == hist]
+    messages = tuple(sorted({law.transcripts[k][t - 1] for k in prefix_idx},
+                            key=repr))
+    midx = {m: a for a, m in enumerate(messages)}
+    p_hm_xy = np.zeros((len(messages), nx, ny))
+    for k in prefix_idx:
+        p_hm_xy[midx[law.transcripts[k][t - 1]]] += law.p_tau_given_xy[k]
+    p_h_xy = p_hm_xy.sum(axis=0)
+    joint_h = p_h_xy * law.source.mass
+    joint_hm = p_hm_xy * law.source.mass[None, :, :]
+    num_x = joint_hm.sum(axis=2)
+    den_x = joint_h.sum(axis=1)
+    num_y = joint_hm.sum(axis=1)
+    den_y = joint_h.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_m_x = np.where(den_x[None, :] > 0, num_x / den_x[None, :], 0.0).T
+        p_m_y = np.where(den_y[None, :] > 0, num_y / den_y[None, :], 0.0).T
+        p_m_xy = np.where(p_h_xy[None, :, :] > 0,
+                          p_hm_xy / p_h_xy[None, :, :], 0.0)
+    return RoundView(messages, p_m_x, p_m_y, p_m_xy, joint_h)
+
+
+def _shared_message_tree(source):
+    """x sends two random bits, then y one random bit: four transcripts
+    share each round-1 message, and round 1 has two histories' worth of
+    continuations per message."""
+    return transcript_law(ProtocolTree.from_json({"nodes": [
+        {"owner": "x", "bit_one": {"0": 0.3, "1": 0.8}, "children": [1, 1]},
+        {"owner": "x", "bit_one": {"0": 0.55, "1": 0.1}, "children": [2, 2]},
+        {"owner": "y", "bit_one": {"0": 0.35, "1": 0.9},
+         "children": [None, None]},
+    ]}), source)
+
+
+def _zero_mass_source():
+    # x = 2 never occurs, and (0, 1), (1, 0) have zero mass
+    return JointSource((0, 1, 2), (0, 1, 2), np.array(
+        [[0.3, 0.0, 0.1], [0.0, 0.25, 0.15], [0.0, 0.0, 0.0]]) / 0.8)
+
+
+def _unused_message_law():
+    # non-dyadic; message "z" and reply "n" never occur
+    src = JointSource(("a", "b", "c"), (0, 1),
+                      np.array([[0.3, 0.1], [0.05, 0.25], [0.2, 0.1]]))
+    ch1 = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [1 / 3, 2 / 3, 0.0]])
+    ch2 = np.zeros((2, 3, 2))
+    ch2[:, :, 0] = [[0.6, 0.1, 1.0], [0.25, 0.5, 1.0]]
+    ch2[:, :, 1] = 1.0 - ch2[:, :, 0]
+    return two_round_protocol(src, ch1, ("p", "q", "z"), ch2, ("y", "n"))
+
+
+def _signed_dust_law():
+    # on the zero-mass input x = 2 the channel holds +-1e-13, within the
+    # law's tolerance: P(hist | x, y) is 0 there but P(hist + m | x, y) not
+    ch = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-13, -1e-13, 0.0]])
+    return one_round_protocol(_zero_mass_source(), ch, ("a", "b", "c"))
+
+
+VIEW_LAWS = {
+    "send-x-dsbs3": lambda: send_value_protocol(
+        product_source(dsbs_source(0.11), 3)),
+    "noisy-send": lambda: noisy_send_protocol(dsbs_source(0.25), 0.1),
+    "data-exchange": lambda: data_exchange_protocol(dsbs_source(0.25)),
+    "data-exchange-dsbs2": lambda: data_exchange_protocol(
+        product_source(dsbs_source(0.2), 2)),
+    "xor-reply": lambda: xor_reply_protocol(dsbs_source(0.3)),
+    "tree-shared-messages": lambda: _shared_message_tree(dsbs_source(0.25)),
+    "zero-mass-send-x": lambda: send_value_protocol(_zero_mass_source()),
+    "zero-mass-exchange": lambda: data_exchange_protocol(_zero_mass_source()),
+    "unused-messages": _unused_message_law,
+    "signed-dust": _signed_dust_law,
+}
+
+
+@pytest.mark.parametrize("block_bytes", [1, VIEW_BLOCK_BYTES],
+                         ids=["one-message-blocks", "default-blocks"])
+@pytest.mark.parametrize("name", sorted(VIEW_LAWS))
+def test_round_view_matches_reference_bytes(monkeypatch, name, block_bytes):
+    monkeypatch.setattr(icsim.protocol, "VIEW_BLOCK_BYTES", block_bytes)
+    law = VIEW_LAWS[name]()
+    shared = 0
+    for t in range(1, law.n_rounds + 1):
+        for hist in law.histories(t):
+            got = law.round_view(t, hist)
+            want = _round_view_reference(law, t, hist)
+            assert got.messages == want.messages
+            for field in ("p_m_given_x", "p_m_given_y", "p_m_given_xy",
+                          "p_hist_xy"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                assert a.tobytes() == b.tobytes(), (t, hist, field)
+            shared += len(want.messages) < sum(
+                1 for tau in law.transcripts
+                if len(tau) >= t and tau[: t - 1] == hist)
+    if name == "tree-shared-messages":
+        assert shared  # some message sums more than one transcript
+
+
+def test_round_view_memoized_read_only():
+    law = data_exchange_protocol(dsbs_source(0.25))
+    for t in (1, 2):
+        for hist in law.histories(t):
+            view = law.round_view(t, hist)
+            assert law.round_view(t, hist) is view
+            for arr in (view.p_m_given_x, view.p_m_given_y,
+                        view.p_m_given_xy, view.p_hist_xy):
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 0.5
+                with pytest.raises(ValueError):
+                    arr += 0.0
+
+
+def _histories_reference(law, t):
+    seen = []
+    for k, tau in enumerate(law.transcripts):
+        if len(tau) >= t:
+            h = tau[: t - 1]
+            if h not in seen and float(law.joint[k].sum()) > 0:
+                seen.append(h)
+    return tuple(seen)
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_LAWS) + [
+    "constant", "send-x-skewed", "threshold-n4", "exchange-dsbs3"])
+def test_histories_unchanged_without_joint(name):
+    skewed = JointSource((0, 1, 2), (0, 1), np.array(
+        [[0.3, 0.1], [0.05, 0.25], [0.2, 0.1]]))
+    law = {
+        "constant": lambda: constant_protocol(dsbs_source(0.25)),
+        "send-x-skewed": lambda: send_value_protocol(skewed),
+        "threshold-n4": lambda: ThresholdExample(n=4, delta=0.25).expand(),
+        "exchange-dsbs3": lambda: data_exchange_protocol(
+            product_source(dsbs_source(0.11), 3)),
+    }.get(name, VIEW_LAWS.get(name))()
+    got = [law.histories(t) for t in range(1, law.n_rounds + 1)]
+    assert "joint" not in law.__dict__
+    assert got == [_histories_reference(law, t)
+                   for t in range(1, law.n_rounds + 1)]
+
+
+def test_engine_build_keeps_no_joint_table(monkeypatch):
+    laws = []
+
+    def spy(token, source):
+        laws.append(parse_target(token, source))
+        return laws[-1]
+
+    parse_target = icsim.cli.parse_target
+    monkeypatch.setattr(icsim.cli, "parse_target", spy)
+    for proto in ("p3", "p4", "p5"):
+        build_engine({"source": "dsbs^3:0.11", "protocol": proto,
+                      "target": "send-x", "gamma": 3.0})
+        assert "joint" not in laws[-1].__dict__, proto
 
 
 class TestProduct:

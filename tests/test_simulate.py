@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import json
 import math
 import sys
 import threading
@@ -16,6 +17,7 @@ from icsim.bounds import (
     protocol4_tv_budget,
     protocol5_tv_budget,
 )
+import icsim.cli
 from icsim.cli import build_engine
 from icsim.errors import OutOfRange, TooLarge
 from icsim.evaluate import measure_sim_error
@@ -31,11 +33,13 @@ from icsim.probcore import (
     JointSource,
     SliceConfig,
     SpectrumTable,
+    auto_slice_config,
     dsbs_source,
     product_source,
     spectrum,
 )
 from icsim.protocol import (
+    TranscriptLaw,
     data_exchange_protocol,
     noisy_send_protocol,
     send_value_protocol,
@@ -57,6 +61,7 @@ from icsim.simulate import (
     _pick_slice,
     _round_kernel,
     _round_trials,
+    _slice_table,
     _sw_chunk,
     _sw_kernel,
     _unique_rows,
@@ -1286,3 +1291,233 @@ def test_trial_decode_memory_bounded(monkeypatch):
             tracemalloc.stop()
         assert agg.trials == 10_000
         assert peak <= 12_000_000, (cpus, peak)
+
+
+def _slice_table_reference(cond, cfg):
+    """``_slice_table`` as first written: ``SliceConfig.slice_of`` per
+    entry."""
+    h = icsim.simulate._conditional_density(cond)
+    finite = np.isfinite(h)
+    slices = np.vectorize(cfg.slice_of)(np.where(finite, h, 0.0))
+    return np.where(finite, slices, 0).astype(int)
+
+
+def _cli(**cfg):
+    return lambda: build_engine(cfg)
+
+
+def _criterion_3_coders():
+    """The interactive coders of acceptance criterion 3."""
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        q = float(rng.uniform(0.1, 0.4))
+        m = int(rng.integers(2, 4))
+        g = float(rng.integers(2, 5))
+        src = product_source(dsbs_source(q), m)
+        InteractiveSWCoder(src, auto_slice_config(
+            spectrum(src, "cond_x_given_y"), gamma=g))
+
+
+def _criterion_4_engines():
+    """The round and protocol simulators of acceptance criterion 4."""
+    for i, q in enumerate((0.2, 0.25, 0.3, 0.35, 0.15)):
+        src = dsbs_source(q)
+        law = (noisy_send_protocol(src, 0.1 + 0.05 * i) if i % 2
+               else send_value_protocol(src))
+        view = law.round_view(1, ())
+        rx, tx = (auto_slice_config(round_density_spectrum(law, 1, side),
+                                    gamma=3.0) for side in ("rx", "tx"))
+        RoundSimulator(src, view.p_m_given_x, view.messages, rx, k=i % 3)
+        ImprovedRoundSimulator(src, view.p_m_given_x, view.messages, rx, tx)
+    for law, g in ((data_exchange_protocol(dsbs_source(0.25)), 2.0),
+                   (data_exchange_protocol(dsbs_source(0.3)), 3.0),
+                   (xor_reply_protocol(dsbs_source(0.3)), 2.0)):
+        ProtocolSimulator(law, auto_round_plans(law, gamma=g), k_override=0)
+
+
+# every engine construction of the tier-1 tests that slices a table: the
+# hand-made slicings above, acceptance criteria 3 and 4, and the config
+# documents of the CLI and evaluate tests
+_SLICED_ENGINES = {
+    "acceptance-3": _criterion_3_coders,
+    "acceptance-4": _criterion_4_engines,
+    "p2-dsbs": lambda: interactive_coder(gamma=1.0),
+    "p2-dsbs2-delta2": lambda: InteractiveSWCoder(
+        product_source(dsbs_source(0.2), 2),
+        SliceConfig(0.0, 4.0 + 1e-9, 2.0, 0.0)),
+    "p2-dsbs2-delta3": lambda: InteractiveSWCoder(
+        product_source(dsbs_source(0.2), 2),
+        SliceConfig(0.0, 6.0 + 1e-9, 3.0, 0.0), l=2),
+    "p3-round-sim": lambda: round_sim(k=2, gamma=1.0),
+    "p3-noisy": lambda: _noisy_round(k=1),
+    "p4-noisy": lambda: _noisy_round(improved=True),
+    "p5-exchange-tiny-tx": lambda: TestProtocolSimulator().make(),
+    "p5-bit-then-y": _bit_then_y,
+    "cli-p2-dsbs2": _cli(source="dsbs^2:0.25", protocol="p2", gamma=2.0),
+    "cli-p3-dsbs": _cli(source="dsbs:0.25", protocol="p3", target="send-x",
+                        gamma=2.0, k=1),
+    "cli-p3-dsbs3": _cli(source="dsbs^3:0.11", protocol="p3",
+                         target="send-x", gamma=3.0),
+    "cli-p3-skewed": _cli(source={"x_alphabet": [0, 1, 2],
+                                  "y_alphabet": [0, 1],
+                                  "mass": [[0.3, 0.1], [0.05, 0.25],
+                                           [0.2, 0.1]]},
+                          protocol="p3", target="send-x", gamma=1.0),
+    "cli-p4-dsbs": _cli(source="dsbs:0.25", protocol="p4", target="send-x",
+                        gamma=2.0),
+    "cli-p4-dsbs3": _cli(source="dsbs^3:0.11", protocol="p4",
+                         target="send-x", gamma=3.0),
+    "cli-p4-noisy": _cli(source="dsbs:0.25", protocol="p4",
+                         target="noisy-send:0.1", gamma=2.0),
+    "cli-p5-exchange": _cli(source="dsbs:0.25", protocol="p5",
+                            target="data-exchange", gamma=2.0,
+                            k_override=0),
+    "cli-p5-xor": _cli(source="dsbs:0.3", protocol="p5", target="xor-reply",
+                       gamma=2.0),
+    **{f"dsbs6-{name}": functools.partial(_big, name)
+       for name in ("p2", "p3", "p4", "p5")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLICED_ENGINES))
+def test_slice_table_matches_slice_of(name, monkeypatch):
+    calls = []
+
+    def spy(cond, cfg):
+        out = _slice_table(cond, cfg)
+        calls.append((np.array(cond), cfg, out))
+        return out
+
+    monkeypatch.setattr(icsim.simulate, "_slice_table", spy)
+    _SLICED_ENGINES[name]()
+    assert calls
+    for cond, cfg, got in calls:
+        want = _slice_table_reference(cond, cfg)
+        assert got.dtype == want.dtype and np.array_equal(got, want), cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    SliceConfig(1.0, 7.0, 2.0, 1.0),
+    SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0),
+    # (lambda_max - lambda_min) / delta just above 3: n_slices is 3, and
+    # values in [3, lambda_max) clip to it
+    SliceConfig(0.0, 3.0 + 1e-13, 1.0, 0.0),
+    SliceConfig(0.3, 5.7, 1.0, 0.0),
+    SliceConfig(-0.5, 4.25, 0.5, 0.0),
+], ids=["floors", "auto-like", "clip", "offset", "half-width"])
+def test_slice_table_edges(cfg, monkeypatch):
+    # densities at every slice floor, at lambda_max, an ulp either side of
+    # each, just below lambda_min, past lambda_max and at zero mass (+inf);
+    # the table is taken as its own density, so each value is exact
+    monkeypatch.setattr(icsim.simulate, "_conditional_density",
+                        lambda h: h)
+    floors = [cfg.lambda_min + (i - 1) * cfg.delta
+              for i in range(1, cfg.n_slices + 2)] + [cfg.lambda_max]
+    h = [np.inf, cfg.lambda_min - 1e-12, cfg.lambda_max + 5.0]
+    for f in floors:
+        h += [f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf)]
+    h = np.array(h).reshape(3, -1)
+    got = _slice_table(h, cfg)
+    want = _slice_table_reference(h, cfg)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.flat[0] == got.flat[1] == got.flat[2] == 0
+    assert set(got.flat) == set(range(cfg.n_slices + 1))
+    if cfg.lambda_max == 3.0 + 1e-13:
+        assert got.flat[list(h.flat).index(3.0)] == cfg.n_slices == 3
+
+
+_VIEW_COUNTED = {
+    "p3-send-x-dsbs3": {"source": "dsbs^3:0.11", "protocol": "p3",
+                        "target": "send-x", "gamma": 3.0},
+    "p4-send-x-dsbs3": {"source": "dsbs^3:0.11", "protocol": "p4",
+                        "target": "send-x", "gamma": 3.0},
+    "p4-noisy": {"source": "dsbs:0.25", "protocol": "p4",
+                 "target": "noisy-send:0.1", "gamma": 2.0},
+    "p5-exchange": {"source": "dsbs:0.25", "protocol": "p5",
+                    "target": "data-exchange", "gamma": 2.0,
+                    "k_override": 0},
+    "p5-exchange-dsbs2-plans": {
+        "source": "dsbs^2:0.2", "protocol": "p5", "target": "data-exchange",
+        "gamma": 2.0, "plans": [{}, {"rx": "auto"}]},
+    "p5-xor": {"source": "dsbs:0.3", "protocol": "p5",
+               "target": "xor-reply", "gamma": 2.0},
+}
+
+
+def _count_view_computations(monkeypatch) -> Counter:
+    """Count the uncached round-view computations, by (law, t, hist)."""
+    counts = Counter()
+    compute = TranscriptLaw._round_view
+
+    def spy(law, t, hist):
+        counts[(id(law), t, hist)] += 1
+        return compute(law, t, hist)
+
+    monkeypatch.setattr(TranscriptLaw, "_round_view", spy)
+    return counts
+
+
+def _built_laws(monkeypatch) -> list:
+    """The target laws that ``build_engine`` parses, in order."""
+    laws = []
+    parse = icsim.cli.parse_target
+
+    def spy(token, source):
+        laws.append(parse(token, source))
+        return laws[-1]
+
+    monkeypatch.setattr(icsim.cli, "parse_target", spy)
+    return laws
+
+
+def _all_views(law) -> set:
+    return {(id(law), t, h) for t in range(1, law.n_rounds + 1)
+            for h in law.histories(t)}
+
+
+@pytest.mark.parametrize("name", sorted(_VIEW_COUNTED))
+def test_build_computes_each_round_view_once(name, monkeypatch):
+    laws = _built_laws(monkeypatch)
+    counts = _count_view_computations(monkeypatch)
+    build_engine(_VIEW_COUNTED[name])
+    (law,) = laws
+    assert set(counts) == _all_views(law)
+    assert set(counts.values()) == {1}
+
+
+def test_p5_eval_with_budget_computes_each_round_view_once(monkeypatch,
+                                                           tmp_path):
+    laws = _built_laws(monkeypatch)
+    budgets = []
+    p5_budget = icsim.cli.protocol5_tv_budget
+    monkeypatch.setattr(icsim.cli, "protocol5_tv_budget",
+                        lambda sim: budgets.append(p5_budget(sim))
+                        or budgets[-1])
+    counts = _count_view_computations(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_VIEW_COUNTED["p5-exchange"]))
+    out = tmp_path / "out.json"
+    assert icsim.cli.main(["eval", "--config", str(cfg), "--mode", "plugin",
+                           "--trials", "500", "--seed", "1",
+                           "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["budget"] == budgets[0]
+    (law,) = laws
+    assert set(counts) == _all_views(law)
+    assert set(counts.values()) == {1}
+
+
+def test_p4_build_memory_bounded():
+    # send-x over dsbs^7: the law is a (128, 128, 128) float64 table,
+    # 16 MiB.  Computing the round view three times, each with four full
+    # temporaries, peaked at 113 MB; one view, summed in blocks of messages
+    # and shared by both spectra and the engine, needs about three tables
+    cfg = {"source": "dsbs^7:0.11", "protocol": "p4", "target": "send-x",
+           "gamma": 3.0}
+    tracemalloc.start()
+    try:
+        engine = build_engine(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.slice_tx.shape == (128, 128)
+    assert peak < 80 << 20, peak
