@@ -5,6 +5,20 @@ distinct inputs the collision probability over the draw is exactly 2^{-l},
 and the first k output bits of an (l, w) draw are themselves a valid (k, w)
 draw, so one long draw can be split into a prefix shared as common randomness
 and a suffix that is actually communicated.
+
+The offset b cancels in every decode the engines make, so exact enumeration
+walks only the 2^(l w) linear parts, the members with b = 0
+(:func:`linear_blocks`), and weighs each by the 2^l offsets it stands for.
+A member's family code is ``matrix_code * 2^l + offset_code``
+(:func:`family_blocks`).  Write A for the matrix of f:
+
+* a Slepian-Wolf decode tests f(x') = f(x), where b cancels;
+* a round decode matches ``(f(m) ^ received) & mask``, where ``received``
+  keeps f(M*)'s bits above the shared prefix and puts the shared string u
+  in its low k bits, and the transmitter tests f(m) & (2^k - 1) = u.  So
+  the decode at (A, b, u) equals the decode at (A, 0, u ^ (b mod 2^k)), and
+  as u runs over the 2^k strings, so does u ^ (b mod 2^k): each (A, u)
+  at offset 0 stands for exactly 2^l seeds (A, b, u).
 """
 
 from __future__ import annotations
@@ -17,7 +31,9 @@ import numpy as np
 
 from .errors import MismatchedSupport, OutOfRange
 
-#: cap on exhaustive family enumeration (number of seeds)
+#: cap on exhaustive family enumeration (number of seeds); exact modes apply
+#: it to the whole seed space their law averages over, not to the 2^-l of it
+#: that they decode
 ENUMERATION_CAP = 1 << 24
 #: members per block that ``enumerate_family`` builds at once
 _ENUMERATION_BLOCK = 1 << 12
@@ -139,6 +155,17 @@ def family_blocks(width: int, out_bits: int, start: int,
         raise OutOfRange("family code range out of range")
     return member_blocks(width, out_bits,
                          np.arange(start, stop, dtype=np.int64))
+
+
+def linear_blocks(width: int, out_bits: int, start: int,
+                  stop: int) -> np.ndarray:
+    """The linear parts ``start`` to ``stop - 1`` of the affine family, with
+    offset 0, as (stop - start, out_bits, width + 1) uint8 blocks: linear
+    part ``c`` is the member with the family code ``c * 2^out_bits``."""
+    if not 0 <= start <= stop <= 1 << (out_bits * width):
+        raise OutOfRange("linear code range out of range")
+    return member_blocks(width, out_bits, np.arange(
+        start, stop, dtype=np.int64) << out_bits)
 
 
 def member_blocks(width: int, out_bits: int, codes: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
 the chunked trial loop ``run_trials`` and the exact enumerations all call
 it on hashes packed by :func:`icsim.hashing.pack_hashes`.  Engines whose
 randomness is small enough expose ``exact_view_law``, which enumerates
-every hash seed and shared-randomness value.
+every linear part of each hash family and every shared-randomness value,
+each linear part standing for its 2^L offsets (see :mod:`icsim.hashing`).
 
 The batch paths cut their trials in two units:
 
@@ -48,9 +49,8 @@ from .hashing import (
     draw_hash,
     encode_universe,
     encoding_width,
-    family_blocks,
     family_size,
-    member_blocks,
+    linear_blocks,
     pack_hashes,
 )
 from .probcore import FiniteDistribution, JointSource, SliceConfig, SpectrumTable
@@ -67,7 +67,7 @@ BATCH_CHUNK = 100_000
 #: :func:`_kernel_bytes`; it cuts the chunks of every engine's batch path
 #: and of engine 5's exact path
 BATCH_BYTES = 1 << 26
-#: bytes per block of hash families that exact mode of engines 1 to 3 packs
+#: bytes per block of hash matrices that exact mode of engines 1 to 3 packs
 #: and decodes at once, counted as BATCH_BYTES is; a block this small stays
 #: in cache, which decodes faster than one BATCH_BYTES block and leaves the
 #: peak memory where it was; it also bounds the float64 rows of one block of
@@ -298,29 +298,35 @@ class SlepianWolfCoder:
     # -- exact enumeration ---------------------------------------------------
 
     def exact_atom_count(self) -> int:
+        """Size of the seed space ``exact_view_law`` averages over: every
+        live (x, y) and hash family.  It decodes 2^-l of them, one per
+        linear part; ``ENUMERATION_CAP`` applies to this count."""
         live = int((self.source.mass > 0).sum())
         return live * family_size(self.width, self.l)
 
     def exact_view_law(self) -> FiniteDistribution:
         """Decode every live (x, y) against every hash family.
 
-        The families are walked in blocks of :func:`family_blocks`, each
+        The decode tests h(x') = h(x), where the offset cancels, so only the
+        linear parts are walked, in blocks of :func:`linear_blocks`, each
         packed once and decoded against all live pairs in one kernel call;
-        a view's probability is its pair's mass times the number of
-        families that produce it over the family size.
+        each stands for its 2^l families.  A view's probability is its
+        pair's mass times the number of families that produce it over the
+        family size.
         """
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
         n_fam = family_size(self.width, self.l)
+        n_lin = n_fam >> self.l
         live_i, live_j = np.nonzero(self.source.mass > 0)
         P, M = live_i.size, len(self.source.x_alphabet)
         step = max(1, EXACT_BLOCK_BYTES // (
             P * _kernel_bytes(M, self.l, self.width)))
         # counts[p, d + 1]: families that decode live pair p to d (-1: none)
         counts = np.zeros((P, M + 1), dtype=np.int64)
-        for start in range(0, n_fam, step):
-            h = pack_hashes(family_blocks(
-                self.width, self.l, start, min(start + step, n_fam)),
+        for start in range(0, n_lin, step):
+            h = pack_hashes(linear_blocks(
+                self.width, self.l, start, min(start + step, n_lin)),
                 self.enc)
             n = h.shape[0]
             decoded, _ = _sw_kernel(self, np.repeat(live_i, n),
@@ -328,14 +334,17 @@ class SlepianWolfCoder:
             counts += np.bincount(
                 np.repeat(np.arange(P), n) * (M + 1) + decoded + 1,
                 minlength=P * (M + 1)).reshape(P, M + 1)
+        counts <<= self.l
+        # the views in (pair, decoded) order; the float operations of
+        # mass * count / n_fam, one atom at a time
+        p, d = np.nonzero(counts)
+        i, j = live_i[p], live_j[p]
+        probs = self.source.mass[i, j] * counts[p, d].astype(float) / n_fam
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        acc = {}
-        for p, (i, j) in enumerate(zip(live_i, live_j)):
-            w = float(self.source.mass[i, j])
-            for d in np.nonzero(counts[p])[0]:
-                acc[(xs[i], None if d == 0 else xs[d - 1], xs[i], ys[j])] = \
-                    w * int(counts[p, d]) / n_fam
-        return FiniteDistribution.from_mapping(acc)
+        dec = (None,) + tuple(xs)
+        return FiniteDistribution.from_mapping(
+            {(xs[a], dec[b], xs[a], ys[c]): w for a, b, c, w in zip(
+                i.tolist(), d.tolist(), j.tolist(), probs.tolist())})
 
     def true_view_law(self) -> FiniteDistribution:
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
@@ -515,8 +524,10 @@ class RoundSimulator:
     # -- exact enumeration ---------------------------------------------------
 
     def exact_atom_count(self) -> int:
-        """Decodes ``exact_view_law`` runs: one per supported message of
-        each live (x, y), hash family and shared string."""
+        """Size of the seed space ``exact_view_law`` averages over: one
+        atom per supported message of each live (x, y), hash family and
+        shared string.  It decodes 2^-L of them, one per linear part;
+        ``ENUMERATION_CAP`` applies to this count."""
         live = self.source.mass > 0
         msgs = (self.p_m_given_x > 0).sum(axis=1)  # (nx,)
         supported = int((live * msgs[:, None]).sum())
@@ -525,16 +536,18 @@ class RoundSimulator:
 
     def exact_view_law(self) -> FiniteDistribution:
         """Decode every live (x, y) against every hash family, shared
-        string u and message M* that u can pick: one row per (family, u,
-        live pair, supported message m), blocks of :func:`family_blocks`
-        decoded by :func:`_slice_search` at once.  M* = m has probability
+        string u and message M* that u can pick: one row per (linear part,
+        u, live pair, supported message m), blocks of :func:`linear_blocks`
+        decoded by :func:`_slice_search` at once.  The decode at offset b
+        and string u is the decode at offset 0 and string u ^ (b mod 2^k),
+        so each row stands for 2^L families.  M* = m has probability
         P(m|x) over the weight of the messages whose hash prefix is u, or
         is the first supported message when none is.
         """
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
         L, k, M = self.total_hash_bits, self.k, len(self.messages)
-        n_fam = family_size(self.width, L)
+        n_lin = family_size(self.width, L) >> L
         # shared strings packed like the hash prefix, first bit slowest
         strings = ((np.arange(1 << k)[:, None] >> (k - 1 - np.arange(k))) & 1
                    ) @ (1 << np.arange(k, dtype=np.int64))
@@ -544,13 +557,13 @@ class RoundSimulator:
         pair, m = np.nonzero(support)
         first = np.r_[True, pair[1:] != pair[:-1]]
         i, j = live_i[pair], live_j[pair]
-        base = self.source.mass[i, j] * (1.0 / n_fam) * 2.0 ** (-k)
+        base = self.source.mass[i, j] * (1.0 / n_lin) * 2.0 ** (-k)
         step = max(1, EXACT_BLOCK_BYTES // (
             strings.size * pair.size * _kernel_bytes(M, L, self.width)))
         sums: dict = {}
-        for start in range(0, n_fam, step):
-            hs = pack_hashes(family_blocks(
-                self.width, L, start, min(start + step, n_fam)), self.enc)
+        for start in range(0, n_lin, step):
+            hs = pack_hashes(linear_blocks(
+                self.width, L, start, min(start + step, n_lin)), self.enc)
             f, s, c = (a.ravel() for a in np.indices(
                 (hs.shape[0], strings.size, pair.size)))
             h, u, mc, rows = hs[f], strings[s], m[c], np.arange(f.size)
@@ -1109,19 +1122,26 @@ class ProtocolSimulator:
         return bool(np.all((p < 1e-12) | (p > 1 - 1e-12)))
 
     def exact_atom_count(self) -> int:
+        """Size of the seed space ``exact_view_law`` averages over: every
+        live (x, y) and chain of hash families, one per round.  It runs
+        2^-L_t of them per round t, one per linear part;
+        ``ENUMERATION_CAP`` applies to this count."""
         return int((self.src.mass > 0).sum()) * math.prod(
             family_size(tab.inner.width, tab.inner.total_hash_bits)
             for tab in self.tables)
 
     def exact_view_law(self) -> FiniteDistribution:
-        """Run every live (x, y) against every chain of hash families, one
-        family per round, through :meth:`run_batch`.
+        """Run every live (x, y) against every chain of hash matrices, one
+        linear part per round (:func:`linear_blocks`, offset 0), through
+        :meth:`run_batch`.
 
-        Rows are (pair, round-1 family, ..., round-R family) in that order,
+        Rows are (pair, round-1 matrix, ..., round-R matrix) in that order,
         cut into chunks of ``self.chunk``; each row weighs its pair's mass
-        over the number of chains.  The target and every round are
-        deterministic and share no prefix (k = 0), so a row's view does not
-        depend on the uniforms ``run_batch`` draws.
+        over the number of chains.  Every round shares no prefix (k = 0),
+        so its decode compares two hashes and the offset cancels: a chain
+        of matrices stands for all the chains of families it spans.  The
+        target and every round are deterministic, so a row's view does not
+        depend on the uniforms ``run_batch`` draws either.
         """
         if not self._deterministic():
             raise OutOfRange("exact chains are supported for deterministic "
@@ -1133,9 +1153,12 @@ class ProtocolSimulator:
                 raise OutOfRange("exact mode needs deterministic rounds")
             if (tab.good & (tab.k_of > 0)).any():
                 raise OutOfRange("exact mode requires k = 0 rounds")
-        sizes = [family_size(tab.inner.width, tab.inner.total_hash_bits)
-                 for tab in self.tables]
-        chains = math.prod(sizes)  # a power of two, so 1 / chains is exact
+        lins = []
+        for tab in self.tables:
+            w, L = tab.inner.width, tab.inner.total_hash_bits
+            lins.append(linear_blocks(w, L, 0, family_size(w, L) >> L))
+        # a power of two, so 1 / chains is exact
+        chains = math.prod(len(lin) for lin in lins)
         live_i, live_j = np.nonzero(self.src.mass > 0)
         term = self.src.mass[live_i, live_j] * (1.0 / chains)
         total = live_i.size * chains
@@ -1145,10 +1168,9 @@ class ProtocolSimulator:
             pair, code = np.divmod(
                 np.arange(start, min(start + self.chunk, total)), chains)
             blocks = []
-            for tab, size in zip(self.tables[::-1], sizes[::-1]):
-                code, member = np.divmod(code, size)
-                blocks.insert(0, member_blocks(
-                    tab.inner.width, tab.inner.total_hash_bits, member))
+            for lin in lins[::-1]:
+                code, member = np.divmod(code, len(lin))
+                blocks.insert(0, lin[member])
             batch = self.run_batch(rng, pair.size, blocks=blocks,
                                    pairs=(live_i[pair], live_j[pair]))
             _add_views(sums, batch.keys, term[pair])

@@ -14,6 +14,7 @@ from icsim.hashing import (
     extract,
     extraction_bound,
     family_blocks,
+    linear_blocks,
     family_size,
     member_blocks,
     min_entropy,
@@ -84,6 +85,24 @@ def test_member_blocks_take_codes_in_any_order():
         member_blocks(width, out_bits, np.array([size]))
     with pytest.raises(OutOfRange):
         member_blocks(width, out_bits, np.array([-1]))
+
+
+@pytest.mark.parametrize("width, out_bits", [(1, 1), (2, 3), (3, 2), (2, 0)])
+def test_linear_blocks_are_the_offset_zero_members(width, out_bits):
+    size = family_size(width, out_bits)
+    n_lin = size >> out_bits
+    blocks = linear_blocks(width, out_bits, 0, n_lin)
+    # linear part c is member c * 2^out_bits: its matrix, offset 0
+    assert np.array_equal(blocks, family_blocks(width, out_bits, 0, size)[
+        ::1 << out_bits])
+    assert not blocks[:, :, width].any()
+    lo, hi = n_lin // 3, n_lin - n_lin // 4
+    assert np.array_equal(linear_blocks(width, out_bits, lo, hi),
+                          blocks[lo:hi])
+    with pytest.raises(OutOfRange):
+        linear_blocks(width, out_bits, 0, n_lin + 1)
+    with pytest.raises(OutOfRange):
+        linear_blocks(width, out_bits, 1, 0)
 
 
 def test_prefix_suffix_split():

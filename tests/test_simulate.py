@@ -23,9 +23,12 @@ from icsim.errors import OutOfRange, TooLarge
 from icsim.evaluate import measure_sim_error
 import icsim.simulate
 from icsim.hashing import (
+    ENUMERATION_CAP,
     HashFamily,
     enumerate_family,
+    family_blocks,
     family_size,
+    member_blocks,
     pack_hashes,
 )
 from icsim.probcore import (
@@ -975,7 +978,8 @@ def test_interactive_coder_is_round_simulator_on_identity():
     assert np.array_equal(inner.p_m_given_x, np.eye(len(src.x_alphabet)))
     assert coder.total_hash_bits == 2 + (coder.n_slices - 1) * 3
     assert coder.bits_for_slice(2) == 2 + 3 + 2
-    # one decode per live (x, y) and hash family, as before
+    # the seed space: every live (x, y) and hash family, as before; exact
+    # mode decodes one per linear part, 2^-L of it
     live = int((src.mass > 0).sum())
     assert coder.exact_atom_count() == live * (
         1 << (coder.total_hash_bits * (inner.width + 1)))
@@ -1109,42 +1113,294 @@ def test_sw_exact_law_matches_reference(q, m, l, dyadic):
         assert np.abs(got - want).max() <= 1e-12
 
 
+def _sw_full_walk(coder):
+    """Engine 1's exact view law from a walk of every member of the affine
+    family, matrix and offset, in blocks of :func:`family_blocks`: the walk
+    that the walk over linear parts replaced, with the same counts and the
+    same float operations per view."""
+    n_fam = family_size(coder.width, coder.l)
+    live_i, live_j = np.nonzero(coder.source.mass > 0)
+    P, M = live_i.size, len(coder.source.x_alphabet)
+    step = max(1, icsim.simulate.EXACT_BLOCK_BYTES // (
+        P * _kernel_bytes(M, coder.l, coder.width)))
+    counts = np.zeros((P, M + 1), dtype=np.int64)
+    for start in range(0, n_fam, step):
+        h = pack_hashes(family_blocks(
+            coder.width, coder.l, start, min(start + step, n_fam)), coder.enc)
+        n = h.shape[0]
+        decoded, _ = _sw_kernel(coder, np.repeat(live_i, n),
+                                np.repeat(live_j, n), np.tile(h, (P, 1)))
+        counts += np.bincount(
+            np.repeat(np.arange(P), n) * (M + 1) + decoded + 1,
+            minlength=P * (M + 1)).reshape(P, M + 1)
+    xs, ys = coder.source.x_alphabet, coder.source.y_alphabet
+    acc = {}
+    for p, (i, j) in enumerate(zip(live_i, live_j)):
+        w = float(coder.source.mass[i, j])
+        for d in np.nonzero(counts[p])[0]:
+            acc[(xs[i], None if d == 0 else xs[d - 1], xs[i], ys[j])] = \
+                w * int(counts[p, d]) / n_fam
+    return FiniteDistribution.from_mapping(acc)
+
+
+def _round_full_walk(sim):
+    """Engine 3's exact view law from a walk of every member of the affine
+    family, one row per (family, shared string u, live pair, supported
+    message), each weighing its pair's mass over the family size and 2^k."""
+    L, k, M = sim.total_hash_bits, sim.k, len(sim.messages)
+    n_fam = family_size(sim.width, L)
+    strings = ((np.arange(1 << k)[:, None] >> (k - 1 - np.arange(k))) & 1
+               ) @ (1 << np.arange(k, dtype=np.int64))
+    live_i, live_j = np.nonzero(sim.source.mass > 0)
+    support = sim.p_m_given_x[live_i] > 0
+    support[~support.any(axis=1), 0] = True
+    pair, m = np.nonzero(support)
+    first = np.r_[True, pair[1:] != pair[:-1]]
+    i, j = live_i[pair], live_j[pair]
+    base = sim.source.mass[i, j] * (1.0 / n_fam) * 2.0 ** (-k)
+    step = max(1, icsim.simulate.EXACT_BLOCK_BYTES // (
+        strings.size * pair.size * _kernel_bytes(M, L, sim.width)))
+    sums: dict = {}
+    for start in range(0, n_fam, step):
+        hs = pack_hashes(family_blocks(
+            sim.width, L, start, min(start + step, n_fam)), sim.enc)
+        f, s, c = (a.ravel() for a in np.indices(
+            (hs.shape[0], strings.size, pair.size)))
+        h, u, mc, rows = hs[f], strings[s], m[c], np.arange(f.size)
+        wt = sim.p_m_given_x[i[c]] * ((h & ((1 << k) - 1)) == u[:, None])
+        tot = wt.sum(axis=1)
+        pick = np.where(tot > 0, wt[rows, mc] > 0, first[c])
+        h, u, mc, c = h[pick], u[pick], mc[pick], c[pick]
+        w_m, tot = wt[pick, mc], tot[pick]
+        p = np.where(tot > 0, base[c] * w_m / np.where(tot > 0, tot, 1),
+                     base[c])
+        decoded = icsim.simulate._slice_search(
+            sim, h, mc, sim.slice_rx[:, j[c]].T, np.full(c.size, k), u, 0)[0]
+        icsim.simulate._add_views(
+            sums, np.column_stack([mc, decoded, i[c], j[c]]), p)
+    msgs = (None,) + sim.messages
+    xs, ys = sim.source.x_alphabet, sim.source.y_alphabet
+    return FiniteDistribution.from_mapping(
+        {(msgs[a + 1], msgs[d + 1], xs[x], ys[y]): p
+         for (a, d, x, y), p in sums.items()})
+
+
+def _protocol_full_walk(sim):
+    """Engine 5's exact view law from :meth:`run_batch` on every live pair
+    and chain of affine family members, one per round, each weighing its
+    pair's mass over the number of chains."""
+    sizes = [family_size(tab.inner.width, tab.inner.total_hash_bits)
+             for tab in sim.tables]
+    chains = math.prod(sizes)
+    live_i, live_j = np.nonzero(sim.src.mass > 0)
+    term = sim.src.mass[live_i, live_j] * (1.0 / chains)
+    total = live_i.size * chains
+    rng = np.random.default_rng(0)
+    sums: dict = {}
+    for start in range(0, total, sim.chunk):
+        pair, code = np.divmod(
+            np.arange(start, min(start + sim.chunk, total)), chains)
+        blocks = []
+        for tab, size in zip(sim.tables[::-1], sizes[::-1]):
+            code, member = np.divmod(code, size)
+            blocks.insert(0, member_blocks(
+                tab.inner.width, tab.inner.total_hash_bits, member))
+        batch = sim.run_batch(rng, pair.size, blocks=blocks,
+                              pairs=(live_i[pair], live_j[pair]))
+        icsim.simulate._add_views(sums, batch.keys, term[pair])
+    return FiniteDistribution.from_mapping(
+        {sim.view_of(key): p for key, p in sums.items()})
+
+
+@pytest.mark.parametrize("q", [0.25, 0.11])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("l", [3, 4, 5])
+def test_sw_exact_law_is_full_family_walk(q, m, l):
+    coder = _p1(product_source(dsbs_source(q), m), l)
+    if coder.exact_atom_count() > ENUMERATION_CAP:
+        # dsbs^3 at l = 5: 64 pairs times 2^20 families
+        with pytest.raises(TooLarge):
+            coder.exact_view_law()
+        return
+    law, ref = coder.exact_view_law(), _sw_full_walk(coder)
+    # the same integer counts, so every view keeps its bits
+    assert law.symbols == ref.symbols
+    assert law.probs.tobytes() == ref.probs.tobytes()
+
+
+@pytest.mark.parametrize("make, dyadic", [
+    (lambda: round_sim(k=1, gamma=1.0), True),
+    (lambda: round_sim(k=2, gamma=1.0), True),
+    (lambda: round_sim(k=1, gamma=1.0, q=0.11), False),
+    (lambda: _noisy_round(k=0), False),
+    (lambda: _noisy_round(k=1), False),
+    (lambda: InteractiveSWCoder(dsbs_source(0.25),
+                                SliceConfig(0.0, 2.0 + 1e-9, 2.0, 0.0), l=2),
+     True),
+    (lambda: InteractiveSWCoder(dsbs_source(0.11),
+                                SliceConfig(0.0, 4.0 + 1e-9, 2.0, 0.0), l=2),
+     False),
+    (criterion7_sim, True),
+    (lambda: criterion7_sim(data_exchange_protocol(dsbs_source(0.11))),
+     False),
+    (lambda: criterion7_sim(xor_reply_protocol(dsbs_source(0.25))), True),
+    (lambda: criterion7_sim(l_max=3), True),
+], ids=["p3-k1", "p3-k2", "p3-k1-q.11", "p3-noisy-k0", "p3-noisy-k1",
+        "p2-l2", "p2-l2-q.11", "p5-exchange", "p5-exchange-q.11",
+        "p5-xor-reply", "p5-l_max=3"])
+def test_exact_law_is_full_family_walk(make, dyadic):
+    engine = make()
+    law = engine.exact_view_law()
+    ref = (_protocol_full_walk(engine)
+           if isinstance(engine, ProtocolSimulator)
+           else _round_full_walk(getattr(engine, "inner", engine)))
+    assert law.symbols == ref.symbols
+    if dyadic:
+        # every sum is exact, however many terms it has
+        assert law.probs.tobytes() == ref.probs.tobytes()
+    else:
+        # one term per linear part in place of 2^L equal ones per family
+        assert np.all(np.abs(law.probs - ref.probs) <= 1e-13 * ref.probs)
+
+
+def _packed_offsets(blocks):
+    """The packed offset b of each hash block: the hash of the zero row."""
+    return pack_hashes(blocks, np.zeros((1, blocks.shape[2] - 1),
+                                        dtype=np.uint8))[:, 0]
+
+
+def test_offset_cancels_in_sw_kernel():
+    coder = _p1(product_source(dsbs_source(0.25), 2), 4)
+    rng = np.random.default_rng(5)
+    T = 4_000
+    xi, yj = coder.source.sample(rng, size=T)
+    blocks = rng.integers(0, 2, size=(T, coder.l, coder.width + 1),
+                          dtype=np.uint8)
+    linear = blocks.copy()
+    linear[:, :, -1] = 0
+    got = _sw_kernel(coder, xi, yj, pack_hashes(blocks, coder.enc))
+    want = _sw_kernel(coder, xi, yj, pack_hashes(linear, coder.enc))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert _packed_offsets(blocks).any() and len(set(got[1].tolist())) > 1
+
+
+def _kernel_inputs(name, rng, T):
+    """A round simulator and per-trial (p_rows, restrict, slc) of T trials
+    on random source pairs: engine 3 on send-x over dsbs^2 or on
+    noisy-send, or round 2 of engine 5 on data exchange over dsbs^2, whose
+    restriction is the drawn slice index."""
+    if name == "data-exchange":
+        law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
+        tab = ProtocolSimulator(law, auto_round_plans(law, gamma=2.0),
+                                k_override=None).tables[1]
+        hist = rng.integers(0, tab.p_m.shape[0], size=T)
+        s_tx = rng.integers(0, tab.p_m.shape[1], size=T)
+        s_rx = rng.integers(0, tab.slice_rx.shape[1], size=T)
+        jj = _pick_slice(tab.cum_j[hist, s_tx], rng.random(T))
+        return (tab.inner, tab.p_m[hist, s_tx],
+                tab.slice_tx[hist, s_tx] == jj[:, None],
+                tab.slice_rx[hist, s_rx])
+    inner = (build_engine({"source": "dsbs^2:0.25", "protocol": "p3",
+                           "target": "send-x", "gamma": 1.0})
+             if name == "send-x-dsbs2" else _noisy_round())
+    xi, yj = inner.source.sample(rng, size=T)
+    return (inner, inner.p_m_given_x[xi],
+            np.ones((T, len(inner.messages)), dtype=bool),
+            inner.slice_rx.T[yj])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", ["send-x-dsbs2", "noisy-send",
+                                  "data-exchange"])
+def test_offset_cancels_in_round_kernel(name, k):
+    """The round at (matrix A, offset b, string u) is the round at
+    (A, 0, u ^ (b mod 2^k)): the same M*, decode, cause, bits and hit."""
+    rng = np.random.default_rng(k)
+    T = 4_000
+    inner, p_rows, restrict, slc = _kernel_inputs(name, rng, T)
+    assert inner.total_hash_bits >= 2
+    blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
+                                      inner.width + 1), dtype=np.uint8)
+    linear = blocks.copy()
+    linear[:, :, -1] = 0
+    k_t = np.full(T, k, dtype=np.int64)
+    u = rng.integers(0, 1 << k, size=T, dtype=np.int64)
+    u_m = rng.random(T)
+    shifted = u ^ (_packed_offsets(blocks) & ((1 << k) - 1))
+
+    def run(b, s):
+        return _round_kernel(inner, p_rows, restrict, slc, k_t, b, s, u_m, 0)
+
+    got, want = run(blocks, u), run(linear, shifted)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # some trials decode, and with a shared prefix the string must move
+    # with the offset
+    assert (got[1] >= 0).any()
+    if k:
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(got, run(linear, u)))
+
+
 def _blocks_spy(monkeypatch):
     calls = []
-    inner = icsim.simulate.family_blocks
+    inner = icsim.simulate.linear_blocks
 
     def spy(width, out_bits, start, stop):
-        calls.append((start, stop))
+        calls.append((width, out_bits, start, stop))
         return inner(width, out_bits, start, stop)
 
-    monkeypatch.setattr(icsim.simulate, "family_blocks", spy)
+    monkeypatch.setattr(icsim.simulate, "linear_blocks", spy)
     return calls
 
 
 @pytest.mark.parametrize("make", [
     lambda: _p1(product_source(dsbs_source(0.25), 2), 3),
     lambda: round_sim(k=1, gamma=1.0),
-], ids=["p1", "p3-k1"])
+    criterion7_sim,
+], ids=["p1", "p3-k1", "p5"])
 def test_exact_law_same_across_family_blocks(make, monkeypatch):
     engine = make()
     whole = engine.exact_view_law()
-    if isinstance(engine, SlepianWolfCoder):
-        out_bits, M = engine.l, len(engine.source.x_alphabet)
+    if isinstance(engine, ProtocolSimulator):
+        # each round's linear parts are built once; the rows (live pair,
+        # chain of matrices) run in chunks of 2/5 of them
+        n_lin = [1 << (tab.inner.total_hash_bits * tab.inner.width)
+                 for tab in engine.tables]
+        rows = int((engine.src.mass > 0).sum()) * math.prod(n_lin)
+        monkeypatch.setattr(engine, "chunk", 2 * rows // 5)
+        sizes = []
+        run_batch = engine.run_batch
+
+        def spy_batch(rng, T, **kw):
+            sizes.append(T)
+            return run_batch(rng, T, **kw)
+
+        monkeypatch.setattr(engine, "run_batch", spy_batch)
+        calls = _blocks_spy(monkeypatch)
+        law = engine.exact_view_law()
+        assert calls == [(tab.inner.width, tab.inner.total_hash_bits, 0, n)
+                         for tab, n in zip(engine.tables, n_lin)]
+        assert sizes == [2 * rows // 5] * 2 + [rows - 4 * rows // 5]
     else:
-        out_bits, M = engine.total_hash_bits, len(engine.messages)
-    n_fam = family_size(engine.width, out_bits)
-    # a block decodes one row per atom of each of its families
-    per_family = engine.exact_atom_count() // n_fam \
-        * _kernel_bytes(M, out_bits, engine.width)
-    # blocks of 2/5 of the families: two full blocks and a partial one
-    monkeypatch.setattr(icsim.simulate, "EXACT_BLOCK_BYTES",
-                        per_family * (2 * n_fam // 5))
-    calls = _blocks_spy(monkeypatch)
-    law = engine.exact_view_law()
-    assert len(calls) >= 3
-    assert calls[-1][1] - calls[-1][0] < calls[0][1] - calls[0][0]
-    assert [c[0] for c in calls[1:]] == [c[1] for c in calls[:-1]]
-    assert calls[0][0] == 0 and calls[-1][1] == n_fam
+        if isinstance(engine, SlepianWolfCoder):
+            out_bits, M = engine.l, len(engine.source.x_alphabet)
+        else:
+            out_bits, M = engine.total_hash_bits, len(engine.messages)
+        n_fam = family_size(engine.width, out_bits)
+        n_lin = n_fam >> out_bits
+        # a block decodes one row per atom of each of its linear parts
+        per_part = engine.exact_atom_count() // n_fam \
+            * _kernel_bytes(M, out_bits, engine.width)
+        # blocks of 2/5 of the linear parts: two full blocks and a partial
+        monkeypatch.setattr(icsim.simulate, "EXACT_BLOCK_BYTES",
+                            per_part * (2 * n_lin // 5))
+        calls = _blocks_spy(monkeypatch)
+        law = engine.exact_view_law()
+        assert len(calls) >= 3
+        assert {c[:2] for c in calls} == {(engine.width, out_bits)}
+        assert calls[-1][3] - calls[-1][2] < calls[0][3] - calls[0][2]
+        assert [c[2] for c in calls[1:]] == [c[3] for c in calls[:-1]]
+        assert calls[0][2] == 0 and calls[-1][3] == n_lin
     assert law.symbols == whole.symbols
     assert np.array_equal(law.probs, whole.probs)
 
