@@ -58,6 +58,7 @@ from .bounds import (
     beta_eps_upper,
     direct_product_thresholds,
     lower_bound,
+    round_budget_inputs,
     second_order_predict,
     sk_bound,
     sk_chain,

@@ -30,6 +30,7 @@ from .probcore import (
     SpectrumTable,
     q_inv,
 )
+from .simulate import round_density_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +155,22 @@ class RoundBudgetInput:
                 + 3.0 / self.n_tx + 3.0 / self.n_rx)
 
 
+def round_budget_inputs(law, plans) -> list[RoundBudgetInput]:
+    """One :class:`RoundBudgetInput` per round of ``law`` under ``plans``
+    (one :class:`~icsim.simulate.RoundPlan` per round): the plans' slice
+    counts and widths, and the mass of each side's slice-0 event at that
+    round, over true histories."""
+    rounds = []
+    for t, plan in enumerate(plans, start=1):
+        rx_spec = round_density_spectrum(law, t, "rx")
+        tx_spec = round_density_spectrum(law, t, "tx")
+        rounds.append(RoundBudgetInput(
+            plan.rx.n_slices, plan.tx.n_slices, plan.rx.delta,
+            plan.tx.delta, plan.rx.tail_mass(rx_spec),
+            plan.tx.tail_mass(tx_spec)))
+    return rounds
+
+
 @dataclass(frozen=True)
 class UpperBoundBudget:
     l_max: float
@@ -222,33 +239,14 @@ def protocol5_tv_budget(sim, gamma: float | None = None) -> float:
     Sums the per-round failure terms; add Pr[ic + overheads > l_max] when a
     finite budget is enforced.
     """
-    total = 0.0
-    for t in range(1, sim.law.n_rounds + 1):
-        plan = sim.plans[t - 1]
-        g = plan.rx.gamma if gamma is None else gamma
-        tail_rx = _round_tail(sim, t, "rx")
-        tail_tx = _round_tail(sim, t, "tx")
-        r = RoundBudgetInput(plan.rx.n_slices, plan.tx.n_slices,
-                             plan.rx.delta, plan.tx.delta, tail_rx, tail_tx)
-        total += r.failure(g)
+    rounds = round_budget_inputs(sim.law, sim.plans)
+    gammas = [p.rx.gamma if gamma is None else gamma for p in sim.plans]
+    total = sum(r.failure(g) for r, g in zip(rounds, gammas))
     if math.isfinite(sim.l_max):
         spec = sim.law.spectrum("ic")
-        shift = sum(
-            RoundBudgetInput(p.rx.n_slices, p.tx.n_slices, p.rx.delta,
-                             p.tx.delta, 0, 0).overhead(
-                                 p.rx.gamma if gamma is None else gamma)
-            for p in sim.plans)
+        shift = sum(r.overhead(g) for r, g in zip(rounds, gammas))
         total += spec.tail_prob(sim.l_max - shift)
     return total
-
-
-def _round_tail(sim, t: int, side: str) -> float:
-    """Probability of the slice-0 event at round t, over true histories."""
-    from .simulate import round_density_spectrum
-    spec = round_density_spectrum(sim.law, t, side)
-    plan = sim.plans[t - 1]
-    cfg = plan.rx if side == "rx" else plan.tx
-    return cfg.tail_mass(spec)
 
 
 # ---------------------------------------------------------------------------

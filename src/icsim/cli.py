@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    RoundBudgetInput,
     SpectraBundle,
     beta_eps,
     beta_eps_upper,
@@ -27,6 +26,7 @@ from .bounds import (
     protocol3_tv_budget,
     protocol4_tv_budget,
     protocol5_tv_budget,
+    round_budget_inputs,
     second_order_predict,
     upper_bound_budget,
 )
@@ -82,17 +82,31 @@ def _emit(doc: dict, out: str | None):
         sys.stdout.write(text)
 
 
+def _require(doc: dict, key: str):
+    """``doc[key]``; a missing key is a usage error."""
+    if key not in doc:
+        _fail(f"config lacks required key {key!r}", 2)
+    return doc[key]
+
+
 def parse_source(token) -> JointSource:
     """"dsbs:q", "dsbs^m:q" or an inline JSON document."""
     if isinstance(token, dict):
-        return JointSource.from_json(token)
+        try:
+            return JointSource.from_json(token)
+        except KeyError as exc:
+            _fail(f"source document lacks required key {exc.args[0]!r}", 2)
     if token.startswith("dsbs"):
-        head, q = token.split(":")
-        q = float(q)
-        if "^" in head:
-            power = int(head.split("^")[1])
-            return product_source(dsbs_source(q), power)
-        return dsbs_source(q)
+        head, _, q = token.partition(":")
+        try:
+            q = float(q)
+            power = None if head == "dsbs" else int(head.removeprefix("dsbs^"))
+        except ValueError:
+            _fail(f"malformed source spec {token!r}: expected dsbs:q or "
+                  "dsbs^m:q", 2)
+        if power is None:
+            return dsbs_source(q)
+        return product_source(dsbs_source(q), power)
     _fail(f"unknown source spec {token!r}", 2)
 
 
@@ -107,31 +121,35 @@ def parse_target(token: str, source: JointSource) -> TranscriptLaw:
     if token == "xor-reply":
         return xor_reply_protocol(source)
     if token.startswith("noisy-send:"):
-        return noisy_send_protocol(source, float(token.split(":")[1]))
+        try:
+            crossover = float(token.removeprefix("noisy-send:"))
+        except ValueError:
+            _fail(f"malformed target {token!r}: expected noisy-send:p", 2)
+        return noisy_send_protocol(source, crossover)
     _fail(f"unknown target protocol {token!r}", 2)
 
 
 def _slice_from_cfg(doc, spec, gamma_default=3.0) -> SliceConfig:
     if doc is None or doc == "auto":
         return auto_slice_config(spec, gamma=gamma_default)
-    return SliceConfig(lambda_min=float(doc["lambda_min"]),
-                       lambda_max=float(doc["lambda_max"]),
-                       delta=float(doc["delta"]),
+    return SliceConfig(lambda_min=float(_require(doc, "lambda_min")),
+                       lambda_max=float(_require(doc, "lambda_max")),
+                       delta=float(_require(doc, "delta")),
                        gamma=float(doc.get("gamma", gamma_default)))
 
 
 def build_engine(cfg: dict):
     """Build a simulation engine from a config document."""
-    source = parse_source(cfg["source"])
-    proto = cfg["protocol"]
+    source = parse_source(_require(cfg, "source"))
+    proto = _require(cfg, "protocol")
     gamma = float(cfg.get("gamma", 3.0))
     if proto == "p1":
-        return SlepianWolfCoder(source, int(cfg["l"]), gamma)
+        return SlepianWolfCoder(source, int(_require(cfg, "l")), gamma)
     if proto == "p2":
         spec = spectrum(source, "cond_x_given_y")
         s = _slice_from_cfg(cfg.get("slice"), spec, gamma)
         return InteractiveSWCoder(source, s, cfg.get("l"))
-    target = parse_target(cfg["target"], source)
+    target = parse_target(_require(cfg, "target"), source)
     if proto in ("p3", "p4"):
         view = target.round_view(1, ())
         p_m_x = view.p_m_given_x
@@ -329,15 +347,8 @@ def cmd_bound(args):
         eps = _numeric_eps(args)
         source = parse_source(args.source)
         law = parse_target(args.target, source)
-        plans = auto_round_plans(law, gamma=args.gamma)
-        rounds = []
-        for t, plan in enumerate(plans, start=1):
-            rx_spec = round_density_spectrum(law, t, "rx")
-            tx_spec = round_density_spectrum(law, t, "tx")
-            rounds.append(RoundBudgetInput(
-                plan.rx.n_slices, plan.tx.n_slices, plan.rx.delta,
-                plan.tx.delta, plan.rx.tail_mass(rx_spec),
-                plan.tx.tail_mass(tx_spec)))
+        rounds = round_budget_inputs(
+            law, auto_round_plans(law, gamma=args.gamma))
         budget = upper_bound_budget(rounds, args.gamma, eps,
                                     law.spectrum("ic"))
         _emit({

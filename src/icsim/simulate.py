@@ -53,7 +53,13 @@ from .hashing import (
     linear_blocks,
     pack_hashes,
 )
-from .probcore import FiniteDistribution, JointSource, SliceConfig, SpectrumTable
+from .probcore import (
+    FiniteDistribution,
+    JointSource,
+    SliceConfig,
+    SpectrumTable,
+    auto_slice_config,
+)
 from .protocol import TranscriptLaw
 
 ERROR_CAUSES = ("tail", "no_match", "multiple_match", "bad_J",
@@ -620,21 +626,12 @@ class ImprovedRoundSimulator:
         self.cfg_tx = cfg_tx
         self.inner = RoundSimulator(source, p_m_given_x, messages, cfg_rx, 0,
                                     aux_m_given_y)
-        self.slice_tx = _slice_table(self.inner.p_m_given_x.T, cfg_tx)
-        n_tx = cfg_tx.n_slices
-        nx = len(source.x_alphabet)
-        # P(J | x): the message law summed over each slice, messages in order
-        self.p_j_given_x = np.zeros((nx, n_tx + 1))
-        np.add.at(self.p_j_given_x, (np.arange(nx), self.slice_tx),
-                  self.inner.p_m_given_x.T)
-        self.p_j = self.p_j_given_x.T @ (source.p_x if prior_x is None
-                                         else np.asarray(prior_x, float))
-        self.good = self.p_j >= 1.0 / n_tx ** 2 - 1e-12
-        self.good[0] = False
-        self.j_cost = max(1, math.ceil(math.log2(max(n_tx, 2)))) + 1 \
-            if n_tx > 1 else 2
-        self.gamma = cfg_rx.gamma
-        self.k_override = k_override
+        slc, self.p_j_given_x, self.p_j, self.good, self.j_cost = _tx_tables(
+            self.inner.p_m_given_x, cfg_tx, source.p_x if prior_x is None
+            else np.asarray(prior_x, float))
+        self.slice_tx = slc.T  # (M, nx)
+        self.k_table = _k_table(cfg_tx, cfg_rx.gamma,
+                                self.inner.total_hash_bits, k_override)
         self.chunk = self.inner.chunk
 
     @property
@@ -646,12 +643,7 @@ class ImprovedRoundSimulator:
         return self.inner.messages
 
     def k_of(self, j: int) -> int:
-        if self.k_override is not None:
-            return self.k_override
-        n_tx = self.cfg_tx.n_slices
-        raw = (self.cfg_tx.lambda_min + (j - 1) * self.cfg_tx.delta
-               - 2 * math.log2(n_tx) - 2 * self.gamma + 2)
-        return max(0, min(int(math.floor(raw)), self.inner.total_hash_bits))
+        return int(self.k_table[j])
 
     def tail_mass_tx(self) -> float:
         return float(self.p_j[0])
@@ -661,6 +653,37 @@ class ImprovedRoundSimulator:
 
     def true_view_law(self) -> FiniteDistribution:
         return self.inner.true_view_law()
+
+
+def _tx_tables(p_m: np.ndarray, cfg_tx: SliceConfig, prior: np.ndarray):
+    """``(slice_tx, p_j_given_x, p_j, good, j_cost)`` of message laws
+    ``p_m`` (..., n_x, M) under input priors ``prior`` (..., n_x), leading
+    axes carried through: each message's slice, P(J | x) summed over
+    messages in order, the law of J, the accepted indices (mass at least
+    1 / n_tx^2, never the tail index 0) and the bits that send J."""
+    n_tx = cfg_tx.n_slices
+    slice_tx = _slice_table(p_m, cfg_tx)
+    p_j_given_x = np.zeros(p_m.shape[:-1] + (n_tx + 1,))
+    np.add.at(p_j_given_x,
+              np.indices(slice_tx.shape, sparse=True)[:-1] + (slice_tx,), p_m)
+    p_j = (np.swapaxes(p_j_given_x, -1, -2) @ prior[..., None])[..., 0]
+    good = p_j >= 1.0 / n_tx ** 2 - 1e-12
+    good[..., 0] = False
+    j_cost = math.ceil(math.log2(max(n_tx, 2))) + 1
+    return slice_tx, p_j_given_x, p_j, good, j_cost
+
+
+def _k_table(cfg_tx: SliceConfig, gamma: float, total_hash_bits: int,
+             k_override: int | None) -> np.ndarray:
+    """Shared prefix length k(J), J = 0 .. n_tx: ``k_override``, else
+    lambda_min + (J - 1) delta - 2 log2 n_tx - 2 gamma + 2, floored and
+    clipped to [0, total_hash_bits]."""
+    n_j = cfg_tx.n_slices + 1
+    if k_override is not None:
+        return np.full(n_j, k_override)
+    raw = (cfg_tx.lambda_min + (np.arange(n_j) - 1) * cfg_tx.delta
+           - 2 * math.log2(cfg_tx.n_slices) - 2 * gamma + 2)
+    return np.clip(np.floor(raw), 0, total_hash_bits).astype(np.int64)
 
 
 def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -810,7 +833,7 @@ def _round_trials(engine, rng, T: int, pairs=None):
         jj = _pick_slice(np.cumsum(engine.p_j_given_x, axis=1)[xi],
                          rng.random(T))
         bad_j = ~engine.good[jj]
-        k_t = np.array([engine.k_of(j) for j in range(engine.good.size)])[jj]
+        k_t = engine.k_table[jj]
         slice_tx = engine.slice_tx.T
     u = _draw_prefix(rng, k_t)
     m_star, decoded, cause, bits, hit = _decode_round(
@@ -911,12 +934,13 @@ class RoundPlan:
 
 @dataclass(frozen=True)
 class _RoundTables:
-    """One round's per-history tables, stacked on a leading history axis.
+    """One round's tables, built by :meth:`build` from the law's round
+    views and stacked on a leading history axis.
 
     History h is ``law.histories(t)[h]``; ``n_tx`` and ``n_rx`` are the
     alphabet sizes of the speaking and the listening party.  ``inner`` is
-    the round simulator of one history: its encoding, hash schedule and
-    costs are the same for every history of the round.
+    the round simulator of the first history: its encoding, hash schedule
+    and costs are the same for every history of the round.
     """
     inner: RoundSimulator
     j_cost: int
@@ -927,6 +951,46 @@ class _RoundTables:
     good: np.ndarray        # (H, n_j) slice indices the transmitter accepts
     k_of: np.ndarray        # (n_j,) shared prefix length per slice index
     next: np.ndarray | None  # (H, M) next history index or -1; None last
+
+    @classmethod
+    def build(cls, law: TranscriptLaw, t: int, plan: RoundPlan,
+              k_override: int | None, hists: tuple,
+              next_hists: tuple | None) -> _RoundTables:
+        """Round t's tables under ``plan``, from the law's round views of
+        ``hists`` (``law.histories(t)``); ``next_hists`` are round t + 1's,
+        None at the last round."""
+        # swap the source orientation so the transmitter is always "x"
+        x_tx = t % 2 == 1
+        src = law.source if x_tx else JointSource(
+            law.source.y_alphabet, law.source.x_alphabet, law.source.mass.T)
+        universe = law.round_messages(t)
+        col = {m: a for a, m in enumerate(universe)}
+        p_m, p_rx = (np.zeros((len(hists), n, len(universe)))
+                     for n in src.mass.shape)
+        prior = np.empty(p_m.shape[:2])
+        for h, hist in enumerate(hists):
+            # the speaker's and the listener's message laws, and the
+            # speaker's history-conditional marginal (histories have mass)
+            view = law.round_view(t, hist)
+            own = (view.p_m_given_x, view.p_m_given_y)
+            cols = [col[m] for m in view.messages]
+            p_m[h][:, cols], p_rx[h][:, cols] = own if x_tx else own[::-1]
+            hist_tx = view.p_hist_xy.sum(axis=1 if x_tx else 0)
+            prior[h] = hist_tx / hist_tx.sum()
+        inner = RoundSimulator(src, p_m[0], universe, plan.rx, 0, p_rx[0])
+        slice_tx, p_j_given_x, _, good, j_cost = _tx_tables(
+            p_m, plan.tx, prior)
+        nxt = None
+        if next_hists is not None:
+            index = {h: a for a, h in enumerate(next_hists)}
+            nxt = np.array([[index.get(h + (m,), -1) for m in universe]
+                            for h in hists], dtype=np.int64)
+        return cls(inner=inner, j_cost=j_cost, p_m=p_m,
+                   slice_tx=slice_tx, slice_rx=_slice_table(p_rx, plan.rx),
+                   cum_j=np.cumsum(p_j_given_x, axis=2), good=good,
+                   k_of=_k_table(plan.tx, plan.rx.gamma,
+                                 inner.total_hash_bits, k_override),
+                   next=nxt)
 
 
 @dataclass(frozen=True)
@@ -951,6 +1015,9 @@ class ProtocolSimulator:
     after a silent decoding error the parties simply diverge, which the view
     distance then charges in full.  The run aborts once the bit budget
     ``l_max`` is exceeded or a round declares an error.
+
+    ``tables`` holds one :class:`_RoundTables` per round, built once from
+    the law's round views; every trial path reads them.
     """
 
     def __init__(self, law: TranscriptLaw, plans: Sequence[RoundPlan],
@@ -962,67 +1029,13 @@ class ProtocolSimulator:
         self.l_max = l_max
         self.k_override = k_override
         self.src = law.source
-        # per (round, history) sub-engines on the global round universe
-        self.round_universe = [law.round_messages(t)
-                               for t in range(1, law.n_rounds + 1)]
-        self.engines: dict = {}
-        histories = [law.histories(t) for t in range(1, law.n_rounds + 1)]
-        for t, hists in enumerate(histories, start=1):
-            universe = self.round_universe[t - 1]
-            uindex = {m: a for a, m in enumerate(universe)}
-            for hist in hists:
-                view = law.round_view(t, hist)
-                # the speaker's and the listener's message laws, placed on
-                # the round's universe
-                own = (view.p_m_given_x, view.p_m_given_y)
-                own = own if t % 2 else own[::-1]
-                p_tx, p_rx = (np.zeros((len(p), len(universe))) for p in own)
-                cols = [uindex[m] for m in view.messages]
-                p_tx[:, cols], p_rx[:, cols] = own
-                self.engines[(t, hist)] = self._make_engine(
-                    t, p_tx, p_rx, universe, view)
-        self.tables = [self._stack_round(t, histories[t - 1],
-                                         histories[t] if t < law.n_rounds
-                                         else None)
-                       for t in range(1, law.n_rounds + 1)]
+        hists = [law.histories(t) for t in range(1, len(self.plans) + 1)]
+        self.tables = [
+            _RoundTables.build(law, t, plan, k_override, h, next_h)
+            for t, (plan, h, next_h) in enumerate(
+                zip(self.plans, hists, hists[1:] + [None]), start=1)]
         # the largest round sets the chunk
         self.chunk = min(tab.inner.chunk for tab in self.tables)
-
-    def _make_engine(self, t, p_tx, p_rx, universe, view):
-        plan = self.plans[t - 1]
-        # swap the source orientation so the transmitter is always "x"
-        src = self.src if t % 2 == 1 else JointSource(
-            self.src.y_alphabet, self.src.x_alphabet, self.src.mass.T)
-        # the slice-index prior is weighed by the history-conditional
-        # transmitter marginal; the receiver slices its history-conditional
-        # law of the message
-        hist_tx = view.p_hist_xy.sum(axis=1 if t % 2 == 1 else 0)
-        total = hist_tx.sum()
-        return ImprovedRoundSimulator(
-            src, p_tx, universe, plan.rx, plan.tx, k_override=self.k_override,
-            aux_m_given_y=p_rx,
-            prior_x=hist_tx / total if total > 0 else None)
-
-    def _stack_round(self, t: int, hists: tuple,
-                     next_hists: tuple | None) -> _RoundTables:
-        engs = [self.engines[(t, h)] for h in hists]
-        first = engs[0]
-        nxt = None
-        if next_hists is not None:
-            index = {h: a for a, h in enumerate(next_hists)}
-            nxt = np.array([[index.get(h + (m,), -1)
-                             for m in self.round_universe[t - 1]]
-                            for h in hists], dtype=np.int64)
-        return _RoundTables(
-            inner=first.inner,
-            j_cost=first.j_cost,
-            p_m=np.stack([e.inner.p_m_given_x for e in engs]),
-            slice_tx=np.stack([e.slice_tx.T for e in engs]),
-            slice_rx=np.stack([e.inner.slice_rx.T for e in engs]),
-            cum_j=np.cumsum(np.stack([e.p_j_given_x for e in engs]), axis=2),
-            good=np.stack([e.good for e in engs]),
-            k_of=np.array([first.k_of(j) for j in range(first.good.size)]),
-            next=nxt)
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
         """One trial: :meth:`run_batch` at T = 1, on the given (x, y)
@@ -1104,7 +1117,7 @@ class ProtocolSimulator:
         y = self.src.y_alphabet[key[2 * R + 1]]
         if key[0] < 0:
             return (None, None, x, y)
-        U = self.round_universe
+        U = [tab.inner.messages for tab in self.tables]
         return (tuple(U[t][key[t]] for t in range(R)),
                 tuple(U[t][key[R + t]] for t in range(R)), x, y)
 
@@ -1148,13 +1161,12 @@ class ProtocolSimulator:
                              "target protocols only")
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
+        lins = []
         for tab in self.tables:
             if ((tab.p_m > 0).sum(axis=2) > 1).any():
                 raise OutOfRange("exact mode needs deterministic rounds")
             if (tab.good & (tab.k_of > 0)).any():
                 raise OutOfRange("exact mode requires k = 0 rounds")
-        lins = []
-        for tab in self.tables:
             w, L = tab.inner.width, tab.inner.total_hash_bits
             lins.append(linear_blocks(w, L, 0, family_size(w, L) >> L))
         # a power of two, so 1 / chains is exact
@@ -1194,7 +1206,6 @@ def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:
     The spectra read the law's shared round views, so a simulator built on
     the same law afterwards computes no view again.
     """
-    from .probcore import auto_slice_config
     def plan(t, side):
         return auto_slice_config(round_density_spectrum(law, t, side),
                                  gamma=gamma)

@@ -236,3 +236,39 @@ def test_import_leaves_scipy_unloaded():
          "for m in sys.modules))"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--source", "dsbs^x:0.1"),
+    ("--source", "dsbs:abc"),
+    ("--source", "dsbs"),
+    ("--source", "dsbsx:0.1"),
+    ("--source", "dsbs:0.25", "--protocol", "noisy-send:abc"),
+])
+def test_malformed_spec_is_usage_error(argv):
+    proc = run_cli("analyze", *argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: malformed")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"source": "dsbs:0.25", "protocol": "p1"}, "l"),
+    ({"protocol": "p1", "l": 3}, "source"),
+    ({"source": "dsbs:0.25", "l": 3}, "protocol"),
+    ({"source": "dsbs:0.25", "protocol": "p4"}, "target"),
+    ({"source": "dsbs:0.25", "protocol": "p3", "target": "send-x",
+      "slice_rx": {"lambda_min": 0, "delta": 1}}, "lambda_max"),
+    ({"source": {"x_alphabet": [0, 1], "y_alphabet": [0, 1]},
+      "protocol": "p1", "l": 3}, "mass"),
+])
+def test_config_missing_key_is_usage_error(tmp_path, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli("simulate", "--config", str(path), "--trials", "10",
+                   "--seed", "0", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -301,16 +301,21 @@ def _spectrum_loop(law, t, side):
     return SpectrumTable.from_atoms(vals, probs)
 
 
-def test_round_density_spectrum_matches_atom_loop():
-    # non-dyadic source and channels; message "z" and reply "n" never occur
+def _two_round_law():
+    """Non-dyadic source and channels; message "z" and reply "n" never
+    occur."""
     src = JointSource(("a", "b", "c"), (0, 1),
                       np.array([[0.3, 0.1], [0.05, 0.25], [0.2, 0.1]]))
     ch1 = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [1 / 3, 2 / 3, 0.0]])
     ch2 = np.zeros((2, 3, 3))
     ch2[:, :, 0] = [[0.6, 0.9, 1.0], [0.15, 0.5, 1.0]]
     ch2[:, :, 1] = 1.0 - ch2[:, :, 0]
-    law = two_round_protocol(src, ch1, ("x1", "x2", "z"), ch2,
-                             ("p", "q", "n"))
+    return two_round_protocol(src, ch1, ("x1", "x2", "z"), ch2,
+                              ("p", "q", "n"))
+
+
+def test_round_density_spectrum_matches_atom_loop():
+    law = _two_round_law()
     for t in (1, 2):
         for side in ("tx", "rx"):
             got = round_density_spectrum(law, t, side)
@@ -598,6 +603,36 @@ def criterion7_sim(law=None, l_max=math.inf, k_override=0):
                              k_override=k_override)
 
 
+def _history_engines(sim):
+    """Engine 4 of every (round, history) of ``sim``, keyed by (t, hist):
+    the reference for engine 5's round tables, built one history at a time
+    from the law's round views on the round's message universe.
+
+    The speaker is always "x" (the source is transposed in even rounds);
+    its slice-index prior is its history-conditional input marginal, and
+    the listener slices its history-conditional law of the message.
+    """
+    law, engines = sim.law, {}
+    for t, plan in enumerate(sim.plans, start=1):
+        universe = law.round_messages(t)
+        index = {m: a for a, m in enumerate(universe)}
+        src = law.source if t % 2 else JointSource(
+            law.source.y_alphabet, law.source.x_alphabet, law.source.mass.T)
+        for hist in law.histories(t):
+            view = law.round_view(t, hist)
+            own = (view.p_m_given_x, view.p_m_given_y)
+            own = own if t % 2 else own[::-1]
+            p_tx, p_rx = (np.zeros((len(p), len(universe))) for p in own)
+            cols = [index[m] for m in view.messages]
+            p_tx[:, cols], p_rx[:, cols] = own
+            hist_tx = view.p_hist_xy.sum(axis=1 if t % 2 else 0)
+            engines[(t, hist)] = ImprovedRoundSimulator(
+                src, p_tx, universe, plan.rx, plan.tx,
+                k_override=sim.k_override, aux_m_given_y=p_rx,
+                prior_x=hist_tx / hist_tx.sum())
+    return engines
+
+
 def _chain_oracle(sim, rng, T, blocks=None):
     """Per trial (view, bits, cause) of ``sim.run_batch(rng, T, blocks)``.
 
@@ -609,6 +644,7 @@ def _chain_oracle(sim, rng, T, blocks=None):
     A trial stops at an unknown history (no_match), at a round's error or
     once its bits exceed ``l_max``.
     """
+    engines = _history_engines(sim)
     xi, yj = sim.src.sample(rng, size=T)
     trials = [{"sym": (i, j), "hist": [(), ()], "bits": 0, "cause": None,
                "rounds": 0} for i, j in zip(xi, yj)]
@@ -618,8 +654,8 @@ def _chain_oracle(sim, rng, T, blocks=None):
         engs = {}
         for n in live:
             hist = trials[n]["hist"]
-            pair = (sim.engines.get((t, hist[tx])),
-                    sim.engines.get((t, hist[1 - tx])))
+            pair = (engines.get((t, hist[tx])),
+                    engines.get((t, hist[1 - tx])))
             if None in pair:
                 trials[n]["cause"] = "no_match"
             engs[n] = pair
@@ -730,6 +766,7 @@ def _chain_law(sim):
                                        tab.inner.total_hash_bits)]
             for tab in sim.tables]
     seed_p = 1.0 / math.prod(len(f) for f in fams)
+    engines = _history_engines(sim)
     memo = {}
 
     def step(t, hist, syms, f):
@@ -737,8 +774,8 @@ def _chain_law(sim):
         tx = 1 - t % 2
         key = (t, hist[tx], hist[1 - tx], syms[tx], syms[1 - tx], f)
         if key not in memo:
-            e_tx = sim.engines.get((t, hist[tx]))
-            e_rx = sim.engines.get((t, hist[1 - tx]))
+            e_tx = engines.get((t, hist[tx]))
+            e_rx = engines.get((t, hist[1 - tx]))
             if e_tx is None or e_rx is None:
                 memo[key] = (None, None, "no_match", 0, e_tx)
             else:
@@ -813,6 +850,124 @@ def test_protocol_k_override_none_shares_prefix_bits():
     sim = ProtocolSimulator(law, auto_round_plans(law, gamma=0.5))
     assert all(tab.k_of[tab.good.any(axis=0)].max() > 0
                for tab in sim.tables)
+
+
+_TABLE_LAWS = {
+    **{f"data-exchange-dsbs^{m}:{q}": functools.partial(
+        lambda m, q: data_exchange_protocol(
+            product_source(dsbs_source(q), m)), m, q)
+       for m in (1, 2, 3) for q in (0.25, 0.11)},
+    "xor-reply": lambda: xor_reply_protocol(dsbs_source(0.3)),
+    "noisy-send": lambda: noisy_send_protocol(dsbs_source(0.25), 0.15),
+    "two-round": _two_round_law,
+}
+
+
+def _same_array(a, b):
+    """Equal dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_LAWS))
+def test_round_tables_match_history_engines(name):
+    """Every field of engine 5's round tables, built once per round over
+    all histories, equals the stack of one engine 4 per history.  Each
+    instance runs with the auto plans and with a fixed transmitter slicing,
+    under which the history-conditional priors decide some accepted slice
+    indices (round 2 of the two-round law at gamma = 1)."""
+    law = _TABLE_LAWS[name]()
+    for gamma, k_override, fixed_tx in itertools.product(
+            (0.5, 1.0, 2.0, 3.0), (0, None), (False, True)):
+        plans = auto_round_plans(law, gamma=gamma)
+        if fixed_tx:
+            tx = SliceConfig(0.0, 3.0 + 1e-9, 1.0, gamma)
+            plans = [RoundPlan(plan.rx, tx) for plan in plans]
+        sim = ProtocolSimulator(law, plans, k_override=k_override)
+        ref = _history_engines(sim)
+        for t, tab in enumerate(sim.tables, start=1):
+            hists = law.histories(t)
+            engs = [ref[(t, h)] for h in hists]
+            n_j = engs[0].good.size
+            assert _same_array(tab.p_m, np.stack(
+                [e.inner.p_m_given_x for e in engs]))
+            assert _same_array(tab.slice_tx, np.stack(
+                [e.slice_tx.T for e in engs]))
+            assert _same_array(tab.slice_rx, np.stack(
+                [e.inner.slice_rx.T for e in engs]))
+            assert _same_array(tab.cum_j, np.cumsum(np.stack(
+                [e.p_j_given_x for e in engs]), axis=2))
+            assert _same_array(tab.good, np.stack([e.good for e in engs]))
+            for e in engs:
+                assert _same_array(tab.k_of, [e.k_of(j) for j in range(n_j)])
+                assert tab.j_cost == e.j_cost
+            first, inner = engs[0].inner, tab.inner
+            assert inner.messages == first.messages == law.round_messages(t)
+            assert (inner.width, inner.l, inner.delta, inner.n_slices,
+                    inner.total_hash_bits, inner.chunk) == (
+                first.width, first.l, first.delta, first.n_slices,
+                first.total_hash_bits, first.chunk)
+            assert _same_array(inner.enc, first.enc)
+            if t == law.n_rounds:
+                assert tab.next is None
+                continue
+            nxt = {h: a for a, h in enumerate(law.histories(t + 1))}
+            assert _same_array(tab.next, np.array(
+                [[nxt.get(h + (m,), -1) for m in inner.messages]
+                 for h in hists], dtype=np.int64))
+
+
+def test_protocol_builds_one_round_simulator_per_round(monkeypatch):
+    """Engine 5 builds no engine 4 and one engine 3 (the hash schedule)
+    per round, however many histories a round has."""
+    calls = Counter()
+    for cls in (RoundSimulator, ImprovedRoundSimulator):
+        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            calls[_name] += 1
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", spy)
+    law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
+    plans = auto_round_plans(law, gamma=1.0)
+    assert len(law.histories(2)) == 4
+    ProtocolSimulator(law, plans)
+    assert calls == {"RoundSimulator": law.n_rounds}
+
+
+def test_slice_index_tables_match_scalar_formulas():
+    """Engine 4's slice-index tables against the formulas written out per
+    entry: P(J | x) sums the messages of slice J in order, p_j weighs it by
+    the prior, the tail index and those of prior mass below 1 / n_tx^2 are
+    rejected, and k(J) is the floored, clipped min-entropy of slice J."""
+    law = noisy_send_protocol(dsbs_source(0.25), 0.15)
+    view = law.round_view(1, ())
+    for gamma, prior, one_slice in itertools.product(
+            (0.5, 1.0, 2.0), (None, np.array([0.8, 0.2])), (False, True)):
+        rx = auto_slice_config(round_density_spectrum(law, 1, "rx"), gamma)
+        tx = (SliceConfig(0.0, 1e-9, 1e-9, gamma) if one_slice else
+              auto_slice_config(round_density_spectrum(law, 1, "tx"), gamma))
+        e = ImprovedRoundSimulator(law.source, view.p_m_given_x,
+                                   view.messages, rx, tx, prior_x=prior)
+        n_tx, (nx, M) = tx.n_slices, view.p_m_given_x.shape
+        p_j_x = np.zeros((nx, n_tx + 1))
+        for x in range(nx):
+            for m in range(M):
+                p = view.p_m_given_x[x, m]
+                j = tx.slice_of(-math.log2(p)) if p > 0 else 0
+                assert e.slice_tx[m, x] == j
+                p_j_x[x, j] += p
+        assert np.array_equal(e.p_j_given_x, p_j_x)
+        w = law.source.p_x if prior is None else prior
+        p_j = sum(w[x] * p_j_x[x] for x in range(nx))
+        assert np.abs(e.p_j - p_j).max() <= 1e-15
+        assert list(e.good) == [j > 0 and p_j[j] >= 1 / n_tx ** 2 - 1e-12
+                                for j in range(n_tx + 1)]
+        assert e.j_cost == max(1, math.ceil(math.log2(max(n_tx, 2)))) + 1
+        for j in range(n_tx + 1):
+            raw = (tx.lambda_min + (j - 1) * tx.delta
+                   - 2 * math.log2(n_tx) - 2 * gamma + 2)
+            assert e.k_of(j) == max(0, min(math.floor(raw),
+                                           e.inner.total_hash_bits))
 
 
 def test_protocol_run_trials_reproducible():
