@@ -33,6 +33,7 @@ from .bounds import (
 from .errors import IcsimError
 from .evaluate import comm_stats, measure_sim_error
 from .probcore import (
+    DENSITY_KINDS,
     FiniteDistribution,
     JointSource,
     SliceConfig,
@@ -42,6 +43,7 @@ from .probcore import (
     spectrum,
 )
 from .protocol import (
+    LAW_SELECTORS,
     TranscriptLaw,
     appendix_threshold_example,
     constant_protocol,
@@ -191,17 +193,24 @@ def _load_cfg(path: str) -> dict:
 
 
 def cmd_analyze(args):
+    # a protocol's spectra are the law selectors, a source's the density
+    # kinds; the default is the ic density, which is h(X | Y) for send-x
+    kinds = LAW_SELECTORS if args.protocol else DENSITY_KINDS
+    kind = args.spectrum or ("ic" if args.protocol else "cond_x_given_y")
+    if kind not in kinds:
+        _fail(f"unknown spectrum {kind!r}: expected one of "
+              f"{', '.join(kinds)}", 2)
     source = parse_source(args.source)
     doc = {"schema": SCHEMA, "config": {"source": args.source}}
     if args.protocol:
         law = parse_target(args.protocol, source)
-        spec = law.spectrum(args.spectrum)
+        spec = law.spectrum(kind)
         doc["config"]["protocol"] = args.protocol
     else:
-        spec = spectrum(source, args.spectrum)
+        spec = spectrum(source, kind)
     ms = spec.moments()
     doc.update({
-        "spectrum": args.spectrum,
+        "spectrum": kind,
         "atoms": [[float(v), float(p)] for v, p in zip(spec.values, spec.probs)],
         "mean": ms.mean, "variance": ms.variance,
         "third_central": ms.third_central,
@@ -432,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="spectra and moments")
     p.add_argument("--source", required=True)
     p.add_argument("--protocol")
-    p.add_argument("--spectrum", default="ic")
+    p.add_argument("--spectrum", help="a law selector with --protocol "
+                   "(default ic), else a density kind (default "
+                   "cond_x_given_y)")
     p.add_argument("--csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)

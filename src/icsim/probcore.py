@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +42,15 @@ def _log2(p: float) -> float:
     if p <= 0.0:
         raise ZeroMassAtom("density requested at a zero-probability point")
     return math.log2(p)
+
+
+def log2_each(p: np.ndarray) -> np.ndarray:
+    """``math.log2`` of every entry of a vector.
+
+    Spectra take their densities with ``math.log2``, entry by entry:
+    ``np.log2`` can differ from it in the last bit.
+    """
+    return np.fromiter(map(math.log2, p.tolist()), float, p.size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +329,38 @@ class SpectrumTable:
             raise OutOfRange("spectrum mass does not sum to one")
 
     @classmethod
-    def from_atoms(cls, values: Iterable[float], probs: Iterable[float],
+    def from_atoms(cls, values: Sequence[float], probs: Sequence[float],
                    merge_tol: float = MERGE_TOL) -> "SpectrumTable":
-        """Sort atoms, merge values that coincide within ``merge_tol``."""
-        pairs = sorted(zip(values, probs))
+        """Sort atoms, merge values that coincide within ``merge_tol``.
+
+        Atoms are ordered by value, then by mass (``np.lexsort``, stable,
+        the order of ``sorted(zip(values, probs))``).  One pass then merges
+        each atom into the current group while it lies within ``merge_tol``
+        of the group's first value, summing masses left to right.
+        """
+        values = np.asarray(values, dtype=float)
+        probs = np.asarray(probs, dtype=float)
+        if values.shape != probs.shape or values.ndim != 1:
+            raise MismatchedSupport("spectrum arrays must be equal-length vectors")
+        order = np.lexsort((probs, values))
         merged_v: list[float] = []
         merged_p: list[float] = []
-        for v, p in pairs:
+        # the open group starts at ``anchor`` and holds mass ``acc``; a new
+        # group closes it.  The first atom closes a sentinel group at -inf
+        # (v - anchor is +inf or NaN, never within tolerance), whose mass is
+        # dropped
+        anchor, acc = -math.inf, 0.0
+        for v, p in zip(values[order].tolist(), probs[order].tolist()):
             if p < 0:
                 raise OutOfRange("negative spectrum mass")
-            if merged_v and v - merged_v[-1] <= merge_tol:
-                merged_p[-1] += p
+            if v - anchor <= merge_tol:
+                acc += p
             else:
+                merged_p.append(acc)
                 merged_v.append(v)
-                merged_p.append(p)
-        return cls(np.array(merged_v), np.array(merged_p))
+                anchor, acc = v, p
+        merged_p.append(acc)
+        return cls(np.array(merged_v), np.array(merged_p[1:]))
 
     @cached_property
     def _tail_after(self) -> np.ndarray:

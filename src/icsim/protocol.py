@@ -34,6 +34,7 @@ from .probcore import (
     NORM_TOL,
     JointSource,
     SpectrumTable,
+    log2_each,
     spectrum as _spectrum,
 )
 
@@ -66,6 +67,25 @@ class RoundView:
     p_m_given_y: np.ndarray   # (ny, M)
     p_m_given_xy: np.ndarray  # (M, nx, ny)
     p_hist_xy: np.ndarray     # joint P(hist, x, y), shape (nx, ny)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """The positive atoms of P(hist, m, x, y): arrays ``(a, i, j,
+        weight)`` in row-major (message, x, y) order, with weight
+        ``p_hist_xy[i, j] * p_m_given_xy[a, i, j]`` > 0.
+
+        Both sides' round spectra and the round budgets read these; the
+        (M, nx, ny) table is scanned once per view.
+        """
+        # the weight is positive only where P(m | hist, x, y) is, so only
+        # those entries are weighed
+        a, i, j = np.nonzero(self.p_m_given_xy > 0)
+        w = self.p_hist_xy[i, j] * self.p_m_given_xy[a, i, j]
+        pos = w > 0
+        out = (a[pos], i[pos], j[pos], w[pos])
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -137,34 +157,31 @@ class TranscriptLaw:
                 + math.log2(pxy / float(self.p_tau_given_y[t, j])))
 
     def spectrum(self, selector: str) -> SpectrumTable:
-        """Information spectrum of a density involving the transcript."""
+        """Information spectrum of a density involving the transcript.
+
+        Its atoms are the positive entries (t, x, y) of ``joint``; each
+        density takes ``math.log2`` of the same quotients, atom by atom.
+        """
         if selector not in LAW_SELECTORS:
             raise OutOfRange(f"unknown selector {selector!r}")
         joint = self.joint
-        p_ty = joint.sum(axis=1)  # (T, ny)
-        p_tx = joint.sum(axis=2)  # (T, nx)
-        vals, probs = [], []
-        for t in range(len(self.transcripts)):
-            for i in range(len(self.source.x_alphabet)):
-                for j in range(len(self.source.y_alphabet)):
-                    w = float(joint[t, i, j])
-                    if w <= 0.0:
-                        continue
-                    if selector == "ic":
-                        v = self._ic_idx(t, i, j)
-                    elif selector == "h_xy":
-                        v = -math.log2(float(self.source.mass[i, j]))
-                    elif selector == "h_x_given_ypi":
-                        v = -math.log2(w / float(p_ty[t, j]))
-                    elif selector == "hsum_ext":
-                        v = (-math.log2(w / float(p_ty[t, j]))
-                             - math.log2(w / float(p_tx[t, i])))
-                    else:  # compression: h(tau | x) + h(tau | y)
-                        v = (-math.log2(float(self.p_tau_given_x[t, i]))
-                             - math.log2(float(self.p_tau_given_y[t, j])))
-                    vals.append(v)
-                    probs.append(w)
-        return SpectrumTable.from_atoms(vals, probs)
+        t, i, j = np.nonzero(joint > 0)
+        w = joint[t, i, j]
+        if selector == "ic":
+            pxy = self.p_tau_given_xy[t, i, j]
+            v = (log2_each(pxy / self.p_tau_given_x[t, i])
+                 + log2_each(pxy / self.p_tau_given_y[t, j]))
+        elif selector == "h_xy":
+            v = -log2_each(self.source.mass[i, j])
+        elif selector == "h_x_given_ypi":
+            v = -log2_each(w / joint.sum(axis=1)[t, j])
+        elif selector == "hsum_ext":
+            v = (-log2_each(w / joint.sum(axis=1)[t, j])
+                 - log2_each(w / joint.sum(axis=2)[t, i]))
+        else:  # compression: h(tau | x) + h(tau | y)
+            v = (-log2_each(self.p_tau_given_x[t, i])
+                 - log2_each(self.p_tau_given_y[t, j]))
+        return SpectrumTable.from_atoms(v, w)
 
     @cached_property
     def ic_mean(self) -> float:

@@ -6,6 +6,8 @@ import time
 import pytest
 
 from icsim.cli import build_engine
+from icsim.probcore import DENSITY_KINDS
+from icsim.protocol import LAW_SELECTORS
 from icsim.simulate import batch_round_trials
 
 CLI = [sys.executable, "-m", "icsim.cli"]
@@ -270,5 +272,31 @@ def test_config_missing_key_is_usage_error(tmp_path, cfg, key):
                    "--seed", "0", check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_analyze_source_defaults_to_its_send_x_ic_density():
+    proc = run_cli("analyze", "--source", "dsbs:0.25")
+    doc = json.loads(proc.stdout)
+    assert doc["spectrum"] == "cond_x_given_y"
+    assert doc["mean"] == pytest.approx(0.8112781244591328, abs=1e-12)
+    named = run_cli("analyze", "--source", "dsbs:0.25", "--spectrum",
+                    "cond_x_given_y")
+    assert proc.stdout == named.stdout
+
+
+@pytest.mark.parametrize("argv, kinds", [
+    (("--spectrum", "bogus"), DENSITY_KINDS),
+    (("--spectrum", "ic"), DENSITY_KINDS),
+    (("--protocol", "send-x", "--spectrum", "bogus"), LAW_SELECTORS),
+    (("--protocol", "send-x", "--spectrum", "cond_x_given_y"),
+     LAW_SELECTORS),
+])
+def test_analyze_unknown_spectrum_is_usage_error(argv, kinds):
+    proc = run_cli("analyze", "--source", "dsbs:0.25", *argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: unknown spectrum {argv[-1]!r}")
+    assert all(kind in proc.stderr for kind in kinds)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from icsim.errors import MismatchedSupport, OutOfRange, ZeroMassAtom
 from icsim.probcore import (
+    MERGE_TOL,
     FiniteDistribution,
     JointSource,
     SliceConfig,
@@ -22,6 +23,7 @@ from icsim.probcore import (
     spectrum,
     tv_distance,
 )
+from reference import assert_spectrum_bytes, merge_atoms
 
 # frozen oracle values for DSBS(0.25), all exact to float precision
 LOG2_4_3 = 2.0 - math.log2(3.0)           # -log2(3/4)
@@ -185,6 +187,21 @@ class TestSpectrum:
         assert spec.values.size == 2
         assert spec.probs[0] == pytest.approx(0.5)
 
+    def test_convolve_and_mix_match_reference_merge(self):
+        a = spectrum(dsbs_source(0.3), "cond_x_given_y")
+        b = spectrum(product_source(dsbs_source(0.2), 2), "sum")
+        out = a
+        for _ in range(6):
+            v = (out.values[:, None] + a.values[None, :]).ravel()
+            p = (out.probs[:, None] * a.probs[None, :]).ravel()
+            nxt = out.convolve(a)
+            assert_spectrum_bytes(nxt, v, p, merge_tol=1e-9)
+            out = nxt
+        assert out.values.tobytes() == a.convolve_n(7).values.tobytes()
+        assert_spectrum_bytes(a.mix(b, 0.3),
+                              np.concatenate([a.values, b.values]),
+                              np.concatenate([a.probs * 0.3, b.probs * 0.7]))
+
     def test_convolution_oracle(self):
         # two-fold DSBS(0.25) conditional-sum density, worked by hand
         spec = spectrum(dsbs_source(0.25), "cond_x_given_y").convolve(
@@ -227,6 +244,86 @@ class TestSpectrum:
         assert spec.tail_prob(lo) <= eps + 1e-9
         if math.isfinite(hi):
             assert spec.tail_prob(hi) < eps + 1e-9
+
+
+def _masses(rng, n):
+    p = rng.random(n) + 0.01
+    return p / p.sum()
+
+
+def _from_atoms_cases():
+    rng = np.random.default_rng(7)
+    tol = MERGE_TOL
+    cases = {}
+    # values within a hair of the tolerance from each other, near 0, 1, 1000
+    for base in (0.0, 1.0, 1000.0):
+        v = base + tol * np.array([0.0, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0,
+                                   2 + 1e-6, 0.5, 3.0 - 1e-9, 3.0])
+        cases[f"near-ties-{base:g}"] = (v, _masses(rng, v.size))
+    # neighbours 0.4 tol apart: the chain spans 4.4 tol, so only the rule
+    # "within tol of the group's first value" splits it, into four groups
+    v = 5.0 + 0.4 * tol * np.arange(12)
+    cases["chain"] = (rng.permutation(v), _masses(rng, v.size))
+    # equal values, different masses: the mass order sets the sums' order
+    v = np.array([2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+    cases["equal-values"] = (v, _masses(rng, v.size))
+    v = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0])
+    cases["signed-zero"] = (v, np.full(v.size, 1 / 6))
+    cases["signed-zero-masses"] = (v, _masses(rng, v.size))
+    cases["one-atom"] = (np.array([3.5]), np.array([1.0]))
+    # integer values, as region sources give
+    cases["integers"] = (np.array([4, 2, 4, 1]), np.full(4, 0.25))
+    # a grid of values, each jittered within a few tolerances
+    grid = rng.integers(0, 20, 400) / 7.0
+    v = grid + tol * rng.integers(-3, 4, 400) * rng.choice([0.3, 0.7], 400)
+    cases["jittered-grid"] = (v, _masses(rng, v.size))
+    return cases
+
+
+FROM_ATOMS_CASES = _from_atoms_cases()
+
+
+class TestFromAtoms:
+    """``SpectrumTable.from_atoms`` gives the bytes of the reference merge."""
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    @pytest.mark.parametrize("name", sorted(FROM_ATOMS_CASES))
+    def test_matches_reference_merge(self, name, as_list):
+        values, probs = FROM_ATOMS_CASES[name]
+        if as_list:
+            values, probs = values.tolist(), probs.tolist()
+        assert_spectrum_bytes(SpectrumTable.from_atoms(values, probs),
+                              values, probs)
+
+    def test_chain_is_split_at_the_group_anchor(self):
+        values, probs = FROM_ATOMS_CASES["chain"]
+        assert np.all(np.diff(np.sort(values)) <= MERGE_TOL)
+        spec = SpectrumTable.from_atoms(values, probs)
+        assert spec.values.size == 4
+        assert spec.values.tobytes() == merge_atoms(values, probs)[0].tobytes()
+
+    def test_coarse_tolerance(self):
+        values, probs = FROM_ATOMS_CASES["jittered-grid"]
+        values = values + 1e-10 * (np.arange(values.size) % 3)
+        assert_spectrum_bytes(
+            SpectrumTable.from_atoms(values, probs, merge_tol=1e-9),
+            values, probs, merge_tol=1e-9)
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_negative_mass_raises(self, as_list):
+        values, probs = np.array([2.0, 1.0, 3.0]), np.array([0.7, 0.5, -0.2])
+        if as_list:
+            values, probs = values.tolist(), probs.tolist()
+        with pytest.raises(OutOfRange, match="negative spectrum mass"):
+            merge_atoms(values, probs)
+        with pytest.raises(OutOfRange, match="negative spectrum mass"):
+            SpectrumTable.from_atoms(values, probs)
+
+    def test_shape_errors(self):
+        with pytest.raises(MismatchedSupport):
+            SpectrumTable.from_atoms([1.0, 2.0], [1.0])
+        with pytest.raises(OutOfRange, match="at least one atom"):
+            SpectrumTable.from_atoms([], [])
 
 
 class TestSliceConfig:

@@ -20,6 +20,7 @@ from icsim.probcore import (
 )
 from icsim.protocol import (
     LAW_BYTES_CAP,
+    LAW_SELECTORS,
     VIEW_BLOCK_BYTES,
     MixedProtocol,
     ProtocolTree,
@@ -39,6 +40,7 @@ from icsim.protocol import (
 )
 from icsim.cli import build_engine
 import icsim.cli
+from reference import merge_atoms
 
 LOG2_4_3 = 2.0 - math.log2(3.0)
 
@@ -328,6 +330,60 @@ def test_histories_unchanged_without_joint(name):
     assert "joint" not in law.__dict__
     assert got == [_histories_reference(law, t)
                    for t in range(1, law.n_rounds + 1)]
+
+
+def _law_spectrum_loop(law, selector):
+    """``TranscriptLaw.spectrum`` as first written: one Python pass over
+    every (t, x, y) of positive joint mass, merged by the reference merge."""
+    joint = law.joint
+    p_ty = joint.sum(axis=1)
+    p_tx = joint.sum(axis=2)
+    p_x, p_y = law.p_tau_given_x, law.p_tau_given_y
+    vals, probs = [], []
+    for t in range(len(law.transcripts)):
+        for i in range(len(law.source.x_alphabet)):
+            for j in range(len(law.source.y_alphabet)):
+                w = float(joint[t, i, j])
+                if w <= 0.0:
+                    continue
+                pxy = float(law.p_tau_given_xy[t, i, j])
+                if selector == "ic":
+                    v = (math.log2(pxy / float(p_x[t, i]))
+                         + math.log2(pxy / float(p_y[t, j])))
+                elif selector == "h_xy":
+                    v = -math.log2(float(law.source.mass[i, j]))
+                elif selector == "h_x_given_ypi":
+                    v = -math.log2(w / float(p_ty[t, j]))
+                elif selector == "hsum_ext":
+                    v = (-math.log2(w / float(p_ty[t, j]))
+                         - math.log2(w / float(p_tx[t, i])))
+                else:  # compression
+                    v = (-math.log2(float(p_x[t, i]))
+                         - math.log2(float(p_y[t, j])))
+                vals.append(v)
+                probs.append(w)
+    return merge_atoms(vals, probs)
+
+
+SPECTRUM_LAWS = {
+    **VIEW_LAWS,
+    **{f"send-x-dsbs{m}": lambda m=m: send_value_protocol(
+        product_source(dsbs_source(0.11), m)) for m in (1, 2, 4)},
+    **{f"data-exchange-dsbs{m}": lambda m=m: data_exchange_protocol(
+        product_source(dsbs_source(0.3), m)) for m in (1, 3)},
+    "constant": lambda: constant_protocol(dsbs_source(0.25)),
+    "threshold-n4": lambda: ThresholdExample(n=4, delta=0.25).expand(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_LAWS))
+def test_law_spectrum_matches_atom_loop(name):
+    law = SPECTRUM_LAWS[name]()
+    for selector in LAW_SELECTORS:
+        got = law.spectrum(selector)
+        want_v, want_p = _law_spectrum_loop(law, selector)
+        assert got.values.tobytes() == want_v.tobytes(), selector
+        assert got.probs.tobytes() == want_p.tobytes(), selector
 
 
 def test_engine_build_keeps_no_joint_table(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib.util
 import itertools
@@ -16,6 +17,7 @@ from icsim.bounds import (
     protocol3_tv_budget,
     protocol4_tv_budget,
     protocol5_tv_budget,
+    round_budget_inputs,
 )
 import icsim.cli
 from icsim.cli import build_engine
@@ -60,6 +62,7 @@ from icsim.simulate import (
     RoundSimulator,
     SlepianWolfCoder,
     _batch_round_chunk,
+    _conditional_density,
     _kernel_bytes,
     _pick_slice,
     _round_kernel,
@@ -73,6 +76,7 @@ from icsim.simulate import (
     round_density_spectrum,
     run_trials,
 )
+from reference import merge_atoms
 
 
 def sw_coder(l=4, gamma=2.0, q=0.25):
@@ -281,7 +285,8 @@ def test_round_density_spectrum_mass():
 
 def _spectrum_loop(law, t, side):
     """``round_density_spectrum`` written out: every (message, x, y) atom
-    of every history, zero-weight ones skipped."""
+    of every history, zero-weight ones skipped, merged by the reference
+    merge."""
     own_is_x = (t % 2 == 1) == (side == "tx")
     vals, probs = [], []
     nx, ny = law.source.mass.shape
@@ -298,7 +303,7 @@ def _spectrum_loop(law, t, side):
                     vals.append(-math.log2(float(cond[i if own_is_x else j,
                                                       a])))
                     probs.append(w)
-    return SpectrumTable.from_atoms(vals, probs)
+    return merge_atoms(vals, probs)
 
 
 def _two_round_law():
@@ -314,14 +319,86 @@ def _two_round_law():
                               ("p", "q", "n"))
 
 
+SPECTRUM_LOOP_LAWS = {
+    "two-round": _two_round_law,
+    **{f"send-x-dsbs{m}": lambda m=m: send_value_protocol(
+        product_source(dsbs_source(0.11), m)) for m in range(1, 5)},
+    **{f"data-exchange-dsbs{m}": lambda m=m: data_exchange_protocol(
+        product_source(dsbs_source(0.2), m)) for m in range(1, 5)},
+    "noisy-send": lambda: noisy_send_protocol(dsbs_source(0.25), 0.1),
+    "xor-reply": lambda: xor_reply_protocol(dsbs_source(0.3)),
+}
+
+
 def test_round_density_spectrum_matches_atom_loop():
-    law = _two_round_law()
-    for t in (1, 2):
-        for side in ("tx", "rx"):
-            got = round_density_spectrum(law, t, side)
-            want = _spectrum_loop(law, t, side)
-            assert np.array_equal(got.values, want.values), (t, side)
-            assert np.array_equal(got.probs, want.probs), (t, side)
+    for name, make in SPECTRUM_LOOP_LAWS.items():
+        law = make()
+        for t in range(1, law.n_rounds + 1):
+            for side in ("tx", "rx"):
+                got = round_density_spectrum(law, t, side)
+                want_v, want_p = _spectrum_loop(law, t, side)
+                where = (name, t, side)
+                assert got.values.tobytes() == want_v.tobytes(), where
+                assert got.probs.tobytes() == want_p.tobytes(), where
+
+
+@pytest.mark.parametrize("proto, target", [
+    ("p4", "send-x"), ("p4", "noisy-send:0.1"), ("p5", "data-exchange"),
+    ("p5", "xor-reply")])
+def test_build_scans_each_round_view_once(monkeypatch, proto, target):
+    """Both sides' round spectra, and the round budgets after them, read
+    one scan of each view's (M, nx, ny) table."""
+    scans = []
+
+    class ScanCounter(np.ndarray):
+        def __gt__(self, other):
+            if self.ndim == 3:
+                scans.append(self.shape)
+            return np.asarray(self).__gt__(other)
+
+    round_view = TranscriptLaw._round_view
+
+    def counted(self, t, hist):
+        view = round_view(self, t, hist)
+        return dataclasses.replace(
+            view, p_m_given_xy=view.p_m_given_xy.view(ScanCounter))
+
+    laws = []
+
+    def spy(token, source):
+        laws.append(parse_target(token, source))
+        return laws[-1]
+
+    parse_target = icsim.cli.parse_target
+    monkeypatch.setattr(TranscriptLaw, "_round_view", counted)
+    monkeypatch.setattr(icsim.cli, "parse_target", spy)
+    source = "dsbs^2:0.11" if target == "send-x" else "dsbs:0.25"
+    engine = build_engine({"source": source, "protocol": proto,
+                           "target": target, "gamma": 3.0})
+    views = laws[-1]._views
+    assert len(scans) == len(views) >= 1
+    if proto == "p5":
+        round_budget_inputs(laws[-1], engine.plans)
+        assert len(scans) == len(views) == 3
+
+
+def test_slice_tables_and_spectra_take_the_same_log2():
+    """The slice tables take -np.log2 of the conditional tables, the spectra
+    that set their plans -math.log2 per entry.  The two can differ in the
+    last bit; on send-x over dsbs^m they agree on every entry."""
+    checked = 0
+    for q in (0.05, 0.11, 0.25):
+        for m in range(1, 9):
+            law = send_value_protocol(product_source(dsbs_source(q), m))
+            view = law.round_view(1, ())
+            for cond in (view.p_m_given_x, view.p_m_given_y):
+                live = cond > 0
+                got = _conditional_density(cond)[live]
+                want = np.array([-math.log2(c) for c in cond[live].tolist()])
+                assert got.tobytes() == want.tobytes(), (q, m)
+                checked += got.size
+            del law, view  # free the dsbs^8 tables before the next law
+    assert checked == 3 * sum(4 ** m + 2 ** m for m in range(1, 9))
 
 
 def test_run_trials_reproducible():
