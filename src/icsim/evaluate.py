@@ -7,17 +7,17 @@ empirical total variation with a multinomial bootstrap confidence interval.
 The bootstrap draws its resamples over the observed view atoms only, in
 blocks of rows bounded by ``EXACT_BLOCK_BYTES``, so its memory does not grow
 with the view universe times the resample count.  Block ``b`` draws from its
-own stream ``[master_seed, 2**31 - 1 + b]``, so the blocks are drawn in
-parallel threads and the interval depends on the seed alone, not on the
-number of threads.  numpy's multinomial spends no random numbers on a
-zero-probability category, so each block's rows are those of one full-width
+own stream ``[master_seed, 2**31 - 1 + b]``, so the blocks run on the
+threads of :func:`icsim.simulate._in_blocks`, as the trial decode does, and
+the interval depends on the seed alone, not on the number of threads.
+numpy's multinomial spends no random numbers on a zero-probability
+category, so each block's rows are those of one full-width
 ``multinomial(n, phat, size=rows)`` call on its stream; a bootstrap of one
 block is one full-width ``multinomial(n, phat, size=1000)`` call.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .probcore import FiniteDistribution
 from .simulate import (
     EXACT_BLOCK_BYTES,
     TrialAggregate,
-    _worker_count,
+    _in_blocks,
     run_trials,
 )
 
@@ -93,47 +93,29 @@ def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
     scattered into full-width rows, so every row sums its A terms in the
     formula's order.
 
-    The blocks are independent, so they are drawn by the threads of
-    :func:`icsim.simulate._worker_count` (at most two; numpy's multinomial
-    and ufuncs release the GIL), each holding one block buffer of up to
-    EXACT_BLOCK_BYTES; worker ``w`` takes blocks ``w, w + W, ...``.  Every
-    worker computes in place in its own zero ``(rows, A)`` buffer,
-    allocated here and zeroed again after each block, and calls numpy
-    only, so the result does not depend on the number of workers.
+    The blocks are independent, so they run on the threads of
+    :func:`icsim.simulate._in_blocks` (numpy's multinomial and ufuncs
+    release the GIL); each computes in place in its own zero buffer and
+    calls numpy only.
     """
     A = phat.size
-    R = BOOTSTRAP_RESAMPLES
     drawn = np.flatnonzero(phat)
     if drawn[-1] != A - 1:
         drawn = np.append(drawn, A - 1)
     p = phat[drawn]
-    rows = min(R, max(1, EXACT_BLOCK_BYTES // (8 * A)))
-    blocks = -(-R // rows)
-    workers = _worker_count(blocks)
-    tvs = np.empty(R)
+    rows = max(1, EXACT_BLOCK_BYTES // (8 * A))
 
-    def work(w: int, buf: np.ndarray):
-        for b in range(w, blocks, workers):
-            start = b * rows
-            m = min(rows, R - start)
-            rng = np.random.default_rng([master_seed, _BOOTSTRAP_STREAM + b])
-            block = buf[:m]
-            block[:, drawn] = rng.multinomial(n, p, size=m)
-            np.divide(block, n, out=block)
-            np.subtract(block, tp, out=block)
-            np.abs(block, out=block)
-            tvs[start:start + m] = 0.5 * block.sum(axis=1)
-            block.fill(0.0)
+    def block(a, b):
+        rng = np.random.default_rng([master_seed,
+                                     _BOOTSTRAP_STREAM + a // rows])
+        res = np.zeros((b - a, A))
+        res[:, drawn] = rng.multinomial(n, p, size=b - a)
+        np.divide(res, n, out=res)
+        np.subtract(res, tp, out=res)
+        np.abs(res, out=res)
+        return (0.5 * res.sum(axis=1),)
 
-    bufs = [np.zeros((rows, A)) for _ in range(workers)]
-    if workers == 1:
-        work(0, bufs[0])
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(work, w, bufs[w]) for w in range(workers)]
-            for f in futures:
-                f.result()
-    return tvs
+    return _in_blocks(block, BOOTSTRAP_RESAMPLES, rows)[0]
 
 
 def measure_sim_error(engine, mode: str, trials: int = 0,

@@ -466,14 +466,21 @@ def spectrum(obj, selector: str, **kw) -> SpectrumTable:
     if isinstance(obj, JointSource):
         if selector not in DENSITY_KINDS:
             raise OutOfRange(f"unknown density kind {selector!r}")
-        vals, probs = [], []
-        for i, x in enumerate(obj.x_alphabet):
-            for j, y in enumerate(obj.y_alphabet):
-                p = float(obj.mass[i, j])
-                if p <= 0.0:
-                    continue
-                vals.append(entropy_density(obj, selector, x, y))
-                probs.append(p)
+        # every atom of positive mass at once, with the float operations of
+        # entropy_density; the conditionals are positive wherever mass is
+        i, j = np.nonzero(obj.mass > 0)
+        probs = obj.mass[i, j]
+        if selector == "joint":
+            vals = -log2_each(probs)
+        elif selector == "cond_x_given_y":
+            vals = -log2_each(obj.p_x_given_y[i, j])
+        elif selector == "cond_y_given_x":
+            vals = -log2_each(obj.p_y_given_x[i, j])
+        elif selector == "sum":
+            vals = (-log2_each(obj.p_x_given_y[i, j])
+                    - log2_each(obj.p_y_given_x[i, j]))
+        else:  # mutual
+            vals = log2_each(obj.p_x_given_y[i, j]) - log2_each(obj.p_x[i])
         return SpectrumTable.from_atoms(vals, probs)
     return obj.spectrum(selector, **kw)
 

@@ -11,9 +11,10 @@ Five engines of increasing strength:
 Engine 2 is engine 3 on the identity channel, and engines 4 and 5 run
 engine 3 rounds.  Each engine's trial rule is implemented once, as a kernel
 vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
-(pick M*, then ``_slice_search``) for engines 2 to 5.  The scalar ``run``,
-the chunked trial loop ``run_trials`` and the exact enumerations all call
-it on hashes packed by :func:`icsim.hashing.pack_hashes`.  Engines whose
+(pick M*, then ``_slice_search``) for engines 2 to 5, whose rounds all
+draw through ``_round_step``.  The scalar ``run`` is one trial of the
+chunked loop ``run_trials``; it and the exact enumerations call the kernel
+on hashes packed by :func:`icsim.hashing.pack_hashes`.  Engines whose
 randomness is small enough expose ``exact_view_law``, which enumerates
 every linear part of each hash family and every shared-randomness value,
 each linear part standing for its 2^L offsets (see :mod:`icsim.hashing`).
@@ -29,7 +30,8 @@ The batch paths cut their trials in two units:
   (:func:`_in_blocks`), on up to two threads.
 
 The decode is row-independent and draws nothing, so the results depend on
-the seed alone, not on the block size or the number of threads.
+the seed alone, not on the block size or the number of threads.  The
+plug-in bootstrap of :mod:`icsim.evaluate` runs its blocks there too.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import numpy as np
 from .errors import OutOfRange, TooLarge
 from .hashing import (
     ENUMERATION_CAP,
-    draw_hash,
     encode_universe,
     encoding_width,
     family_size,
@@ -168,19 +169,17 @@ def _worker_count(blocks: int) -> int:
     return min(blocks, _usable_cpus(), _MAX_WORKERS)
 
 
-def _in_blocks(decode, T: int, row_bytes: int) -> tuple:
-    """``decode(0, T)`` of a chunk of T rows, computed block by block.
+def _in_blocks(decode, T: int, rows: int) -> tuple:
+    """``decode(0, T)``, computed in blocks of ``rows`` rows.
 
     ``decode(a, b)`` returns a tuple of arrays with one entry per row
-    ``a .. b - 1``, draws nothing and depends on no other row.  Blocks hold
-    ``TRIAL_BLOCK_BYTES // row_bytes`` rows and run on
-    :func:`_worker_count` threads; the outputs are concatenated in block
-    order, so they equal ``decode(0, T)`` bit for bit.  A chunk of one
-    block runs inline.  The threads may call numpy and the module's kernel
-    helpers only: tracers that wrap the public callables are not
-    thread-safe.
+    ``a .. b - 1`` and depends on no other row; a block that draws takes
+    its stream from ``a``.  Blocks run on :func:`_worker_count` threads and
+    are concatenated in block order, so the outputs do not depend on the
+    number of threads.  T <= ``rows`` runs inline.  The threads may call
+    numpy and the module's kernel helpers only: tracers that wrap the
+    public callables are not thread-safe.
     """
-    rows = max(1, TRIAL_BLOCK_BYTES // row_bytes)
     if T <= rows:
         return decode(0, T)
     starts = range(0, T, rows)
@@ -297,16 +296,13 @@ class SlepianWolfCoder:
         return atyp + 2.0 ** (-self.gamma)
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
-        if x is None:
-            i, j = self.source.sample(rng)
-        else:
-            i, j = self.source.x_index[x], self.source.y_index[y]
-        fam = draw_hash(self.width, self.l, rng)
-        decoded, cause = _sw_kernel(self, np.array([i]), np.array([j]),
-                                    fam.apply_packed(self.enc)[None, :])
-        d, c = int(decoded[0]), int(cause[0])
+        """One trial: :func:`_sw_trials` at T = 1, on the given (x, y)
+        unless x is None."""
+        pairs = None if x is None else _index_pair(self.source, x, y)
+        xi, yj, decoded, cause = _sw_trials(self, rng, 1, pairs)
+        i, d, c = int(xi[0]), int(decoded[0]), int(cause[0])
         xs = self.source.x_alphabet
-        return SimOutcome(xs[i], self.source.y_alphabet[j], xs[i],
+        return SimOutcome(xs[i], self.source.y_alphabet[yj[0]], xs[i],
                           None if d < 0 else xs[d], self.l,
                           None if c == 0 else ERROR_CAUSES[c - 1], 1)
 
@@ -390,10 +386,11 @@ def _sw_kernel(coder: SlepianWolfCoder, xi: np.ndarray, yj: np.ndarray,
     return decoded, cause
 
 
-def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
-    """T trials of engine 1: the source pairs, then the hash blocks."""
-    rng = np.random.default_rng(seed)
-    xi, yj = coder.source.sample(rng, size=T)
+def _sw_trials(coder: SlepianWolfCoder, rng, T: int, pairs=None):
+    """T trials of engine 1 from ``rng``: the source pairs (unless ``pairs``
+    gives their indices), then the hash blocks.  Returns ``(xi, yj) +``
+    :func:`_sw_kernel`'s result, computed in blocks of rows."""
+    xi, yj = coder.source.sample(rng, size=T) if pairs is None else pairs
     blocks = rng.integers(0, 2, size=(T, coder.l, coder.width + 1),
                           dtype=np.uint8)
 
@@ -401,8 +398,12 @@ def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
         return _sw_kernel(coder, xi[a:b], yj[a:b],
                           pack_hashes(blocks[a:b], coder.enc))
 
-    decoded, cause = _in_blocks(decode, T, _kernel_bytes(
-        len(coder.source.x_alphabet), coder.l, coder.width))
+    return (xi, yj) + _in_blocks(decode, T, max(1, TRIAL_BLOCK_BYTES // (
+        _kernel_bytes(len(coder.source.x_alphabet), coder.l, coder.width))))
+
+
+def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
+    xi, yj, decoded, cause = _sw_trials(coder, np.random.default_rng(seed), T)
     views = _count_views(xi, decoded, xi, yj, coder.source.x_alphabet,
                          coder.source)
     return (views, _cause_counts(cause), np.full(T, coder.l, dtype=np.int64),
@@ -448,6 +449,10 @@ class InteractiveSWCoder:
 
     def bits_for_slice(self, i: int) -> int:
         return self.inner.pos_at(i) + i
+
+    @property
+    def table(self) -> _RoundTables:
+        return self.inner.table
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return self.inner.run(rng, x, y)
@@ -532,6 +537,15 @@ class RoundSimulator:
     def joint_mx(self) -> np.ndarray:
         """Joint table P(M, X) with messages on rows."""
         return (self.p_m_given_x * self.source.p_x[:, None]).T
+
+    @property
+    def table(self) -> _RoundTables:
+        """This round as a one-history table with no slice-index law.  Built
+        per call: a stored table would hold the simulator itself, a cycle
+        only the cyclic garbage collector frees."""
+        return _RoundTables(inner=self, j_cost=0, p_m=self.p_m_given_x,
+                            slice_rx=self.slice_rx.T,
+                            k_of=np.array([self.k], dtype=np.int64))
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return _round_outcome(self, rng, x, y)
@@ -624,7 +638,9 @@ class ImprovedRoundSimulator:
     ``aux_m_given_y`` is the receiver's conditional, passed on to
     :class:`RoundSimulator`.  ``prior_x`` is the transmitter-input prior
     that weighs the slice-index prior ``p_j`` and so decides which indices
-    are ``good``; it defaults to the source marginal.
+    are ``good``; it defaults to the source marginal.  ``table`` holds the
+    same tables as one-history :class:`_RoundTables`, which every trial
+    reads.
     """
 
     def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
@@ -633,15 +649,19 @@ class ImprovedRoundSimulator:
                  aux_m_given_y: np.ndarray | None = None,
                  prior_x: np.ndarray | None = None):
         self.cfg_tx = cfg_tx
-        self.inner = RoundSimulator(source, p_m_given_x, messages, cfg_rx, 0,
-                                    aux_m_given_y)
+        self.inner = inner = RoundSimulator(
+            source, p_m_given_x, messages, cfg_rx, 0, aux_m_given_y)
         slc, self.p_j_given_x, self.p_j, self.good, self.j_cost = _tx_tables(
-            self.inner.p_m_given_x, cfg_tx, source.p_x if prior_x is None
+            inner.p_m_given_x, cfg_tx, source.p_x if prior_x is None
             else np.asarray(prior_x, float))
         self.slice_tx = slc.T  # (M, nx)
         self.k_table = _k_table(cfg_tx, cfg_rx.gamma,
-                                self.inner.total_hash_bits, k_override)
-        self.chunk = self.inner.chunk
+                                inner.total_hash_bits, k_override)
+        self.table = _RoundTables(
+            inner=inner, j_cost=self.j_cost, p_m=inner.p_m_given_x,
+            slice_rx=inner.slice_rx.T, k_of=self.k_table, slice_tx=slc,
+            cum_j=np.cumsum(self.p_j_given_x, axis=1), good=self.good)
+        self.chunk = inner.chunk
 
     @property
     def source(self):
@@ -781,35 +801,6 @@ def _slice_search(inner: RoundSimulator, h: np.ndarray, m_star: np.ndarray,
     return decoded, cause, bits, hit
 
 
-def _decode_round(inner: RoundSimulator, p_m: np.ndarray,
-                  slice_tx: np.ndarray | None, slice_rx: np.ndarray,
-                  tx: tuple, rx: tuple, jj: np.ndarray | None,
-                  k_t: np.ndarray, blocks: np.ndarray, u: np.ndarray,
-                  u_m: np.ndarray, extra_bits: int):
-    """:func:`_round_kernel` on T trials, block by block (:func:`_in_blocks`).
-
-    The kernel's (T, M) inputs are gathered inside each block from tables
-    whose last axis is the message: trial n's message row ``p_m[tx_n]``,
-    its restriction ``slice_tx[tx_n] == jj[n]`` (every message when
-    ``slice_tx`` is None) and its receiver slice row ``slice_rx[rx_n]``,
-    where ``tx`` and ``rx`` are tuples of per-trial index arrays, one per
-    leading table axis.  The other arguments are per trial, as the kernel
-    takes them.
-    """
-    M = p_m.shape[-1]
-
-    def decode(a, b):
-        t = tuple(i[a:b] for i in tx)
-        restrict = (np.ones((b - a, M), dtype=bool) if slice_tx is None
-                    else slice_tx[t] == jj[a:b, None])
-        return _round_kernel(inner, p_m[t], restrict,
-                             slice_rx[tuple(i[a:b] for i in rx)], k_t[a:b],
-                             blocks[a:b], u[a:b], u_m[a:b], extra_bits)
-
-    return _in_blocks(decode, k_t.size, _kernel_bytes(
-        M, inner.total_hash_bits, inner.width))
-
-
 def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
     """Shared strings: one draw of max(k_t) bits per trial, or zeros."""
     k_max = int(k_t.max()) if k_t.size else 0
@@ -818,41 +809,58 @@ def _draw_prefix(rng, k_t: np.ndarray) -> np.ndarray:
     return rng.integers(0, 1 << k_max, size=k_t.size, dtype=np.int64)
 
 
-def _round_trials(engine, rng, T: int, pairs=None):
-    """T trials of engines 2 to 4, every draw taken from ``rng``.
+def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
+    """One round of T trials on the tables ``tab``; returns ``(m_star,
+    decoded, cause, bits, hit)``.
 
-    Draw order: the T source pairs (unless ``pairs`` gives their indices),
-    the hash blocks, on engine 4 the J uniforms, the shared strings and the
-    M* uniforms.  Returns ``(xi, yj, tx, decoded, cause, bits, hit)`` per
-    trial: ``tx`` is M* (-1 when engine 4 rejects J, where ``hit`` is 0);
-    the rest are as :func:`_slice_search` returns them.
+    ``tx`` and ``rx`` index the transmitter's and the receiver's table rows,
+    one per-trial array per leading axis: (history, symbol) on engine 5,
+    the symbol on one-history tables.  Draw order: the hash blocks (unless
+    given), the J uniforms (only with a slice-index law), the shared
+    strings and the M* uniforms.  :func:`_round_kernel` decodes block by
+    block, on rows ``p_m[tx]``, restrictions ``slice_tx[tx] == J`` (every
+    message without a J law) and ``slice_rx[rx]``.  A rejected J costs
+    ``j_cost`` bits, with M* and the decode -1 and the hit 0.
     """
-    improved = isinstance(engine, ImprovedRoundSimulator)
-    inner = getattr(engine, "inner", engine)
-    xi, yj = inner.source.sample(rng, size=T) if pairs is None else pairs
-    blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
-                                      inner.width + 1), dtype=np.uint8)
-
-    j_cost = 0
-    k_t = np.full(T, inner.k, dtype=np.int64)
-    slice_tx = jj = None
-    bad_j = np.zeros(T, dtype=bool)
-    if improved:
-        j_cost = engine.j_cost
-        jj = _pick_slice(np.cumsum(engine.p_j_given_x, axis=1)[xi],
-                         rng.random(T))
-        bad_j = ~engine.good[jj]
-        k_t = engine.k_table[jj]
-        slice_tx = engine.slice_tx.T
+    inner = tab.inner
+    T, M = tx[-1].size, tab.p_m.shape[-1]
+    if blocks is None:
+        blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
+                                          inner.width + 1), dtype=np.uint8)
+    jj = (np.zeros(T, dtype=np.int64) if tab.cum_j is None
+          else _pick_slice(tab.cum_j[tx], rng.random(T)))
+    k_t = tab.k_of[jj]
     u = _draw_prefix(rng, k_t)
-    m_star, decoded, cause, bits, hit = _decode_round(
-        inner, inner.p_m_given_x, slice_tx, inner.slice_rx.T, (xi,), (yj,),
-        jj, k_t, blocks, u, rng.random(T), j_cost)
-    decoded[bad_j] = -1
-    bits[bad_j] = j_cost
-    cause[bad_j] = _BAD_J
-    hit[bad_j] = 0
-    return xi, yj, np.where(bad_j, -1, m_star), decoded, cause, bits, hit
+    u_m = rng.random(T)
+
+    def decode(a, b):
+        t = tuple(i[a:b] for i in tx)
+        restrict = (np.ones((b - a, M), dtype=bool) if tab.slice_tx is None
+                    else tab.slice_tx[t] == jj[a:b, None])
+        return _round_kernel(inner, tab.p_m[t], restrict,
+                             tab.slice_rx[tuple(i[a:b] for i in rx)],
+                             k_t[a:b], blocks[a:b], u[a:b], u_m[a:b],
+                             tab.j_cost)
+
+    m_star, decoded, cause, bits, hit = _in_blocks(
+        decode, T, max(1, TRIAL_BLOCK_BYTES // _kernel_bytes(
+            M, inner.total_hash_bits, inner.width)))
+    if tab.good is not None:
+        bad = ~tab.good[tx[:-1] + (jj,)]
+        m_star[bad] = decoded[bad] = -1
+        cause[bad] = _BAD_J
+        bits[bad] = tab.j_cost
+        hit[bad] = 0
+    return m_star, decoded, cause, bits, hit
+
+
+def _round_trials(engine, rng, T: int, pairs=None):
+    """T trials of engines 2 to 4 from ``rng``: the source pairs (unless
+    ``pairs`` gives their indices), then :func:`_round_step` on the
+    engine's ``table``.  Returns ``(xi, yj) +`` the step's result."""
+    tab = engine.table
+    xi, yj = tab.inner.source.sample(rng, size=T) if pairs is None else pairs
+    return (xi, yj) + _round_step(tab, rng, (xi,), (yj,))
 
 
 def _batch_round_chunk(engine, T: int, seed):
@@ -943,23 +951,25 @@ class RoundPlan:
 
 @dataclass(frozen=True)
 class _RoundTables:
-    """One round's tables, built by :meth:`build` from the law's round
-    views and stacked on a leading history axis.
+    """One round's tables, as :func:`_round_step` reads them.
 
-    History h is ``law.histories(t)[h]``; ``n_tx`` and ``n_rx`` are the
-    alphabet sizes of the speaking and the listening party.  ``inner`` is
-    the round simulator of the first history: its encoding, hash schedule
-    and costs are the same for every history of the round.
+    Engine 5's, built by :meth:`build` from the law's round views, are
+    stacked on a leading history axis: history h is ``law.histories(t)[h]``;
+    ``n_tx`` and ``n_rx`` are the speaker's and the listener's alphabet
+    sizes.  Engines 3 and 4 hold one-history tables, without that axis;
+    engine 3's has no slice-index law (no ``slice_tx``, ``cum_j`` or
+    ``good``; ``k_of`` holds its k).  ``inner`` is the round simulator of
+    the first history, whose hash schedule every history shares.
     """
     inner: RoundSimulator
     j_cost: int
     p_m: np.ndarray         # (H, n_tx, M) transmitter message law
-    slice_tx: np.ndarray    # (H, n_tx, M) transmitter slice of each message
     slice_rx: np.ndarray    # (H, n_rx, M) receiver slice of each message
-    cum_j: np.ndarray       # (H, n_tx, n_j) cumulative slice-index law
-    good: np.ndarray        # (H, n_j) slice indices the transmitter accepts
     k_of: np.ndarray        # (n_j,) shared prefix length per slice index
-    next: np.ndarray | None  # (H, M) next history index or -1; None last
+    slice_tx: np.ndarray | None = None  # (H, n_tx, M) transmitter slices
+    cum_j: np.ndarray | None = None  # (H, n_tx, n_j) cumulative J law
+    good: np.ndarray | None = None   # (H, n_j) slice indices accepted
+    next: np.ndarray | None = None   # (H, M) next history or -1; None last
 
     @classmethod
     def build(cls, law: TranscriptLaw, t: int, plan: RoundPlan,
@@ -1062,13 +1072,12 @@ class ProtocolSimulator:
         """T independent trials at once, every draw taken from ``rng``.
 
         Draw order: the T source pairs, then per round, for the trials still
-        running, the hash blocks, the J uniforms, the shared strings and the
-        M* uniforms.  ``pairs`` gives the x and y indices instead of the
-        source draw, and ``blocks`` replaces the hash draws with one
-        (T, L, w + 1) array per round, indexed by trial.  Each round draws
-        for all its trials, then :func:`_decode_round` gathers the table
-        rows of every trial by its (transmitter history, receiver history,
-        input) and runs the round kernel block by block.
+        running, :func:`_round_step`'s draws: the hash blocks, the J
+        uniforms, the shared strings and the M* uniforms.  ``pairs`` gives
+        the x and y indices instead of the source draw, and ``blocks``
+        replaces the hash draws with one (T, L, w + 1) array per round,
+        indexed by trial.  The step reads the round's tables by each
+        trial's (history, symbol) of the transmitter and of the receiver.
         """
         xi, yj = self.src.sample(rng, size=T) if pairs is None else pairs
         syms = (xi, yj)
@@ -1086,21 +1095,9 @@ class ProtocolSimulator:
             known = (h_tx >= 0) & (h_rx >= 0)
             cause[live[~known]] = _NO_MATCH
             live, h_tx, h_rx = live[known], h_tx[known], h_rx[known]
-            n = live.size
-            s_tx, s_rx = syms[tx][live], syms[rx][live]
-            inner = tab.inner
-            blk = (rng.integers(0, 2, dtype=np.uint8, size=(
-                n, inner.total_hash_bits, inner.width + 1))
-                if blocks is None else blocks[t - 1][live])
-            jj = _pick_slice(tab.cum_j[h_tx, s_tx], rng.random(n))
-            k_t = tab.k_of[jj]
-            u = _draw_prefix(rng, k_t)
-            m_star, decoded, c, b, _ = _decode_round(
-                inner, tab.p_m, tab.slice_tx, tab.slice_rx, (h_tx, s_tx),
-                (h_rx, s_rx), jj, k_t, blk, u, rng.random(n), tab.j_cost)
-            bad = ~tab.good[h_tx, jj]
-            c[bad] = _BAD_J
-            b[bad] = tab.j_cost
+            m_star, decoded, c, b, _ = _round_step(
+                tab, rng, (h_tx, syms[tx][live]), (h_rx, syms[rx][live]),
+                None if blocks is None else blocks[t - 1][live])
             bits[live] += b
             c[(c == 0) & (bits[live] > self.l_max)] = _BUDGET
             cause[live] = c

@@ -217,6 +217,31 @@ class TestSpectrum:
         assert prod.values == pytest.approx(conv.values, abs=1e-9)
         assert prod.probs == pytest.approx(conv.probs, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["joint", "cond_x_given_y",
+                                      "cond_y_given_x", "sum", "mutual"])
+    def test_source_spectrum_matches_density_loop(self, kind):
+        # the spectrum of every kind equals, bit for bit, the one built
+        # from entropy_density at each (x, y) of positive mass in order,
+        # on sources with and without zero cells
+        skewed = np.random.default_rng(8).random((25, 37))
+        skewed[[0, 2, 4], [1, 6, 0]] = 0.0
+        skewed[3] = 0.0
+        sources = [dsbs_source(0.11), product_source(dsbs_source(0.11), 3),
+                   JointSource(tuple(range(25)), tuple(range(37)),
+                               skewed / skewed.sum()),
+                   dsbs_source(0.0)]
+        for src in sources:
+            vals, probs = [], []
+            for i, x in enumerate(src.x_alphabet):
+                for j, y in enumerate(src.y_alphabet):
+                    if src.mass[i, j] > 0:
+                        vals.append(entropy_density(src, kind, x, y))
+                        probs.append(float(src.mass[i, j]))
+            ref = SpectrumTable.from_atoms(vals, probs)
+            spec = spectrum(src, kind)
+            assert spec.values.tobytes() == ref.values.tobytes()
+            assert spec.probs.tobytes() == ref.probs.tobytes()
+
     def test_moments(self):
         spec = spectrum(dsbs_source(0.25), "cond_x_given_y")
         ms = spec.moments()

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import importlib.util
 import itertools
 import json
@@ -22,6 +23,7 @@ from icsim.bounds import (
 import icsim.cli
 from icsim.cli import build_engine
 from icsim.errors import OutOfRange, TooLarge
+import icsim.evaluate
 from icsim.evaluate import measure_sim_error
 import icsim.simulate
 from icsim.hashing import (
@@ -995,6 +997,49 @@ def test_round_tables_match_history_engines(name):
                  for h in hists], dtype=np.int64))
 
 
+# (law, gamma): noisy-send rejects its transmitter tail index (bad_J); at
+# gamma 0.5, send-x with k_override=None shares hash bits (k > 0)
+_ROUND_ONE_LAWS = {
+    "noisy-send": (lambda: noisy_send_protocol(dsbs_source(0.25), 0.15), 1.0),
+    "send-x-dsbs^2": (lambda: send_value_protocol(
+        product_source(dsbs_source(0.11), 2)), 0.5),
+    "send-x-dsbs^3": (lambda: send_value_protocol(
+        product_source(dsbs_source(0.11), 3)), 0.5),
+}
+
+
+@pytest.mark.parametrize("k_override", [0, None])
+@pytest.mark.parametrize("name", sorted(_ROUND_ONE_LAWS))
+def test_engine4_is_round_one_of_engine5(name, k_override):
+    """Engine 4, built from the round view, plan and prior as
+    ``_history_engines`` builds it, runs round 1 of engine 5 on a one-round
+    law seed for seed: the same pairs, causes and bits everywhere, and the
+    same M* and decode wherever the round succeeds."""
+    make, gamma = _ROUND_ONE_LAWS[name]
+    law = make()
+    sim = ProtocolSimulator(law, auto_round_plans(law, gamma=gamma),
+                            k_override=k_override)
+    engine = _history_engines(sim)[(1, ())]
+    T, seed = 4_000, 29
+    batch = sim.run_batch(np.random.default_rng(seed), T)
+    xi, yj, tx, decoded, cause, bits, _ = _round_trials(
+        engine, np.random.default_rng(seed), T)
+    assert np.array_equal(batch.keys[:, 2], xi)
+    assert np.array_equal(batch.keys[:, 3], yj)
+    assert np.array_equal(batch.cause, cause)
+    assert np.array_equal(batch.bits, bits)
+    ok = cause == 0
+    assert np.array_equal(batch.keys[ok, 0], tx[ok])
+    assert np.array_equal(batch.keys[ok, 1], decoded[ok])
+    assert ok.any()
+    if name == "noisy-send":
+        assert (cause == ERROR_CAUSES.index("bad_J") + 1).any()
+    else:
+        assert (tx[ok] != decoded[ok]).any()  # silent wrong decodes
+        shared = engine.k_table[engine.good] > 0
+        assert shared.any() == (k_override is None)
+
+
 def test_protocol_builds_one_round_simulator_per_round(monkeypatch):
     """Engine 5 builds no engine 4 and one engine 3 (the hash schedule)
     per round, however many histories a round has."""
@@ -1714,8 +1759,10 @@ SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
 def test_traced_trial_threads_call_no_span_target(monkeypatch):
     # benchmarks/spans.py keeps one span stack for all threads, so no span
-    # target may run in the decode threads: record the thread of every
-    # wrapped call while engines 4 and 5 decode chunks of 40 blocks
+    # target may run in a worker thread: record the thread of every wrapped
+    # call while engines 1, 4 and 5 decode chunks of 40 blocks and the
+    # plug-in bootstrap draws 1,000 one-row blocks.  The traced bench-smoke
+    # runs reach neither engine 1's nor the bootstrap's worker threads
     import icsim.cli  # noqa: F401  (holds the phase targets)
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
@@ -1734,18 +1781,23 @@ def test_traced_trial_threads_call_no_span_target(monkeypatch):
         return recorder
 
     tracer.wrap = recording_wrap
-    decoders = set()
-    kernel = icsim.simulate._round_kernel
+    decoders, samplers = set(), set()
+    for name in ("_sw_kernel", "_round_kernel"):
+        def spy(*args, _kernel=getattr(icsim.simulate, name)):
+            decoders.add(threading.get_ident())
+            return _kernel(*args)
+        monkeypatch.setattr(icsim.simulate, name, spy)
+    default_rng = np.random.default_rng
 
-    def spy(*args):
-        decoders.add(threading.get_ident())
-        return kernel(*args)
+    def recording_rng(seed):
+        samplers.add(threading.get_ident())
+        return default_rng(seed)
 
-    monkeypatch.setattr(icsim.simulate, "_round_kernel", spy)
     monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: 2)
     tracer.set_traced(True)
     try:
-        for make in (lambda: TestImprovedRound().make(),
+        for make in (lambda: sw_coder(l=3, gamma=1.0),
+                     lambda: TestImprovedRound().make(),
                      lambda: TestProtocolSimulator().make(gamma=2.0)):
             engine = make()
             row_bytes = max(_kernel_bytes(*k) for k in _kernels(engine))
@@ -1753,12 +1805,20 @@ def test_traced_trial_threads_call_no_span_target(monkeypatch):
                                 50 * row_bytes)
             agg = icsim.simulate.run_trials(engine, 2_000, 1)
             assert agg.trials == 2_000
+        with monkeypatch.context() as m:
+            m.setattr(icsim.evaluate, "EXACT_BLOCK_BYTES", 1)
+            m.setattr(np.random, "default_rng", recording_rng)
+            est = icsim.evaluate.measure_sim_error(engine, "plugin",
+                                                   master_seed=1, agg=agg)
+        assert est.samples == 2_000
     finally:
         tracer.restore()
     main = threading.get_ident()
-    assert {"simulate.build", "simulate.driver"} <= {s for s, _ in callers}
+    assert {"simulate.build", "simulate.driver", "evaluate.true_law"} <= {
+        s for s, _ in callers}
     assert {t for _, t in callers} == {main}
     assert decoders - {main}  # the blocks ran on the decode threads
+    assert samplers and main not in samplers  # and the bootstrap's too
 
 
 def test_trial_decode_memory_bounded(monkeypatch):
@@ -1779,6 +1839,38 @@ def test_trial_decode_memory_bounded(monkeypatch):
             tracemalloc.stop()
         assert agg.trials == 10_000
         assert peak <= 12_000_000, (cpus, peak)
+
+
+@pytest.mark.parametrize("cfg, trials", [
+    ({"source": "dsbs^2:0.25", "protocol": "p1", "l": 4, "gamma": 1.0},
+     2_000),
+    ({"source": "dsbs^2:0.25", "protocol": "p2", "gamma": 2.0}, 2_000),
+    ({"source": "dsbs^2:0.25", "protocol": "p3", "target": "send-x",
+      "gamma": 2.0, "k": 1}, 2_000),
+    # the benchmark's p4-product6 job: a 17-block bootstrap on two threads
+    ({"source": "dsbs^6:0.11", "protocol": "p4", "target": "send-x",
+      "gamma": 3.0}, 10_000),
+    ({"source": "dsbs:0.25", "protocol": "p5", "target": "data-exchange",
+      "gamma": 2.0, "k_override": 0}, 2_000),
+], ids=["p1", "p2", "p3", "p4", "p5"])
+def test_job_leaves_no_garbage_cycle(cfg, trials):
+    # a job's engine and aggregates are freed by reference counting alone:
+    # a cycle (say, a round table that holds its own engine) would keep
+    # their arrays alive until the cyclic collector runs.  The first job of
+    # a process imports modules lazily (numpy.ma), which leaves cycles of
+    # its own, so one job runs before the one that is checked
+    for warm_up in (True, False):
+        gc.collect()
+        gc.disable()
+        try:
+            engine = build_engine(cfg)
+            agg = run_trials(engine, trials, 1)
+            est = measure_sim_error(engine, "plugin", master_seed=1, agg=agg)
+            assert est.samples == trials
+            del engine, agg, est
+            assert warm_up or gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _slice_table_reference(cond, cfg):
