@@ -184,7 +184,19 @@ def build_engine(cfg: dict):
 
 def _load_cfg(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            _fail(f"config {path} is not JSON: {exc}", 2)
+
+
+def _check_run(args, trials: bool = True):
+    """Usage errors of ``--trials`` (when the command runs trials) and
+    ``--seed``: trials below 1 or a negative seed."""
+    if trials and args.trials < 1:
+        _fail(f"--trials must be at least 1, got {args.trials}", 2)
+    if args.seed < 0:
+        _fail(f"--seed must be nonnegative, got {args.seed}", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +234,7 @@ def cmd_analyze(args):
 
 
 def cmd_simulate(args):
+    _check_run(args)
     cfg = _load_cfg(args.config)
     engine = build_engine(cfg)
     agg = run_trials(engine, args.trials, args.seed)
@@ -251,6 +264,7 @@ def cmd_simulate(args):
 
 
 def cmd_eval(args):
+    _check_run(args, trials=args.mode == "plugin")
     cfg = _load_cfg(args.config)
     engine = build_engine(cfg)
     if args.mode == "plugin":
@@ -291,6 +305,29 @@ def _numeric_eps(args) -> float:
 
 
 def cmd_bound(args):
+    if args.kind == "lower" and (args.source or args.target):
+        # the converse on a named target's spectra
+        if args.eps == "auto":
+            _fail("--eps auto applies only to bound lower's appendix-a "
+                  "example; with --source or --target it needs a number", 2)
+        eps = _numeric_eps(args)
+        eta = args.eta if args.eta is not None else eps
+        source = args.source or "dsbs:0.25"
+        target = args.target or "send-x"
+        law = parse_target(target, parse_source(source))
+        rep = lower_bound(SpectraBundle.from_protocol(law), eps, eta)
+        _emit({
+            "schema": SCHEMA,
+            "config": {"kind": "lower", "source": source, "target": target,
+                       "eps": eps, "eta": eta},
+            "bound": rep.bound, "lambda_eps": rep.lambda_eps,
+            "lambda_prime": rep.lambda_prime, "eps_prime": rep.eps_prime,
+            "lengths": list(rep.lengths), "vacuous": rep.vacuous,
+        }, args.out)
+        return
+    # every other kind reads the default source and target unless given
+    args.source = args.source or "dsbs:0.25"
+    args.target = args.target or "send-x"
     if args.kind == "lower":
         ex = appendix_threshold_example(args.n)
         eps = ex.eps_auto if args.eps == "auto" else _numeric_eps(args)
@@ -395,6 +432,7 @@ def cmd_example(args):
         source = dsbs_source(args.q)
         head = send_value_protocol(source)
         tail = constant_protocol(source)
+        _check_run(args)
         mix = mixed_protocol(head, tail, args.p, args.n)
         rng = np.random.default_rng([args.seed, 0])
         draws = mix.sample_ic(rng, args.trials) / args.n
@@ -472,8 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=4.0)
-    p.add_argument("--source", default="dsbs:0.25")
-    p.add_argument("--target", default="send-x")
+    # None: bound lower reports its appendix-a example, the other kinds
+    # read dsbs:0.25 and send-x
+    p.add_argument("--source")
+    p.add_argument("--target")
     p.add_argument("--p")
     p.add_argument("--q")
     p.add_argument("--lam", type=float)

@@ -31,9 +31,11 @@ import numpy as np
 
 from .errors import MismatchedSupport, OutOfRange
 
-#: cap on exhaustive family enumeration (number of seeds); exact modes apply
-#: it to the whole seed space their law averages over, not to the 2^-l of it
-#: that they decode
+#: cap on exhaustive enumeration: the members ``enumerate_family`` yields;
+#: in exact mode of engine 1, the seeds (live pair, family member) its law
+#: averages over (``exact_atom_count``), though it decodes 2^-l of them;
+#: in the exact walk of engines 2 to 5, the rows one round decodes, counted
+#: before the round allocates them
 ENUMERATION_CAP = 1 << 24
 #: members per block that ``enumerate_family`` builds at once
 _ENUMERATION_BLOCK = 1 << 12

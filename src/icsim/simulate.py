@@ -13,11 +13,11 @@ engine 3 rounds.  Each engine's trial rule is implemented once, as a kernel
 vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
 (pick M*, then ``_slice_search``) for engines 2 to 5, whose rounds all
 draw through ``_round_step``.  The scalar ``run`` is one trial of the
-chunked loop ``run_trials``; it and the exact enumerations call the kernel
-on hashes packed by :func:`icsim.hashing.pack_hashes`.  Engines whose
-randomness is small enough expose ``exact_view_law``, which enumerates
-every linear part of each hash family and every shared-randomness value,
-each linear part standing for its 2^L offsets (see :mod:`icsim.hashing`).
+chunked loop ``run_trials``, on hashes packed by
+:func:`icsim.hashing.pack_hashes`.  Every engine's ``exact_view_law`` walks
+each linear part of the hash families, standing for its 2^L offsets (see
+:mod:`icsim.hashing`): engine 1 with ``_sw_kernel``, engines 2 to 5 in one
+round-by-round walk of their ``_RoundTables``, ``_exact_walk``.
 
 The batch paths cut their trials in two units:
 
@@ -73,13 +73,12 @@ _TAIL, _NO_MATCH, _MULTIPLE, _BAD_J, _BUDGET = range(1, len(ERROR_CAUSES) + 1)
 BATCH_CHUNK = 100_000
 #: bytes per chunk that a trial kernel may allocate, as counted by
 #: :func:`_kernel_bytes`; it cuts the chunks of every engine's batch path
-#: and of engine 5's exact path
 BATCH_BYTES = 1 << 26
-#: bytes per block of hash matrices that exact mode of engines 1 to 3 packs
-#: and decodes at once, counted as BATCH_BYTES is; a block this small stays
-#: in cache, which decodes faster than one BATCH_BYTES block and leaves the
-#: peak memory where it was; it also bounds the float64 rows of one block of
-#: the plug-in bootstrap in :mod:`icsim.evaluate`
+#: bytes per block of hash matrices that exact mode packs and decodes at
+#: once, counted as BATCH_BYTES is; a block this small stays in cache, which
+#: decodes faster than one BATCH_BYTES block and leaves the peak memory where
+#: it was; it also bounds the float64 rows of one block of the plug-in
+#: bootstrap in :mod:`icsim.evaluate`
 EXACT_BLOCK_BYTES = 1 << 21
 #: bytes per block of rows that a batch path decodes at once, counted by
 #: :func:`_kernel_bytes`; a chunk's decode runs block by block, so its
@@ -457,9 +456,6 @@ class InteractiveSWCoder:
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return self.inner.run(rng, x, y)
 
-    def exact_atom_count(self) -> int:
-        return self.inner.exact_atom_count()
-
     def exact_view_law(self) -> FiniteDistribution:
         return self.inner.exact_view_law()
 
@@ -550,67 +546,8 @@ class RoundSimulator:
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return _round_outcome(self, rng, x, y)
 
-    # -- exact enumeration ---------------------------------------------------
-
-    def exact_atom_count(self) -> int:
-        """Size of the seed space ``exact_view_law`` averages over: one
-        atom per supported message of each live (x, y), hash family and
-        shared string.  It decodes 2^-L of them, one per linear part;
-        ``ENUMERATION_CAP`` applies to this count."""
-        live = self.source.mass > 0
-        msgs = (self.p_m_given_x > 0).sum(axis=1)  # (nx,)
-        supported = int((live * msgs[:, None]).sum())
-        return supported * family_size(self.width, self.total_hash_bits) \
-            * (1 << self.k)
-
     def exact_view_law(self) -> FiniteDistribution:
-        """Decode every live (x, y) against every hash family, shared
-        string u and message M* that u can pick: one row per (linear part,
-        u, live pair, supported message m), blocks of :func:`linear_blocks`
-        decoded by :func:`_slice_search` at once.  The decode at offset b
-        and string u is the decode at offset 0 and string u ^ (b mod 2^k),
-        so each row stands for 2^L families.  M* = m has probability
-        P(m|x) over the weight of the messages whose hash prefix is u, or
-        is the first supported message when none is.
-        """
-        if self.exact_atom_count() > ENUMERATION_CAP:
-            raise TooLarge("seed space too large for exact enumeration")
-        L, k, M = self.total_hash_bits, self.k, len(self.messages)
-        n_lin = family_size(self.width, L) >> L
-        # shared strings packed like the hash prefix, first bit slowest
-        strings = ((np.arange(1 << k)[:, None] >> (k - 1 - np.arange(k))) & 1
-                   ) @ (1 << np.arange(k, dtype=np.int64))
-        live_i, live_j = np.nonzero(self.source.mass > 0)
-        support = self.p_m_given_x[live_i] > 0
-        support[~support.any(axis=1), 0] = True
-        pair, m = np.nonzero(support)
-        first = np.r_[True, pair[1:] != pair[:-1]]
-        i, j = live_i[pair], live_j[pair]
-        base = self.source.mass[i, j] * (1.0 / n_lin) * 2.0 ** (-k)
-        step = max(1, EXACT_BLOCK_BYTES // (
-            strings.size * pair.size * _kernel_bytes(M, L, self.width)))
-        sums: dict = {}
-        for start in range(0, n_lin, step):
-            hs = pack_hashes(linear_blocks(
-                self.width, L, start, min(start + step, n_lin)), self.enc)
-            f, s, c = (a.ravel() for a in np.indices(
-                (hs.shape[0], strings.size, pair.size)))
-            h, u, mc, rows = hs[f], strings[s], m[c], np.arange(f.size)
-            wt = self.p_m_given_x[i[c]] * ((h & ((1 << k) - 1)) == u[:, None])
-            tot = wt.sum(axis=1)
-            pick = np.where(tot > 0, wt[rows, mc] > 0, first[c])
-            h, u, mc, c = h[pick], u[pick], mc[pick], c[pick]
-            w_m, tot = wt[pick, mc], tot[pick]
-            p = np.where(tot > 0, base[c] * w_m / np.where(tot > 0, tot, 1),
-                         base[c])
-            decoded = _slice_search(self, h, mc, self.slice_rx[:, j[c]].T,
-                                    np.full(c.size, k), u, 0)[0]
-            _add_views(sums, np.column_stack([mc, decoded, i[c], j[c]]), p)
-        msgs = (None,) + self.messages
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        return FiniteDistribution.from_mapping(
-            {(msgs[a + 1], msgs[d + 1], xs[x], ys[y]): p
-             for (a, d, x, y), p in sums.items()})
+        return _round_exact_law(self.table)
 
     def true_view_law(self) -> FiniteDistribution:
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
@@ -639,8 +576,8 @@ class ImprovedRoundSimulator:
     :class:`RoundSimulator`.  ``prior_x`` is the transmitter-input prior
     that weighs the slice-index prior ``p_j`` and so decides which indices
     are ``good``; it defaults to the source marginal.  ``table`` holds the
-    same tables as one-history :class:`_RoundTables`, which every trial
-    reads.
+    same tables as one-history :class:`_RoundTables`, which every trial and
+    exact mode read.
     """
 
     def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
@@ -679,6 +616,9 @@ class ImprovedRoundSimulator:
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return _round_outcome(self, rng, x, y)
+
+    def exact_view_law(self) -> FiniteDistribution:
+        return _round_exact_law(self.table)
 
     def true_view_law(self) -> FiniteDistribution:
         return self.inner.true_view_law()
@@ -737,24 +677,36 @@ def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
     the shared string ``u`` (masked to k bits here) and the uniform ``u_m``
     that picks M*.  ``inner`` supplies the round's encoding and hash
     schedule; ``extra_bits`` (the slice-index cost) is added to each
-    trial's bits.  M* is the first message of ``restrict`` whose hash
-    prefix is u and whose cumulative weight exceeds u_m times the total;
-    :func:`_slice_search` decodes it.  Returns ``(m_star,) +`` its result.
+    trial's bits.  M* is the first message whose cumulative weight in
+    :func:`_mstar_cum` exceeds u_m times the total; :func:`_slice_search`
+    decodes it.  Returns ``(m_star,) +`` its result.
     """
     h = pack_hashes(blocks, inner.enc)  # (T, M)
-    mask_t = (np.int64(1) << k_t) - 1
-    u = u & mask_t
-    prefix_ok = (h & mask_t[:, None]) == u[:, None]
-    cum = np.cumsum(p_rows * (prefix_ok & restrict), axis=1)
+    u = u & ((np.int64(1) << k_t) - 1)
+    cum = _mstar_cum(p_rows, restrict, h, k_t, u)
     m_star = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
-    empty = cum[:, -1] <= 0.0
-    if empty.any():
-        # canonical choice: the first supported message of the restriction
-        fb = restrict & (p_rows > 0)
-        first = np.argmax(fb, axis=1)
-        m_star = np.where(empty, np.where(fb.any(axis=1), first, 0), m_star)
     return (m_star,) + _slice_search(inner, h, m_star, slc, k_t, u,
                                      extra_bits)
+
+
+def _mstar_cum(p_rows: np.ndarray, restrict: np.ndarray, h: np.ndarray,
+               k_t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Cumulative weights (T, M) of M*, the rule both :func:`_round_kernel`
+    and :func:`_exact_walk` read: P(m|x) over the messages of ``restrict``
+    whose first ``k_t`` hash bits are the shared string ``u`` (already
+    masked to them), summed in message order.  A row with no such message
+    steps from 0 to 1 at its fallback, the first supported message of the
+    restriction, else message 0.  M* is m with probability
+    (cum[m] - cum[m - 1]) / cum[-1]."""
+    mask_t = (np.int64(1) << k_t) - 1
+    prefix_ok = (h & mask_t[:, None]) == u[:, None]
+    cum = np.cumsum(p_rows * (prefix_ok & restrict), axis=1)
+    empty = np.flatnonzero(cum[:, -1] <= 0.0)
+    if empty.size:
+        fb = restrict[empty] & (p_rows[empty] > 0)
+        first = np.where(fb.any(axis=1), np.argmax(fb, axis=1), 0)
+        cum[empty] = np.arange(cum.shape[1]) >= first[:, None]
+    return cum
 
 
 def _slice_search(inner: RoundSimulator, h: np.ndarray, m_star: np.ndarray,
@@ -936,6 +888,138 @@ def _add_views(sums: dict, keys: np.ndarray, p: np.ndarray):
     sums.update(zip(rows, acc.tolist()))
 
 
+def _merge_rows(rows: np.ndarray, p: np.ndarray):
+    """The distinct rows of ``rows``, each with its terms of ``p`` summed
+    in row order."""
+    uniq, inverse, _ = _unique_rows(rows)
+    return uniq, np.bincount(inverse, weights=p, minlength=len(uniq))
+
+
+def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
+                l_max: float = math.inf):
+    """Every outcome of :func:`_round_step` chained over ``tables``, with
+    its probability: exact mode of engines 2 to 5.
+
+    A forward pass over trial states, one per live (x, y) to start, each
+    with its mass.  A state holds both parties' message keys as in
+    :class:`ProtocolBatch`, their history codes, the bits sent and the
+    cause code.  Round t splits every running state by its slice index J,
+    with the probability :func:`_pick_slice` draws it from ``cum_j``; by
+    each linear part of the round's hash family, standing for its 2^L
+    offsets (:mod:`icsim.hashing`); by each shared string u of k(J) bits;
+    and by each M* of positive weight in :func:`_mstar_cum`.  It decodes
+    in blocks of linear parts with :func:`_slice_search`, and equal states
+    merge, so rounds add up rather than multiply.  Before a round
+    allocates its rows it counts them, at most max(s, 1) + 2^k - 1 per
+    linear part and accepted (state, J), s the supported messages of
+    slice J, and raises TooLarge past ``ENUMERATION_CAP``.
+
+    Returns ``(keys, cause, p)``: keys hold each round's M* and decode,
+    also in a round that failed, and -1 where unset.
+    """
+    R = len(tables)
+    K = 2 * R + 2  # then x's and y's history codes, the bits, the cause
+    live_i, live_j = np.nonzero(source.mass > 0)
+    state = np.zeros((live_i.size, K + 4), dtype=np.int64)
+    state[:, :2 * R] = -1
+    state[:, 2 * R], state[:, 2 * R + 1] = live_i, live_j
+    p = source.mass[live_i, live_j]
+    for t, tab in enumerate(tables, start=1):
+        tx = 1 - t % 2  # party x speaks in odd rounds
+        rx = 1 - tx
+        cause = state[:, K + 3]  # a view: an unknown history ends a state
+        cause[(cause == 0) & ((state[:, K + tx] < 0)
+                              | (state[:, K + rx] < 0))] = _NO_MATCH
+        running = cause == 0
+        # the round's states: the ended ones, then those the round makes
+        out, q_out = state[~running], p[~running]
+        state, p = state[running], p[running]
+        # each party's table rows: (history, symbol), or the symbol alone
+        # on one-history tables
+        t_tx, t_rx = ((state[:, 2 * R + i],) if tab.p_m.ndim == 2
+                      else (state[:, K + i], state[:, 2 * R + i])
+                      for i in (tx, rx))
+        if tab.cum_j is None:
+            s, jj, p_s = np.arange(len(p)), np.zeros(len(p), np.int64), p
+        else:
+            cum = tab.cum_j[t_tx]
+            p_j = np.diff(cum, axis=1, prepend=0.0) / cum[:, -1:]
+            s, jj = np.nonzero(p_j > 0)
+            p_s = p[s] * p_j[s, jj]
+        if tab.good is not None:
+            ok = tab.good[tuple(i[s] for i in t_tx[:-1]) + (jj,)]
+            bad = state[s[~ok]]
+            bad[:, K + 3] = _BAD_J
+            out, q_out = _merge_rows(np.concatenate([out, bad]),
+                                     np.concatenate([q_out, p_s[~ok]]))
+            s, jj, p_s = s[ok], jj[ok], p_s[ok]
+        if not s.size:
+            state, p = out, q_out
+            continue
+        rows_tx = tuple(i[s] for i in t_tx)
+        p_rows = tab.p_m[rows_tx]
+        restrict = (np.ones(p_rows.shape, dtype=bool) if tab.slice_tx is None
+                    else tab.slice_tx[rows_tx] == jj[:, None])
+        slc = tab.slice_rx[tuple(i[s] for i in t_rx)]
+        k = tab.k_of[jj]
+        inner = tab.inner
+        L, w, M = inner.total_hash_bits, inner.width, p_rows.shape[1]
+        n_lin = family_size(w, L) >> L
+        per_part = int((np.maximum((p_rows * restrict > 0).sum(axis=1), 1)
+                        + (np.int64(1) << k) - 1).sum())
+        if n_lin * per_part > ENUMERATION_CAP:
+            raise TooLarge(f"exact mode would decode {n_lin * per_part:,} "
+                           f"rows in round {t}, over the cap of "
+                           f"{ENUMERATION_CAP:,}")
+        # one row (r, u) per accepted (state, J) and shared string
+        n_u = np.int64(1) << k
+        r = np.repeat(np.arange(s.size), n_u)
+        u = np.arange(r.size) - np.repeat(np.cumsum(n_u) - n_u, n_u)
+        base = p_s * (1.0 / n_lin) * 2.0 ** (-k)
+        step = max(1, EXACT_BLOCK_BYTES // (per_part * _kernel_bytes(M, L, w)))
+        for start in range(0, n_lin, step):
+            hs = pack_hashes(linear_blocks(w, L, start,
+                                           min(start + step, n_lin)),
+                             inner.enc)
+            h = np.repeat(hs, r.size, axis=0)
+            ru, uu = np.tile(r, len(hs)), np.tile(u, len(hs))
+            cum = _mstar_cum(p_rows[ru], restrict[ru], h, k[ru], uu)
+            w_m = np.diff(cum, axis=1, prepend=0.0)
+            n, m = np.nonzero(w_m > 0)
+            ru = ru[n]
+            decoded, cause, bits, _ = _slice_search(
+                inner, h[n], m, slc[ru], k[ru], uu[n], tab.j_cost)
+            rows = state[s[ru]]
+            rows[:, tx * R + t - 1] = m
+            rows[:, rx * R + t - 1] = decoded
+            rows[:, K + 2] += bits
+            cause[(cause == 0) & (rows[:, K + 2] > l_max)] = _BUDGET
+            rows[:, K + 3] = cause
+            if tab.next is not None:
+                ok = cause == 0
+                rows[ok, K + tx] = tab.next[rows[ok, K + tx], m[ok]]
+                rows[ok, K + rx] = tab.next[rows[ok, K + rx], decoded[ok]]
+            out, q_out = _merge_rows(
+                np.concatenate([out, rows]),
+                np.concatenate([q_out, base[ru] * w_m[n, m] / cum[n, -1]]))
+        state, p = out, q_out
+    return state[:, :K], state[:, K + 3], p
+
+
+def _round_exact_law(tab: _RoundTables) -> FiniteDistribution:
+    """Exact view law of engines 2 to 4: :func:`_exact_walk` on their
+    one-history table; a view is (M*, decoded, x, y), None for -1."""
+    inner = tab.inner
+    keys, _, p = _exact_walk([tab], inner.source)
+    sums: dict = {}
+    _add_views(sums, keys, p)
+    msgs = (None,) + inner.messages
+    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+    return FiniteDistribution.from_mapping(
+        {(msgs[a + 1], msgs[d + 1], xs[x], ys[y]): w
+         for (a, d, x, y), w in sums.items()})
+
+
 # ---------------------------------------------------------------------------
 # engine 5: full protocol simulation
 # ---------------------------------------------------------------------------
@@ -951,7 +1035,8 @@ class RoundPlan:
 
 @dataclass(frozen=True)
 class _RoundTables:
-    """One round's tables, as :func:`_round_step` reads them.
+    """One round's tables, as :func:`_round_step` and :func:`_exact_walk`
+    read them.
 
     Engine 5's, built by :meth:`build` from the law's round views, are
     stacked on a leading history axis: history h is ``law.histories(t)[h]``;
@@ -1134,66 +1219,15 @@ class ProtocolSimulator:
             {(taus[k], taus[k], xs[i], ys[j]): self.law.joint[k, i, j]
              for k, i, j in zip(*np.nonzero(self.law.joint > 0))})
 
-    # -- exact enumeration (deterministic rounds, k = 0) ---------------------
-
-    def _deterministic(self) -> bool:
-        p = self.law.p_tau_given_xy
-        return bool(np.all((p < 1e-12) | (p > 1 - 1e-12)))
-
-    def exact_atom_count(self) -> int:
-        """Size of the seed space ``exact_view_law`` averages over: every
-        live (x, y) and chain of hash families, one per round.  It runs
-        2^-L_t of them per round t, one per linear part;
-        ``ENUMERATION_CAP`` applies to this count."""
-        return int((self.src.mass > 0).sum()) * math.prod(
-            family_size(tab.inner.width, tab.inner.total_hash_bits)
-            for tab in self.tables)
-
     def exact_view_law(self) -> FiniteDistribution:
-        """Run every live (x, y) against every chain of hash matrices, one
-        linear part per round (:func:`linear_blocks`, offset 0), through
-        :meth:`run_batch`.
-
-        Rows are (pair, round-1 matrix, ..., round-R matrix) in that order,
-        cut into chunks of ``self.chunk``; each row weighs its pair's mass
-        over the number of chains.  Every round shares no prefix (k = 0),
-        so its decode compares two hashes and the offset cancels: a chain
-        of matrices stands for all the chains of families it spans.  The
-        target and every round are deterministic, so a row's view does not
-        depend on the uniforms ``run_batch`` draws either.
-        """
-        if not self._deterministic():
-            raise OutOfRange("exact chains are supported for deterministic "
-                             "target protocols only")
-        if self.exact_atom_count() > ENUMERATION_CAP:
-            raise TooLarge("seed space too large for exact enumeration")
-        lins = []
-        for tab in self.tables:
-            if ((tab.p_m > 0).sum(axis=2) > 1).any():
-                raise OutOfRange("exact mode needs deterministic rounds")
-            if (tab.good & (tab.k_of > 0)).any():
-                raise OutOfRange("exact mode requires k = 0 rounds")
-            w, L = tab.inner.width, tab.inner.total_hash_bits
-            lins.append(linear_blocks(w, L, 0, family_size(w, L) >> L))
-        # a power of two, so 1 / chains is exact
-        chains = math.prod(len(lin) for lin in lins)
-        live_i, live_j = np.nonzero(self.src.mass > 0)
-        term = self.src.mass[live_i, live_j] * (1.0 / chains)
-        total = live_i.size * chains
-        rng = np.random.default_rng(0)
+        """:func:`_exact_walk` on the round tables; a failed trial's view
+        is ``(None, None, x, y)``, as in :meth:`run_batch`."""
+        keys, cause, p = _exact_walk(self.tables, self.src, self.l_max)
+        keys[cause != 0, :2 * self.law.n_rounds] = -1
         sums: dict = {}
-        for start in range(0, total, self.chunk):
-            pair, code = np.divmod(
-                np.arange(start, min(start + self.chunk, total)), chains)
-            blocks = []
-            for lin in lins[::-1]:
-                code, member = np.divmod(code, len(lin))
-                blocks.insert(0, lin[member])
-            batch = self.run_batch(rng, pair.size, blocks=blocks,
-                                   pairs=(live_i[pair], live_j[pair]))
-            _add_views(sums, batch.keys, term[pair])
+        _add_views(sums, keys, p)
         return FiniteDistribution.from_mapping(
-            {self.view_of(key): p for key, p in sums.items()})
+            {self.view_of(key): w for key, w in sums.items()})
 
 
 def _protocol_chunk(sim: ProtocolSimulator, T: int, seed):

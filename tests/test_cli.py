@@ -300,3 +300,70 @@ def test_analyze_unknown_spectrum_is_usage_error(argv, kinds):
     assert all(kind in proc.stderr for kind in kinds)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+_P1 = {"source": "dsbs:0.25", "protocol": "p1", "l": 3, "gamma": 1.0}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("simulate", "--trials", "0", "--seed", "1"), _P1, "--trials"),
+    (("simulate", "--trials", "-5", "--seed", "1"), _P1, "--trials"),
+    (("eval", "--trials", "0"), _P1, "--trials"),
+    (("simulate", "--trials", "10", "--seed", "-1"), _P1, "--seed"),
+    (("eval", "--seed", "-1"), _P1, "--seed"),
+    (("eval",), "{not json", "not JSON"),
+], ids=["simulate-trials-0", "simulate-trials-negative", "eval-trials-0",
+        "simulate-seed-negative", "eval-seed-negative", "config-not-json"])
+def test_run_input_errors_are_usage_errors(tmp_path, argv, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    proc = run_cli(*argv, "--config", str(path), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_bound_lower_named_target_is_its_converse():
+    from icsim.bounds import SpectraBundle, lower_bound
+    from icsim.probcore import dsbs_source, product_source
+    from icsim.protocol import send_value_protocol
+
+    doc = json.loads(run_cli(
+        "bound", "lower", "--source", "dsbs^2:0.11", "--target", "send-x",
+        "--eps", "0.1", "--eta", "0.05").stdout)
+    law = send_value_protocol(product_source(dsbs_source(0.11), 2))
+    rep = lower_bound(SpectraBundle.from_protocol(law), 0.1, 0.05)
+    assert doc["config"] == {"kind": "lower", "source": "dsbs^2:0.11",
+                             "target": "send-x", "eps": 0.1, "eta": 0.05}
+    assert (doc["bound"], doc["lambda_eps"], doc["lambda_prime"],
+            doc["eps_prime"], doc["lengths"], doc["vacuous"]) == (
+        rep.bound, rep.lambda_eps, rep.lambda_prime, rep.eps_prime,
+        list(rep.lengths), rep.vacuous)
+    # one flag alone selects the named converse, with the other's default
+    alone = json.loads(run_cli("bound", "lower", "--source", "dsbs^2:0.11",
+                               "--eps", "0.1", "--eta", "0.05").stdout)
+    assert alone == doc
+    proc = run_cli("bound", "lower", "--target", "send-x", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --eps auto")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cfg", [
+    # criterion 4's engine 4 instance 0
+    {"source": "dsbs:0.2", "protocol": "p4", "target": "send-x",
+     "gamma": 3.0},
+    # 2^26 seeds, refused when the cap counted seeds
+    {"source": "dsbs:0.3", "protocol": "p5", "target": "data-exchange",
+     "gamma": 3.0, "k_override": 0},
+], ids=["p4-send-x", "p5-data-exchange"])
+def test_eval_exact_on_newly_exact_configs(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    exact = json.loads(run_cli("eval", "--config", str(path), "--mode",
+                               "exact").stdout)
+    plug = json.loads(run_cli("eval", "--config", str(path), "--trials",
+                              "200000", "--seed", "1").stdout)
+    assert exact["mode"] == "exact" and exact["samples"] == 0
+    assert abs(exact["tv"] - plug["tv"]) <= plug["ci_halfwidth"]

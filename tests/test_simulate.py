@@ -8,7 +8,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -604,29 +604,68 @@ def test_round_kernel_matches_scalar_seed_for_seed(make, outcomes):
         assert (given.x, given.y) == (xs[s % len(xs)], ys[-1])
 
 
-def _round_law(sim):
-    """Engine 3's exact view law from the rule: every live (x, y), hash
-    family, shared string u and message M* that u can pick."""
-    src = sim.source
-    n_fam = family_size(sim.width, sim.total_hash_bits)
-    acc = Counter()
-    everything = np.ones(len(sim.messages), dtype=bool)
-    for fam in enumerate_family(sim.width, sim.total_hash_bits):
-        hb = fam.apply_bits(sim.enc)
+def _round_outcomes(engine, s_tx, slc, hb):
+    """Every outcome ``(m_star, decoded, cause, bits)`` of one round of
+    engine 3 or 4 at transmitter symbol ``s_tx``, receiver slices ``slc``
+    and hash bits ``hb``, with its probability: the slice index J with
+    P(J | x) on engine 4 (a rejected J costs ``j_cost`` bits), the shared
+    string u uniform on k bits, and M* with its prefix weight, or the first
+    supported restricted message when all of them are zero."""
+    improved = isinstance(engine, ImprovedRoundSimulator)
+    inner = engine.inner if improved else engine
+    p_row = inner.p_m_given_x[s_tx]
+    j_law = engine.p_j_given_x[s_tx] if improved else np.ones(1)
+    for jj in np.nonzero(j_law)[0]:
+        q_j = j_law[jj] / j_law.sum()
+        if improved and not engine.good[jj]:
+            yield q_j, (None, None, "bad_J", engine.j_cost)
+            continue
+        k = engine.k_of(jj) if improved else inner.k
+        restrict = (engine.slice_tx[:, s_tx] == jj if improved
+                    else np.ones(len(p_row), dtype=bool))
+        extra = engine.j_cost if improved else 0
+        for u in range(1 << k):
+            w = _prefix_weights(hb, p_row, restrict, k, u)
+            if w.sum() > 0:
+                picks = [(w[m] / w.sum(), m) for m in np.nonzero(w)[0]]
+            else:
+                supported = np.nonzero(restrict & (p_row > 0))[0]
+                picks = [(1.0, int(supported[0]) if supported.size else 0)]
+            for q, m in picks:
+                yield q_j * 2.0 ** -k * q, (m,) + _search_rule(
+                    inner, hb, slc, m, k, u, extra)
+
+
+def _round_law(engine):
+    """Exact view law of engine 3 or 4 from the rule: every live (x, y),
+    hash family and outcome of :func:`_round_outcomes`, each view's terms
+    summed with ``math.fsum``."""
+    inner = getattr(engine, "inner", engine)
+    src = inner.source
+    n_fam = family_size(inner.width, inner.total_hash_bits)
+
+    def msg(a):
+        return None if a is None else inner.messages[a]
+
+    terms = defaultdict(list)
+    for fam in enumerate_family(inner.width, inner.total_hash_bits):
+        hb = fam.apply_bits(inner.enc)
         for i, j in zip(*np.nonzero(src.mass > 0)):
-            p_row, slc = sim.p_m_given_x[i], sim.slice_rx[:, j]
-            for u in range(1 << sim.k):
-                w = _prefix_weights(hb, p_row, everything, sim.k, u)
-                base = src.mass[i, j] / n_fam / 2 ** sim.k
-                picks = ([(m, base * w[m] / w.sum()) for m in np.nonzero(w)[0]]
-                         if w.sum() > 0 else
-                         [(int(np.nonzero(p_row > 0)[0][0]), base)])
-                for m, p in picks:
-                    d = _search_rule(sim, hb, slc, m, sim.k, u, 0)[0]
-                    acc[(sim.messages[m], None if d is None
-                         else sim.messages[d], src.x_alphabet[i],
-                         src.y_alphabet[j])] += p
-    return acc
+            for q, (m, d, _, _) in _round_outcomes(
+                    engine, i, inner.slice_rx[:, j], hb):
+                terms[(msg(m), msg(d), src.x_alphabet[i],
+                       src.y_alphabet[j])].append(src.mass[i, j] / n_fam * q)
+    return {view: math.fsum(t) for view, t in terms.items()}
+
+
+def _send_x_improved(k_override):
+    """Engine 4 on send-x over dsbs:0.25 with one transmitter slice."""
+    src = dsbs_source(0.25)
+    view = send_value_protocol(src).round_view(1, ())
+    return ImprovedRoundSimulator(
+        src, view.p_m_given_x, view.messages,
+        SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0),
+        SliceConfig(0.0, 1e-9, 1e-9, 1.0), k_override=k_override)
 
 
 @pytest.mark.parametrize("make, dyadic", [
@@ -636,11 +675,22 @@ def _round_law(sim):
     (lambda: InteractiveSWCoder(dsbs_source(0.25),
                                 SliceConfig(0.0, 2.0 + 1e-9, 2.0, 0.0),
                                 l=2).inner, True),
-], ids=["p3-k1", "p3-k2", "p3-noisy-k1", "p2-l2"])
-def test_round_exact_law_matches_rule(make, dyadic):
+    (lambda: _noisy_round(improved=True), False),
+    (lambda: _noisy_round(k_override=2, improved=True), False),
+    (lambda: _send_x_improved(k_override=1), True),
+    (lambda: _send_x_improved(k_override=2), True),
+], ids=["p3-k1", "p3-k2", "p3-noisy-k1", "p2-l2", "p4-noisy", "p4-noisy-k2",
+        "p4-send-x-k1", "p4-send-x-k2"])
+def test_round_exact_law_matches_rule(make, dyadic, request):
     sim = make()
     law = sim.exact_view_law()
     ref = _round_law(sim)
+    # engine 4 reaches a rejected J on noisy-send, shares bits on send-x
+    name = request.node.callspec.id
+    if name.startswith("p4-noisy"):
+        assert any(v[:2] == (None, None) for v in ref)
+    if name.startswith("p4-send-x"):
+        assert sim.k_table[sim.good].min() > 0
     assert set(law.symbols) == set(ref)
     got = np.array([law.prob(v) for v in ref])
     want = np.array(list(ref.values()))
@@ -836,91 +886,157 @@ def test_protocol_batch_matches_scalar_seed_for_seed(make, outcomes,
 
 
 def _chain_law(sim):
-    """Engine 5's exact view law: the chained rule on every live (x, y) and
-    every chain of enumerated hash families, one per round.  Every round
-    of the instances is deterministic with k = 0, so the uniforms do not
-    matter (0.5 stands in)."""
-    fams = [[np.column_stack([f.matrix, f.offset])
-             for f in enumerate_family(tab.inner.width,
-                                       tab.inner.total_hash_bits)]
+    """Engine 5's exact view law: the chained rule on every live (x, y),
+    every hash family of each round and every outcome of
+    :func:`_round_outcomes` (slice index, shared string and M*, with their
+    probabilities), each view's terms summed with ``math.fsum``."""
+    fams = [list(enumerate_family(tab.inner.width, tab.inner.total_hash_bits))
             for tab in sim.tables]
-    seed_p = 1.0 / math.prod(len(f) for f in fams)
     engines = _history_engines(sim)
     memo = {}
 
     def step(t, hist, syms, f):
-        """Round t of one trial under family f of the round, memoized."""
+        """Round t's outcomes for one trial under family f, memoized."""
         tx = 1 - t % 2
         key = (t, hist[tx], hist[1 - tx], syms[tx], syms[1 - tx], f)
         if key not in memo:
             e_tx = engines.get((t, hist[tx]))
             e_rx = engines.get((t, hist[1 - tx]))
             if e_tx is None or e_rx is None:
-                memo[key] = (None, None, "no_match", 0, e_tx)
+                memo[key] = [(1.0, (None, None, "no_match", 0))], e_tx
             else:
-                j_row = e_tx.p_j_given_x[syms[tx]]
-                assert np.count_nonzero(j_row) == 1
-                jj = _pick(j_row, 0.5)
-                assert not e_tx.good[jj] or e_tx.k_of(jj) == 0
-                memo[key] = _improved_rule(
+                memo[key] = list(_round_outcomes(
                     e_tx, syms[tx], e_rx.inner.slice_rx[:, syms[1 - tx]],
-                    fams[t - 1][f], jj, 0, 0.5) + (e_tx,)
+                    fams[t - 1][f].apply_bits(e_tx.inner.enc))), e_tx
         return memo[key]
 
     src = sim.src
-    acc = Counter()
-    for i, j in zip(*np.nonzero(src.mass > 0)):
-        x, y = src.x_alphabet[i], src.y_alphabet[j]
-        for chain in itertools.product(*(range(len(f)) for f in fams)):
-            hist, bits, cause = [(), ()], 0, None
-            for t, f in enumerate(chain, start=1):
-                m, d, cause, b, e_tx = step(t, hist, (i, j), f)
-                bits += b
-                if cause is None and bits > sim.l_max:
+    terms = defaultdict(list)
+
+    def walk(t, hist, bits, p, syms, xy):
+        if t > sim.law.n_rounds:
+            terms[tuple(hist) + xy].append(p)
+            return
+        for f in range(len(fams[t - 1])):
+            outcomes, e_tx = step(t, hist, syms, f)
+            for q, (m, d, cause, b) in outcomes:
+                if cause is None and bits + b > sim.l_max:
                     cause = "budget_exceeded"
+                w = p / len(fams[t - 1]) * q
                 if cause is not None:
-                    break
+                    terms[(None, None) + xy].append(w)
+                    continue
                 tx = 1 - t % 2
-                hist[tx] += (e_tx.messages[m],)
-                hist[1 - tx] += (e_tx.messages[d],)
-            view = ((None, None) if cause else tuple(hist)) + (x, y)
-            acc[view] += src.mass[i, j] * seed_p
-    return acc
+                nxt = list(hist)
+                nxt[tx] += (e_tx.messages[m],)
+                nxt[1 - tx] += (e_tx.messages[d],)
+                walk(t + 1, nxt, bits + b, w, syms, xy)
+
+    for i, j in zip(*np.nonzero(src.mass > 0)):
+        walk(1, [(), ()], 0, src.mass[i, j], (i, j),
+             (src.x_alphabet[i], src.y_alphabet[j]))
+    return {view: math.fsum(t) for view, t in terms.items()}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: criterion7_sim(),
-    lambda: criterion7_sim(xor_reply_protocol(dsbs_source(0.25))),
-    lambda: criterion7_sim(l_max=3),
-], ids=["data-exchange", "xor-reply", "l_max=3"])
-def test_protocol_exact_law_matches_chained_rule(make):
+@pytest.mark.parametrize("make, dyadic", [
+    (lambda: criterion7_sim(), True),
+    (lambda: criterion7_sim(xor_reply_protocol(dsbs_source(0.25))), True),
+    (lambda: criterion7_sim(l_max=3), True),
+    (lambda: ProtocolSimulator(
+        noisy_send_protocol(dsbs_source(0.25), 0.15),
+        auto_round_plans(noisy_send_protocol(dsbs_source(0.25), 0.15),
+                         gamma=1.0)), False),
+    (lambda: ProtocolSimulator(
+        data_exchange_protocol(dsbs_source(0.25)),
+        auto_round_plans(data_exchange_protocol(dsbs_source(0.25)),
+                         gamma=0.5), k_override=None), True),
+], ids=["data-exchange", "xor-reply", "l_max=3", "noisy-send",
+        "k_override=None"])
+def test_protocol_exact_law_matches_chained_rule(make, dyadic, request):
     sim = make()
     law = sim.exact_view_law()
     ref = _chain_law(sim)
     assert set(law.symbols) == set(ref)
-    # dyadic masses: every sum is exact, whatever its order
-    assert np.array_equal([law.prob(v) for v in ref], list(ref.values()))
+    got = np.array([law.prob(v) for v in ref])
+    want = np.array(list(ref.values()))
+    if dyadic:
+        # every sum is exact, whatever its order
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+    # a rejected J on noisy-send, shared prefix bits with k_override=None
+    if request.node.callspec.id == "noisy-send":
+        assert law.prob((None, None, 0, 0)) > 0
+        assert not sim.tables[0].good.all()
+    if request.node.callspec.id == "k_override=None":
+        assert all(tab.k_of[tab.good.any(axis=0)].min() > 0
+                   for tab in sim.tables)
 
 
 def test_protocol_exact_guards(monkeypatch):
-    with pytest.raises(OutOfRange, match="k = 0"):
-        criterion7_sim(k_override=1).exact_view_law()
-    noisy = noisy_send_protocol(dsbs_source(0.25), 0.15)
-    with pytest.raises(OutOfRange, match="deterministic"):
-        ProtocolSimulator(noisy, auto_round_plans(noisy)).exact_view_law()
-    # data exchange over dsbs^3: 64 pairs times 2^12 families per round
-    big = criterion7_sim(data_exchange_protocol(
-        product_source(dsbs_source(0.25), 3)))
-    assert big.exact_atom_count() > 1 << 24
-    monkeypatch.setattr(ProtocolSimulator, "run_batch", None)
+    # data exchange over dsbs^2 with 13 hash bits per round: 16 pairs times
+    # 2^26 linear parts in round 1, past the cap on the rows a round decodes
+    law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
+    big = ProtocolSimulator(law, [RoundPlan(
+        SliceConfig(0.0, 12.0, 1.0, 0.5),
+        SliceConfig(0.0, 1e-9, 1e-9, 0.5))] * 2, k_override=0)
+    assert [tab.inner.total_hash_bits for tab in big.tables] == [13, 13]
+    # the walk would build its first hash block here
+    monkeypatch.setattr(icsim.simulate, "linear_blocks", None)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="rows in round 1"):
             big.exact_view_law()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def _criterion4_round(i, q):
+    """Criterion 4's engine 4 instance i: send-x (even i) or noisy-send at
+    crossover 0.1 + 0.05 i (odd i) over dsbs:q, auto plans at gamma 3."""
+    src = dsbs_source(q)
+    law = (noisy_send_protocol(src, 0.1 + 0.05 * i) if i % 2
+           else send_value_protocol(src))
+    view = law.round_view(1, ())
+    rx, tx = (auto_slice_config(round_density_spectrum(law, 1, side),
+                                gamma=3.0) for side in ("rx", "tx"))
+    return ImprovedRoundSimulator(src, view.p_m_given_x, view.messages,
+                                  rx, tx)
+
+
+_NEWLY_EXACT = {
+    "p4-noisy": lambda: _noisy_round(improved=True),
+    "p4-noisy-k2": lambda: _noisy_round(k_override=2, improved=True),
+    "p4-send-x-k1": lambda: _send_x_improved(k_override=1),
+    **{f"criterion4-p4-{i}": functools.partial(_criterion4_round, i, q)
+       for i, q in enumerate((0.2, 0.25, 0.3, 0.35, 0.15))},
+    "p5-noisy-send": lambda: ProtocolSimulator(
+        noisy_send_protocol(dsbs_source(0.25), 0.15),
+        auto_round_plans(noisy_send_protocol(dsbs_source(0.25), 0.15),
+                         gamma=1.0)),
+    "p5-k_override=None": lambda: ProtocolSimulator(
+        data_exchange_protocol(dsbs_source(0.25)),
+        auto_round_plans(data_exchange_protocol(dsbs_source(0.25)),
+                         gamma=0.5), k_override=None),
+    # 2^26 seeds but 64 linear parts per round: refused when the cap
+    # counted seeds
+    "criterion4-p5-dsbs:0.3": lambda: ProtocolSimulator(
+        data_exchange_protocol(dsbs_source(0.3)),
+        auto_round_plans(data_exchange_protocol(dsbs_source(0.3)),
+                         gamma=3.0), k_override=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEWLY_EXACT))
+def test_plugin_interval_covers_newly_exact_tv(name):
+    """Engines 4 and 5 on instances the earlier exact modes refused: the
+    exact tv lies in the plug-in interval of 200,000 trials."""
+    engine = _NEWLY_EXACT[name]()
+    exact = measure_sim_error(engine, "exact").value
+    plug = measure_sim_error(engine, "plugin", trials=200_000, master_seed=0)
+    assert abs(plug.value - exact) <= plug.ci_halfwidth, (exact, plug)
 
 
 def test_protocol_k_override_none_shares_prefix_bits():
@@ -1038,6 +1154,16 @@ def test_engine4_is_round_one_of_engine5(name, k_override):
         assert (tx[ok] != decoded[ok]).any()  # silent wrong decodes
         shared = engine.k_table[engine.good] > 0
         assert shared.any() == (k_override is None)
+    # exact mode walks both the same way, bit for bit; send-x over dsbs^3
+    # would decode 2^30 rows or more, past the cap, in both
+    if name == "send-x-dsbs^3":
+        for engine_ in (engine, sim):
+            with pytest.raises(TooLarge):
+                engine_.exact_view_law()
+        return
+    walks = [icsim.simulate._exact_walk(tables, law.source)
+             for tables in ([engine.table], sim.tables)]
+    assert all(_same_array(a, b) for a, b in zip(*walks))
 
 
 def test_protocol_builds_one_round_simulator_per_round(monkeypatch):
@@ -1255,19 +1381,9 @@ def test_interactive_coder_is_round_simulator_on_identity():
     assert np.array_equal(inner.p_m_given_x, np.eye(len(src.x_alphabet)))
     assert coder.total_hash_bits == 2 + (coder.n_slices - 1) * 3
     assert coder.bits_for_slice(2) == 2 + 3 + 2
-    # the seed space: every live (x, y) and hash family, as before; exact
-    # mode decodes one per linear part, 2^-L of it
-    live = int((src.mass > 0).sum())
-    assert coder.exact_atom_count() == live * (
-        1 << (coder.total_hash_bits * (inner.width + 1)))
-
-
-def test_round_exact_atom_count_counts_supported_messages():
-    # send-x supports one of two messages per x, noisy-send both
-    for sim, per_x in ((round_sim(k=1, gamma=1.0), 1), (_noisy_round(k=1), 2)):
-        live = int((sim.source.mass > 0).sum())
-        fams = 1 << (sim.total_hash_bits * (sim.width + 1))
-        assert sim.exact_atom_count() == live * per_x * fams * 2
+    # trials and exact mode both read the inner simulator's table
+    assert coder.table.p_m is inner.p_m_given_x
+    assert coder.table.k_of.tolist() == [0]
 
 
 def _true_view_law_by_pairs(sim):
@@ -1639,38 +1755,30 @@ def test_exact_law_same_across_family_blocks(make, monkeypatch):
     engine = make()
     whole = engine.exact_view_law()
     if isinstance(engine, ProtocolSimulator):
-        # each round's linear parts are built once; the rows (live pair,
-        # chain of matrices) run in chunks of 2/5 of them
-        n_lin = [1 << (tab.inner.total_hash_bits * tab.inner.width)
-                 for tab in engine.tables]
-        rows = int((engine.src.mass > 0).sum()) * math.prod(n_lin)
-        monkeypatch.setattr(engine, "chunk", 2 * rows // 5)
-        sizes = []
-        run_batch = engine.run_batch
-
-        def spy_batch(rng, T, **kw):
-            sizes.append(T)
-            return run_batch(rng, T, **kw)
-
-        monkeypatch.setattr(engine, "run_batch", spy_batch)
+        # blocks of one linear part: every round walks each of its own
+        monkeypatch.setattr(icsim.simulate, "EXACT_BLOCK_BYTES", 1)
         calls = _blocks_spy(monkeypatch)
         law = engine.exact_view_law()
-        assert calls == [(tab.inner.width, tab.inner.total_hash_bits, 0, n)
-                         for tab, n in zip(engine.tables, n_lin)]
-        assert sizes == [2 * rows // 5] * 2 + [rows - 4 * rows // 5]
+        assert calls == [
+            (tab.inner.width, tab.inner.total_hash_bits, a, a + 1)
+            for tab in engine.tables
+            for a in range(1 << (tab.inner.total_hash_bits
+                                 * tab.inner.width))]
     else:
         if isinstance(engine, SlepianWolfCoder):
             out_bits, M = engine.l, len(engine.source.x_alphabet)
+            # a block decodes one row per live pair of each linear part
+            per_part = int((engine.source.mass > 0).sum())
         else:
             out_bits, M = engine.total_hash_bits, len(engine.messages)
-        n_fam = family_size(engine.width, out_bits)
-        n_lin = n_fam >> out_bits
-        # a block decodes one row per atom of each of its linear parts
-        per_part = engine.exact_atom_count() // n_fam \
-            * _kernel_bytes(M, out_bits, engine.width)
+            # one row per live pair and shared string: send-x supports one
+            # message per x
+            per_part = int((engine.source.mass > 0).sum()) << engine.k
+        n_lin = family_size(engine.width, out_bits) >> out_bits
         # blocks of 2/5 of the linear parts: two full blocks and a partial
         monkeypatch.setattr(icsim.simulate, "EXACT_BLOCK_BYTES",
-                            per_part * (2 * n_lin // 5))
+                            per_part * _kernel_bytes(M, out_bits, engine.width)
+                            * (2 * n_lin // 5))
         calls = _blocks_spy(monkeypatch)
         law = engine.exact_view_law()
         assert len(calls) >= 3
