@@ -55,6 +55,7 @@ from .hashing import (
     pack_hashes,
 )
 from .probcore import (
+    NORM_TOL,
     FiniteDistribution,
     JointSource,
     SliceConfig,
@@ -108,6 +109,15 @@ class SimOutcome:
 
 @dataclass
 class TrialAggregate:
+    """Counts of a batch of trials.
+
+    ``mismatches`` counts the trials whose view has tau_x != tau_y.  So
+    whether a declared failure counts as a mismatch depends on how the
+    engine writes its view: always on engines 1 to 3 (tau_y is None, tau_x
+    is not), always on engine 4 except ``bad_J`` (M* and the decode are
+    both None), and never on engine 5 (a failed view is ``(None, None, x,
+    y)``).
+    """
     trials: int
     views: Counter
     bits: np.ndarray
@@ -539,8 +549,8 @@ class RoundSimulator:
         """This round as a one-history table with no slice-index law.  Built
         per call: a stored table would hold the simulator itself, a cycle
         only the cyclic garbage collector frees."""
-        return _RoundTables(inner=self, j_cost=0, p_m=self.p_m_given_x,
-                            slice_rx=self.slice_rx.T,
+        return _RoundTables(inner=self, j_cost=0, p_m=self.p_m_given_x[None],
+                            slice_rx=self.slice_rx.T[None],
                             k_of=np.array([self.k], dtype=np.int64))
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
@@ -575,9 +585,9 @@ class ImprovedRoundSimulator:
     ``aux_m_given_y`` is the receiver's conditional, passed on to
     :class:`RoundSimulator`.  ``prior_x`` is the transmitter-input prior
     that weighs the slice-index prior ``p_j`` and so decides which indices
-    are ``good``; it defaults to the source marginal.  ``table`` holds the
-    same tables as one-history :class:`_RoundTables`, which every trial and
-    exact mode read.
+    are ``good``; it defaults to the source marginal.  ``table`` is built
+    as engine 5 builds a round, by :meth:`_RoundTables.build` at one
+    history; the public tables (``slice_tx`` is (M, nx)) are views of it.
     """
 
     def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
@@ -585,19 +595,19 @@ class ImprovedRoundSimulator:
                  k_override: int | None = None,
                  aux_m_given_y: np.ndarray | None = None,
                  prior_x: np.ndarray | None = None):
+        prior = source.p_x if prior_x is None else np.asarray(prior_x, float)
+        if prior.shape != source.p_x.shape or not (
+                (prior >= 0).all() and abs(prior.sum() - 1.0) <= NORM_TOL):
+            raise OutOfRange("prior_x must be a distribution on the x values")
         self.cfg_tx = cfg_tx
         self.inner = inner = RoundSimulator(
             source, p_m_given_x, messages, cfg_rx, 0, aux_m_given_y)
-        slc, self.p_j_given_x, self.p_j, self.good, self.j_cost = _tx_tables(
-            inner.p_m_given_x, cfg_tx, source.p_x if prior_x is None
-            else np.asarray(prior_x, float))
-        self.slice_tx = slc.T  # (M, nx)
-        self.k_table = _k_table(cfg_tx, cfg_rx.gamma,
-                                inner.total_hash_bits, k_override)
-        self.table = _RoundTables(
-            inner=inner, j_cost=self.j_cost, p_m=inner.p_m_given_x,
-            slice_rx=inner.slice_rx.T, k_of=self.k_table, slice_tx=slc,
-            cum_j=np.cumsum(self.p_j_given_x, axis=1), good=self.good)
+        self.table = tab = _RoundTables.build(
+            inner, inner.p_m_given_x[None], inner.p_m_given_y[None],
+            prior[None], cfg_tx, k_override)
+        self.slice_tx, self.p_j_given_x, self.p_j, self.good = (
+            tab.slice_tx[0].T, tab.p_j_given_x[0], tab.p_j[0], tab.good[0])
+        self.k_table, self.j_cost = tab.k_of, tab.j_cost
         self.chunk = inner.chunk
 
     @property
@@ -644,12 +654,17 @@ def _tx_tables(p_m: np.ndarray, cfg_tx: SliceConfig, prior: np.ndarray):
 
 def _k_table(cfg_tx: SliceConfig, gamma: float, total_hash_bits: int,
              k_override: int | None) -> np.ndarray:
-    """Shared prefix length k(J), J = 0 .. n_tx: ``k_override``, else
-    lambda_min + (J - 1) delta - 2 log2 n_tx - 2 gamma + 2, floored and
-    clipped to [0, total_hash_bits]."""
+    """Shared prefix length k(J), J = 0 .. n_tx: ``k_override``, an
+    integer in [0, total_hash_bits], else lambda_min + (J - 1) delta
+    - 2 log2 n_tx - 2 gamma + 2, floored and clipped to that range."""
     n_j = cfg_tx.n_slices + 1
     if k_override is not None:
-        return np.full(n_j, k_override)
+        if not (isinstance(k_override, (int, np.integer))
+                and 0 <= k_override <= total_hash_bits):
+            raise OutOfRange(f"k_override must be an integer in [0, "
+                             f"{total_hash_bits}], the round's hash budget; "
+                             f"got {k_override!r}")
+        return np.full(n_j, k_override, dtype=np.int64)
     raw = (cfg_tx.lambda_min + (np.arange(n_j) - 1) * cfg_tx.delta
            - 2 * math.log2(cfg_tx.n_slices) - 2 * gamma + 2)
     return np.clip(np.floor(raw), 0, total_hash_bits).astype(np.int64)
@@ -765,14 +780,13 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
     """One round of T trials on the tables ``tab``; returns ``(m_star,
     decoded, cause, bits, hit)``.
 
-    ``tx`` and ``rx`` index the transmitter's and the receiver's table rows,
-    one per-trial array per leading axis: (history, symbol) on engine 5,
-    the symbol on one-history tables.  Draw order: the hash blocks (unless
-    given), the J uniforms (only with a slice-index law), the shared
-    strings and the M* uniforms.  :func:`_round_kernel` decodes block by
-    block, on rows ``p_m[tx]``, restrictions ``slice_tx[tx] == J`` (every
-    message without a J law) and ``slice_rx[rx]``.  A rejected J costs
-    ``j_cost`` bits, with M* and the decode -1 and the hit 0.
+    ``tx`` and ``rx`` index the transmitter's and the receiver's table rows
+    by per-trial (history, symbol) arrays.  Draw order: the hash blocks
+    (unless given), the J uniforms (only with a slice-index law), the
+    shared strings and the M* uniforms.  :func:`_round_kernel` decodes
+    block by block, on rows ``p_m[tx]``, restrictions ``slice_tx[tx] == J``
+    (every message without a J law) and ``slice_rx[rx]``.  A rejected J
+    costs ``j_cost`` bits, with M* and the decode -1 and the hit 0.
     """
     inner = tab.inner
     T, M = tx[-1].size, tab.p_m.shape[-1]
@@ -798,7 +812,7 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
         decode, T, max(1, TRIAL_BLOCK_BYTES // _kernel_bytes(
             M, inner.total_hash_bits, inner.width)))
     if tab.good is not None:
-        bad = ~tab.good[tx[:-1] + (jj,)]
+        bad = ~tab.good[tx[0], jj]
         m_star[bad] = decoded[bad] = -1
         cause[bad] = _BAD_J
         bits[bad] = tab.j_cost
@@ -809,10 +823,11 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
 def _round_trials(engine, rng, T: int, pairs=None):
     """T trials of engines 2 to 4 from ``rng``: the source pairs (unless
     ``pairs`` gives their indices), then :func:`_round_step` on the
-    engine's ``table``.  Returns ``(xi, yj) +`` the step's result."""
+    engine's ``table`` at history 0.  Returns ``(xi, yj) +`` its result."""
     tab = engine.table
     xi, yj = tab.inner.source.sample(rng, size=T) if pairs is None else pairs
-    return (xi, yj) + _round_step(tab, rng, (xi,), (yj,))
+    h = np.zeros(T, dtype=np.int64)
+    return (xi, yj) + _round_step(tab, rng, (h, xi), (h, yj))
 
 
 def _batch_round_chunk(engine, T: int, seed):
@@ -934,10 +949,8 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
         # the round's states: the ended ones, then those the round makes
         out, q_out = state[~running], p[~running]
         state, p = state[running], p[running]
-        # each party's table rows: (history, symbol), or the symbol alone
-        # on one-history tables
-        t_tx, t_rx = ((state[:, 2 * R + i],) if tab.p_m.ndim == 2
-                      else (state[:, K + i], state[:, 2 * R + i])
+        # each party's table rows: (history, symbol)
+        t_tx, t_rx = ((state[:, K + i], state[:, 2 * R + i])
                       for i in (tx, rx))
         if tab.cum_j is None:
             s, jj, p_s = np.arange(len(p)), np.zeros(len(p), np.int64), p
@@ -947,7 +960,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
             s, jj = np.nonzero(p_j > 0)
             p_s = p[s] * p_j[s, jj]
         if tab.good is not None:
-            ok = tab.good[tuple(i[s] for i in t_tx[:-1]) + (jj,)]
+            ok = tab.good[t_tx[0][s], jj]
             bad = state[s[~ok]]
             bad[:, K + 3] = _BAD_J
             out, q_out = _merge_rows(np.concatenate([out, bad]),
@@ -1008,7 +1021,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
 
 def _round_exact_law(tab: _RoundTables) -> FiniteDistribution:
     """Exact view law of engines 2 to 4: :func:`_exact_walk` on their
-    one-history table; a view is (M*, decoded, x, y), None for -1."""
+    one-round table; a view is (M*, decoded, x, y), None for -1."""
     inner = tab.inner
     keys, _, p = _exact_walk([tab], inner.source)
     sums: dict = {}
@@ -1035,16 +1048,14 @@ class RoundPlan:
 
 @dataclass(frozen=True)
 class _RoundTables:
-    """One round's tables, as :func:`_round_step` and :func:`_exact_walk`
-    read them.
+    """One round's tables, stacked on a leading history axis, as
+    :func:`_round_step` and :func:`_exact_walk` read them.
 
-    Engine 5's, built by :meth:`build` from the law's round views, are
-    stacked on a leading history axis: history h is ``law.histories(t)[h]``;
-    ``n_tx`` and ``n_rx`` are the speaker's and the listener's alphabet
-    sizes.  Engines 3 and 4 hold one-history tables, without that axis;
-    engine 3's has no slice-index law (no ``slice_tx``, ``cum_j`` or
-    ``good``; ``k_of`` holds its k).  ``inner`` is the round simulator of
-    the first history, whose hash schedule every history shares.
+    History h of engine 5's round t is ``law.histories(t)[h]``; engines 2
+    to 4 have one history.  ``n_tx`` and ``n_rx`` are the speaker's and the
+    listener's alphabet sizes.  Engines 2 and 3 have no slice-index law
+    (its fields from ``slice_tx`` to ``good`` are None; ``k_of`` holds
+    their k).  ``inner`` holds the hash schedule all histories share.
     """
     inner: RoundSimulator
     j_cost: int
@@ -1052,49 +1063,29 @@ class _RoundTables:
     slice_rx: np.ndarray    # (H, n_rx, M) receiver slice of each message
     k_of: np.ndarray        # (n_j,) shared prefix length per slice index
     slice_tx: np.ndarray | None = None  # (H, n_tx, M) transmitter slices
+    p_j_given_x: np.ndarray | None = None  # (H, n_tx, n_j) law of J
     cum_j: np.ndarray | None = None  # (H, n_tx, n_j) cumulative J law
+    p_j: np.ndarray | None = None    # (H, n_j) law of J under the prior
     good: np.ndarray | None = None   # (H, n_j) slice indices accepted
     next: np.ndarray | None = None   # (H, M) next history or -1; None last
 
     @classmethod
-    def build(cls, law: TranscriptLaw, t: int, plan: RoundPlan,
-              k_override: int | None, hists: tuple,
-              next_hists: tuple | None) -> _RoundTables:
-        """Round t's tables under ``plan``, from the law's round views of
-        ``hists`` (``law.histories(t)``); ``next_hists`` are round t + 1's,
-        None at the last round."""
-        # swap the source orientation so the transmitter is always "x"
-        x_tx = t % 2 == 1
-        src = law.source if x_tx else JointSource(
-            law.source.y_alphabet, law.source.x_alphabet, law.source.mass.T)
-        universe = law.round_messages(t)
-        col = {m: a for a, m in enumerate(universe)}
-        p_m, p_rx = (np.zeros((len(hists), n, len(universe)))
-                     for n in src.mass.shape)
-        prior = np.empty(p_m.shape[:2])
-        for h, hist in enumerate(hists):
-            # the speaker's and the listener's message laws, and the
-            # speaker's history-conditional marginal (histories have mass)
-            view = law.round_view(t, hist)
-            own = (view.p_m_given_x, view.p_m_given_y)
-            cols = [col[m] for m in view.messages]
-            p_m[h][:, cols], p_rx[h][:, cols] = own if x_tx else own[::-1]
-            hist_tx = view.p_hist_xy.sum(axis=1 if x_tx else 0)
-            prior[h] = hist_tx / hist_tx.sum()
-        inner = RoundSimulator(src, p_m[0], universe, plan.rx, 0, p_rx[0])
-        slice_tx, p_j_given_x, _, good, j_cost = _tx_tables(
-            p_m, plan.tx, prior)
-        nxt = None
-        if next_hists is not None:
-            index = {h: a for a, h in enumerate(next_hists)}
-            nxt = np.array([[index.get(h + (m,), -1) for m in universe]
-                            for h in hists], dtype=np.int64)
+    def build(cls, inner: RoundSimulator, p_m: np.ndarray, p_rx: np.ndarray,
+              prior: np.ndarray, cfg_tx: SliceConfig, k_override: int | None,
+              next: np.ndarray | None = None) -> _RoundTables:
+        """A round's tables from per-history arrays: the speaker's message
+        laws ``p_m`` (H, n_tx, M) and input priors ``prior`` (H, n_tx),
+        sliced by ``cfg_tx``, and the listener's ``p_rx`` (H, n_rx, M),
+        sliced by ``inner.cfg_rx``."""
+        slice_tx, p_j_given_x, p_j, good, j_cost = _tx_tables(
+            p_m, cfg_tx, prior)
         return cls(inner=inner, j_cost=j_cost, p_m=p_m,
-                   slice_tx=slice_tx, slice_rx=_slice_table(p_rx, plan.rx),
-                   cum_j=np.cumsum(p_j_given_x, axis=2), good=good,
-                   k_of=_k_table(plan.tx, plan.rx.gamma,
+                   slice_rx=_slice_table(p_rx, inner.cfg_rx),
+                   k_of=_k_table(cfg_tx, inner.cfg_rx.gamma,
                                  inner.total_hash_bits, k_override),
-                   next=nxt)
+                   slice_tx=slice_tx, p_j_given_x=p_j_given_x,
+                   cum_j=np.cumsum(p_j_given_x, axis=2), p_j=p_j, good=good,
+                   next=next)
 
 
 @dataclass(frozen=True)
@@ -1134,10 +1125,35 @@ class ProtocolSimulator:
         self.k_override = k_override
         self.src = law.source
         hists = [law.histories(t) for t in range(1, len(self.plans) + 1)]
-        self.tables = [
-            _RoundTables.build(law, t, plan, k_override, h, next_h)
-            for t, (plan, h, next_h) in enumerate(
-                zip(self.plans, hists, hists[1:] + [None]), start=1)]
+        self.tables = []
+        for t, (plan, hs) in enumerate(zip(self.plans, hists), start=1):
+            # swap the source orientation so the transmitter is always "x"
+            x_tx = t % 2 == 1
+            src = law.source if x_tx else JointSource(
+                law.source.y_alphabet, law.source.x_alphabet,
+                law.source.mass.T)
+            universe = law.round_messages(t)
+            col = {m: a for a, m in enumerate(universe)}
+            p_m, p_rx = (np.zeros((len(hs), n, len(universe)))
+                         for n in src.mass.shape)
+            prior = np.empty(p_m.shape[:2])
+            for h, hist in enumerate(hs):
+                # both parties' message laws, and the speaker's marginal
+                # given the history (histories have mass)
+                view = law.round_view(t, hist)
+                own = (view.p_m_given_x, view.p_m_given_y)
+                cols = [col[m] for m in view.messages]
+                p_m[h][:, cols], p_rx[h][:, cols] = own if x_tx else own[::-1]
+                hist_tx = view.p_hist_xy.sum(axis=1 if x_tx else 0)
+                prior[h] = hist_tx / hist_tx.sum()
+            nxt = None
+            if t < len(hists):
+                index = {h: a for a, h in enumerate(hists[t])}
+                nxt = np.array([[index.get(h + (m,), -1) for m in universe]
+                                for h in hs], dtype=np.int64)
+            inner = RoundSimulator(src, p_m[0], universe, plan.rx, 0, p_rx[0])
+            self.tables.append(_RoundTables.build(
+                inner, p_m, p_rx, prior, plan.tx, k_override, nxt))
         # the largest round sets the chunk
         self.chunk = min(tab.inner.chunk for tab in self.tables)
 

@@ -229,6 +229,25 @@ def test_eval_p1_hash_past_62_bits_fails(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("k", [-1, 100, 1.5, 40])
+@pytest.mark.parametrize("cfg", [
+    {"source": "dsbs:0.25", "protocol": "p4", "target": "send-x",
+     "gamma": 3.0},
+    {"source": "dsbs:0.25", "protocol": "p5", "target": "data-exchange",
+     "gamma": 2.0},
+], ids=["p4", "p5"])
+def test_eval_k_override_outside_hash_budget_fails(tmp_path, cfg, k):
+    # k_override must be an integer in [0, total_hash_bits] of each round
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "k_override": k}))
+    proc = run_cli("eval", "--config", str(path), "--trials", "10",
+                   check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize, about 47 MB resident, loads only for direct-product
     # thresholds; every other command runs without it

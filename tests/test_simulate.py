@@ -63,6 +63,7 @@ from icsim.simulate import (
     RoundPlan,
     RoundSimulator,
     SlepianWolfCoder,
+    _RoundTables,
     _batch_round_chunk,
     _conditional_density,
     _kernel_bytes,
@@ -177,6 +178,18 @@ class TestInteractive:
             RoundSimulator(dsbs_source(0.25), np.eye(2), (0, 1), cfg, 0,
                            aux.T)
 
+    @pytest.mark.parametrize("prior", [[0.2, 0.3, 0.5], [1.5, -0.5],
+                                       [0.0, 0.0]],
+                             ids=["shape", "negative", "zero"])
+    def test_prior_checked(self, prior):
+        law = noisy_send_protocol(dsbs_source(0.25), 0.15)
+        view = law.round_view(1, ())
+        cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
+        with pytest.raises(OutOfRange):
+            ImprovedRoundSimulator(law.source, view.p_m_given_x,
+                                   view.messages, cfg, cfg,
+                                   prior_x=np.array(prior))
+
 
 class TestRoundSimulator:
     def test_exact_tv_below_budget(self):
@@ -228,6 +241,23 @@ class TestImprovedRound:
         agg = batch_round_trials(sim, 60_000, 1)
         est = measure_sim_error(sim, "plugin", master_seed=1, agg=agg)
         assert est.value <= protocol4_tv_budget(sim) + est.ci_halfwidth
+
+    @pytest.mark.parametrize("cfg, mode, tv, budget", [
+        ({"source": "dsbs:0.2", "target": "send-x"}, "exact",
+         0.0031250000000011043, 1.375),
+        ({"source": "dsbs:0.25", "target": "noisy-send:0.15"}, "exact",
+         0.16328124999999982, 0.75),
+        ({"source": "dsbs^6:0.11", "target": "send-x"}, "plugin",
+         0.12553484037517187, 1.52059361799),
+    ], ids=["send-x", "noisy-send", "p4-product6"])
+    def test_report_values_pinned(self, cfg, mode, tv, budget):
+        """The tv and budget that ``icsim eval`` reports on three engine 4
+        configs (gamma 3; plug-in: seed 1, 10,000 trials)."""
+        engine = build_engine({**cfg, "protocol": "p4", "gamma": 3.0})
+        agg = run_trials(engine, 10_000, 1) if mode == "plugin" else None
+        est = measure_sim_error(engine, mode, master_seed=1, agg=agg)
+        assert est.value == tv
+        assert protocol4_tv_budget(engine) == budget
 
 
 class TestProtocolSimulator:
@@ -732,17 +762,17 @@ def criterion7_sim(law=None, l_max=math.inf, k_override=0):
                              k_override=k_override)
 
 
-def _history_engines(sim):
-    """Engine 4 of every (round, history) of ``sim``, keyed by (t, hist):
-    the reference for engine 5's round tables, built one history at a time
+def _history_inputs(sim):
+    """The round inputs of every (round, history) of ``sim``, keyed by
+    (t, hist): ``(src, p_tx, p_rx, prior)``, read one history at a time
     from the law's round views on the round's message universe.
 
     The speaker is always "x" (the source is transposed in even rounds);
     its slice-index prior is its history-conditional input marginal, and
     the listener slices its history-conditional law of the message.
     """
-    law, engines = sim.law, {}
-    for t, plan in enumerate(sim.plans, start=1):
+    law, inputs = sim.law, {}
+    for t in range(1, law.n_rounds + 1):
         universe = law.round_messages(t)
         index = {m: a for a, m in enumerate(universe)}
         src = law.source if t % 2 else JointSource(
@@ -755,10 +785,20 @@ def _history_engines(sim):
             cols = [index[m] for m in view.messages]
             p_tx[:, cols], p_rx[:, cols] = own
             hist_tx = view.p_hist_xy.sum(axis=1 if t % 2 else 0)
-            engines[(t, hist)] = ImprovedRoundSimulator(
-                src, p_tx, universe, plan.rx, plan.tx,
-                k_override=sim.k_override, aux_m_given_y=p_rx,
-                prior_x=hist_tx / hist_tx.sum())
+            inputs[(t, hist)] = (src, p_tx, p_rx, hist_tx / hist_tx.sum())
+    return inputs
+
+
+def _history_engines(sim):
+    """Engine 4 of every (round, history) of ``sim``, keyed by (t, hist),
+    built from :func:`_history_inputs`: the per-history reference for
+    engine 5's round tables."""
+    engines = {}
+    for (t, hist), (src, p_tx, p_rx, prior) in _history_inputs(sim).items():
+        plan = sim.plans[t - 1]
+        engines[(t, hist)] = ImprovedRoundSimulator(
+            src, p_tx, sim.law.round_messages(t), plan.rx, plan.tx,
+            k_override=sim.k_override, aux_m_given_y=p_rx, prior_x=prior)
     return engines
 
 
@@ -1182,11 +1222,34 @@ def test_protocol_builds_one_round_simulator_per_round(monkeypatch):
     assert calls == {"RoundSimulator": law.n_rounds}
 
 
+def _slice_index_reference(p_m, prior, tx, gamma, total_hash_bits):
+    """Engine 4's slice-index tables of message laws ``p_m`` (n_x, M) under
+    the input prior ``prior``, written out per entry: ``(slice_tx,
+    p_j_given_x, p_j, good, k_of, j_cost)``.  The slice of each message
+    (n_x, M); P(J | x) sums the messages of slice J in order; p_j weighs it
+    by the prior; the tail index and those of prior mass below 1 / n_tx^2
+    are rejected; k(J) is the floored, clipped min-entropy of slice J."""
+    n_tx, (nx, M) = tx.n_slices, p_m.shape
+    slc = np.zeros((nx, M), dtype=np.int64)
+    p_j_x = np.zeros((nx, n_tx + 1))
+    for x in range(nx):
+        for m in range(M):
+            p = p_m[x, m]
+            slc[x, m] = j = tx.slice_of(-math.log2(p)) if p > 0 else 0
+            p_j_x[x, j] += p
+    p_j = sum(prior[x] * p_j_x[x] for x in range(nx))
+    good = [j > 0 and p_j[j] >= 1 / n_tx ** 2 - 1e-12
+            for j in range(n_tx + 1)]
+    k_of = [max(0, min(math.floor(tx.lambda_min + (j - 1) * tx.delta
+                                  - 2 * math.log2(n_tx) - 2 * gamma + 2),
+                       total_hash_bits)) for j in range(n_tx + 1)]
+    j_cost = max(1, math.ceil(math.log2(max(n_tx, 2)))) + 1
+    return slc, p_j_x, p_j, good, k_of, j_cost
+
+
 def test_slice_index_tables_match_scalar_formulas():
     """Engine 4's slice-index tables against the formulas written out per
-    entry: P(J | x) sums the messages of slice J in order, p_j weighs it by
-    the prior, the tail index and those of prior mass below 1 / n_tx^2 are
-    rejected, and k(J) is the floored, clipped min-entropy of slice J."""
+    entry (:func:`_slice_index_reference`)."""
     law = noisy_send_protocol(dsbs_source(0.25), 0.15)
     view = law.round_view(1, ())
     for gamma, prior, one_slice in itertools.product(
@@ -1196,26 +1259,101 @@ def test_slice_index_tables_match_scalar_formulas():
               auto_slice_config(round_density_spectrum(law, 1, "tx"), gamma))
         e = ImprovedRoundSimulator(law.source, view.p_m_given_x,
                                    view.messages, rx, tx, prior_x=prior)
-        n_tx, (nx, M) = tx.n_slices, view.p_m_given_x.shape
-        p_j_x = np.zeros((nx, n_tx + 1))
-        for x in range(nx):
-            for m in range(M):
-                p = view.p_m_given_x[x, m]
-                j = tx.slice_of(-math.log2(p)) if p > 0 else 0
-                assert e.slice_tx[m, x] == j
-                p_j_x[x, j] += p
+        slc, p_j_x, p_j, good, k_of, j_cost = _slice_index_reference(
+            view.p_m_given_x, law.source.p_x if prior is None else prior,
+            tx, gamma, e.inner.total_hash_bits)
+        assert np.array_equal(e.slice_tx, slc.T)
         assert np.array_equal(e.p_j_given_x, p_j_x)
-        w = law.source.p_x if prior is None else prior
-        p_j = sum(w[x] * p_j_x[x] for x in range(nx))
         assert np.abs(e.p_j - p_j).max() <= 1e-15
-        assert list(e.good) == [j > 0 and p_j[j] >= 1 / n_tx ** 2 - 1e-12
-                                for j in range(n_tx + 1)]
-        assert e.j_cost == max(1, math.ceil(math.log2(max(n_tx, 2)))) + 1
-        for j in range(n_tx + 1):
-            raw = (tx.lambda_min + (j - 1) * tx.delta
-                   - 2 * math.log2(n_tx) - 2 * gamma + 2)
-            assert e.k_of(j) == max(0, min(math.floor(raw),
-                                           e.inner.total_hash_bits))
+        assert list(e.good) == good
+        assert e.j_cost == j_cost
+        assert [e.k_of(j) for j in range(tx.n_slices + 1)] == k_of
+
+
+# (law, gamma, fixed transmitter slicing of round 2): data exchange's
+# messages are deterministic, so every history accepts J = 1 only; on the
+# two-round law the history priors decide the accepted indices, and k > 0
+_ROUND_TWO_TX = {
+    "data-exchange-dsbs^2:0.25": (1.0, SliceConfig(0.0, 3.0 + 1e-9, 1.0,
+                                                   1.0)),
+    "two-round": (0.5, SliceConfig(0.0, 6.0 + 1e-9, 1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TWO_TX))
+def test_round_tables_match_scalar_formulas(name):
+    """Round 2 of engine 5, stacked over its histories, against the
+    per-entry formulas of :func:`_slice_index_reference` on each history's
+    message law and prior."""
+    law = _TABLE_LAWS[name]()
+    gamma, tx = _ROUND_TWO_TX[name]
+    sim = ProtocolSimulator(law, [RoundPlan(plan.rx, tx) for plan in
+                                  auto_round_plans(law, gamma=gamma)])
+    tab, hists = sim.tables[1], law.histories(2)
+    inputs = _history_inputs(sim)
+    assert tab.p_m.shape[0] == len(hists) > 1
+    for h, hist in enumerate(hists):
+        _, p_tx, _, prior = inputs[(2, hist)]
+        slc, p_j_x, _, good, k_of, _ = _slice_index_reference(
+            p_tx, prior, tx, gamma, tab.inner.total_hash_bits)
+        assert np.array_equal(tab.slice_tx[h], slc)
+        assert np.array_equal(tab.cum_j[h], np.cumsum(p_j_x, axis=1))
+        assert tab.good[h].tolist() == good
+        assert tab.k_of.tolist() == k_of
+    if name == "two-round":
+        assert (tab.good[0] != tab.good[1]).any() and tab.k_of.max() > 0
+
+
+def test_engine4_builds_its_table_through_the_round_builder(monkeypatch):
+    """Engine 4 builds one engine 3 (hash schedule, receiver slicing) and
+    its tables with one call of the builder engine 5 uses, at one
+    history."""
+    calls = Counter()
+
+    def spy(self, *args, _init=RoundSimulator.__init__, **kw):
+        calls["RoundSimulator"] += 1
+        _init(self, *args, **kw)
+
+    build = _RoundTables.build
+
+    def spy_build(cls, *args, **kw):
+        calls["build"] += 1
+        return build(*args, **kw)
+
+    monkeypatch.setattr(RoundSimulator, "__init__", spy)
+    monkeypatch.setattr(_RoundTables, "build", classmethod(spy_build))
+    engine = build_engine({"source": "dsbs:0.25", "protocol": "p4",
+                           "target": "noisy-send:0.15", "gamma": 3.0})
+    assert calls == {"RoundSimulator": 1, "build": 1}
+    assert engine.table.p_m.shape[0] == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"protocol": "p1", "l": 3, "gamma": 1.0},
+    {"protocol": "p2", "gamma": 1.0},
+    {"protocol": "p3", "target": "send-x", "gamma": 1.0},
+    {"protocol": "p4", "target": "noisy-send:0.15", "gamma": 3.0},
+    {"protocol": "p5", "target": "data-exchange", "gamma": 2.0,
+     "k_override": 0},
+], ids=lambda cfg: cfg["protocol"])
+def test_mismatches_count_views_with_tau_x_not_tau_y(cfg):
+    """``TrialAggregate.mismatches`` counts the trials whose view has
+    tau_x != tau_y.  So a declared failure is a mismatch on engines 1 to 3
+    (tau_y is None), on engine 4 except ``bad_J`` (M* and the decode are
+    both None) and never on engine 5 (a failed view is (None, None, x,
+    y))."""
+    engine = build_engine({"source": "dsbs:0.25", **cfg})
+    agg = run_trials(engine, 4_000, 3)
+    assert agg.mismatches == sum(n for v, n in agg.views.items()
+                                 if v[0] != v[1])
+    failed = sum(agg.errors.values())
+    both_none = sum(n for v, n in agg.views.items()
+                    if v[0] is None and v[1] is None)
+    assert failed > 0
+    assert both_none == {"p4": agg.errors["bad_J"], "p5": failed}.get(
+        cfg["protocol"], 0)
+    if cfg["protocol"] == "p4":
+        assert 0 < agg.errors["bad_J"] < failed
 
 
 def test_protocol_run_trials_reproducible():
@@ -1382,7 +1520,7 @@ def test_interactive_coder_is_round_simulator_on_identity():
     assert coder.total_hash_bits == 2 + (coder.n_slices - 1) * 3
     assert coder.bits_for_slice(2) == 2 + 3 + 2
     # trials and exact mode both read the inner simulator's table
-    assert coder.table.p_m is inner.p_m_given_x
+    assert coder.table.p_m.base is inner.p_m_given_x
     assert coder.table.k_of.tolist() == [0]
 
 
