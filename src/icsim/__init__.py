@@ -27,6 +27,7 @@ from .protocol import (
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
+    exchange_bits_protocol,
     mixed_protocol,
     noisy_send_protocol,
     one_round_protocol,

@@ -48,6 +48,7 @@ from .protocol import (
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
+    exchange_bits_protocol,
     mixed_protocol,
     noisy_send_protocol,
     send_value_protocol,
@@ -122,6 +123,8 @@ def parse_target(token: str, source: JointSource) -> TranscriptLaw:
         return data_exchange_protocol(source)
     if token == "xor-reply":
         return xor_reply_protocol(source)
+    if token == "exchange-bits":
+        return exchange_bits_protocol(source)
     if token.startswith("noisy-send:"):
         try:
             crossover = float(token.removeprefix("noisy-send:"))
@@ -159,7 +162,7 @@ def build_engine(cfg: dict):
         cfg_rx = _slice_from_cfg(cfg.get("slice_rx"), rx_spec, gamma)
         if proto == "p3":
             return RoundSimulator(source, p_m_x, view.messages, cfg_rx,
-                                  int(cfg.get("k", 0)))
+                                  cfg.get("k", 0))
         tx_spec = round_density_spectrum(target, 1, "tx")
         cfg_tx = _slice_from_cfg(cfg.get("slice_tx"), tx_spec, gamma)
         return ImprovedRoundSimulator(source, p_m_x, view.messages,

@@ -32,6 +32,9 @@ from .errors import (
 NORM_TOL = 1e-9
 #: atoms whose values agree within this tolerance are merged
 MERGE_TOL = 1e-12
+#: ``SpectrumTable.from_atoms`` merges at most this many atoms in a Python
+#: loop, which is faster there than its vectorized pass
+_LOOP_ATOMS = 32
 #: tolerance used when comparing tail masses against a threshold
 TAIL_TOL = 1e-12
 
@@ -337,12 +340,33 @@ class SpectrumTable:
         the order of ``sorted(zip(values, probs))``).  One pass then merges
         each atom into the current group while it lies within ``merge_tol``
         of the group's first value, summing masses left to right.
+
+        Past ``_LOOP_ATOMS`` atoms the pass is vectorized: a group starts
+        at each atom beyond ``merge_tol`` of the one before, and when every
+        atom then lies within ``merge_tol`` of its group's first value
+        these are the pass's groups (an atom beyond its predecessor is
+        beyond every earlier value too); ``bincount`` sums each group's
+        masses left to right.  Otherwise (few atoms, chains of near
+        values, infinite values, a mass of -0.0) the pass runs atom by
+        atom.
         """
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1:
             raise MismatchedSupport("spectrum arrays must be equal-length vectors")
+        if np.any(probs < 0):
+            raise OutOfRange("negative spectrum mass")
         order = np.lexsort((probs, values))
+        v, p = values[order], probs[order]
+        if v.size > _LOOP_ATOMS:
+            start = np.ones(v.size, dtype=bool)
+            start[1:] = ~(v[1:] - v[:-1] <= merge_tol)
+            group = np.cumsum(start) - 1
+            anchors = v[start]
+            if (v - anchors[group] <= merge_tol).all() \
+                    and not np.signbit(p).any():
+                return cls(anchors, np.bincount(group, weights=p,
+                                                minlength=anchors.size))
         merged_v: list[float] = []
         merged_p: list[float] = []
         # the open group starts at ``anchor`` and holds mass ``acc``; a new
@@ -350,9 +374,7 @@ class SpectrumTable:
         # (v - anchor is +inf or NaN, never within tolerance), whose mass is
         # dropped
         anchor, acc = -math.inf, 0.0
-        for v, p in zip(values[order].tolist(), probs[order].tolist()):
-            if p < 0:
-                raise OutOfRange("negative spectrum mass")
+        for v, p in zip(v.tolist(), p.tolist()):
             if v - anchor <= merge_tol:
                 acc += p
             else:

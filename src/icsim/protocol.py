@@ -1,13 +1,13 @@
 """Interactive protocols as explicit transcript laws.
 
 A protocol over a :class:`~icsim.probcore.JointSource` is represented by its
-transcript law: the conditional table P(transcript | x, y) together with a
-decomposition of each transcript into rounds, where consecutive rounds are
-spoken by alternating parties (party "x" speaks the odd rounds).  Everything
-downstream (densities, spectra, simulation, bounds) is computed from this
-table.
+transcript law P(transcript | x, y), kept as its positive atoms, together
+with a decomposition of each transcript into rounds, where consecutive
+rounds are spoken by alternating parties (party "x" speaks the odd rounds).
+Everything downstream (densities, spectra, simulation, bounds) is computed
+from these atoms.
 
-Large constructions that would not fit as explicit tables (iid products,
+Large constructions that would not fit as explicit laws (iid products,
 protocol mixtures, the two-threshold example on n-bit inputs) are kept in
 factored or region-aggregated form and expose the same ``spectrum`` API.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -35,18 +35,79 @@ from .probcore import (
     JointSource,
     SpectrumTable,
     log2_each,
-    spectrum as _spectrum,
 )
 
 LAW_SELECTORS = ("ic", "h_xy", "h_x_given_ypi", "hsum_ext", "compression")
-#: most bytes of the dense (transcripts, nx, ny) float64 table that the
-#: direct constructions build; send-x over dsbs^8 (128 MiB) fits, dsbs^9
-#: (1 GiB) and larger fail fast, since the law's derived tables and the
-#: engines built on it need several more tables of that size
+#: most bytes of the nominal dense (transcripts, nx, ny) float64 table of a
+#: law; send-x over dsbs^8 (128 MiB) fits, dsbs^9 (1 GiB) and larger fail
+#: fast.  Laws are kept as atoms, but the engines and spectra built on them
+#: allocate tables that grow with the alphabets, and are capped by this
 LAW_BYTES_CAP = 1 << 28
-#: bytes of the float64 (messages, nx, ny) block of P(hist + m, x, y)
-#: that a round view sums at once; a block holds at least one message
-VIEW_BLOCK_BYTES = 1 << 21
+
+
+# ---------------------------------------------------------------------------
+# sums in numpy's order
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_sums(group: np.ndarray, pos: np.ndarray, w: np.ndarray,
+                   groups: int, n: int) -> np.ndarray:
+    """numpy's float64 sum along a contiguous axis of length ``n``, of
+    ``groups`` rows given by their nonzero terms: term ``w[k]`` sits at
+    position ``pos[k]`` of row ``group[k]``, and each row's terms come in
+    ascending position.
+
+    numpy sums such an axis pairwise: fewer than 8 terms in order; up to
+    128 in eight accumulators, one per position mod 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the terms past
+    the last multiple of 8 in order; a longer axis splits at half its
+    length, rounded down to a multiple of 8.  Adding a zero changes no
+    bit, so the nonzero terms, added in the same places, give the same sum.
+    """
+    if n < 8:
+        return np.bincount(group, weights=w, minlength=groups)
+    if n <= 128:
+        cut = n - n % 8
+        main = pos < cut
+        r = np.bincount(group[main] * 8 + pos[main] % 8, weights=w[main],
+                        minlength=8 * groups).reshape(groups, 8)
+        out = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+               + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+        if cut < n:
+            np.add.at(out, group[~main], w[~main])
+        return out
+    half = n // 2 - (n // 2) % 8
+    left = pos < half
+    right = ~left
+    return (_pairwise_sums(group[left], pos[left], w[left], groups, half)
+            + _pairwise_sums(group[right], pos[right] - half, w[right],
+                             groups, n - half))
+
+
+def _axis_sums(code: np.ndarray, pos: np.ndarray, w: np.ndarray, size: int,
+               n: int, pairwise: bool) -> np.ndarray:
+    """``table.sum(axis)`` of a float64 table whose reduced axis has length
+    ``n`` and whose other axes flatten to ``size`` rows, from its nonzero
+    terms: ``w[k]`` at position ``pos[k]`` of row ``code[k]``, each row's
+    terms in ascending position.
+
+    numpy sums the contiguous last axis pairwise, and so any axis whose
+    trailing axes hold one element; it sums any other axis in order.
+    ``pairwise`` says which; a pairwise sum needs ``code`` ascending.
+    """
+    if not pairwise or n < 8:  # under 8 terms numpy also sums in order
+        return np.bincount(code, weights=w, minlength=size)
+    first = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    out = np.zeros(size)
+    out[code[first]] = _pairwise_sums(np.cumsum(first) - 1, pos, w,
+                                      int(first.sum()), n)
+    return out
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -58,87 +119,187 @@ VIEW_BLOCK_BYTES = 1 << 21
 class RoundView:
     """Conditional law of one round given a transcript history.
 
-    Its arrays are read-only: :meth:`TranscriptLaw.round_view` hands the
-    same view to every spectrum, slice plan and engine of the law.
+    ``atoms`` holds arrays ``(a, i, j, weight)``: the positive atoms of
+    P(hist, m, x, y), with ``a`` indexing ``messages``, in row-major
+    (message, x, y) order.  ``prior`` is the speaker's input law given the
+    history.  Its arrays are read-only: :meth:`TranscriptLaw.round_view`
+    hands the same view to every caller.
     """
 
     messages: tuple
     p_m_given_x: np.ndarray   # (nx, M)
     p_m_given_y: np.ndarray   # (ny, M)
-    p_m_given_xy: np.ndarray  # (M, nx, ny)
-    p_hist_xy: np.ndarray     # joint P(hist, x, y), shape (nx, ny)
+    prior: np.ndarray         # (nx,) in odd rounds, (ny,) in even ones
+    atoms: tuple
 
-    @cached_property
-    def atoms(self) -> tuple:
-        """The positive atoms of P(hist, m, x, y): arrays ``(a, i, j,
-        weight)`` in row-major (message, x, y) order, with weight
-        ``p_hist_xy[i, j] * p_m_given_xy[a, i, j]`` > 0.
 
-        Both sides' round spectra and the round budgets read these; the
-        (M, nx, ny) table is scanned once per view.
-        """
-        # the weight is positive only where P(m | hist, x, y) is, so only
-        # those entries are weighed
-        a, i, j = np.nonzero(self.p_m_given_xy > 0)
-        w = self.p_hist_xy[i, j] * self.p_m_given_xy[a, i, j]
-        pos = w > 0
-        out = (a[pos], i[pos], j[pos], w[pos])
-        for arr in out:
-            arr.flags.writeable = False
-        return out
+@dataclass(frozen=True)
+class RoundViews:
+    """Every view of one round, stacked on a leading history axis.
+
+    History h is ``histories[h]``, in the order of
+    :meth:`TranscriptLaw.histories`, and message u is ``messages[u]``, the
+    round's sorted universe.  ``present[h, u]`` says whether some
+    transcript continues history h with message u; a view's columns are
+    its present messages, and the conditionals are 0 elsewhere.  ``atoms``
+    holds ``(h, u, i, j, weight)`` in row-major (h, u, i, j) order, so
+    each view's atoms are a contiguous run.  ``next[h, u]`` is the
+    history index of ``histories[h] + (messages[u],)`` in the next round,
+    -1 if it has no mass there; None in the last round.
+    """
+
+    histories: tuple
+    messages: tuple
+    present: np.ndarray       # (H, U)
+    p_m_given_x: np.ndarray   # (H, nx, U)
+    p_m_given_y: np.ndarray   # (H, ny, U)
+    prior: np.ndarray         # (H, nx) in odd rounds, (H, ny) in even ones
+    atoms: tuple
+    next: np.ndarray | None   # (H, U)
+
+    def view(self, h: int) -> RoundView:
+        """The view of history ``h`` on its present messages."""
+        cols = np.flatnonzero(self.present[h])
+        hh, u, i, j, w = self.atoms
+        lo, hi = np.searchsorted(hh, [h, h + 1])
+        local = np.zeros(len(self.messages), dtype=np.int64)
+        local[cols] = np.arange(cols.size)
+        view = RoundView(tuple(self.messages[c] for c in cols.tolist()),
+                         self.p_m_given_x[h][:, cols],
+                         self.p_m_given_y[h][:, cols], self.prior[h],
+                         (local[u[lo:hi]], i[lo:hi], j[lo:hi], w[lo:hi]))
+        _read_only(view.p_m_given_x, view.p_m_given_y, *view.atoms)
+        return view
+
+
+@dataclass(frozen=True)
+class _RoundIndex:
+    """Round t's structure: for each transcript k, the index ``hist[k]``
+    of its history in ``histories`` (-1 past its end, or when that
+    history has no mass) and ``msg[k]`` of its round-t message in
+    ``messages`` (-1 past its end)."""
+
+    histories: tuple
+    messages: tuple
+    hist: np.ndarray
+    msg: np.ndarray
+
+    def present(self) -> np.ndarray:
+        """(H, U): which messages some transcript of each history sends."""
+        present = np.zeros((len(self.histories), len(self.messages)),
+                           dtype=bool)
+        ks = np.flatnonzero(self.hist >= 0)
+        present[self.hist[ks], self.msg[ks]] = True
+        return present
 
 
 @dataclass(frozen=True)
 class TranscriptLaw:
-    """Explicit conditional law of a protocol's transcript.
+    """Conditional law of a protocol's transcript, as its positive atoms.
 
-    ``transcripts[t]`` is a tuple of per-round messages; party "x" speaks in
-    rounds 1, 3, ... and party "y" in rounds 2, 4, ...
+    ``transcripts[k]`` is a tuple of per-round messages; party "x" speaks in
+    rounds 1, 3, ... and party "y" in rounds 2, 4, ...  ``atoms`` holds
+    arrays ``(k, i, j, p)``, read-only: every (transcript, x, y) of positive
+    joint mass P(tau | x, y) P(x, y), in row-major (k, i, j) order, with
+    p = P(tau | x, y).  Build a law with :meth:`from_index` (deterministic
+    targets) or :meth:`from_table` (a dense conditional table).
+
+    Each derived quantity is summed from the atoms in the order the dense
+    (T, nx, ny) computation sums it (see :func:`_axis_sums`), so it has
+    that computation's bits.
     """
 
     source: JointSource
     transcripts: tuple
-    p_tau_given_xy: np.ndarray  # (T, nx, ny)
+    atoms: tuple
 
     def __post_init__(self):
-        p = np.asarray(self.p_tau_given_xy, dtype=float)
-        object.__setattr__(self, "p_tau_given_xy", p)
-        nx, ny = self.source.mass.shape
-        if p.shape != (len(self.transcripts), nx, ny):
+        if len(set(self.transcripts)) != len(self.transcripts):
+            raise MismatchedSupport("duplicate transcripts")
+        _read_only(*self.atoms)
+
+    @classmethod
+    def from_table(cls, source: JointSource, transcripts: Sequence,
+                   table: np.ndarray) -> TranscriptLaw:
+        """The law of a dense table P(tau | x, y), shape (T, nx, ny),
+        checked and then kept as its atoms; entries off the source support
+        are dropped."""
+        p = np.asarray(table, dtype=float)
+        nx, ny = source.mass.shape
+        if p.shape != (len(transcripts), nx, ny):
             raise MismatchedSupport("conditional table shape is wrong")
         if np.any(p < -NORM_TOL):
             raise OutOfRange("negative transcript probability")
-        live = self.source.mass > 0
-        sums = p.sum(axis=0)
-        if np.any(np.abs(sums[live] - 1.0) > 1e-8):
+        live = source.mass > 0
+        if np.any(np.abs(p.sum(axis=0)[live] - 1.0) > 1e-8):
             raise SupportViolation(
-                "transcript law does not normalize on the source support"
-            )
-        if len(set(self.transcripts)) != len(self.transcripts):
-            raise MismatchedSupport("duplicate transcripts")
+                "transcript law does not normalize on the source support")
+        k, i, j = np.nonzero(p * source.mass > 0)
+        return cls(source, tuple(transcripts), (k, i, j, p[k, i, j]))
+
+    @classmethod
+    def from_index(cls, source: JointSource, transcripts: Sequence,
+                   index: np.ndarray) -> TranscriptLaw:
+        """The deterministic law that sends ``transcripts[index[i, j]]`` at
+        (x_i, y_j).  Raises TooLarge where the nominal dense table would
+        pass LAW_BYTES_CAP."""
+        nx, ny = source.mass.shape
+        _check_law_size(len(transcripts), nx, ny)
+        idx = np.asarray(index)
+        if idx.shape != (nx, ny) or not (
+                (idx >= 0).all() and (idx < len(transcripts)).all()):
+            raise MismatchedSupport(
+                "transcript index table must map each (x, y) to a transcript")
+        i, j = np.nonzero(source.mass > 0)
+        k = idx[i, j].astype(np.int64)
+        order = np.argsort(k, kind="stable")
+        return cls(source, tuple(transcripts),
+                   (k[order], i[order], j[order], np.ones(k.size)))
+
+    @cached_property
+    def p_tau_given_xy(self) -> np.ndarray:
+        """The dense table P(tau | x, y), (T, nx, ny), 0 off the source
+        support; built on first use, and read by no engine."""
+        k, i, j, p = self.atoms
+        out = np.zeros((len(self.transcripts),) + self.source.mass.shape)
+        out[k, i, j] = p
+        return out
 
     @cached_property
     def transcript_index(self) -> dict:
         return {t: i for i, t in enumerate(self.transcripts)}
 
     @cached_property
-    def joint(self) -> np.ndarray:
-        """P(tau, x, y), shape (T, nx, ny)."""
-        return self.p_tau_given_xy * self.source.mass[None, :, :]
+    def _joint(self) -> np.ndarray:
+        """P(tau, x, y) of each atom."""
+        k, i, j, p = self.atoms
+        return p * self.source.mass[i, j]
+
+    @cached_property
+    def _marginals(self) -> tuple:
+        """P(tau, x) (T, nx) and P(tau, y) (T, ny): the dense joint table
+        summed over y and over x."""
+        k, i, j, _ = self.atoms
+        T = len(self.transcripts)
+        nx, ny = self.source.mass.shape
+        w = self._joint
+        tx = _axis_sums(k * nx + i, j, w, T * nx, ny, True)
+        ty = _axis_sums(k * ny + j, i, w, T * ny, nx, ny == 1)
+        return tx.reshape(T, nx), ty.reshape(T, ny)
 
     @cached_property
     def p_tau_given_x(self) -> np.ndarray:
         px = self.source.p_x
-        num = self.joint.sum(axis=2)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(px[None, :] > 0, num / px[None, :], 0.0)
+            return np.where(px[None, :] > 0,
+                            self._marginals[0] / px[None, :], 0.0)
 
     @cached_property
     def p_tau_given_y(self) -> np.ndarray:
         py = self.source.p_y
-        num = self.joint.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(py[None, :] > 0, num / py[None, :], 0.0)
+            return np.where(py[None, :] > 0,
+                            self._marginals[1] / py[None, :], 0.0)
 
     @property
     def n_rounds(self) -> int:
@@ -147,37 +308,37 @@ class TranscriptLaw:
     def ic(self, tau, x, y) -> float:
         t = self.transcript_index[tau]
         i, j = self.source.x_index[x], self.source.y_index[y]
-        return self._ic_idx(t, i, j)
-
-    def _ic_idx(self, t: int, i: int, j: int) -> float:
-        pxy = float(self.p_tau_given_xy[t, i, j])
-        if pxy <= 0.0 or float(self.source.mass[i, j]) <= 0.0:
+        k, ai, aj, p = self.atoms
+        nx, ny = self.source.mass.shape
+        keys = (k * nx + ai) * ny + aj   # ascending: the atoms' order
+        key = (t * nx + i) * ny + j
+        n = int(np.searchsorted(keys, key))
+        if n == keys.size or keys[n] != key:
             raise ZeroMassAtom("transcript has zero probability here")
+        pxy = float(p[n])
         return (math.log2(pxy / float(self.p_tau_given_x[t, i]))
                 + math.log2(pxy / float(self.p_tau_given_y[t, j])))
 
     def spectrum(self, selector: str) -> SpectrumTable:
         """Information spectrum of a density involving the transcript.
 
-        Its atoms are the positive entries (t, x, y) of ``joint``; each
-        density takes ``math.log2`` of the same quotients, atom by atom.
+        Its atoms are the law's atoms; each density takes ``math.log2`` of
+        the same quotients, atom by atom.
         """
         if selector not in LAW_SELECTORS:
             raise OutOfRange(f"unknown selector {selector!r}")
-        joint = self.joint
-        t, i, j = np.nonzero(joint > 0)
-        w = joint[t, i, j]
+        t, i, j, pxy = self.atoms
+        w = self._joint
         if selector == "ic":
-            pxy = self.p_tau_given_xy[t, i, j]
             v = (log2_each(pxy / self.p_tau_given_x[t, i])
                  + log2_each(pxy / self.p_tau_given_y[t, j]))
         elif selector == "h_xy":
             v = -log2_each(self.source.mass[i, j])
         elif selector == "h_x_given_ypi":
-            v = -log2_each(w / joint.sum(axis=1)[t, j])
+            v = -log2_each(w / self._marginals[1][t, j])
         elif selector == "hsum_ext":
-            v = (-log2_each(w / joint.sum(axis=1)[t, j])
-                 - log2_each(w / joint.sum(axis=2)[t, i]))
+            v = (-log2_each(w / self._marginals[1][t, j])
+                 - log2_each(w / self._marginals[0][t, i]))
         else:  # compression: h(tau | x) + h(tau | y)
             v = (-log2_each(self.p_tau_given_x[t, i])
                  - log2_each(self.p_tau_given_y[t, j]))
@@ -189,20 +350,38 @@ class TranscriptLaw:
 
     # -- round structure ----------------------------------------------------
 
+    @cached_property
+    def _round_index(self) -> tuple:
+        """One :class:`_RoundIndex` per round, from one pass over the
+        transcripts per round."""
+        massive = np.zeros(len(self.transcripts), dtype=bool)
+        massive[self.atoms[0]] = True
+        out = []
+        for t in range(1, self.n_rounds + 1):
+            messages = self.round_messages(t)
+            col = {m: u for u, m in enumerate(messages)}
+            # histories with mass, in the order their first transcript has
+            rank: dict = {}
+            for tau, live in zip(self.transcripts, massive.tolist()):
+                if live and len(tau) >= t:
+                    rank.setdefault(tau[:t - 1], len(rank))
+            hist = [-1] * len(self.transcripts)
+            msg = [-1] * len(self.transcripts)
+            for k, tau in enumerate(self.transcripts):
+                if len(tau) >= t:
+                    hist[k] = rank.get(tau[:t - 1], -1)
+                    msg[k] = col[tau[t - 1]]
+            out.append(_RoundIndex(tuple(rank), messages,
+                                   np.array(hist, dtype=np.int64),
+                                   np.array(msg, dtype=np.int64)))
+        return tuple(out)
+
     def histories(self, t: int) -> tuple:
-        """Distinct transcript prefixes of length t - 1 with positive mass."""
+        """Distinct transcript prefixes of length t - 1 with positive mass,
+        in the order of the first transcript that has each."""
         if not 1 <= t <= self.n_rounds:
             raise OutOfRange("round index out of range")
-        seen = []
-        for k, tau in enumerate(self.transcripts):
-            if len(tau) < t:
-                continue
-            h = tau[: t - 1]
-            # P(tau) from its own slab: the full ``joint`` is not built
-            if h not in seen and float(
-                    (self.p_tau_given_xy[k] * self.source.mass).sum()) > 0:
-                seen.append(h)
-        return tuple(seen)
+        return self._round_index[t - 1].histories
 
     def round_messages(self, t: int) -> tuple:
         """Every message spoken at round t across all histories, sorted."""
@@ -211,56 +390,107 @@ class TranscriptLaw:
 
     @cached_property
     def _views(self) -> dict:
-        """Computed round views by (t, hist)."""
+        """Computed round views: :class:`RoundViews` by t, and
+        :class:`RoundView` by (t, hist)."""
         return {}
 
-    def round_view(self, t: int, hist: tuple) -> RoundView:
-        """Conditional law of the round-t message given history ``hist``.
+    def round_views(self, t: int) -> RoundViews:
+        """Every view of round t, computed once per law and then shared,
+        read-only, by every spectrum, slice plan and engine of the law."""
+        if not 1 <= t <= self.n_rounds:
+            raise OutOfRange("round index out of range")
+        views = self._views.get(t)
+        if views is None:
+            views = self._views[t] = self._round_views(t)
+        return views
 
-        Each view is computed once per law and then shared, read-only.
-        """
+    def round_view(self, t: int, hist: tuple) -> RoundView:
+        """Conditional law of the round-t message given history ``hist``,
+        a slice of :meth:`round_views`; a history without mass has none."""
         view = self._views.get((t, hist))
         if view is None:
-            view = self._views[(t, hist)] = self._round_view(t, hist)
+            if not 1 <= t <= self.n_rounds or hist not in self.histories(t):
+                raise SupportViolation("history never occurs in this law")
+            views = self.round_views(t)
+            view = self._views[(t, hist)] = views.view(
+                views.histories.index(hist))
         return view
 
-    def _round_view(self, t: int, hist: tuple) -> RoundView:
+    def _round_views(self, t: int) -> RoundViews:
+        """All views of round t from one pass over the law's atoms.
+
+        The atoms of the transcripts that reach round t are keyed by
+        (history, message, x, y); one sort groups them, and each sum is a
+        ``bincount`` (or :func:`_axis_sums`) in the order in which the
+        dense computation sums it: P(hist + m | x, y) over transcripts in
+        their order, P(hist | x, y) over messages in theirs, and the
+        marginals of P(hist + m, x, y) and P(hist, x, y) over y and x as
+        numpy sums those axes of dense tables.
+        """
+        index = self._round_index[t - 1]
+        present = index.present()
+        H, U = present.shape
         nx, ny = self.source.mass.shape
-        prefix_idx = [k for k, tau in enumerate(self.transcripts)
-                      if len(tau) >= t and tau[: t - 1] == hist]
-        if not prefix_idx:
-            raise SupportViolation("history never occurs in this law")
-        messages = tuple(sorted({self.transcripts[k][t - 1] for k in prefix_idx},
-                                key=repr))
-        midx = {m: a for a, m in enumerate(messages)}
-        M = len(messages)
-        # P(hist + m reached | x, y): sum over all continuations
-        p_hm_xy = np.zeros((M, nx, ny))
-        for k in prefix_idx:
-            p_hm_xy[midx[self.transcripts[k][t - 1]]] += self.p_tau_given_xy[k]
-        p_h_xy = p_hm_xy.sum(axis=0)
-        joint_h = p_h_xy * self.source.mass
-        # marginals of P(hist + m, x, y) over y and over x, a block of
-        # messages at a time; each message's sums are those of the full table
-        num_x = np.empty((M, nx))
-        num_y = np.empty((M, ny))
-        step = max(1, VIEW_BLOCK_BYTES // (8 * nx * ny))
-        for a in range(0, M, step):
-            joint_hm = p_hm_xy[a:a + step] * self.source.mass
-            num_x[a:a + step] = joint_hm.sum(axis=2)
-            num_y[a:a + step] = joint_hm.sum(axis=1)
-        den_x = joint_h.sum(axis=1)   # (nx,)
-        den_y = joint_h.sum(axis=0)   # (ny,)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p_m_x = np.where(den_x[None, :] > 0, num_x / den_x[None, :], 0.0).T
-            p_m_y = np.where(den_y[None, :] > 0, num_y / den_y[None, :], 0.0).T
-        # P(m | hist, x, y), written over P(hist + m | x, y)
-        live = p_h_xy > 0
-        p_m_xy = np.divide(p_hm_xy, p_h_xy, out=p_hm_xy, where=live)
-        p_m_xy[:, ~live] = 0.0
-        for arr in (p_m_x, p_m_y, p_m_xy, joint_h):
-            arr.flags.writeable = False
-        return RoundView(messages, p_m_x, p_m_y, p_m_xy, joint_h)
+        mass = self.source.mass.ravel()
+        k, i, j, p = self.atoms
+        h = index.hist[k]
+        reach = h >= 0
+        h, u = h[reach], index.msg[k[reach]]
+        key = ((h * U + u) * nx + i[reach]) * ny + j[reach]
+        node_key, inv = np.unique(key, return_inverse=True)
+        p_hm = np.bincount(inv, weights=p[reach])   # P(hist + m | x, y)
+        node, cell = np.divmod(node_key, nx * ny)   # (h, u) and (x, y)
+        hh, uu = np.divmod(node, U)
+        ii, jj = np.divmod(cell, ny)
+        # P(hist | x, y): the rows of one (h, x, y) come in message order
+        hist_key, hinv = np.unique(hh * (nx * ny) + cell, return_inverse=True)
+        if nx * ny == 1:  # numpy sums a lone cell's messages pairwise
+            size = present.sum(axis=1)
+            local = np.cumsum(present, axis=1) - 1
+            p_h = np.zeros(hist_key.size)
+            for n in np.unique(size[hh]).tolist():
+                sel = size[hh] == n
+                p_h += _axis_sums(hinv[sel], local[hh[sel], uu[sel]],
+                                  p_hm[sel], hist_key.size, n, True)
+        else:
+            p_h = np.bincount(hinv, weights=p_hm)
+        hist_h, hist_cell = np.divmod(hist_key, nx * ny)
+        hist_i, hist_j = np.divmod(hist_cell, ny)
+        joint_hm = p_hm * mass[cell]             # P(hist + m, x, y)
+        joint_h = p_h * mass[hist_cell]          # P(hist, x, y)
+        num_x = _axis_sums(node * nx + ii, jj, joint_hm, H * U * nx, ny, True)
+        num_y = _axis_sums(node * ny + jj, ii, joint_hm, H * U * ny, nx,
+                           ny == 1)
+        den_x = _axis_sums(hist_h * nx + hist_i, hist_j, joint_h, H * nx, ny,
+                           True).reshape(H, nx)
+        den_y = _axis_sums(hist_h * ny + hist_j, hist_i, joint_h, H * ny, nx,
+                           ny == 1).reshape(H, ny)
+        # P(m | hist, x) (H, nx, U), 0 where P(hist, x) is; so for y
+        p_m_x, p_m_y = np.zeros((H, nx, U)), np.zeros((H, ny, U))
+        for out, num, den in ((p_m_x, num_x, den_x), (p_m_y, num_y, den_y)):
+            np.divide(num.reshape(H, U, -1).transpose(0, 2, 1),
+                      den[:, :, None], out=out, where=den[:, :, None] > 0)
+        # the speaker's input law given the history
+        den = den_x if t % 2 else den_y
+        prior = den / den.sum(axis=1, keepdims=True)
+        # the positive atoms of P(hist, m, x, y), as P(hist, x, y) times
+        # P(m | hist, x, y)
+        p_m_xy = p_hm / p_h[hinv]
+        w = joint_h[hinv] * p_m_xy
+        pos = (p_m_xy > 0) & (w > 0)
+        nxt = None
+        if t < self.n_rounds:
+            ahead = self._round_index[t]
+            cont = np.flatnonzero(ahead.hist >= 0)
+            nxt = np.full((H, U), -1, dtype=np.int64)
+            nxt[index.hist[cont], index.msg[cont]] = ahead.hist[cont]
+        views = RoundViews(
+            index.histories, index.messages, present,
+            p_m_x, p_m_y, prior,
+            (hh[pos], uu[pos], ii[pos], jj[pos], w[pos]), nxt)
+        _read_only(views.present, views.p_m_given_x, views.p_m_given_y,
+                   views.prior, *views.atoms)
+        return views
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +573,7 @@ def transcript_law(tree: ProtocolTree, source: JointSource) -> TranscriptLaw:
     results.sort(key=lambda r: repr(r[0]))
     transcripts = tuple(r[0] for r in results)
     table = np.stack([r[1][:, None] * r[2][None, :] for r in results])
-    return TranscriptLaw(source, transcripts, table)
+    return TranscriptLaw.from_table(source, transcripts, table)
 
 
 def _runs(bits: str, owners: str) -> tuple:
@@ -385,7 +615,7 @@ def one_round_protocol(source: JointSource, channel: np.ndarray,
     _check_law_size(len(messages), nx, ny)
     transcripts = tuple((m,) for m in messages)
     table = np.repeat(ch.T[:, :, None], ny, axis=2)
-    return TranscriptLaw(source, transcripts, table)
+    return TranscriptLaw.from_table(source, transcripts, table)
 
 
 def two_round_protocol(source: JointSource, channel1: np.ndarray,
@@ -405,13 +635,15 @@ def two_round_protocol(source: JointSource, channel1: np.ndarray,
         for b, m2 in enumerate(messages2):
             transcripts.append((m1, m2))
             slabs.append(ch1[:, a][:, None] * ch2[:, a, b][None, :])
-    return TranscriptLaw(source, tuple(transcripts), np.stack(slabs))
+    return TranscriptLaw.from_table(source, transcripts, np.stack(slabs))
 
 
 def send_value_protocol(source: JointSource) -> TranscriptLaw:
     """Deterministic one-round protocol announcing X."""
-    nx = len(source.x_alphabet)
-    return one_round_protocol(source, np.eye(nx), source.x_alphabet)
+    nx, ny = source.mass.shape
+    return TranscriptLaw.from_index(
+        source, tuple((x,) for x in source.x_alphabet),
+        np.repeat(np.arange(nx)[:, None], ny, axis=1))
 
 
 def noisy_send_protocol(source: JointSource, crossover: float) -> TranscriptLaw:
@@ -432,28 +664,49 @@ def data_exchange_protocol(source: JointSource) -> TranscriptLaw:
     problem; its ic density equals the sum conditional entropy density.
     """
     nx, ny = source.mass.shape
-    # the (ny, nx, ny) reply channel alone can exceed memory: check first
+    # nx * ny transcripts: check the size before listing them
     _check_law_size(nx * ny, nx, ny)
-    ch2 = np.repeat(np.eye(ny)[:, None, :], nx, axis=1)
-    return two_round_protocol(source, np.eye(nx), source.x_alphabet,
-                              ch2, source.y_alphabet)
+    return TranscriptLaw.from_index(
+        source, tuple((x, y) for x in source.x_alphabet
+                      for y in source.y_alphabet),
+        np.arange(nx * ny).reshape(nx, ny))
+
+
+def exchange_bits_protocol(source: JointSource) -> TranscriptLaw:
+    """Deterministic 2m rounds over inputs of m coordinates: in round
+    2k - 1 party "x" sends x_k, in round 2k party "y" sends y_k.
+
+    Inputs are tuples, as :func:`~icsim.probcore.product_source` makes
+    them; a plain symbol is one coordinate, so over ``dsbs`` this is data
+    exchange.  The transcript reveals both inputs, so over ``dsbs^m`` the
+    ic density is the sum conditional entropy density, spread over 2m
+    rounds of one bit each.
+    """
+    xs, ys = ([s if isinstance(s, tuple) else (s,) for s in alphabet]
+              for alphabet in (source.x_alphabet, source.y_alphabet))
+    if len({len(s) for s in xs + ys}) != 1:
+        raise AlphabetMismatch(
+            "bit exchange needs x and y inputs of one number of coordinates")
+    nx, ny = source.mass.shape
+    _check_law_size(nx * ny, nx, ny)
+    return TranscriptLaw.from_index(
+        source, tuple(tuple(v for pair in zip(x, y) for v in pair)
+                      for x in xs for y in ys),
+        np.arange(nx * ny).reshape(nx, ny))
 
 
 def xor_reply_protocol(source: JointSource) -> TranscriptLaw:
     """X announced, then party "y" replies with the parity X xor Y."""
     if source.x_alphabet != (0, 1) or source.y_alphabet != (0, 1):
         raise AlphabetMismatch("parity reply needs binary alphabets (0, 1)")
-    ch2 = np.zeros((2, 2, 2))
-    for j in range(2):
-        for a in range(2):
-            ch2[j, a, j ^ a] = 1.0
-    return two_round_protocol(source, np.eye(2), (0, 1), ch2, (0, 1))
+    return TranscriptLaw.from_index(source, ((0, 0), (0, 1), (1, 0), (1, 1)),
+                                    np.array([[0, 1], [3, 2]]))
 
 
 def constant_protocol(source: JointSource) -> TranscriptLaw:
     """One fixed message regardless of inputs; zero information complexity."""
-    nx, ny = source.mass.shape
-    return TranscriptLaw(source, (("0",),), np.ones((1, nx, ny)))
+    return TranscriptLaw.from_index(source, (("0",),),
+                                    np.zeros(source.mass.shape, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +755,7 @@ def _pair_product(src_a, law_a, src_b, law_b):
         for i in range(len(law_a.transcripts))
         for j in range(len(law_b.transcripts))
     ])
-    return src, TranscriptLaw(src, transcripts, table)
+    return src, TranscriptLaw.from_table(src, transcripts, table)
 
 
 def product_protocol(law: TranscriptLaw, n: int) -> ProductProtocol:
@@ -706,11 +959,9 @@ class ThresholdExample:
         transcripts += [(("pair", x, y),)
                         for x in range(1, t + 1) for y in range(1, t + 1)]
         tidx = {tau: k for k, tau in enumerate(transcripts)}
-        table = np.zeros((len(transcripts), size, size))
-        for x in alphabet:
-            for y in alphabet:
-                table[tidx[self.transcript_of(x, y)], x - 1, y - 1] = 1.0
-        return TranscriptLaw(source, tuple(transcripts), table)
+        index = [[tidx[self.transcript_of(x, y)] for y in alphabet]
+                 for x in alphabet]
+        return TranscriptLaw.from_index(source, tuple(transcripts), index)
 
 
 def appendix_threshold_example(n: int) -> ThresholdExample:

@@ -41,6 +41,7 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -507,15 +508,19 @@ class RoundSimulator:
                           - 1e-9)
         self.l = _int_param(l, "l")
         self.total_hash_bits = self.l + (self.n_slices - 1) * self.delta
-        if not 0 <= k <= self.total_hash_bits:
-            raise OutOfRange("shared prefix k must fit inside the hash budget")
+        if not (isinstance(k, (int, np.integer))
+                and 0 <= k <= self.total_hash_bits):
+            raise OutOfRange(f"shared prefix k must be an integer in [0, "
+                             f"{self.total_hash_bits}], the hash budget; "
+                             f"got {k!r}")
         self.k = int(k)
         self.p_m_given_y = (self._true_m_given_y()
                             if aux_m_given_y is None
                             else np.asarray(aux_m_given_y, dtype=float))
         if self.p_m_given_y.shape != (ny, M):
             raise OutOfRange("aux conditional has the wrong shape")
-        self.slice_rx = _slice_table(self.p_m_given_y.T, cfg_rx)  # (M, ny)
+        # (M, ny), a view of the (ny, M) table that engine 4's table reads
+        self.slice_rx = _slice_table(self.p_m_given_y, cfg_rx).T
         self.width = encoding_width(M)
         self.enc = encode_universe(M, self.width)
         if self.total_hash_bits > 62:
@@ -525,20 +530,31 @@ class RoundSimulator:
     def _true_m_given_y(self) -> np.ndarray:
         py = self.source.p_y
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(py[None, :] > 0, self._joint_my() / py[None, :],
+            return np.where(py[None, :] > 0, self.joint_my / py[None, :],
                             0.0).T
 
-    def _joint_my(self) -> np.ndarray:
-        """Joint table P(M, Y) with messages on rows, summed over x in order."""
-        return sum(np.outer(p_m, p_xy)
-                   for p_m, p_xy in zip(self.p_m_given_x, self.source.mass))
+    @cached_property
+    def joint_my(self) -> np.ndarray:
+        """Joint table P(M, Y) with messages on rows: P(m | x) P(x, y)
+        summed over x in order, from the nonzero P(m | x) only (a zero
+        term changes no bit), a block of them at a time."""
+        M, ny = len(self.messages), self.source.mass.shape[1]
+        x, m = np.nonzero(self.p_m_given_x)
+        out = np.zeros(M * ny)
+        cols = np.arange(ny)
+        step = max(1, (1 << 16) // ny)
+        for a in range(0, x.size, step):
+            xb, mb = x[a:a + step], m[a:a + step]
+            np.add.at(out, (mb * ny)[:, None] + cols,
+                      self.p_m_given_x[xb, mb][:, None] * self.source.mass[xb])
+        return out.reshape(M, ny)
 
     def pos_at(self, i: int) -> int:
         return self.l + (i - 1) * self.delta
 
     def tail_mass(self) -> float:
         """Probability that (M, Y) falls in the receiver tail slice."""
-        return float(self._joint_my()[self.slice_rx == 0].sum())
+        return float(self.joint_my[self.slice_rx == 0].sum())
 
     def joint_mx(self) -> np.ndarray:
         """Joint table P(M, X) with messages on rows."""
@@ -603,7 +619,7 @@ class ImprovedRoundSimulator:
         self.inner = inner = RoundSimulator(
             source, p_m_given_x, messages, cfg_rx, 0, aux_m_given_y)
         self.table = tab = _RoundTables.build(
-            inner, inner.p_m_given_x[None], inner.p_m_given_y[None],
+            inner, inner.p_m_given_x[None], inner.slice_rx.T[None],
             prior[None], cfg_tx, k_override)
         self.slice_tx, self.p_j_given_x, self.p_j, self.good = (
             tab.slice_tx[0].T, tab.p_j_given_x[0], tab.p_j[0], tab.good[0])
@@ -924,10 +940,8 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
     offsets (:mod:`icsim.hashing`); by each shared string u of k(J) bits;
     and by each M* of positive weight in :func:`_mstar_cum`.  It decodes
     in blocks of linear parts with :func:`_slice_search`, and equal states
-    merge, so rounds add up rather than multiply.  Before a round
-    allocates its rows it counts them, at most max(s, 1) + 2^k - 1 per
-    linear part and accepted (state, J), s the supported messages of
-    slice J, and raises TooLarge past ``ENUMERATION_CAP``.
+    merge, so rounds add up rather than multiply.  Before decoding
+    anything it bounds every round's rows (:func:`_check_rows`).
 
     Returns ``(keys, cause, p)``: keys hold each round's M* and decode,
     also in a round that failed, and -1 where unset.
@@ -935,6 +949,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
     R = len(tables)
     K = 2 * R + 2  # then x's and y's history codes, the bits, the cause
     live_i, live_j = np.nonzero(source.mass > 0)
+    _check_rows(tables, live_i.size)
     state = np.zeros((live_i.size, K + 4), dtype=np.int64)
     state[:, :2 * R] = -1
     state[:, 2 * R], state[:, 2 * R + 1] = live_i, live_j
@@ -980,10 +995,6 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
         n_lin = family_size(w, L) >> L
         per_part = int((np.maximum((p_rows * restrict > 0).sum(axis=1), 1)
                         + (np.int64(1) << k) - 1).sum())
-        if n_lin * per_part > ENUMERATION_CAP:
-            raise TooLarge(f"exact mode would decode {n_lin * per_part:,} "
-                           f"rows in round {t}, over the cap of "
-                           f"{ENUMERATION_CAP:,}")
         # one row (r, u) per accepted (state, J) and shared string
         n_u = np.int64(1) << k
         r = np.repeat(np.arange(s.size), n_u)
@@ -1017,6 +1028,44 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
                 np.concatenate([q_out, base[ru] * w_m[n, m] / cum[n, -1]]))
         state, p = out, q_out
     return state[:, :K], state[:, K + 3], p
+
+
+def _check_rows(tables: Sequence[_RoundTables], states: int):
+    """Raise TooLarge, before :func:`_exact_walk` decodes anything, when
+    an upper bound on the rows of one of its rounds passes
+    ``ENUMERATION_CAP``.
+
+    Round t decodes, per linear part of its hash family and running
+    state, max(s, 1) + 2^k - 1 rows per accepted slice index J, s the
+    supported messages of slice J: at most ``opens`` per state, the most
+    over the speaker's table rows.  Round 1 runs ``states``, the live
+    pairs.  A state leaves at most one running state per (J, M*, decoded
+    message), so the states of round t + 1 are at most those of round t
+    times the most (J, M*) of a speaker's row times the most messages a
+    listener's row can decode (a slice of 1 or more).
+    """
+    for t, tab in enumerate(tables, start=1):
+        supported = tab.p_m > 0
+        if tab.slice_tx is None:
+            s_j = supported.sum(axis=-1)[..., None]
+            accepted = np.ones(s_j.shape, dtype=bool)
+        else:
+            s_j = np.zeros(tab.cum_j.shape, dtype=np.int64)
+            h, x, m = np.nonzero(supported)
+            np.add.at(s_j, (h, x, tab.slice_tx[h, x, m]), 1)
+            accepted = (np.diff(tab.cum_j, axis=-1, prepend=0.0) > 0) \
+                & tab.good[:, None, :]
+        picks = np.where(accepted, np.maximum(s_j, 1), 0)
+        opens = int((picks + np.where(accepted, (np.int64(1) << tab.k_of)
+                                      - 1, 0)).sum(axis=-1).max())
+        inner = tab.inner
+        L = inner.total_hash_bits
+        rows = (family_size(inner.width, L) >> L) * states * opens
+        if rows > ENUMERATION_CAP:
+            raise TooLarge(f"exact mode could decode up to {rows:,} rows in "
+                           f"round {t}, over the cap of {ENUMERATION_CAP:,}")
+        states *= (int(picks.sum(axis=-1).max())
+                   * int((tab.slice_rx >= 1).sum(axis=-1).max()))
 
 
 def _round_exact_law(tab: _RoundTables) -> FiniteDistribution:
@@ -1070,17 +1119,17 @@ class _RoundTables:
     next: np.ndarray | None = None   # (H, M) next history or -1; None last
 
     @classmethod
-    def build(cls, inner: RoundSimulator, p_m: np.ndarray, p_rx: np.ndarray,
-              prior: np.ndarray, cfg_tx: SliceConfig, k_override: int | None,
+    def build(cls, inner: RoundSimulator, p_m: np.ndarray,
+              slice_rx: np.ndarray, prior: np.ndarray, cfg_tx: SliceConfig,
+              k_override: int | None,
               next: np.ndarray | None = None) -> _RoundTables:
         """A round's tables from per-history arrays: the speaker's message
         laws ``p_m`` (H, n_tx, M) and input priors ``prior`` (H, n_tx),
-        sliced by ``cfg_tx``, and the listener's ``p_rx`` (H, n_rx, M),
-        sliced by ``inner.cfg_rx``."""
+        sliced by ``cfg_tx``, and the listener's slices ``slice_rx``
+        (H, n_rx, M), by ``inner.cfg_rx``."""
         slice_tx, p_j_given_x, p_j, good, j_cost = _tx_tables(
             p_m, cfg_tx, prior)
-        return cls(inner=inner, j_cost=j_cost, p_m=p_m,
-                   slice_rx=_slice_table(p_rx, inner.cfg_rx),
+        return cls(inner=inner, j_cost=j_cost, p_m=p_m, slice_rx=slice_rx,
                    k_of=_k_table(cfg_tx, inner.cfg_rx.gamma,
                                  inner.total_hash_bits, k_override),
                    slice_tx=slice_tx, p_j_given_x=p_j_given_x,
@@ -1124,36 +1173,21 @@ class ProtocolSimulator:
         self.l_max = l_max
         self.k_override = k_override
         self.src = law.source
-        hists = [law.histories(t) for t in range(1, len(self.plans) + 1)]
         self.tables = []
-        for t, (plan, hs) in enumerate(zip(self.plans, hists), start=1):
+        for t, plan in enumerate(self.plans, start=1):
             # swap the source orientation so the transmitter is always "x"
             x_tx = t % 2 == 1
             src = law.source if x_tx else JointSource(
                 law.source.y_alphabet, law.source.x_alphabet,
                 law.source.mass.T)
-            universe = law.round_messages(t)
-            col = {m: a for a, m in enumerate(universe)}
-            p_m, p_rx = (np.zeros((len(hs), n, len(universe)))
-                         for n in src.mass.shape)
-            prior = np.empty(p_m.shape[:2])
-            for h, hist in enumerate(hs):
-                # both parties' message laws, and the speaker's marginal
-                # given the history (histories have mass)
-                view = law.round_view(t, hist)
-                own = (view.p_m_given_x, view.p_m_given_y)
-                cols = [col[m] for m in view.messages]
-                p_m[h][:, cols], p_rx[h][:, cols] = own if x_tx else own[::-1]
-                hist_tx = view.p_hist_xy.sum(axis=1 if x_tx else 0)
-                prior[h] = hist_tx / hist_tx.sum()
-            nxt = None
-            if t < len(hists):
-                index = {h: a for a, h in enumerate(hists[t])}
-                nxt = np.array([[index.get(h + (m,), -1) for m in universe]
-                                for h in hs], dtype=np.int64)
-            inner = RoundSimulator(src, p_m[0], universe, plan.rx, 0, p_rx[0])
+            views = law.round_views(t)
+            own = (views.p_m_given_x, views.p_m_given_y)
+            p_m, p_rx = own if x_tx else own[::-1]
+            inner = RoundSimulator(src, p_m[0], views.messages, plan.rx, 0,
+                                   p_rx[0])
             self.tables.append(_RoundTables.build(
-                inner, p_m, p_rx, prior, plan.tx, k_override, nxt))
+                inner, p_m, _slice_table(p_rx, plan.rx), views.prior,
+                plan.tx, k_override, views.next))
         # the largest round sets the chunk
         self.chunk = min(tab.inner.chunk for tab in self.tables)
 
@@ -1231,9 +1265,11 @@ class ProtocolSimulator:
     def true_view_law(self) -> FiniteDistribution:
         taus, xs, ys = self.law.transcripts, self.src.x_alphabet, \
             self.src.y_alphabet
+        k, i, j, p = self.law.atoms
         return FiniteDistribution.from_mapping(
-            {(taus[k], taus[k], xs[i], ys[j]): self.law.joint[k, i, j]
-             for k, i, j in zip(*np.nonzero(self.law.joint > 0))})
+            {(taus[a], taus[a], xs[b], ys[c]): w for a, b, c, w in zip(
+                k.tolist(), i.tolist(), j.tolist(),
+                (p * self.src.mass[i, j]).tolist())})
 
     def exact_view_law(self) -> FiniteDistribution:
         """:func:`_exact_walk` on the round tables; a failed trial's view
@@ -1275,19 +1311,12 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
 
     ``side`` is "tx" for the speaking party and "rx" for the listener,
     aggregated over histories with their true probabilities.  The round
-    views come from :meth:`TranscriptLaw.round_view`, computed once per law
-    and shared with the slice plans, engines and budgets built on it; both
-    sides read each view's positive atoms
-    (:attr:`~icsim.protocol.RoundView.atoms`).
+    views come from :meth:`TranscriptLaw.round_views`, computed once per
+    law and shared with the slice plans, engines and budgets built on it;
+    both sides read the views' positive atoms, history by history.
     """
-    own_is_x = (t % 2 == 1) == (side == "tx")
-    # a round no history reaches with positive mass has no atoms
-    vals, probs = [np.empty(0)], [np.empty(0)]
-    for hist in law.histories(t):
-        view = law.round_view(t, hist)
-        a, i, j, w = view.atoms
-        cond = view.p_m_given_x if own_is_x else view.p_m_given_y
-        vals.append(-log2_each(cond[i if own_is_x else j, a]))
-        probs.append(w)
-    return SpectrumTable.from_atoms(np.concatenate(vals),
-                                    np.concatenate(probs))
+    views = law.round_views(t)
+    h, u, i, j, w = views.atoms
+    cond = (views.p_m_given_x[h, i, u] if (t % 2 == 1) == (side == "tx")
+            else views.p_m_given_y[h, j, u])
+    return SpectrumTable.from_atoms(-log2_each(cond), w)

@@ -1,6 +1,8 @@
 """Reference code the tests hold the library to, written as plainly as
 possible and sharing no code with what it checks."""
 
+import math
+
 import numpy as np
 
 from icsim.errors import OutOfRange
@@ -30,3 +32,165 @@ def assert_spectrum_bytes(spec, values, probs, merge_tol=MERGE_TOL):
     want_v, want_p = merge_atoms(values, probs, merge_tol)
     assert spec.values.tobytes() == want_v.tobytes()
     assert spec.probs.tobytes() == want_p.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the dense transcript-law computations that the atom form replaced; each
+# takes the law's dense table P(tau | x, y), shape (T, nx, ny)
+# ---------------------------------------------------------------------------
+
+
+def dense_joint(law):
+    """P(tau, x, y) as the dense (T, nx, ny) table."""
+    return law.p_tau_given_xy * law.source.mass[None, :, :]
+
+
+def dense_marginals(law):
+    """``(p_tau_given_x, p_tau_given_y)``: the dense joint summed over y
+    and over x, divided by the input marginals (0 where they vanish)."""
+    joint = dense_joint(law)
+    px, py = law.source.p_x, law.source.p_y
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (np.where(px[None, :] > 0, joint.sum(axis=2) / px[None, :], 0.0),
+                np.where(py[None, :] > 0, joint.sum(axis=1) / py[None, :], 0.0))
+
+
+def dense_histories(law, t):
+    """Distinct prefixes of length t - 1 of transcripts with positive joint
+    mass, in transcript order."""
+    joint, seen = dense_joint(law), []
+    for k, tau in enumerate(law.transcripts):
+        if len(tau) >= t:
+            h = tau[: t - 1]
+            if h not in seen and float(joint[k].sum()) > 0:
+                seen.append(h)
+    return tuple(seen)
+
+
+def dense_round_messages(law, t):
+    return tuple(sorted({tau[t - 1] for tau in law.transcripts
+                         if len(tau) >= t}, key=repr))
+
+
+def dense_round_view(law, t, hist, block_bytes=1 << 21):
+    """One round view from (M, nx, ny) tables: ``(messages, p_m_given_x,
+    p_m_given_y, p_m_given_xy, p_hist_xy)``.  The marginals of
+    P(hist + m, x, y) are summed a block of messages at a time, at most
+    ``block_bytes`` of float64 per block (one message at least)."""
+    nx, ny = law.source.mass.shape
+    prefix_idx = [k for k, tau in enumerate(law.transcripts)
+                  if len(tau) >= t and tau[: t - 1] == hist]
+    messages = tuple(sorted({law.transcripts[k][t - 1] for k in prefix_idx},
+                            key=repr))
+    midx = {m: a for a, m in enumerate(messages)}
+    M = len(messages)
+    p_hm_xy = np.zeros((M, nx, ny))
+    for k in prefix_idx:
+        p_hm_xy[midx[law.transcripts[k][t - 1]]] += law.p_tau_given_xy[k]
+    p_h_xy = p_hm_xy.sum(axis=0)
+    joint_h = p_h_xy * law.source.mass
+    num_x, num_y = np.empty((M, nx)), np.empty((M, ny))
+    step = max(1, block_bytes // (8 * nx * ny))
+    for a in range(0, M, step):
+        joint_hm = p_hm_xy[a:a + step] * law.source.mass
+        num_x[a:a + step] = joint_hm.sum(axis=2)
+        num_y[a:a + step] = joint_hm.sum(axis=1)
+    den_x, den_y = joint_h.sum(axis=1), joint_h.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_m_x = np.where(den_x[None, :] > 0, num_x / den_x[None, :], 0.0).T
+        p_m_y = np.where(den_y[None, :] > 0, num_y / den_y[None, :], 0.0).T
+        p_m_xy = np.where(p_h_xy[None, :, :] > 0,
+                          p_hm_xy / p_h_xy[None, :, :], 0.0)
+    return messages, p_m_x, p_m_y, p_m_xy, joint_h
+
+
+def dense_view_atoms(p_m_xy, joint_h):
+    """The positive atoms ``(a, i, j, weight)`` of P(hist, m, x, y), in
+    row-major (message, x, y) order."""
+    a, i, j = np.nonzero(p_m_xy > 0)
+    w = joint_h[i, j] * p_m_xy[a, i, j]
+    pos = w > 0
+    return a[pos], i[pos], j[pos], w[pos]
+
+
+def dense_view_prior(joint_h, t):
+    """The speaker's input law given the history: x in odd rounds."""
+    hist_tx = joint_h.sum(axis=1 if t % 2 else 0)
+    return hist_tx / hist_tx.sum()
+
+
+def dense_round_spectrum(law, t, side):
+    """``round_density_spectrum`` from dense views, merged by
+    :func:`merge_atoms`."""
+    own_is_x = (t % 2 == 1) == (side == "tx")
+    vals, probs = [], []
+    for hist in dense_histories(law, t):
+        _, p_m_x, p_m_y, p_m_xy, joint_h = dense_round_view(law, t, hist)
+        a, i, j, w = dense_view_atoms(p_m_xy, joint_h)
+        cond = p_m_x[i, a] if own_is_x else p_m_y[j, a]
+        vals += [-math.log2(v) for v in cond.tolist()]
+        probs += w.tolist()
+    return merge_atoms(vals, probs)
+
+
+def dense_round_inputs(law, t):
+    """Engine 5's round-t inputs, one history at a time on the round's
+    message universe: ``(p_tx, p_rx, prior, next)``, the speaker's and
+    the listener's message laws (H, n, U), the speaker's priors and the
+    next-history table (None in the last round)."""
+    hs, universe = dense_histories(law, t), dense_round_messages(law, t)
+    col = {m: a for a, m in enumerate(universe)}
+    nx, ny = law.source.mass.shape
+    n_tx, n_rx = (nx, ny) if t % 2 else (ny, nx)
+    p_tx, p_rx = np.zeros((len(hs), n_tx, len(universe))), \
+        np.zeros((len(hs), n_rx, len(universe)))
+    prior = np.empty((len(hs), n_tx))
+    for h, hist in enumerate(hs):
+        msgs, p_m_x, p_m_y, _, joint_h = dense_round_view(law, t, hist)
+        cols = [col[m] for m in msgs]
+        own = (p_m_x, p_m_y) if t % 2 else (p_m_y, p_m_x)
+        p_tx[h][:, cols], p_rx[h][:, cols] = own
+        prior[h] = dense_view_prior(joint_h, t)
+    nxt = None
+    if t < law.n_rounds:
+        index = {h: a for a, h in enumerate(dense_histories(law, t + 1))}
+        nxt = np.array([[index.get(h + (m,), -1) for m in universe]
+                        for h in hs], dtype=np.int64).reshape(
+                            len(hs), len(universe))
+    return p_tx, p_rx, prior, nxt
+
+
+def dense_law_spectrum(law, selector):
+    """``TranscriptLaw.spectrum`` from the dense table, one (t, x, y) of
+    positive joint mass at a time, merged by :func:`merge_atoms`."""
+    joint = dense_joint(law)
+    p_ty, p_tx = joint.sum(axis=1), joint.sum(axis=2)
+    p_x, p_y = dense_marginals(law)
+    vals, probs = [], []
+    for t, i, j in zip(*np.nonzero(joint > 0)):
+        w = float(joint[t, i, j])
+        pxy = float(law.p_tau_given_xy[t, i, j])
+        if selector == "ic":
+            v = (math.log2(pxy / float(p_x[t, i]))
+                 + math.log2(pxy / float(p_y[t, j])))
+        elif selector == "h_xy":
+            v = -math.log2(float(law.source.mass[i, j]))
+        elif selector == "h_x_given_ypi":
+            v = -math.log2(w / float(p_ty[t, j]))
+        elif selector == "hsum_ext":
+            v = (-math.log2(w / float(p_ty[t, j]))
+                 - math.log2(w / float(p_tx[t, i])))
+        else:  # compression
+            v = -math.log2(float(p_x[t, i])) - math.log2(float(p_y[t, j]))
+        vals.append(v)
+        probs.append(w)
+    return merge_atoms(vals, probs)
+
+
+def dense_true_view_law(law):
+    """Engine 5's true view law as a dict, in (k, x, y) order."""
+    joint = dense_joint(law)
+    taus, xs, ys = law.transcripts, law.source.x_alphabet, \
+        law.source.y_alphabet
+    return {(taus[k], taus[k], xs[i], ys[j]): joint[k, i, j]
+            for k, i, j in zip(*np.nonzero(joint > 0))}

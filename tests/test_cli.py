@@ -248,6 +248,35 @@ def test_eval_k_override_outside_hash_budget_fails(tmp_path, cfg, k):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("k", [1.5, -0.5])
+def test_eval_non_integer_k_fails(tmp_path, k):
+    # engine 3's shared prefix k must be an integer, as k_override must
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"source": "dsbs:0.25", "protocol": "p3",
+                                "target": "send-x", "gamma": 1.0, "k": k}))
+    proc = run_cli("eval", "--config", str(path), "--trials", "10",
+                   check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_exchange_bits_target(tmp_path):
+    # four rounds over dsbs^2; exact mode enumerates every hash family
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"source": "dsbs^2:0.25", "protocol": "p5",
+                                "target": "exchange-bits"}))
+    doc = json.loads(run_cli("eval", "--config", str(path), "--mode",
+                             "exact").stdout)
+    assert 0.0 < doc["tv"] < 1.0 and doc["mode"] == "exact"
+    doc = json.loads(run_cli("analyze", "--source", "dsbs^2:0.25",
+                             "--protocol", "exchange-bits").stdout)
+    want = json.loads(run_cli("analyze", "--source", "dsbs^2:0.25",
+                              "--protocol", "data-exchange").stdout)
+    assert doc["mean"] == pytest.approx(want["mean"], abs=1e-12)
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize, about 47 MB resident, loads only for direct-product
     # thresholds; every other command runs without it

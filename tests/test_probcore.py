@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from icsim.errors import MismatchedSupport, OutOfRange, ZeroMassAtom
 from icsim.probcore import (
     MERGE_TOL,
+    _LOOP_ATOMS,
     FiniteDistribution,
     JointSource,
     SliceConfig,
@@ -317,6 +318,17 @@ class TestFromAtoms:
         values, probs = FROM_ATOMS_CASES[name]
         if as_list:
             values, probs = values.tolist(), probs.tolist()
+        assert_spectrum_bytes(SpectrumTable.from_atoms(values, probs),
+                              values, probs)
+
+    @pytest.mark.parametrize("name", sorted(FROM_ATOMS_CASES))
+    def test_vectorized_pass_matches_reference_merge(self, name):
+        # each case's atoms repeated past the loop's size, masses split
+        values, probs = FROM_ATOMS_CASES[name]
+        reps = _LOOP_ATOMS // len(values) + 2
+        values = np.tile(np.asarray(values, dtype=float), reps)
+        probs = np.tile(np.asarray(probs, dtype=float), reps) / reps
+        assert values.size > _LOOP_ATOMS
         assert_spectrum_bytes(SpectrumTable.from_atoms(values, probs),
                               values, probs)
 

@@ -21,10 +21,8 @@ from icsim.probcore import (
 from icsim.protocol import (
     LAW_BYTES_CAP,
     LAW_SELECTORS,
-    VIEW_BLOCK_BYTES,
     MixedProtocol,
     ProtocolTree,
-    RoundView,
     ThresholdExample,
     appendix_threshold_example,
     constant_protocol,
@@ -40,7 +38,14 @@ from icsim.protocol import (
 )
 from icsim.cli import build_engine
 import icsim.cli
-from reference import merge_atoms
+from reference import (
+    dense_histories,
+    dense_joint,
+    dense_law_spectrum,
+    dense_round_view,
+    dense_view_atoms,
+    dense_view_prior,
+)
 
 LOG2_4_3 = 2.0 - math.log2(3.0)
 
@@ -110,7 +115,7 @@ def test_ic_identity_against_auxiliary_densities():
         ch2 = rng.random((2, 2, 2)) + 0.1
         ch2 /= ch2.sum(axis=2, keepdims=True)
         law = two_round_protocol(src, ch1, ("a", "b"), ch2, ("c", "d"))
-        joint = law.joint
+        joint = dense_joint(law)
         p_ty = joint.sum(axis=1)
         p_tx = joint.sum(axis=2)
         for t, tau in enumerate(law.transcripts):
@@ -177,41 +182,16 @@ class TestRoundStructure:
     def test_round_view_normalizes(self):
         law = data_exchange_protocol(dsbs_source(0.25))
         view = law.round_view(2, (0,))
-        live = view.p_hist_xy.sum(axis=1) > 0
+        a, i, j, w = view.atoms
+        live = np.isin(np.arange(2), i)  # the x with mass given (0,)
         assert np.allclose(view.p_m_given_x[live].sum(axis=1), 1.0)
-        assert float(view.p_hist_xy.sum()) == pytest.approx(0.5)
+        assert float(w.sum()) == pytest.approx(0.5)  # P(hist)
+        assert float(view.prior.sum()) == pytest.approx(1.0)
 
     def test_unknown_history(self):
         law = send_value_protocol(dsbs_source(0.25))
         with pytest.raises(SupportViolation):
             law.round_view(1, ("zzz",))
-
-
-def _round_view_reference(law, t, hist):
-    """``TranscriptLaw.round_view`` as first written: full (M, nx, ny)
-    temporaries and an ``np.where`` quotient."""
-    nx, ny = law.source.mass.shape
-    prefix_idx = [k for k, tau in enumerate(law.transcripts)
-                  if len(tau) >= t and tau[: t - 1] == hist]
-    messages = tuple(sorted({law.transcripts[k][t - 1] for k in prefix_idx},
-                            key=repr))
-    midx = {m: a for a, m in enumerate(messages)}
-    p_hm_xy = np.zeros((len(messages), nx, ny))
-    for k in prefix_idx:
-        p_hm_xy[midx[law.transcripts[k][t - 1]]] += law.p_tau_given_xy[k]
-    p_h_xy = p_hm_xy.sum(axis=0)
-    joint_h = p_h_xy * law.source.mass
-    joint_hm = p_hm_xy * law.source.mass[None, :, :]
-    num_x = joint_hm.sum(axis=2)
-    den_x = joint_h.sum(axis=1)
-    num_y = joint_hm.sum(axis=1)
-    den_y = joint_h.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_m_x = np.where(den_x[None, :] > 0, num_x / den_x[None, :], 0.0).T
-        p_m_y = np.where(den_y[None, :] > 0, num_y / den_y[None, :], 0.0).T
-        p_m_xy = np.where(p_h_xy[None, :, :] > 0,
-                          p_hm_xy / p_h_xy[None, :, :], 0.0)
-    return RoundView(messages, p_m_x, p_m_y, p_m_xy, joint_h)
 
 
 def _shared_message_tree(source):
@@ -266,24 +246,29 @@ VIEW_LAWS = {
 }
 
 
-@pytest.mark.parametrize("block_bytes", [1, VIEW_BLOCK_BYTES],
+@pytest.mark.parametrize("block_bytes", [1, 1 << 21],
                          ids=["one-message-blocks", "default-blocks"])
 @pytest.mark.parametrize("name", sorted(VIEW_LAWS))
-def test_round_view_matches_reference_bytes(monkeypatch, name, block_bytes):
-    monkeypatch.setattr(icsim.protocol, "VIEW_BLOCK_BYTES", block_bytes)
+def test_round_view_matches_reference_bytes(name, block_bytes):
+    """Each view, from the law's atoms, holds the bits of the dense
+    reference view, whose sums over blocks of one message or of many
+    messages agree."""
     law = VIEW_LAWS[name]()
     shared = 0
     for t in range(1, law.n_rounds + 1):
         for hist in law.histories(t):
             got = law.round_view(t, hist)
-            want = _round_view_reference(law, t, hist)
-            assert got.messages == want.messages
-            for field in ("p_m_given_x", "p_m_given_y", "p_m_given_xy",
-                          "p_hist_xy"):
-                a, b = getattr(got, field), getattr(want, field)
+            msgs, p_m_x, p_m_y, p_m_xy, joint_h = dense_round_view(
+                law, t, hist, block_bytes)
+            assert got.messages == msgs
+            for field, b in (("p_m_given_x", p_m_x), ("p_m_given_y", p_m_y),
+                             ("prior", dense_view_prior(joint_h, t))):
+                a = getattr(got, field)
                 assert a.dtype == b.dtype and a.shape == b.shape, field
                 assert a.tobytes() == b.tobytes(), (t, hist, field)
-            shared += len(want.messages) < sum(
+            for a, b in zip(got.atoms, dense_view_atoms(p_m_xy, joint_h)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            shared += len(msgs) < sum(
                 1 for tau in law.transcripts
                 if len(tau) >= t and tau[: t - 1] == hist)
     if name == "tree-shared-messages":
@@ -296,22 +281,12 @@ def test_round_view_memoized_read_only():
         for hist in law.histories(t):
             view = law.round_view(t, hist)
             assert law.round_view(t, hist) is view
-            for arr in (view.p_m_given_x, view.p_m_given_y,
-                        view.p_m_given_xy, view.p_hist_xy):
+            for arr in (view.p_m_given_x, view.p_m_given_y, view.prior,
+                        *view.atoms):
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 0.5
                 with pytest.raises(ValueError):
                     arr += 0.0
-
-
-def _histories_reference(law, t):
-    seen = []
-    for k, tau in enumerate(law.transcripts):
-        if len(tau) >= t:
-            h = tau[: t - 1]
-            if h not in seen and float(law.joint[k].sum()) > 0:
-                seen.append(h)
-    return tuple(seen)
 
 
 @pytest.mark.parametrize("name", sorted(VIEW_LAWS) + [
@@ -327,42 +302,9 @@ def test_histories_unchanged_without_joint(name):
             product_source(dsbs_source(0.11), 3)),
     }.get(name, VIEW_LAWS.get(name))()
     got = [law.histories(t) for t in range(1, law.n_rounds + 1)]
-    assert "joint" not in law.__dict__
-    assert got == [_histories_reference(law, t)
+    assert "p_tau_given_xy" not in law.__dict__
+    assert got == [dense_histories(law, t)
                    for t in range(1, law.n_rounds + 1)]
-
-
-def _law_spectrum_loop(law, selector):
-    """``TranscriptLaw.spectrum`` as first written: one Python pass over
-    every (t, x, y) of positive joint mass, merged by the reference merge."""
-    joint = law.joint
-    p_ty = joint.sum(axis=1)
-    p_tx = joint.sum(axis=2)
-    p_x, p_y = law.p_tau_given_x, law.p_tau_given_y
-    vals, probs = [], []
-    for t in range(len(law.transcripts)):
-        for i in range(len(law.source.x_alphabet)):
-            for j in range(len(law.source.y_alphabet)):
-                w = float(joint[t, i, j])
-                if w <= 0.0:
-                    continue
-                pxy = float(law.p_tau_given_xy[t, i, j])
-                if selector == "ic":
-                    v = (math.log2(pxy / float(p_x[t, i]))
-                         + math.log2(pxy / float(p_y[t, j])))
-                elif selector == "h_xy":
-                    v = -math.log2(float(law.source.mass[i, j]))
-                elif selector == "h_x_given_ypi":
-                    v = -math.log2(w / float(p_ty[t, j]))
-                elif selector == "hsum_ext":
-                    v = (-math.log2(w / float(p_ty[t, j]))
-                         - math.log2(w / float(p_tx[t, i])))
-                else:  # compression
-                    v = (-math.log2(float(p_x[t, i]))
-                         - math.log2(float(p_y[t, j])))
-                vals.append(v)
-                probs.append(w)
-    return merge_atoms(vals, probs)
 
 
 SPECTRUM_LAWS = {
@@ -381,7 +323,7 @@ def test_law_spectrum_matches_atom_loop(name):
     law = SPECTRUM_LAWS[name]()
     for selector in LAW_SELECTORS:
         got = law.spectrum(selector)
-        want_v, want_p = _law_spectrum_loop(law, selector)
+        want_v, want_p = dense_law_spectrum(law, selector)
         assert got.values.tobytes() == want_v.tobytes(), selector
         assert got.probs.tobytes() == want_p.tobytes(), selector
 
@@ -398,7 +340,7 @@ def test_engine_build_keeps_no_joint_table(monkeypatch):
     for proto in ("p3", "p4", "p5"):
         build_engine({"source": "dsbs^3:0.11", "protocol": proto,
                       "target": "send-x", "gamma": 3.0})
-        assert "joint" not in laws[-1].__dict__, proto
+        assert "p_tau_given_xy" not in laws[-1].__dict__, proto
 
 
 class TestProduct:

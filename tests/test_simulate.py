@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import importlib.util
@@ -79,7 +78,7 @@ from icsim.simulate import (
     round_density_spectrum,
     run_trials,
 )
-from reference import merge_atoms
+from reference import dense_round_spectrum
 
 
 def sw_coder(l=4, gamma=2.0, q=0.25):
@@ -315,29 +314,6 @@ def test_round_density_spectrum_mass():
     assert got.probs == pytest.approx(want.probs, abs=1e-12)
 
 
-def _spectrum_loop(law, t, side):
-    """``round_density_spectrum`` written out: every (message, x, y) atom
-    of every history, zero-weight ones skipped, merged by the reference
-    merge."""
-    own_is_x = (t % 2 == 1) == (side == "tx")
-    vals, probs = [], []
-    nx, ny = law.source.mass.shape
-    for hist in law.histories(t):
-        view = law.round_view(t, hist)
-        cond = view.p_m_given_x if own_is_x else view.p_m_given_y
-        for a in range(len(view.messages)):
-            for i in range(nx):
-                for j in range(ny):
-                    w = float(view.p_hist_xy[i, j]
-                              * view.p_m_given_xy[a, i, j])
-                    if w <= 0:
-                        continue
-                    vals.append(-math.log2(float(cond[i if own_is_x else j,
-                                                      a])))
-                    probs.append(w)
-    return merge_atoms(vals, probs)
-
-
 def _two_round_law():
     """Non-dyadic source and channels; message "z" and reply "n" never
     occur."""
@@ -368,7 +344,7 @@ def test_round_density_spectrum_matches_atom_loop():
         for t in range(1, law.n_rounds + 1):
             for side in ("tx", "rx"):
                 got = round_density_spectrum(law, t, side)
-                want_v, want_p = _spectrum_loop(law, t, side)
+                want_v, want_p = dense_round_spectrum(law, t, side)
                 where = (name, t, side)
                 assert got.values.tobytes() == want_v.tobytes(), where
                 assert got.probs.tobytes() == want_p.tobytes(), where
@@ -378,22 +354,14 @@ def test_round_density_spectrum_matches_atom_loop():
     ("p4", "send-x"), ("p4", "noisy-send:0.1"), ("p5", "data-exchange"),
     ("p5", "xor-reply")])
 def test_build_scans_each_round_view_once(monkeypatch, proto, target):
-    """Both sides' round spectra, and the round budgets after them, read
-    one scan of each view's (M, nx, ny) table."""
+    """Both sides' round spectra, the engine, and the round budgets after
+    them, read one pass over each round's atoms."""
     scans = []
+    round_views = TranscriptLaw._round_views
 
-    class ScanCounter(np.ndarray):
-        def __gt__(self, other):
-            if self.ndim == 3:
-                scans.append(self.shape)
-            return np.asarray(self).__gt__(other)
-
-    round_view = TranscriptLaw._round_view
-
-    def counted(self, t, hist):
-        view = round_view(self, t, hist)
-        return dataclasses.replace(
-            view, p_m_given_xy=view.p_m_given_xy.view(ScanCounter))
+    def counted(self, t):
+        scans.append(t)
+        return round_views(self, t)
 
     laws = []
 
@@ -402,16 +370,15 @@ def test_build_scans_each_round_view_once(monkeypatch, proto, target):
         return laws[-1]
 
     parse_target = icsim.cli.parse_target
-    monkeypatch.setattr(TranscriptLaw, "_round_view", counted)
+    monkeypatch.setattr(TranscriptLaw, "_round_views", counted)
     monkeypatch.setattr(icsim.cli, "parse_target", spy)
     source = "dsbs^2:0.11" if target == "send-x" else "dsbs:0.25"
     engine = build_engine({"source": source, "protocol": proto,
                            "target": target, "gamma": 3.0})
-    views = laws[-1]._views
-    assert len(scans) == len(views) >= 1
+    assert scans == list(range(1, laws[-1].n_rounds + 1))
     if proto == "p5":
         round_budget_inputs(laws[-1], engine.plans)
-        assert len(scans) == len(views) == 3
+        assert scans == [1, 2]
 
 
 def test_slice_tables_and_spectra_take_the_same_log2():
@@ -784,8 +751,7 @@ def _history_inputs(sim):
             p_tx, p_rx = (np.zeros((len(p), len(universe))) for p in own)
             cols = [index[m] for m in view.messages]
             p_tx[:, cols], p_rx[:, cols] = own
-            hist_tx = view.p_hist_xy.sum(axis=1 if t % 2 else 0)
-            inputs[(t, hist)] = (src, p_tx, p_rx, hist_tx / hist_tx.sum())
+            inputs[(t, hist)] = (src, p_tx, p_rx, view.prior)
     return inputs
 
 
@@ -2271,15 +2237,17 @@ _VIEW_COUNTED = {
 
 
 def _count_view_computations(monkeypatch) -> Counter:
-    """Count the uncached round-view computations, by (law, t, hist)."""
+    """Count the uncached round-view computations, by (law, t, hist): a
+    round's views are computed together."""
     counts = Counter()
-    compute = TranscriptLaw._round_view
+    compute = TranscriptLaw._round_views
 
-    def spy(law, t, hist):
-        counts[(id(law), t, hist)] += 1
-        return compute(law, t, hist)
+    def spy(law, t):
+        views = compute(law, t)
+        counts.update((id(law), t, hist) for hist in views.histories)
+        return views
 
-    monkeypatch.setattr(TranscriptLaw, "_round_view", spy)
+    monkeypatch.setattr(TranscriptLaw, "_round_views", spy)
     return counts
 
 
