@@ -110,6 +110,19 @@ def draw_hash(width: int, out_bits: int, seed) -> HashFamily:
                                 dtype=np.uint8))
 
 
+def pack_columns(blocks: np.ndarray) -> np.ndarray:
+    """The columns (T, w + 1) of the T hash blocks ``blocks`` (T, L, w + 1),
+    each packed into an int64 whose bit p is row p: the matrix columns,
+    then the offset."""
+    T, L, w1 = blocks.shape
+    if L > 62:
+        raise OutOfRange("packed hashes hold at most 62 bits")
+    cols = np.zeros((T, w1), dtype=np.int64)
+    for p in range(L):
+        cols |= blocks[:, p].astype(np.int64) << p
+    return cols
+
+
 def pack_hashes(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Packed hashes (T, n) of the n bit rows ``bits`` (n, w) under the T
     hash blocks ``blocks`` (T, L, w + 1), laid out as :func:`draw_hash`
@@ -119,16 +132,38 @@ def pack_hashes(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
     with the packed matrix column of each of its set bits: w XOR steps on
     (T, n) ints, with no array holding a bit per (row, output bit).
     """
-    T, L, w1 = blocks.shape
-    if L > 62:
-        raise OutOfRange("packed hashes hold at most 62 bits")
-    # column c of each block as one int whose bit p is row p
-    cols = np.zeros((T, w1), dtype=np.int64)
-    for p in range(L):
-        cols |= blocks[:, p].astype(np.int64) << p
+    cols = pack_columns(blocks)
+    w1 = cols.shape[1]
     h = np.repeat(cols[:, w1 - 1:], bits.shape[0], axis=1)
     for c in range(w1 - 1):
         h ^= cols[:, c:c + 1] & -bits[:, c].astype(np.int64)
+    return h
+
+
+def hash_indices(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Packed hashes (T, n) of the universe indices ``idx`` (T, n), each
+    row under its own packed columns ``cols`` (T, w + 1) (see
+    :func:`pack_columns`), on the encoding of :func:`encode_universe`.
+
+    An index's hash XORs the offset with the columns of its set bits.  Per
+    row, two tables hold those XORs over every pattern of the low and of
+    the high half of the w bits, so each hash is two lookups, whatever w.
+    """
+    T, w1 = cols.shape
+    w = w1 - 1
+    lo = (w + 1) // 2
+
+    def xors(start, stop, base):
+        tab = base
+        for c in range(start, stop):
+            tab = np.concatenate([tab, tab ^ cols[:, c:c + 1]], axis=1)
+        return tab.ravel()
+
+    rows = np.arange(T, dtype=np.int64)[:, None]
+    h = xors(0, lo, cols[:, w:])[(rows << lo) + (idx & ((1 << lo) - 1))]
+    if lo < w:
+        h ^= xors(lo, w, np.zeros((T, 1), dtype=np.int64))[
+            (rows << (w - lo)) + (idx >> lo)]
     return h
 
 

@@ -12,7 +12,9 @@ Engine 2 is engine 3 on the identity channel, and engines 4 and 5 run
 engine 3 rounds.  Each engine's trial rule is implemented once, as a kernel
 vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
 (pick M*, then ``_slice_search``) for engines 2 to 5, whose rounds all
-draw through ``_round_step``.  The scalar ``run`` is one trial of the
+draw through ``_round_step`` and decode over the candidate lists of their
+``_RoundTables``: the sender's supported messages and the receiver's
+messages in slice 1 or more.  The scalar ``run`` is one trial of the
 chunked loop ``run_trials``, on hashes packed by
 :func:`icsim.hashing.pack_hashes`.  Every engine's ``exact_view_law`` walks
 each linear part of the hash families, standing for its 2^L offsets (see
@@ -52,7 +54,9 @@ from .hashing import (
     encode_universe,
     encoding_width,
     family_size,
+    hash_indices,
     linear_blocks,
+    pack_columns,
     pack_hashes,
 )
 from .probcore import (
@@ -206,18 +210,21 @@ def _in_blocks(decode, T: int, rows: int) -> tuple:
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
-def _kernel_bytes(M: int, L: int, width: int) -> int:
-    """Bytes that one trial (or exact row) of M messages and L hash bits
-    allocates in either trial kernel: the row's share of a chunk (seed
+def _kernel_bytes(n: int, L: int, width: int) -> int:
+    """Bytes that one trial (or exact row) of n message columns and L hash
+    bits allocates in either trial kernel: the row's share of a chunk (seed
     streams, ``BATCH_BYTES``) and of a block (cache, threads).
 
     The (L, w + 1) uint8 hash block and its packed int64 columns; per
-    message, six 8-byte numbers (hash, weight, running sum, receiver slice
-    and two temporaries) and five bool masks; and 256 bytes for the trial's
-    source pair, uniforms, bits, cause and view key.  Engine 1's kernel
-    allocates about a third of this.
+    column, six 8-byte numbers (hash, weight or message, running sum,
+    receiver slice and two temporaries) and five bool masks; and 256 bytes
+    for the trial's source pair, uniforms, bits, cause and view key.
+    Chunks and exact blocks count all M messages; the trial decode of
+    engines 2 to 5 counts the S + C columns of its candidate lists (see
+    :func:`_round_step`).  Engine 1's kernel allocates about a third of
+    this per message.
     """
-    return L * (width + 1) + 8 * (width + 1) + 53 * M + 256
+    return L * (width + 1) + 8 * (width + 1) + 53 * n + 256
 
 
 def _trial_chunk(M: int, L: int, width: int) -> int:
@@ -519,7 +526,7 @@ class RoundSimulator:
                             else np.asarray(aux_m_given_y, dtype=float))
         if self.p_m_given_y.shape != (ny, M):
             raise OutOfRange("aux conditional has the wrong shape")
-        # (M, ny), a view of the (ny, M) table that engine 4's table reads
+        # (M, ny), a view of the (ny, M) table that the round tables read
         self.slice_rx = _slice_table(self.p_m_given_y, cfg_rx).T
         self.width = encoding_width(M)
         self.enc = encode_universe(M, self.width)
@@ -696,76 +703,92 @@ def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum_rows <= u[:, None] * cum_rows[:, -1:]).sum(axis=1)
 
 
-def _round_kernel(inner: RoundSimulator, p_rows: np.ndarray,
-                  restrict: np.ndarray, slc: np.ndarray, k_t: np.ndarray,
-                  blocks: np.ndarray, u: np.ndarray, u_m: np.ndarray,
-                  extra_bits: int):
+def _round_kernel(inner: RoundSimulator, sup: np.ndarray, p_sup: np.ndarray,
+                  restrict: np.ndarray, cand: np.ndarray, slc: np.ndarray,
+                  k_t: np.ndarray, blocks: np.ndarray, u: np.ndarray,
+                  u_m: np.ndarray, extra_bits: int):
     """One simulated round for T trials; draws nothing itself.
 
-    Per trial: the transmitter's message row ``p_rows`` (T, M), the
-    ``restrict`` mask (T, M), the receiver's slice row ``slc`` (T, M), the
-    shared-prefix length ``k_t``, the hash block (L, w + 1) of ``blocks``,
-    the shared string ``u`` (masked to k bits here) and the uniform ``u_m``
-    that picks M*.  ``inner`` supplies the round's encoding and hash
-    schedule; ``extra_bits`` (the slice-index cost) is added to each
-    trial's bits.  M* is the first message whose cumulative weight in
-    :func:`_mstar_cum` exceeds u_m times the total; :func:`_slice_search`
-    decodes it.  Returns ``(m_star,) +`` its result.
+    Per trial, the rows of the round's candidate lists
+    (:attr:`_RoundTables.support`, :attr:`_RoundTables.candidates`): the
+    transmitter's supported messages ``sup`` (T, S) with their weights
+    ``p_sup`` and the ``restrict`` mask of the slice index, and the
+    receiver's candidates ``cand`` (T, C) with their slices ``slc``; then
+    the shared-prefix length ``k_t``, the hash block (L, w + 1) of
+    ``blocks``, the shared string ``u`` (masked to k bits here) and the
+    uniform ``u_m`` that picks M*.  Only those S + C columns are hashed.
+    ``inner`` supplies the round's hash schedule; ``extra_bits`` (the
+    slice-index cost) is added to each trial's bits.  M* is the message of
+    the first slot whose cumulative weight in :func:`_mstar_cum` exceeds
+    u_m times the total; :func:`_slice_search` decodes it.  Returns
+    ``(m_star,) +`` its result, in message indices.
     """
-    h = pack_hashes(blocks, inner.enc)  # (T, M)
+    S = sup.shape[1]
+    h = hash_indices(pack_columns(blocks), np.concatenate([sup, cand], axis=1))
     u = u & ((np.int64(1) << k_t) - 1)
-    cum = _mstar_cum(p_rows, restrict, h, k_t, u)
-    m_star = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
-    return (m_star,) + _slice_search(inner, h, m_star, slc, k_t, u,
-                                     extra_bits)
+    cum = _mstar_cum(p_sup, restrict, h[:, :S], k_t, u)
+    slot = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
+    rows = np.arange(sup.shape[0])
+    m_star = sup[rows, slot]
+    return (m_star,) + _slice_search(inner, m_star, h[rows, slot], cand,
+                                     h[:, S:], slc, k_t, u, extra_bits)
 
 
-def _mstar_cum(p_rows: np.ndarray, restrict: np.ndarray, h: np.ndarray,
+def _mstar_cum(p_sup: np.ndarray, restrict: np.ndarray, h: np.ndarray,
                k_t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Cumulative weights (T, M) of M*, the rule both :func:`_round_kernel`
-    and :func:`_exact_walk` read: P(m|x) over the messages of ``restrict``
-    whose first ``k_t`` hash bits are the shared string ``u`` (already
-    masked to them), summed in message order.  A row with no such message
-    steps from 0 to 1 at its fallback, the first supported message of the
-    restriction, else message 0.  M* is m with probability
-    (cum[m] - cum[m - 1]) / cum[-1]."""
+    """Cumulative weights (T, S) of M* over the slots of the transmitter's
+    support list, the rule both :func:`_round_kernel` and
+    :func:`_exact_walk` read: P(m|x) ``p_sup`` over the slots of
+    ``restrict`` whose hash ``h`` starts with the shared string ``u`` of
+    ``k_t`` bits (already masked to them), summed in message order.  A
+    zero term changes no float, so each slot's sum is the sum over all
+    messages up to its own.  A row with no such slot steps from 0 to 1 at
+    its fallback: the first supported slot of the restriction, else slot
+    0, which on a row with no support is message 0, the padding.  J is
+    drawn from the slices of supported messages, so a row with support
+    always has one in its restriction.  M* is the message of slot s with
+    probability (cum[s] - cum[s - 1]) / cum[-1]."""
     mask_t = (np.int64(1) << k_t) - 1
     prefix_ok = (h & mask_t[:, None]) == u[:, None]
-    cum = np.cumsum(p_rows * (prefix_ok & restrict), axis=1)
+    cum = np.cumsum(p_sup * (prefix_ok & restrict), axis=1)
     empty = np.flatnonzero(cum[:, -1] <= 0.0)
     if empty.size:
-        fb = restrict[empty] & (p_rows[empty] > 0)
+        fb = restrict[empty] & (p_sup[empty] > 0)
         first = np.where(fb.any(axis=1), np.argmax(fb, axis=1), 0)
         cum[empty] = np.arange(cum.shape[1]) >= first[:, None]
     return cum
 
 
-def _slice_search(inner: RoundSimulator, h: np.ndarray, m_star: np.ndarray,
+def _slice_search(inner: RoundSimulator, m_star: np.ndarray,
+                  h_star: np.ndarray, cand: np.ndarray, h: np.ndarray,
                   slc: np.ndarray, k_t: np.ndarray, u: np.ndarray,
                   extra_bits: int):
     """The receiver's slice-by-slice search for T trials, given M*.
 
-    ``h`` (T, M) holds the packed hash of every message and ``slc`` (T, M)
-    the receiver's slice of every message; the receiver holds the shared
-    string ``u`` of ``k_t`` bits in place of M*'s first hash bits.  After i
-    hash blocks it matches the first ``pos_at(i)`` bits in its slice i: one
-    match is an ACK, several after the first slice are declared.  Returns
-    ``(decoded, cause, bits, hit)``: the decoded message (-1 on a declared
-    failure), the cause code, the bits sent past the shared prefix plus
+    ``m_star`` is M* and ``h_star`` its packed hash; ``cand`` (T, C) lists
+    the receiver's candidates, the messages of its slices 1 or more in
+    message order, ``h`` their packed hashes and ``slc`` their slices (0
+    on padding).  The receiver holds the shared string ``u`` of ``k_t``
+    bits in place of M*'s first hash bits.  After i hash blocks it matches
+    the first ``pos_at(i)`` bits in its slice i: one match is an ACK,
+    several after the first slice are declared.  Returns ``(decoded,
+    cause, bits, hit)``: the decoded message (-1 on a declared failure),
+    the cause code, the bits sent past the shared prefix plus
     ``extra_bits``, and the terminating slice.
     """
     T = h.shape[0]
-    received = (h[np.arange(T), m_star] & ~((np.int64(1) << k_t) - 1)) | u
+    received = (h_star & ~((np.int64(1) << k_t) - 1)) | u
+    diff = h ^ received[:, None]
     decoded = np.full(T, -1, dtype=np.int64)
     hit = np.full(T, inner.n_slices, dtype=np.int64)
     multi = np.zeros(T, dtype=bool)
     active = np.ones(T, dtype=bool)
     for s in range(1, inner.n_slices + 1):
         mask_pos = (1 << inner.pos_at(s)) - 1
-        match = (slc == s) & (((h ^ received[:, None]) & mask_pos) == 0)
+        match = (slc == s) & ((diff & mask_pos) == 0)
         cnt = match.sum(axis=1)
         ack = active & (cnt == 1)
-        decoded[ack] = np.argmax(match[ack], axis=1)
+        decoded[ack] = cand[ack, np.argmax(match[ack], axis=1)]
         hit[ack] = s
         if s > 1:
             mm = active & (cnt > 1)
@@ -773,13 +796,14 @@ def _slice_search(inner: RoundSimulator, h: np.ndarray, m_star: np.ndarray,
             hit[mm] = s
             active &= ~mm
         active &= ~ack
-    tail = active & (slc[np.arange(T), m_star] == 0)
     pos_hit = inner.l + (hit - 1) * inner.delta
     bits = np.maximum(0, pos_hit - k_t) + hit + extra_bits
 
     cause = np.zeros(T, dtype=np.int64)
-    cause[active & ~tail] = _NO_MATCH
-    cause[tail] = _TAIL
+    # an unmatched M* is a tail unless it is a candidate, in slice 1 or more
+    left = np.flatnonzero(active)
+    cause[left] = np.where(((cand[left] == m_star[left, None])
+                            & (slc[left] > 0)).any(axis=1), _NO_MATCH, _TAIL)
     cause[multi] = _MULTIPLE
     return decoded, cause, bits, hit
 
@@ -800,33 +824,39 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
     by per-trial (history, symbol) arrays.  Draw order: the hash blocks
     (unless given), the J uniforms (only with a slice-index law), the
     shared strings and the M* uniforms.  :func:`_round_kernel` decodes
-    block by block, on rows ``p_m[tx]``, restrictions ``slice_tx[tx] == J``
-    (every message without a J law) and ``slice_rx[rx]``.  A rejected J
+    block by block, on the rows ``support[tx]`` with restrictions
+    ``slice == J`` (every slot without a J law) and ``candidates[rx]``;
+    a block's rows are sized by the candidate width S + C.  A rejected J
     costs ``j_cost`` bits, with M* and the decode -1 and the hit 0.
     """
     inner = tab.inner
-    T, M = tx[-1].size, tab.p_m.shape[-1]
+    T = tx[-1].size
+    # each trial's table rows, flat (history, symbol) indices
+    ti = tx[0] * tab.p_m.shape[1] + tx[1]
+    ri = rx[0] * tab.slice_rx.shape[1] + rx[1]
     if blocks is None:
         blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
                                           inner.width + 1), dtype=np.uint8)
     jj = (np.zeros(T, dtype=np.int64) if tab.cum_j is None
-          else _pick_slice(tab.cum_j[tx], rng.random(T)))
+          else _pick_slice(_rows(tab.cum_j, ti), rng.random(T)))
     k_t = tab.k_of[jj]
     u = _draw_prefix(rng, k_t)
     u_m = rng.random(T)
+    sup, p_sup, slc_tx = tab.support
+    cand, slc_rx = tab.candidates
+    S, C = sup.shape[-1], cand.shape[-1]
 
     def decode(a, b):
-        t = tuple(i[a:b] for i in tx)
-        restrict = (np.ones((b - a, M), dtype=bool) if tab.slice_tx is None
-                    else tab.slice_tx[t] == jj[a:b, None])
-        return _round_kernel(inner, tab.p_m[t], restrict,
-                             tab.slice_rx[tuple(i[a:b] for i in rx)],
-                             k_t[a:b], blocks[a:b], u[a:b], u_m[a:b],
-                             tab.j_cost)
+        t, r = ti[a:b], ri[a:b]
+        restrict = (np.ones((b - a, S), dtype=bool) if slc_tx is None
+                    else _rows(slc_tx, t) == jj[a:b, None])
+        return _round_kernel(inner, _rows(sup, t), _rows(p_sup, t), restrict,
+                             _rows(cand, r), _rows(slc_rx, r), k_t[a:b],
+                             blocks[a:b], u[a:b], u_m[a:b], tab.j_cost)
 
     m_star, decoded, cause, bits, hit = _in_blocks(
         decode, T, max(1, TRIAL_BLOCK_BYTES // _kernel_bytes(
-            M, inner.total_hash_bits, inner.width)))
+            S + C, inner.total_hash_bits, inner.width)))
     if tab.good is not None:
         bad = ~tab.good[tx[0], jj]
         m_star[bad] = decoded[bad] = -1
@@ -834,6 +864,13 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
         bits[bad] = tab.j_cost
         hit[bad] = 0
     return m_star, decoded, cause, bits, hit
+
+
+def _rows(table: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Rows ``i`` of a (H, n, k) table, flat (history, symbol) indices:
+    ``np.take``, an order of magnitude faster than indexing by the pair
+    of arrays on small tables."""
+    return table.reshape(-1, table.shape[-1]).take(i, axis=0)
 
 
 def _round_trials(engine, rng, T: int, pairs=None):
@@ -939,9 +976,10 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
     each linear part of the round's hash family, standing for its 2^L
     offsets (:mod:`icsim.hashing`); by each shared string u of k(J) bits;
     and by each M* of positive weight in :func:`_mstar_cum`.  It decodes
-    in blocks of linear parts with :func:`_slice_search`, and equal states
-    merge, so rounds add up rather than multiply.  Before decoding
-    anything it bounds every round's rows (:func:`_check_rows`).
+    in blocks of linear parts with :func:`_slice_search`, over the tables'
+    candidate lists as the trials do, and equal states merge, so rounds
+    add up rather than multiply.  Before decoding anything it bounds every
+    round's rows (:func:`_check_rows`).
 
     Returns ``(keys, cause, p)``: keys hold each round's M* and decode,
     also in a round that failed, and -1 where unset.
@@ -985,15 +1023,17 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
             state, p = out, q_out
             continue
         rows_tx = tuple(i[s] for i in t_tx)
-        p_rows = tab.p_m[rows_tx]
-        restrict = (np.ones(p_rows.shape, dtype=bool) if tab.slice_tx is None
-                    else tab.slice_tx[rows_tx] == jj[:, None])
-        slc = tab.slice_rx[tuple(i[s] for i in t_rx)]
+        rows_rx = tuple(i[s] for i in t_rx)
+        sup, p_sup, slc_tx = (None if a is None else a[rows_tx]
+                              for a in tab.support)
+        cand, slc = (a[rows_rx] for a in tab.candidates)
+        restrict = (np.ones(sup.shape, dtype=bool) if slc_tx is None
+                    else slc_tx == jj[:, None])
         k = tab.k_of[jj]
         inner = tab.inner
-        L, w, M = inner.total_hash_bits, inner.width, p_rows.shape[1]
+        L, w, M = inner.total_hash_bits, inner.width, tab.p_m.shape[-1]
         n_lin = family_size(w, L) >> L
-        per_part = int((np.maximum((p_rows * restrict > 0).sum(axis=1), 1)
+        per_part = int((np.maximum((p_sup * restrict > 0).sum(axis=1), 1)
                         + (np.int64(1) << k) - 1).sum())
         # one row (r, u) per accepted (state, J) and shared string
         n_u = np.int64(1) << k
@@ -1001,18 +1041,21 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
         u = np.arange(r.size) - np.repeat(np.cumsum(n_u) - n_u, n_u)
         base = p_s * (1.0 / n_lin) * 2.0 ** (-k)
         step = max(1, EXACT_BLOCK_BYTES // (per_part * _kernel_bytes(M, L, w)))
+        S = sup.shape[1]
         for start in range(0, n_lin, step):
-            hs = pack_hashes(linear_blocks(w, L, start,
-                                           min(start + step, n_lin)),
-                             inner.enc)
-            h = np.repeat(hs, r.size, axis=0)
-            ru, uu = np.tile(r, len(hs)), np.tile(u, len(hs))
-            cum = _mstar_cum(p_rows[ru], restrict[ru], h, k[ru], uu)
+            cols = pack_columns(linear_blocks(w, L, start,
+                                              min(start + step, n_lin)))
+            ru, uu = np.tile(r, len(cols)), np.tile(u, len(cols))
+            h = hash_indices(np.repeat(cols, r.size, axis=0),
+                             np.concatenate([sup[ru], cand[ru]], axis=1))
+            cum = _mstar_cum(p_sup[ru], restrict[ru], h[:, :S], k[ru], uu)
             w_m = np.diff(cum, axis=1, prepend=0.0)
-            n, m = np.nonzero(w_m > 0)
+            n, slot = np.nonzero(w_m > 0)
             ru = ru[n]
+            m = sup[ru, slot]
             decoded, cause, bits, _ = _slice_search(
-                inner, h[n], m, slc[ru], k[ru], uu[n], tab.j_cost)
+                inner, m, h[n, slot], cand[ru], h[n, S:], slc[ru], k[ru],
+                uu[n], tab.j_cost)
             rows = state[s[ru]]
             rows[:, tx * R + t - 1] = m
             rows[:, rx * R + t - 1] = decoded
@@ -1025,7 +1068,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
                 rows[ok, K + rx] = tab.next[rows[ok, K + rx], decoded[ok]]
             out, q_out = _merge_rows(
                 np.concatenate([out, rows]),
-                np.concatenate([q_out, base[ru] * w_m[n, m] / cum[n, -1]]))
+                np.concatenate([q_out, base[ru] * w_m[n, slot] / cum[n, -1]]))
         state, p = out, q_out
     return state[:, :K], state[:, K + 3], p
 
@@ -1041,8 +1084,9 @@ def _check_rows(tables: Sequence[_RoundTables], states: int):
     over the speaker's table rows.  Round 1 runs ``states``, the live
     pairs.  A state leaves at most one running state per (J, M*, decoded
     message), so the states of round t + 1 are at most those of round t
-    times the most (J, M*) of a speaker's row times the most messages a
-    listener's row can decode (a slice of 1 or more).
+    times the most (J, M*) of a speaker's row times C, the width of the
+    listeners' candidate lists (the most messages a listener's row can
+    decode, a slice of 1 or more; at least 1).
     """
     for t, tab in enumerate(tables, start=1):
         supported = tab.p_m > 0
@@ -1064,8 +1108,7 @@ def _check_rows(tables: Sequence[_RoundTables], states: int):
         if rows > ENUMERATION_CAP:
             raise TooLarge(f"exact mode could decode up to {rows:,} rows in "
                            f"round {t}, over the cap of {ENUMERATION_CAP:,}")
-        states *= (int(picks.sum(axis=-1).max())
-                   * int((tab.slice_rx >= 1).sum(axis=-1).max()))
+        states *= int(picks.sum(axis=-1).max()) * tab.candidates[0].shape[-1]
 
 
 def _round_exact_law(tab: _RoundTables) -> FiniteDistribution:
@@ -1105,6 +1148,12 @@ class _RoundTables:
     listener's alphabet sizes.  Engines 2 and 3 have no slice-index law
     (its fields from ``slice_tx`` to ``good`` are None; ``k_of`` holds
     their k).  ``inner`` holds the hash schedule all histories share.
+
+    The trials and the exact walk decode over candidate lists, built once
+    per table on first use: ``support``, each speaker row's S supported
+    messages, and ``candidates``, each listener row's C messages in slice
+    1 or more.  A round hashes, weighs and searches those S + C columns
+    per trial, not all M messages.
     """
     inner: RoundSimulator
     j_cost: int
@@ -1135,6 +1184,48 @@ class _RoundTables:
                    slice_tx=slice_tx, p_j_given_x=p_j_given_x,
                    cum_j=np.cumsum(p_j_given_x, axis=2), p_j=p_j, good=good,
                    next=next)
+
+    @cached_property
+    def support(self) -> tuple:
+        """``(sup, p, slice)``, each (H, n_tx, S): every speaker row's
+        messages with P(m | x) > 0 in message order, their probabilities
+        and their slices (None without a slice-index law), padded with
+        message 0 of probability 0 to S, the widest row (at least 1)."""
+        sup, (p, *slc) = _column_lists(
+            self.p_m > 0, self.p_m,
+            *(() if self.slice_tx is None else (self.slice_tx,)))
+        return sup, p, slc[0] if slc else None
+
+    @cached_property
+    def candidates(self) -> tuple:
+        """``(cand, slice)``, each (H, n_rx, C): every listener row's
+        messages in slice 1 or more in message order and their slices,
+        padded with message 0 in slice 0 to C, the widest row (at least
+        1).  The receiver searches these only."""
+        cand, (slc,) = _column_lists(self.slice_rx >= 1, self.slice_rx)
+        return cand, slc
+
+
+def _column_lists(keep: np.ndarray, *tables: np.ndarray):
+    """The columns of each row of the bool table ``keep`` (..., M) that
+    hold True, in order, padded with column 0 to the widest row (at least
+    one column): ``(cols, gathered)``, ``gathered`` holding each of
+    ``tables`` (shaped as ``keep``) at those columns and 0 at the padding.
+    One ``np.nonzero`` scan."""
+    flat = keep.reshape(-1, keep.shape[-1])
+    r, c = np.nonzero(flat)
+    counts = np.bincount(r, minlength=flat.shape[0])
+    width = max(1, int(counts.max(initial=0)))
+    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = keep.shape[:-1] + (width,)
+    cols = np.zeros((flat.shape[0], width), dtype=np.int64)
+    cols[r, slot] = c
+    gathered = []
+    for tab in tables:
+        out = np.zeros((flat.shape[0], width), dtype=tab.dtype)
+        out[r, slot] = tab.reshape(flat.shape)[r, c]
+        gathered.append(out.reshape(shape))
+    return cols.reshape(shape), tuple(gathered)
 
 
 @dataclass(frozen=True)
@@ -1185,9 +1276,14 @@ class ProtocolSimulator:
             p_m, p_rx = own if x_tx else own[::-1]
             inner = RoundSimulator(src, p_m[0], views.messages, plan.rx, 0,
                                    p_rx[0])
+            # the round's simulator has sliced history 0
+            slice_rx = inner.slice_rx.T[None]
+            if len(p_rx) > 1:
+                slice_rx = np.concatenate(
+                    [slice_rx, _slice_table(p_rx[1:], plan.rx)])
             self.tables.append(_RoundTables.build(
-                inner, p_m, _slice_table(p_rx, plan.rx), views.prior,
-                plan.tx, k_override, views.next))
+                inner, p_m, slice_rx, views.prior, plan.tx, k_override,
+                views.next))
         # the largest round sets the chunk
         self.chunk = min(tab.inner.chunk for tab in self.tables)
 

@@ -194,3 +194,82 @@ def dense_true_view_law(law):
         law.source.y_alphabet
     return {(taus[k], taus[k], xs[i], ys[j]): joint[k, i, j]
             for k, i, j in zip(*np.nonzero(joint > 0))}
+
+
+# ---------------------------------------------------------------------------
+# the dense round kernel that the candidate-list kernel replaced: every
+# message of the round is hashed, weighed and searched on every trial
+# ---------------------------------------------------------------------------
+
+
+def dense_hashes(inner, blocks):
+    """Packed hashes (T, M) of every message under the T hash blocks
+    (T, L, w + 1), from the GF(2) bit products: (A enc(m) + b) mod 2,
+    output bit p at weight 2^p."""
+    L, w = blocks.shape[1], blocks.shape[2] - 1
+    enc = ((np.arange(len(inner.messages))[:, None] >> np.arange(w)) & 1)
+    bits = (np.einsum("mc,tpc->tmp", enc, blocks[:, :, :w].astype(np.int64))
+            + blocks[:, None, :, w]) % 2
+    return bits @ (np.int64(1) << np.arange(L, dtype=np.int64))
+
+
+def dense_mstar_cum(p_rows, restrict, h, k_t, u):
+    """Cumulative weights (T, M) of M*: P(m|x) over the messages of
+    ``restrict`` whose first ``k_t`` hash bits are ``u``, in message order;
+    a row with none steps from 0 to 1 at the first supported message of
+    the restriction, else at message 0."""
+    mask_t = (np.int64(1) << k_t) - 1
+    prefix_ok = (h & mask_t[:, None]) == u[:, None]
+    cum = np.cumsum(p_rows * (prefix_ok & restrict), axis=1)
+    empty = np.flatnonzero(cum[:, -1] <= 0.0)
+    if empty.size:
+        fb = restrict[empty] & (p_rows[empty] > 0)
+        first = np.where(fb.any(axis=1), np.argmax(fb, axis=1), 0)
+        cum[empty] = np.arange(cum.shape[1]) >= first[:, None]
+    return cum
+
+
+def dense_slice_search(inner, h, m_star, slc, k_t, u, extra_bits):
+    """The receiver's search over every message, given M*: ``(decoded,
+    cause, bits, hit)``, cause codes 0 (none), 1 (tail), 2 (no match) and
+    3 (multiple match)."""
+    T = h.shape[0]
+    received = (h[np.arange(T), m_star] & ~((np.int64(1) << k_t) - 1)) | u
+    decoded = np.full(T, -1, dtype=np.int64)
+    hit = np.full(T, inner.n_slices, dtype=np.int64)
+    multi = np.zeros(T, dtype=bool)
+    active = np.ones(T, dtype=bool)
+    for s in range(1, inner.n_slices + 1):
+        mask_pos = (1 << inner.pos_at(s)) - 1
+        match = (slc == s) & (((h ^ received[:, None]) & mask_pos) == 0)
+        cnt = match.sum(axis=1)
+        ack = active & (cnt == 1)
+        decoded[ack] = np.argmax(match[ack], axis=1)
+        hit[ack] = s
+        if s > 1:
+            mm = active & (cnt > 1)
+            multi |= mm
+            hit[mm] = s
+            active &= ~mm
+        active &= ~ack
+    tail = active & (slc[np.arange(T), m_star] == 0)
+    pos_hit = inner.l + (hit - 1) * inner.delta
+    bits = np.maximum(0, pos_hit - k_t) + hit + extra_bits
+    cause = np.zeros(T, dtype=np.int64)
+    cause[active & ~tail] = 2
+    cause[tail] = 1
+    cause[multi] = 3
+    return decoded, cause, bits, hit
+
+
+def dense_round_kernel(inner, p_rows, restrict, slc, k_t, blocks, u, u_m,
+                       extra_bits):
+    """One round for T trials on dense (T, M) rows: the transmitter's
+    message row ``p_rows``, the ``restrict`` mask and the receiver's slice
+    row ``slc``.  Returns ``(m_star, decoded, cause, bits, hit)``."""
+    h = dense_hashes(inner, blocks)
+    u = u & ((np.int64(1) << k_t) - 1)
+    cum = dense_mstar_cum(p_rows, restrict, h, k_t, u)
+    m_star = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
+    return (m_star,) + dense_slice_search(inner, h, m_star, slc, k_t, u,
+                                          extra_bits)

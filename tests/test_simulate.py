@@ -47,6 +47,7 @@ from icsim.probcore import (
 from icsim.protocol import (
     TranscriptLaw,
     data_exchange_protocol,
+    exchange_bits_protocol,
     noisy_send_protocol,
     send_value_protocol,
     two_round_protocol,
@@ -64,6 +65,7 @@ from icsim.simulate import (
     SlepianWolfCoder,
     _RoundTables,
     _batch_round_chunk,
+    _column_lists,
     _conditional_density,
     _kernel_bytes,
     _pick_slice,
@@ -78,7 +80,7 @@ from icsim.simulate import (
     round_density_spectrum,
     run_trials,
 )
-from reference import dense_round_spectrum
+from reference import dense_hashes, dense_round_kernel, dense_round_spectrum
 
 
 def sw_coder(l=4, gamma=2.0, q=0.25):
@@ -1370,6 +1372,18 @@ def _kernels(engine):
     return [(len(i.messages), i.total_hash_bits, i.width) for i in inners]
 
 
+def _block_kernels(engine):
+    """(columns, L, w) of the decode blocks of every trial kernel an engine
+    runs: engine 1 hashes all M messages, engines 2 to 5 the S + C columns
+    of a round table's candidate lists."""
+    if isinstance(engine, SlepianWolfCoder):
+        return _kernels(engine)
+    tables = (engine.tables if isinstance(engine, ProtocolSimulator)
+              else [engine.table])
+    return [(tab.support[0].shape[-1] + tab.candidates[0].shape[-1],
+             tab.inner.total_hash_bits, tab.inner.width) for tab in tables]
+
+
 @pytest.mark.parametrize("name", sorted(_BIG) + ["p5-bit-then-y"])
 def test_chunk_shrinks_for_large_rounds(name):
     small = {"p1": sw_coder, "p2": interactive_coder, "p3": round_sim,
@@ -1467,10 +1481,13 @@ def test_round_kernel_never_picks_zero_weight_message():
     p_rows = np.repeat(rows, 2, axis=0)
     u_m = np.tile([0.0, _TOP], len(rows))
     blocks = np.zeros((T, sim.total_hash_bits, sim.width + 1), np.uint8)
+    # every message allowed and a candidate in slice 1
+    sup, (p_sup,) = _column_lists(p_rows > 0, p_rows)
     m_star, *_ = _round_kernel(
-        sim, p_rows, np.ones((T, M), dtype=bool),
-        np.ones((T, M), dtype=np.int64), np.zeros(T, dtype=np.int64),
-        blocks, np.zeros(T, dtype=np.int64), u_m, 0)
+        sim, sup, p_sup, np.ones(sup.shape, dtype=bool),
+        np.tile(np.arange(M), (T, 1)), np.ones((T, M), dtype=np.int64),
+        np.zeros(T, dtype=np.int64), blocks, np.zeros(T, dtype=np.int64),
+        u_m, 0)
     assert p_rows[np.arange(T), m_star].min() > 0
     assert m_star.tolist() == [1, 1, 0, 0, 0, 1]
 
@@ -1671,8 +1688,12 @@ def _round_full_walk(sim):
         w_m, tot = wt[pick, mc], tot[pick]
         p = np.where(tot > 0, base[c] * w_m / np.where(tot > 0, tot, 1),
                      base[c])
+        slc_rows = sim.slice_rx[:, j[c]].T
+        cand, (slc,) = _column_lists(slc_rows >= 1, slc_rows)
         decoded = icsim.simulate._slice_search(
-            sim, h, mc, sim.slice_rx[:, j[c]].T, np.full(c.size, k), u, 0)[0]
+            sim, mc, h[np.arange(c.size), mc], cand,
+            np.take_along_axis(h, cand, axis=1), slc, np.full(c.size, k), u,
+            0)[0]
         icsim.simulate._add_views(
             sums, np.column_stack([mc, decoded, i[c], j[c]]), p)
     msgs = (None,) + sim.messages
@@ -1781,29 +1802,50 @@ def test_offset_cancels_in_sw_kernel():
     assert _packed_offsets(blocks).any() and len(set(got[1].tolist())) > 1
 
 
+def _round_rows(tab, rng, tx, rx):
+    """Per-trial inputs of one round on the table ``tab`` at the speaker
+    rows ``tx`` and listener rows ``rx`` ((history, symbol) arrays), with
+    slice indices drawn from each speaker row's law of J (1 on a row with
+    no law, whose restriction is then empty): ``(jj, dense, lists)``.
+    ``dense`` holds the (T, M) rows ``(p_rows, restrict, slc)`` of the
+    reference kernel, ``lists`` the same trials' candidate-list rows
+    ``(sup, p_sup, restrict, cand, slc)`` of :func:`_round_kernel`."""
+    T = tx[0].size
+    sup, p_sup, slc_tx = (None if a is None else a[tx] for a in tab.support)
+    cand, slc_c = (a[rx] for a in tab.candidates)
+    if tab.cum_j is None:
+        jj = np.zeros(T, dtype=np.int64)
+        dense_restrict = np.ones((T, tab.p_m.shape[-1]), dtype=bool)
+        restrict = np.ones(sup.shape, dtype=bool)
+    else:
+        cum = tab.cum_j[tx]
+        jj = np.where(cum[:, -1] > 0, _pick_slice(cum, rng.random(T)), 1)
+        dense_restrict = tab.slice_tx[tx] == jj[:, None]
+        restrict = slc_tx == jj[:, None]
+    return jj, (tab.p_m[tx], dense_restrict, tab.slice_rx[rx]), (
+        sup, p_sup, restrict, cand, slc_c)
+
+
 def _kernel_inputs(name, rng, T):
-    """A round simulator and per-trial (p_rows, restrict, slc) of T trials
-    on random source pairs: engine 3 on send-x over dsbs^2 or on
-    noisy-send, or round 2 of engine 5 on data exchange over dsbs^2, whose
-    restriction is the drawn slice index."""
+    """A round table and kernel inputs of T trials on it: engine 3 on
+    send-x over dsbs^2 or on noisy-send, at random source pairs, or round 2
+    of engine 5 on data exchange over dsbs^2 at random rows, whose
+    restriction is the drawn slice index.  Returns ``(tab,) +``
+    :func:`_round_rows`."""
     if name == "data-exchange":
         law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
         tab = ProtocolSimulator(law, auto_round_plans(law, gamma=2.0),
                                 k_override=None).tables[1]
-        hist = rng.integers(0, tab.p_m.shape[0], size=T)
-        s_tx = rng.integers(0, tab.p_m.shape[1], size=T)
-        s_rx = rng.integers(0, tab.slice_rx.shape[1], size=T)
-        jj = _pick_slice(tab.cum_j[hist, s_tx], rng.random(T))
-        return (tab.inner, tab.p_m[hist, s_tx],
-                tab.slice_tx[hist, s_tx] == jj[:, None],
-                tab.slice_rx[hist, s_rx])
+        H, n_tx, _ = tab.p_m.shape
+        tx = (rng.integers(0, H, size=T), rng.integers(0, n_tx, size=T))
+        rx = (tx[0], rng.integers(0, tab.slice_rx.shape[1], size=T))
+        return (tab,) + _round_rows(tab, rng, tx, rx)
     inner = (build_engine({"source": "dsbs^2:0.25", "protocol": "p3",
                            "target": "send-x", "gamma": 1.0})
              if name == "send-x-dsbs2" else _noisy_round())
     xi, yj = inner.source.sample(rng, size=T)
-    return (inner, inner.p_m_given_x[xi],
-            np.ones((T, len(inner.messages)), dtype=bool),
-            inner.slice_rx.T[yj])
+    h = np.zeros(T, dtype=np.int64)
+    return (inner.table,) + _round_rows(inner.table, rng, (h, xi), (h, yj))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -1814,7 +1856,8 @@ def test_offset_cancels_in_round_kernel(name, k):
     (A, 0, u ^ (b mod 2^k)): the same M*, decode, cause, bits and hit."""
     rng = np.random.default_rng(k)
     T = 4_000
-    inner, p_rows, restrict, slc = _kernel_inputs(name, rng, T)
+    tab, _, _, lists = _kernel_inputs(name, rng, T)
+    inner = tab.inner
     assert inner.total_hash_bits >= 2
     blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
                                       inner.width + 1), dtype=np.uint8)
@@ -1826,7 +1869,7 @@ def test_offset_cancels_in_round_kernel(name, k):
     shifted = u ^ (_packed_offsets(blocks) & ((1 << k) - 1))
 
     def run(b, s):
-        return _round_kernel(inner, p_rows, restrict, slc, k_t, b, s, u_m, 0)
+        return _round_kernel(inner, *lists, k_t, b, s, u_m, 0)
 
     got, want = run(blocks, u), run(linear, shifted)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -1836,6 +1879,86 @@ def test_offset_cancels_in_round_kernel(name, k):
     if k:
         assert not all(np.array_equal(a, b)
                        for a, b in zip(got, run(linear, u)))
+
+
+def _oracle_tables(name):
+    """The round tables of a kernel oracle case."""
+    if name == "send-x-dsbs2":
+        return [build_engine({"source": "dsbs^2:0.25", "protocol": "p3",
+                              "target": "send-x", "gamma": 1.0}).table]
+    if name == "noisy-send":  # engine 4: a rejected tail index, S = 2
+        return [_noisy_round(improved=True).table]
+    if name == "p2-dsbs2":  # a 2-bit first slice: multiple matches
+        return [InteractiveSWCoder(product_source(dsbs_source(0.2), 2),
+                                   SliceConfig(0.0, 4.0 + 1e-9, 2.0,
+                                               0.0)).table]
+    law = (data_exchange_protocol if name == "data-exchange"
+           else exchange_bits_protocol)(product_source(dsbs_source(0.25), 2))
+    return ProtocolSimulator(law, auto_round_plans(law, gamma=2.0),
+                             k_override=None).tables
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", ["send-x-dsbs2", "noisy-send", "p2-dsbs2",
+                                  "data-exchange", "exchange-bits"])
+def test_round_kernel_matches_dense_reference(name, k):
+    """The candidate-list kernel gives the dense kernel's M*, decode,
+    cause, bits and hit on every trial, on the same draws and the rows of
+    real tables (engines 2 to 4, and every round of data exchange and of
+    the 4-round exchange-bits over dsbs^2), the speaker and listener rows
+    drawn independently."""
+    rng = np.random.default_rng([7, k])
+    T = 4_000
+    seen = Counter()
+    for tab in _oracle_tables(name):
+        inner = tab.inner
+        H, n_tx, M = tab.p_m.shape
+        tx = (rng.integers(0, H, size=T), rng.integers(0, n_tx, size=T))
+        rx = (rng.integers(0, H, size=T),
+              rng.integers(0, tab.slice_rx.shape[1], size=T))
+        jj, dense, lists = _round_rows(tab, rng, tx, rx)
+        blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
+                                          inner.width + 1), dtype=np.uint8)
+        k_t = np.full(T, k, dtype=np.int64)
+        u = rng.integers(0, 1 << 62, size=T, dtype=np.int64)
+        u_m = rng.random(T)
+        u_m[:T // 10] = 0.0
+        u_m[T // 10:T // 5] = _TOP
+        got = _round_kernel(inner, *lists, k_t, blocks, u, u_m, tab.j_cost)
+        want = dense_round_kernel(inner, dense[0], dense[1], dense[2], k_t,
+                                  blocks, u, u_m, tab.j_cost)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # what the trials went through
+        p_rows, restrict, slc = dense
+        h = dense_hashes(inner, blocks)
+        mask = (np.int64(1) << k_t) - 1
+        prefix = (h & mask[:, None]) == (u & mask)[:, None]
+        seen["no prefix match"] += int(
+            ((p_rows * (prefix & restrict)).sum(axis=1) <= 0).sum())
+        seen["fallback to message 0"] += int(
+            ((p_rows * (prefix & restrict)).sum(axis=1) <= 0)
+            [got[0] == 0].sum())
+        seen["no support"] += int((p_rows.sum(axis=1) == 0).sum())
+        seen["no candidate"] += int((slc < 1).all(axis=1).sum())
+        seen["multiple match"] += int((got[2] == 3).sum())
+        seen["support of 2"] += int(((p_rows > 0).sum(axis=1) == 2).sum())
+        if tab.good is not None:
+            ok = jj < tab.good.shape[1]
+            seen["rejected J"] += int((~tab.good[tx[0][ok], jj[ok]]).sum())
+        seen["decoded"] += int((got[1] >= 0).sum())
+    assert seen["decoded"]
+    if k:
+        assert seen["no prefix match"] and seen["fallback to message 0"]
+    if name == "noisy-send":
+        assert seen["support of 2"] and seen["rejected J"]
+    if name == "p2-dsbs2":
+        assert seen["multiple match"]
+    if name == "data-exchange":
+        assert seen["no candidate"]
+    if name == "exchange-bits":
+        assert seen["no support"] and seen["no candidate"]
+        assert seen["fallback to message 0"]
 
 
 def _blocks_spy(monkeypatch):
@@ -1934,8 +2057,9 @@ def test_run_trials_same_across_blocks_and_workers(name, monkeypatch):
     engine.chunk = 300
     ref = run_trials(engine, 700, 5)
     assert len(ref.views) > 1
-    # every kernel of the engine has the same row bytes, so the same rows
-    (row_bytes,) = {_kernel_bytes(*k) for k in _kernels(engine)}
+    # every kernel of the engine has the same block row bytes, so the same
+    # rows
+    (row_bytes,) = {_kernel_bytes(*k) for k in _block_kernels(engine)}
     rows = _kernel_rows(monkeypatch)
     monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: 3)
     interval = sys.getswitchinterval()
@@ -2031,6 +2155,42 @@ def test_traced_trial_threads_call_no_span_target(monkeypatch):
     assert {t for _, t in callers} == {main}
     assert decoders - {main}  # the blocks ran on the decode threads
     assert samplers and main not in samplers  # and the bootstrap's too
+
+
+def test_decode_blocks_sized_by_candidate_width(monkeypatch):
+    # send-x over dsbs^6 (M = 64): a chunk is still sized by all 64
+    # messages, 17,650 trials, while its decode blocks are sized by the 23
+    # columns of the candidate lists, the sender's one supported message
+    # and the receiver's 22 messages of slices 1 to 3: 2,574 rows where
+    # blocks of 64 columns held 1,103
+    engine = _big("p4")
+    tab = engine.table
+    assert (tab.support[0].shape[-1], tab.candidates[0].shape[-1]) == (1, 22)
+    assert engine.chunk == 17_650
+    L, w = engine.inner.total_hash_bits, engine.inner.width
+    assert icsim.simulate.TRIAL_BLOCK_BYTES // _kernel_bytes(64, L, w) == 1_103
+    rows = _kernel_rows(monkeypatch)
+    assert run_trials(engine, 10_000, 1).trials == 10_000
+    assert sorted(rows, reverse=True) == [2_574] * 3 + [10_000 - 3 * 2_574]
+
+
+def test_protocol_slices_each_history_once(monkeypatch):
+    # the round's simulator slices the listener's history 0, the round
+    # table every other history, and the speaker's tables are sliced once
+    law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
+    plans = auto_round_plans(law, gamma=2.0)
+    shapes = []
+    slice_table = icsim.simulate._slice_table
+    monkeypatch.setattr(icsim.simulate, "_slice_table", lambda cond, cfg: (
+        shapes.append(cond.shape) or slice_table(cond, cfg)))
+    sim = ProtocolSimulator(law, plans, k_override=0)
+    want = []
+    for tab in sim.tables:
+        H, n_rx, M = tab.slice_rx.shape
+        want += ([(n_rx, M)] + [(H - 1, n_rx, M)] * (H > 1)
+                 + [tab.p_m.shape])
+    assert shapes == want
+    assert [tab.slice_rx.shape[0] for tab in sim.tables] == [1, 4]
 
 
 def test_trial_decode_memory_bounded(monkeypatch):
