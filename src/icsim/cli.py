@@ -92,6 +92,17 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str, default: float | None = None) -> float:
+    """``doc[key]`` as a float, ``default`` when the key is absent; a
+    missing key without a default, or a value that is not a number, is a
+    usage error."""
+    value = _require(doc, key) if default is None else doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        _fail(f"config key {key!r} must be a number, got {value!r}", 2)
+
+
 def parse_source(token) -> JointSource:
     """"dsbs:q", "dsbs^m:q" or an inline JSON document."""
     if isinstance(token, dict):
@@ -137,23 +148,24 @@ def parse_target(token: str, source: JointSource) -> TranscriptLaw:
 def _slice_from_cfg(doc, spec, gamma_default=3.0) -> SliceConfig:
     if doc is None or doc == "auto":
         return auto_slice_config(spec, gamma=gamma_default)
-    return SliceConfig(lambda_min=float(_require(doc, "lambda_min")),
-                       lambda_max=float(_require(doc, "lambda_max")),
-                       delta=float(_require(doc, "delta")),
-                       gamma=float(doc.get("gamma", gamma_default)))
+    return SliceConfig(lambda_min=_number(doc, "lambda_min"),
+                       lambda_max=_number(doc, "lambda_max"),
+                       delta=_number(doc, "delta"),
+                       gamma=_number(doc, "gamma", gamma_default))
 
 
 def build_engine(cfg: dict):
     """Build a simulation engine from a config document."""
     source = parse_source(_require(cfg, "source"))
     proto = _require(cfg, "protocol")
-    gamma = float(cfg.get("gamma", 3.0))
+    gamma = _number(cfg, "gamma", 3.0)
     if proto == "p1":
-        return SlepianWolfCoder(source, int(_require(cfg, "l")), gamma)
+        return SlepianWolfCoder(source, _number(cfg, "l"), gamma)
     if proto == "p2":
         spec = spectrum(source, "cond_x_given_y")
         s = _slice_from_cfg(cfg.get("slice"), spec, gamma)
-        return InteractiveSWCoder(source, s, cfg.get("l"))
+        return InteractiveSWCoder(
+            source, s, None if cfg.get("l") is None else _number(cfg, "l"))
     target = parse_target(_require(cfg, "target"), source)
     if proto in ("p3", "p4"):
         view = target.round_view(1, ())
@@ -180,7 +192,7 @@ def build_engine(cfg: dict):
         else:
             plans = auto_round_plans(target, gamma=gamma)
         return ProtocolSimulator(target, plans,
-                                 l_max=float(cfg.get("l_max", math.inf)),
+                                 l_max=_number(cfg, "l_max", math.inf),
                                  k_override=cfg.get("k_override"))
     _fail(f"unknown protocol {proto!r}", 2)
 

@@ -8,18 +8,19 @@ Five engines of increasing strength:
 4. ``ImprovedRoundSimulator`` adds the transmitted slice index J
 5. ``ProtocolSimulator``     round-by-round simulation of a full transcript law
 
-Engine 2 is engine 3 on the identity channel, and engines 4 and 5 run
-engine 3 rounds.  Each engine's trial rule is implemented once, as a kernel
-vectorized over trials: ``_sw_kernel`` for engine 1 and ``_round_kernel``
-(pick M*, then ``_slice_search``) for engines 2 to 5, whose rounds all
-draw through ``_round_step`` and decode over the candidate lists of their
-``_RoundTables``: the sender's supported messages and the receiver's
-messages in slice 1 or more.  The scalar ``run`` is one trial of the
-chunked loop ``run_trials``, on hashes packed by
-:func:`icsim.hashing.pack_hashes`.  Every engine's ``exact_view_law`` walks
-each linear part of the hash families, standing for its 2^L offsets (see
-:mod:`icsim.hashing`): engine 1 with ``_sw_kernel``, engines 2 to 5 in one
-round-by-round walk of their ``_RoundTables``, ``_exact_walk``.
+Engine 2 is engine 3 on the identity channel, engines 2 to 4 are one
+round of engine 5, and each trial rule is one kernel vectorized over
+trials: ``_sw_kernel`` for engine 1, ``_round_kernel`` (pick M*, then
+``_slice_search``) for a round of engines 2 to 5, over the candidate lists
+of its ``_RoundTables``: the sender's supported messages and the
+receiver's messages in slice 1 or more.  Engines 2 to 5 walk their rounds
+in one loop per mode, ``_trial_walk`` for trials and ``_exact_walk`` for
+exact mode, and both write a round into their trial states with
+``_write_back``.  Engine 5 alone blanks a failed trial's messages
+(``_view_keys``); each engine's ``view_of`` turns a key row into a view.
+The scalar ``run`` is one trial of the chunked loop ``run_trials``, and
+every exact mode walks one linear part of each hash family, standing for
+its 2^L offsets (see :mod:`icsim.hashing`).
 
 The batch paths cut their trials in two units:
 
@@ -116,12 +117,12 @@ class SimOutcome:
 class TrialAggregate:
     """Counts of a batch of trials.
 
-    ``mismatches`` counts the trials whose view has tau_x != tau_y.  So
-    whether a declared failure counts as a mismatch depends on how the
-    engine writes its view: always on engines 1 to 3 (tau_y is None, tau_x
-    is not), always on engine 4 except ``bad_J`` (M* and the decode are
-    both None), and never on engine 5 (a failed view is ``(None, None, x,
-    y)``).
+    ``mismatches`` counts the trials whose view has tau_x != tau_y.  The
+    round walks keep M* and the decode of a failed round, and only engine
+    5 blanks a failed trial's messages (:func:`_view_keys`).  So a declared
+    failure is a mismatch on engines 1 to 3 (tau_y is None, tau_x is not),
+    on engine 4 except ``bad_J`` (M* and the decode are both None), and
+    never on engine 5 (a failed view is ``(None, None, x, y)``).
     """
     trials: int
     views: Counter
@@ -143,13 +144,12 @@ def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
 
     Chunk ``part`` of ``engine.chunk`` trials (see :func:`_trial_chunk`)
     draws all of its randomness in bulk from the stream
-    ``[master_seed, part]``: through ``_sw_chunk`` on engine 1,
-    ``_batch_round_chunk`` on engines 2 to 4 and ``run_batch`` on engine 5.
+    ``[master_seed, part]``: through ``_sw_chunk`` on engine 1 and the
+    round walk of :func:`_trial_walk` on engines 2 to 5.
     Each then decodes the chunk in blocks of rows (:func:`_in_blocks`).
     """
     chunk_fn = (_sw_chunk if isinstance(engine, SlepianWolfCoder)
-                else _protocol_chunk if isinstance(engine, ProtocolSimulator)
-                else _batch_round_chunk)
+                else _walk_chunk)
     chunk = engine.chunk
     views: Counter = Counter()
     errors: Counter = Counter()
@@ -271,7 +271,7 @@ def _slice_table(cond: np.ndarray, cfg: SliceConfig) -> np.ndarray:
 
 
 def _int_param(value: float, name: str) -> int:
-    iv = int(round(value))
+    iv = int(round(value)) if math.isfinite(value) else 0
     if abs(value - iv) > 1e-9 or iv <= 0:
         raise OutOfRange(f"{name} must be a positive integer number of bits")
     return iv
@@ -421,8 +421,11 @@ def _sw_trials(coder: SlepianWolfCoder, rng, T: int, pairs=None):
 
 def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
     xi, yj, decoded, cause = _sw_trials(coder, np.random.default_rng(seed), T)
-    views = _count_views(xi, decoded, xi, yj, coder.source.x_alphabet,
-                         coder.source)
+    # the views (x, decoded, x, y) of the distinct rows, in row order
+    uniq, _, counts = _unique_rows(np.column_stack([xi, decoded, yj]))
+    xs, ys = coder.source.x_alphabet, coder.source.y_alphabet
+    views = Counter({(xs[i], None if d < 0 else xs[d], xs[i], ys[j]): c
+                     for (i, d, j), c in zip(uniq.tolist(), counts.tolist())})
     return (views, _cause_counts(cause), np.full(T, coder.l, dtype=np.int64),
             int((decoded != xi).sum()))
 
@@ -432,7 +435,25 @@ def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
 # ---------------------------------------------------------------------------
 
 
-class InteractiveSWCoder:
+class _OneRound:
+    """Engines 2 to 4 as the round walks read them: one round, ``table``,
+    and no bit budget."""
+    l_max = math.inf
+
+    @property
+    def tables(self) -> list:
+        return [self.table]
+
+    def view_of(self, key) -> tuple:
+        """The view ``(M*, decoded, x, y)`` of one key row of the walks; a
+        message index of -1 is None."""
+        a, d, i, j = key
+        msgs, src = self.messages, self.source
+        return (None if a < 0 else msgs[a], None if d < 0 else msgs[d],
+                src.x_alphabet[i], src.y_alphabet[j])
+
+
+class InteractiveSWCoder(_OneRound):
     """Slice-by-slice compression of X with one-bit feedback per slice.
 
     First l hash bits, then one delta-bit hash block per extra slice; the
@@ -452,6 +473,7 @@ class InteractiveSWCoder:
         self.inner = RoundSimulator(
             source, np.eye(nx), source.x_alphabet, cfg, 0,
             None if aux is None else np.asarray(aux, float).T, l=l)
+        self.messages = self.inner.messages
         self.l = self.inner.l
         self.delta = self.inner.delta
         self.n_slices = self.inner.n_slices
@@ -486,7 +508,7 @@ class InteractiveSWCoder:
 # ---------------------------------------------------------------------------
 
 
-class RoundSimulator:
+class RoundSimulator(_OneRound):
     """Simulate one message M ~ P(.|X) so the receiver learns it too.
 
     The transmitter samples M conditioned on the first k hash bits agreeing
@@ -529,7 +551,6 @@ class RoundSimulator:
         # (M, ny), a view of the (ny, M) table that the round tables read
         self.slice_rx = _slice_table(self.p_m_given_y, cfg_rx).T
         self.width = encoding_width(M)
-        self.enc = encode_universe(M, self.width)
         if self.total_hash_bits > 62:
             raise OutOfRange("hash budget exceeds 62 bits")
         self.chunk = _trial_chunk(M, self.total_hash_bits, self.width)
@@ -577,10 +598,10 @@ class RoundSimulator:
                             k_of=np.array([self.k], dtype=np.int64))
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
-        return _round_outcome(self, rng, x, y)
+        return _walk_run(self, rng, x, y)
 
     def exact_view_law(self) -> FiniteDistribution:
-        return _round_exact_law(self.table)
+        return _walk_law(self)
 
     def true_view_law(self) -> FiniteDistribution:
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
@@ -598,7 +619,7 @@ class RoundSimulator:
 # ---------------------------------------------------------------------------
 
 
-class ImprovedRoundSimulator:
+class ImprovedRoundSimulator(_OneRound):
     """Round simulation where the transmitter reveals its own density slice.
 
     The slice index J of -log2 P(M|x) is sampled and sent with
@@ -631,15 +652,8 @@ class ImprovedRoundSimulator:
         self.slice_tx, self.p_j_given_x, self.p_j, self.good = (
             tab.slice_tx[0].T, tab.p_j_given_x[0], tab.p_j[0], tab.good[0])
         self.k_table, self.j_cost = tab.k_of, tab.j_cost
+        self.source, self.messages = inner.source, inner.messages
         self.chunk = inner.chunk
-
-    @property
-    def source(self):
-        return self.inner.source
-
-    @property
-    def messages(self):
-        return self.inner.messages
 
     def k_of(self, j: int) -> int:
         return int(self.k_table[j])
@@ -648,10 +662,10 @@ class ImprovedRoundSimulator:
         return float(self.p_j[0])
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
-        return _round_outcome(self, rng, x, y)
+        return _walk_run(self, rng, x, y)
 
     def exact_view_law(self) -> FiniteDistribution:
-        return _round_exact_law(self.table)
+        return _walk_law(self)
 
     def true_view_law(self) -> FiniteDistribution:
         return self.inner.true_view_law()
@@ -873,34 +887,89 @@ def _rows(table: np.ndarray, i: np.ndarray) -> np.ndarray:
     return table.reshape(-1, table.shape[-1]).take(i, axis=0)
 
 
-def _round_trials(engine, rng, T: int, pairs=None):
-    """T trials of engines 2 to 4 from ``rng``: the source pairs (unless
-    ``pairs`` gives their indices), then :func:`_round_step` on the
-    engine's ``table`` at history 0.  Returns ``(xi, yj) +`` its result."""
-    tab = engine.table
-    xi, yj = tab.inner.source.sample(rng, size=T) if pairs is None else pairs
-    h = np.zeros(T, dtype=np.int64)
-    return (xi, yj) + _round_step(tab, rng, (h, xi), (h, yj))
+@dataclass(frozen=True)
+class _TrialBatch:
+    """Per-trial results of :func:`_trial_walk`: the key rows (see
+    :func:`_exact_walk`), the rounds completed and the terminating slice
+    of the last round run."""
+    keys: np.ndarray    # (T, 2 R + 2)
+    bits: np.ndarray    # (T,)
+    cause: np.ndarray   # (T,)
+    rounds: np.ndarray  # (T,)
+    hit: np.ndarray     # (T,)
 
 
-def _batch_round_chunk(engine, T: int, seed):
-    inner = getattr(engine, "inner", engine)
-    xi, yj, tx, decoded, cause, bits, _ = _round_trials(
-        engine, np.random.default_rng(seed), T)
-    views = _count_views(tx, decoded, xi, yj, inner.messages, inner.source)
-    return views, _cause_counts(cause), bits, int((tx != decoded).sum())
+def _trial_walk(engine, rng, T: int, blocks=None,
+                pairs=None) -> _TrialBatch:
+    """T trials of engines 2 to 5 over ``engine.tables``, every draw taken
+    from ``rng``; :func:`_exact_walk` is their exact mode.
+
+    Draw order: the T source pairs, then per round, for the trials still
+    running, :func:`_round_step`'s draws: the hash blocks, the J uniforms,
+    the shared strings and the M* uniforms.  ``pairs`` gives the x and y
+    indices instead of the source draw, and ``blocks`` replaces the hash
+    draws with one (T, L, w + 1) array per round, indexed by trial.  A
+    trial is a state row as in :func:`_exact_walk`, then its rounds done
+    and last hit; :func:`_write_back` writes each round into it.  The keys
+    are left as :func:`_view_keys` leaves them.
+    """
+    tables = engine.tables
+    xi, yj = engine.source.sample(rng, size=T) if pairs is None else pairs
+    R = len(tables)
+    K = 2 * R + 2
+    # trials on rows, each column contiguous
+    state = np.zeros((K + 6, T), dtype=np.int64).T
+    state[:, :2 * R] = -1
+    state[:, 2 * R], state[:, 2 * R + 1] = xi, yj
+    for t, tab in enumerate(tables, start=1):
+        tx = 1 - t % 2  # party x speaks in odd rounds
+        rx = 1 - tx
+        # every trial runs round 1, on a view of the states; a later round
+        # copies the running ones out and back
+        live = slice(None) if t == 1 else np.flatnonzero(state[:, K + 3] == 0)
+        rows = state[live]
+        m_star, decoded, cause, bits, rows[:, K + 5] = _round_step(
+            tab, rng, (rows[:, K + tx], rows[:, 2 * R + tx]),
+            (rows[:, K + rx], rows[:, 2 * R + rx]),
+            None if blocks is None else blocks[t - 1][live])
+        # one more round done for each trial that completed this one
+        rows[:, K + 4] += _write_back(rows, R, t, tab, m_star, decoded,
+                                      cause, bits, engine.l_max)
+        if t > 1:
+            state[live] = rows
+    return _TrialBatch(_view_keys(engine, state[:, :K], state[:, K + 3]),
+                       state[:, K + 2], state[:, K + 3], state[:, K + 4],
+                       state[:, K + 5])
 
 
-def _round_outcome(engine, rng, x, y) -> SimOutcome:
-    """One trial of engines 2 to 4: :func:`_round_trials` at T = 1, on the
-    given (x, y) unless x is None."""
-    src, msgs = engine.source, (None,) + tuple(engine.messages)
-    xi, yj, tx, decoded, cause, bits, hit = _round_trials(
-        engine, rng, 1, None if x is None else _index_pair(src, x, y))
-    c = int(cause[0])
-    return SimOutcome(src.x_alphabet[xi[0]], src.y_alphabet[yj[0]],
-                      msgs[tx[0] + 1], msgs[decoded[0] + 1], int(bits[0]),
-                      None if c == 0 else ERROR_CAUSES[c - 1], int(hit[0]))
+def _write_back(rows: np.ndarray, R: int, t: int, tab: _RoundTables,
+                m_star: np.ndarray, decoded: np.ndarray, cause: np.ndarray,
+                bits: np.ndarray, l_max: float) -> np.ndarray:
+    """Write round t of R into the trial states ``rows``, laid out as in
+    :func:`_exact_walk`; both walks call this.
+
+    M* goes into the speaker's keys and the decode into the listener's,
+    also when the round failed.  The bits are added, and a trial past
+    ``l_max`` fails as budget_exceeded; then the cause is written.  A
+    trial that completed the round moves both parties to their next
+    histories, and an unknown one ends it as no_match.  Returns the mask
+    of the trials that completed the round.
+    """
+    K = 2 * R + 2
+    tx = 1 - t % 2
+    rx = 1 - tx
+    rows[:, tx * R + t - 1] = m_star
+    rows[:, rx * R + t - 1] = decoded
+    rows[:, K + 2] += bits
+    cause[(cause == 0) & (rows[:, K + 2] > l_max)] = _BUDGET
+    done = cause == 0
+    if tab.next is not None:
+        for party, m in ((tx, m_star), (rx, decoded)):
+            rows[done, K + party] = tab.next[rows[done, K + party], m[done]]
+        cause[done & ((rows[:, K + tx] < 0) | (rows[:, K + rx] < 0))] = \
+            _NO_MATCH
+    rows[:, K + 3] = cause
+    return done
 
 
 def _index_pair(source: JointSource, x, y):
@@ -908,41 +977,35 @@ def _index_pair(source: JointSource, x, y):
     return np.array([source.x_index[x]]), np.array([source.y_index[y]])
 
 
-def _count_views(tx: np.ndarray, decoded: np.ndarray, xi: np.ndarray,
-                 yj: np.ndarray, messages: Sequence,
-                 source: JointSource) -> Counter:
-    """Count the views (tx, decoded, x, y) of a batch; a message index of
-    -1 is None."""
-    # one mixed-radix key per (tx, decoded, x, y) row; sorting the keys sorts
-    # the rows lexicographically, and that order is the views' insertion
-    # order, which the plug-in estimate and its report bytes depend on
-    M = len(messages)
-    radix = (M + 1, M + 1, len(source.x_alphabet), len(source.y_alphabet))
-    keys, counts = np.unique(np.ravel_multi_index(
-        (tx + 1, decoded + 1, xi, yj), radix), return_counts=True)
-    msgs = (None,) + tuple(messages)
-    xs, ys = source.x_alphabet, source.y_alphabet
-    views = Counter()
-    for a, d, i, j, c in zip(*np.unravel_index(keys, radix), counts):
-        views[(msgs[a], msgs[d], xs[i], ys[j])] = int(c)
-    return views
-
-
 def _unique_rows(keys: np.ndarray):
     """``(uniq, inverse, counts)`` of the rows of the 2-D integer array
     ``keys``: the values and order of
     ``np.unique(keys, axis=0, return_inverse=True, return_counts=True)``
-    (rows in ascending lexicographic order), from one ``np.lexsort``,
-    an order of magnitude faster on engine 5's key batches."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    first = np.empty(len(ordered), dtype=bool)
+    (rows in ascending lexicographic order).  The columns are packed in
+    mixed radix into as few int64 codes as hold them, in order, so one
+    ``np.lexsort`` of the codes sorts the rows: an ``np.argsort`` when one
+    code holds them, as on the keys of the one-round engines."""
+    lo = keys.min(axis=0, initial=0)
+    codes, room = [], 0
+    for col, n in zip(keys.T - lo[:, None],
+                      (keys.max(axis=0, initial=0) - lo + 1).tolist()):
+        if codes and room * n <= 1 << 63:
+            codes[-1] = codes[-1] * n + col
+            room *= n
+        else:
+            codes.append(col)
+            room = n
+    order = (np.argsort(codes[0]) if len(codes) == 1
+             else np.lexsort(codes[::-1]))
+    first = np.empty(len(order), dtype=bool)
     first[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    np.any([c[1:] != c[:-1] for c in (c[order] for c in codes)], axis=0,
+           out=first[1:])
     starts = np.flatnonzero(first)
-    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return ordered[starts], inverse, np.diff(np.append(starts, len(ordered)))
+    return (keys[order[starts]], inverse,
+            np.diff(np.append(starts, len(order))))
 
 
 def _add_views(sums: dict, keys: np.ndarray, p: np.ndarray):
@@ -969,23 +1032,25 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
     its probability: exact mode of engines 2 to 5.
 
     A forward pass over trial states, one per live (x, y) to start, each
-    with its mass.  A state holds both parties' message keys as in
-    :class:`ProtocolBatch`, their history codes, the bits sent and the
-    cause code.  Round t splits every running state by its slice index J,
-    with the probability :func:`_pick_slice` draws it from ``cum_j``; by
-    each linear part of the round's hash family, standing for its 2^L
-    offsets (:mod:`icsim.hashing`); by each shared string u of k(J) bits;
-    and by each M* of positive weight in :func:`_mstar_cum`.  It decodes
-    in blocks of linear parts with :func:`_slice_search`, over the tables'
-    candidate lists as the trials do, and equal states merge, so rounds
-    add up rather than multiply.  Before decoding anything it bounds every
-    round's rows (:func:`_check_rows`).
+    with its mass.  A state row holds the keys (party x's message index for
+    every round, then party y's, then the x and y source indices), both
+    parties' history codes, the bits sent and the cause code; the trials
+    keep the same rows (:func:`_trial_walk`), and :func:`_write_back` writes
+    a round into them in both.  Round t splits every running state by its
+    slice index J, with the probability :func:`_pick_slice` draws it from
+    ``cum_j``; by each linear part of the round's hash family, standing for
+    its 2^L offsets (:mod:`icsim.hashing`); by each shared string u of k(J)
+    bits; and by each M* of positive weight in :func:`_mstar_cum`.  It
+    decodes in blocks of linear parts with :func:`_slice_search`, over the
+    tables' candidate lists as the trials do, and equal states merge, so
+    rounds add up rather than multiply.  Before decoding anything it bounds
+    every round's rows (:func:`_check_rows`).
 
     Returns ``(keys, cause, p)``: keys hold each round's M* and decode,
     also in a round that failed, and -1 where unset.
     """
     R = len(tables)
-    K = 2 * R + 2  # then x's and y's history codes, the bits, the cause
+    K = 2 * R + 2
     live_i, live_j = np.nonzero(source.mass > 0)
     _check_rows(tables, live_i.size)
     state = np.zeros((live_i.size, K + 4), dtype=np.int64)
@@ -995,10 +1060,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
     for t, tab in enumerate(tables, start=1):
         tx = 1 - t % 2  # party x speaks in odd rounds
         rx = 1 - tx
-        cause = state[:, K + 3]  # a view: an unknown history ends a state
-        cause[(cause == 0) & ((state[:, K + tx] < 0)
-                              | (state[:, K + rx] < 0))] = _NO_MATCH
-        running = cause == 0
+        running = state[:, K + 3] == 0
         # the round's states: the ended ones, then those the round makes
         out, q_out = state[~running], p[~running]
         state, p = state[running], p[running]
@@ -1057,15 +1119,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
                 inner, m, h[n, slot], cand[ru], h[n, S:], slc[ru], k[ru],
                 uu[n], tab.j_cost)
             rows = state[s[ru]]
-            rows[:, tx * R + t - 1] = m
-            rows[:, rx * R + t - 1] = decoded
-            rows[:, K + 2] += bits
-            cause[(cause == 0) & (rows[:, K + 2] > l_max)] = _BUDGET
-            rows[:, K + 3] = cause
-            if tab.next is not None:
-                ok = cause == 0
-                rows[ok, K + tx] = tab.next[rows[ok, K + tx], m[ok]]
-                rows[ok, K + rx] = tab.next[rows[ok, K + rx], decoded[ok]]
+            _write_back(rows, R, t, tab, m, decoded, cause, bits, l_max)
             out, q_out = _merge_rows(
                 np.concatenate([out, rows]),
                 np.concatenate([q_out, base[ru] * w_m[n, slot] / cum[n, -1]]))
@@ -1111,18 +1165,51 @@ def _check_rows(tables: Sequence[_RoundTables], states: int):
         states *= int(picks.sum(axis=-1).max()) * tab.candidates[0].shape[-1]
 
 
-def _round_exact_law(tab: _RoundTables) -> FiniteDistribution:
-    """Exact view law of engines 2 to 4: :func:`_exact_walk` on their
-    one-round table; a view is (M*, decoded, x, y), None for -1."""
-    inner = tab.inner
-    keys, _, p = _exact_walk([tab], inner.source)
+def _view_keys(engine, keys: np.ndarray, cause: np.ndarray) -> np.ndarray:
+    """The key rows of either walk as ``engine.view_of`` reads them, in
+    place.  Engine 5 views a failed trial as ``(None, None, x, y)``, so
+    its failed rows lose their messages; engines 2 to 4 keep M* and the
+    decode of a failed round."""
+    if isinstance(engine, ProtocolSimulator):
+        keys[cause != 0, :keys.shape[1] - 2] = -1
+    return keys
+
+
+def _walk_run(engine, rng, x, y) -> SimOutcome:
+    """One trial of engines 2 to 5: :func:`_trial_walk` at T = 1, on the
+    given (x, y) unless x is None.  Its ``slice_hit`` is the terminating
+    slice on engines 2 to 4 and the rounds done on engine 5."""
+    batch = _trial_walk(engine, rng, 1, pairs=None if x is None
+                         else _index_pair(engine.source, x, y))
+    tau_x, tau_y, x, y = engine.view_of(batch.keys[0].tolist())
+    c = int(batch.cause[0])
+    hit = batch.rounds if isinstance(engine, ProtocolSimulator) else batch.hit
+    return SimOutcome(x, y, tau_x, tau_y, int(batch.bits[0]),
+                      None if c == 0 else ERROR_CAUSES[c - 1], int(hit[0]))
+
+
+def _walk_chunk(engine, T: int, seed):
+    """One chunk of :func:`run_trials` on engines 2 to 5: the views of its
+    distinct key rows, in row order, and the trials whose keys differ
+    between the parties in some round."""
+    batch = _trial_walk(engine, np.random.default_rng(seed), T)
+    keys = batch.keys
+    uniq, _, counts = _unique_rows(keys)
+    views = Counter({engine.view_of(k): c for k, c in zip(uniq.tolist(),
+                                                          counts.tolist())})
+    R = keys.shape[1] // 2 - 1
+    mism = int(np.any(keys[:, :R] != keys[:, R:2 * R], axis=1).sum())
+    return views, _cause_counts(batch.cause), batch.bits, mism
+
+
+def _walk_law(engine) -> FiniteDistribution:
+    """Exact view law of engines 2 to 5: :func:`_exact_walk` on the
+    engine's ``tables``, its keys as :func:`_view_keys` leaves them."""
+    keys, cause, p = _exact_walk(engine.tables, engine.source, engine.l_max)
     sums: dict = {}
-    _add_views(sums, keys, p)
-    msgs = (None,) + inner.messages
-    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+    _add_views(sums, _view_keys(engine, keys, cause), p)
     return FiniteDistribution.from_mapping(
-        {(msgs[a + 1], msgs[d + 1], xs[x], ys[y]): w
-         for (a, d, x, y), w in sums.items()})
+        {engine.view_of(key): w for key, w in sums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1228,21 +1315,6 @@ def _column_lists(keep: np.ndarray, *tables: np.ndarray):
     return cols.reshape(shape), tuple(gathered)
 
 
-@dataclass(frozen=True)
-class ProtocolBatch:
-    """Per-trial results of :meth:`ProtocolSimulator.run_batch`.
-
-    Row n of ``keys`` holds party x's message index for every round, then
-    party y's (all -1 after an error), then the x and y source indices;
-    :meth:`ProtocolSimulator.view_of` turns a row into the trial's view.
-    ``cause`` holds the cause codes and ``rounds`` the rounds completed.
-    """
-    keys: np.ndarray    # (T, 2 R + 2)
-    bits: np.ndarray    # (T,)
-    cause: np.ndarray   # (T,)
-    rounds: np.ndarray  # (T,)
-
-
 class ProtocolSimulator:
     """Round-by-round simulation of an explicit transcript law.
 
@@ -1263,7 +1335,7 @@ class ProtocolSimulator:
             raise OutOfRange("need one round plan per protocol round")
         self.l_max = l_max
         self.k_override = k_override
-        self.src = law.source
+        self.src = self.source = law.source
         self.tables = []
         for t, plan in enumerate(self.plans, start=1):
             # swap the source orientation so the transmitter is always "x"
@@ -1288,67 +1360,11 @@ class ProtocolSimulator:
         self.chunk = min(tab.inner.chunk for tab in self.tables)
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
-        """One trial: :meth:`run_batch` at T = 1, on the given (x, y)
-        unless x is None."""
-        batch = self.run_batch(rng, 1, pairs=None if x is None
-                               else _index_pair(self.src, x, y))
-        tau_x, tau_y, x, y = self.view_of(batch.keys[0])
-        c = int(batch.cause[0])
-        return SimOutcome(x, y, tau_x, tau_y, int(batch.bits[0]),
-                          None if c == 0 else ERROR_CAUSES[c - 1],
-                          int(batch.rounds[0]))
-
-    def run_batch(self, rng, T: int, blocks=None,
-                  pairs=None) -> ProtocolBatch:
-        """T independent trials at once, every draw taken from ``rng``.
-
-        Draw order: the T source pairs, then per round, for the trials still
-        running, :func:`_round_step`'s draws: the hash blocks, the J
-        uniforms, the shared strings and the M* uniforms.  ``pairs`` gives
-        the x and y indices instead of the source draw, and ``blocks``
-        replaces the hash draws with one (T, L, w + 1) array per round,
-        indexed by trial.  The step reads the round's tables by each
-        trial's (history, symbol) of the transmitter and of the receiver.
-        """
-        xi, yj = self.src.sample(rng, size=T) if pairs is None else pairs
-        syms = (xi, yj)
-        R = self.law.n_rounds
-        hist = np.zeros((2, T), dtype=np.int64)  # history code, party x / y
-        msgs = np.full((2, T, R), -1, dtype=np.int64)
-        bits = np.zeros(T, dtype=np.int64)
-        cause = np.zeros(T, dtype=np.int64)
-        rounds = np.zeros(T, dtype=np.int64)
-        live = np.arange(T)
-        for t, tab in enumerate(self.tables, start=1):
-            tx = 1 - t % 2  # party x speaks in odd rounds
-            rx = 1 - tx
-            h_tx, h_rx = hist[tx, live], hist[rx, live]
-            known = (h_tx >= 0) & (h_rx >= 0)
-            cause[live[~known]] = _NO_MATCH
-            live, h_tx, h_rx = live[known], h_tx[known], h_rx[known]
-            m_star, decoded, c, b, _ = _round_step(
-                tab, rng, (h_tx, syms[tx][live]), (h_rx, syms[rx][live]),
-                None if blocks is None else blocks[t - 1][live])
-            bits[live] += b
-            c[(c == 0) & (bits[live] > self.l_max)] = _BUDGET
-            cause[live] = c
-            ok = c == 0
-            live, h_tx, h_rx = live[ok], h_tx[ok], h_rx[ok]
-            m_star, decoded = m_star[ok], decoded[ok]
-            rounds[live] = t
-            # the transmitter appends M*, the receiver what it decoded
-            msgs[tx, live, t - 1] = m_star
-            msgs[rx, live, t - 1] = decoded
-            if tab.next is not None:
-                hist[tx, live] = tab.next[h_tx, m_star]
-                hist[rx, live] = tab.next[h_rx, decoded]
-        msgs[:, cause != 0] = -1
-        return ProtocolBatch(np.column_stack([msgs[0], msgs[1], xi, yj]),
-                             bits, cause, rounds)
+        return _walk_run(self, rng, x, y)
 
     def view_of(self, key) -> tuple:
-        """The view ``(hist_x, hist_y, x, y)`` of one ``run_batch`` key row,
-        ``(None, None, x, y)`` after an error."""
+        """The view ``(hist_x, hist_y, x, y)`` of one key row of the walks,
+        ``(None, None, x, y)`` after an error (see :func:`_view_keys`)."""
         R = self.law.n_rounds
         x = self.src.x_alphabet[key[2 * R]]
         y = self.src.y_alphabet[key[2 * R + 1]]
@@ -1368,24 +1384,7 @@ class ProtocolSimulator:
                 (p * self.src.mass[i, j]).tolist())})
 
     def exact_view_law(self) -> FiniteDistribution:
-        """:func:`_exact_walk` on the round tables; a failed trial's view
-        is ``(None, None, x, y)``, as in :meth:`run_batch`."""
-        keys, cause, p = _exact_walk(self.tables, self.src, self.l_max)
-        keys[cause != 0, :2 * self.law.n_rounds] = -1
-        sums: dict = {}
-        _add_views(sums, keys, p)
-        return FiniteDistribution.from_mapping(
-            {self.view_of(key): w for key, w in sums.items()})
-
-
-def _protocol_chunk(sim: ProtocolSimulator, T: int, seed):
-    batch = sim.run_batch(np.random.default_rng(seed), T)
-    uniq, _, counts = _unique_rows(batch.keys)
-    views = Counter({sim.view_of(k): int(c) for k, c in zip(uniq, counts)})
-    R = sim.law.n_rounds
-    mism = int(np.any(batch.keys[:, :R] != batch.keys[:, R:2 * R],
-                      axis=1).sum())
-    return views, _cause_counts(batch.cause), batch.bits, mism
+        return _walk_law(self)
 
 
 def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:

@@ -229,6 +229,49 @@ def test_eval_p1_hash_past_62_bits_fails(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("l", [3.7, float("nan")])
+def test_eval_p1_non_integer_l_fails(tmp_path, l):
+    # l is passed through, so the coder rejects a fractional l rather than
+    # truncating it to the l = 3 report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"source": "dsbs:0.25", "protocol": "p1", "l": l, "gamma": 1}))
+    proc = run_cli("eval", "--config", str(cfg), "--mode", "exact",
+                   check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: l must be a positive integer number of " \
+        "bits\n"
+    assert proc.stdout == ""
+    cfg.write_text(json.dumps(
+        {"source": "dsbs:0.25", "protocol": "p1", "l": 3, "gamma": 1}))
+    doc = json.loads(run_cli("eval", "--config", str(cfg), "--mode",
+                             "exact").stdout)
+    assert doc["tv"] == 0.125 and doc["config"]["l"] == 3
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"protocol": "p1", "l": "abc"}, "l"),
+    ({"protocol": "p2", "l": "abc"}, "l"),
+    ({"protocol": "p1", "l": 3, "gamma": "g"}, "gamma"),
+    ({"protocol": "p5", "target": "data-exchange", "l_max": "x"}, "l_max"),
+    ({"protocol": "p4", "target": "send-x",
+      "slice_rx": {"lambda_min": 0, "lambda_max": "a", "delta": 1}},
+     "lambda_max"),
+    ({"protocol": "p2", "slice": {"lambda_min": 0, "lambda_max": 2,
+                                  "delta": None}}, "delta"),
+], ids=["p1-l", "p2-l", "gamma", "l_max", "slice_rx", "slice-null"])
+def test_config_non_numeric_number_is_usage_error(tmp_path, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"source": "dsbs:0.25", **cfg}))
+    proc = run_cli("simulate", "--config", str(path), "--trials", "10",
+                   "--seed", "1", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: config key {key!r} must be a "
+                                  "number, got ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("k", [-1, 100, 1.5, 40])
 @pytest.mark.parametrize("cfg", [
     {"source": "dsbs:0.25", "protocol": "p4", "target": "send-x",

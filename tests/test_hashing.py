@@ -18,6 +18,8 @@ from icsim.hashing import (
     family_size,
     member_blocks,
     min_entropy,
+    hash_indices,
+    pack_columns,
     pack_hashes,
 )
 
@@ -144,6 +146,40 @@ def test_pack_hashes_matches_apply_bits(M, L):
         for t, block in enumerate(blocks):
             fam = HashFamily(w, L, block[:, :w], block[:, w])
             assert got[t].tolist() == _packed_by_hand(fam, bits)
+
+
+@pytest.mark.parametrize("L", [0, 1, 14, 62])
+@pytest.mark.parametrize("w", [1, 2, 3, 6, 7])
+def test_hash_indices_match_apply_bits(w, L):
+    """The hashes engines 2 to 5 decode with, ``hash_indices`` on
+    ``pack_columns``, against ``HashFamily.apply_bits`` row by row: odd
+    and even w split into low and high halves, padded index 0 and
+    repeated indices."""
+    rng = np.random.default_rng(100 * w + L)
+    T, M = 6, 1 << w
+    blocks = rng.integers(0, 2, size=(T, L, w + 1), dtype=np.uint8)
+    cols = pack_columns(blocks)
+    assert cols.dtype == np.int64 and cols.shape == (T, w + 1)
+    # every index, padding 0 and repeats, in a different order per row
+    idx = rng.permuted(np.concatenate([
+        np.tile(np.arange(M), (T, 1)), np.zeros((T, 3), dtype=np.int64),
+        rng.integers(0, M, size=(T, 5))], axis=1), axis=1)
+    got = hash_indices(cols, idx)
+    assert got.dtype == np.int64 and got.shape == idx.shape
+    enc = encode_universe(M, w)
+    for t, block in enumerate(blocks):
+        assert cols[t].tolist() == [sum(int(b) << p for p, b in
+                                        enumerate(col)) for col in block.T]
+        want = _packed_by_hand(HashFamily(w, L, block[:, :w], block[:, w]),
+                               enc)
+        assert got[t].tolist() == [want[i] for i in idx[t]]
+
+
+def test_pack_columns_past_62_bits_raises():
+    assert pack_columns(np.ones((2, 62, 4), dtype=np.uint8)).tolist() == \
+        [[(1 << 62) - 1] * 4] * 2
+    with pytest.raises(OutOfRange):
+        pack_columns(np.zeros((1, 63, 4), dtype=np.uint8))
 
 
 def test_packing_past_62_bits_raises():

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ import icsim.simulate
 from icsim.hashing import (
     ENUMERATION_CAP,
     HashFamily,
+    encode_universe,
     enumerate_family,
     family_blocks,
     family_size,
@@ -64,17 +66,18 @@ from icsim.simulate import (
     RoundSimulator,
     SlepianWolfCoder,
     _RoundTables,
-    _batch_round_chunk,
     _column_lists,
     _conditional_density,
     _kernel_bytes,
     _pick_slice,
     _round_kernel,
-    _round_trials,
     _slice_table,
     _sw_chunk,
     _sw_kernel,
     _unique_rows,
+    _trial_walk,
+    _walk_chunk,
+    _write_back,
     auto_round_plans,
     batch_round_trials,
     round_density_spectrum,
@@ -423,7 +426,8 @@ def _hash_bits(inner, block):
     """Hash bits (M, L) of every message under the affine map of ``block``
     (L, w + 1)."""
     return HashFamily(inner.width, inner.total_hash_bits, block[:, :-1],
-                      block[:, -1]).apply_bits(inner.enc)
+                      block[:, -1]).apply_bits(
+        encode_universe(len(inner.messages), inner.width))
 
 
 def _string_bits(u, k):
@@ -578,8 +582,9 @@ def test_round_kernel_matches_scalar_seed_for_seed(make, outcomes):
     scalar rule written out, trial by trial on the same draws."""
     engine = make()
     T, seed = 1_500, 31
-    xi, yj, tx, decoded, cause, bits, _ = _round_trials(
-        engine, np.random.default_rng(seed), T)
+    batch = _trial_walk(engine, np.random.default_rng(seed), T)
+    tx, decoded, xi, yj = batch.keys.T
+    cause, bits = batch.cause, batch.bits
     inner = getattr(engine, "inner", engine)
     msgs = (None,) + tuple(inner.messages)
     xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
@@ -648,7 +653,8 @@ def _round_law(engine):
 
     terms = defaultdict(list)
     for fam in enumerate_family(inner.width, inner.total_hash_bits):
-        hb = fam.apply_bits(inner.enc)
+        hb = fam.apply_bits(encode_universe(len(inner.messages),
+                                            inner.width))
         for i, j in zip(*np.nonzero(src.mass > 0)):
             for q, (m, d, _, _) in _round_outcomes(
                     engine, i, inner.slice_rx[:, j], hb):
@@ -771,9 +777,10 @@ def _history_engines(sim):
 
 
 def _chain_oracle(sim, rng, T, blocks=None):
-    """Per trial (view, bits, cause) of ``sim.run_batch(rng, T, blocks)``.
+    """Per trial (view, bits, cause) of ``_trial_walk(sim, rng, T,
+    blocks)``.
 
-    The draws follow ``run_batch``'s order: the source pairs, then per
+    The draws follow ``_trial_walk``'s order: the source pairs, then per
     round, for the trials still running, the hash blocks (unless given),
     the J uniforms, one shared string per trial and the M* uniforms.  Each
     party keeps its own history: the transmitter appends M*, the receiver
@@ -870,7 +877,7 @@ def test_protocol_batch_matches_scalar_seed_for_seed(make, outcomes,
     if request.node.callspec.id in _GIVEN:
         blocks = _blocks(sim, rng, T)
         _blocks(sim, ref, T)
-    batch = sim.run_batch(rng, T, blocks=blocks)
+    batch = _trial_walk(sim, rng, T, blocks=blocks)
     seen = set()
     for n, want in enumerate(_chain_oracle(sim, ref, T, blocks)):
         c = int(batch.cause[n])
@@ -883,7 +890,7 @@ def test_protocol_batch_matches_scalar_seed_for_seed(make, outcomes,
     # the trials reach the outcomes the instance is meant to cover
     assert outcomes <= seen
     assert np.any(batch.cause != 0)
-    # the scalar run is one trial of run_batch; slice_hit counts its rounds
+    # the scalar run is one trial of the walk; slice_hit counts its rounds
     xs, ys = sim.src.x_alphabet, sim.src.y_alphabet
     for s in range(50):
         out = sim.run(np.random.default_rng(s))
@@ -915,7 +922,8 @@ def _chain_law(sim):
             else:
                 memo[key] = list(_round_outcomes(
                     e_tx, syms[tx], e_rx.inner.slice_rx[:, syms[1 - tx]],
-                    fams[t - 1][f].apply_bits(e_tx.inner.enc))), e_tx
+                    fams[t - 1][f].apply_bits(encode_universe(
+                        len(e_tx.messages), e_tx.inner.width)))), e_tx
         return memo[key]
 
     src = sim.src
@@ -1111,7 +1119,9 @@ def test_round_tables_match_history_engines(name):
                     inner.total_hash_bits, inner.chunk) == (
                 first.width, first.l, first.delta, first.n_slices,
                 first.total_hash_bits, first.chunk)
-            assert _same_array(inner.enc, first.enc)
+            assert _same_array(
+                encode_universe(len(inner.messages), inner.width),
+                encode_universe(len(first.messages), first.width))
             if t == law.n_rounds:
                 assert tab.next is None
                 continue
@@ -1145,9 +1155,10 @@ def test_engine4_is_round_one_of_engine5(name, k_override):
                             k_override=k_override)
     engine = _history_engines(sim)[(1, ())]
     T, seed = 4_000, 29
-    batch = sim.run_batch(np.random.default_rng(seed), T)
-    xi, yj, tx, decoded, cause, bits, _ = _round_trials(
-        engine, np.random.default_rng(seed), T)
+    batch = _trial_walk(sim, np.random.default_rng(seed), T)
+    one = _trial_walk(engine, np.random.default_rng(seed), T)
+    tx, decoded, xi, yj = one.keys.T
+    cause, bits = one.cause, one.bits
     assert np.array_equal(batch.keys[:, 2], xi)
     assert np.array_equal(batch.keys[:, 3], yj)
     assert np.array_equal(batch.cause, cause)
@@ -1427,7 +1438,7 @@ def test_round_run_trials_chunks_on_part_streams(make):
     agg = run_trials(engine, 700, 9)
     views, errors, bits = Counter(), Counter(), []
     for part, n in enumerate((300, 300, 100)):
-        v, e, b, _ = _batch_round_chunk(engine, n, [9, part])
+        v, e, b, _ = _walk_chunk(engine, n, [9, part])
         views.update(v)
         errors.update(e)
         bits.append(b)
@@ -1440,7 +1451,7 @@ def test_protocol_run_trials_chunks_on_part_streams():
     sim.chunk = 300
     agg = run_trials(sim, 700, 9)
     for part, (lo, hi) in enumerate([(0, 300), (300, 600), (600, 700)]):
-        batch = sim.run_batch(np.random.default_rng([9, part]), hi - lo)
+        batch = _trial_walk(sim, np.random.default_rng([9, part]), hi - lo)
         assert np.array_equal(agg.bits[lo:hi], batch.bits)
 
 
@@ -1463,7 +1474,15 @@ def test_pick_slice_never_picks_zero_mass():
     np.array([[2, -1, 0, 1]]),
     np.array([[0, -1], [-1, 0], [0, -1], [-1, -1], [0, 0], [-1, 0]]),
     np.empty((0, 4), dtype=np.int64),
-], ids=["ties", "one-row", "signs", "empty"])
+    # columns too wide to share an int64 code: one code per column, then
+    # small columns packed into one code after a wide one
+    np.random.default_rng(4).integers(-2, 2, size=(3_000, 4)) << 40,
+    np.random.default_rng(5).integers(-1, 3, size=(3_000, 5))
+    * np.array([1, 1 << 61, 1, 1, 5]),
+    # a column-major view, as the trial walk keeps its keys
+    np.zeros((7, 2_000), dtype=np.int64).T[:, :5]
+    + np.random.default_rng(6).integers(-1, 2, size=(2_000, 5)),
+], ids=["ties", "one-row", "signs", "empty", "wide", "mixed", "columns"])
 def test_unique_rows_matches_np_unique(keys):
     uniq, inverse, counts = _unique_rows(keys)
     ref_uniq, ref_inverse, ref_counts = np.unique(
@@ -1472,6 +1491,35 @@ def test_unique_rows_matches_np_unique(keys):
     assert np.array_equal(inverse, ref_inverse.ravel())
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(uniq[inverse], keys)
+
+
+def test_write_back_ends_unknown_histories_and_spent_budgets():
+    """Round 1 of 2 written back as both walks write it: M* and the decode
+    into the keys, also when the round failed; the bits, past ``l_max``
+    a budget failure; and for the trials that completed the round, both
+    parties' next histories, an unknown one ending the trial as no_match.
+    The tests' laws reach no unknown history: a party sends and decodes
+    only messages of positive probability at its own history."""
+    R, K = 2, 6
+    # round 1's next history of each message: message 1 leads nowhere
+    tab = SimpleNamespace(next=np.array([[0, -1, 1]]))
+    rows = np.zeros((5, K + 4), dtype=np.int64)
+    rows[:, :2 * R] = -1
+    rows[:, K + 2] = [0, 0, 0, 0, 6]
+    m_star, decoded = np.array([0, 1, 2, 2, 0]), np.array([2, 0, 1, 0, 0])
+    cause = np.array([0, 0, 0, ERROR_CAUSES.index("tail") + 1, 0])
+    done = _write_back(rows, R, 1, tab, m_star, decoded, cause,
+                       np.full(5, 3), 8)
+    assert done.tolist() == [True, True, True, False, False]
+    assert [ERROR_CAUSES[c - 1] if c else None for c in rows[:, K + 3]] == \
+        [None, "no_match", "no_match", "tail", "budget_exceeded"]
+    assert rows[:, 0].tolist() == m_star.tolist()      # x spoke round 1
+    assert rows[:, R].tolist() == decoded.tolist()     # y decoded it
+    assert (rows[:, [1, R + 1]] == -1).all()
+    assert rows[:, K + 2].tolist() == [3, 3, 3, 3, 9]
+    # histories of x and y: looked up only for the completed trials
+    assert rows[:, K:K + 2].tolist() == [[0, 1], [-1, 0], [1, -1], [0, 0],
+                                         [0, 0]]
 
 
 def test_round_kernel_never_picks_zero_weight_message():
@@ -1677,7 +1725,8 @@ def _round_full_walk(sim):
     sums: dict = {}
     for start in range(0, n_fam, step):
         hs = pack_hashes(family_blocks(
-            sim.width, L, start, min(start + step, n_fam)), sim.enc)
+            sim.width, L, start, min(start + step, n_fam)),
+            encode_universe(M, sim.width))
         f, s, c = (a.ravel() for a in np.indices(
             (hs.shape[0], strings.size, pair.size)))
         h, u, mc, rows = hs[f], strings[s], m[c], np.arange(f.size)
@@ -1704,7 +1753,7 @@ def _round_full_walk(sim):
 
 
 def _protocol_full_walk(sim):
-    """Engine 5's exact view law from :meth:`run_batch` on every live pair
+    """Engine 5's exact view law from :func:`_trial_walk` on every live pair
     and chain of affine family members, one per round, each weighing its
     pair's mass over the number of chains."""
     sizes = [family_size(tab.inner.width, tab.inner.total_hash_bits)
@@ -1723,8 +1772,8 @@ def _protocol_full_walk(sim):
             code, member = np.divmod(code, size)
             blocks.insert(0, member_blocks(
                 tab.inner.width, tab.inner.total_hash_bits, member))
-        batch = sim.run_batch(rng, pair.size, blocks=blocks,
-                              pairs=(live_i[pair], live_j[pair]))
+        batch = _trial_walk(sim, rng, pair.size, blocks=blocks,
+                            pairs=(live_i[pair], live_j[pair]))
         icsim.simulate._add_views(sums, batch.keys, term[pair])
     return FiniteDistribution.from_mapping(
         {sim.view_of(key): p for key, p in sums.items()})
