@@ -191,8 +191,9 @@ def upper_bound_budget(rounds: Sequence[RoundBudgetInput], gamma: float,
     plus the summed per-round overheads; raises when the simulator's own
     failure terms already exceed the target error.
     """
-    if gamma < 0:
-        raise ParameterRange("gamma must be nonnegative")
+    if not (gamma >= 0 and math.isfinite(gamma)):
+        raise ParameterRange(f"gamma must be finite and nonnegative, got "
+                             f"{gamma!r}")
     if not 0.0 < target_eps < 1.0:
         raise ParameterRange("target error must lie in (0, 1)")
     overheads = tuple(r.overhead(gamma) for r in rounds)
@@ -344,8 +345,9 @@ def direct_product_thresholds(spec: SpectrumTable, n: int, delta: float,
     n (H(F|X) + H(F|Y) - delta).  The exponent certifies
     Pr[ic of the product > n (IC - delta)] >= 1 - 2^{-E n}.
     """
-    if n < 1 or delta <= 0:
-        raise ParameterRange("need n >= 1 and delta > 0")
+    if n < 1 or not (delta > 0 and math.isfinite(delta)):
+        raise ParameterRange(f"need n >= 1 and a finite delta > 0, got n = "
+                             f"{n!r}, delta = {delta!r}")
     ic = spec.moments().mean
     sim_thr = n * (ic - delta)
     func_thr = None

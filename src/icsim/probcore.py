@@ -535,6 +535,9 @@ class SliceConfig:
     gamma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lambda_min, self.lambda_max,
+                                       self.delta, self.gamma))):
+            raise OutOfRange(f"slice config fields must be finite: {self}")
         if not self.lambda_max > self.lambda_min:
             raise OutOfRange("lambda_max must exceed lambda_min")
         if not self.delta > 0:

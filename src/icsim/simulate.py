@@ -16,11 +16,14 @@ of its ``_RoundTables``: the sender's supported messages and the
 receiver's messages in slice 1 or more.  Engines 2 to 5 walk their rounds
 in one loop per mode, ``_trial_walk`` for trials and ``_exact_walk`` for
 exact mode, and both write a round into their trial states with
-``_write_back``.  Engine 5 alone blanks a failed trial's messages
-(``_view_keys``); each engine's ``view_of`` turns a key row into a view.
-The scalar ``run`` is one trial of the chunked loop ``run_trials``, and
-every exact mode walks one linear part of each hash family, standing for
-its 2^L offsets (see :mod:`icsim.hashing`).
+``_write_back``.  Engine 1's trials (``_sw_trials``) give the same key
+rows, as one round whose message is x, so one layer serves all five
+engines: ``_walk_chunk`` counts a chunk of ``run_trials``, ``_walk_run``
+is the scalar ``run``, and ``_key_law`` reads an exact law's key rows.
+Engine 5 alone blanks a failed trial's messages (``_view_keys``); each
+engine's ``view_of`` turns a key row into a view.  Every exact mode walks
+one linear part of each hash family, standing for its 2^L offsets (see
+:mod:`icsim.hashing`); engine 1 keeps its own count loop over them.
 
 The batch paths cut their trials in two units:
 
@@ -144,19 +147,16 @@ def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
 
     Chunk ``part`` of ``engine.chunk`` trials (see :func:`_trial_chunk`)
     draws all of its randomness in bulk from the stream
-    ``[master_seed, part]``: through ``_sw_chunk`` on engine 1 and the
-    round walk of :func:`_trial_walk` on engines 2 to 5.
-    Each then decodes the chunk in blocks of rows (:func:`_in_blocks`).
+    ``[master_seed, part]`` and decodes in blocks of rows
+    (:func:`_in_blocks`); :func:`_walk_chunk` counts it.
     """
-    chunk_fn = (_sw_chunk if isinstance(engine, SlepianWolfCoder)
-                else _walk_chunk)
     chunk = engine.chunk
     views: Counter = Counter()
     errors: Counter = Counter()
     bits, mism = [], 0
     for part, done in enumerate(range(0, trials, chunk)):
-        v, e, b, mm = chunk_fn(engine, min(chunk, trials - done),
-                               [master_seed, part])
+        v, e, b, mm = _walk_chunk(engine, min(chunk, trials - done),
+                                  [master_seed, part])
         views.update(v)
         errors.update(e)
         bits.append(b)
@@ -277,6 +277,28 @@ def _int_param(value: float, name: str) -> int:
     return iv
 
 
+class _OneRound:
+    """Engines 1 to 4 as the trial layer reads them: one round, whose key
+    rows ``(M*, decoded, x, y)`` :meth:`view_of` reads over ``messages``.
+
+    Engines 2 to 4 are this class: one ``table`` and no bit budget.
+    Engine 1 borrows ``view_of`` alone, its messages being the x values,
+    and has no table: :func:`_sw_trials` runs its trials."""
+    l_max = math.inf
+
+    @property
+    def tables(self) -> list:
+        return [self.table]
+
+    def view_of(self, key) -> tuple:
+        """The view ``(M*, decoded, x, y)`` of one key row of the walks; a
+        message index of -1 is None."""
+        a, d, i, j = key
+        msgs, src = self.messages, self.source
+        return (None if a < 0 else msgs[a], None if d < 0 else msgs[d],
+                src.x_alphabet[i], src.y_alphabet[j])
+
+
 # ---------------------------------------------------------------------------
 # engine 1: one-shot compression
 # ---------------------------------------------------------------------------
@@ -293,11 +315,13 @@ class SlepianWolfCoder:
     def __init__(self, source: JointSource, l: int, gamma: float,
                  aux: np.ndarray | None = None):
         self.source = source
+        self.messages = source.x_alphabet
         self.l = _int_param(l, "l")
         if self.l > 62:
             raise OutOfRange("hash length l exceeds 62 bits")
-        if gamma < 0:
-            raise OutOfRange("gamma must be nonnegative")
+        if not (gamma >= 0 and math.isfinite(gamma)):
+            raise OutOfRange(f"gamma must be finite and nonnegative, got "
+                             f"{gamma!r}")
         self.gamma = float(gamma)
         cond = source.p_x_given_y if aux is None else np.asarray(aux, float)
         if cond.shape != source.mass.shape:
@@ -308,20 +332,14 @@ class SlepianWolfCoder:
         self.enc = encode_universe(len(source.x_alphabet), self.width)
         self.chunk = _trial_chunk(len(source.x_alphabet), self.l, self.width)
 
+    view_of = _OneRound.view_of
+
     def analytic_error_bound(self) -> float:
         atyp = float(self.source.mass[~self.typical].sum())
         return atyp + 2.0 ** (-self.gamma)
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
-        """One trial: :func:`_sw_trials` at T = 1, on the given (x, y)
-        unless x is None."""
-        pairs = None if x is None else _index_pair(self.source, x, y)
-        xi, yj, decoded, cause = _sw_trials(self, rng, 1, pairs)
-        i, d, c = int(xi[0]), int(decoded[0]), int(cause[0])
-        xs = self.source.x_alphabet
-        return SimOutcome(xs[i], self.source.y_alphabet[yj[0]], xs[i],
-                          None if d < 0 else xs[d], self.l,
-                          None if c == 0 else ERROR_CAUSES[c - 1], 1)
+        return _walk_run(self, rng, x, y)
 
     # -- exact enumeration ---------------------------------------------------
 
@@ -340,7 +358,8 @@ class SlepianWolfCoder:
         packed once and decoded against all live pairs in one kernel call;
         each stands for its 2^l families.  A view's probability is its
         pair's mass times the number of families that produce it over the
-        family size.
+        family size; :func:`_key_law` reads the key rows as the round
+        walks' are read.
         """
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
@@ -363,16 +382,12 @@ class SlepianWolfCoder:
                 np.repeat(np.arange(P), n) * (M + 1) + decoded + 1,
                 minlength=P * (M + 1)).reshape(P, M + 1)
         counts <<= self.l
-        # the views in (pair, decoded) order; the float operations of
-        # mass * count / n_fam, one atom at a time
+        # one key row (x, decoded, x, y) per (pair, decoded); the float
+        # operations of mass * count / n_fam, one atom at a time
         p, d = np.nonzero(counts)
         i, j = live_i[p], live_j[p]
         probs = self.source.mass[i, j] * counts[p, d].astype(float) / n_fam
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        dec = (None,) + tuple(xs)
-        return FiniteDistribution.from_mapping(
-            {(xs[a], dec[b], xs[a], ys[c]): w for a, b, c, w in zip(
-                i.tolist(), d.tolist(), j.tolist(), probs.tolist())})
+        return _key_law(self, np.column_stack([i, d - 1, i, j]), probs)
 
     def true_view_law(self) -> FiniteDistribution:
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
@@ -395,7 +410,8 @@ def _sw_kernel(coder: SlepianWolfCoder, xi: np.ndarray, yj: np.ndarray,
     rows = np.arange(xi.size)
     typical = np.take(coder.typical.T, yj, axis=0)  # (T, M)
     match = typical & (h == h[rows, xi][:, None])
-    cnt = match.sum(axis=1)
+    # match.sum(axis=1), about three times faster on rows of few messages
+    cnt = np.einsum("ij->i", match, dtype=np.int64)
     decoded = np.where(cnt == 1, match.argmax(axis=1), -1)
     cause = np.where(cnt > 1, _MULTIPLE,
                      np.where(cnt == 1, 0, np.where(typical[rows, xi],
@@ -403,10 +419,13 @@ def _sw_kernel(coder: SlepianWolfCoder, xi: np.ndarray, yj: np.ndarray,
     return decoded, cause
 
 
-def _sw_trials(coder: SlepianWolfCoder, rng, T: int, pairs=None):
-    """T trials of engine 1 from ``rng``: the source pairs (unless ``pairs``
-    gives their indices), then the hash blocks.  Returns ``(xi, yj) +``
-    :func:`_sw_kernel`'s result, computed in blocks of rows."""
+def _sw_trials(coder: SlepianWolfCoder, rng, T: int,
+               pairs=None) -> _TrialBatch:
+    """T trials of engine 1 from ``rng``, as :func:`_trial_walk` gives
+    those of engines 2 to 5: the source pairs (unless ``pairs`` gives their
+    indices), then the hash blocks, decoded by :func:`_sw_kernel` in blocks
+    of rows.  A trial is one round whose message is x: its key row is
+    ``(x, decoded, x, y)``, it costs l bits and ends in slice 1."""
     xi, yj = coder.source.sample(rng, size=T) if pairs is None else pairs
     blocks = rng.integers(0, 2, size=(T, coder.l, coder.width + 1),
                           dtype=np.uint8)
@@ -415,42 +434,17 @@ def _sw_trials(coder: SlepianWolfCoder, rng, T: int, pairs=None):
         return _sw_kernel(coder, xi[a:b], yj[a:b],
                           pack_hashes(blocks[a:b], coder.enc))
 
-    return (xi, yj) + _in_blocks(decode, T, max(1, TRIAL_BLOCK_BYTES // (
+    decoded, cause = _in_blocks(decode, T, max(1, TRIAL_BLOCK_BYTES // (
         _kernel_bytes(len(coder.source.x_alphabet), coder.l, coder.width))))
-
-
-def _sw_chunk(coder: SlepianWolfCoder, T: int, seed):
-    xi, yj, decoded, cause = _sw_trials(coder, np.random.default_rng(seed), T)
-    # the views (x, decoded, x, y) of the distinct rows, in row order
-    uniq, _, counts = _unique_rows(np.column_stack([xi, decoded, yj]))
-    xs, ys = coder.source.x_alphabet, coder.source.y_alphabet
-    views = Counter({(xs[i], None if d < 0 else xs[d], xs[i], ys[j]): c
-                     for (i, d, j), c in zip(uniq.tolist(), counts.tolist())})
-    return (views, _cause_counts(cause), np.full(T, coder.l, dtype=np.int64),
-            int((decoded != xi).sum()))
+    return _TrialBatch(np.column_stack([xi, decoded, xi, yj]),
+                       np.full(T, coder.l, dtype=np.int64), cause,
+                       (cause == 0).astype(np.int64),
+                       np.ones(T, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # engine 2: interactive compression
 # ---------------------------------------------------------------------------
-
-
-class _OneRound:
-    """Engines 2 to 4 as the round walks read them: one round, ``table``,
-    and no bit budget."""
-    l_max = math.inf
-
-    @property
-    def tables(self) -> list:
-        return [self.table]
-
-    def view_of(self, key) -> tuple:
-        """The view ``(M*, decoded, x, y)`` of one key row of the walks; a
-        message index of -1 is None."""
-        a, d, i, j = key
-        msgs, src = self.messages, self.source
-        return (None if a < 0 else msgs[a], None if d < 0 else msgs[d],
-                src.x_alphabet[i], src.y_alphabet[j])
 
 
 class InteractiveSWCoder(_OneRound):
@@ -461,8 +455,9 @@ class InteractiveSWCoder(_OneRound):
     trial terminating in slice i costs exactly l + (i - 1) delta + i bits.
 
     This is engine 3 on the identity channel (M = X) with no shared prefix:
-    ``inner`` is that :class:`RoundSimulator` and runs every trial.  ``aux``
-    is the receiver's conditional Q(x|y), on the source's (x, y) axes.
+    ``inner`` is that :class:`RoundSimulator`, and ``table``, its round
+    table built once, runs every trial.  ``aux`` is the receiver's
+    conditional Q(x|y), on the source's (x, y) axes.
     """
 
     def __init__(self, source: JointSource, cfg: SliceConfig,
@@ -479,6 +474,8 @@ class InteractiveSWCoder(_OneRound):
         self.n_slices = self.inner.n_slices
         self.total_hash_bits = self.inner.total_hash_bits
         self.chunk = self.inner.chunk
+        # built once; its inner is the round simulator, so no cycle
+        self.table = self.inner.table
 
     def tail_mass(self) -> float:
         return self.inner.tail_mass()
@@ -489,15 +486,11 @@ class InteractiveSWCoder(_OneRound):
     def bits_for_slice(self, i: int) -> int:
         return self.inner.pos_at(i) + i
 
-    @property
-    def table(self) -> _RoundTables:
-        return self.inner.table
-
     def run(self, rng, x=None, y=None) -> SimOutcome:
-        return self.inner.run(rng, x, y)
+        return _walk_run(self, rng, x, y)
 
     def exact_view_law(self) -> FiniteDistribution:
-        return self.inner.exact_view_law()
+        return _walk_law(self)
 
     def true_view_law(self) -> FiniteDistribution:
         return self.inner.true_view_law()
@@ -889,9 +882,9 @@ def _rows(table: np.ndarray, i: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _TrialBatch:
-    """Per-trial results of :func:`_trial_walk`: the key rows (see
-    :func:`_exact_walk`), the rounds completed and the terminating slice
-    of the last round run."""
+    """Per-trial results of :func:`_trial_walk` and :func:`_sw_trials`:
+    the key rows (see :func:`_exact_walk`), the bits, the cause, the rounds
+    completed and the terminating slice of the last round run."""
     keys: np.ndarray    # (T, 2 R + 2)
     bits: np.ndarray    # (T,)
     cause: np.ndarray   # (T,)
@@ -1006,17 +999,6 @@ def _unique_rows(keys: np.ndarray):
     inverse[order] = np.cumsum(first) - 1
     return (keys[order[starts]], inverse,
             np.diff(np.append(starts, len(order))))
-
-
-def _add_views(sums: dict, keys: np.ndarray, p: np.ndarray):
-    """Add the terms ``p`` of the integer key rows ``keys`` to ``sums``
-    (exact mode's view masses) one at a time in row order, so each mass is
-    the float a left-to-right sum of its terms gives."""
-    uniq, inverse, _ = _unique_rows(keys)
-    rows = [tuple(row) for row in uniq.tolist()]
-    acc = np.array([sums.get(row, 0.0) for row in rows])
-    np.add.at(acc, inverse, p)
-    sums.update(zip(rows, acc.tolist()))
 
 
 def _merge_rows(rows: np.ndarray, p: np.ndarray):
@@ -1175,12 +1157,20 @@ def _view_keys(engine, keys: np.ndarray, cause: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _trials(engine, rng, T: int, pairs=None) -> _TrialBatch:
+    """T trials of any engine from ``rng``, on the x and y indices
+    ``pairs`` if given: :func:`_sw_trials` on engine 1, :func:`_trial_walk`
+    on engines 2 to 5."""
+    walk = _sw_trials if isinstance(engine, SlepianWolfCoder) else _trial_walk
+    return walk(engine, rng, T, pairs=pairs)
+
+
 def _walk_run(engine, rng, x, y) -> SimOutcome:
-    """One trial of engines 2 to 5: :func:`_trial_walk` at T = 1, on the
-    given (x, y) unless x is None.  Its ``slice_hit`` is the terminating
-    slice on engines 2 to 4 and the rounds done on engine 5."""
-    batch = _trial_walk(engine, rng, 1, pairs=None if x is None
-                         else _index_pair(engine.source, x, y))
+    """One trial of any engine: :func:`_trials` at T = 1, on the given
+    (x, y) unless x is None.  Its ``slice_hit`` is the terminating slice
+    on engines 1 to 4 and the rounds done on engine 5."""
+    batch = _trials(engine, rng, 1, pairs=None if x is None
+                    else _index_pair(engine.source, x, y))
     tau_x, tau_y, x, y = engine.view_of(batch.keys[0].tolist())
     c = int(batch.cause[0])
     hit = batch.rounds if isinstance(engine, ProtocolSimulator) else batch.hit
@@ -1189,10 +1179,10 @@ def _walk_run(engine, rng, x, y) -> SimOutcome:
 
 
 def _walk_chunk(engine, T: int, seed):
-    """One chunk of :func:`run_trials` on engines 2 to 5: the views of its
+    """One chunk of :func:`run_trials` on any engine: the views of its
     distinct key rows, in row order, and the trials whose keys differ
     between the parties in some round."""
-    batch = _trial_walk(engine, np.random.default_rng(seed), T)
+    batch = _trials(engine, np.random.default_rng(seed), T)
     keys = batch.keys
     uniq, _, counts = _unique_rows(keys)
     views = Counter({engine.view_of(k): c for k, c in zip(uniq.tolist(),
@@ -1202,14 +1192,19 @@ def _walk_chunk(engine, T: int, seed):
     return views, _cause_counts(batch.cause), batch.bits, mism
 
 
+def _key_law(engine, keys: np.ndarray, p: np.ndarray) -> FiniteDistribution:
+    """The exact view law of any engine from its distinct key rows
+    ``keys`` and their masses ``p``, each row read by ``engine.view_of``."""
+    return FiniteDistribution.from_mapping(
+        {engine.view_of(k): w for k, w in zip(keys.tolist(), p.tolist())})
+
+
 def _walk_law(engine) -> FiniteDistribution:
     """Exact view law of engines 2 to 5: :func:`_exact_walk` on the
-    engine's ``tables``, its keys as :func:`_view_keys` leaves them."""
+    engine's ``tables``, its keys as :func:`_view_keys` leaves them, each
+    distinct row's terms summed left to right (:func:`_merge_rows`)."""
     keys, cause, p = _exact_walk(engine.tables, engine.source, engine.l_max)
-    sums: dict = {}
-    _add_views(sums, _view_keys(engine, keys, cause), p)
-    return FiniteDistribution.from_mapping(
-        {engine.view_of(key): w for key, w in sums.items()})
+    return _key_law(engine, *_merge_rows(_view_keys(engine, keys, cause), p))
 
 
 # ---------------------------------------------------------------------------
@@ -1333,6 +1328,8 @@ class ProtocolSimulator:
         self.plans = tuple(plans)
         if len(self.plans) != law.n_rounds:
             raise OutOfRange("need one round plan per protocol round")
+        if math.isnan(l_max):
+            raise OutOfRange("l_max must be a number of bits, not NaN")
         self.l_max = l_max
         self.k_override = k_override
         self.src = self.source = law.source

@@ -102,6 +102,13 @@ class TestUpperBudget:
         with pytest.raises(InfeasibleBudget):
             upper_bound_budget([r], 1.0, 0.1, spec)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_rejects_gamma_outside_range(self, gamma):
+        spec = spectrum(dsbs_source(0.25), "cond_x_given_y")
+        r = RoundBudgetInput(1000, 1000, 1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(ParameterRange, match="gamma"):
+            upper_bound_budget([r], gamma, 0.5, spec)
+
 
 class TestSecondOrder:
     def test_prediction_formula(self):
@@ -184,6 +191,12 @@ class TestDirectProduct:
         assert rep.sim_threshold == pytest.approx(50 * (law.ic_mean - 0.1))
         assert 0 < rep.tail_lower_bound < 1
         assert not rep.vacuous
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
+    def test_rejects_delta_outside_range(self, delta):
+        law = send_value_protocol(dsbs_source(0.25))
+        with pytest.raises(ParameterRange, match="delta"):
+            direct_product_thresholds(law.spectrum("ic"), 50, delta)
 
 
 class TestBeta:

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 import time
 
 import pytest
 
+import icsim.cli
 from icsim.cli import build_engine
 from icsim.probcore import DENSITY_KINDS
 from icsim.protocol import LAW_SELECTORS
@@ -110,6 +112,43 @@ def test_bound_infeasible_exit_code():
                    "send-x", "--eps", "0.5", "--gamma", "4", check=False)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mode", "exact", "--config",
+     {"source": "dsbs:0.25", "protocol": "p1", "l": 4, "gamma": math.nan}],
+    ["eval", "--mode", "exact", "--config",
+     {"source": "dsbs:0.25", "protocol": "p2", "gamma": math.nan}],
+    ["eval", "--mode", "exact", "--config",
+     {"source": "dsbs:0.25", "protocol": "p5", "target": "send-x",
+      "gamma": math.nan}],
+    ["eval", "--mode", "exact", "--config",
+     {"source": "dsbs:0.25", "protocol": "p4", "target": "send-x",
+      "gamma": math.inf}],
+    ["eval", "--mode", "exact", "--config",
+     {"source": "dsbs:0.25", "protocol": "p3", "target": "send-x",
+      "slice_rx": {"lambda_min": 0, "lambda_max": math.inf, "delta": 1,
+                   "gamma": 1}}],
+    ["eval", "--trials", "100", "--config",
+     {"source": "dsbs:0.25", "protocol": "p5", "target": "send-x",
+      "l_max": math.nan}],
+    ["bound", "direct-product", "--delta", "nan"],
+    ["bound", "upper", "--gamma", "nan", "--eps", "0.5"],
+], ids=["p1-gamma-nan", "p2-gamma-nan", "p5-gamma-nan", "p4-gamma-inf",
+        "p3-lambda_max-inf", "p5-l_max-nan", "direct-product-delta-nan",
+        "upper-gamma-nan"])
+def test_non_finite_numbers_exit_1(argv, tmp_path, capsys):
+    # NaN passes a check written "x < 0", and an infinite number reaches
+    # math.ceil; each is an input error, reported without a traceback
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))  # NaN and Infinity as JSON
+        argv = argv[:-1] + [str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        icsim.cli.main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and out == ""
 
 
 def test_simulate_and_determinism(tmp_path):

@@ -381,6 +381,16 @@ class TestSliceConfig:
         with pytest.raises(OutOfRange):
             SliceConfig(0.0, 1.0, -1.0, 0.0)
 
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        # NaN passes every ordered comparison's negation, and an infinite
+        # range or width has no slice count
+        args = [0.0, 2.0, 1.0, 1.0]
+        args[field] = bad
+        with pytest.raises(OutOfRange, match="finite"):
+            SliceConfig(*args)
+
     def test_tail_mass(self):
         cfg = SliceConfig(0.0, 1.5, 1.0, 0.0)
         spec = spectrum(dsbs_source(0.25), "cond_x_given_y")

@@ -72,8 +72,8 @@ from icsim.simulate import (
     _pick_slice,
     _round_kernel,
     _slice_table,
-    _sw_chunk,
     _sw_kernel,
+    _sw_trials,
     _unique_rows,
     _trial_walk,
     _walk_chunk,
@@ -144,6 +144,12 @@ class TestSlepianWolf:
         with pytest.raises(OutOfRange, match="62 bits"):
             SlepianWolfCoder(dsbs_source(0.25), 63, 1.0)
         assert SlepianWolfCoder(dsbs_source(0.25), 62, 1.0).l == 62
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_gamma_finite_and_nonnegative(self, gamma):
+        # a NaN gamma would make no pair typical, so every trial a tail
+        with pytest.raises(OutOfRange, match="gamma"):
+            SlepianWolfCoder(dsbs_source(0.25), 4, gamma)
 
 
 class TestInteractive:
@@ -283,6 +289,12 @@ class TestProtocolSimulator:
         sim = self.make(l_max=3)
         agg = run_trials(sim, 2_000, 4)
         assert agg.errors.get("budget_exceeded", 0) > 0
+
+    def test_budget_must_be_a_number(self):
+        # a NaN budget compares false, so it would run with no budget
+        with pytest.raises(OutOfRange, match="l_max"):
+            self.make(l_max=math.nan)
+        assert self.make(l_max=math.inf).l_max == math.inf
 
     def test_forcing_k_zero_never_reduces_bits(self):
         # with the shared prefix disabled every hash bit is transmitted
@@ -1430,20 +1442,43 @@ def test_chunk_peak_memory_within_batch_bytes(name, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    interactive_coder, round_sim, lambda: TestImprovedRound().make(),
-], ids=["p2", "p3", "p4"])
-def test_round_run_trials_chunks_on_part_streams(make):
+    lambda: sw_coder(l=3, gamma=1.0), interactive_coder, round_sim,
+    lambda: TestImprovedRound().make(),
+], ids=["p1", "p2", "p3", "p4"])
+def test_round_run_trials_chunks_on_part_streams(make, monkeypatch):
+    # BATCH_BYTES over the kernel's bytes per trial sets the chunk, and
+    # chunk part of engine.chunk trials runs on the stream [seed, part]
+    (kernel,) = _kernels(make())
+    monkeypatch.setattr(icsim.simulate, "BATCH_BYTES",
+                        300 * _kernel_bytes(*kernel))
     engine = make()
-    engine.chunk = 300
+    assert engine.chunk == 300
     agg = run_trials(engine, 700, 9)
-    views, errors, bits = Counter(), Counter(), []
+    views, errors, bits, mism = Counter(), Counter(), [], 0
     for part, n in enumerate((300, 300, 100)):
-        v, e, b, _ = _walk_chunk(engine, n, [9, part])
+        v, e, b, mm = _walk_chunk(engine, n, [9, part])
         views.update(v)
         errors.update(e)
         bits.append(b)
+        mism += mm
     assert agg.views == views and agg.errors == errors
     assert np.array_equal(agg.bits, np.concatenate(bits))
+    assert agg.mismatches == mism
+
+
+def test_interactive_coder_builds_its_table_once(monkeypatch):
+    coder = interactive_coder(gamma=1.0)
+    assert coder.table is coder.table and coder.tables == [coder.table]
+    built = []
+    column_lists = icsim.simulate._column_lists
+    monkeypatch.setattr(icsim.simulate, "_column_lists",
+                        lambda *a: built.append(a) or column_lists(*a))
+    coder.chunk = 300
+    run_trials(coder, 700, 9)  # three chunks
+    coder.run(np.random.default_rng(0))
+    coder.exact_view_law()
+    # the support and candidate lists, each built once
+    assert len(built) == 2
 
 
 def test_protocol_run_trials_chunks_on_part_streams():
@@ -1625,21 +1660,34 @@ def test_sw_kernel_matches_scalar_seed_for_seed(make, outcomes):
     assert "no_match" not in seen
 
 
-def test_sw_batch_runs_chunks_on_part_streams(monkeypatch):
-    # chunk part of engine.chunk trials runs on the stream [seed, part]
-    monkeypatch.setattr(icsim.simulate, "BATCH_BYTES",
-                        300 * _kernel_bytes(2, 3, 1))
-    coder = sw_coder(l=3, gamma=1.0)
-    assert coder.chunk == 300
-    agg = batch_round_trials(coder, 700, 9)
-    views, errors, bits = Counter(), Counter(), []
-    for part, n in enumerate((300, 300, 100)):
-        v, e, b, _ = _sw_chunk(coder, n, [9, part])
-        views.update(v)
-        errors.update(e)
-        bits.append(b)
-    assert agg.views == views and agg.errors == errors
-    assert np.array_equal(agg.bits, np.concatenate(bits))
+def test_sw_run_is_trial_zero_of_the_batch():
+    # the scalar run is trial 0 of the trial batch on the same stream, on
+    # the given (x, y) or on a sampled pair
+    coder = _p1(product_source(dsbs_source(0.25), 2), 4)
+    xs, ys = coder.source.x_alphabet, coder.source.y_alphabet
+    T = 5
+    for s in range(60):
+        i, j = s % len(xs), (s // 4) % len(ys)
+        pairs = (np.r_[i, np.arange(T - 1) % len(xs)],
+                 np.r_[j, np.arange(T - 1) % len(ys)])
+        for given in (True, False):
+            out = (coder.run(np.random.default_rng(s), xs[i], ys[j])
+                   if given else coder.run(np.random.default_rng(s)))
+            batch = _sw_trials(coder, np.random.default_rng(s),
+                               T if given else 1,
+                               pairs=pairs if given else None)
+            a, d, xi, yj = batch.keys[0].tolist()
+            c = int(batch.cause[0])
+            assert a == xi
+            assert (out.x, out.y, out.tau_x, out.tau_y) == (
+                xs[xi], ys[yj], xs[a], None if d < 0 else xs[d]), s
+            # one round at l bits, ending in slice 1, done unless it failed
+            assert (out.bits, out.error, out.slice_hit) == (
+                coder.l, None if c == 0 else ERROR_CAUSES[c - 1], 1)
+            assert (batch.bits[0], batch.hit[0], batch.rounds[0]) == (
+                coder.l, 1, c == 0)
+            if given:
+                assert (out.x, out.y, out.tau_x) == (xs[i], ys[j], xs[i])
 
 
 def _sw_reference_law(coder):
@@ -1722,7 +1770,7 @@ def _round_full_walk(sim):
     base = sim.source.mass[i, j] * (1.0 / n_fam) * 2.0 ** (-k)
     step = max(1, icsim.simulate.EXACT_BLOCK_BYTES // (
         strings.size * pair.size * _kernel_bytes(M, L, sim.width)))
-    sums: dict = {}
+    keys, terms = [], []
     for start in range(0, n_fam, step):
         hs = pack_hashes(family_blocks(
             sim.width, L, start, min(start + step, n_fam)),
@@ -1743,13 +1791,16 @@ def _round_full_walk(sim):
             sim, mc, h[np.arange(c.size), mc], cand,
             np.take_along_axis(h, cand, axis=1), slc, np.full(c.size, k), u,
             0)[0]
-        icsim.simulate._add_views(
-            sums, np.column_stack([mc, decoded, i[c], j[c]]), p)
+        keys.append(np.column_stack([mc, decoded, i[c], j[c]]))
+        terms.append(p)
+    # each view's terms summed in row order, from 0.0
+    uniq, w = icsim.simulate._merge_rows(np.concatenate(keys),
+                                         np.concatenate(terms))
     msgs = (None,) + sim.messages
     xs, ys = sim.source.x_alphabet, sim.source.y_alphabet
     return FiniteDistribution.from_mapping(
         {(msgs[a + 1], msgs[d + 1], xs[x], ys[y]): p
-         for (a, d, x, y), p in sums.items()})
+         for (a, d, x, y), p in zip(uniq.tolist(), w.tolist())})
 
 
 def _protocol_full_walk(sim):
@@ -1763,7 +1814,7 @@ def _protocol_full_walk(sim):
     term = sim.src.mass[live_i, live_j] * (1.0 / chains)
     total = live_i.size * chains
     rng = np.random.default_rng(0)
-    sums: dict = {}
+    keys, terms = [], []
     for start in range(0, total, sim.chunk):
         pair, code = np.divmod(
             np.arange(start, min(start + sim.chunk, total)), chains)
@@ -1774,9 +1825,13 @@ def _protocol_full_walk(sim):
                 tab.inner.width, tab.inner.total_hash_bits, member))
         batch = _trial_walk(sim, rng, pair.size, blocks=blocks,
                             pairs=(live_i[pair], live_j[pair]))
-        icsim.simulate._add_views(sums, batch.keys, term[pair])
+        keys.append(batch.keys)
+        terms.append(term[pair])
+    # each view's terms summed in row order, from 0.0
+    uniq, w = icsim.simulate._merge_rows(np.concatenate(keys),
+                                         np.concatenate(terms))
     return FiniteDistribution.from_mapping(
-        {sim.view_of(key): p for key, p in sums.items()})
+        {sim.view_of(key): p for key, p in zip(uniq.tolist(), w.tolist())})
 
 
 @pytest.mark.parametrize("q", [0.25, 0.11])
