@@ -92,15 +92,26 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _typed(value, key: str, types, what: str):
+    """``value``, the value of config key ``key``; one that is not of
+    ``types`` is a usage error saying it must be ``what``."""
+    if not isinstance(value, types):
+        _fail(f"config key {key!r} must be {what}, got {value!r}", 2)
+    return value
+
+
 def _number(doc: dict, key: str, default: float | None = None) -> float:
     """``doc[key]`` as a float, ``default`` when the key is absent; a
     missing key without a default, or a value that is not a number, is a
-    usage error."""
+    usage error.  JSON's true and false are not numbers here, although
+    Python's ``float`` takes them."""
     value = _require(doc, key) if default is None else doc.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        _fail(f"config key {key!r} must be a number, got {value!r}", 2)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    _fail(f"config key {key!r} must be a number, got {value!r}", 2)
 
 
 def parse_source(token) -> JointSource:
@@ -145,9 +156,12 @@ def parse_target(token: str, source: JointSource) -> TranscriptLaw:
     _fail(f"unknown target protocol {token!r}", 2)
 
 
-def _slice_from_cfg(doc, spec, gamma_default=3.0) -> SliceConfig:
+def _slice_from_cfg(doc, key: str, spec, gamma_default=3.0) -> SliceConfig:
+    """The slicing that config key ``key`` gives: fitted to ``spec`` when
+    the key is absent or "auto", else read from its object."""
     if doc is None or doc == "auto":
         return auto_slice_config(spec, gamma=gamma_default)
+    _typed(doc, key, dict, 'an object or "auto"')
     return SliceConfig(lambda_min=_number(doc, "lambda_min"),
                        lambda_max=_number(doc, "lambda_max"),
                        delta=_number(doc, "delta"),
@@ -156,39 +170,51 @@ def _slice_from_cfg(doc, spec, gamma_default=3.0) -> SliceConfig:
 
 def build_engine(cfg: dict):
     """Build a simulation engine from a config document."""
-    source = parse_source(_require(cfg, "source"))
+    source = parse_source(_typed(_require(cfg, "source"), "source",
+                                 (str, dict), "a string or an object"))
     proto = _require(cfg, "protocol")
     gamma = _number(cfg, "gamma", 3.0)
     if proto == "p1":
         return SlepianWolfCoder(source, _number(cfg, "l"), gamma)
     if proto == "p2":
         spec = spectrum(source, "cond_x_given_y")
-        s = _slice_from_cfg(cfg.get("slice"), spec, gamma)
+        s = _slice_from_cfg(cfg.get("slice"), "slice", spec, gamma)
         return InteractiveSWCoder(
             source, s, None if cfg.get("l") is None else _number(cfg, "l"))
-    target = parse_target(_require(cfg, "target"), source)
+    target = parse_target(_typed(_require(cfg, "target"), "target", str,
+                                 "a string"), source)
     if proto in ("p3", "p4"):
         view = target.round_view(1, ())
         p_m_x = view.p_m_given_x
         rx_spec = round_density_spectrum(target, 1, "rx")
-        cfg_rx = _slice_from_cfg(cfg.get("slice_rx"), rx_spec, gamma)
+        cfg_rx = _slice_from_cfg(cfg.get("slice_rx"), "slice_rx", rx_spec,
+                                 gamma)
         if proto == "p3":
             return RoundSimulator(source, p_m_x, view.messages, cfg_rx,
                                   cfg.get("k", 0))
         tx_spec = round_density_spectrum(target, 1, "tx")
-        cfg_tx = _slice_from_cfg(cfg.get("slice_tx"), tx_spec, gamma)
+        cfg_tx = _slice_from_cfg(cfg.get("slice_tx"), "slice_tx", tx_spec,
+                                 gamma)
         return ImprovedRoundSimulator(source, p_m_x, view.messages,
                                       cfg_rx, cfg_tx,
                                       k_override=cfg.get("k_override"))
     if proto == "p5":
         if "plans" in cfg:
+            docs = cfg["plans"]
+            if not (isinstance(docs, list) and len(docs) == target.n_rounds
+                    and all(isinstance(doc, dict) for doc in docs)):
+                _fail(f"config key 'plans' must be a list of objects, one "
+                      f"per round of the target ({target.n_rounds}), got "
+                      f"{docs!r}", 2)
             plans = []
-            for t, doc in enumerate(cfg["plans"], start=1):
+            for t, doc in enumerate(docs, start=1):
                 rx_spec = round_density_spectrum(target, t, "rx")
                 tx_spec = round_density_spectrum(target, t, "tx")
                 plans.append(RoundPlan(
-                    _slice_from_cfg(doc.get("rx"), rx_spec, gamma),
-                    _slice_from_cfg(doc.get("tx"), tx_spec, gamma)))
+                    _slice_from_cfg(doc.get("rx"), f"plans[{t - 1}].rx",
+                                    rx_spec, gamma),
+                    _slice_from_cfg(doc.get("tx"), f"plans[{t - 1}].tx",
+                                    tx_spec, gamma)))
         else:
             plans = auto_round_plans(target, gamma=gamma)
         return ProtocolSimulator(target, plans,
@@ -200,9 +226,12 @@ def build_engine(cfg: dict):
 def _load_cfg(path: str) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             _fail(f"config {path} is not JSON: {exc}", 2)
+    if not isinstance(cfg, dict):
+        _fail(f"config {path} must be a JSON object, got {cfg!r}", 2)
+    return cfg
 
 
 def _check_run(args, trials: bool = True):

@@ -35,6 +35,9 @@ MERGE_TOL = 1e-12
 #: ``SpectrumTable.from_atoms`` merges at most this many atoms in a Python
 #: loop, which is faster there than its vectorized pass
 _LOOP_ATOMS = 32
+#: past this many entries ``log2_each`` takes ``math.log2`` of each distinct
+#: value once, which is faster there than one call per entry
+_UNIQUE_LOG_ENTRIES = 384
 #: tolerance used when comparing tail masses against a threshold
 TAIL_TOL = 1e-12
 
@@ -50,10 +53,18 @@ def _log2(p: float) -> float:
 def log2_each(p: np.ndarray) -> np.ndarray:
     """``math.log2`` of every entry of a vector.
 
-    Spectra take their densities with ``math.log2``, entry by entry:
-    ``np.log2`` can differ from it in the last bit.
+    Spectra take their densities with ``math.log2``: ``np.log2`` can differ
+    from it in the last bit.  Past ``_UNIQUE_LOG_ENTRIES`` entries it is
+    taken once per distinct value and indexed back; the same float has the
+    same logarithm, so the bits are those of the per-entry map.  Product
+    sources give spectra of many atoms and few distinct probabilities.
     """
-    return np.fromiter(map(math.log2, p.tolist()), float, p.size)
+    if p.size <= _UNIQUE_LOG_ENTRIES:
+        return np.fromiter(map(math.log2, p.tolist()), float, p.size)
+    vals, inv = np.unique(p, return_inverse=True)
+    # numpy 2.0.x shapes the inverse like the input, other versions flat
+    return np.fromiter(map(math.log2, vals.tolist()), float,
+                       vals.size)[inv.ravel()]
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ class TranscriptLaw:
             return np.where(py[None, :] > 0,
                             self._marginals[1] / py[None, :], 0.0)
 
-    @property
+    @cached_property
     def n_rounds(self) -> int:
         return max(len(t) for t in self.transcripts)
 

@@ -530,7 +530,7 @@ class RoundSimulator(_OneRound):
                           - 1e-9)
         self.l = _int_param(l, "l")
         self.total_hash_bits = self.l + (self.n_slices - 1) * self.delta
-        if not (isinstance(k, (int, np.integer))
+        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                 and 0 <= k <= self.total_hash_bits):
             raise OutOfRange(f"shared prefix k must be an integer in [0, "
                              f"{self.total_hash_bits}], the hash budget; "
@@ -672,9 +672,14 @@ def _tx_tables(p_m: np.ndarray, cfg_tx: SliceConfig, prior: np.ndarray):
     1 / n_tx^2, never the tail index 0) and the bits that send J."""
     n_tx = cfg_tx.n_slices
     slice_tx = _slice_table(p_m, cfg_tx)
-    p_j_given_x = np.zeros(p_m.shape[:-1] + (n_tx + 1,))
-    np.add.at(p_j_given_x,
-              np.indices(slice_tx.shape, sparse=True)[:-1] + (slice_tx,), p_m)
+    # one bincount over the C-order (..., x, J) index: it adds each bin's
+    # terms in message order from 0.0, as np.add.at would
+    rows = math.prod(p_m.shape[:-1])
+    flat = (np.arange(rows).repeat(p_m.shape[-1]) * (n_tx + 1)
+            + slice_tx.ravel())
+    p_j_given_x = np.bincount(
+        flat, weights=p_m.ravel(), minlength=rows * (n_tx + 1)
+    ).reshape(p_m.shape[:-1] + (n_tx + 1,))
     p_j = (np.swapaxes(p_j_given_x, -1, -2) @ prior[..., None])[..., 0]
     good = p_j >= 1.0 / n_tx ** 2 - 1e-12
     good[..., 0] = False
@@ -690,6 +695,7 @@ def _k_table(cfg_tx: SliceConfig, gamma: float, total_hash_bits: int,
     n_j = cfg_tx.n_slices + 1
     if k_override is not None:
         if not (isinstance(k_override, (int, np.integer))
+                and not isinstance(k_override, bool)
                 and 0 <= k_override <= total_hash_bits):
             raise OutOfRange(f"k_override must be an integer in [0, "
                              f"{total_hash_bits}], the round's hash budget; "

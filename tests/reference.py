@@ -160,6 +160,16 @@ def dense_round_inputs(law, t):
     return p_tx, p_rx, prior, nxt
 
 
+def add_at_j_given_x(p_m, slice_tx, n_j):
+    """P(J | x) (..., n_x, n_j) of message laws ``p_m`` (..., n_x, M)
+    whose messages fall in slices ``slice_tx``: ``np.add.at`` over the
+    messages in order, from 0.0."""
+    out = np.zeros(p_m.shape[:-1] + (n_j,))
+    np.add.at(out, np.indices(slice_tx.shape, sparse=True)[:-1]
+              + (slice_tx,), p_m)
+    return out
+
+
 def dense_law_spectrum(law, selector):
     """``TranscriptLaw.spectrum`` from the dense table, one (t, x, y) of
     positive joint mass at a time, merged by :func:`merge_atoms`."""

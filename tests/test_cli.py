@@ -497,3 +497,116 @@ def test_eval_exact_on_newly_exact_configs(tmp_path, cfg):
                               "200000", "--seed", "1").stdout)
     assert exact["mode"] == "exact" and exact["samples"] == 0
     assert abs(exact["tv"] - plug["tv"]) <= plug["ci_halfwidth"]
+
+
+_P5_SEND = {"source": "dsbs:0.25", "protocol": "p5", "target": "send-x"}
+
+
+@pytest.mark.parametrize("cfg, key, what", [
+    ({"source": 5, "protocol": "p1", "l": 4}, "source",
+     "a string or an object"),
+    ({"source": ["dsbs:0.25"], "protocol": "p1", "l": 4}, "source",
+     "a string or an object"),
+    ({"source": "dsbs:0.25", "protocol": "p4", "target": 7}, "target",
+     "a string"),
+    ({"source": "dsbs:0.25", "protocol": "p2", "slice": 5}, "slice",
+     'an object or "auto"'),
+    ({"source": "dsbs:0.25", "protocol": "p4", "target": "send-x",
+      "slice_rx": [0, 2, 1]}, "slice_rx", 'an object or "auto"'),
+    ({"source": "dsbs:0.25", "protocol": "p4", "target": "send-x",
+      "slice_tx": "wide"}, "slice_tx", 'an object or "auto"'),
+    ({**_P5_SEND, "plans": 5}, "plans", "a list of objects"),
+    ({**_P5_SEND, "plans": [5]}, "plans", "a list of objects"),
+    ({**_P5_SEND, "plans": [{"rx": "auto"}, {}]}, "plans",
+     "a list of objects"),
+    ({**_P5_SEND, "plans": []}, "plans", "a list of objects"),
+    ({**_P5_SEND, "plans": [{"rx": 3}]}, "plans[0].rx",
+     'an object or "auto"'),
+    ({**_P5_SEND, "plans": [{"tx": True}]}, "plans[0].tx",
+     'an object or "auto"'),
+], ids=["source-number", "source-list", "target-number", "slice-number",
+        "slice_rx-list", "slice_tx-string", "plans-number",
+        "plans-of-numbers", "plans-too-many", "plans-too-few", "plan-rx",
+        "plan-tx"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, cfg, key, what):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli("simulate", "--config", str(path), "--trials", "10",
+                   "--seed", "1", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: config key {key!r} must be {what}")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_plans_are_checked_before_any_spectrum(monkeypatch):
+    def spectrum(*args):
+        raise AssertionError("a round spectrum was built")
+
+    monkeypatch.setattr(icsim.cli, "round_density_spectrum", spectrum)
+    with pytest.raises(SystemExit) as exc:
+        build_engine({**_P5_SEND, "plans": [{"rx": "auto"}, {}]})
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("config", ["[1]", "5", '"dsbs:0.25"'])
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    proc = run_cli("simulate", "--config", str(path), "--trials", "10",
+                   "--seed", "1", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: config {path} must be a JSON object, " \
+        f"got {json.loads(config)!r}\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"protocol": "p1", "l": True}, "l"),
+    ({"protocol": "p2", "l": True}, "l"),
+    ({"protocol": "p1", "l": 3, "gamma": False}, "gamma"),
+    ({"protocol": "p5", "target": "data-exchange", "l_max": True}, "l_max"),
+    ({"protocol": "p2", "slice": {"lambda_min": True, "lambda_max": 2,
+                                  "delta": 1}}, "lambda_min"),
+    ({"protocol": "p4", "target": "send-x",
+      "slice_tx": {"lambda_min": 0, "lambda_max": 2, "delta": True}},
+     "delta"),
+    ({"protocol": "p4", "target": "send-x",
+      "slice_rx": {"lambda_min": 0, "lambda_max": 2, "delta": 1,
+                   "gamma": True}}, "gamma"),
+], ids=["p1-l", "p2-l", "gamma", "l_max", "slice-lambda_min",
+        "slice_tx-delta", "slice_rx-gamma"])
+def test_config_boolean_is_not_a_number(tmp_path, cfg, key):
+    # float(True) is 1.0, but a JSON boolean is no number
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"source": "dsbs:0.25", **cfg}))
+    proc = run_cli("simulate", "--config", str(path), "--trials", "10",
+                   "--seed", "1", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: config key {key!r} must be a "
+                                  "number, got ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cfg", [
+    {"protocol": "p3", "target": "send-x", "gamma": 1.0, "k": True},
+    {"protocol": "p3", "target": "send-x", "gamma": 1.0, "k": False},
+    {"protocol": "p4", "target": "send-x", "gamma": 3.0,
+     "k_override": True},
+    {"protocol": "p5", "target": "data-exchange", "gamma": 2.0,
+     "k_override": True},
+    {"protocol": "p5", "target": "data-exchange", "gamma": 2.0,
+     "k_override": False},
+], ids=["p3-k-true", "p3-k-false", "p4-k_override", "p5-k_override",
+        "p5-k_override-false"])
+def test_boolean_shared_prefix_is_out_of_range(tmp_path, cfg):
+    # bool is an int subclass; as k or k_override it is no integer
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"source": "dsbs:0.25", **cfg}))
+    proc = run_cli("simulate", "--config", str(path), "--trials", "10",
+                   "--seed", "1", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "integer" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""

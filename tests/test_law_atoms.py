@@ -43,10 +43,12 @@ from icsim.simulate import (
     RoundPlan,
     _RoundTables,
     _slice_table,
+    _tx_tables,
     auto_round_plans,
     round_density_spectrum,
 )
 from reference import (
+    add_at_j_given_x,
     dense_histories,
     dense_law_spectrum,
     dense_marginals,
@@ -198,6 +200,39 @@ def test_atom_law_matches_dense_reference(name):
     got = sim.true_view_law()
     want = FiniteDistribution.from_mapping(dense_true_view_law(law))
     assert got.symbols == want.symbols and _same(got.probs, want.probs)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"source": "dsbs^2:0.25", "protocol": "p5", "target": "exchange-bits"},
+    {"source": "dsbs:0.25", "protocol": "p5", "target": "noisy-send:0.15",
+     "gamma": 2.0},
+    {"source": "dsbs:0.25", "protocol": "p4", "target": "noisy-send:0.15",
+     "gamma": 3.0},
+    {"source": "dsbs^4:0.11", "protocol": "p4", "target": "send-x",
+     "gamma": 3.0},
+], ids=["p5-exchange-bits-dsbs2", "p5-noisy-send", "p4-noisy-send",
+        "p4-send-x-dsbs4"])
+def test_j_law_has_the_add_at_bits(cfg):
+    # P(J | x) of every round table, against np.add.at on its own inputs
+    for tab in icsim.cli.build_engine(cfg).tables:
+        assert _same(tab.p_j_given_x, add_at_j_given_x(
+            tab.p_m, tab.slice_tx, tab.p_j_given_x.shape[-1]))
+
+
+def test_j_law_adds_many_terms_per_bin_in_message_order():
+    # wide slices put up to 40 messages in one bin, where the order of the
+    # additions decides the last bits
+    rng = np.random.default_rng(7)
+    p_m = rng.random((3, 5, 40))
+    p_m /= p_m.sum(axis=-1, keepdims=True)
+    cfg = SliceConfig(lambda_min=0.0, lambda_max=12.0, delta=4.0, gamma=1.0)
+    prior = np.full((3, 5), 0.2)
+    slice_tx, p_j_given_x, *_ = _tx_tables(p_m, cfg, prior)
+    want = add_at_j_given_x(p_m, slice_tx, cfg.n_slices + 1)
+    assert _same(p_j_given_x, want)
+    backwards = add_at_j_given_x(p_m[..., ::-1], slice_tx[..., ::-1],
+                                 cfg.n_slices + 1)
+    assert not _same(backwards, want)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -10,6 +10,7 @@ from icsim.errors import MismatchedSupport, OutOfRange, ZeroMassAtom
 from icsim.probcore import (
     MERGE_TOL,
     _LOOP_ATOMS,
+    _UNIQUE_LOG_ENTRIES,
     FiniteDistribution,
     JointSource,
     SliceConfig,
@@ -18,6 +19,7 @@ from icsim.probcore import (
     auto_slice_config,
     dsbs_source,
     entropy_density,
+    log2_each,
     product_source,
     q_func,
     q_inv,
@@ -361,6 +363,58 @@ class TestFromAtoms:
             SpectrumTable.from_atoms([1.0, 2.0], [1.0])
         with pytest.raises(OutOfRange, match="at least one atom"):
             SpectrumTable.from_atoms([], [])
+
+
+def _log2_map(p):
+    return np.array([math.log2(v) for v in p.tolist()])
+
+
+def _log2_inputs(n):
+    """``n`` entries with few distinct values, the conditionals P(x | y)
+    of a product source, and ``n`` all distinct, in random order.  The
+    conditionals are 6 values in exact arithmetic but 48 floats, which
+    differ in their last bits and each keep their own logarithm."""
+    rng = np.random.default_rng(n)
+    cond = product_source(dsbs_source(0.11), 5).p_x_given_y.ravel()
+    few = rng.permutation(np.tile(cond, n // cond.size + 1)[:n])
+    return {"few": few, "distinct": rng.random(n) + 1e-3}
+
+
+_LOG2_SIZES = [1, _UNIQUE_LOG_ENTRIES - 1, _UNIQUE_LOG_ENTRIES,
+               _UNIQUE_LOG_ENTRIES + 1, 5 * _UNIQUE_LOG_ENTRIES + 3]
+
+
+class TestLog2Each:
+    """``log2_each`` has the bits of ``math.log2`` entry by entry, on both
+    sides of the size past which it takes each distinct value once."""
+
+    @pytest.mark.parametrize("kind", ["few", "distinct"])
+    @pytest.mark.parametrize("n", _LOG2_SIZES)
+    def test_bits_of_the_per_entry_map(self, n, kind):
+        p = _log2_inputs(n)[kind]
+        got = log2_each(p)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == _log2_map(p).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -0.25])
+    @pytest.mark.parametrize("n", _LOG2_SIZES)
+    def test_raises_as_the_map_does(self, n, bad):
+        p = _log2_inputs(n)["few"].copy()
+        p[n // 2] = bad
+        with pytest.raises(Exception) as want:
+            _log2_map(p)
+        with pytest.raises(want.type):
+            log2_each(p)
+
+    def test_spectrum_of_a_product_source_takes_the_deduplicated_path(self):
+        source = product_source(dsbs_source(0.11), 5)
+        assert source.mass.size > _UNIQUE_LOG_ENTRIES
+        spec = spectrum(source, "cond_x_given_y")
+        i, j = np.nonzero(source.mass > 0)
+        want = SpectrumTable.from_atoms(-_log2_map(source.p_x_given_y[i, j]),
+                                        source.mass[i, j])
+        assert spec.values.tobytes() == want.values.tobytes()
+        assert spec.probs.tobytes() == want.probs.tobytes()
 
 
 class TestSliceConfig:
