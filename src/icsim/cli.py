@@ -157,10 +157,11 @@ def parse_target(token: str, source: JointSource) -> TranscriptLaw:
 
 
 def _slice_from_cfg(doc, key: str, spec, gamma_default=3.0) -> SliceConfig:
-    """The slicing that config key ``key`` gives: fitted to ``spec`` when
-    the key is absent or "auto", else read from its object."""
+    """The slicing that config key ``key`` gives: fitted to the spectrum
+    ``spec()`` when the key is absent or "auto", else read from its object,
+    and then no spectrum is built."""
     if doc is None or doc == "auto":
-        return auto_slice_config(spec, gamma=gamma_default)
+        return auto_slice_config(spec(), gamma=gamma_default)
     _typed(doc, key, dict, 'an object or "auto"')
     return SliceConfig(lambda_min=_number(doc, "lambda_min"),
                        lambda_max=_number(doc, "lambda_max"),
@@ -177,24 +178,25 @@ def build_engine(cfg: dict):
     if proto == "p1":
         return SlepianWolfCoder(source, _number(cfg, "l"), gamma)
     if proto == "p2":
-        spec = spectrum(source, "cond_x_given_y")
-        s = _slice_from_cfg(cfg.get("slice"), "slice", spec, gamma)
+        s = _slice_from_cfg(cfg.get("slice"), "slice",
+                            lambda: spectrum(source, "cond_x_given_y"), gamma)
         return InteractiveSWCoder(
             source, s, None if cfg.get("l") is None else _number(cfg, "l"))
     target = parse_target(_typed(_require(cfg, "target"), "target", str,
                                  "a string"), source)
+    def spec(t, side):
+        return lambda: round_density_spectrum(target, t, side)
+
     if proto in ("p3", "p4"):
         view = target.round_view(1, ())
         p_m_x = view.p_m_given_x
-        rx_spec = round_density_spectrum(target, 1, "rx")
-        cfg_rx = _slice_from_cfg(cfg.get("slice_rx"), "slice_rx", rx_spec,
-                                 gamma)
+        cfg_rx = _slice_from_cfg(cfg.get("slice_rx"), "slice_rx",
+                                 spec(1, "rx"), gamma)
         if proto == "p3":
             return RoundSimulator(source, p_m_x, view.messages, cfg_rx,
                                   cfg.get("k", 0))
-        tx_spec = round_density_spectrum(target, 1, "tx")
-        cfg_tx = _slice_from_cfg(cfg.get("slice_tx"), "slice_tx", tx_spec,
-                                 gamma)
+        cfg_tx = _slice_from_cfg(cfg.get("slice_tx"), "slice_tx",
+                                 spec(1, "tx"), gamma)
         return ImprovedRoundSimulator(source, p_m_x, view.messages,
                                       cfg_rx, cfg_tx,
                                       k_override=cfg.get("k_override"))
@@ -208,13 +210,11 @@ def build_engine(cfg: dict):
                       f"{docs!r}", 2)
             plans = []
             for t, doc in enumerate(docs, start=1):
-                rx_spec = round_density_spectrum(target, t, "rx")
-                tx_spec = round_density_spectrum(target, t, "tx")
                 plans.append(RoundPlan(
                     _slice_from_cfg(doc.get("rx"), f"plans[{t - 1}].rx",
-                                    rx_spec, gamma),
+                                    spec(t, "rx"), gamma),
                     _slice_from_cfg(doc.get("tx"), f"plans[{t - 1}].tx",
-                                    tx_spec, gamma)))
+                                    spec(t, "tx"), gamma)))
         else:
             plans = auto_round_plans(target, gamma=gamma)
         return ProtocolSimulator(target, plans,

@@ -83,19 +83,6 @@ class HashFamily:
         return pack_hashes(block, bits.reshape(-1, self.width)).reshape(
             bits.shape[:-1])
 
-    def prefix(self, k: int) -> "HashFamily":
-        """First k output bits, itself a uniform draw of size k."""
-        if not 0 <= k <= self.out_bits:
-            raise OutOfRange("prefix length out of range")
-        return HashFamily(self.width, k, self.matrix[:k], self.offset[:k])
-
-    def suffix(self, k: int) -> "HashFamily":
-        """Output bits from position k onward."""
-        if not 0 <= k <= self.out_bits:
-            raise OutOfRange("suffix start out of range")
-        return HashFamily(self.width, self.out_bits - k,
-                          self.matrix[k:], self.offset[k:])
-
 
 def draw_hash(width: int, out_bits: int, seed) -> HashFamily:
     """Draw a uniform member of the affine family.

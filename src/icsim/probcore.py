@@ -292,19 +292,9 @@ def entropy_density(source: JointSource, kind: str, x, y) -> float:
 
 
 def ic_density(law, tau, x, y) -> float:
-    """Information complexity density of a transcript at an input pair.
-
-    ``law`` is any object exposing ``transcript_index``, ``p_tau_given_xy``,
-    ``p_tau_given_x``, ``p_tau_given_y`` and a ``source``.
-    """
-    t = law.transcript_index[tau]
-    i, j = law.source.x_index[x], law.source.y_index[y]
-    pxy = float(law.p_tau_given_xy[t, i, j])
-    if pxy <= 0.0 or float(law.source.mass[i, j]) <= 0.0:
-        raise ZeroMassAtom("transcript has zero probability at this input pair")
-    px = float(law.p_tau_given_x[t, i])
-    py = float(law.p_tau_given_y[t, j])
-    return math.log2(pxy / px) + math.log2(pxy / py)
+    """Information complexity density of a transcript at an input pair:
+    :meth:`TranscriptLaw.ic` of ``law``, read from its atoms."""
+    return law.ic(tau, x, y)
 
 
 # ---------------------------------------------------------------------------

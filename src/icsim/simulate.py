@@ -13,7 +13,8 @@ round of engine 5, and each trial rule is one kernel vectorized over
 trials: ``_sw_kernel`` for engine 1, ``_round_kernel`` (pick M*, then
 ``_slice_search``) for a round of engines 2 to 5, over the candidate lists
 of its ``_RoundTables``: the sender's supported messages and the
-receiver's messages in slice 1 or more.  Engines 2 to 5 walk their rounds
+receiver's messages in slice 1 or more, and of its hash schedule
+(``_HashSchedule``), never an engine.  Engines 2 to 5 walk their rounds
 in one loop per mode, ``_trial_walk`` for trials and ``_exact_walk`` for
 exact mode, and both write a round into their trial states with
 ``_write_back``.  Engine 1's trials (``_sw_trials``) give the same key
@@ -277,6 +278,39 @@ def _int_param(value: float, name: str) -> int:
     return iv
 
 
+@dataclass(frozen=True)
+class _HashSchedule:
+    """A round's messages, receiver slicing and hash lengths: ``l`` bits
+    for slice 1, ``delta`` per further slice, over ``width``-bit codes."""
+    messages: tuple
+    cfg_rx: SliceConfig
+    l: int
+    delta: int
+    n_slices: int
+    total_hash_bits: int
+    width: int
+    chunk: int
+
+    @classmethod
+    def of(cls, messages: Sequence, cfg_rx: SliceConfig,
+           l: int | None = None) -> _HashSchedule:
+        """``l`` defaults to ``ceil(lambda_min + delta + gamma)``."""
+        delta = _int_param(cfg_rx.delta, "delta")
+        if l is None:
+            l = math.ceil(cfg_rx.lambda_min + cfg_rx.delta + cfg_rx.gamma
+                          - 1e-9)
+        l = _int_param(l, "l")
+        total = l + (cfg_rx.n_slices - 1) * delta
+        if total > 62:
+            raise OutOfRange("hash budget exceeds 62 bits")
+        width = encoding_width(len(messages))
+        return cls(tuple(messages), cfg_rx, l, delta, cfg_rx.n_slices, total,
+                   width, _trial_chunk(len(messages), total, width))
+
+    def pos_at(self, i: int) -> int:
+        return self.l + (i - 1) * self.delta
+
+
 class _OneRound:
     """Engines 1 to 4 as the trial layer reads them: one round, whose key
     rows ``(M*, decoded, x, y)`` :meth:`view_of` reads over ``messages``.
@@ -455,9 +489,9 @@ class InteractiveSWCoder(_OneRound):
     trial terminating in slice i costs exactly l + (i - 1) delta + i bits.
 
     This is engine 3 on the identity channel (M = X) with no shared prefix:
-    ``inner`` is that :class:`RoundSimulator`, and ``table``, its round
-    table built once, runs every trial.  ``aux`` is the receiver's
-    conditional Q(x|y), on the source's (x, y) axes.
+    ``inner`` is that :class:`RoundSimulator`, and its ``table`` runs every
+    trial.  ``aux`` is the receiver's conditional Q(x|y), on the source's
+    (x, y) axes.
     """
 
     def __init__(self, source: JointSource, cfg: SliceConfig,
@@ -465,17 +499,13 @@ class InteractiveSWCoder(_OneRound):
         self.source = source
         self.cfg = cfg
         nx = len(source.x_alphabet)
-        self.inner = RoundSimulator(
+        self.inner = inner = RoundSimulator(
             source, np.eye(nx), source.x_alphabet, cfg, 0,
             None if aux is None else np.asarray(aux, float).T, l=l)
-        self.messages = self.inner.messages
-        self.l = self.inner.l
-        self.delta = self.inner.delta
-        self.n_slices = self.inner.n_slices
-        self.total_hash_bits = self.inner.total_hash_bits
-        self.chunk = self.inner.chunk
-        # built once; its inner is the round simulator, so no cycle
-        self.table = self.inner.table
+        self.messages, self.chunk, self.table = (inner.messages, inner.chunk,
+                                                 inner.table)
+        self.l, self.delta, self.n_slices, self.total_hash_bits = (
+            inner.l, inner.delta, inner.n_slices, inner.total_hash_bits)
 
     def tail_mass(self) -> float:
         return self.inner.tail_mass()
@@ -523,13 +553,10 @@ class RoundSimulator(_OneRound):
         if self.p_m_given_x.shape != (nx, M):
             raise OutOfRange("message channel has the wrong shape")
         self.cfg_rx = cfg_rx
-        self.delta = _int_param(cfg_rx.delta, "delta")
-        self.n_slices = cfg_rx.n_slices
-        if l is None:
-            l = math.ceil(cfg_rx.lambda_min + cfg_rx.delta + cfg_rx.gamma
-                          - 1e-9)
-        self.l = _int_param(l, "l")
-        self.total_hash_bits = self.l + (self.n_slices - 1) * self.delta
+        self.schedule = s = _HashSchedule.of(self.messages, cfg_rx, l)
+        self.l, self.delta, self.n_slices = s.l, s.delta, s.n_slices
+        self.total_hash_bits, self.width, self.chunk = (
+            s.total_hash_bits, s.width, s.chunk)
         if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                 and 0 <= k <= self.total_hash_bits):
             raise OutOfRange(f"shared prefix k must be an integer in [0, "
@@ -543,10 +570,6 @@ class RoundSimulator(_OneRound):
             raise OutOfRange("aux conditional has the wrong shape")
         # (M, ny), a view of the (ny, M) table that the round tables read
         self.slice_rx = _slice_table(self.p_m_given_y, cfg_rx).T
-        self.width = encoding_width(M)
-        if self.total_hash_bits > 62:
-            raise OutOfRange("hash budget exceeds 62 bits")
-        self.chunk = _trial_chunk(M, self.total_hash_bits, self.width)
 
     def _true_m_given_y(self) -> np.ndarray:
         py = self.source.p_y
@@ -570,8 +593,7 @@ class RoundSimulator(_OneRound):
                       self.p_m_given_x[xb, mb][:, None] * self.source.mass[xb])
         return out.reshape(M, ny)
 
-    def pos_at(self, i: int) -> int:
-        return self.l + (i - 1) * self.delta
+    pos_at = _HashSchedule.pos_at
 
     def tail_mass(self) -> float:
         """Probability that (M, Y) falls in the receiver tail slice."""
@@ -581,12 +603,11 @@ class RoundSimulator(_OneRound):
         """Joint table P(M, X) with messages on rows."""
         return (self.p_m_given_x * self.source.p_x[:, None]).T
 
-    @property
+    @cached_property
     def table(self) -> _RoundTables:
-        """This round as a one-history table with no slice-index law.  Built
-        per call: a stored table would hold the simulator itself, a cycle
-        only the cyclic garbage collector frees."""
-        return _RoundTables(inner=self, j_cost=0, p_m=self.p_m_given_x[None],
+        """This round as a one-history table with no slice-index law."""
+        return _RoundTables(inner=self.schedule, j_cost=0,
+                            p_m=self.p_m_given_x[None],
                             slice_rx=self.slice_rx.T[None],
                             k_of=np.array([self.k], dtype=np.int64))
 
@@ -640,7 +661,7 @@ class ImprovedRoundSimulator(_OneRound):
         self.inner = inner = RoundSimulator(
             source, p_m_given_x, messages, cfg_rx, 0, aux_m_given_y)
         self.table = tab = _RoundTables.build(
-            inner, inner.p_m_given_x[None], inner.slice_rx.T[None],
+            inner.schedule, inner.p_m_given_x[None], inner.slice_rx.T[None],
             prior[None], cfg_tx, k_override)
         self.slice_tx, self.p_j_given_x, self.p_j, self.good = (
             tab.slice_tx[0].T, tab.p_j_given_x[0], tab.p_j[0], tab.good[0])
@@ -716,7 +737,7 @@ def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum_rows <= u[:, None] * cum_rows[:, -1:]).sum(axis=1)
 
 
-def _round_kernel(inner: RoundSimulator, sup: np.ndarray, p_sup: np.ndarray,
+def _round_kernel(inner: _HashSchedule, sup: np.ndarray, p_sup: np.ndarray,
                   restrict: np.ndarray, cand: np.ndarray, slc: np.ndarray,
                   k_t: np.ndarray, blocks: np.ndarray, u: np.ndarray,
                   u_m: np.ndarray, extra_bits: int):
@@ -772,7 +793,7 @@ def _mstar_cum(p_sup: np.ndarray, restrict: np.ndarray, h: np.ndarray,
     return cum
 
 
-def _slice_search(inner: RoundSimulator, m_star: np.ndarray,
+def _slice_search(inner: _HashSchedule, m_star: np.ndarray,
                   h_star: np.ndarray, cand: np.ndarray, h: np.ndarray,
                   slc: np.ndarray, k_t: np.ndarray, u: np.ndarray,
                   extra_bits: int):
@@ -1235,7 +1256,8 @@ class _RoundTables:
     to 4 have one history.  ``n_tx`` and ``n_rx`` are the speaker's and the
     listener's alphabet sizes.  Engines 2 and 3 have no slice-index law
     (its fields from ``slice_tx`` to ``good`` are None; ``k_of`` holds
-    their k).  ``inner`` holds the hash schedule all histories share.
+    their k).  ``inner`` is the :class:`_HashSchedule` all histories
+    share.
 
     The trials and the exact walk decode over candidate lists, built once
     per table on first use: ``support``, each speaker row's S supported
@@ -1243,7 +1265,7 @@ class _RoundTables:
     1 or more.  A round hashes, weighs and searches those S + C columns
     per trial, not all M messages.
     """
-    inner: RoundSimulator
+    inner: _HashSchedule
     j_cost: int
     p_m: np.ndarray         # (H, n_tx, M) transmitter message law
     slice_rx: np.ndarray    # (H, n_rx, M) receiver slice of each message
@@ -1256,7 +1278,7 @@ class _RoundTables:
     next: np.ndarray | None = None   # (H, M) next history or -1; None last
 
     @classmethod
-    def build(cls, inner: RoundSimulator, p_m: np.ndarray,
+    def build(cls, inner: _HashSchedule, p_m: np.ndarray,
               slice_rx: np.ndarray, prior: np.ndarray, cfg_tx: SliceConfig,
               k_override: int | None,
               next: np.ndarray | None = None) -> _RoundTables:
@@ -1341,24 +1363,14 @@ class ProtocolSimulator:
         self.src = self.source = law.source
         self.tables = []
         for t, plan in enumerate(self.plans, start=1):
-            # swap the source orientation so the transmitter is always "x"
-            x_tx = t % 2 == 1
-            src = law.source if x_tx else JointSource(
-                law.source.y_alphabet, law.source.x_alphabet,
-                law.source.mass.T)
             views = law.round_views(t)
             own = (views.p_m_given_x, views.p_m_given_y)
-            p_m, p_rx = own if x_tx else own[::-1]
-            inner = RoundSimulator(src, p_m[0], views.messages, plan.rx, 0,
-                                   p_rx[0])
-            # the round's simulator has sliced history 0
-            slice_rx = inner.slice_rx.T[None]
-            if len(p_rx) > 1:
-                slice_rx = np.concatenate(
-                    [slice_rx, _slice_table(p_rx[1:], plan.rx)])
+            # party x speaks in odd rounds
+            p_m, p_rx = own if t % 2 else own[::-1]
             self.tables.append(_RoundTables.build(
-                inner, p_m, slice_rx, views.prior, plan.tx, k_override,
-                views.next))
+                _HashSchedule.of(views.messages, plan.rx), p_m,
+                _slice_table(p_rx, plan.rx), views.prior, plan.tx,
+                k_override, views.next))
         # the largest round sets the chunk
         self.chunk = min(tab.inner.chunk for tab in self.tables)
 

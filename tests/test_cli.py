@@ -549,6 +549,33 @@ def test_plans_are_checked_before_any_spectrum(monkeypatch):
     assert exc.value.code == 2
 
 
+_RX = {"lambda_min": 0.0, "lambda_max": 2.0, "delta": 1.0, "gamma": 0.5}
+_TX = {"lambda_min": 0.0, "lambda_max": 1e-9, "delta": 1e-9, "gamma": 0.5}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"protocol": "p2", "slice": _RX},
+    {"protocol": "p3", "target": "send-x", "k": 1, "slice_rx": _RX},
+    {"protocol": "p4", "target": "send-x", "slice_rx": _RX, "slice_tx": _TX},
+    {"protocol": "p5", "target": "data-exchange", "k_override": 0,
+     "plans": [{"rx": _RX, "tx": _TX}] * 2},
+], ids=lambda cfg: cfg["protocol"])
+def test_explicit_slicings_build_no_spectrum(monkeypatch, cfg):
+    # a slicing read from the config needs no spectrum; the engine is the
+    # one built where spectra may be read
+    cfg = {"source": "dsbs:0.11", **cfg}
+    want = build_engine(cfg).exact_view_law()
+
+    def spectrum(*args):
+        raise AssertionError("a spectrum was built")
+
+    monkeypatch.setattr(icsim.cli, "round_density_spectrum", spectrum)
+    monkeypatch.setattr(icsim.cli, "spectrum", spectrum)
+    got = build_engine(cfg).exact_view_law()
+    assert (got.symbols, got.probs.tobytes()) == (
+        want.symbols, want.probs.tobytes())
+
+
 @pytest.mark.parametrize("config", ["[1]", "5", '"dsbs:0.25"'])
 def test_config_that_is_not_an_object_is_usage_error(tmp_path, config):
     path = tmp_path / "cfg.json"

@@ -108,13 +108,16 @@ def test_linear_blocks_are_the_offset_zero_members(width, out_bits):
 
 
 def test_prefix_suffix_split():
-    fam = draw_hash(4, 6, 11)
+    # the first k rows of a hash block hash to the low k bits of the packed
+    # hash, the other rows to the bits above them
+    block = np.random.default_rng(11).integers(0, 2, size=(6, 5),
+                                               dtype=np.uint8)
     enc = encode_universe(16, 4)
-    full = fam.apply_bits(enc)
-    assert np.array_equal(fam.prefix(2).apply_bits(enc), full[:, :2])
-    assert np.array_equal(fam.suffix(2).apply_bits(enc), full[:, 2:])
-    with pytest.raises(OutOfRange):
-        fam.prefix(7)
+    full = pack_hashes(block[None], enc)
+    for k in range(7):
+        assert np.array_equal(full & ((1 << k) - 1),
+                              pack_hashes(block[None, :k], enc))
+        assert np.array_equal(full >> k, pack_hashes(block[None, k:], enc))
 
 
 def test_packed_matches_bits():

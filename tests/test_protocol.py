@@ -10,11 +10,13 @@ from icsim.errors import (
     OutOfRange,
     SupportViolation,
     TooLarge,
+    ZeroMassAtom,
 )
 from icsim.probcore import (
     JointSource,
     dsbs_source,
     entropy_density,
+    ic_density,
     product_source,
     spectrum,
 )
@@ -73,6 +75,31 @@ class TestSendValue:
             for y in (0, 1):
                 expect = entropy_density(src, "cond_x_given_y", x, y)
                 assert law.ic((x,), x, y) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: data_exchange_protocol(product_source(dsbs_source(0.25), 2)),
+    # (x, y) = (1, 0) has no mass
+    lambda: noisy_send_protocol(JointSource(
+        (0, 1), (0, 1), np.array([[0.5, 0.2], [0.0, 0.3]])), 0.15),
+], ids=["data-exchange", "noisy-send"])
+def test_ic_density_reads_the_atoms(make):
+    # ic_density is law.ic on every atom and builds no dense table
+    law = make()
+    xs, ys, taus = law.source.x_alphabet, law.source.y_alphabet, \
+        law.transcripts
+    live = set()
+    for k, i, j in zip(*(a.tolist() for a in law.atoms[:3])):
+        live.add((k, i, j))
+        args = (taus[k], xs[i], ys[j])
+        assert ic_density(law, *args) == law.ic(*args)
+    dead = [(k, i, j) for k in range(len(taus)) for i in range(len(xs))
+            for j in range(len(ys)) if (k, i, j) not in live]
+    assert dead
+    for k, i, j in dead:
+        with pytest.raises(ZeroMassAtom):
+            ic_density(law, taus[k], xs[i], ys[j])
+    assert "p_tau_given_xy" not in law.__dict__
 
 
 def test_constant_protocol_zero_ic():

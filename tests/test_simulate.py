@@ -1198,19 +1198,21 @@ def test_engine4_is_round_one_of_engine5(name, k_override):
 
 
 def test_protocol_builds_one_round_simulator_per_round(monkeypatch):
-    """Engine 5 builds no engine 4 and one engine 3 (the hash schedule)
-    per round, however many histories a round has."""
+    """Engine 5 builds no engine 3 or 4 and no source: each round's table
+    holds a hash schedule, however many histories the round has."""
+    law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
+    plans = auto_round_plans(law, gamma=1.0)
+    assert len(law.histories(2)) == 4
     calls = Counter()
-    for cls in (RoundSimulator, ImprovedRoundSimulator):
+    for cls in (RoundSimulator, ImprovedRoundSimulator, JointSource):
         def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
             calls[_name] += 1
             _init(self, *args, **kw)
         monkeypatch.setattr(cls, "__init__", spy)
-    law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
-    plans = auto_round_plans(law, gamma=1.0)
-    assert len(law.histories(2)) == 4
-    ProtocolSimulator(law, plans)
-    assert calls == {"RoundSimulator": law.n_rounds}
+    sim = ProtocolSimulator(law, plans)
+    assert not calls
+    assert all(type(tab.inner).__name__ == "_HashSchedule"
+               for tab in sim.tables)
 
 
 def _slice_index_reference(p_m, prior, tx, gamma, total_hash_bits):
@@ -1479,6 +1481,29 @@ def test_interactive_coder_builds_its_table_once(monkeypatch):
     coder.exact_view_law()
     # the support and candidate lists, each built once
     assert len(built) == 2
+
+
+def test_round_simulator_builds_its_table_once(monkeypatch):
+    # send-x over dsbs^6 at k = 1: the table holds the hash schedule, not
+    # the engine, so the engine stores it; two chunks and three scalar runs
+    # read one pair of candidate lists
+    engine = build_engine({"source": "dsbs^6:0.11", "protocol": "p3",
+                           "target": "send-x", "k": 1, "gamma": 3.0})
+    assert engine.table is engine.table
+    assert engine.table.inner is engine.schedule
+    assert engine.chunk < 20_000 <= 2 * engine.chunk
+    built = []
+    column_lists = icsim.simulate._column_lists
+    monkeypatch.setattr(icsim.simulate, "_column_lists",
+                        lambda *a: built.append(a) or column_lists(*a))
+    assert run_trials(engine, 20_000, 1).trials == 20_000
+    for seed in range(3):
+        engine.run(np.random.default_rng(seed))
+    assert len(built) == 2
+    # engine 4 builds its table on the schedule; its engine 3 builds none
+    improved = _big("p4")
+    assert improved.table.inner is improved.inner.schedule
+    assert "table" not in improved.inner.__dict__
 
 
 def test_protocol_run_trials_chunks_on_part_streams():
@@ -2279,8 +2304,8 @@ def test_decode_blocks_sized_by_candidate_width(monkeypatch):
 
 
 def test_protocol_slices_each_history_once(monkeypatch):
-    # the round's simulator slices the listener's history 0, the round
-    # table every other history, and the speaker's tables are sliced once
+    # each round slices the listener's tables and the speaker's once, all
+    # histories in one call
     law = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
     plans = auto_round_plans(law, gamma=2.0)
     shapes = []
@@ -2290,9 +2315,7 @@ def test_protocol_slices_each_history_once(monkeypatch):
     sim = ProtocolSimulator(law, plans, k_override=0)
     want = []
     for tab in sim.tables:
-        H, n_rx, M = tab.slice_rx.shape
-        want += ([(n_rx, M)] + [(H - 1, n_rx, M)] * (H > 1)
-                 + [tab.p_m.shape])
+        want += [tab.slice_rx.shape, tab.p_m.shape]
     assert shapes == want
     assert [tab.slice_rx.shape[0] for tab in sim.tables] == [1, 4]
 
