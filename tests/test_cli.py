@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -71,6 +72,22 @@ def test_bound_lower():
     proc = run_cli("bound", "lower", "--n", "16")
     doc = json.loads(proc.stdout)
     assert doc["lambda_eps"] == 32.0
+
+
+def test_bound_upper_report(monkeypatch, capsys):
+    # every built-in target's budget is vacuous, so bound upper exits 1 on
+    # them and the golden corpus has no report of it; the report's fields
+    # are pinned on a stand-in budget
+    budget = types.SimpleNamespace(l_max=12.5, lambda_prime=3.0,
+                                   eps_prime=0.01)
+    monkeypatch.setattr(icsim.cli, "upper_bound_budget",
+                        lambda *args: budget)
+    assert icsim.cli.main(["bound", "upper", "--eps", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": 1,
+        "config": {"kind": "upper", "source": "dsbs:0.25",
+                   "target": "send-x", "eps": 0.1, "gamma": 4.0},
+        "l_max": 12.5, "lambda_prime": 3.0, "eps_prime": 0.01}
 
 
 @pytest.mark.parametrize("kind, extra", [
