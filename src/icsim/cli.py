@@ -76,13 +76,21 @@ def _fail(msg: str, code: int = 1):
     raise SystemExit(code)
 
 
-def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, out: str | None):
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+
+
+def _atoms(spec) -> list:
+    """A spectrum's atoms as [value, probability] pairs."""
+    return [[float(v), float(p)] for v, p in zip(spec.values, spec.probs)]
 
 
 def _require(doc: dict, key: str):
@@ -135,18 +143,16 @@ def parse_source(token) -> JointSource:
     _fail(f"unknown source spec {token!r}", 2)
 
 
+_TARGETS = {"send-x": send_value_protocol, "constant": constant_protocol,
+            "data-exchange": data_exchange_protocol,
+            "xor-reply": xor_reply_protocol,
+            "exchange-bits": exchange_bits_protocol}
+
+
 def parse_target(token: str, source: JointSource) -> TranscriptLaw:
     """Named target protocols for simulation."""
-    if token == "send-x":
-        return send_value_protocol(source)
-    if token == "constant":
-        return constant_protocol(source)
-    if token == "data-exchange":
-        return data_exchange_protocol(source)
-    if token == "xor-reply":
-        return xor_reply_protocol(source)
-    if token == "exchange-bits":
-        return exchange_bits_protocol(source)
+    if token in _TARGETS:
+        return _TARGETS[token](source)
     if token.startswith("noisy-send:"):
         try:
             crossover = float(token.removeprefix("noisy-send:"))
@@ -188,6 +194,9 @@ def build_engine(cfg: dict):
         return lambda: round_density_spectrum(target, t, side)
 
     if proto in ("p3", "p4"):
+        if target.n_rounds > 1:
+            _fail(f"{proto} simulates one round; target {cfg['target']!r} has "
+                  f"{target.n_rounds} rounds: use p5", 2)
         view = target.round_view(1, ())
         p_m_x = view.p_m_given_x
         cfg_rx = _slice_from_cfg(cfg.get("slice_rx"), "slice_rx",
@@ -257,20 +266,16 @@ def cmd_analyze(args):
         _fail(f"unknown spectrum {kind!r}: expected one of "
               f"{', '.join(kinds)}", 2)
     source = parse_source(args.source)
-    doc = {"schema": SCHEMA, "config": {"source": args.source}}
+    config = {"source": args.source}
     if args.protocol:
-        law = parse_target(args.protocol, source)
-        spec = law.spectrum(kind)
-        doc["config"]["protocol"] = args.protocol
+        spec = parse_target(args.protocol, source).spectrum(kind)
+        config["protocol"] = args.protocol
     else:
         spec = spectrum(source, kind)
     ms = spec.moments()
-    doc.update({
-        "spectrum": kind,
-        "atoms": [[float(v), float(p)] for v, p in zip(spec.values, spec.probs)],
-        "mean": ms.mean, "variance": ms.variance,
-        "third_central": ms.third_central,
-    })
+    doc = {"schema": SCHEMA, "config": config, "spectrum": kind,
+           "atoms": _atoms(spec), "mean": ms.mean, "variance": ms.variance,
+           "third_central": ms.third_central}
     if args.csv:
         spec.to_csv(args.csv)
         doc["csv"] = args.csv
@@ -283,28 +288,18 @@ def cmd_simulate(args):
     engine = build_engine(cfg)
     agg = run_trials(engine, args.trials, args.seed)
     stats = comm_stats(agg)
-    doc = {
-        "schema": SCHEMA,
-        "config": cfg,
-        "seed": args.seed,
-        "trials": args.trials,
-        "mismatch_rate": agg.mismatch_rate,
+    if args.format == "csv":
+        _write("bits,count\n" + "".join(
+            f"{k},{v}\n" for k, v in stats.histogram.items()), args.out)
+        return
+    _emit({
+        "schema": SCHEMA, "config": cfg, "seed": args.seed,
+        "trials": args.trials, "mismatch_rate": agg.mismatch_rate,
         "error_rate": agg.error_rate,
         "errors": dict(sorted(agg.errors.items())),
         "bits": {"mean": stats.mean, "max": stats.max,
                  "histogram": {str(k): v for k, v in stats.histogram.items()}},
-    }
-    if args.format == "csv":
-        rows = ["bits,count"]
-        rows += [f"{k},{v}" for k, v in stats.histogram.items()]
-        text = "\n".join(rows) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    _emit(doc, args.out)
+    }, args.out)
 
 
 def cmd_eval(args):
@@ -335,10 +330,9 @@ def cmd_eval(args):
 
 
 def _numeric_eps(args) -> float:
-    """``--eps`` as a number; a usage error when it is ``auto`` or not a
-    number.  Commands that resolve ``auto`` themselves (``bound lower``,
-    ``example appendix-a``) do so before calling this, so only the bound
-    kinds, which carry ``args.kind``, reach the ``auto`` message."""
+    """``--eps`` as a number; ``auto`` or a non-number is a usage error.
+    ``bound lower`` and ``example appendix-a`` resolve ``auto`` first, so
+    only the bound kinds, which carry ``args.kind``, reach its message."""
     if args.eps == "auto":
         _fail(f"--eps auto applies only to bound lower; bound {args.kind} "
               "needs a number", 2)
@@ -348,168 +342,139 @@ def _numeric_eps(args) -> float:
         _fail(f"--eps must be a number, got {args.eps!r}", 2)
 
 
-def cmd_bound(args):
-    if args.kind == "lower" and (args.source or args.target):
+def _named_law(args) -> tuple[dict, TranscriptLaw]:
+    """``--source`` and ``--target`` (defaults dsbs:0.25 and send-x) as
+    config fields, and the target's law on that source."""
+    source = args.source or "dsbs:0.25"
+    target = args.target or "send-x"
+    return ({"source": source, "target": target},
+            parse_target(target, parse_source(source)))
+
+
+def _lower(args, law, eps: float):
+    """``--eta`` (default ``eps``) and the converse on ``law``'s spectra."""
+    eta = args.eta if args.eta is not None else eps
+    return eta, lower_bound(SpectraBundle.from_protocol(law), eps, eta)
+
+
+def _appendix_a(args):
+    """The appendix-a example at ``--n``, its ``--eps`` (``auto``: the
+    example's own), ``--eta`` and its converse."""
+    ex = appendix_threshold_example(args.n)
+    eps = ex.eps_auto if args.eps == "auto" else _numeric_eps(args)
+    return (ex, eps, *_lower(args, ex, eps))
+
+
+def _bound_lower(args):
+    if args.source or args.target:
         # the converse on a named target's spectra
         if args.eps == "auto":
             _fail("--eps auto applies only to bound lower's appendix-a "
                   "example; with --source or --target it needs a number", 2)
         eps = _numeric_eps(args)
-        eta = args.eta if args.eta is not None else eps
-        source = args.source or "dsbs:0.25"
-        target = args.target or "send-x"
-        law = parse_target(target, parse_source(source))
-        rep = lower_bound(SpectraBundle.from_protocol(law), eps, eta)
-        _emit({
-            "schema": SCHEMA,
-            "config": {"kind": "lower", "source": source, "target": target,
-                       "eps": eps, "eta": eta},
-            "bound": rep.bound, "lambda_eps": rep.lambda_eps,
-            "lambda_prime": rep.lambda_prime, "eps_prime": rep.eps_prime,
-            "lengths": list(rep.lengths), "vacuous": rep.vacuous,
-        }, args.out)
-        return
-    # every other kind reads the default source and target unless given
-    args.source = args.source or "dsbs:0.25"
-    args.target = args.target or "send-x"
-    if args.kind == "lower":
-        ex = appendix_threshold_example(args.n)
-        eps = ex.eps_auto if args.eps == "auto" else _numeric_eps(args)
-        eta = args.eta if args.eta is not None else eps
-        rep = lower_bound(SpectraBundle.from_protocol(ex), eps, eta)
-        _emit({
-            "schema": SCHEMA,
-            "config": {"kind": "lower", "example": "appendix-a",
-                       "n": args.n, "eps": eps, "eta": eta},
-            "bound": rep.bound, "lambda_eps": rep.lambda_eps,
-            "lambda_prime": rep.lambda_prime, "eps_prime": rep.eps_prime,
-            "lengths": list(rep.lengths), "vacuous": rep.vacuous,
-        }, args.out)
-        return
-    if args.kind == "second-order":
-        eps = _numeric_eps(args)
-        source = parse_source(args.source)
-        law = parse_target(args.target, source)
-        ms = law.spectrum("ic").moments()
-        val = second_order_predict(ms, args.n, eps)
-        _emit({
-            "schema": SCHEMA,
-            "config": {"kind": "second-order", "source": args.source,
-                       "target": args.target, "n": args.n, "eps": eps},
-            "prediction": val, "mean": ms.mean, "variance": ms.variance,
-        }, args.out)
-        return
-    if args.kind == "direct-product":
-        source = parse_source(args.source)
-        law = parse_target(args.target, source)
-        rep = direct_product_thresholds(law.spectrum("ic"), args.n,
-                                        args.delta)
-        _emit({
-            "schema": SCHEMA,
-            "config": {"kind": "direct-product", "source": args.source,
-                       "target": args.target, "n": args.n,
-                       "delta": args.delta},
-            "sim_threshold": rep.sim_threshold, "exponent": rep.exponent,
-            "tail_lower_bound": rep.tail_lower_bound,
-            "vacuous": rep.vacuous,
-        }, args.out)
-        return
-    if args.kind == "beta":
-        eps = _numeric_eps(args)
-        if args.p is None or args.q is None:
-            _fail("bound beta needs --p and --q", 2)
-        p = [float(v) for v in args.p.split(",")]
-        q = [float(v) for v in args.q.split(",")]
-        syms = tuple(range(len(p)))
-        pd = FiniteDistribution(syms, np.array(p))
-        qd = FiniteDistribution(syms, np.array(q))
-        doc = {
-            "schema": SCHEMA,
-            "config": {"kind": "beta", "p": p, "q": q, "eps": eps},
-            "beta": beta_eps(pd, qd, eps),
-        }
-        if args.lam is not None:
-            doc["upper"] = beta_eps_upper(pd, qd, eps, args.lam)
-            doc["config"]["lam"] = args.lam
-        _emit(doc, args.out)
-        return
-    if args.kind == "upper":
-        eps = _numeric_eps(args)
-        source = parse_source(args.source)
-        law = parse_target(args.target, source)
-        rounds = round_budget_inputs(
-            law, auto_round_plans(law, gamma=args.gamma))
-        budget = upper_bound_budget(rounds, args.gamma, eps,
-                                    law.spectrum("ic"))
-        _emit({
-            "schema": SCHEMA,
-            "config": {"kind": "upper", "source": args.source,
-                       "target": args.target, "eps": eps,
-                       "gamma": args.gamma},
-            "l_max": budget.l_max, "lambda_prime": budget.lambda_prime,
-            "eps_prime": budget.eps_prime,
-        }, args.out)
-        return
-    _fail(f"unknown bound kind {args.kind!r}", 2)
+        config, law = _named_law(args)
+        eta, rep = _lower(args, law, eps)
+    else:
+        _, eps, eta, rep = _appendix_a(args)
+        config = {"example": "appendix-a", "n": args.n}
+    return ({"kind": "lower", **config, "eps": eps, "eta": eta},
+            {"bound": rep.bound, "lambda_eps": rep.lambda_eps,
+             "lambda_prime": rep.lambda_prime, "eps_prime": rep.eps_prime,
+             "lengths": list(rep.lengths), "vacuous": rep.vacuous})
+
+
+def _bound_second_order(args):
+    eps = _numeric_eps(args)
+    config, law = _named_law(args)
+    ms = law.spectrum("ic").moments()
+    return ({"kind": "second-order", **config, "n": args.n, "eps": eps},
+            {"prediction": second_order_predict(ms, args.n, eps),
+             "mean": ms.mean, "variance": ms.variance})
+
+
+def _bound_direct_product(args):
+    config, law = _named_law(args)
+    rep = direct_product_thresholds(law.spectrum("ic"), args.n, args.delta)
+    return ({"kind": "direct-product", **config, "n": args.n,
+             "delta": args.delta},
+            {"sim_threshold": rep.sim_threshold, "exponent": rep.exponent,
+             "tail_lower_bound": rep.tail_lower_bound,
+             "vacuous": rep.vacuous})
+
+
+def _bound_beta(args):
+    eps = _numeric_eps(args)
+    if args.p is None or args.q is None:
+        _fail("bound beta needs --p and --q", 2)
+    p, q = ([float(v) for v in arg.split(",")] for arg in (args.p, args.q))
+    syms = tuple(range(len(p)))
+    pd, qd = (FiniteDistribution(syms, np.array(v)) for v in (p, q))
+    config = {"kind": "beta", "p": p, "q": q, "eps": eps}
+    fields = {"beta": beta_eps(pd, qd, eps)}
+    if args.lam is not None:
+        config["lam"] = args.lam
+        fields["upper"] = beta_eps_upper(pd, qd, eps, args.lam)
+    return config, fields
+
+
+def _bound_upper(args):
+    eps = _numeric_eps(args)
+    config, law = _named_law(args)
+    rounds = round_budget_inputs(law, auto_round_plans(law, gamma=args.gamma))
+    budget = upper_bound_budget(rounds, args.gamma, eps, law.spectrum("ic"))
+    return ({"kind": "upper", **config, "eps": eps, "gamma": args.gamma},
+            {"l_max": budget.l_max, "lambda_prime": budget.lambda_prime,
+             "eps_prime": budget.eps_prime})
+
+
+def _example_appendix_a(args):
+    ex, eps, eta, rep = _appendix_a(args)
+    return ({"example": "appendix-a", "n": args.n, "eps": eps, "eta": eta},
+            {"ic_atoms": _atoms(ex.spectrum("ic")), "ic_mean": ex.ic_mean,
+             "lambda_eps": ex.lambda_eps(eps), "lower_bound": rep.bound,
+             "lambda_prime": rep.lambda_prime})
+
+
+def _example_mixed(args):
+    source = dsbs_source(args.q)
+    head, tail = send_value_protocol(source), constant_protocol(source)
+    _check_run(args)
+    mix = mixed_protocol(head, tail, args.p, args.n)
+    rng = np.random.default_rng([args.seed, 0])
+    draws = mix.sample_ic(rng, args.trials) / args.n
+    ic_h = head.ic_mean
+    return ({"example": "mixed", "p": args.p, "n": args.n, "q": args.q,
+             "trials": args.trials, "seed": args.seed},
+            {"ic_mean": mix.ic_mean, "head_rate": ic_h,
+             "ic_identity": args.n * (args.p * head.ic_mean
+                                      + (1 - args.p) * tail.ic_mean),
+             "above_head_plus": float((draws > ic_h + 0.05).mean()),
+             "above_head_minus": float((draws > ic_h - 0.05).mean())})
+
+
+def _example_dsbs(args):
+    law = send_value_protocol(dsbs_source(args.q))
+    return ({"example": "dsbs", "q": args.q},
+            {"ic_atoms": _atoms(law.spectrum("ic")), "ic_mean": law.ic_mean,
+             "hsum_atoms": _atoms(spectrum(law.source, "sum"))})
+
+
+# each bound kind and each example gives its report's (config, fields)
+_BOUNDS = {"lower": _bound_lower, "second-order": _bound_second_order,
+           "direct-product": _bound_direct_product, "beta": _bound_beta,
+           "upper": _bound_upper}
+_EXAMPLES = {"appendix-a": _example_appendix_a, "mixed": _example_mixed,
+             "dsbs": _example_dsbs}
+
+
+def cmd_bound(args):
+    config, fields = _BOUNDS[args.kind](args)
+    _emit({"schema": SCHEMA, "config": config, **fields}, args.out)
 
 
 def cmd_example(args):
-    if args.name == "appendix-a":
-        ex = appendix_threshold_example(args.n)
-        eps = ex.eps_auto if args.eps == "auto" else _numeric_eps(args)
-        eta = args.eta if args.eta is not None else eps
-        spec = ex.spectrum("ic")
-        rep = lower_bound(SpectraBundle.from_protocol(ex), eps, eta)
-        _emit({
-            "schema": SCHEMA,
-            "config": {"example": "appendix-a", "n": args.n, "eps": eps,
-                       "eta": eta},
-            "ic_atoms": [[float(v), float(p)]
-                         for v, p in zip(spec.values, spec.probs)],
-            "ic_mean": ex.ic_mean,
-            "lambda_eps": ex.lambda_eps(eps),
-            "lower_bound": rep.bound,
-            "lambda_prime": rep.lambda_prime,
-        }, args.out)
-        return
-    if args.name == "mixed":
-        source = dsbs_source(args.q)
-        head = send_value_protocol(source)
-        tail = constant_protocol(source)
-        _check_run(args)
-        mix = mixed_protocol(head, tail, args.p, args.n)
-        rng = np.random.default_rng([args.seed, 0])
-        draws = mix.sample_ic(rng, args.trials) / args.n
-        ic_h = head.ic_mean
-        _emit({
-            "schema": SCHEMA,
-            "config": {"example": "mixed", "p": args.p, "n": args.n,
-                       "q": args.q, "trials": args.trials,
-                       "seed": args.seed},
-            "ic_mean": mix.ic_mean,
-            "ic_identity": args.n * (args.p * head.ic_mean
-                                     + (1 - args.p) * tail.ic_mean),
-            "head_rate": ic_h,
-            "above_head_plus": float((draws > ic_h + 0.05).mean()),
-            "above_head_minus": float((draws > ic_h - 0.05).mean()),
-        }, args.out)
-        return
-    if args.name == "dsbs":
-        source = dsbs_source(args.q)
-        law = send_value_protocol(source)
-        spec = law.spectrum("ic")
-        _emit({
-            "schema": SCHEMA,
-            "config": {"example": "dsbs", "q": args.q},
-            "ic_atoms": [[float(v), float(p)]
-                         for v, p in zip(spec.values, spec.probs)],
-            "ic_mean": law.ic_mean,
-            "hsum_atoms": [[float(v), float(p)] for v, p in
-                           zip(*(lambda s: (s.values, s.probs))(
-                               spectrum(source, "sum")))],
-        }, args.out)
-        return
-    _fail(f"unknown example {args.name!r}", 2)
+    config, fields = _EXAMPLES[args.name](args)
+    _emit({"schema": SCHEMA, "config": config, **fields}, args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,6 @@ _UNIQUE_LOG_ENTRIES = 384
 #: tolerance used when comparing tail masses against a threshold
 TAIL_TOL = 1e-12
 
-LOG2 = math.log(2.0)
-
 
 def _log2(p: float) -> float:
     if p <= 0.0:
@@ -479,7 +477,7 @@ class SpectrumTable:
         return text
 
 
-def spectrum(obj, selector: str, **kw) -> SpectrumTable:
+def spectrum(obj, selector: str) -> SpectrumTable:
     """Information spectrum of a source or a transcript law.
 
     For a :class:`JointSource` the selector is one of the entropy-density
@@ -505,7 +503,7 @@ def spectrum(obj, selector: str, **kw) -> SpectrumTable:
         else:  # mutual
             vals = log2_each(obj.p_x_given_y[i, j]) - log2_each(obj.p_x[i])
         return SpectrumTable.from_atoms(vals, probs)
-    return obj.spectrum(selector, **kw)
+    return obj.spectrum(selector)
 
 
 def moments(spec: SpectrumTable) -> MomentSummary:

@@ -9,7 +9,9 @@ its exit status, its stderr and its stdout, byte for byte.
 
 Run ``python tests/golden/update.py`` after a change that is meant to alter
 reports, and list each changed file with its reason.  Commands write no
-``--out`` or ``--csv`` file, whose path would enter the report.
+``--out`` or ``--csv`` file, whose path would enter the report, and make
+no argparse usage error, whose wording depends on the Python version and
+the terminal width.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import shlex
 import sys
 import tempfile
@@ -40,20 +41,11 @@ def run(case: dict, workdir: Path) -> str:
         path.write_text(json.dumps(case["config"]), encoding="utf-8")
         argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
-    # argparse wraps its messages to the terminal width
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                status = main(argv)
-            except SystemExit as exc:
-                status = exc.code
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
     text = f"$ icsim {shlex.join(case['argv'])}\n"
     if "config" in case:
         text += f"CONFIG = {json.dumps(case['config'])}\n"

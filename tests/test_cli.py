@@ -376,6 +376,28 @@ def test_exchange_bits_target(tmp_path):
     assert doc["mean"] == pytest.approx(want["mean"], abs=1e-12)
 
 
+@pytest.mark.parametrize("proto", ["p3", "p4"])
+@pytest.mark.parametrize("target, rounds", [
+    ("data-exchange", 2), ("xor-reply", 2), ("exchange-bits", 2),
+    ("send-x", 1), ("constant", 1), ("noisy-send:0.2", 1)])
+def test_one_round_engines_take_one_round_targets(proto, target, rounds,
+                                                  capsys):
+    # p3 and p4 simulate one round; earlier versions ran round 1 of a
+    # longer target and exited 0 (p3 data exchange over dsbs:0.11, gamma 2,
+    # k = 1: exact tv 0.50171875)
+    cfg = {"source": "dsbs:0.11", "protocol": proto, "target": target,
+           "gamma": 2.0}
+    if rounds == 1:
+        build_engine(cfg)
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_engine(cfg)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: {proto} simulates one round; target {target!r} has "
+        f"{rounds} rounds: use p5\n")
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize, about 47 MB resident, loads only for direct-product
     # thresholds; every other command runs without it
