@@ -143,16 +143,18 @@ def parse_source(token) -> JointSource:
     _fail(f"unknown source spec {token!r}", 2)
 
 
-_TARGETS = {"send-x": send_value_protocol, "constant": constant_protocol,
-            "data-exchange": data_exchange_protocol,
-            "xor-reply": xor_reply_protocol,
-            "exchange-bits": exchange_bits_protocol}
-
-
 def parse_target(token: str, source: JointSource) -> TranscriptLaw:
     """Named target protocols for simulation."""
-    if token in _TARGETS:
-        return _TARGETS[token](source)
+    if token == "send-x":
+        return send_value_protocol(source)
+    if token == "constant":
+        return constant_protocol(source)
+    if token == "data-exchange":
+        return data_exchange_protocol(source)
+    if token == "xor-reply":
+        return xor_reply_protocol(source)
+    if token == "exchange-bits":
+        return exchange_bits_protocol(source)
     if token.startswith("noisy-send:"):
         try:
             crossover = float(token.removeprefix("noisy-send:"))
@@ -343,8 +345,7 @@ def _numeric_eps(args) -> float:
 
 
 def _named_law(args) -> tuple[dict, TranscriptLaw]:
-    """``--source`` and ``--target`` (defaults dsbs:0.25 and send-x) as
-    config fields, and the target's law on that source."""
+    """--source and --target (defaults dsbs:0.25, send-x) and their law."""
     source = args.source or "dsbs:0.25"
     target = args.target or "send-x"
     return ({"source": source, "target": target},
@@ -367,7 +368,6 @@ def _appendix_a(args):
 
 def _bound_lower(args):
     if args.source or args.target:
-        # the converse on a named target's spectra
         if args.eps == "auto":
             _fail("--eps auto applies only to bound lower's appendix-a "
                   "example; with --source or --target it needs a number", 2)
@@ -442,14 +442,13 @@ def _example_mixed(args):
     mix = mixed_protocol(head, tail, args.p, args.n)
     rng = np.random.default_rng([args.seed, 0])
     draws = mix.sample_ic(rng, args.trials) / args.n
-    ic_h = head.ic_mean
     return ({"example": "mixed", "p": args.p, "n": args.n, "q": args.q,
              "trials": args.trials, "seed": args.seed},
-            {"ic_mean": mix.ic_mean, "head_rate": ic_h,
+            {"ic_mean": mix.ic_mean, "head_rate": head.ic_mean,
              "ic_identity": args.n * (args.p * head.ic_mean
                                       + (1 - args.p) * tail.ic_mean),
-             "above_head_plus": float((draws > ic_h + 0.05).mean()),
-             "above_head_minus": float((draws > ic_h - 0.05).mean())})
+             "above_head_plus": float((draws > head.ic_mean + 0.05).mean()),
+             "above_head_minus": float((draws > head.ic_mean - 0.05).mean())})
 
 
 def _example_dsbs(args):
