@@ -205,12 +205,15 @@ def build_engine(cfg: dict):
                                  spec(1, "rx"), gamma)
         if proto == "p3":
             return RoundSimulator(source, p_m_x, view.messages, cfg_rx,
-                                  cfg.get("k", 0))
+                                  cfg.get("k", 0),
+                                  aux_m_given_y=view.p_m_given_y)
         cfg_tx = _slice_from_cfg(cfg.get("slice_tx"), "slice_tx",
                                  spec(1, "tx"), gamma)
         return ImprovedRoundSimulator(source, p_m_x, view.messages,
                                       cfg_rx, cfg_tx,
-                                      k_override=cfg.get("k_override"))
+                                      k_override=cfg.get("k_override"),
+                                      aux_m_given_y=view.p_m_given_y,
+                                      prior_x=view.prior)
     if proto == "p5":
         if "plans" in cfg:
             docs = cfg["plans"]
@@ -406,7 +409,11 @@ def _bound_beta(args):
     eps = _numeric_eps(args)
     if args.p is None or args.q is None:
         _fail("bound beta needs --p and --q", 2)
-    p, q = ([float(v) for v in arg.split(",")] for arg in (args.p, args.q))
+    try:
+        p, q = ([float(v) for v in arg.split(",")] for arg in (args.p, args.q))
+    except ValueError:
+        _fail(f"--p and --q must be comma-separated numbers, got "
+              f"{args.p!r} and {args.q!r}", 2)
     syms = tuple(range(len(p)))
     pd, qd = (FiniteDistribution(syms, np.array(v)) for v in (p, q))
     config = {"kind": "beta", "p": p, "q": q, "eps": eps}

@@ -51,11 +51,14 @@ def _log2(p: float) -> float:
 def log2_each(p: np.ndarray) -> np.ndarray:
     """``math.log2`` of every entry of a vector.
 
-    Spectra take their densities with ``math.log2``: ``np.log2`` can differ
-    from it in the last bit.  Past ``_UNIQUE_LOG_ENTRIES`` entries it is
-    taken once per distinct value and indexed back; the same float has the
-    same logarithm, so the bits are those of the per-entry map.  Product
-    sources give spectra of many atoms and few distinct probabilities.
+    Every density goes through here: the spectra, the slice tables cut by
+    their plans and engine 1's typical set, so a table entry at a slice
+    floor falls in its spectrum atom's slice (``np.log2`` can differ from
+    ``math.log2`` in the last bit).  Past ``_UNIQUE_LOG_ENTRIES`` entries
+    it is taken once per distinct value and indexed back; the same float
+    has the same logarithm, so the bits are those of the per-entry map.
+    Product sources give spectra of many atoms and few distinct
+    probabilities.
     """
     if p.size <= _UNIQUE_LOG_ENTRIES:
         return np.fromiter(map(math.log2, p.tolist()), float, p.size)
@@ -82,8 +85,8 @@ class FiniteDistribution:
         object.__setattr__(self, "probs", probs)
         if len(self.symbols) != probs.shape[0]:
             raise MismatchedSupport("symbol list and probability vector disagree")
-        if np.any(probs < -NORM_TOL):
-            raise OutOfRange("negative probability mass")
+        if not (probs >= -NORM_TOL).all():  # NaN fails too
+            raise OutOfRange("negative or NaN probability mass")
         if abs(float(probs.sum()) - 1.0) > NORM_TOL:
             raise OutOfRange("probabilities do not sum to one")
         if len(set(self.symbols)) != len(self.symbols):
@@ -160,8 +163,8 @@ class JointSource:
         object.__setattr__(self, "mass", mass)
         if mass.shape != (len(self.x_alphabet), len(self.y_alphabet)):
             raise MismatchedSupport("mass table shape does not match alphabets")
-        if np.any(mass < 0):
-            raise OutOfRange("negative probability mass")
+        if not (mass >= 0).all():  # NaN fails too
+            raise OutOfRange("negative or NaN probability mass")
         if abs(float(mass.sum()) - 1.0) > NORM_TOL:
             raise OutOfRange("joint mass does not sum to one")
 
@@ -325,8 +328,8 @@ class SpectrumTable:
             raise OutOfRange("a spectrum needs at least one atom")
         if np.any(np.diff(values) <= 0):
             raise OutOfRange("spectrum values must be strictly increasing")
-        if np.any(probs < 0):
-            raise OutOfRange("negative spectrum mass")
+        if not (probs >= 0).all():  # NaN fails too
+            raise OutOfRange("negative or NaN spectrum mass")
         if abs(float(probs.sum()) - 1.0) > NORM_TOL:
             raise OutOfRange("spectrum mass does not sum to one")
 

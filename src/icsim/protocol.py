@@ -308,41 +308,41 @@ class TranscriptLaw:
     def ic(self, tau, x, y) -> float:
         t = self.transcript_index[tau]
         i, j = self.source.x_index[x], self.source.y_index[y]
-        k, ai, aj, p = self.atoms
+        k, ai, aj, _ = self.atoms
         nx, ny = self.source.mass.shape
         keys = (k * nx + ai) * ny + aj   # ascending: the atoms' order
         key = (t * nx + i) * ny + j
         n = int(np.searchsorted(keys, key))
         if n == keys.size or keys[n] != key:
             raise ZeroMassAtom("transcript has zero probability here")
-        pxy = float(p[n])
-        return (math.log2(pxy / float(self.p_tau_given_x[t, i]))
-                + math.log2(pxy / float(self.p_tau_given_y[t, j])))
+        return float(self._densities("ic", slice(n, n + 1))[0])
 
     def spectrum(self, selector: str) -> SpectrumTable:
         """Information spectrum of a density involving the transcript.
 
-        Its atoms are the law's atoms; each density takes ``math.log2`` of
-        the same quotients, atom by atom.
+        Its atoms are the law's atoms, valued by :meth:`_densities`.
         """
         if selector not in LAW_SELECTORS:
             raise OutOfRange(f"unknown selector {selector!r}")
-        t, i, j, pxy = self.atoms
-        w = self._joint
+        return SpectrumTable.from_atoms(self._densities(selector), self._joint)
+
+    def _densities(self, selector: str, n=slice(None)) -> np.ndarray:
+        """The density ``selector`` at the atoms ``n``: ``log2_each`` of
+        the same quotients, atom by atom, for the spectra and :meth:`ic`."""
+        t, i, j, pxy = (a[n] for a in self.atoms)
         if selector == "ic":
-            v = (log2_each(pxy / self.p_tau_given_x[t, i])
-                 + log2_each(pxy / self.p_tau_given_y[t, j]))
-        elif selector == "h_xy":
-            v = -log2_each(self.source.mass[i, j])
-        elif selector == "h_x_given_ypi":
-            v = -log2_each(w / self._marginals[1][t, j])
-        elif selector == "hsum_ext":
-            v = (-log2_each(w / self._marginals[1][t, j])
-                 - log2_each(w / self._marginals[0][t, i]))
-        else:  # compression: h(tau | x) + h(tau | y)
-            v = (-log2_each(self.p_tau_given_x[t, i])
-                 - log2_each(self.p_tau_given_y[t, j]))
-        return SpectrumTable.from_atoms(v, w)
+            return (log2_each(pxy / self.p_tau_given_x[t, i])
+                    + log2_each(pxy / self.p_tau_given_y[t, j]))
+        if selector == "h_xy":
+            return -log2_each(self.source.mass[i, j])
+        if selector == "compression":  # h(tau | x) + h(tau | y)
+            return (-log2_each(self.p_tau_given_x[t, i])
+                    - log2_each(self.p_tau_given_y[t, j]))
+        w = self._joint[n]
+        v = -log2_each(w / self._marginals[1][t, j])  # h_x_given_ypi
+        if selector == "hsum_ext":
+            v = v - log2_each(w / self._marginals[0][t, i])
+        return v
 
     @cached_property
     def ic_mean(self) -> float:

@@ -246,20 +246,19 @@ def _cause_counts(cause: np.ndarray) -> Counter:
 def _conditional_density(cond: np.ndarray) -> np.ndarray:
     """-log2 of a conditional table, +inf where the mass is zero.
 
-    This takes ``np.log2``, while the round spectra that set the slice
-    plans take ``math.log2`` per entry (:func:`round_density_spectrum`).
-    The two differ by one ulp on about 2 in 1,000 inputs (3,779 to 3,945
-    of 2,000,000 uniform draws in (0, 1), numpy 2.4.6), so an entry at a
-    slice floor could fall in different slices of the two.  On send-x over
-    ``dsbs^m`` they agree on every entry (tests/test_simulate.py).
+    The positive entries go through :func:`log2_each`, as the spectra that
+    set the slice plans do, so an entry at a slice floor falls in the
+    slice its spectrum atom falls in.
     """
-    with np.errstate(divide="ignore"):
-        return np.where(cond > 0, -np.log2(np.maximum(cond, 1e-300)), np.inf)
+    out = np.full(cond.shape, np.inf)
+    live = cond > 0
+    out[live] = -log2_each(cond[live])
+    return out
 
 
 def _slice_table(cond: np.ndarray, cfg: SliceConfig) -> np.ndarray:
-    """The slice of -log2 of every entry of a conditional table; 0 (the
-    tail) where the mass is zero.
+    """The slice of -log2 of every entry of a conditional table
+    (:func:`_conditional_density`); 0 (the tail) where the mass is zero.
 
     This is :meth:`SliceConfig.slice_of` on whole arrays, with the same
     float operations, so the two agree entry for entry, at slice floors too.
@@ -491,7 +490,7 @@ class InteractiveSWCoder(_OneRound):
     This is engine 3 on the identity channel (M = X) with no shared prefix:
     ``inner`` is that :class:`RoundSimulator`, and its ``table`` runs every
     trial.  ``aux`` is the receiver's conditional Q(x|y), on the source's
-    (x, y) axes.
+    (x, y) axes: by default P(x|y), which the source's spectrum reads.
     """
 
     def __init__(self, source: JointSource, cfg: SliceConfig,
@@ -501,7 +500,8 @@ class InteractiveSWCoder(_OneRound):
         nx = len(source.x_alphabet)
         self.inner = inner = RoundSimulator(
             source, np.eye(nx), source.x_alphabet, cfg, 0,
-            None if aux is None else np.asarray(aux, float).T, l=l)
+            (source.p_x_given_y if aux is None
+             else np.asarray(aux, float)).T, l=l)
         self.messages, self.chunk, self.table = (inner.messages, inner.chunk,
                                                  inner.table)
         self.l, self.delta, self.n_slices, self.total_hash_bits = (

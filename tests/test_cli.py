@@ -108,6 +108,7 @@ def test_bound_without_eps_is_usage_error(kind, extra):
     ("lower", "--eps", "x"),
     ("upper", "--eps", "x"),
     ("beta", "--eps", "0.1"),  # no --p or --q
+    ("beta", "--p", "a,b", "--q", "0.1,0.9", "--eps", "0.1"),
 ])
 def test_bound_bad_arguments_are_usage_errors(argv):
     proc = run_cli("bound", *argv, check=False)
@@ -151,9 +152,14 @@ def test_bound_infeasible_exit_code():
       "l_max": math.nan}],
     ["bound", "direct-product", "--delta", "nan"],
     ["bound", "upper", "--gamma", "nan", "--eps", "0.5"],
+    ["simulate", "--trials", "10", "--seed", "1", "--config",
+     {"source": {"x_alphabet": [0, 1], "y_alphabet": [0, 1],
+                 "mass": [[math.nan, 0.5], [0.25, 0.25]]},
+      "protocol": "p1", "l": 2, "gamma": 1.0}],
+    ["bound", "beta", "--p", "nan,1", "--q", "0.5,0.5", "--eps", "0.1"],
 ], ids=["p1-gamma-nan", "p2-gamma-nan", "p5-gamma-nan", "p4-gamma-inf",
         "p3-lambda_max-inf", "p5-l_max-nan", "direct-product-delta-nan",
-        "upper-gamma-nan"])
+        "upper-gamma-nan", "source-mass-nan", "beta-p-nan"])
 def test_non_finite_numbers_exit_1(argv, tmp_path, capsys):
     # NaN passes a check written "x < 0", and an infinite number reaches
     # math.ceil; each is an input error, reported without a traceback

@@ -50,6 +50,11 @@ class TestFiniteDistribution:
         with pytest.raises(MismatchedSupport):
             FiniteDistribution(("a", "a"), np.array([0.5, 0.5]))
 
+    def test_rejects_nan_mass(self):
+        # NaN passes both "p < 0" and "|sum - 1| > tol"
+        with pytest.raises(OutOfRange, match="NaN"):
+            FiniteDistribution(("a", "b"), np.array([math.nan, 1.0]))
+
     def test_prob_lookup(self):
         d = FiniteDistribution(("a", "b"), np.array([0.25, 0.75]))
         assert d.prob("b") == 0.75
@@ -112,6 +117,11 @@ class TestJointSource:
         emp /= emp.sum()
         assert np.abs(emp - src.mass).max() < 0.005
 
+    def test_rejects_nan_mass(self):
+        with pytest.raises(OutOfRange, match="NaN"):
+            JointSource.from_json({"x_alphabet": [0, 1], "y_alphabet": [0, 1],
+                                   "mass": [[math.nan, 0.5], [0.25, 0.25]]})
+
     def test_product_source(self):
         base = dsbs_source(0.25)
         prod = product_source(base, 2)
@@ -166,6 +176,10 @@ class TestSpectrum:
         spec = spectrum(dsbs_source(0.25), "sum")
         assert spec.values == pytest.approx([v for v, _ in DSBS_SUM_ATOMS])
         assert spec.probs == pytest.approx([p for _, p in DSBS_SUM_ATOMS])
+
+    def test_rejects_nan_mass(self):
+        with pytest.raises(OutOfRange, match="NaN"):
+            SpectrumTable(np.array([1.0, 2.0]), np.array([math.nan, 0.5]))
 
     def test_tail_conventions(self):
         spec = SpectrumTable(np.array([1.0, 2.0, 3.0]),

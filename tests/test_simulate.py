@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import importlib.util
@@ -399,11 +400,12 @@ def test_build_scans_each_round_view_once(monkeypatch, proto, target):
 
 
 def test_slice_tables_and_spectra_take_the_same_log2():
-    """The slice tables take -np.log2 of the conditional tables, the spectra
-    that set their plans -math.log2 per entry.  The two can differ in the
-    last bit; on send-x over dsbs^m they agree on every entry."""
+    """The slice tables take -log2 of the conditional tables as the spectra
+    that set their plans do, with ``math.log2`` per entry, on every entry.
+    At q = 0.102 and 0.14 ``np.log2`` differs from it in the last bit on
+    entries at a slice floor."""
     checked = 0
-    for q in (0.05, 0.11, 0.25):
+    for q in (0.05, 0.102, 0.11, 0.14, 0.25):
         for m in range(1, 9):
             law = send_value_protocol(product_source(dsbs_source(q), m))
             view = law.round_view(1, ())
@@ -414,7 +416,7 @@ def test_slice_tables_and_spectra_take_the_same_log2():
                 assert got.tobytes() == want.tobytes(), (q, m)
                 checked += got.size
             del law, view  # free the dsbs^8 tables before the next law
-    assert checked == 3 * sum(4 ** m + 2 ** m for m in range(1, 9))
+    assert checked == 5 * sum(4 ** m + 2 ** m for m in range(1, 9))
 
 
 def test_run_trials_reproducible():
@@ -1195,6 +1197,28 @@ def test_engine4_is_round_one_of_engine5(name, k_override):
     walks = [icsim.simulate._exact_walk(tables, law.source)
              for tables in ([engine.table], sim.tables)]
     assert all(_same_array(a, b) for a, b in zip(*walks))
+
+
+@pytest.mark.parametrize("source, target", [
+    ("dsbs:0.102", "send-x"), ("dsbs:0.065", "noisy-send:0.01"),
+    ("dsbs^2:0.11", "send-x")])
+def test_cli_engines_3_and_4_are_round_one_of_engine5(source, target):
+    """Engines 3 and 4 from ``build_engine`` slice the conditional and
+    prior of the round view that engine 5's round 1 slices: p4's table
+    equals p5's round-1 table in every field, and p3's message law and
+    receiver slices equal it too."""
+    cfg = {"source": source, "target": target, "gamma": 3.0}
+    p3, p4, p5 = (build_engine({**cfg, "protocol": p})
+                  for p in ("p3", "p4", "p5"))
+    want = p5.tables[0]
+    for field in dataclasses.fields(want):
+        got, ref = getattr(p4.table, field.name), getattr(want, field.name)
+        if isinstance(ref, np.ndarray):
+            assert _same_array(got, ref), field.name
+        else:
+            assert got == ref, field.name
+    assert _same_array(p3.table.p_m, want.p_m)
+    assert _same_array(p3.table.slice_rx, want.slice_rx)
 
 
 def test_protocol_builds_one_round_simulator_per_round(monkeypatch):
