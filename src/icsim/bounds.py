@@ -226,26 +226,22 @@ def protocol3_tv_budget(sim) -> float:
 
 def protocol4_tv_budget(sim) -> float:
     """View-distance budget for :class:`ImprovedRoundSimulator`."""
-    inner = sim.inner
-    gamma = inner.cfg_rx.gamma
-    n_rx = inner.n_slices
-    n_tx = sim.cfg_tx.n_slices
-    return (inner.tail_mass() + sim.tail_mass_tx()
-            + (n_rx + 1) * 2.0 ** (-gamma) + 1.0 / n_tx)
+    return (sim.tail_mass() + sim.tail_mass_tx()
+            + (sim.n_slices + 1) * 2.0 ** (-sim.cfg_rx.gamma)
+            + 1.0 / sim.cfg_tx.n_slices)
 
 
-def protocol5_tv_budget(sim, gamma: float | None = None) -> float:
+def protocol5_tv_budget(sim) -> float:
     """View-distance budget for the full simulator (without a bit cap).
 
-    Sums the per-round failure terms; add Pr[ic + overheads > l_max] when a
-    finite budget is enforced.
+    Sums the per-round failure terms, each at its plan's receiver gamma;
+    add Pr[ic + overheads > l_max] when a finite budget is enforced.
     """
     rounds = round_budget_inputs(sim.law, sim.plans)
-    gammas = [p.rx.gamma if gamma is None else gamma for p in sim.plans]
-    total = sum(r.failure(g) for r, g in zip(rounds, gammas))
+    total = sum(r.failure(p.rx.gamma) for r, p in zip(rounds, sim.plans))
     if math.isfinite(sim.l_max):
         spec = sim.law.spectrum("ic")
-        shift = sum(r.overhead(g) for r, g in zip(rounds, gammas))
+        shift = sum(r.overhead(p.rx.gamma) for r, p in zip(rounds, sim.plans))
         total += spec.tail_prob(sim.l_max - shift)
     return total
 
@@ -406,10 +402,12 @@ def beta_eps_upper(p: FiniteDistribution, q: FiniteDistribution,
     """Single-threshold upper bound on -log2 beta_eps.
 
     Returns lam - log2( Pr_P[log2(P/Q) < lam] - eps ) with the positive-part
-    guard mapped to +inf.
+    guard mapped to +inf.  The threshold ``lam`` must be finite.
     """
     if not 0.0 <= eps < 1.0:
         raise ParameterRange("eps must lie in [0, 1)")
+    if not math.isfinite(lam):
+        raise ParameterRange(f"need a finite lam, got lam = {lam!r}")
     if set(p.symbols) != set(q.symbols):
         raise MismatchedSupport("test distributions need a common universe")
     qs = np.array([q.prob(s) for s in p.symbols])

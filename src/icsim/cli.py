@@ -317,15 +317,16 @@ def cmd_eval(args):
                                 agg=agg)
     else:
         est = measure_sim_error(engine, "exact")
+    # engines 2 and 4 are engine 3 subclasses, so they come before it
     budget = None
-    if isinstance(engine, ImprovedRoundSimulator):
+    if isinstance(engine, (SlepianWolfCoder, InteractiveSWCoder)):
+        budget = engine.analytic_error_bound()
+    elif isinstance(engine, ImprovedRoundSimulator):
         budget = protocol4_tv_budget(engine)
     elif isinstance(engine, RoundSimulator):
         budget = protocol3_tv_budget(engine)
     elif isinstance(engine, ProtocolSimulator):
         budget = protocol5_tv_budget(engine)
-    elif isinstance(engine, (SlepianWolfCoder, InteractiveSWCoder)):
-        budget = engine.analytic_error_bound()
     _emit({
         "schema": SCHEMA, "config": cfg, "seed": args.seed,
         "mode": est.method, "tv": est.value,

@@ -391,7 +391,8 @@ class TranscriptLaw:
     @cached_property
     def _views(self) -> dict:
         """Computed round views: :class:`RoundViews` by t, and
-        :class:`RoundView` by (t, hist)."""
+        :class:`RoundView` by (t, hist); and the round density spectra of
+        :func:`icsim.simulate.round_density_spectrum` by (t, side)."""
         return {}
 
     def round_views(self, t: int) -> RoundViews:

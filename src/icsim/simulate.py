@@ -8,9 +8,11 @@ Five engines of increasing strength:
 4. ``ImprovedRoundSimulator`` adds the transmitted slice index J
 5. ``ProtocolSimulator``     round-by-round simulation of a full transcript law
 
-Engine 2 is engine 3 on the identity channel, engines 2 to 4 are one
-round of engine 5, and each trial rule is one kernel vectorized over
-trials: ``_sw_kernel`` for engine 1, ``_round_kernel`` (pick M*, then
+Engines 2 and 4 subclass engine 3, on the identity channel and with a
+slice-index law of several indices; every round table carries such a law
+(the one index J = 0 on engines 2 and 3).  Engines 2 to 4 are one round
+of engine 5, and each trial rule is one kernel vectorized over trials:
+``_sw_kernel`` for engine 1, ``_round_kernel`` (pick M*, then
 ``_slice_search``) for a round of engines 2 to 5, over the candidate lists
 of its ``_RoundTables``: the sender's supported messages and the
 receiver's messages in slice 1 or more, and of its hash schedule
@@ -314,9 +316,9 @@ class _OneRound:
     """Engines 1 to 4 as the trial layer reads them: one round, whose key
     rows ``(M*, decoded, x, y)`` :meth:`view_of` reads over ``messages``.
 
-    Engines 2 to 4 are this class: one ``table`` and no bit budget.
-    Engine 1 borrows ``view_of`` alone, its messages being the x values,
-    and has no table: :func:`_sw_trials` runs its trials."""
+    Engines 2 to 4 (engine 3 and its subclasses) are this class: one
+    ``table`` and no bit budget.  Engine 1 borrows ``view_of`` alone, its
+    messages being the x values, and has no table."""
     l_max = math.inf
 
     @property
@@ -476,57 +478,6 @@ def _sw_trials(coder: SlepianWolfCoder, rng, T: int,
 
 
 # ---------------------------------------------------------------------------
-# engine 2: interactive compression
-# ---------------------------------------------------------------------------
-
-
-class InteractiveSWCoder(_OneRound):
-    """Slice-by-slice compression of X with one-bit feedback per slice.
-
-    First l hash bits, then one delta-bit hash block per extra slice; the
-    receiver searches slice i after i blocks and answers ACK or NACK.  A
-    trial terminating in slice i costs exactly l + (i - 1) delta + i bits.
-
-    This is engine 3 on the identity channel (M = X) with no shared prefix:
-    ``inner`` is that :class:`RoundSimulator`, and its ``table`` runs every
-    trial.  ``aux`` is the receiver's conditional Q(x|y), on the source's
-    (x, y) axes: by default P(x|y), which the source's spectrum reads.
-    """
-
-    def __init__(self, source: JointSource, cfg: SliceConfig,
-                 l: int | None = None, aux: np.ndarray | None = None):
-        self.source = source
-        self.cfg = cfg
-        nx = len(source.x_alphabet)
-        self.inner = inner = RoundSimulator(
-            source, np.eye(nx), source.x_alphabet, cfg, 0,
-            (source.p_x_given_y if aux is None
-             else np.asarray(aux, float)).T, l=l)
-        self.messages, self.chunk, self.table = (inner.messages, inner.chunk,
-                                                 inner.table)
-        self.l, self.delta, self.n_slices, self.total_hash_bits = (
-            inner.l, inner.delta, inner.n_slices, inner.total_hash_bits)
-
-    def tail_mass(self) -> float:
-        return self.inner.tail_mass()
-
-    def analytic_error_bound(self) -> float:
-        return self.tail_mass() + self.n_slices * 2.0 ** (-self.cfg.gamma)
-
-    def bits_for_slice(self, i: int) -> int:
-        return self.inner.pos_at(i) + i
-
-    def run(self, rng, x=None, y=None) -> SimOutcome:
-        return _walk_run(self, rng, x, y)
-
-    def exact_view_law(self) -> FiniteDistribution:
-        return _walk_law(self)
-
-    def true_view_law(self) -> FiniteDistribution:
-        return self.inner.true_view_law()
-
-
-# ---------------------------------------------------------------------------
 # engine 3: one-round simulation with a shared seed
 # ---------------------------------------------------------------------------
 
@@ -605,11 +556,9 @@ class RoundSimulator(_OneRound):
 
     @cached_property
     def table(self) -> _RoundTables:
-        """This round as a one-history table with no slice-index law."""
-        return _RoundTables(inner=self.schedule, j_cost=0,
-                            p_m=self.p_m_given_x[None],
-                            slice_rx=self.slice_rx.T[None],
-                            k_of=np.array([self.k], dtype=np.int64))
+        """One history; the law of J has the one index 0, sharing k bits."""
+        return _RoundTables.build(self.schedule, self.p_m_given_x[None],
+                                  self.slice_rx.T[None], None, None, self.k)
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return _walk_run(self, rng, x, y)
@@ -629,23 +578,58 @@ class RoundSimulator(_OneRound):
 
 
 # ---------------------------------------------------------------------------
+# engine 2: interactive compression
+# ---------------------------------------------------------------------------
+
+
+class InteractiveSWCoder(RoundSimulator):
+    """Slice-by-slice compression of X with one-bit feedback per slice.
+
+    First l hash bits, then one delta-bit hash block per extra slice; the
+    receiver searches slice i after i blocks and answers ACK or NACK.  A
+    trial terminating in slice i costs exactly l + (i - 1) delta + i bits.
+
+    This is engine 3 on the identity channel (M = X) at k = 0.  ``aux`` is
+    the receiver's conditional Q(x|y), on the source's (x, y) axes: by
+    default P(x|y), which the source's spectrum reads.
+    """
+
+    def __init__(self, source: JointSource, cfg: SliceConfig,
+                 l: int | None = None, aux: np.ndarray | None = None):
+        super().__init__(source, np.eye(len(source.x_alphabet)),
+                         source.x_alphabet, cfg, 0,
+                         (source.p_x_given_y if aux is None
+                          else np.asarray(aux, float)).T, l=l)
+
+    def analytic_error_bound(self) -> float:
+        return self.tail_mass() + self.n_slices * 2.0 ** (-self.cfg_rx.gamma)
+
+    def bits_for_slice(self, i: int) -> int:
+        return self.pos_at(i) + i
+
+    run = RoundSimulator.run
+    exact_view_law = RoundSimulator.exact_view_law
+    true_view_law = RoundSimulator.true_view_law
+
+
+# ---------------------------------------------------------------------------
 # engine 4: one-round simulation with a transmitted slice index
 # ---------------------------------------------------------------------------
 
 
-class ImprovedRoundSimulator(_OneRound):
+class ImprovedRoundSimulator(RoundSimulator):
     """Round simulation where the transmitter reveals its own density slice.
 
     The slice index J of -log2 P(M|x) is sampled and sent with
     ceil(log2 N) + 1 bits; indices of small prior mass are rejected outright.
     Knowing J certifies enough min-entropy to share k(J) hash bits for free.
 
-    ``aux_m_given_y`` is the receiver's conditional, passed on to
-    :class:`RoundSimulator`.  ``prior_x`` is the transmitter-input prior
-    that weighs the slice-index prior ``p_j`` and so decides which indices
-    are ``good``; it defaults to the source marginal.  ``table`` is built
-    as engine 5 builds a round, by :meth:`_RoundTables.build` at one
-    history; the public tables (``slice_tx`` is (M, nx)) are views of it.
+    This is engine 3 whose ``table`` carries the slice-index law of
+    ``cfg_tx``, built as engine 5 builds a round; the public tables
+    (``slice_tx`` is (M, nx)) are views of it.  The shared prefix is
+    ``k_of(J)``; engine 3's scalar ``k`` is 0 here, and nothing reads it.
+    The input prior ``prior_x`` (by default the source marginal) weighs
+    ``p_j`` and so decides which indices are ``good``.
     """
 
     def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
@@ -658,16 +642,15 @@ class ImprovedRoundSimulator(_OneRound):
                 (prior >= 0).all() and abs(prior.sum() - 1.0) <= NORM_TOL):
             raise OutOfRange("prior_x must be a distribution on the x values")
         self.cfg_tx = cfg_tx
-        self.inner = inner = RoundSimulator(
-            source, p_m_given_x, messages, cfg_rx, 0, aux_m_given_y)
+        super().__init__(source, p_m_given_x, messages, cfg_rx, 0,
+                         aux_m_given_y)
+        # shadows engine 3's cached one-index table
         self.table = tab = _RoundTables.build(
-            inner.schedule, inner.p_m_given_x[None], inner.slice_rx.T[None],
+            self.schedule, self.p_m_given_x[None], self.slice_rx.T[None],
             prior[None], cfg_tx, k_override)
         self.slice_tx, self.p_j_given_x, self.p_j, self.good = (
             tab.slice_tx[0].T, tab.p_j_given_x[0], tab.p_j[0], tab.good[0])
         self.k_table, self.j_cost = tab.k_of, tab.j_cost
-        self.source, self.messages = inner.source, inner.messages
-        self.chunk = inner.chunk
 
     def k_of(self, j: int) -> int:
         return int(self.k_table[j])
@@ -675,22 +658,24 @@ class ImprovedRoundSimulator(_OneRound):
     def tail_mass_tx(self) -> float:
         return float(self.p_j[0])
 
-    def run(self, rng, x=None, y=None) -> SimOutcome:
-        return _walk_run(self, rng, x, y)
-
-    def exact_view_law(self) -> FiniteDistribution:
-        return _walk_law(self)
-
-    def true_view_law(self) -> FiniteDistribution:
-        return self.inner.true_view_law()
+    run = RoundSimulator.run
+    exact_view_law = RoundSimulator.exact_view_law
+    true_view_law = RoundSimulator.true_view_law
 
 
-def _tx_tables(p_m: np.ndarray, cfg_tx: SliceConfig, prior: np.ndarray):
+def _tx_tables(p_m: np.ndarray, cfg_tx: SliceConfig | None,
+               prior: np.ndarray | None):
     """``(slice_tx, p_j_given_x, p_j, good, j_cost)`` of message laws
     ``p_m`` (..., n_x, M) under input priors ``prior`` (..., n_x), leading
     axes carried through: each message's slice, P(J | x) summed over
     messages in order, the law of J, the accepted indices (mass at least
-    1 / n_tx^2, never the tail index 0) and the bits that send J."""
+    1 / n_tx^2, never the tail index 0) and the bits that send J.  With
+    ``cfg_tx`` None, J = 0 always: every message in slice 0, accepted,
+    sent in no bits; ``prior`` is unread."""
+    if cfg_tx is None:
+        one = np.ones(p_m.shape[:-1] + (1,))
+        return (np.zeros(p_m.shape, dtype=int), one, one[..., 0, :],
+                one[..., 0, :] > 0, 0)
     n_tx = cfg_tx.n_slices
     slice_tx = _slice_table(p_m, cfg_tx)
     # one bincount over the C-order (..., x, J) index: it adds each bin's
@@ -712,8 +697,9 @@ def _k_table(cfg_tx: SliceConfig, gamma: float, total_hash_bits: int,
              k_override: int | None) -> np.ndarray:
     """Shared prefix length k(J), J = 0 .. n_tx: ``k_override``, an
     integer in [0, total_hash_bits], else lambda_min + (J - 1) delta
-    - 2 log2 n_tx - 2 gamma + 2, floored and clipped to that range."""
-    n_j = cfg_tx.n_slices + 1
+    - 2 log2 n_tx - 2 gamma + 2, floored and clipped to that range.  With
+    ``cfg_tx`` None, J = 0 alone and ``k_override`` is given."""
+    n_j = 1 if cfg_tx is None else cfg_tx.n_slices + 1
     if k_override is not None:
         if not (isinstance(k_override, (int, np.integer))
                 and not isinstance(k_override, bool)
@@ -856,12 +842,13 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
 
     ``tx`` and ``rx`` index the transmitter's and the receiver's table rows
     by per-trial (history, symbol) arrays.  Draw order: the hash blocks
-    (unless given), the J uniforms (only with a slice-index law), the
-    shared strings and the M* uniforms.  :func:`_round_kernel` decodes
-    block by block, on the rows ``support[tx]`` with restrictions
-    ``slice == J`` (every slot without a J law) and ``candidates[rx]``;
-    a block's rows are sized by the candidate width S + C.  A rejected J
-    costs ``j_cost`` bits, with M* and the decode -1 and the hit 0.
+    (unless given), the J uniforms (none for a law of one index, where
+    :func:`_pick_slice` is 0), the shared strings and the M* uniforms.
+    :func:`_round_kernel` decodes block by block, on the rows
+    ``support[tx]`` with restrictions ``slice == J`` and
+    ``candidates[rx]``; a block's rows are sized by the candidate width
+    S + C.  A rejected J costs ``j_cost`` bits, with M* and the decode -1
+    and the hit 0.
     """
     inner = tab.inner
     T = tx[-1].size
@@ -871,8 +858,8 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
     if blocks is None:
         blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
                                           inner.width + 1), dtype=np.uint8)
-    jj = (np.zeros(T, dtype=np.int64) if tab.cum_j is None
-          else _pick_slice(_rows(tab.cum_j, ti), rng.random(T)))
+    jj = (_pick_slice(_rows(tab.cum_j, ti), rng.random(T))
+          if tab.cum_j.shape[-1] > 1 else np.zeros(T, dtype=np.int64))
     k_t = tab.k_of[jj]
     u = _draw_prefix(rng, k_t)
     u_m = rng.random(T)
@@ -882,21 +869,19 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
 
     def decode(a, b):
         t, r = ti[a:b], ri[a:b]
-        restrict = (np.ones((b - a, S), dtype=bool) if slc_tx is None
-                    else _rows(slc_tx, t) == jj[a:b, None])
-        return _round_kernel(inner, _rows(sup, t), _rows(p_sup, t), restrict,
+        return _round_kernel(inner, _rows(sup, t), _rows(p_sup, t),
+                             _rows(slc_tx, t) == jj[a:b, None],
                              _rows(cand, r), _rows(slc_rx, r), k_t[a:b],
                              blocks[a:b], u[a:b], u_m[a:b], tab.j_cost)
 
     m_star, decoded, cause, bits, hit = _in_blocks(
         decode, T, max(1, TRIAL_BLOCK_BYTES // _kernel_bytes(
             S + C, inner.total_hash_bits, inner.width)))
-    if tab.good is not None:
-        bad = ~tab.good[tx[0], jj]
-        m_star[bad] = decoded[bad] = -1
-        cause[bad] = _BAD_J
-        bits[bad] = tab.j_cost
-        hit[bad] = 0
+    bad = ~tab.good[tx[0], jj]
+    m_star[bad] = decoded[bad] = -1
+    cause[bad] = _BAD_J
+    bits[bad] = tab.j_cost
+    hit[bad] = 0
     return m_star, decoded, cause, bits, hit
 
 
@@ -1076,30 +1061,24 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
         # each party's table rows: (history, symbol)
         t_tx, t_rx = ((state[:, K + i], state[:, 2 * R + i])
                       for i in (tx, rx))
-        if tab.cum_j is None:
-            s, jj, p_s = np.arange(len(p)), np.zeros(len(p), np.int64), p
-        else:
-            cum = tab.cum_j[t_tx]
-            p_j = np.diff(cum, axis=1, prepend=0.0) / cum[:, -1:]
-            s, jj = np.nonzero(p_j > 0)
-            p_s = p[s] * p_j[s, jj]
-        if tab.good is not None:
-            ok = tab.good[t_tx[0][s], jj]
-            bad = state[s[~ok]]
-            bad[:, K + 3] = _BAD_J
-            out, q_out = _merge_rows(np.concatenate([out, bad]),
-                                     np.concatenate([q_out, p_s[~ok]]))
-            s, jj, p_s = s[ok], jj[ok], p_s[ok]
+        cum = tab.cum_j[t_tx]
+        p_j = np.diff(cum, axis=1, prepend=0.0) / cum[:, -1:]
+        s, jj = np.nonzero(p_j > 0)
+        p_s = p[s] * p_j[s, jj]
+        ok = tab.good[t_tx[0][s], jj]
+        bad = state[s[~ok]]
+        bad[:, K + 3] = _BAD_J
+        out, q_out = _merge_rows(np.concatenate([out, bad]),
+                                 np.concatenate([q_out, p_s[~ok]]))
+        s, jj, p_s = s[ok], jj[ok], p_s[ok]
         if not s.size:
             state, p = out, q_out
             continue
         rows_tx = tuple(i[s] for i in t_tx)
         rows_rx = tuple(i[s] for i in t_rx)
-        sup, p_sup, slc_tx = (None if a is None else a[rows_tx]
-                              for a in tab.support)
+        sup, p_sup, slc_tx = (a[rows_tx] for a in tab.support)
         cand, slc = (a[rows_rx] for a in tab.candidates)
-        restrict = (np.ones(sup.shape, dtype=bool) if slc_tx is None
-                    else slc_tx == jj[:, None])
+        restrict = slc_tx == jj[:, None]
         k = tab.k_of[jj]
         inner = tab.inner
         L, w, M = inner.total_hash_bits, inner.width, tab.p_m.shape[-1]
@@ -1152,16 +1131,11 @@ def _check_rows(tables: Sequence[_RoundTables], states: int):
     decode, a slice of 1 or more; at least 1).
     """
     for t, tab in enumerate(tables, start=1):
-        supported = tab.p_m > 0
-        if tab.slice_tx is None:
-            s_j = supported.sum(axis=-1)[..., None]
-            accepted = np.ones(s_j.shape, dtype=bool)
-        else:
-            s_j = np.zeros(tab.cum_j.shape, dtype=np.int64)
-            h, x, m = np.nonzero(supported)
-            np.add.at(s_j, (h, x, tab.slice_tx[h, x, m]), 1)
-            accepted = (np.diff(tab.cum_j, axis=-1, prepend=0.0) > 0) \
-                & tab.good[:, None, :]
+        s_j = np.zeros(tab.cum_j.shape, dtype=np.int64)
+        h, x, m = np.nonzero(tab.p_m > 0)
+        np.add.at(s_j, (h, x, tab.slice_tx[h, x, m]), 1)
+        accepted = (np.diff(tab.cum_j, axis=-1, prepend=0.0) > 0) \
+            & tab.good[:, None, :]
         picks = np.where(accepted, np.maximum(s_j, 1), 0)
         opens = int((picks + np.where(accepted, (np.int64(1) << tab.k_of)
                                       - 1, 0)).sum(axis=-1).max())
@@ -1254,10 +1228,10 @@ class _RoundTables:
 
     History h of engine 5's round t is ``law.histories(t)[h]``; engines 2
     to 4 have one history.  ``n_tx`` and ``n_rx`` are the speaker's and the
-    listener's alphabet sizes.  Engines 2 and 3 have no slice-index law
-    (its fields from ``slice_tx`` to ``good`` are None; ``k_of`` holds
-    their k).  ``inner`` is the :class:`_HashSchedule` all histories
-    share.
+    listener's alphabet sizes.  Every table carries a law of the slice
+    index J over its n_j indices; on engines 2 and 3 it has the one index
+    J = 0 (see :meth:`build`).  ``inner`` is the :class:`_HashSchedule`
+    all histories share.
 
     The trials and the exact walk decode over candidate lists, built once
     per table on first use: ``support``, each speaker row's S supported
@@ -1270,22 +1244,23 @@ class _RoundTables:
     p_m: np.ndarray         # (H, n_tx, M) transmitter message law
     slice_rx: np.ndarray    # (H, n_rx, M) receiver slice of each message
     k_of: np.ndarray        # (n_j,) shared prefix length per slice index
-    slice_tx: np.ndarray | None = None  # (H, n_tx, M) transmitter slices
-    p_j_given_x: np.ndarray | None = None  # (H, n_tx, n_j) law of J
-    cum_j: np.ndarray | None = None  # (H, n_tx, n_j) cumulative J law
-    p_j: np.ndarray | None = None    # (H, n_j) law of J under the prior
-    good: np.ndarray | None = None   # (H, n_j) slice indices accepted
+    slice_tx: np.ndarray    # (H, n_tx, M) transmitter slices
+    p_j_given_x: np.ndarray  # (H, n_tx, n_j) law of J
+    cum_j: np.ndarray       # (H, n_tx, n_j) cumulative J law
+    p_j: np.ndarray         # (H, n_j) law of J under the prior
+    good: np.ndarray        # (H, n_j) slice indices accepted
     next: np.ndarray | None = None   # (H, M) next history or -1; None last
 
     @classmethod
     def build(cls, inner: _HashSchedule, p_m: np.ndarray,
-              slice_rx: np.ndarray, prior: np.ndarray, cfg_tx: SliceConfig,
-              k_override: int | None,
+              slice_rx: np.ndarray, prior: np.ndarray | None,
+              cfg_tx: SliceConfig | None, k_override: int | None,
               next: np.ndarray | None = None) -> _RoundTables:
         """A round's tables from per-history arrays: the speaker's message
         laws ``p_m`` (H, n_tx, M) and input priors ``prior`` (H, n_tx),
         sliced by ``cfg_tx``, and the listener's slices ``slice_rx``
-        (H, n_rx, M), by ``inner.cfg_rx``."""
+        (H, n_rx, M), by ``inner.cfg_rx``.  No ``cfg_tx`` (engines 2 and
+        3) gives J = 0 alone, with ``k_override`` shared bits."""
         slice_tx, p_j_given_x, p_j, good, j_cost = _tx_tables(
             p_m, cfg_tx, prior)
         return cls(inner=inner, j_cost=j_cost, p_m=p_m, slice_rx=slice_rx,
@@ -1299,12 +1274,10 @@ class _RoundTables:
     def support(self) -> tuple:
         """``(sup, p, slice)``, each (H, n_tx, S): every speaker row's
         messages with P(m | x) > 0 in message order, their probabilities
-        and their slices (None without a slice-index law), padded with
-        message 0 of probability 0 to S, the widest row (at least 1)."""
-        sup, (p, *slc) = _column_lists(
-            self.p_m > 0, self.p_m,
-            *(() if self.slice_tx is None else (self.slice_tx,)))
-        return sup, p, slc[0] if slc else None
+        and their slices, padded with message 0 of probability 0 to S, the
+        widest row (at least 1)."""
+        sup, (p, slc) = _column_lists(self.p_m > 0, self.p_m, self.slice_tx)
+        return sup, p, slc
 
     @cached_property
     def candidates(self) -> tuple:
@@ -1405,8 +1378,9 @@ class ProtocolSimulator:
 def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:
     """Default slice plans from the per-round density spectra.
 
-    The spectra read the law's shared round views, so a simulator built on
-    the same law afterwards computes no view again.
+    The spectra read the law's shared round views and are kept in the law,
+    so a simulator or budget built on the same law afterwards computes no
+    view or spectrum again.
     """
     def plan(t, side):
         return auto_slice_config(round_density_spectrum(law, t, side),
@@ -1423,10 +1397,16 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
     aggregated over histories with their true probabilities.  The round
     views come from :meth:`TranscriptLaw.round_views`, computed once per
     law and shared with the slice plans, engines and budgets built on it;
-    both sides read the views' positive atoms, history by history.
+    both sides read the views' positive atoms, history by history.  It is
+    built once per law too, kept read-only in the views' memo at (t, side).
     """
-    views = law.round_views(t)
-    h, u, i, j, w = views.atoms
-    cond = (views.p_m_given_x[h, i, u] if (t % 2 == 1) == (side == "tx")
-            else views.p_m_given_y[h, j, u])
-    return SpectrumTable.from_atoms(-log2_each(cond), w)
+    spec = law._views.get((t, side))
+    if spec is None:
+        views = law.round_views(t)
+        h, u, i, j, w = views.atoms
+        cond = (views.p_m_given_x[h, i, u] if (t % 2 == 1) == (side == "tx")
+                else views.p_m_given_y[h, j, u])
+        spec = law._views[(t, side)] = SpectrumTable.from_atoms(
+            -log2_each(cond), w)
+        spec.values.flags.writeable = spec.probs.flags.writeable = False
+    return spec

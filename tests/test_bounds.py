@@ -232,6 +232,11 @@ class TestBeta:
         assert beta_eps_upper(bernoulli(0.5), bernoulli(0.5), 0.1,
                               -10.0) == math.inf
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ParameterRange, match="finite lam"):
+            beta_eps_upper(bernoulli(0.5), bernoulli(0.5), 0.1, lam)
+
 
 class TestSecretKey:
     def test_independent_source(self):

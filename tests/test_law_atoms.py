@@ -274,16 +274,15 @@ def test_engine4_receiver_table_computed_once(monkeypatch, target):
     engine = icsim.cli.build_engine({"source": src, "protocol": "p4",
                                      "target": target, "gamma": 3.0})
     assert isinstance(engine, ImprovedRoundSimulator)
-    inner = engine.inner
     # one receiver slicing (ny, M), one transmitter slicing (1, nx, M)
-    assert slicings == [inner.p_m_given_y.shape,
-                        (1,) + inner.p_m_given_x.shape]
-    assert engine.table.slice_rx.base is inner.slice_rx.base
+    assert slicings == [engine.p_m_given_y.shape,
+                        (1,) + engine.p_m_given_x.shape]
+    assert engine.table.slice_rx.base is engine.slice_rx.base
     joint = sum(np.outer(p_m, p_xy) for p_m, p_xy in
-                zip(inner.p_m_given_x, inner.source.mass))
-    assert _same(inner.joint_my, joint)
-    assert inner.tail_mass() == float(joint[inner.slice_rx == 0].sum())
-    assert inner.joint_my is inner.__dict__["joint_my"]
+                zip(engine.p_m_given_x, engine.source.mass))
+    assert _same(engine.joint_my, joint)
+    assert engine.tail_mass() == float(joint[engine.slice_rx == 0].sum())
+    assert engine.joint_my is engine.__dict__["joint_my"]
 
 
 # -- exchange-bits -------------------------------------------------------------

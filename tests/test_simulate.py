@@ -245,7 +245,7 @@ class TestImprovedRound:
         sim = self.make()
         for j in range(sim.cfg_tx.n_slices + 1):
             k = sim.k_of(j)
-            assert 0 <= k <= sim.inner.total_hash_bits
+            assert 0 <= k <= sim.total_hash_bits
 
     def test_plugin_tv_below_budget(self):
         sim = self.make()
@@ -504,7 +504,7 @@ def _improved_rule(eng, s_tx, slc, block, jj, u, u_m):
     if not eng.good[jj]:
         return None, None, "bad_J", eng.j_cost
     k = eng.k_of(jj)
-    return _round_rule(eng.inner, eng.inner.p_m_given_x[s_tx],
+    return _round_rule(eng, eng.p_m_given_x[s_tx],
                        eng.slice_tx[:, s_tx] == jj, slc, block, k,
                        u & ((1 << k) - 1), u_m, eng.j_cost)
 
@@ -528,31 +528,30 @@ def _round_oracle(engine, seed, T):
     uniforms.  Each trial then runs the rule written out above.
     """
     improved = isinstance(engine, ImprovedRoundSimulator)
-    inner = getattr(engine, "inner", engine)
     rng = np.random.default_rng(seed)
-    xi, yj = inner.source.sample(rng, size=T)
-    blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
-                                      inner.width + 1), dtype=np.uint8)
-    ks = [inner.k] * T
+    xi, yj = engine.source.sample(rng, size=T)
+    blocks = rng.integers(0, 2, size=(T, engine.total_hash_bits,
+                                      engine.width + 1), dtype=np.uint8)
+    ks = [engine.k] * T
     if improved:
         jj = [_pick(engine.p_j_given_x[i], u)
               for i, u in zip(xi, rng.random(T))]
         ks = [engine.k_of(j) for j in jj]
     us = _draw_strings(rng, ks)
     u_m = rng.random(T)
-    msgs = (None,) + tuple(inner.messages)
-    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+    msgs = (None,) + tuple(engine.messages)
+    xs, ys = engine.source.x_alphabet, engine.source.y_alphabet
     out = []
     for n in range(T):
         i, j = xi[n], yj[n]
         if improved:
             m, d, cause, bits = _improved_rule(
-                engine, i, inner.slice_rx[:, j], blocks[n], jj[n], us[n],
+                engine, i, engine.slice_rx[:, j], blocks[n], jj[n], us[n],
                 u_m[n])
         else:
             m, d, cause, bits = _round_rule(
-                inner, inner.p_m_given_x[i], np.ones(len(msgs) - 1, bool),
-                inner.slice_rx[:, j], blocks[n], ks[n],
+                engine, engine.p_m_given_x[i], np.ones(len(msgs) - 1, bool),
+                engine.slice_rx[:, j], blocks[n], ks[n],
                 us[n] & ((1 << ks[n]) - 1), u_m[n], 0)
         txs = (None, None) if m is None else (
             msgs[m + 1], None if d is None else msgs[d + 1])
@@ -599,9 +598,8 @@ def test_round_kernel_matches_scalar_seed_for_seed(make, outcomes):
     batch = _trial_walk(engine, np.random.default_rng(seed), T)
     tx, decoded, xi, yj = batch.keys.T
     cause, bits = batch.cause, batch.bits
-    inner = getattr(engine, "inner", engine)
-    msgs = (None,) + tuple(inner.messages)
-    xs, ys = inner.source.x_alphabet, inner.source.y_alphabet
+    msgs = (None,) + tuple(engine.messages)
+    xs, ys = engine.source.x_alphabet, engine.source.y_alphabet
     seen = set()
     for n, want in enumerate(_round_oracle(engine, seed, T)):
         c = int(cause[n])
@@ -630,15 +628,14 @@ def _round_outcomes(engine, s_tx, slc, hb):
     string u uniform on k bits, and M* with its prefix weight, or the first
     supported restricted message when all of them are zero."""
     improved = isinstance(engine, ImprovedRoundSimulator)
-    inner = engine.inner if improved else engine
-    p_row = inner.p_m_given_x[s_tx]
+    p_row = engine.p_m_given_x[s_tx]
     j_law = engine.p_j_given_x[s_tx] if improved else np.ones(1)
     for jj in np.nonzero(j_law)[0]:
         q_j = j_law[jj] / j_law.sum()
         if improved and not engine.good[jj]:
             yield q_j, (None, None, "bad_J", engine.j_cost)
             continue
-        k = engine.k_of(jj) if improved else inner.k
+        k = engine.k_of(jj) if improved else engine.k
         restrict = (engine.slice_tx[:, s_tx] == jj if improved
                     else np.ones(len(p_row), dtype=bool))
         extra = engine.j_cost if improved else 0
@@ -651,27 +648,26 @@ def _round_outcomes(engine, s_tx, slc, hb):
                 picks = [(1.0, int(supported[0]) if supported.size else 0)]
             for q, m in picks:
                 yield q_j * 2.0 ** -k * q, (m,) + _search_rule(
-                    inner, hb, slc, m, k, u, extra)
+                    engine, hb, slc, m, k, u, extra)
 
 
 def _round_law(engine):
     """Exact view law of engine 3 or 4 from the rule: every live (x, y),
     hash family and outcome of :func:`_round_outcomes`, each view's terms
     summed with ``math.fsum``."""
-    inner = getattr(engine, "inner", engine)
-    src = inner.source
-    n_fam = family_size(inner.width, inner.total_hash_bits)
+    src = engine.source
+    n_fam = family_size(engine.width, engine.total_hash_bits)
 
     def msg(a):
-        return None if a is None else inner.messages[a]
+        return None if a is None else engine.messages[a]
 
     terms = defaultdict(list)
-    for fam in enumerate_family(inner.width, inner.total_hash_bits):
-        hb = fam.apply_bits(encode_universe(len(inner.messages),
-                                            inner.width))
+    for fam in enumerate_family(engine.width, engine.total_hash_bits):
+        hb = fam.apply_bits(encode_universe(len(engine.messages),
+                                            engine.width))
         for i, j in zip(*np.nonzero(src.mass > 0)):
             for q, (m, d, _, _) in _round_outcomes(
-                    engine, i, inner.slice_rx[:, j], hb):
+                    engine, i, engine.slice_rx[:, j], hb):
                 terms[(msg(m), msg(d), src.x_alphabet[i],
                        src.y_alphabet[j])].append(src.mass[i, j] / n_fam * q)
     return {view: math.fsum(t) for view, t in terms.items()}
@@ -693,7 +689,7 @@ def _send_x_improved(k_override):
     (lambda: _noisy_round(k=1), False),
     (lambda: InteractiveSWCoder(dsbs_source(0.25),
                                 SliceConfig(0.0, 2.0 + 1e-9, 2.0, 0.0),
-                                l=2).inner, True),
+                                l=2), True),
     (lambda: _noisy_round(improved=True), False),
     (lambda: _noisy_round(k_override=2, improved=True), False),
     (lambda: _send_x_improved(k_override=1), True),
@@ -832,7 +828,7 @@ def _chain_oracle(sim, rng, T, blocks=None):
             e_tx, e_rx = engs[n]
             s_tx, s_rx = trial["sym"][tx], trial["sym"][1 - tx]
             m, d, cause, bits = _improved_rule(
-                e_tx, s_tx, e_rx.inner.slice_rx[:, s_rx], blk[a], jj[a],
+                e_tx, s_tx, e_rx.slice_rx[:, s_rx], blk[a], jj[a],
                 us[a], u_m[a])
             trial["bits"] += bits
             if cause is None and trial["bits"] > sim.l_max:
@@ -935,9 +931,9 @@ def _chain_law(sim):
                 memo[key] = [(1.0, (None, None, "no_match", 0))], e_tx
             else:
                 memo[key] = list(_round_outcomes(
-                    e_tx, syms[tx], e_rx.inner.slice_rx[:, syms[1 - tx]],
+                    e_tx, syms[tx], e_rx.slice_rx[:, syms[1 - tx]],
                     fams[t - 1][f].apply_bits(encode_universe(
-                        len(e_tx.messages), e_tx.inner.width)))), e_tx
+                        len(e_tx.messages), e_tx.width)))), e_tx
         return memo[key]
 
     src = sim.src
@@ -1116,18 +1112,18 @@ def test_round_tables_match_history_engines(name):
             engs = [ref[(t, h)] for h in hists]
             n_j = engs[0].good.size
             assert _same_array(tab.p_m, np.stack(
-                [e.inner.p_m_given_x for e in engs]))
+                [e.p_m_given_x for e in engs]))
             assert _same_array(tab.slice_tx, np.stack(
                 [e.slice_tx.T for e in engs]))
             assert _same_array(tab.slice_rx, np.stack(
-                [e.inner.slice_rx.T for e in engs]))
+                [e.slice_rx.T for e in engs]))
             assert _same_array(tab.cum_j, np.cumsum(np.stack(
                 [e.p_j_given_x for e in engs]), axis=2))
             assert _same_array(tab.good, np.stack([e.good for e in engs]))
             for e in engs:
                 assert _same_array(tab.k_of, [e.k_of(j) for j in range(n_j)])
                 assert tab.j_cost == e.j_cost
-            first, inner = engs[0].inner, tab.inner
+            first, inner = engs[0], tab.inner
             assert inner.messages == first.messages == law.round_messages(t)
             assert (inner.width, inner.l, inner.delta, inner.n_slices,
                     inner.total_hash_bits, inner.chunk) == (
@@ -1278,7 +1274,7 @@ def test_slice_index_tables_match_scalar_formulas():
                                    view.messages, rx, tx, prior_x=prior)
         slc, p_j_x, p_j, good, k_of, j_cost = _slice_index_reference(
             view.p_m_given_x, law.source.p_x if prior is None else prior,
-            tx, gamma, e.inner.total_hash_bits)
+            tx, gamma, e.total_hash_bits)
         assert np.array_equal(e.slice_tx, slc.T)
         assert np.array_equal(e.p_j_given_x, p_j_x)
         assert np.abs(e.p_j - p_j).max() <= 1e-15
@@ -1417,7 +1413,7 @@ def _kernels(engine):
         return [(len(engine.source.x_alphabet), engine.l, engine.width)]
     inners = ([tab.inner for tab in engine.tables]
               if isinstance(engine, ProtocolSimulator)
-              else [getattr(engine, "inner", engine)])
+              else [engine])
     return [(len(i.messages), i.total_hash_bits, i.width) for i in inners]
 
 
@@ -1507,6 +1503,13 @@ def test_interactive_coder_builds_its_table_once(monkeypatch):
     assert len(built) == 2
 
 
+def _assert_one_index_law(tab, k):
+    """The slice-index law of engines 2 and 3: the one index J = 0, every
+    message in slice 0, accepted and sent in no bits, k shared bits."""
+    assert tab.cum_j.shape[-1] == 1 and tab.j_cost == 0 and tab.good.all()
+    assert not tab.slice_tx.any() and tab.k_of.tolist() == [k]
+
+
 def test_round_simulator_builds_its_table_once(monkeypatch):
     # send-x over dsbs^6 at k = 1: the table holds the hash schedule, not
     # the engine, so the engine stores it; two chunks and three scalar runs
@@ -1515,6 +1518,7 @@ def test_round_simulator_builds_its_table_once(monkeypatch):
                            "target": "send-x", "k": 1, "gamma": 3.0})
     assert engine.table is engine.table
     assert engine.table.inner is engine.schedule
+    _assert_one_index_law(engine.table, 1)
     assert engine.chunk < 20_000 <= 2 * engine.chunk
     built = []
     column_lists = icsim.simulate._column_lists
@@ -1524,10 +1528,11 @@ def test_round_simulator_builds_its_table_once(monkeypatch):
     for seed in range(3):
         engine.run(np.random.default_rng(seed))
     assert len(built) == 2
-    # engine 4 builds its table on the schedule; its engine 3 builds none
+    # engine 4 is engine 3 with one table, built on its schedule, whose
+    # law has the n_tx + 1 slice indices of its transmitter slicing
     improved = _big("p4")
-    assert improved.table.inner is improved.inner.schedule
-    assert "table" not in improved.inner.__dict__
+    assert improved.table.inner is improved.schedule
+    assert improved.table.cum_j.shape[-1] == improved.cfg_tx.n_slices + 1
 
 
 def test_protocol_run_trials_chunks_on_part_streams():
@@ -1628,15 +1633,25 @@ def test_interactive_coder_is_round_simulator_on_identity():
     cfg = SliceConfig(0.0, 6.0 + 1e-9, 3.0, 0.0)  # l defaults to 3
     src = product_source(dsbs_source(0.2), 2)
     coder = InteractiveSWCoder(src, cfg, l=2)
-    inner = coder.inner
-    assert inner.k == 0 and inner.l == coder.l == 2
-    assert inner.messages == src.x_alphabet
-    assert np.array_equal(inner.p_m_given_x, np.eye(len(src.x_alphabet)))
+    assert isinstance(coder, RoundSimulator)
+    assert coder.k == 0 and coder.l == 2
+    assert coder.messages == src.x_alphabet
+    assert np.array_equal(coder.p_m_given_x, np.eye(len(src.x_alphabet)))
     assert coder.total_hash_bits == 2 + (coder.n_slices - 1) * 3
     assert coder.bits_for_slice(2) == 2 + 3 + 2
-    # trials and exact mode both read the inner simulator's table
-    assert coder.table.p_m.base is inner.p_m_given_x
-    assert coder.table.k_of.tolist() == [0]
+    # trials and exact mode both read the engine's one-index table
+    assert coder.table.p_m.base is coder.p_m_given_x
+    _assert_one_index_law(coder.table, 0)
+    # so a trial batch of engine 3 at k = 0 draws the source pairs, the hash
+    # blocks and the M* uniforms, and no slice index
+    T = 50
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    _trial_walk(coder, rng, T)
+    src.sample(ref, size=T)
+    ref.integers(0, 2, size=(T, coder.total_hash_bits, coder.width + 1),
+                 dtype=np.uint8)
+    ref.random(T)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _true_view_law_by_pairs(sim):
@@ -1658,7 +1673,7 @@ def _true_view_law_by_pairs(sim):
 def test_round_true_view_law_matches_pair_loop(make):
     engine = make()
     law = engine.true_view_law()
-    ref = _true_view_law_by_pairs(getattr(engine, "inner", engine))
+    ref = _true_view_law_by_pairs(engine)
     assert law.symbols == ref.symbols
     assert law.probs.tobytes() == ref.probs.tobytes()
 
@@ -1924,7 +1939,7 @@ def test_exact_law_is_full_family_walk(make, dyadic):
     law = engine.exact_view_law()
     ref = (_protocol_full_walk(engine)
            if isinstance(engine, ProtocolSimulator)
-           else _round_full_walk(getattr(engine, "inner", engine)))
+           else _round_full_walk(engine))
     assert law.symbols == ref.symbols
     if dyadic:
         # every sum is exact, however many terms it has
@@ -2320,7 +2335,7 @@ def test_decode_blocks_sized_by_candidate_width(monkeypatch):
     tab = engine.table
     assert (tab.support[0].shape[-1], tab.candidates[0].shape[-1]) == (1, 22)
     assert engine.chunk == 17_650
-    L, w = engine.inner.total_hash_bits, engine.inner.width
+    L, w = engine.total_hash_bits, engine.width
     assert icsim.simulate.TRIAL_BLOCK_BYTES // _kernel_bytes(64, L, w) == 1_103
     rows = _kernel_rows(monkeypatch)
     assert run_trials(engine, 10_000, 1).trials == 10_000
@@ -2599,6 +2614,11 @@ def test_p5_eval_with_budget_computes_each_round_view_once(monkeypatch,
                         lambda sim: budgets.append(p5_budget(sim))
                         or budgets[-1])
     counts = _count_view_computations(monkeypatch)
+    # the plans and the budget read the same (round, side) spectra
+    spectra = []
+    from_atoms = SpectrumTable.from_atoms.__func__
+    monkeypatch.setattr(SpectrumTable, "from_atoms", classmethod(
+        lambda cls, *a: spectra.append(a) or from_atoms(cls, *a)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_VIEW_COUNTED["p5-exchange"]))
     out = tmp_path / "out.json"
@@ -2609,6 +2629,8 @@ def test_p5_eval_with_budget_computes_each_round_view_once(monkeypatch,
     (law,) = laws
     assert set(counts) == _all_views(law)
     assert set(counts.values()) == {1}
+    # two rounds, two sides: each spectrum built once
+    assert len(spectra) == 2 * law.n_rounds == 4
 
 
 def test_p4_build_memory_bounded():
