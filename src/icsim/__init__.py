@@ -9,9 +9,6 @@ from .probcore import (
     auto_slice_config,
     dsbs_source,
     entropy_density,
-    eps_tail,
-    ic_density,
-    moments,
     product_source,
     q_inv,
     spectrum,
@@ -21,17 +18,14 @@ from .protocol import (
     MixedProtocol,
     ProductProtocol,
     ProtocolTree,
-    RegionSource,
     ThresholdExample,
     TranscriptLaw,
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
     exchange_bits_protocol,
-    mixed_protocol,
     noisy_send_protocol,
     one_round_protocol,
-    product_protocol,
     send_value_protocol,
     transcript_law,
     two_round_protocol,

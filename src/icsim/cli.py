@@ -44,12 +44,12 @@ from .probcore import (
 )
 from .protocol import (
     LAW_SELECTORS,
+    MixedProtocol,
     TranscriptLaw,
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
     exchange_bits_protocol,
-    mixed_protocol,
     noisy_send_protocol,
     send_value_protocol,
     xor_reply_protocol,
@@ -447,7 +447,7 @@ def _example_mixed(args):
     source = dsbs_source(args.q)
     head, tail = send_value_protocol(source), constant_protocol(source)
     _check_run(args)
-    mix = mixed_protocol(head, tail, args.p, args.n)
+    mix = MixedProtocol(head, tail, args.p, args.n)
     rng = np.random.default_rng([args.seed, 0])
     draws = mix.sample_ic(rng, args.trials) / args.n
     return ({"example": "mixed", "p": args.p, "n": args.n, "q": args.q,

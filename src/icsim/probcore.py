@@ -167,6 +167,9 @@ class JointSource:
             raise OutOfRange("negative or NaN probability mass")
         if abs(float(mass.sum()) - 1.0) > NORM_TOL:
             raise OutOfRange("joint mass does not sum to one")
+        for alphabet in (self.x_alphabet, self.y_alphabet):
+            if len(set(alphabet)) != len(alphabet):
+                raise MismatchedSupport("duplicate symbols in an alphabet")
 
     @cached_property
     def x_index(self) -> dict:
@@ -217,12 +220,13 @@ class JointSource:
         """Build a source from a JSON document.
 
         Expected keys: ``x_alphabet``, ``y_alphabet`` and a row-major ``mass``
-        list of lists.
+        list of lists.  A symbol that is a list, at any depth, becomes a
+        tuple.
         """
         if isinstance(doc, str):
             doc = json.loads(doc)
         def _freeze(sym):
-            return tuple(sym) if isinstance(sym, list) else sym
+            return tuple(map(_freeze, sym)) if isinstance(sym, list) else sym
         return cls(
             x_alphabet=tuple(_freeze(s) for s in doc["x_alphabet"]),
             y_alphabet=tuple(_freeze(s) for s in doc["y_alphabet"]),
@@ -290,12 +294,6 @@ def entropy_density(source: JointSource, kind: str, x, y) -> float:
     if kind == "mutual":
         return _log2(float(source.p_x_given_y[i, j])) - _log2(float(source.p_x[i]))
     raise OutOfRange(f"unknown density kind {kind!r}")
-
-
-def ic_density(law, tau, x, y) -> float:
-    """Information complexity density of a transcript at an input pair:
-    :meth:`TranscriptLaw.ic` of ``law``, read from its atoms."""
-    return law.ic(tau, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +483,8 @@ def spectrum(obj, selector: str) -> SpectrumTable:
 
     For a :class:`JointSource` the selector is one of the entropy-density
     kinds.  Any other object is asked for its own ``spectrum`` method, which
-    covers transcript laws and region-aggregated protocol descriptions.
+    covers transcript laws and the factored constructions of
+    :mod:`icsim.protocol`.
     """
     if isinstance(obj, JointSource):
         if selector not in DENSITY_KINDS:
@@ -507,14 +506,6 @@ def spectrum(obj, selector: str) -> SpectrumTable:
             vals = log2_each(obj.p_x_given_y[i, j]) - log2_each(obj.p_x[i])
         return SpectrumTable.from_atoms(vals, probs)
     return obj.spectrum(selector)
-
-
-def moments(spec: SpectrumTable) -> MomentSummary:
-    return spec.moments()
-
-
-def eps_tail(spec: SpectrumTable, eps: float, side: str) -> float:
-    return spec.eps_tail(eps, side)
 
 
 # ---------------------------------------------------------------------------

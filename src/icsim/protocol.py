@@ -9,7 +9,7 @@ from these atoms.
 
 Large constructions that would not fit as explicit laws (iid products,
 protocol mixtures, the two-threshold example on n-bit inputs) are kept in
-factored or region-aggregated form and expose the same ``spectrum`` API.
+factored or cell-aggregated form and expose the same ``spectrum`` API.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .probcore import (
     JointSource,
     SpectrumTable,
     log2_each,
+    product_source,
 )
 
 LAW_SELECTORS = ("ic", "h_xy", "h_x_given_ypi", "hsum_ext", "compression")
@@ -578,8 +579,9 @@ def transcript_law(tree: ProtocolTree, source: JointSource) -> TranscriptLaw:
 
 
 def _runs(bits: str, owners: str) -> tuple:
-    """Split a bit string into maximal same-owner runs."""
-    out, cur, who = [], "", owners[0] if owners else "x"
+    """Split a bit string into maximal same-owner runs, party "x" first:
+    a path that starts with "y" has an empty first round."""
+    out, cur, who = [], "", "x"
     for b, o in zip(bits, owners):
         if o == who:
             cur += b
@@ -734,33 +736,31 @@ class ProductProtocol:
         return self.n * self.base.ic_mean
 
     def expand(self) -> TranscriptLaw:
-        """Explicit transcript law of the product (small n only)."""
-        src = self.base.source
-        law = self.base
-        out_src, out_law = src, law
+        """Explicit transcript law of the product (small n only), on
+        :func:`~icsim.probcore.product_source`.  Its atoms are n-tuples of
+        base atoms: k = k1 T + k2 (so i and j), p = p1 p2 multiplied left
+        to right, kept at positive joint mass in row-major (k, i, j) order."""
+        base = self.base
+        if self.n == 1:
+            return base
+        T = len(base.transcripts)
+        nx, ny = base.source.mass.shape
+        _check_law_size(T ** self.n, nx ** self.n, ny ** self.n)
+        source = product_source(base.source, self.n)
+        k, i, j, p = bk, bi, bj, bp = base.atoms
         for _ in range(self.n - 1):
-            out_src, out_law = _pair_product(out_src, out_law, src, law)
-        return out_law
-
-
-def _pair_product(src_a, law_a, src_b, law_b):
-    xs = tuple((a if isinstance(a, tuple) else (a,)) + (b,)
-               for a in src_a.x_alphabet for b in src_b.x_alphabet)
-    ys = tuple((a if isinstance(a, tuple) else (a,)) + (b,)
-               for a in src_a.y_alphabet for b in src_b.y_alphabet)
-    src = JointSource(xs, ys, np.kron(src_a.mass, src_b.mass))
-    transcripts = tuple(ta + tb for ta in law_a.transcripts
-                        for tb in law_b.transcripts)
-    table = np.stack([
-        np.kron(law_a.p_tau_given_xy[i], law_b.p_tau_given_xy[j])
-        for i in range(len(law_a.transcripts))
-        for j in range(len(law_b.transcripts))
-    ])
-    return src, TranscriptLaw.from_table(src, transcripts, table)
-
-
-def product_protocol(law: TranscriptLaw, n: int) -> ProductProtocol:
-    return ProductProtocol(law, n)
+            k = (k[:, None] * T + bk).ravel()
+            i = (i[:, None] * nx + bi).ravel()
+            j = (j[:, None] * ny + bj).ravel()
+            p = (p[:, None] * bp).ravel()
+        keep = np.flatnonzero(p * source.mass[i, j] > 0)
+        keep = keep[np.lexsort((j[keep], i[keep], k[keep]))]
+        transcripts = [()]
+        for _ in range(self.n):
+            transcripts = [ta + tb for ta in transcripts
+                           for tb in base.transcripts]
+        return TranscriptLaw(source, tuple(transcripts),
+                             (k[keep], i[keep], j[keep], p[keep]))
 
 
 @dataclass(frozen=True)
@@ -808,55 +808,13 @@ class MixedProtocol:
             k = int(m.sum())
             if k == 0:
                 continue
-            spec = law.spectrum("ic")
-            draws = rng.choice(spec.values, size=(k, self.n), p=spec.probs)
-            out[m] = draws.sum(axis=1)
+            out[m] = law.spectrum("ic").sample(rng, (k, self.n)).sum(axis=1)
         return out
 
 
-def mixed_protocol(head: TranscriptLaw, tail: TranscriptLaw,
-                   p: float, n: int) -> MixedProtocol:
-    return MixedProtocol(head, tail, p, n)
-
-
 # ---------------------------------------------------------------------------
-# the two-threshold example, region-aggregated
+# the two-threshold example, aggregated over four cells
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Region:
-    """One aggregation cell: all input pairs in it share every density."""
-
-    name: str
-    mass: float
-    ic: float
-    h_xy: float
-    h_x_given_ypi: float
-    hsum_ext: float
-
-
-@dataclass(frozen=True)
-class RegionSource:
-    """A protocol-with-source summarized as finitely many density cells."""
-
-    regions: tuple
-
-    def __post_init__(self):
-        total = sum(r.mass for r in self.regions)
-        if abs(total - 1.0) > NORM_TOL:
-            raise OutOfRange("region masses do not sum to one")
-
-    def spectrum(self, selector: str) -> SpectrumTable:
-        if selector not in ("ic", "h_xy", "h_x_given_ypi", "hsum_ext"):
-            raise OutOfRange(f"unknown selector {selector!r}")
-        vals = [getattr(r, selector) for r in self.regions]
-        probs = [r.mass for r in self.regions]
-        return SpectrumTable.from_atoms(vals, probs)
-
-    @property
-    def ic_mean(self) -> float:
-        return sum(r.mass * r.ic for r in self.regions)
 
 
 @dataclass(frozen=True)
@@ -866,7 +824,7 @@ class ThresholdExample:
     Inputs are uniform independent on {1, ..., 2^n}.  With threshold
     t = delta 2^n the protocol announces which side of t each input falls on;
     when both fall at or below t it announces the pair itself.  The ic
-    density is constant on four regions:
+    density is constant on four cells:
 
     - high-high, mass (1 - delta)^2: -2 log2(1 - delta);
     - high-low and low-high, mass delta (1 - delta) each:
@@ -878,7 +836,7 @@ class ThresholdExample:
         ic_mean = 2 (1 - delta) [delta log2(1/delta) - log2(1 - delta)]
                   + 2n delta^2,
 
-    With delta = 1/n most of it comes from the two mixed regions, while
+    With delta = 1/n most of it comes from the two mixed cells, while
     for eps < delta^2 the tail lambda_eps is the low-low value 2n.
     """
 
@@ -892,26 +850,35 @@ class ThresholdExample:
             raise OutOfRange("threshold fraction must lie in (0, 1)")
 
     @cached_property
-    def regions(self) -> RegionSource:
+    def _cells(self) -> tuple:
+        """The masses of the cells high-high, high-low, low-high and
+        low-low, and each selector's density on them."""
         n, d = self.n, self.delta
         lg1m = math.log2(1 - d)
         lgd = math.log2(d)
         hi = n + lg1m   # log2((1 - delta) 2^n)
         lo = n + lgd    # log2(delta 2^n)
         mixed_ic = -lgd - lg1m
-        return RegionSource((
-            Region("high-high", (1 - d) ** 2, -2 * lg1m, 2 * n, hi, 2 * hi),
-            Region("high-low", d * (1 - d), mixed_ic, 2 * n, hi, hi + lo),
-            Region("low-high", d * (1 - d), mixed_ic, 2 * n, lo, hi + lo),
-            Region("low-low", d * d, 2.0 * n, 2 * n, 0.0, 0.0),
-        ))
+        masses = ((1 - d) ** 2, d * (1 - d), d * (1 - d), d * d)
+        if abs(sum(masses) - 1.0) > NORM_TOL:
+            raise OutOfRange("cell masses do not sum to one")
+        return masses, {
+            "ic": (-2 * lg1m, mixed_ic, mixed_ic, 2.0 * n),
+            "h_xy": (2 * n,) * 4,
+            "h_x_given_ypi": (hi, hi, lo, 0.0),
+            "hsum_ext": (2 * hi, hi + lo, hi + lo, 0.0),
+        }
 
     def spectrum(self, selector: str) -> SpectrumTable:
-        return self.regions.spectrum(selector)
+        masses, densities = self._cells
+        if selector not in densities:
+            raise OutOfRange(f"unknown selector {selector!r}")
+        return SpectrumTable.from_atoms(densities[selector], masses)
 
     @property
     def ic_mean(self) -> float:
-        return self.regions.ic_mean
+        masses, densities = self._cells
+        return sum(m * v for m, v in zip(masses, densities["ic"]))
 
     @property
     def eps_auto(self) -> float:
@@ -972,4 +939,6 @@ def appendix_threshold_example(n: int) -> ThresholdExample:
     O(log n / n), yet lambda_eps at eps = n^-3 is 2n: the tail, not the
     mean, sets the one-shot simulation cost.
     """
+    if n < 4:  # before 1 / n
+        raise OutOfRange("need n >= 4")
     return ThresholdExample(n=n, delta=1.0 / n)

@@ -503,6 +503,12 @@ class RoundSimulator(_OneRound):
         M = len(self.messages)
         if self.p_m_given_x.shape != (nx, M):
             raise OutOfRange("message channel has the wrong shape")
+        # rows at x values of zero mass are never read, and may be zero
+        rows = self.p_m_given_x[source.p_x > 0]
+        if not ((rows >= 0).all()  # NaN fails too
+                and (np.abs(rows.sum(axis=1) - 1.0) <= NORM_TOL).all()):
+            raise OutOfRange("message channel rows must be distributions "
+                             "at every x of positive mass")
         self.cfg_rx = cfg_rx
         self.schedule = s = _HashSchedule.of(self.messages, cfg_rx, l)
         self.l, self.delta, self.n_slices = s.l, s.delta, s.n_slices

@@ -55,6 +55,30 @@ def dense_marginals(law):
                 np.where(py[None, :] > 0, joint.sum(axis=1) / py[None, :], 0.0))
 
 
+def dense_product(law, n):
+    """``ProductProtocol(law, n).expand()`` as first written: n - 1 pair
+    products with the base, each the ``np.kron`` of the dense tables
+    P(tau | x, y) and of the source masses, keeping the entries of
+    positive joint mass.  Returns ``(x_alphabet, y_alphabet, mass,
+    transcripts, atoms)``, the atoms ``(k, i, j, p)`` in row-major
+    order."""
+    src = law.source
+    xs, ys, mass = src.x_alphabet, src.y_alphabet, src.mass
+    taus, table = law.transcripts, law.p_tau_given_xy
+    for _ in range(n - 1):
+        xs = tuple((a if isinstance(a, tuple) else (a,)) + (b,)
+                   for a in xs for b in src.x_alphabet)
+        ys = tuple((a if isinstance(a, tuple) else (a,)) + (b,)
+                   for a in ys for b in src.y_alphabet)
+        mass = np.kron(mass, src.mass)
+        taus = tuple(ta + tb for ta in taus for tb in law.transcripts)
+        table = np.stack([np.kron(pa, pb) for pa in table
+                          for pb in law.p_tau_given_xy])
+        table = np.where(table * mass > 0, table, 0.0)
+    k, i, j = np.nonzero(table * mass > 0)
+    return xs, ys, mass, taus, (k, i, j, table[k, i, j])
+
+
 def dense_histories(law, t):
     """Distinct prefixes of length t - 1 of transcripts with positive joint
     mass, in transcript order."""

@@ -35,10 +35,10 @@ from icsim.probcore import (
     spectrum,
 )
 from icsim.protocol import (
+    MixedProtocol,
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
-    mixed_protocol,
     noisy_send_protocol,
     send_value_protocol,
     xor_reply_protocol,
@@ -305,7 +305,7 @@ def test_criterion_8_mixed_protocol():
     n = 200
     problems = []
     for p in (0.05, 0.5):
-        mix = mixed_protocol(head, tail, p, n)
+        mix = MixedProtocol(head, tail, p, n)
         draws = mix.sample_ic(np.random.default_rng([8, int(p * 100)]),
                               100_000) / n
         above = float((draws > ic_h + 0.05).mean())

@@ -122,6 +122,21 @@ class TestJointSource:
             JointSource.from_json({"x_alphabet": [0, 1], "y_alphabet": [0, 1],
                                    "mass": [[math.nan, 0.5], [0.25, 0.25]]})
 
+    @pytest.mark.parametrize("key", ["x_alphabet", "y_alphabet"])
+    def test_rejects_duplicate_symbols(self, key):
+        doc = {"x_alphabet": [0, 1], "y_alphabet": [0, 1],
+               "mass": [[0.25, 0.25], [0.25, 0.25]], key: [0, 0]}
+        with pytest.raises(MismatchedSupport, match="duplicate symbols"):
+            JointSource.from_json(doc)
+
+    def test_json_freezes_nested_lists(self):
+        src = JointSource.from_json({
+            "x_alphabet": [[[0]], [[1]]], "y_alphabet": [0, [1, [2]]],
+            "mass": [[0.25, 0.25], [0.25, 0.25]]})
+        assert src.x_alphabet == (((0,),), ((1,),))
+        assert src.y_alphabet == (0, (1, (2,)))
+        assert src.prob(((1,),), (1, (2,))) == 0.25
+
     def test_product_source(self):
         base = dsbs_source(0.25)
         prod = product_source(base, 2)

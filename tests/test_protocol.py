@@ -16,7 +16,6 @@ from icsim.probcore import (
     JointSource,
     dsbs_source,
     entropy_density,
-    ic_density,
     product_source,
     spectrum,
 )
@@ -24,15 +23,14 @@ from icsim.protocol import (
     LAW_BYTES_CAP,
     LAW_SELECTORS,
     MixedProtocol,
+    ProductProtocol,
     ProtocolTree,
     ThresholdExample,
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
-    mixed_protocol,
     noisy_send_protocol,
     one_round_protocol,
-    product_protocol,
     send_value_protocol,
     transcript_law,
     two_round_protocol,
@@ -40,10 +38,14 @@ from icsim.protocol import (
 )
 from icsim.cli import build_engine
 import icsim.cli
+from icsim.evaluate import measure_sim_error
+from icsim.simulate import ProtocolSimulator, auto_round_plans
 from reference import (
     dense_histories,
     dense_joint,
     dense_law_spectrum,
+    dense_marginals,
+    dense_product,
     dense_round_view,
     dense_view_atoms,
     dense_view_prior,
@@ -84,22 +86,24 @@ class TestSendValue:
         (0, 1), (0, 1), np.array([[0.5, 0.2], [0.0, 0.3]])), 0.15),
 ], ids=["data-exchange", "noisy-send"])
 def test_ic_density_reads_the_atoms(make):
-    # ic_density is law.ic on every atom and builds no dense table
+    # law.ic is the dense ic density on every atom, raises ZeroMassAtom off
+    # them, and builds no dense table
     law = make()
     xs, ys, taus = law.source.x_alphabet, law.source.y_alphabet, \
         law.transcripts
-    live = set()
-    for k, i, j in zip(*(a.tolist() for a in law.atoms[:3])):
-        live.add((k, i, j))
-        args = (taus[k], xs[i], ys[j])
-        assert ic_density(law, *args) == law.ic(*args)
-    dead = [(k, i, j) for k in range(len(taus)) for i in range(len(xs))
-            for j in range(len(ys)) if (k, i, j) not in live]
+    live = list(zip(*(a.tolist() for a in law.atoms[:3])))
+    got = [law.ic(taus[k], xs[i], ys[j]) for k, i, j in live]
+    dead = set(np.ndindex(len(taus), len(xs), len(ys))) - set(live)
     assert dead
     for k, i, j in dead:
         with pytest.raises(ZeroMassAtom):
-            ic_density(law, taus[k], xs[i], ys[j])
+            law.ic(taus[k], xs[i], ys[j])
     assert "p_tau_given_xy" not in law.__dict__
+    p_x, p_y = dense_marginals(law)
+    for v, (k, i, j) in zip(got, live):
+        pxy = float(law.p_tau_given_xy[k, i, j])
+        assert v == (math.log2(pxy / float(p_x[k, i]))
+                     + math.log2(pxy / float(p_y[k, j])))
 
 
 def test_constant_protocol_zero_ic():
@@ -191,6 +195,23 @@ class TestTree:
         assert law.n_rounds == 2
         assert all(len(tau[0]) == 2 and len(tau[1]) == 1
                    for tau in law.transcripts)
+
+    def test_y_rooted_tree_opens_with_an_empty_x_round(self):
+        # party x speaks the odd rounds, so y's bit is round 2; engine 5
+        # then simulates it as well as the mirrored x-rooted tree
+        laws, tvs = [], []
+        for owner in ("y", "x"):
+            doc = {"nodes": [{"owner": owner, "bit_one": {"0": 0.0, "1": 1.0},
+                              "children": [None, None]}]}
+            laws.append(transcript_law(ProtocolTree.from_json(doc),
+                                       dsbs_source(0.1)))
+            engine = ProtocolSimulator(
+                laws[-1], auto_round_plans(laws[-1], gamma=3.0))
+            tvs.append(measure_sim_error(engine, "exact").value)
+        assert laws[0].transcripts == (("", "0"), ("", "1"))
+        assert laws[1].transcripts == (("0",), ("1",))
+        assert tvs[0] == pytest.approx(tvs[1], abs=1e-15)
+        assert tvs[1] < 0.01
 
     def test_unknown_symbol(self):
         doc = {"nodes": [{"owner": "x", "bit_one": {"7": 1.0},
@@ -370,15 +391,49 @@ def test_engine_build_keeps_no_joint_table(monkeypatch):
         assert "p_tau_given_xy" not in laws[-1].__dict__, proto
 
 
+PRODUCT_TARGETS = {
+    "send-x": send_value_protocol,
+    "noisy-send": lambda src: noisy_send_protocol(src, 0.15),
+    "data-exchange": data_exchange_protocol,
+    "xor-reply": xor_reply_protocol,
+    "constant": constant_protocol,
+}
+
+
 class TestProduct:
     def test_expand_matches_convolution(self):
         base = send_value_protocol(dsbs_source(0.25))
-        prod = product_protocol(base, 2)
+        prod = ProductProtocol(base, 2)
         want = prod.spectrum("ic")
         got = prod.expand().spectrum("ic")
         assert got.values == pytest.approx(want.values, abs=1e-9)
         assert got.probs == pytest.approx(want.probs, abs=1e-12)
         assert prod.ic_mean == pytest.approx(2 * base.ic_mean)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("target", sorted(PRODUCT_TARGETS))
+    @pytest.mark.parametrize("source", [
+        dsbs_source(0.11),
+        # (1, 0) has no mass
+        JointSource((0, 1), (0, 1), np.array([[0.5, 0.2], [0.0, 0.3]])),
+    ], ids=["dsbs", "zero-cell"])
+    def test_expand_matches_dense_kron(self, source, target, n):
+        base = PRODUCT_TARGETS[target](source)
+        law = ProductProtocol(base, n).expand()
+        xs, ys, mass, taus, atoms = dense_product(base, n)
+        assert law.source.x_alphabet == xs and law.source.y_alphabet == ys
+        assert law.source.mass.tobytes() == mass.tobytes()
+        assert law.transcripts == taus
+        for got, want in zip(law.atoms, atoms):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_expand_checks_the_law_size(self, monkeypatch):
+        # data exchange over dsbs^2: 16 transcripts over 4 x 4 inputs
+        monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 8 * 16 * 16 - 1)
+        base = data_exchange_protocol(dsbs_source(0.25))
+        with pytest.raises(TooLarge, match="16 transcripts over 4 x 4"):
+            ProductProtocol(base, 2).expand()
 
 
 class TestMixed:
@@ -386,7 +441,7 @@ class TestMixed:
         src = dsbs_source(0.45)
         head = send_value_protocol(src)
         tail = constant_protocol(src)
-        mix = mixed_protocol(head, tail, 0.3, 50)
+        mix = MixedProtocol(head, tail, 0.3, 50)
         assert mix.ic_mean == pytest.approx(50 * 0.3 * head.ic_mean,
                                             abs=1e-9)
 
@@ -395,7 +450,7 @@ class TestMixed:
         src = dsbs_source(0.25)
         head = send_value_protocol(src)
         tail = constant_protocol(src)
-        mix = mixed_protocol(head, tail, 0.5, 3)
+        mix = MixedProtocol(head, tail, 0.5, 3)
         spec = mix.spectrum("ic")
         want = head.spectrum("ic").convolve_n(3).mix(
             tail.spectrum("ic").convolve_n(3), 0.5)
@@ -404,8 +459,8 @@ class TestMixed:
 
     def test_sample_ic_mean(self):
         src = dsbs_source(0.25)
-        mix = mixed_protocol(send_value_protocol(src),
-                             constant_protocol(src), 0.5, 10)
+        mix = MixedProtocol(send_value_protocol(src),
+                            constant_protocol(src), 0.5, 10)
         draws = mix.sample_ic(np.random.default_rng(0), 50_000)
         assert draws.mean() == pytest.approx(mix.ic_mean, abs=0.05)
 

@@ -189,6 +189,23 @@ class TestInteractive:
             RoundSimulator(dsbs_source(0.25), np.eye(2), (0, 1), cfg, 0,
                            aux.T)
 
+    @pytest.mark.parametrize("rows", [[[0.0, 0.0], [0.3, 0.3]],
+                                      [[1.5, -0.5], [0.5, 0.5]],
+                                      [[math.nan, 1.0], [0.5, 0.5]]],
+                             ids=["unnormalised", "negative", "nan"])
+    def test_channel_rows_checked(self, rows):
+        cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
+        with pytest.raises(OutOfRange, match="rows must be distributions"):
+            RoundSimulator(dsbs_source(0.25), np.array(rows), (0, 1), cfg, 0)
+
+    def test_channel_rows_free_off_the_support(self):
+        # x = 1 has no mass, so its row is never read and may be zero
+        src = JointSource((0, 1), (0, 1), np.array([[0.6, 0.4], [0.0, 0.0]]))
+        cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
+        sim = RoundSimulator(src, np.array([[0.5, 0.5], [0.0, 0.0]]), (0, 1),
+                             cfg, 0)
+        assert sim.run(np.random.default_rng(0)).x == 0
+
     @pytest.mark.parametrize("prior", [[0.2, 0.3, 0.5], [1.5, -0.5],
                                        [0.0, 0.0]],
                              ids=["shape", "negative", "zero"])
