@@ -10,6 +10,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -200,20 +201,14 @@ def build_engine(cfg: dict):
             _fail(f"{proto} simulates one round; target {cfg['target']!r} has "
                   f"{target.n_rounds} rounds: use p5", 2)
         view = target.round_view(1, ())
-        p_m_x = view.p_m_given_x
         cfg_rx = _slice_from_cfg(cfg.get("slice_rx"), "slice_rx",
                                  spec(1, "rx"), gamma)
         if proto == "p3":
-            return RoundSimulator(source, p_m_x, view.messages, cfg_rx,
-                                  cfg.get("k", 0),
-                                  aux_m_given_y=view.p_m_given_y)
+            return RoundSimulator(source, view, cfg_rx, cfg.get("k", 0))
         cfg_tx = _slice_from_cfg(cfg.get("slice_tx"), "slice_tx",
                                  spec(1, "tx"), gamma)
-        return ImprovedRoundSimulator(source, p_m_x, view.messages,
-                                      cfg_rx, cfg_tx,
-                                      k_override=cfg.get("k_override"),
-                                      aux_m_given_y=view.p_m_given_y,
-                                      prior_x=view.prior)
+        return ImprovedRoundSimulator(source, view, cfg_rx, cfg_tx,
+                                      cfg.get("k_override"))
     if proto == "p5":
         if "plans" in cfg:
             docs = cfg["plans"]
@@ -487,6 +482,7 @@ def cmd_example(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="icsim")
     ap.add_argument("--version", action="version", version=__version__)

@@ -176,9 +176,8 @@ class RoundViews:
 @dataclass(frozen=True)
 class _RoundIndex:
     """Round t's structure: for each transcript k, the index ``hist[k]``
-    of its history in ``histories`` (-1 past its end, or when that
-    history has no mass) and ``msg[k]`` of its round-t message in
-    ``messages`` (-1 past its end)."""
+    of its history in ``histories`` (-1 when that history has no mass)
+    and ``msg[k]`` of its round-t message in ``messages``."""
 
     histories: tuple
     messages: tuple
@@ -198,8 +197,8 @@ class _RoundIndex:
 class TranscriptLaw:
     """Conditional law of a protocol's transcript, as its positive atoms.
 
-    ``transcripts[k]`` is a tuple of per-round messages; party "x" speaks in
-    rounds 1, 3, ... and party "y" in rounds 2, 4, ...  ``atoms`` holds
+    ``transcripts[k]`` holds one message for each round of the law; party
+    "x" speaks rounds 1, 3, ... and "y" rounds 2, 4, ...  ``atoms`` holds
     arrays ``(k, i, j, p)``, read-only: every (transcript, x, y) of positive
     joint mass P(tau | x, y) P(x, y), in row-major (k, i, j) order, with
     p = P(tau | x, y).  Build a law with :meth:`from_index` (deterministic
@@ -217,6 +216,9 @@ class TranscriptLaw:
     def __post_init__(self):
         if len(set(self.transcripts)) != len(self.transcripts):
             raise MismatchedSupport("duplicate transcripts")
+        if len({len(tau) for tau in self.transcripts}) > 1:
+            raise MismatchedSupport("transcripts have different numbers of "
+                                    "rounds")
         _read_only(*self.atoms)
 
     @classmethod
@@ -364,14 +366,10 @@ class TranscriptLaw:
             # histories with mass, in the order their first transcript has
             rank: dict = {}
             for tau, live in zip(self.transcripts, massive.tolist()):
-                if live and len(tau) >= t:
+                if live:
                     rank.setdefault(tau[:t - 1], len(rank))
-            hist = [-1] * len(self.transcripts)
-            msg = [-1] * len(self.transcripts)
-            for k, tau in enumerate(self.transcripts):
-                if len(tau) >= t:
-                    hist[k] = rank.get(tau[:t - 1], -1)
-                    msg[k] = col[tau[t - 1]]
+            hist = [rank.get(tau[:t - 1], -1) for tau in self.transcripts]
+            msg = [col[tau[t - 1]] for tau in self.transcripts]
             out.append(_RoundIndex(tuple(rank), messages,
                                    np.array(hist, dtype=np.int64),
                                    np.array(msg, dtype=np.int64)))
@@ -386,7 +384,7 @@ class TranscriptLaw:
 
     def round_messages(self, t: int) -> tuple:
         """Every message spoken at round t across all histories, sorted."""
-        msgs = {tau[t - 1] for tau in self.transcripts if len(tau) >= t}
+        msgs = {tau[t - 1] for tau in self.transcripts}
         return tuple(sorted(msgs, key=repr))
 
     @cached_property
@@ -421,13 +419,12 @@ class TranscriptLaw:
     def _round_views(self, t: int) -> RoundViews:
         """All views of round t from one pass over the law's atoms.
 
-        The atoms of the transcripts that reach round t are keyed by
-        (history, message, x, y); one sort groups them, and each sum is a
-        ``bincount`` (or :func:`_axis_sums`) in the order in which the
-        dense computation sums it: P(hist + m | x, y) over transcripts in
-        their order, P(hist | x, y) over messages in theirs, and the
-        marginals of P(hist + m, x, y) and P(hist, x, y) over y and x as
-        numpy sums those axes of dense tables.
+        The law's atoms are keyed by (history, message, x, y); one sort
+        groups them, and each sum is a ``bincount`` (or :func:`_axis_sums`)
+        in the order in which the dense computation sums it:
+        P(hist + m | x, y) over transcripts in their order, P(hist | x, y)
+        over messages in theirs, and the marginals of P(hist + m, x, y) and
+        P(hist, x, y) over y and x as numpy sums those axes of dense tables.
         """
         index = self._round_index[t - 1]
         present = index.present()
@@ -435,12 +432,11 @@ class TranscriptLaw:
         nx, ny = self.source.mass.shape
         mass = self.source.mass.ravel()
         k, i, j, p = self.atoms
-        h = index.hist[k]
-        reach = h >= 0
-        h, u = h[reach], index.msg[k[reach]]
-        key = ((h * U + u) * nx + i[reach]) * ny + j[reach]
+        # every atom's history has mass, so it has an index
+        h, u = index.hist[k], index.msg[k]
+        key = ((h * U + u) * nx + i) * ny + j
         node_key, inv = np.unique(key, return_inverse=True)
-        p_hm = np.bincount(inv, weights=p[reach])   # P(hist + m | x, y)
+        p_hm = np.bincount(inv, weights=p)   # P(hist + m | x, y)
         node, cell = np.divmod(node_key, nx * ny)   # (h, u) and (x, y)
         hh, uu = np.divmod(node, U)
         ii, jj = np.divmod(cell, ny)
@@ -537,8 +533,9 @@ def transcript_law(tree: ProtocolTree, source: JointSource) -> TranscriptLaw:
     """Expand a protocol tree into an explicit transcript law.
 
     Transcript rounds are the maximal same-owner runs of bits along the
-    root-to-leaf path.  Symbols are matched against ``bit_one`` keys by their
-    ``str`` form so JSON-borne trees can address integer alphabets.
+    root-to-leaf path, and a shorter path ends in empty messages.  Symbols
+    are matched against ``bit_one`` keys by their ``str`` form so
+    JSON-borne trees can address integer alphabets.
     """
     nx, ny = source.mass.shape
 
@@ -573,7 +570,9 @@ def transcript_law(tree: ProtocolTree, source: JointSource) -> TranscriptLaw:
     # identical round decompositions from different leaves cannot happen for a
     # tree (distinct paths give distinct bit strings), but order them anyway
     results.sort(key=lambda r: repr(r[0]))
-    transcripts = tuple(r[0] for r in results)
+    # a path that ends early sends empty messages in the rounds after it
+    R = max(len(r[0]) for r in results)
+    transcripts = tuple(r[0] + ("",) * (R - len(r[0])) for r in results)
     table = np.stack([r[1][:, None] * r[2][None, :] for r in results])
     return TranscriptLaw.from_table(source, transcripts, table)
 
@@ -737,9 +736,11 @@ class ProductProtocol:
 
     def expand(self) -> TranscriptLaw:
         """Explicit transcript law of the product (small n only), on
-        :func:`~icsim.probcore.product_source`.  Its atoms are n-tuples of
-        base atoms: k = k1 T + k2 (so i and j), p = p1 p2 multiplied left
-        to right, kept at positive joint mass in row-major (k, i, j) order."""
+        :func:`~icsim.probcore.product_source`.  It keeps the base's
+        rounds: round t's message is the tuple of the copies' round-t
+        messages.  Its atoms are n-tuples of base atoms: k = k1 T + k2 (so
+        i and j), p = p1 p2 multiplied left to right, kept at positive
+        joint mass in row-major (k, i, j) order."""
         base = self.base
         if self.n == 1:
             return base
@@ -755,11 +756,10 @@ class ProductProtocol:
             p = (p[:, None] * bp).ravel()
         keep = np.flatnonzero(p * source.mass[i, j] > 0)
         keep = keep[np.lexsort((j[keep], i[keep], k[keep]))]
-        transcripts = [()]
+        copies = [()]
         for _ in range(self.n):
-            transcripts = [ta + tb for ta in transcripts
-                           for tb in base.transcripts]
-        return TranscriptLaw(source, tuple(transcripts),
+            copies = [c + (tau,) for c in copies for tau in base.transcripts]
+        return TranscriptLaw(source, tuple(tuple(zip(*c)) for c in copies),
                              (k[keep], i[keep], j[keep], p[keep]))
 
 

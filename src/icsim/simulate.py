@@ -8,10 +8,10 @@ Five engines of increasing strength:
 4. ``ImprovedRoundSimulator`` adds the transmitted slice index J
 5. ``ProtocolSimulator``     round-by-round simulation of a full transcript law
 
-Engines 2 and 4 subclass engine 3, on the identity channel and with a
-slice-index law of several indices; every round table carries such a law
-(the one index J = 0 on engines 2 and 3).  Engines 2 to 4 are one round
-of engine 5, and each trial rule is one kernel vectorized over trials:
+Engines 2 and 4 subclass engine 3, on the identity view and with a
+slice-index law of several indices (J = 0 alone on engines 2 and 3).
+Engines 2 to 4 take one round view, as engine 5 reads each round: they
+are one round of it, and each trial rule is one kernel vectorized over trials:
 ``_sw_kernel`` for engine 1, ``_round_kernel`` (pick M*, then
 ``_slice_search``) for a round of engines 2 to 5, over the candidate lists
 of its ``_RoundTables``: the sender's supported messages and the
@@ -75,7 +75,7 @@ from .probcore import (
     auto_slice_config,
     log2_each,
 )
-from .protocol import TranscriptLaw
+from .protocol import RoundView, TranscriptLaw
 
 ERROR_CAUSES = ("tail", "no_match", "multiple_match", "bad_J",
                 "budget_exceeded")
@@ -340,15 +340,13 @@ class _OneRound:
 
 
 class SlepianWolfCoder:
-    """Hash X down to l bits; decode inside an aux-typical set.
+    """Hash X down to l bits; decode inside a typical set.
 
-    The auxiliary conditional Q_{X|Y} defaults to the true one.  The decoding
-    set at y is { x : -log2 Q(x|y) <= l - gamma } and the analytic error
-    bound is Pr[(X, Y) atypical] + 2^{-gamma}.
+    The decoding set at y is { x : -log2 P(x|y) <= l - gamma } and the
+    analytic error bound is Pr[(X, Y) atypical] + 2^{-gamma}.
     """
 
-    def __init__(self, source: JointSource, l: int, gamma: float,
-                 aux: np.ndarray | None = None):
+    def __init__(self, source: JointSource, l: int, gamma: float):
         self.source = source
         self.messages = source.x_alphabet
         self.l = _int_param(l, "l")
@@ -358,10 +356,7 @@ class SlepianWolfCoder:
             raise OutOfRange(f"gamma must be finite and nonnegative, got "
                              f"{gamma!r}")
         self.gamma = float(gamma)
-        cond = source.p_x_given_y if aux is None else np.asarray(aux, float)
-        if cond.shape != source.mass.shape:
-            raise OutOfRange("aux conditional has the wrong shape")
-        self.h_q = _conditional_density(cond)
+        self.h_q = _conditional_density(source.p_x_given_y)
         self.typical = self.h_q <= self.l - self.gamma + 1e-12
         self.width = encoding_width(len(source.x_alphabet))
         self.enc = encode_universe(len(source.x_alphabet), self.width)
@@ -485,54 +480,53 @@ def _sw_trials(coder: SlepianWolfCoder, rng, T: int,
 class RoundSimulator(_OneRound):
     """Simulate one message M ~ P(.|X) so the receiver learns it too.
 
-    The transmitter samples M conditioned on the first k hash bits agreeing
+    The round's :class:`~icsim.protocol.RoundView`, such as
+    ``law.round_view(1, ())``, gives the messages, the sender's P(M | X),
+    the receiver's P(M | Y), which ``cfg_rx`` slices, and the prior.  The
+    transmitter samples M conditioned on the first k hash bits agreeing
     with the shared uniform string, then finishes the transmission with the
     interactive coder; the first k hash bits are never sent.  The first
-    slice needs ``l`` hash bits, ``ceil(lambda_min + delta + gamma)`` of the
-    receiver's slicing unless given.
+    slice needs ``l`` hash bits, ``ceil(lambda_min + delta + gamma)`` of
+    the receiver's slicing unless given.  The one ``table`` is built here;
+    with no transmitter slicing ``cfg_tx`` (engines 2 and 3), J = 0 alone.
     """
+    cfg_tx = None
 
-    def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
-                 messages: Sequence, cfg_rx: SliceConfig, k: int,
-                 aux_m_given_y: np.ndarray | None = None,
-                 l: int | None = None):
+    def __init__(self, source: JointSource, view: RoundView,
+                 cfg_rx: SliceConfig, k: int | None, l: int | None = None):
         self.source = source
-        self.messages = tuple(messages)
-        self.p_m_given_x = np.asarray(p_m_given_x, dtype=float)
-        nx, ny = source.mass.shape
-        M = len(self.messages)
-        if self.p_m_given_x.shape != (nx, M):
-            raise OutOfRange("message channel has the wrong shape")
+        self.messages = tuple(view.messages)
+        self.p_m_given_x = np.asarray(view.p_m_given_x, dtype=float)
+        self.p_m_given_y = np.asarray(view.p_m_given_y, dtype=float)
+        prior = np.asarray(view.prior, dtype=float)
+        (nx, ny), M = source.mass.shape, len(self.messages)
+        if (self.p_m_given_x.shape, self.p_m_given_y.shape) != ((nx, M),
+                                                                (ny, M)):
+            raise OutOfRange("round view conditionals have the wrong shape")
         # rows at x values of zero mass are never read, and may be zero
         rows = self.p_m_given_x[source.p_x > 0]
         if not ((rows >= 0).all()  # NaN fails too
                 and (np.abs(rows.sum(axis=1) - 1.0) <= NORM_TOL).all()):
             raise OutOfRange("message channel rows must be distributions "
                              "at every x of positive mass")
+        if prior.shape != (nx,) or not (
+                (prior >= 0).all() and abs(prior.sum() - 1.0) <= NORM_TOL):
+            raise OutOfRange("the view's prior must be a law on the x values")
         self.cfg_rx = cfg_rx
         self.schedule = s = _HashSchedule.of(self.messages, cfg_rx, l)
         self.l, self.delta, self.n_slices = s.l, s.delta, s.n_slices
         self.total_hash_bits, self.width, self.chunk = (
             s.total_hash_bits, s.width, s.chunk)
-        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-                and 0 <= k <= self.total_hash_bits):
-            raise OutOfRange(f"shared prefix k must be an integer in [0, "
-                             f"{self.total_hash_bits}], the hash budget; "
-                             f"got {k!r}")
-        self.k = int(k)
-        self.p_m_given_y = (self._true_m_given_y()
-                            if aux_m_given_y is None
-                            else np.asarray(aux_m_given_y, dtype=float))
-        if self.p_m_given_y.shape != (ny, M):
-            raise OutOfRange("aux conditional has the wrong shape")
         # (M, ny), a view of the (ny, M) table that the round tables read
         self.slice_rx = _slice_table(self.p_m_given_y, cfg_rx).T
+        self.table = _RoundTables.build(s, self.p_m_given_x[None],
+                                        self.slice_rx.T[None], prior[None],
+                                        self.cfg_tx, k)
 
-    def _true_m_given_y(self) -> np.ndarray:
-        py = self.source.p_y
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(py[None, :] > 0, self.joint_my / py[None, :],
-                            0.0).T
+    @property
+    def k(self) -> int:
+        """The shared prefix length of the slice index J = 0."""
+        return int(self.table.k_of[0])
 
     @cached_property
     def joint_my(self) -> np.ndarray:
@@ -559,12 +553,6 @@ class RoundSimulator(_OneRound):
     def joint_mx(self) -> np.ndarray:
         """Joint table P(M, X) with messages on rows."""
         return (self.p_m_given_x * self.source.p_x[:, None]).T
-
-    @cached_property
-    def table(self) -> _RoundTables:
-        """One history; the law of J has the one index 0, sharing k bits."""
-        return _RoundTables.build(self.schedule, self.p_m_given_x[None],
-                                  self.slice_rx.T[None], None, None, self.k)
 
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return _walk_run(self, rng, x, y)
@@ -595,17 +583,18 @@ class InteractiveSWCoder(RoundSimulator):
     receiver searches slice i after i blocks and answers ACK or NACK.  A
     trial terminating in slice i costs exactly l + (i - 1) delta + i bits.
 
-    This is engine 3 on the identity channel (M = X) at k = 0.  ``aux`` is
-    the receiver's conditional Q(x|y), on the source's (x, y) axes: by
-    default P(x|y), which the source's spectrum reads.
+    This is engine 3 at k = 0 on the identity view: the x values as
+    messages, the identity as P(M | X), P(x | y) as P(M | Y) (which the
+    source's spectrum reads) and P(x) as prior.
     """
 
     def __init__(self, source: JointSource, cfg: SliceConfig,
-                 l: int | None = None, aux: np.ndarray | None = None):
-        super().__init__(source, np.eye(len(source.x_alphabet)),
-                         source.x_alphabet, cfg, 0,
-                         (source.p_x_given_y if aux is None
-                          else np.asarray(aux, float)).T, l=l)
+                 l: int | None = None):
+        i, j = np.nonzero(source.mass > 0)
+        view = RoundView(source.x_alphabet, np.eye(len(source.x_alphabet)),
+                         source.p_x_given_y.T, source.p_x,
+                         (i, i, j, source.mass[i, j]))
+        super().__init__(source, view, cfg, 0, l=l)
 
     def analytic_error_bound(self) -> float:
         return self.tail_mass() + self.n_slices * 2.0 ** (-self.cfg_rx.gamma)
@@ -633,27 +622,16 @@ class ImprovedRoundSimulator(RoundSimulator):
     This is engine 3 whose ``table`` carries the slice-index law of
     ``cfg_tx``, built as engine 5 builds a round; the public tables
     (``slice_tx`` is (M, nx)) are views of it.  The shared prefix is
-    ``k_of(J)``; engine 3's scalar ``k`` is 0 here, and nothing reads it.
-    The input prior ``prior_x`` (by default the source marginal) weighs
-    ``p_j`` and so decides which indices are ``good``.
+    ``k_of(J)``, ``k_override`` at every J if given.  The view's prior
+    weighs ``p_j`` and so decides which indices are ``good``.
     """
 
-    def __init__(self, source: JointSource, p_m_given_x: np.ndarray,
-                 messages: Sequence, cfg_rx: SliceConfig, cfg_tx: SliceConfig,
-                 k_override: int | None = None,
-                 aux_m_given_y: np.ndarray | None = None,
-                 prior_x: np.ndarray | None = None):
-        prior = source.p_x if prior_x is None else np.asarray(prior_x, float)
-        if prior.shape != source.p_x.shape or not (
-                (prior >= 0).all() and abs(prior.sum() - 1.0) <= NORM_TOL):
-            raise OutOfRange("prior_x must be a distribution on the x values")
+    def __init__(self, source: JointSource, view: RoundView,
+                 cfg_rx: SliceConfig, cfg_tx: SliceConfig,
+                 k_override: int | None = None):
         self.cfg_tx = cfg_tx
-        super().__init__(source, p_m_given_x, messages, cfg_rx, 0,
-                         aux_m_given_y)
-        # shadows engine 3's cached one-index table
-        self.table = tab = _RoundTables.build(
-            self.schedule, self.p_m_given_x[None], self.slice_rx.T[None],
-            prior[None], cfg_tx, k_override)
+        super().__init__(source, view, cfg_rx, k_override)
+        tab = self.table
         self.slice_tx, self.p_j_given_x, self.p_j, self.good = (
             tab.slice_tx[0].T, tab.p_j_given_x[0], tab.p_j[0], tab.good[0])
         self.k_table, self.j_cost = tab.k_of, tab.j_cost
@@ -699,21 +677,20 @@ def _tx_tables(p_m: np.ndarray, cfg_tx: SliceConfig | None,
     return slice_tx, p_j_given_x, p_j, good, j_cost
 
 
-def _k_table(cfg_tx: SliceConfig, gamma: float, total_hash_bits: int,
-             k_override: int | None) -> np.ndarray:
-    """Shared prefix length k(J), J = 0 .. n_tx: ``k_override``, an
-    integer in [0, total_hash_bits], else lambda_min + (J - 1) delta
-    - 2 log2 n_tx - 2 gamma + 2, floored and clipped to that range.  With
-    ``cfg_tx`` None, J = 0 alone and ``k_override`` is given."""
+def _k_table(cfg_tx: SliceConfig | None, gamma: float, total_hash_bits: int,
+             k: int | None) -> np.ndarray:
+    """Shared prefix length k(J), J = 0 .. n_tx: ``k``, an integer in
+    [0, total_hash_bits], else lambda_min + (J - 1) delta - 2 log2 n_tx
+    - 2 gamma + 2, floored and clipped to that range.  With ``cfg_tx``
+    None, J = 0 alone and ``k`` is required."""
     n_j = 1 if cfg_tx is None else cfg_tx.n_slices + 1
-    if k_override is not None:
-        if not (isinstance(k_override, (int, np.integer))
-                and not isinstance(k_override, bool)
-                and 0 <= k_override <= total_hash_bits):
-            raise OutOfRange(f"k_override must be an integer in [0, "
-                             f"{total_hash_bits}], the round's hash budget; "
-                             f"got {k_override!r}")
-        return np.full(n_j, k_override, dtype=np.int64)
+    if k is not None or cfg_tx is None:
+        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                and 0 <= k <= total_hash_bits):
+            raise OutOfRange(f"the shared prefix length must be an integer "
+                             f"in [0, {total_hash_bits}], the round's hash "
+                             f"budget; got {k!r}")
+        return np.full(n_j, k, dtype=np.int64)
     raw = (cfg_tx.lambda_min + (np.arange(n_j) - 1) * cfg_tx.delta
            - 2 * math.log2(cfg_tx.n_slices) - 2 * gamma + 2)
     return np.clip(np.floor(raw), 0, total_hash_bits).astype(np.int64)

@@ -61,21 +61,26 @@ def dense_product(law, n):
     P(tau | x, y) and of the source masses, keeping the entries of
     positive joint mass.  Returns ``(x_alphabet, y_alphabet, mass,
     transcripts, atoms)``, the atoms ``(k, i, j, p)`` in row-major
-    order."""
+    order.  A transcript keeps the base's rounds: round t's message is the
+    tuple of the copies' round-t messages (n > 1)."""
     src = law.source
     xs, ys, mass = src.x_alphabet, src.y_alphabet, src.mass
-    taus, table = law.transcripts, law.p_tau_given_xy
+    copies = tuple((tau,) for tau in law.transcripts)
+    table = law.p_tau_given_xy
     for _ in range(n - 1):
         xs = tuple((a if isinstance(a, tuple) else (a,)) + (b,)
                    for a in xs for b in src.x_alphabet)
         ys = tuple((a if isinstance(a, tuple) else (a,)) + (b,)
                    for a in ys for b in src.y_alphabet)
         mass = np.kron(mass, src.mass)
-        taus = tuple(ta + tb for ta in taus for tb in law.transcripts)
+        copies = tuple(c + (tau,) for c in copies for tau in law.transcripts)
         table = np.stack([np.kron(pa, pb) for pa in table
                           for pb in law.p_tau_given_xy])
         table = np.where(table * mass > 0, table, 0.0)
     k, i, j = np.nonzero(table * mass > 0)
+    # one copy is the base itself, as its alphabets are
+    taus = law.transcripts if n == 1 else tuple(tuple(zip(*c))
+                                                for c in copies)
     return xs, ys, mass, taus, (k, i, j, table[k, i, j])
 
 

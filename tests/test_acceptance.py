@@ -188,10 +188,8 @@ def test_criterion_4_round_budgets():
                                gamma=3.0)
         tx = auto_slice_config(round_density_spectrum(law, 1, "tx"),
                                gamma=3.0)
-        singles.append(RoundSimulator(src, view.p_m_given_x, view.messages,
-                                      rx, k=i % 3))
-        singles.append(ImprovedRoundSimulator(src, view.p_m_given_x,
-                                              view.messages, rx, tx))
+        singles.append(RoundSimulator(src, view, rx, k=i % 3))
+        singles.append(ImprovedRoundSimulator(src, view, rx, tx))
     for i, sim in enumerate(singles):
         agg = batch_round_trials(sim, trials, 300 + i)
         est = measure_sim_error(sim, "plugin", master_seed=300 + i, agg=agg)
@@ -218,8 +216,8 @@ def test_criterion_4_round_budgets():
     # exact micro instance, zero tolerance
     src = dsbs_source(0.25)
     view = send_value_protocol(src).round_view(1, ())
-    micro = RoundSimulator(src, view.p_m_given_x, view.messages,
-                           SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0), k=1)
+    micro = RoundSimulator(src, view, SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0),
+                           k=1)
     tv = measure_sim_error(micro, "exact").value
     if tv > protocol3_tv_budget(micro):
         problems.append(f"micro: exact tv {tv} above budget")

@@ -7,6 +7,7 @@ import pytest
 import icsim.protocol
 from icsim.errors import (
     AlphabetMismatch,
+    MismatchedSupport,
     OutOfRange,
     SupportViolation,
     TooLarge,
@@ -26,6 +27,7 @@ from icsim.protocol import (
     ProductProtocol,
     ProtocolTree,
     ThresholdExample,
+    TranscriptLaw,
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
@@ -212,6 +214,28 @@ class TestTree:
         assert laws[1].transcripts == (("0",), ("1",))
         assert tvs[0] == pytest.approx(tvs[1], abs=1e-15)
         assert tvs[1] < 0.01
+
+    def test_short_paths_padded_and_simulated(self):
+        # x sends a bit; after a 1, y sends its bit: the path "0" ends
+        # after round 1 and sends the empty message in round 2
+        doc = {"nodes": [
+            {"owner": "x", "bit_one": {"0": 0.0, "1": 1.0},
+             "children": [None, 1]},
+            {"owner": "y", "bit_one": {"0": 0.0, "1": 1.0},
+             "children": [None, None]},
+        ]}
+        law = transcript_law(ProtocolTree.from_json(doc), dsbs_source(0.1))
+        assert law.transcripts == (("0", ""), ("1", "0"), ("1", "1"))
+        assert law.round_messages(2) == ("", "0", "1")
+        engine = ProtocolSimulator(law, auto_round_plans(law, gamma=3.0))
+        tv = measure_sim_error(engine, "exact").value
+        assert tv == pytest.approx(0.05078125, abs=1e-9)
+
+    def test_ragged_transcripts_rejected(self):
+        src = dsbs_source(0.1)
+        with pytest.raises(MismatchedSupport, match="numbers of rounds"):
+            TranscriptLaw.from_index(src, (("0",), ("1", "0")),
+                                     np.array([[0, 0], [1, 1]]))
 
     def test_unknown_symbol(self):
         doc = {"nodes": [{"owner": "x", "bit_one": {"7": 1.0},
@@ -427,6 +451,34 @@ class TestProduct:
         for got, want in zip(law.atoms, atoms):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_send_x_product_is_send_x_over_the_product_source(self, n):
+        # the copies' messages share round 1: x speaks each copy
+        src = dsbs_source(0.1)
+        law = ProductProtocol(send_value_protocol(src), n).expand()
+        want = send_value_protocol(product_source(src, n))
+        assert law.n_rounds == 1
+        assert law.transcripts == want.transcripts
+        for got, ref in zip(law.atoms, want.atoms):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_product_keeps_the_base_rounds(self):
+        law = ProductProtocol(data_exchange_protocol(dsbs_source(0.1)),
+                              2).expand()
+        assert law.n_rounds == 2
+        assert law.transcripts[1] == ((0, 0), (0, 1))
+        assert law.round_messages(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def test_send_x_product_simulates_as_send_x(self):
+        # engine 5 gives round 1 to x on both laws, so the views agree
+        src = dsbs_source(0.1)
+        tvs = []
+        for law in (ProductProtocol(send_value_protocol(src), 2).expand(),
+                    send_value_protocol(product_source(src, 2))):
+            engine = ProtocolSimulator(law, auto_round_plans(law, gamma=3.0))
+            tvs.append(measure_sim_error(engine, "exact").value)
+        assert tvs[0] == tvs[1] == 0.011580657971303136
 
     def test_expand_checks_the_law_size(self, monkeypatch):
         # data exchange over dsbs^2: 16 transcripts over 4 x 4 inputs

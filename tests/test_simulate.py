@@ -48,6 +48,7 @@ from icsim.probcore import (
     spectrum,
 )
 from icsim.protocol import (
+    RoundView,
     TranscriptLaw,
     data_exchange_protocol,
     exchange_bits_protocol,
@@ -103,7 +104,17 @@ def round_sim(k=0, gamma=2.0, q=0.25):
     view = law.round_view(1, ())
     cfg = SliceConfig(lambda_min=0.0, lambda_max=2.0 + 1e-9, delta=1.0,
                       gamma=gamma)
-    return RoundSimulator(src, view.p_m_given_x, view.messages, cfg, k)
+    return RoundSimulator(src, view, cfg, k)
+
+
+def hand_view(src, p_m_x, p_m_y=None):
+    """A round view on the messages (0, 1) built by hand: P(M | Y) uniform
+    unless given, the source's x marginal as prior, and no atoms, which no
+    engine reads."""
+    ny = src.mass.shape[1]
+    return RoundView((0, 1), np.asarray(p_m_x, dtype=float),
+                     np.full((ny, 2), 0.5) if p_m_y is None
+                     else np.asarray(p_m_y, dtype=float), src.p_x, ())
 
 
 class TestSlepianWolf:
@@ -181,28 +192,28 @@ class TestInteractive:
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
     def test_aux_shape_checked(self, shape):
+        # the view's P(M | Y) must be (ny, M), as its P(M | X) is (nx, M)
+        src = dsbs_source(0.25)
         cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
-        aux = np.full(shape, 0.5)
-        with pytest.raises(OutOfRange):
-            InteractiveSWCoder(dsbs_source(0.25), cfg, aux=aux)
-        with pytest.raises(OutOfRange):
-            RoundSimulator(dsbs_source(0.25), np.eye(2), (0, 1), cfg, 0,
-                           aux.T)
+        with pytest.raises(OutOfRange, match="wrong shape"):
+            RoundSimulator(src, hand_view(src, np.eye(2),
+                                          np.full(shape[::-1], 0.5)), cfg, 0)
 
     @pytest.mark.parametrize("rows", [[[0.0, 0.0], [0.3, 0.3]],
                                       [[1.5, -0.5], [0.5, 0.5]],
                                       [[math.nan, 1.0], [0.5, 0.5]]],
                              ids=["unnormalised", "negative", "nan"])
     def test_channel_rows_checked(self, rows):
+        src = dsbs_source(0.25)
         cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
         with pytest.raises(OutOfRange, match="rows must be distributions"):
-            RoundSimulator(dsbs_source(0.25), np.array(rows), (0, 1), cfg, 0)
+            RoundSimulator(src, hand_view(src, rows), cfg, 0)
 
     def test_channel_rows_free_off_the_support(self):
         # x = 1 has no mass, so its row is never read and may be zero
         src = JointSource((0, 1), (0, 1), np.array([[0.6, 0.4], [0.0, 0.0]]))
         cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
-        sim = RoundSimulator(src, np.array([[0.5, 0.5], [0.0, 0.0]]), (0, 1),
+        sim = RoundSimulator(src, hand_view(src, [[0.5, 0.5], [0.0, 0.0]]),
                              cfg, 0)
         assert sim.run(np.random.default_rng(0)).x == 0
 
@@ -214,9 +225,9 @@ class TestInteractive:
         view = law.round_view(1, ())
         cfg = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
         with pytest.raises(OutOfRange):
-            ImprovedRoundSimulator(law.source, view.p_m_given_x,
-                                   view.messages, cfg, cfg,
-                                   prior_x=np.array(prior))
+            ImprovedRoundSimulator(
+                law.source, dataclasses.replace(view, prior=np.array(prior)),
+                cfg, cfg)
 
 
 class TestRoundSimulator:
@@ -246,8 +257,7 @@ class TestImprovedRound:
         view = law.round_view(1, ())
         rx = SliceConfig(0.0, 3.0 + 1e-9, 1.0, gamma)
         tx = SliceConfig(0.0, 3.0 + 1e-9, 1.0, gamma)
-        return ImprovedRoundSimulator(src, view.p_m_given_x, view.messages,
-                                      rx, tx)
+        return ImprovedRoundSimulator(src, view, rx, tx)
 
     def test_tail_index_rejected(self):
         sim = self.make()
@@ -286,6 +296,47 @@ class TestImprovedRound:
         est = measure_sim_error(engine, mode, master_seed=1, agg=agg)
         assert est.value == tv
         assert protocol4_tv_budget(engine) == budget
+
+
+@pytest.mark.parametrize("q, crossover, p3, p4", [
+    (0.065, 0.01, 0.0737, 0.07435),
+    (0.2, 0.15, 0.015625, 0.16328125),
+], ids=["noisy001-dsbs0065", "noisy015-dsbs02"])
+def test_library_engines_on_the_round_view_read_the_cli_tv(q, crossover,
+                                                           p3, p4):
+    """Engines 3 and 4 built from ``law.round_view(1, ())`` with auto
+    plans at gamma 3 read the exact tv of ``icsim eval`` bit for bit: at a
+    slice floor, a P(M | Y) one ulp off the view's put a message in the
+    wrong slice (tv 1.0 / 1.0 and 0.71 / 0.83 here)."""
+    law = noisy_send_protocol(dsbs_source(q), crossover)
+    view = law.round_view(1, ())
+    rx, tx = (auto_slice_config(round_density_spectrum(law, 1, side),
+                                gamma=3.0) for side in ("rx", "tx"))
+    cfg = {"source": f"dsbs:{q}", "target": f"noisy-send:{crossover}",
+           "gamma": 3.0}
+    for engine, proto, tv in (
+            (RoundSimulator(law.source, view, rx, 0), "p3", p3),
+            (ImprovedRoundSimulator(law.source, view, rx, tx, 0), "p4", p4)):
+        got = measure_sim_error(engine, "exact").value
+        cli = build_engine({**cfg, "protocol": proto})
+        assert got == measure_sim_error(cli, "exact").value
+        assert got == pytest.approx(tv, abs=1e-12)
+
+
+@pytest.mark.parametrize("improved, k", [
+    (False, 99), (False, None), (False, 1.5), (False, True), (True, 99),
+    (True, -1)], ids=["p3-99", "p3-none", "p3-float", "p3-bool", "p4-99",
+                      "p4-negative"])
+def test_out_of_range_k_fails_at_construction(improved, k):
+    # the one check of k is _k_table's, made as the round table is built
+    law = send_value_protocol(dsbs_source(0.25))
+    view = law.round_view(1, ())
+    rx = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
+    with pytest.raises(OutOfRange, match=r"integer in \[0, "):
+        if improved:
+            ImprovedRoundSimulator(law.source, view, rx, rx, k)
+        else:
+            RoundSimulator(law.source, view, rx, k)
 
 
 class TestProtocolSimulator:
@@ -584,9 +635,8 @@ def _noisy_round(k=0, k_override=None, improved=False):
     if improved:
         # the transmitter tail, -log2 0.15 > 2, is the rejected index 0
         tx = SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0)
-        return ImprovedRoundSimulator(src, view.p_m_given_x, view.messages,
-                                      rx, tx, k_override=k_override)
-    return RoundSimulator(src, view.p_m_given_x, view.messages, rx, k)
+        return ImprovedRoundSimulator(src, view, rx, tx, k_override)
+    return RoundSimulator(src, view, rx, k)
 
 
 @pytest.mark.parametrize("make, outcomes", [
@@ -695,8 +745,7 @@ def _send_x_improved(k_override):
     src = dsbs_source(0.25)
     view = send_value_protocol(src).round_view(1, ())
     return ImprovedRoundSimulator(
-        src, view.p_m_given_x, view.messages,
-        SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0),
+        src, view, SliceConfig(0.0, 2.0 + 1e-9, 1.0, 1.0),
         SliceConfig(0.0, 1e-9, 1e-9, 1.0), k_override=k_override)
 
 
@@ -792,14 +841,15 @@ def _history_inputs(sim):
 
 def _history_engines(sim):
     """Engine 4 of every (round, history) of ``sim``, keyed by (t, hist),
-    built from :func:`_history_inputs`: the per-history reference for
-    engine 5's round tables."""
+    each on a round view of :func:`_history_inputs`' arrays (with no
+    atoms, which no engine reads): the per-history reference for engine
+    5's round tables."""
     engines = {}
     for (t, hist), (src, p_tx, p_rx, prior) in _history_inputs(sim).items():
         plan = sim.plans[t - 1]
+        view = RoundView(sim.law.round_messages(t), p_tx, p_rx, prior, ())
         engines[(t, hist)] = ImprovedRoundSimulator(
-            src, p_tx, sim.law.round_messages(t), plan.rx, plan.tx,
-            k_override=sim.k_override, aux_m_given_y=p_rx, prior_x=prior)
+            src, view, plan.rx, plan.tx, sim.k_override)
     return engines
 
 
@@ -1045,8 +1095,7 @@ def _criterion4_round(i, q):
     view = law.round_view(1, ())
     rx, tx = (auto_slice_config(round_density_spectrum(law, 1, side),
                                 gamma=3.0) for side in ("rx", "tx"))
-    return ImprovedRoundSimulator(src, view.p_m_given_x, view.messages,
-                                  rx, tx)
+    return ImprovedRoundSimulator(src, view, rx, tx)
 
 
 _NEWLY_EXACT = {
@@ -1287,10 +1336,11 @@ def test_slice_index_tables_match_scalar_formulas():
         rx = auto_slice_config(round_density_spectrum(law, 1, "rx"), gamma)
         tx = (SliceConfig(0.0, 1e-9, 1e-9, gamma) if one_slice else
               auto_slice_config(round_density_spectrum(law, 1, "tx"), gamma))
-        e = ImprovedRoundSimulator(law.source, view.p_m_given_x,
-                                   view.messages, rx, tx, prior_x=prior)
+        e = ImprovedRoundSimulator(
+            law.source, view if prior is None
+            else dataclasses.replace(view, prior=prior), rx, tx)
         slc, p_j_x, p_j, good, k_of, j_cost = _slice_index_reference(
-            view.p_m_given_x, law.source.p_x if prior is None else prior,
+            view.p_m_given_x, view.prior if prior is None else prior,
             tx, gamma, e.total_hash_bits)
         assert np.array_equal(e.slice_tx, slc.T)
         assert np.array_equal(e.p_j_given_x, p_j_x)
@@ -2462,8 +2512,8 @@ def _criterion_4_engines():
         view = law.round_view(1, ())
         rx, tx = (auto_slice_config(round_density_spectrum(law, 1, side),
                                     gamma=3.0) for side in ("rx", "tx"))
-        RoundSimulator(src, view.p_m_given_x, view.messages, rx, k=i % 3)
-        ImprovedRoundSimulator(src, view.p_m_given_x, view.messages, rx, tx)
+        RoundSimulator(src, view, rx, k=i % 3)
+        ImprovedRoundSimulator(src, view, rx, tx)
     for law, g in ((data_exchange_protocol(dsbs_source(0.25)), 2.0),
                    (data_exchange_protocol(dsbs_source(0.3)), 3.0),
                    (xor_reply_protocol(dsbs_source(0.3)), 2.0)):
