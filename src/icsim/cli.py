@@ -123,13 +123,34 @@ def _number(doc: dict, key: str, default: float | None = None) -> float:
     _fail(f"config key {key!r} must be a number, got {value!r}", 2)
 
 
+def _is_symbol(value) -> bool:
+    """A JSON value with no object at any depth, hashable as a tuple."""
+    return not isinstance(value, dict) and (
+        not isinstance(value, list) or all(map(_is_symbol, value)))
+
+
+def _is_table(rows: list) -> bool:
+    """Equal-length lists of JSON numbers; true and false are not numbers."""
+    return all(isinstance(row, list) and len(row) == len(rows[0]) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+        for row in rows)
+
+
 def parse_source(token) -> JointSource:
-    """"dsbs:q", "dsbs^m:q" or an inline JSON document."""
+    """"dsbs:q", "dsbs^m:q" or an inline JSON document, whose missing key,
+    or value of the wrong JSON type, is a usage error."""
     if isinstance(token, dict):
-        try:
-            return JointSource.from_json(token)
-        except KeyError as exc:
-            _fail(f"source document lacks required key {exc.args[0]!r}", 2)
+        symbols = "a list of symbols, none an object"
+        for key, what, ok in (
+                ("x_alphabet", symbols, _is_symbol),
+                ("y_alphabet", symbols, _is_symbol),
+                ("mass", "a list of equal-length number lists", _is_table)):
+            if key not in token:
+                _fail(f"source document lacks required key {key!r}", 2)
+            if not (isinstance(token[key], list) and ok(token[key])):
+                _fail(f"source document key {key!r} must be {what}, got "
+                      f"{token[key]!r}", 2)
+        return JointSource.from_json(token)
     if token.startswith("dsbs"):
         head, _, q = token.partition(":")
         try:
@@ -191,6 +212,8 @@ def build_engine(cfg: dict):
                             lambda: spectrum(source, "cond_x_given_y"), gamma)
         return InteractiveSWCoder(
             source, s, None if cfg.get("l") is None else _number(cfg, "l"))
+    if proto not in ("p3", "p4", "p5"):
+        _fail(f"unknown protocol {proto!r}", 2)
     target = parse_target(_typed(_require(cfg, "target"), "target", str,
                                  "a string"), source)
     def spec(t, side):
@@ -209,27 +232,20 @@ def build_engine(cfg: dict):
                                  spec(1, "tx"), gamma)
         return ImprovedRoundSimulator(source, view, cfg_rx, cfg_tx,
                                       cfg.get("k_override"))
-    if proto == "p5":
-        if "plans" in cfg:
-            docs = cfg["plans"]
-            if not (isinstance(docs, list) and len(docs) == target.n_rounds
-                    and all(isinstance(doc, dict) for doc in docs)):
-                _fail(f"config key 'plans' must be a list of objects, one "
-                      f"per round of the target ({target.n_rounds}), got "
-                      f"{docs!r}", 2)
-            plans = []
-            for t, doc in enumerate(docs, start=1):
-                plans.append(RoundPlan(
-                    _slice_from_cfg(doc.get("rx"), f"plans[{t - 1}].rx",
-                                    spec(t, "rx"), gamma),
-                    _slice_from_cfg(doc.get("tx"), f"plans[{t - 1}].tx",
-                                    spec(t, "tx"), gamma)))
-        else:
-            plans = auto_round_plans(target, gamma=gamma)
-        return ProtocolSimulator(target, plans,
-                                 l_max=_number(cfg, "l_max", math.inf),
-                                 k_override=cfg.get("k_override"))
-    _fail(f"unknown protocol {proto!r}", 2)
+    if "plans" in cfg:
+        docs = cfg["plans"]
+        if not (isinstance(docs, list) and len(docs) == target.n_rounds
+                and all(isinstance(doc, dict) for doc in docs)):
+            _fail(f"config key 'plans' must be a list of objects, one per "
+                  f"round of the target ({target.n_rounds}), got {docs!r}", 2)
+        plans = [RoundPlan(*(_slice_from_cfg(
+            doc.get(side), f"plans[{t}].{side}", spec(t + 1, side), gamma)
+            for side in ("rx", "tx"))) for t, doc in enumerate(docs)]
+    else:
+        plans = auto_round_plans(target, gamma=gamma)
+    return ProtocolSimulator(target, plans,
+                             l_max=_number(cfg, "l_max", math.inf),
+                             k_override=cfg.get("k_override"))
 
 
 def _load_cfg(path: str) -> dict:
@@ -469,13 +485,10 @@ _EXAMPLES = {"appendix-a": _example_appendix_a, "mixed": _example_mixed,
              "dsbs": _example_dsbs}
 
 
-def cmd_bound(args):
-    config, fields = _BOUNDS[args.kind](args)
-    _emit({"schema": SCHEMA, "config": config, **fields}, args.out)
-
-
-def cmd_example(args):
-    config, fields = _EXAMPLES[args.name](args)
+def cmd_report(args):
+    """``bound`` and ``example``: the report of one bound kind or example."""
+    config, fields = (_BOUNDS[args.kind] if args.command == "bound"
+                      else _EXAMPLES[args.name])(args)
     _emit({"schema": SCHEMA, "config": config, **fields}, args.out)
 
 
@@ -530,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q")
     p.add_argument("--lam", type=float)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("example", help="built-in showcase constructions")
     p.add_argument("name", choices=("appendix-a", "mixed", "dsbs"))
@@ -542,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_example)
+    p.set_defaults(func=cmd_report)
     return ap
 
 
@@ -550,9 +563,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except IcsimError as exc:
-        _fail(str(exc), 1)
-    except FileNotFoundError as exc:
+    except (IcsimError, FileNotFoundError) as exc:
         _fail(str(exc), 1)
     return 0
 

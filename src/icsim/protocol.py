@@ -819,12 +819,12 @@ class MixedProtocol:
 
 @dataclass(frozen=True)
 class ThresholdExample:
-    """Uniform n-bit inputs, a deterministic four-way threshold protocol.
+    """Uniform n-bit inputs, a deterministic four-round threshold protocol.
 
     Inputs are uniform independent on {1, ..., 2^n}.  With threshold
-    t = delta 2^n the protocol announces which side of t each input falls on;
-    when both fall at or below t it announces the pair itself.  The ic
-    density is constant on four cells:
+    t = delta 2^n, in rounds 1 and 2 each party in turn says which side of
+    t its input falls on; when both fall at or below t, rounds 3 and 4
+    announce x and then y.  The ic density is constant on four cells:
 
     - high-high, mass (1 - delta)^2: -2 log2(1 - delta);
     - high-low and low-high, mass delta (1 - delta) each:
@@ -898,38 +898,22 @@ class ThresholdExample:
             raise OutOfRange("threshold fraction must hit an integer boundary")
         return int(round(t))
 
-    def transcript_of(self, x: int, y: int):
-        """Deterministic transcript map, usable up to n = 8."""
-        if self.n > 8:
-            raise OutOfRange("explicit maps are provided for n <= 8 only")
-        size = 1 << self.n
-        if not (1 <= x <= size and 1 <= y <= size):
-            raise OutOfRange("input outside the alphabet")
-        t = self.threshold
-        if x > t and y > t:
-            return ("a",)
-        if x > t:
-            return ("b",)
-        if y > t:
-            return ("c",)
-        return (("pair", x, y),)
-
     def expand(self) -> TranscriptLaw:
-        """Dense transcript law; alphabet 2^n is capped at 16 (n = 4)."""
-        size = 1 << self.n
-        if size > 16:
-            raise OutOfRange("dense expansion is provided for n = 4 only")
-        t = self.threshold
+        """The four-round protocol: "x" says whether x > t (1) or not (0),
+        "y" whether y > t; then "x" sends x and "y" sends y if both are at
+        most t, else both send "-".  LAW_BYTES_CAP bounds it, as any law."""
+        size, t = 1 << self.n, self.threshold
+        _check_law_size(3 + t * t, size, size)  # before listing transcripts
         alphabet = tuple(range(1, size + 1))
         source = JointSource(alphabet, alphabet,
                              np.full((size, size), 1.0 / size ** 2))
-        transcripts = [("a",), ("b",), ("c",)]
-        transcripts += [(("pair", x, y),)
-                        for x in range(1, t + 1) for y in range(1, t + 1)]
-        tidx = {tau: k for k, tau in enumerate(transcripts)}
-        index = [[tidx[self.transcript_of(x, y)] for y in alphabet]
-                 for x in alphabet]
-        return TranscriptLaw.from_index(source, tuple(transcripts), index)
+        transcripts = (((1, 1, "-", "-"), (1, 0, "-", "-"), (0, 1, "-", "-"))
+                       + tuple((0, 0, x, y) for x in range(1, t + 1)
+                               for y in range(1, t + 1)))
+        v = np.arange(size)[:, None]  # x - 1 down the rows, y - 1 along v.T
+        low = v < t
+        index = np.where(low & low.T, 3 + v * t + v.T, 2 * low + low.T)
+        return TranscriptLaw.from_index(source, transcripts, index)
 
 
 def appendix_threshold_example(n: int) -> ThresholdExample:

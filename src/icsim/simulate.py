@@ -562,13 +562,16 @@ class RoundSimulator(_OneRound):
 
     def true_view_law(self) -> FiniteDistribution:
         xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        mass, msgs, p = self.source.mass, self.messages, self.p_m_given_x
-        # (i, j, m) of every live pair (x, y) and each message x can send
-        i, j, m = np.nonzero((mass > 0)[:, :, None] & (p > 0)[:, None, :])
+        mass, msgs = self.source.mass, self.messages
+        sup, p, _ = (a[0] for a in self.table.support)
+        # each live pair (x, y) with each message x sends, in (x, y, m) order
+        i, j = np.nonzero(mass > 0)
+        pair, slot = np.nonzero((p > 0)[i])
+        i, j = i[pair], j[pair]
         return FiniteDistribution.from_mapping(
             {(msgs[c], msgs[c], xs[a], ys[b]): w for a, b, c, w in zip(
-                i.tolist(), j.tolist(), m.tolist(),
-                (mass[i, j] * p[i, m]).tolist())})
+                i.tolist(), j.tolist(), sup[i, slot].tolist(),
+                (mass[i, j] * p[i, slot]).tolist())})
 
 
 # ---------------------------------------------------------------------------

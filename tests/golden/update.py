@@ -58,13 +58,15 @@ def main() -> int:
     names = [case["name"] for case in cases]
     if len(set(names)) != len(names):
         raise SystemExit("commands.json repeats a name")
-    for stale in HERE.glob("*.txt"):
-        if stale.stem not in names:
-            stale.unlink()
+    # every command runs before any file changes, so a command that raises
+    # leaves the corpus as it was
     with tempfile.TemporaryDirectory() as tmp:
-        for case in cases:
-            (HERE / f"{case['name']}.txt").write_bytes(
-                run(case, Path(tmp)).encode("utf-8"))
+        texts = {case["name"]: run(case, Path(tmp)) for case in cases}
+    for stale in HERE.glob("*.txt"):
+        if stale.stem not in texts:
+            stale.unlink()
+    for name, text in texts.items():
+        (HERE / f"{name}.txt").write_bytes(text.encode("utf-8"))
     print(f"wrote {len(cases)} golden files to {HERE}")
     return 0
 

@@ -682,3 +682,64 @@ def test_boolean_shared_prefix_is_out_of_range(tmp_path, cfg):
     assert proc.stderr.startswith("error:") and "integer" in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+_SOURCE_DOC = {"x_alphabet": [0, 1], "y_alphabet": [0, 1],
+               "mass": [[0.375, 0.125], [0.125, 0.375]]}
+
+
+def _eval_exit(tmp_path, capsys, cfg) -> tuple:
+    """The exit status and stderr of ``icsim eval --mode exact`` on
+    ``cfg``, run in process."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        status = icsim.cli.main(["eval", "--config", str(path), "--mode",
+                                 "exact"])
+    except SystemExit as exc:
+        status = exc.code
+    return status, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({**_SOURCE_DOC, "mass": "abc"}, "mass"),
+    ({**_SOURCE_DOC, "mass": [[0.375, 0.125], [0.5]]}, "mass"),
+    ({**_SOURCE_DOC, "mass": [[0.375, True], [0.125, 0.375]]}, "mass"),
+    ({**_SOURCE_DOC, "mass": [[0.375, None], [0.125, 0.375]]}, "mass"),
+    ({**_SOURCE_DOC, "mass": [0.5, 0.5]}, "mass"),
+    ({**_SOURCE_DOC, "x_alphabet": 5}, "x_alphabet"),
+    ({**_SOURCE_DOC, "y_alphabet": "ab"}, "y_alphabet"),
+    ({**_SOURCE_DOC, "x_alphabet": [{"a": 1}, 1]}, "x_alphabet"),
+    ({**_SOURCE_DOC, "y_alphabet": [[0, {}], 1]}, "y_alphabet"),
+], ids=["mass-string", "mass-ragged", "mass-boolean", "mass-null",
+        "mass-flat", "x-number", "y-string", "x-object", "y-nested-object"])
+def test_source_document_value_of_wrong_type_is_usage_error(
+        tmp_path, capsys, doc, key):
+    status, err = _eval_exit(tmp_path, capsys,
+                             {"source": doc, "protocol": "p1", "l": 2})
+    assert status == 2
+    assert err.startswith(f"error: source document key {key!r} must be ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_SOURCE_DOC, "mass": [[0.25] * 3] * 2}, "shape"),
+    ({**_SOURCE_DOC, "mass": [[math.nan, 0.5], [0.25, 0.25]]}, "NaN"),
+    ({**_SOURCE_DOC, "x_alphabet": [0, 0]}, "duplicate"),
+], ids=["shape", "nan", "duplicate"])
+def test_source_document_semantic_fault_exits_1(tmp_path, capsys, doc,
+                                                message):
+    status, err = _eval_exit(tmp_path, capsys,
+                             {"source": doc, "protocol": "p1", "l": 2})
+    assert status == 1
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("proto", ["p9", 5, ["p3"]])
+def test_unknown_protocol_is_named_before_any_target(tmp_path, capsys,
+                                                     proto):
+    status, err = _eval_exit(tmp_path, capsys,
+                             {"source": "dsbs:0.1", "protocol": proto})
+    assert status == 2
+    assert err == f"error: unknown protocol {proto!r}\n"

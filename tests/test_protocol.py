@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import icsim.protocol
+import icsim.simulate
 from icsim.errors import (
     AlphabetMismatch,
     MismatchedSupport,
@@ -548,10 +549,71 @@ class TestThresholdExample:
     def test_transcript_map(self):
         ex = ThresholdExample(n=4, delta=0.25)
         assert ex.threshold == 4
-        assert ex.transcript_of(10, 9) == ("a",)
-        assert ex.transcript_of(10, 2) == ("b",)
-        assert ex.transcript_of(2, 10) == ("c",)
-        assert ex.transcript_of(2, 3) == (("pair", 2, 3),)
+        law = ex.expand()
+
+        def transcript(x, y):
+            k, i, j, _ = law.atoms
+            (at,) = np.flatnonzero((i == x - 1) & (j == y - 1))
+            return law.transcripts[k[at]]
+
+        assert transcript(10, 9) == (1, 1, "-", "-")
+        assert transcript(10, 2) == (1, 0, "-", "-")
+        assert transcript(2, 10) == (0, 1, "-", "-")
+        assert transcript(2, 3) == (0, 0, 2, 3)
+        assert transcript(4, 4) == (0, 0, 4, 4)
+        assert transcript(5, 4) == (1, 0, "-", "-")
+
+    def test_expand_is_the_four_round_protocol(self):
+        law = ThresholdExample(n=4, delta=0.25).expand()
+        assert law.n_rounds == 4
+        assert law.transcripts == (
+            (1, 1, "-", "-"), (1, 0, "-", "-"), (0, 1, "-", "-"),
+            *((0, 0, x, y) for x in range(1, 5) for y in range(1, 5)))
+        # each party's first message is its own side of t
+        assert law.round_messages(1) == law.round_messages(2) == (0, 1)
+        view = law.round_view(1, ())
+        assert view.p_m_given_x.tolist() == [[0.0, 1.0] if x > 4
+                                             else [1.0, 0.0]
+                                             for x in range(1, 17)]
+
+    @pytest.mark.parametrize("n, delta", [(4, 1 / 4), (5, 1 / 4),
+                                          (6, 1 / 8), (8, 1 / 16)])
+    def test_expand_ic_mean_matches_cells(self, n, delta):
+        ex = ThresholdExample(n=n, delta=delta)
+        law = ex.expand()
+        assert len(law.transcripts) == 3 + ex.threshold ** 2
+        assert abs(law.ic_mean - ex.ic_mean) <= 1e-15
+
+    def test_expand_over_the_cap_fails_before_building(self):
+        # t = 32: 1027 transcripts over 256 x 256 inputs, a 514 MiB
+        # nominal table.  The check comes first, so neither the uniform
+        # source nor the transcript list nor the index table (512 KiB
+        # each for the tables) is made
+        ex = ThresholdExample(n=8, delta=1 / 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="1027 transcripts"):
+                ex.expand()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak
+
+    def test_expand_runs_on_engine_5(self, monkeypatch):
+        law = ThresholdExample(n=4, delta=0.25).expand()
+        engine = ProtocolSimulator(law, auto_round_plans(law, gamma=3.0),
+                                   k_override=0)
+        est = measure_sim_error(engine, "plugin", trials=2000,
+                                master_seed=1)
+        assert est.samples == 2000 and 0.0 < est.value < 0.5
+        # exact mode over its 33,554,432 round-3 rows is refused before
+        # any decode
+        def search(*args):
+            raise AssertionError("exact mode decoded a round")
+
+        monkeypatch.setattr(icsim.simulate, "_slice_search", search)
+        with pytest.raises(TooLarge, match="rows in round 3"):
+            engine.exact_view_law()
 
     def test_guards(self):
         with pytest.raises(OutOfRange):

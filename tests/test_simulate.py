@@ -1736,13 +1736,33 @@ def _true_view_law_by_pairs(sim):
                           "target": "send-x", "gamma": 3.0}),
     lambda: _noisy_round(k=1),
     lambda: _noisy_round(improved=True),
-], ids=["p3-send-x-dsbs3", "p3-noisy", "p4-noisy"])
+    interactive_coder,
+], ids=["p3-send-x-dsbs3", "p3-noisy", "p4-noisy", "p2"])
 def test_round_true_view_law_matches_pair_loop(make):
     engine = make()
     law = engine.true_view_law()
     ref = _true_view_law_by_pairs(engine)
     assert law.symbols == ref.symbols
     assert law.probs.tobytes() == ref.probs.tobytes()
+
+
+def test_round_true_view_law_joins_pairs_with_the_support(monkeypatch):
+    # engine 2 over dsbs^8 has 256 x values, 256 y values and 256
+    # messages: an (x, y, m) mask of the live triples is 16 MiB, while the
+    # 65,536 views with their weights take about 13.  The sort of
+    # FiniteDistribution.from_mapping, common to both, is left out
+    engine = build_engine({"source": "dsbs^8:0.11", "protocol": "p2",
+                           "gamma": 3.0})
+    monkeypatch.setattr(icsim.simulate, "FiniteDistribution",
+                        SimpleNamespace(from_mapping=len))
+    tracemalloc.start()
+    try:
+        views = engine.true_view_law()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert views == 1 << 16
+    assert peak < 16 << 20, peak
 
 
 # -- engine 1: the trial kernel against the scalar reference -----------------
