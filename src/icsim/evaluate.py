@@ -91,12 +91,13 @@ def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
     numbers; the last atom stays in, observed or not, because the last
     category takes the leftover count instead of a draw.  Each block is
     scattered into full-width rows, so every row sums its A terms in the
-    formula's order.
+    formula's order.  A block starts from rows of ``tp``, the formula's
+    term at a count of 0, and computes the terms of the drawn atoms only.
 
     The blocks are independent, so they run on the threads of
     :func:`icsim.simulate._in_blocks` (numpy's multinomial and ufuncs
-    release the GIL); each computes in place in its own zero buffer and
-    calls numpy only.
+    release the GIL); each computes in its own buffer and calls numpy
+    only.
     """
     A = phat.size
     drawn = np.flatnonzero(phat)
@@ -108,11 +109,13 @@ def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
     def block(a, b):
         rng = np.random.default_rng([master_seed,
                                      _BOOTSTRAP_STREAM + a // rows])
-        res = np.zeros((b - a, A))
-        res[:, drawn] = rng.multinomial(n, p, size=b - a)
-        np.divide(res, n, out=res)
-        np.subtract(res, tp, out=res)
-        np.abs(res, out=res)
+        d = rng.multinomial(n, p, size=b - a) / n
+        np.subtract(d, tp[drawn], out=d)
+        # allocated after the counts are freed; an undrawn atom's term
+        # |0 / n - tp| is tp, exactly
+        res = np.empty((b - a, A))
+        res[:] = tp
+        res[:, drawn] = np.abs(d, out=d)
         return (0.5 * res.sum(axis=1),)
 
     return _in_blocks(block, BOOTSTRAP_RESAMPLES, rows)[0]

@@ -6,6 +6,12 @@ and the first k output bits of an (l, w) draw are themselves a valid (k, w)
 draw, so one long draw can be split into a prefix shared as common randomness
 and a suffix that is actually communicated.
 
+The engines draw T hash blocks (T, L, w + 1) at once with
+:func:`draw_bits`, which takes whole uint32 words from the generator and
+gives, bit for bit, numpy's ``rng.integers(0, 2, ..., dtype=np.uint8)``;
+they pack each block's columns into int64 words (:func:`pack_columns`)
+and hash universe indices by table lookups (:func:`index_hasher`).
+
 The offset b cancels in every decode the engines make, so exact enumeration
 walks only the 2^(l w) linear parts, the members with b = 0
 (:func:`linear_blocks`), and weighs each by the 2^l offsets it stands for.
@@ -93,8 +99,28 @@ def draw_hash(width: int, out_bits: int, seed) -> HashFamily:
     if out_bits < 0 or width < 1:
         raise OutOfRange("need width >= 1 and out_bits >= 0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _member(rng.integers(0, 2, size=(out_bits, width + 1),
-                                dtype=np.uint8))
+    return _member(draw_bits(rng, (out_bits, width + 1)))
+
+
+def draw_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform bits of ``shape``: exactly ``rng.integers(0, 2, shape,
+    dtype=np.uint8)``, leaving ``rng`` in the same state, drawn as whole
+    words.
+
+    numpy draws a bounded uint8 by Lemire's method on one byte of a
+    buffered uint32 word, the low byte first and four bytes per word, with
+    a fresh word for the first byte of each call.  For the range 2 it
+    scales the byte by 2 and keeps the high byte of the product, the
+    byte's top bit, and its rejection threshold (255 - 1) mod 2 is 0, so
+    it rejects nothing.  The N bits are therefore the top bits of the
+    little-endian bytes of ceil(N / 4) raw uint32 words.
+    """
+    n = math.prod(shape)
+    bits = rng.integers(0, 1 << 32, size=-(-n // 4), dtype=np.uint32).astype(
+        "<u4", copy=False).view(np.uint8)[:n]
+    # in place, so the bits take no more memory than the words
+    bits >>= 7
+    return bits.reshape(shape)
 
 
 def pack_columns(blocks: np.ndarray) -> np.ndarray:
@@ -127,31 +153,43 @@ def pack_hashes(blocks: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return h
 
 
-def hash_indices(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Packed hashes (T, n) of the universe indices ``idx`` (T, n), each
-    row under its own packed columns ``cols`` (T, w + 1) (see
-    :func:`pack_columns`), on the encoding of :func:`encode_universe`.
+def index_hasher(cols: np.ndarray):
+    """The hash of universe indices under each of the packed columns
+    ``cols`` (T, w + 1) (see :func:`pack_columns`), on the encoding of
+    :func:`encode_universe`: a function ``hash(rows, idx)`` that gives the
+    packed hashes (n, k) of the indices ``idx`` (n, k), row i under the
+    columns ``cols[rows[i]]``.
 
     An index's hash XORs the offset with the columns of its set bits.  Per
-    row, two tables hold those XORs over every pattern of the low and of
-    the high half of the w bits, so each hash is two lookups, whatever w.
+    row of ``cols``, two tables hold those XORs over every pattern of the
+    low and of the high half of the w bits, built here once, in place by
+    doubling, so each hash is two ``take`` lookups, whatever w, and a
+    caller that hashes a few rows at a time builds no table again.
     """
     T, w1 = cols.shape
     w = w1 - 1
     lo = (w + 1) // 2
+    by_column = np.ascontiguousarray(cols.T)
 
     def xors(start, stop, base):
-        tab = base
-        for c in range(start, stop):
-            tab = np.concatenate([tab, tab ^ cols[:, c:c + 1]], axis=1)
+        # pattern-major, so each doubling XORs whole contiguous rows
+        tab = np.empty((1 << (stop - start), T), dtype=np.int64)
+        tab[0] = base
+        for n, c in enumerate(range(start, stop)):
+            np.bitwise_xor(tab[:1 << n], by_column[c],
+                           out=tab[1 << n:2 << n])
         return tab.ravel()
 
-    rows = np.arange(T, dtype=np.int64)[:, None]
-    h = xors(0, lo, cols[:, w:])[(rows << lo) + (idx & ((1 << lo) - 1))]
-    if lo < w:
-        h ^= xors(lo, w, np.zeros((T, 1), dtype=np.int64))[
-            (rows << (w - lo)) + (idx >> lo)]
-    return h
+    low, high = xors(0, lo, by_column[w]), xors(lo, w, 0)
+
+    def hash_(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)[:, None]
+        h = low.take((idx & ((1 << lo) - 1)) * T + rows)
+        if lo < w:
+            h ^= high.take((idx >> lo) * T + rows)
+        return h
+
+    return hash_
 
 
 def _member(block: np.ndarray) -> HashFamily:

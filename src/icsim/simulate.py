@@ -13,9 +13,10 @@ slice-index law of several indices (J = 0 alone on engines 2 and 3).
 Engines 2 to 4 take one round view, as engine 5 reads each round: they
 are one round of it, and each trial rule is one kernel vectorized over trials:
 ``_sw_kernel`` for engine 1, ``_round_kernel`` (pick M*, then
-``_slice_search``) for a round of engines 2 to 5, over the candidate lists
-of its ``_RoundTables``: the sender's supported messages and the
-receiver's messages in slice 1 or more, and of its hash schedule
+``_slice_search``, slice by slice over the trials still searching) for a
+round of engines 2 to 5, over the candidate lists of its ``_RoundTables``:
+the sender's supported messages and the receiver's messages in slice 1 or
+more, one block per slice, and of its hash schedule
 (``_HashSchedule``), never an engine.  Engines 2 to 5 walk their rounds
 in one loop per mode, ``_trial_walk`` for trials and ``_exact_walk`` for
 exact mode, and both write a round into their trial states with
@@ -24,8 +25,8 @@ rows, as one round whose message is x, so one layer serves all five
 engines: ``_walk_chunk`` counts a chunk of ``run_trials``, ``_walk_run``
 is the scalar ``run``, and ``_key_law`` reads an exact law's key rows.
 Engine 5 alone blanks a failed trial's messages (``_view_keys``); each
-engine's ``view_of`` turns a key row into a view.  Every exact mode walks
-one linear part of each hash family, standing for its 2^L offsets (see
+engine's ``views_of`` turns an array of key rows into their views, a
+column at a time.  Every exact mode walks one linear part of each hash family, standing for its 2^L offsets (see
 :mod:`icsim.hashing`); engine 1 keeps its own count loop over them.
 
 The batch paths cut their trials in two units:
@@ -61,7 +62,8 @@ from .hashing import (
     encode_universe,
     encoding_width,
     family_size,
-    hash_indices,
+    draw_bits,
+    index_hasher,
     linear_blocks,
     pack_columns,
     pack_hashes,
@@ -224,8 +226,9 @@ def _kernel_bytes(n: int, L: int, width: int) -> int:
     for the trial's source pair, uniforms, bits, cause and view key.
     Chunks and exact blocks count all M messages; the trial decode of
     engines 2 to 5 counts the S + C columns of its candidate lists (see
-    :func:`_round_step`).  Engine 1's kernel allocates about a third of
-    this per message.
+    :func:`_round_step`), an upper bound: a trial hashes its S support
+    columns and the block of each slice it reaches, not all C.  Engine 1's
+    kernel allocates about a third of this per message.
     """
     return L * (width + 1) + 8 * (width + 1) + 53 * n + 256
 
@@ -314,10 +317,10 @@ class _HashSchedule:
 
 class _OneRound:
     """Engines 1 to 4 as the trial layer reads them: one round, whose key
-    rows ``(M*, decoded, x, y)`` :meth:`view_of` reads over ``messages``.
+    rows ``(M*, decoded, x, y)`` :meth:`views_of` reads over ``messages``.
 
     Engines 2 to 4 (engine 3 and its subclasses) are this class: one
-    ``table`` and no bit budget.  Engine 1 borrows ``view_of`` alone, its
+    ``table`` and no bit budget.  Engine 1 borrows ``views_of`` alone, its
     messages being the x values, and has no table."""
     l_max = math.inf
 
@@ -325,13 +328,24 @@ class _OneRound:
     def tables(self) -> list:
         return [self.table]
 
-    def view_of(self, key) -> tuple:
-        """The view ``(M*, decoded, x, y)`` of one key row of the walks; a
-        message index of -1 is None."""
-        a, d, i, j = key
-        msgs, src = self.messages, self.source
-        return (None if a < 0 else msgs[a], None if d < 0 else msgs[d],
-                src.x_alphabet[i], src.y_alphabet[j])
+    def views_of(self, keys: np.ndarray) -> list:
+        """The views ``(M*, decoded, x, y)`` of the key rows ``keys`` of
+        the walks, in order, a column at a time; a message index of -1 is
+        None."""
+        msgs = _objects(self.messages)
+        return list(zip(*(col.tolist() for col in (
+            msgs[keys[:, 0]], msgs[keys[:, 1]],
+            _objects(self.source.x_alphabet)[keys[:, 2]],
+            _objects(self.source.y_alphabet)[keys[:, 3]]))))
+
+
+def _objects(items: Sequence) -> np.ndarray:
+    """An object array of ``items`` with a trailing None, so that index -1
+    reads None."""
+    out = np.empty(len(items) + 1, dtype=object)
+    for n, item in enumerate(items):
+        out[n] = item
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +376,7 @@ class SlepianWolfCoder:
         self.enc = encode_universe(len(source.x_alphabet), self.width)
         self.chunk = _trial_chunk(len(source.x_alphabet), self.l, self.width)
 
-    view_of = _OneRound.view_of
+    views_of = _OneRound.views_of
 
     def analytic_error_bound(self) -> float:
         atyp = float(self.source.mass[~self.typical].sum())
@@ -457,8 +471,7 @@ def _sw_trials(coder: SlepianWolfCoder, rng, T: int,
     of rows.  A trial is one round whose message is x: its key row is
     ``(x, decoded, x, y)``, it costs l bits and ends in slice 1."""
     xi, yj = coder.source.sample(rng, size=T) if pairs is None else pairs
-    blocks = rng.integers(0, 2, size=(T, coder.l, coder.width + 1),
-                          dtype=np.uint8)
+    blocks = draw_bits(rng, (T, coder.l, coder.width + 1))
 
     def decode(a, b):
         return _sw_kernel(coder, xi[a:b], yj[a:b],
@@ -709,35 +722,33 @@ def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum_rows <= u[:, None] * cum_rows[:, -1:]).sum(axis=1)
 
 
-def _round_kernel(inner: _HashSchedule, sup: np.ndarray, p_sup: np.ndarray,
-                  restrict: np.ndarray, cand: np.ndarray, slc: np.ndarray,
-                  k_t: np.ndarray, blocks: np.ndarray, u: np.ndarray,
-                  u_m: np.ndarray, extra_bits: int):
-    """One simulated round for T trials; draws nothing itself.
+def _round_kernel(tab: _RoundTables, sup: np.ndarray, p_sup: np.ndarray,
+                  restrict: np.ndarray, r: np.ndarray, k_t: np.ndarray,
+                  blocks: np.ndarray, u: np.ndarray, u_m: np.ndarray):
+    """One simulated round for T trials on the tables ``tab``; draws
+    nothing itself.
 
-    Per trial, the rows of the round's candidate lists
-    (:attr:`_RoundTables.support`, :attr:`_RoundTables.candidates`): the
-    transmitter's supported messages ``sup`` (T, S) with their weights
-    ``p_sup`` and the ``restrict`` mask of the slice index, and the
-    receiver's candidates ``cand`` (T, C) with their slices ``slc``; then
-    the shared-prefix length ``k_t``, the hash block (L, w + 1) of
-    ``blocks``, the shared string ``u`` (masked to k bits here) and the
-    uniform ``u_m`` that picks M*.  Only those S + C columns are hashed.
-    ``inner`` supplies the round's hash schedule; ``extra_bits`` (the
-    slice-index cost) is added to each trial's bits.  M* is the message of
-    the first slot whose cumulative weight in :func:`_mstar_cum` exceeds
-    u_m times the total; :func:`_slice_search` decodes it.  Returns
-    ``(m_star,) +`` its result, in message indices.
+    Per trial, the speaker's row of the round's support list
+    (:attr:`_RoundTables.support`): the supported messages ``sup`` (T, S)
+    with their weights ``p_sup`` and the ``restrict`` mask of the slice
+    index; the listener's row ``r`` of ``tab``'s flat (history, symbol)
+    rows; then the shared-prefix length ``k_t``, the hash block (L, w + 1)
+    of ``blocks``, the shared string ``u`` (masked to k bits here) and the
+    uniform ``u_m`` that picks M*.  Only the S support columns are hashed
+    here.  M* is the message of the first slot whose cumulative weight in
+    :func:`_mstar_cum` exceeds u_m times the total; :func:`_slice_search`
+    decodes it, hashing only the candidates of the slices each trial
+    reaches.  Returns ``(m_star,) +`` its result, in message indices.
     """
-    S = sup.shape[1]
-    h = hash_indices(pack_columns(blocks), np.concatenate([sup, cand], axis=1))
-    u = u & ((np.int64(1) << k_t) - 1)
-    cum = _mstar_cum(p_sup, restrict, h[:, :S], k_t, u)
-    slot = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
+    hashes = index_hasher(pack_columns(blocks))
     rows = np.arange(sup.shape[0])
+    h = hashes(rows, sup)
+    u = u & ((np.int64(1) << k_t) - 1)
+    cum = _mstar_cum(p_sup, restrict, h, k_t, u)
+    slot = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
     m_star = sup[rows, slot]
-    return (m_star,) + _slice_search(inner, m_star, h[rows, slot], cand,
-                                     h[:, S:], slc, k_t, u, extra_bits)
+    return (m_star,) + _slice_search(tab, r, m_star, h[rows, slot], hashes,
+                                     k_t, u)
 
 
 def _mstar_cum(p_sup: np.ndarray, restrict: np.ndarray, h: np.ndarray,
@@ -765,52 +776,64 @@ def _mstar_cum(p_sup: np.ndarray, restrict: np.ndarray, h: np.ndarray,
     return cum
 
 
-def _slice_search(inner: _HashSchedule, m_star: np.ndarray,
-                  h_star: np.ndarray, cand: np.ndarray, h: np.ndarray,
-                  slc: np.ndarray, k_t: np.ndarray, u: np.ndarray,
-                  extra_bits: int):
-    """The receiver's slice-by-slice search for T trials, given M*.
+def _slice_search(tab: _RoundTables, r: np.ndarray, m_star: np.ndarray,
+                  h_star: np.ndarray, hashes, k_t: np.ndarray,
+                  u: np.ndarray):
+    """The receiver's slice-by-slice search for T trials, given M*, on the
+    tables ``tab``; both walks call it.
 
-    ``m_star`` is M* and ``h_star`` its packed hash; ``cand`` (T, C) lists
-    the receiver's candidates, the messages of its slices 1 or more in
-    message order, ``h`` their packed hashes and ``slc`` their slices (0
-    on padding).  The receiver holds the shared string ``u`` of ``k_t``
-    bits in place of M*'s first hash bits.  After i hash blocks it matches
-    the first ``pos_at(i)`` bits in its slice i: one match is an ACK,
-    several after the first slice are declared.  Returns ``(decoded,
+    ``r`` is each trial's listener row of ``tab``'s flat (history,
+    symbol) rows, ``m_star`` is M* and ``h_star`` its packed hash;
+    ``hashes(trials, idx)`` gives the packed hashes of the messages
+    ``idx`` under the hash blocks of ``trials`` (see
+    :func:`~icsim.hashing.index_hasher`).  The receiver holds the shared
+    string ``u`` of ``k_t`` bits in place of M*'s first hash bits.  After
+    i hash blocks it matches the first ``pos_at(i)`` bits in its slice i,
+    the block of slice i of its candidate list
+    (:attr:`_RoundTables.candidates`), hashed for the trials still
+    searching only: one match is an ACK, several after the first slice
+    are declared.  A trial that matches in no slice is a tail when M* is
+    in the receiver's slice 0, else a no match.  Returns ``(decoded,
     cause, bits, hit)``: the decoded message (-1 on a declared failure),
     the cause code, the bits sent past the shared prefix plus
-    ``extra_bits``, and the terminating slice.
+    ``tab.j_cost``, and the terminating slice.
     """
-    T = h.shape[0]
+    inner = tab.inner
+    cand, slc, starts = tab.candidates
+    cand, slc = (a.reshape(-1, a.shape[-1]) for a in (cand, slc))
+    T = r.size
     received = (h_star & ~((np.int64(1) << k_t) - 1)) | u
-    diff = h ^ received[:, None]
     decoded = np.full(T, -1, dtype=np.int64)
     hit = np.full(T, inner.n_slices, dtype=np.int64)
-    multi = np.zeros(T, dtype=bool)
-    active = np.ones(T, dtype=bool)
-    for s in range(1, inner.n_slices + 1):
-        mask_pos = (1 << inner.pos_at(s)) - 1
-        match = (slc == s) & ((diff & mask_pos) == 0)
-        cnt = match.sum(axis=1)
-        ack = active & (cnt == 1)
-        decoded[ack] = cand[ack, np.argmax(match[ack], axis=1)]
-        hit[ack] = s
-        if s > 1:
-            mm = active & (cnt > 1)
-            multi |= mm
-            hit[mm] = s
-            active &= ~mm
-        active &= ~ack
-    pos_hit = inner.l + (hit - 1) * inner.delta
-    bits = np.maximum(0, pos_hit - k_t) + hit + extra_bits
-
     cause = np.zeros(T, dtype=np.int64)
-    # an unmatched M* is a tail unless it is a candidate, in slice 1 or more
-    left = np.flatnonzero(active)
-    cause[left] = np.where(((cand[left] == m_star[left, None])
-                            & (slc[left] > 0)).any(axis=1), _NO_MATCH, _TAIL)
-    cause[multi] = _MULTIPLE
+    # the trials still searching
+    live = np.arange(T)
+    for s in range(1, inner.n_slices + 1):
+        a, b = starts[s - 1], starts[s]
+        if a == b:
+            continue
+        rl = r[live]
+        c = cand[:, a:b].take(rl, axis=0)
+        mask_pos = (1 << inner.pos_at(s)) - 1
+        match = (slc[:, a:b].take(rl, axis=0) == s) & ((
+            (hashes(live, c) ^ received[live, None]) & mask_pos) == 0)
+        cnt = np.einsum("ij->i", match, dtype=np.int64)
+        done = cnt == 1
+        decoded[live[done]] = c[np.flatnonzero(done),
+                                match.argmax(axis=1)[done]]
+        if s > 1:
+            cause[live[cnt > 1]] = _MULTIPLE
+            done |= cnt > 1
+        hit[live[done]] = s
+        live = live[~done]
+        if not live.size:
+            break
+    # an unmatched M* is a tail unless it is in the receiver's slice 1 or
+    # more
+    rx = tab.slice_rx.reshape(-1, tab.slice_rx.shape[-1])
+    cause[live] = np.where(rx[r[live], m_star[live]] >= 1, _NO_MATCH, _TAIL)
+    pos_hit = inner.l + (hit - 1) * inner.delta
+    bits = np.maximum(0, pos_hit - k_t) + hit + tab.j_cost
     return decoded, cause, bits, hit
 
 
@@ -831,10 +854,10 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
     (unless given), the J uniforms (none for a law of one index, where
     :func:`_pick_slice` is 0), the shared strings and the M* uniforms.
     :func:`_round_kernel` decodes block by block, on the rows
-    ``support[tx]`` with restrictions ``slice == J`` and
-    ``candidates[rx]``; a block's rows are sized by the candidate width
-    S + C.  A rejected J costs ``j_cost`` bits, with M* and the decode -1
-    and the hit 0.
+    ``support[tx]`` with restrictions ``slice == J`` and the listener rows
+    ``rx``; a block's rows are sized by the candidate width S + C, an
+    upper bound on the columns a trial hashes.  A rejected J costs
+    ``j_cost`` bits, with M* and the decode -1 and the hit 0.
     """
     inner = tab.inner
     T = tx[-1].size
@@ -842,23 +865,20 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
     ti = tx[0] * tab.p_m.shape[1] + tx[1]
     ri = rx[0] * tab.slice_rx.shape[1] + rx[1]
     if blocks is None:
-        blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
-                                          inner.width + 1), dtype=np.uint8)
+        blocks = draw_bits(rng, (T, inner.total_hash_bits, inner.width + 1))
     jj = (_pick_slice(_rows(tab.cum_j, ti), rng.random(T))
           if tab.cum_j.shape[-1] > 1 else np.zeros(T, dtype=np.int64))
     k_t = tab.k_of[jj]
     u = _draw_prefix(rng, k_t)
     u_m = rng.random(T)
     sup, p_sup, slc_tx = tab.support
-    cand, slc_rx = tab.candidates
-    S, C = sup.shape[-1], cand.shape[-1]
+    S, C = sup.shape[-1], tab.candidates[0].shape[-1]
 
     def decode(a, b):
-        t, r = ti[a:b], ri[a:b]
-        return _round_kernel(inner, _rows(sup, t), _rows(p_sup, t),
-                             _rows(slc_tx, t) == jj[a:b, None],
-                             _rows(cand, r), _rows(slc_rx, r), k_t[a:b],
-                             blocks[a:b], u[a:b], u_m[a:b], tab.j_cost)
+        t = ti[a:b]
+        return _round_kernel(tab, _rows(sup, t), _rows(p_sup, t),
+                             _rows(slc_tx, t) == jj[a:b, None], ri[a:b],
+                             k_t[a:b], blocks[a:b], u[a:b], u_m[a:b])
 
     m_star, decoded, cause, bits, hit = _in_blocks(
         decode, T, max(1, TRIAL_BLOCK_BYTES // _kernel_bytes(
@@ -1061,9 +1081,9 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
             state, p = out, q_out
             continue
         rows_tx = tuple(i[s] for i in t_tx)
-        rows_rx = tuple(i[s] for i in t_rx)
         sup, p_sup, slc_tx = (a[rows_tx] for a in tab.support)
-        cand, slc = (a[rows_rx] for a in tab.candidates)
+        # each state's listener row, a flat (history, symbol) index
+        r_rx = t_rx[0][s] * tab.slice_rx.shape[1] + t_rx[1][s]
         restrict = slc_tx == jj[:, None]
         k = tab.k_of[jj]
         inner = tab.inner
@@ -1077,21 +1097,21 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
         u = np.arange(r.size) - np.repeat(np.cumsum(n_u) - n_u, n_u)
         base = p_s * (1.0 / n_lin) * 2.0 ** (-k)
         step = max(1, EXACT_BLOCK_BYTES // (per_part * _kernel_bytes(M, L, w)))
-        S = sup.shape[1]
         for start in range(0, n_lin, step):
-            cols = pack_columns(linear_blocks(w, L, start,
-                                              min(start + step, n_lin)))
-            ru, uu = np.tile(r, len(cols)), np.tile(u, len(cols))
-            h = hash_indices(np.repeat(cols, r.size, axis=0),
-                             np.concatenate([sup[ru], cand[ru]], axis=1))
-            cum = _mstar_cum(p_sup[ru], restrict[ru], h[:, :S], k[ru], uu)
+            stop = min(start + step, n_lin)
+            lin = index_hasher(pack_columns(linear_blocks(w, L, start, stop)))
+            # one row per (linear part, r, u), part by part
+            part = np.repeat(np.arange(stop - start), r.size)
+            ru, uu = np.tile(r, stop - start), np.tile(u, stop - start)
+            h = lin(part, sup[ru])
+            cum = _mstar_cum(p_sup[ru], restrict[ru], h, k[ru], uu)
             w_m = np.diff(cum, axis=1, prepend=0.0)
             n, slot = np.nonzero(w_m > 0)
-            ru = ru[n]
+            ru, part = ru[n], part[n]
             m = sup[ru, slot]
             decoded, cause, bits, _ = _slice_search(
-                inner, m, h[n, slot], cand[ru], h[n, S:], slc[ru], k[ru],
-                uu[n], tab.j_cost)
+                tab, r_rx[ru], m, h[n, slot],
+                lambda rows, idx: lin(part[rows], idx), k[ru], uu[n])
             rows = state[s[ru]]
             _write_back(rows, R, t, tab, m, decoded, cause, bits, l_max)
             out, q_out = _merge_rows(
@@ -1112,9 +1132,8 @@ def _check_rows(tables: Sequence[_RoundTables], states: int):
     over the speaker's table rows.  Round 1 runs ``states``, the live
     pairs.  A state leaves at most one running state per (J, M*, decoded
     message), so the states of round t + 1 are at most those of round t
-    times the most (J, M*) of a speaker's row times C, the width of the
-    listeners' candidate lists (the most messages a listener's row can
-    decode, a slice of 1 or more; at least 1).
+    times the most (J, M*) of a speaker's row times the most messages a
+    listener's row can decode, those in its slices 1 or more (at least 1).
     """
     for t, tab in enumerate(tables, start=1):
         s_j = np.zeros(tab.cum_j.shape, dtype=np.int64)
@@ -1131,11 +1150,12 @@ def _check_rows(tables: Sequence[_RoundTables], states: int):
         if rows > ENUMERATION_CAP:
             raise TooLarge(f"exact mode could decode up to {rows:,} rows in "
                            f"round {t}, over the cap of {ENUMERATION_CAP:,}")
-        states *= int(picks.sum(axis=-1).max()) * tab.candidates[0].shape[-1]
+        states *= int(picks.sum(axis=-1).max()) * max(
+            1, int((tab.slice_rx >= 1).sum(axis=-1).max()))
 
 
 def _view_keys(engine, keys: np.ndarray, cause: np.ndarray) -> np.ndarray:
-    """The key rows of either walk as ``engine.view_of`` reads them, in
+    """The key rows of either walk as ``engine.views_of`` reads them, in
     place.  Engine 5 views a failed trial as ``(None, None, x, y)``, so
     its failed rows lose their messages; engines 2 to 4 keep M* and the
     decode of a failed round."""
@@ -1158,7 +1178,7 @@ def _walk_run(engine, rng, x, y) -> SimOutcome:
     on engines 1 to 4 and the rounds done on engine 5."""
     batch = _trials(engine, rng, 1, pairs=None if x is None
                     else _index_pair(engine.source, x, y))
-    tau_x, tau_y, x, y = engine.view_of(batch.keys[0].tolist())
+    tau_x, tau_y, x, y = engine.views_of(batch.keys[:1])[0]
     c = int(batch.cause[0])
     hit = batch.rounds if isinstance(engine, ProtocolSimulator) else batch.hit
     return SimOutcome(x, y, tau_x, tau_y, int(batch.bits[0]),
@@ -1172,8 +1192,7 @@ def _walk_chunk(engine, T: int, seed):
     batch = _trials(engine, np.random.default_rng(seed), T)
     keys = batch.keys
     uniq, _, counts = _unique_rows(keys)
-    views = Counter({engine.view_of(k): c for k, c in zip(uniq.tolist(),
-                                                          counts.tolist())})
+    views = Counter(dict(zip(engine.views_of(uniq), counts.tolist())))
     R = keys.shape[1] // 2 - 1
     mism = int(np.any(keys[:, :R] != keys[:, R:2 * R], axis=1).sum())
     return views, _cause_counts(batch.cause), batch.bits, mism
@@ -1181,9 +1200,9 @@ def _walk_chunk(engine, T: int, seed):
 
 def _key_law(engine, keys: np.ndarray, p: np.ndarray) -> FiniteDistribution:
     """The exact view law of any engine from its distinct key rows
-    ``keys`` and their masses ``p``, each row read by ``engine.view_of``."""
+    ``keys`` and their masses ``p``, the rows read by ``engine.views_of``."""
     return FiniteDistribution.from_mapping(
-        {engine.view_of(k): w for k, w in zip(keys.tolist(), p.tolist())})
+        dict(zip(engine.views_of(keys), p.tolist())))
 
 
 def _walk_law(engine) -> FiniteDistribution:
@@ -1221,9 +1240,11 @@ class _RoundTables:
 
     The trials and the exact walk decode over candidate lists, built once
     per table on first use: ``support``, each speaker row's S supported
-    messages, and ``candidates``, each listener row's C messages in slice
-    1 or more.  A round hashes, weighs and searches those S + C columns
-    per trial, not all M messages.
+    messages, and ``candidates``, each listener row's messages in slice 1
+    or more, in one block per slice, C columns in all.  A round hashes and
+    weighs the S support columns of every trial, then searches slice by
+    slice and hashes a slice's block only for the trials still searching,
+    never all M messages.
     """
     inner: _HashSchedule
     j_cost: int
@@ -1262,39 +1283,57 @@ class _RoundTables:
         messages with P(m | x) > 0 in message order, their probabilities
         and their slices, padded with message 0 of probability 0 to S, the
         widest row (at least 1)."""
-        sup, (p, slc) = _column_lists(self.p_m > 0, self.p_m, self.slice_tx)
+        sup, (p, slc), _ = _column_lists(self.p_m > 0, 1, self.p_m,
+                                         self.slice_tx)
         return sup, p, slc
 
     @cached_property
     def candidates(self) -> tuple:
-        """``(cand, slice)``, each (H, n_rx, C): every listener row's
-        messages in slice 1 or more in message order and their slices,
-        padded with message 0 in slice 0 to C, the widest row (at least
-        1).  The receiver searches these only."""
-        cand, (slc,) = _column_lists(self.slice_rx >= 1, self.slice_rx)
-        return cand, slc
+        """``(cand, slice, starts)``: every listener row's messages in
+        slice 1 or more and their slices, each (H, n_rx, C), slice-major.
+        Slice s holds the columns ``starts[s - 1]`` to ``starts[s] - 1``,
+        C_s of them, C_s the most messages a listener row has in slice s; a
+        row's messages of slice s are in message order, padded with
+        message 0 in slice 0 to C_s (C at least 1).  The receiver searches
+        these only, one slice after the other."""
+        cand, (slc,), starts = _column_lists(
+            self.slice_rx, self.inner.n_slices, self.slice_rx)
+        return cand, slc, starts
 
 
-def _column_lists(keep: np.ndarray, *tables: np.ndarray):
-    """The columns of each row of the bool table ``keep`` (..., M) that
-    hold True, in order, padded with column 0 to the widest row (at least
-    one column): ``(cols, gathered)``, ``gathered`` holding each of
-    ``tables`` (shaped as ``keep``) at those columns and 0 at the padding.
-    One ``np.nonzero`` scan."""
-    flat = keep.reshape(-1, keep.shape[-1])
+def _column_lists(group: np.ndarray, n: int, *tables: np.ndarray):
+    """The columns of each row of the table ``group`` (..., M), of group
+    numbers 0 to n, in blocks by group: block b holds each row's columns
+    of group b, in order, padded with column 0 to C_b, the most any row
+    has, and group 0 is left out.  Returns ``(cols, gathered, starts)``:
+    the columns, each of ``tables`` (shaped as ``group``) gathered at them
+    with 0 at the padding, and the first column of each block, block b
+    spanning ``starts[b - 1]`` to ``starts[b] - 1``.  A bool ``group`` is
+    one block; when no row has a column, the last block, or block 1 when n
+    is 0, is one padding column.  One ``np.nonzero`` scan and one stable sort."""
+    flat = group.reshape(-1, group.shape[-1])
     r, c = np.nonzero(flat)
-    counts = np.bincount(r, minlength=flat.shape[0])
-    width = max(1, int(counts.max(initial=0)))
-    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    shape = keep.shape[:-1] + (width,)
-    cols = np.zeros((flat.shape[0], width), dtype=np.int64)
+    # the (row, group) of each column, sorted, each group in column order
+    key = r * (n + 1) + flat[r, c]
+    order = np.argsort(key, kind="stable")
+    r, c, key = r[order], c[order], key[order]
+    counts = np.bincount(key, minlength=flat.shape[0] * (n + 1))
+    width = counts.reshape(-1, n + 1).max(axis=0, initial=0)[1:]
+    if not width.any():
+        # one padding column, also with no group at all (n = 0)
+        width = np.append(width[:-1], 1)
+    starts = np.concatenate([[0], np.cumsum(width)])
+    slot = (starts[key % (n + 1) - 1] + np.arange(key.size)
+            - (np.cumsum(counts) - counts)[key])
+    shape = group.shape[:-1] + (int(starts[-1]),)
+    cols = np.zeros((flat.shape[0], shape[-1]), dtype=np.int64)
     cols[r, slot] = c
     gathered = []
     for tab in tables:
-        out = np.zeros((flat.shape[0], width), dtype=tab.dtype)
+        out = np.zeros(cols.shape, dtype=tab.dtype)
         out[r, slot] = tab.reshape(flat.shape)[r, c]
         gathered.append(out.reshape(shape))
-    return cols.reshape(shape), tuple(gathered)
+    return cols.reshape(shape), tuple(gathered), starts
 
 
 class ProtocolSimulator:
@@ -1336,17 +1375,20 @@ class ProtocolSimulator:
     def run(self, rng, x=None, y=None) -> SimOutcome:
         return _walk_run(self, rng, x, y)
 
-    def view_of(self, key) -> tuple:
-        """The view ``(hist_x, hist_y, x, y)`` of one key row of the walks,
-        ``(None, None, x, y)`` after an error (see :func:`_view_keys`)."""
+    def views_of(self, keys: np.ndarray) -> list:
+        """The views ``(hist_x, hist_y, x, y)`` of the key rows ``keys`` of
+        the walks, in order, ``(None, None, x, y)`` after an error (see
+        :func:`_view_keys`), a column at a time: each party's history zips
+        its per-round messages."""
         R = self.law.n_rounds
-        x = self.src.x_alphabet[key[2 * R]]
-        y = self.src.y_alphabet[key[2 * R + 1]]
-        if key[0] < 0:
-            return (None, None, x, y)
-        U = [tab.inner.messages for tab in self.tables]
-        return (tuple(U[t][key[t]] for t in range(R)),
-                tuple(U[t][key[R + t]] for t in range(R)), x, y)
+        U = [_objects(tab.inner.messages) for tab in self.tables]
+        hist_x, hist_y = (zip(*(U[t][keys[:, party * R + t]].tolist()
+                                for t in range(R))) for party in (0, 1))
+        xs = _objects(self.src.x_alphabet)[keys[:, 2 * R]].tolist()
+        ys = _objects(self.src.y_alphabet)[keys[:, 2 * R + 1]].tolist()
+        return [(None, None, x, y) if failed else (a, b, x, y)
+                for failed, a, b, x, y in zip((keys[:, 0] < 0).tolist(),
+                                              hist_x, hist_y, xs, ys)]
 
     def true_view_law(self) -> FiniteDistribution:
         taus, xs, ys = self.law.transcripts, self.src.x_alphabet, \

@@ -7,6 +7,7 @@ import pytest
 from icsim.errors import MismatchedSupport, OutOfRange
 from icsim.hashing import (
     HashFamily,
+    draw_bits,
     draw_hash,
     encode_universe,
     encoding_width,
@@ -18,7 +19,7 @@ from icsim.hashing import (
     family_size,
     member_blocks,
     min_entropy,
-    hash_indices,
+    index_hasher,
     pack_columns,
     pack_hashes,
 )
@@ -154,10 +155,10 @@ def test_pack_hashes_matches_apply_bits(M, L):
 @pytest.mark.parametrize("L", [0, 1, 14, 62])
 @pytest.mark.parametrize("w", [1, 2, 3, 6, 7])
 def test_hash_indices_match_apply_bits(w, L):
-    """The hashes engines 2 to 5 decode with, ``hash_indices`` on
+    """The hashes engines 2 to 5 decode with, ``index_hasher`` on
     ``pack_columns``, against ``HashFamily.apply_bits`` row by row: odd
     and even w split into low and high halves, padded index 0 and
-    repeated indices."""
+    repeated indices, and rows hashed under the columns of other rows."""
     rng = np.random.default_rng(100 * w + L)
     T, M = 6, 1 << w
     blocks = rng.integers(0, 2, size=(T, L, w + 1), dtype=np.uint8)
@@ -167,8 +168,12 @@ def test_hash_indices_match_apply_bits(w, L):
     idx = rng.permuted(np.concatenate([
         np.tile(np.arange(M), (T, 1)), np.zeros((T, 3), dtype=np.int64),
         rng.integers(0, M, size=(T, 5))], axis=1), axis=1)
-    got = hash_indices(cols, idx)
+    hashes = index_hasher(cols)
+    got = hashes(np.arange(T), idx)
     assert got.dtype == np.int64 and got.shape == idx.shape
+    # any rows, in any order and repeated, under their own columns
+    rows = rng.integers(0, T, size=2 * T)
+    assert np.array_equal(hashes(rows, idx[rows]), got[rows])
     enc = encode_universe(M, w)
     for t, block in enumerate(blocks):
         assert cols[t].tolist() == [sum(int(b) << p for p, b in
@@ -176,6 +181,43 @@ def test_hash_indices_match_apply_bits(w, L):
         want = _packed_by_hand(HashFamily(w, L, block[:, :w], block[:, w]),
                                enc)
         assert got[t].tolist() == [want[i] for i in idx[t]]
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 62, 2), (3, 5, 7), (1, 62, 3), (1, 3, 5), (0, 4, 3),
+              (2, 17, 9)],
+    ids=lambda shape: f"{shape}-N%4={math.prod(shape) % 4}")
+@pytest.mark.parametrize("odd_word", [False, True])
+def test_draw_bits_is_integers_of_two(shape, odd_word):
+    """``draw_bits`` gives ``rng.integers(0, 2, shape, dtype=np.uint8)`` bit
+    for bit and leaves the generator where that draw leaves it, for every
+    N mod 4, also after a draw that left half a 64-bit word buffered."""
+    want_rng, got_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for rng in (want_rng, got_rng):
+        if odd_word:
+            rng.integers(0, 1 << 32, size=3, dtype=np.uint32)
+    want = want_rng.integers(0, 2, size=shape, dtype=np.uint8)
+    got = draw_bits(got_rng, shape)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+
+
+def test_pack_columns_is_a_shift_per_row():
+    """Bit p of a packed column is row p, for every hash length L = 1 .. 62
+    and block width w + 1 = 2 .. 11: each column read as a binary numeral,
+    row L - 1 first."""
+    rng = np.random.default_rng(8)
+    for L in range(1, 63):
+        for w1 in range(2, 12):
+            blocks = rng.integers(0, 2, size=(3, L, w1), dtype=np.uint8)
+            want = np.array([[int("".join(map(str, col[::-1])), 2)
+                              for col in block.T.tolist()]
+                             for block in blocks], dtype=np.int64)
+            got = pack_columns(blocks)
+            assert got.dtype == np.int64 and np.array_equal(got, want), \
+                (L, w1)
 
 
 def test_pack_columns_past_62_bits_raises():

@@ -956,9 +956,10 @@ def test_protocol_batch_matches_scalar_seed_for_seed(make, outcomes,
         _blocks(sim, ref, T)
     batch = _trial_walk(sim, rng, T, blocks=blocks)
     seen = set()
+    views = sim.views_of(batch.keys)
     for n, want in enumerate(_chain_oracle(sim, ref, T, blocks)):
         c = int(batch.cause[n])
-        got = (sim.view_of(batch.keys[n]), int(batch.bits[n]),
+        got = (views[n], int(batch.bits[n]),
                None if c == 0 else ERROR_CAUSES[c - 1], int(batch.rounds[n]))
         assert got == want, n
         view, _, error, _ = want
@@ -1681,17 +1682,16 @@ def test_write_back_ends_unknown_histories_and_spent_budgets():
 def test_round_kernel_never_picks_zero_weight_message():
     sim = round_sim(q=0.25)  # send-x: two messages
     rows = np.array([[0.0, 1.0], [1.0, 0.0], [0.25, 0.75]])
-    T, M = 2 * len(rows), len(sim.messages)
+    T = 2 * len(rows)
     p_rows = np.repeat(rows, 2, axis=0)
     u_m = np.tile([0.0, _TOP], len(rows))
     blocks = np.zeros((T, sim.total_hash_bits, sim.width + 1), np.uint8)
-    # every message allowed and a candidate in slice 1
-    sup, (p_sup,) = _column_lists(p_rows > 0, p_rows)
+    # every message allowed, and the listener at its table's row 0
+    sup, (p_sup,), _ = _column_lists(p_rows > 0, 1, p_rows)
     m_star, *_ = _round_kernel(
-        sim, sup, p_sup, np.ones(sup.shape, dtype=bool),
-        np.tile(np.arange(M), (T, 1)), np.ones((T, M), dtype=np.int64),
-        np.zeros(T, dtype=np.int64), blocks, np.zeros(T, dtype=np.int64),
-        u_m, 0)
+        sim.table, sup, p_sup, np.ones(sup.shape, dtype=bool),
+        np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64), blocks,
+        np.zeros(T, dtype=np.int64), u_m)
     assert p_rows[np.arange(T), m_star].min() > 0
     assert m_star.tolist() == [1, 1, 0, 0, 0, 1]
 
@@ -1936,12 +1936,10 @@ def _round_full_walk(sim):
         w_m, tot = wt[pick, mc], tot[pick]
         p = np.where(tot > 0, base[c] * w_m / np.where(tot > 0, tot, 1),
                      base[c])
-        slc_rows = sim.slice_rx[:, j[c]].T
-        cand, (slc,) = _column_lists(slc_rows >= 1, slc_rows)
         decoded = icsim.simulate._slice_search(
-            sim, mc, h[np.arange(c.size), mc], cand,
-            np.take_along_axis(h, cand, axis=1), slc, np.full(c.size, k), u,
-            0)[0]
+            sim.table, j[c], mc, h[np.arange(c.size), mc],
+            lambda rows, idx: np.take_along_axis(h[rows], idx, axis=1),
+            np.full(c.size, k), u)[0]
         keys.append(np.column_stack([mc, decoded, i[c], j[c]]))
         terms.append(p)
     # each view's terms summed in row order, from 0.0
@@ -1982,7 +1980,7 @@ def _protocol_full_walk(sim):
     uniq, w = icsim.simulate._merge_rows(np.concatenate(keys),
                                          np.concatenate(terms))
     return FiniteDistribution.from_mapping(
-        {sim.view_of(key): p for key, p in zip(uniq.tolist(), w.tolist())})
+        dict(zip(sim.views_of(uniq), w.tolist())))
 
 
 @pytest.mark.parametrize("q", [0.25, 0.11])
@@ -2063,11 +2061,12 @@ def _round_rows(tab, rng, tx, rx):
     slice indices drawn from each speaker row's law of J (1 on a row with
     no law, whose restriction is then empty): ``(jj, dense, lists)``.
     ``dense`` holds the (T, M) rows ``(p_rows, restrict, slc)`` of the
-    reference kernel, ``lists`` the same trials' candidate-list rows
-    ``(sup, p_sup, restrict, cand, slc)`` of :func:`_round_kernel`."""
+    reference kernel, ``lists`` the same trials' inputs ``(sup, p_sup,
+    restrict, r)`` of :func:`_round_kernel`: the support-list rows and the
+    listener's flat table rows."""
     T = tx[0].size
     sup, p_sup, slc_tx = (None if a is None else a[tx] for a in tab.support)
-    cand, slc_c = (a[rx] for a in tab.candidates)
+    r = rx[0] * tab.slice_rx.shape[1] + rx[1]
     if tab.cum_j is None:
         jj = np.zeros(T, dtype=np.int64)
         dense_restrict = np.ones((T, tab.p_m.shape[-1]), dtype=bool)
@@ -2078,7 +2077,7 @@ def _round_rows(tab, rng, tx, rx):
         dense_restrict = tab.slice_tx[tx] == jj[:, None]
         restrict = slc_tx == jj[:, None]
     return jj, (tab.p_m[tx], dense_restrict, tab.slice_rx[rx]), (
-        sup, p_sup, restrict, cand, slc_c)
+        sup, p_sup, restrict, r)
 
 
 def _kernel_inputs(name, rng, T):
@@ -2124,7 +2123,7 @@ def test_offset_cancels_in_round_kernel(name, k):
     shifted = u ^ (_packed_offsets(blocks) & ((1 << k) - 1))
 
     def run(b, s):
-        return _round_kernel(inner, *lists, k_t, b, s, u_m, 0)
+        return _round_kernel(tab, *lists, k_t, b, s, u_m)
 
     got, want = run(blocks, u), run(linear, shifted)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -2179,7 +2178,7 @@ def test_round_kernel_matches_dense_reference(name, k):
         u_m = rng.random(T)
         u_m[:T // 10] = 0.0
         u_m[T // 10:T // 5] = _TOP
-        got = _round_kernel(inner, *lists, k_t, blocks, u, u_m, tab.j_cost)
+        got = _round_kernel(tab, *lists, k_t, blocks, u, u_m)
         want = dense_round_kernel(inner, dense[0], dense[1], dense[2], k_t,
                                   blocks, u, u_m, tab.j_cost)
         for a, b in zip(got, want):
@@ -2214,6 +2213,100 @@ def test_round_kernel_matches_dense_reference(name, k):
     if name == "exchange-bits":
         assert seen["no support"] and seen["no candidate"]
         assert seen["fallback to message 0"]
+
+
+#: a source whose listener rows hold 2 or 4 messages in receiver slice 1
+#: of p4 send-x at gamma = 2, and 2 in slice 2
+_UNEVEN_SOURCE = {
+    "x_alphabet": [0, 1, 2, 3, 4, 5], "y_alphabet": ["a", "b", "c"],
+    "mass": [[0.125, 0.0625, 0.125], [0.0625, 0.0625, 0.125],
+             [0.03125, 0.0625, 0.0625], [0.015625, 0.0625, 0.0625],
+             [0.0078125, 0.03125, 0.03125], [0.0078125, 0.03125, 0.03125]]}
+
+
+def _lazy_search_table(name):
+    """The round table of a lazy-search oracle case: p4 send-x on
+    ``_UNEVEN_SOURCE``, whose block of slice 1 pads the rows of 2
+    candidates to 4, or p2 over dsbs^3 with slices of 2 bits from 0 and a
+    1-bit first slice, whose four blocks hold 1, 3, 3 and 0 candidates."""
+    if name == "uneven-slices":
+        return build_engine({"source": _UNEVEN_SOURCE, "protocol": "p4",
+                             "target": "send-x", "gamma": 2.0}).table
+    return InteractiveSWCoder(product_source(dsbs_source(0.2), 3),
+                              SliceConfig(0.0, 6.0 + 1e-9, 2.0, 0.0),
+                              l=1).table
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", ["uneven-slices", "every-slice"])
+def test_lazy_slice_search_matches_dense_reference(name, k):
+    """The slice-major candidate blocks hold each listener row's messages
+    of each slice in message order, padded with message 0 in slice 0, and
+    the search over the trials still searching gives the dense kernel's
+    M*, decode, cause, bits and hit on every trial: with padding in a
+    block, and with trials ending in every slice by an ACK, after slice 1
+    by a multiple match, and in the last slice, an empty one, by a no
+    match or a tail."""
+    tab = _lazy_search_table(name)
+    inner = tab.inner
+    n = inner.n_slices
+    cand, slc, starts = tab.candidates
+    rx_rows = tab.slice_rx.reshape(-1, tab.slice_rx.shape[-1])
+    for row, (c_row, s_row) in enumerate(zip(
+            cand.reshape(len(rx_rows), -1), slc.reshape(len(rx_rows), -1))):
+        for s in range(1, n + 1):
+            c_blk, s_blk = (a[starts[s - 1]:starts[s]] for a in (c_row, s_row))
+            own = np.flatnonzero(rx_rows[row] == s)
+            assert c_blk[:own.size].tolist() == own.tolist()
+            assert (s_blk[:own.size] == s).all()
+            assert not c_blk[own.size:].any() and not s_blk[own.size:].any()
+    rng = np.random.default_rng([11, k])
+    T = 4_000
+    H, n_tx, M = tab.p_m.shape
+    tx = (rng.integers(0, H, size=T), rng.integers(0, n_tx, size=T))
+    rx = (rng.integers(0, H, size=T),
+          rng.integers(0, tab.slice_rx.shape[1], size=T))
+    _, dense, lists = _round_rows(tab, rng, tx, rx)
+    blocks = rng.integers(0, 2, size=(T, inner.total_hash_bits,
+                                      inner.width + 1), dtype=np.uint8)
+    k_t = np.full(T, k, dtype=np.int64)
+    u = rng.integers(0, 1 << 62, size=T, dtype=np.int64)
+    u_m = rng.random(T)
+    got = _round_kernel(tab, *lists, k_t, blocks, u, u_m)
+    want = dense_round_kernel(inner, *dense, k_t, blocks, u, u_m,
+                              tab.j_cost)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # (hit, cause) of the trials: 0 none, 1 tail, 2 no match, 3 multiple
+    ends = set(zip(got[4].tolist(), got[2].tolist()))
+    if name == "uneven-slices":
+        assert starts.tolist() == [0, 4, 6]
+        assert (slc[..., :4] == 0).any()
+        assert {(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)} <= ends
+    else:
+        assert starts.tolist() == [0, 1, 4, 7, 7]
+        assert {(1, 0), (2, 0), (3, 0), (2, 3), (3, 3), (n, 1)} <= ends
+        if k:
+            assert (n, 2) in ends
+
+
+def test_receiver_with_no_slice_ends_every_trial_as_tail():
+    # a range of 1e-13 below a slice width of 1 has no slice: the
+    # candidate lists are one padding column, no slice is searched, and
+    # every trial and every exact atom ends as a tail
+    src = dsbs_source(0.25)
+    cfg = SliceConfig(lambda_min=0.0, lambda_max=1e-13, delta=1.0, gamma=2.0)
+    assert cfg.n_slices == 0
+    sim = RoundSimulator(src, send_value_protocol(src).round_view(1, ()),
+                         cfg, 0)
+    cand, slc, starts = sim.table.candidates
+    assert cand.shape[-1] == 1 and not cand.any() and not slc.any()
+    assert starts.tolist() == [0, 1]
+    agg = run_trials(sim, 500, 1)
+    assert agg.errors == {"tail": 500}
+    law = sim.exact_view_law()
+    assert [v[1] for v in law.symbols] == [None] * 4
+    assert np.array_equal(law.probs, src.mass.ravel())
 
 
 def _blocks_spy(monkeypatch):
