@@ -42,4 +42,19 @@ class ParameterRange(IcsimError):
 
 
 class TooLarge(IcsimError):
-    """An exact enumeration would exceed the configured size cap."""
+    """An instance is too large to build or enumerate: an allocation over
+    ``BYTES_CAP`` (see :func:`check_bytes`), or an exact enumeration over
+    its row cap."""
+
+
+#: most bytes any one build may allocate at its peak: engine 4 runs send-x
+#: over dsbs^11 (about 1.1 GiB of round views) and refuses dsbs^12 (4.6 GiB)
+BYTES_CAP = 1 << 31
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Raise TooLarge, before ``what`` is built, when its price ``nbytes``
+    (the peak bytes of its build) passes ``BYTES_CAP``."""
+    if nbytes > BYTES_CAP:
+        raise TooLarge(f"{what} needs {nbytes / 2 ** 20:,.0f} MiB, over the "
+                       f"{BYTES_CAP >> 20:,} MiB cap")

@@ -26,6 +26,7 @@ from .errors import (
     MismatchedSupport,
     OutOfRange,
     ZeroMassAtom,
+    check_bytes,
 )
 
 #: absolute tolerance for "sums to one" checks
@@ -249,10 +250,20 @@ def dsbs_source(q: float) -> JointSource:
     return JointSource((0, 1), (0, 1), mass)
 
 
+def _source_bytes(nx: int, ny: int) -> int:
+    """The peak bytes of building an nx x ny product source: 12 B a cell,
+    for its masses, the last kron's input and the source's checks, and
+    768 B a symbol, for the tuples of its alphabets and their indexes."""
+    return 12 * nx * ny + 768 * (nx + ny)
+
+
 def product_source(base: JointSource, n: int) -> JointSource:
     """n-fold iid product of a joint source; alphabets become tuples."""
     if n < 1:
         raise OutOfRange("product power must be at least 1")
+    nx, ny = (len(a) ** n for a in (base.x_alphabet, base.y_alphabet))
+    check_bytes(_source_bytes(nx, ny),
+                f"product source of {nx:,} x {ny:,} inputs")
     xs = [(s,) for s in base.x_alphabet]
     ys = [(s,) for s in base.y_alphabet]
     mass = base.mass.copy()
@@ -537,6 +548,10 @@ class SliceConfig:
             raise OutOfRange("slice width must be positive")
         if self.gamma < 0:
             raise OutOfRange("gamma must be nonnegative")
+        if self.n_slices < 1:
+            raise OutOfRange(f"the range [{self.lambda_min}, "
+                             f"{self.lambda_max}) holds no slice of width "
+                             f"{self.delta}")
 
     @property
     def n_slices(self) -> int:

@@ -14,8 +14,10 @@ factored or cell-aggregated form and expose the same ``spectrum`` API.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -27,23 +29,19 @@ from .errors import (
     MismatchedSupport,
     OutOfRange,
     SupportViolation,
-    TooLarge,
     ZeroMassAtom,
+    check_bytes,
 )
 from .probcore import (
     NORM_TOL,
     JointSource,
     SpectrumTable,
+    _source_bytes,
     log2_each,
     product_source,
 )
 
 LAW_SELECTORS = ("ic", "h_xy", "h_x_given_ypi", "hsum_ext", "compression")
-#: most bytes of the nominal dense (transcripts, nx, ny) float64 table of a
-#: law; send-x over dsbs^8 (128 MiB) fits, dsbs^9 (1 GiB) and larger fail
-#: fast.  Laws are kept as atoms, but the engines and spectra built on them
-#: allocate tables that grow with the alphabets, and are capped by this
-LAW_BYTES_CAP = 1 << 28
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +242,10 @@ class TranscriptLaw:
     def from_index(cls, source: JointSource, transcripts: Sequence,
                    index: np.ndarray) -> TranscriptLaw:
         """The deterministic law that sends ``transcripts[index[i, j]]`` at
-        (x_i, y_j).  Raises TooLarge where the nominal dense table would
-        pass LAW_BYTES_CAP."""
+        (x_i, y_j).  Raises TooLarge, before its atoms are built, when they
+        would pass the byte cap (see :func:`_check_law`)."""
         nx, ny = source.mass.shape
-        _check_law_size(len(transcripts), nx, ny)
+        _check_law(len(transcripts), nx * ny)
         idx = np.asarray(index)
         if idx.shape != (nx, ny) or not (
                 (idx >= 0).all() and (idx < len(transcripts)).all()):
@@ -263,6 +261,7 @@ class TranscriptLaw:
     def p_tau_given_xy(self) -> np.ndarray:
         """The dense table P(tau | x, y), (T, nx, ny), 0 off the source
         support; built on first use, and read by no engine."""
+        _check_dense(len(self.transcripts), *self.source.mass.shape, 8)
         k, i, j, p = self.atoms
         out = np.zeros((len(self.transcripts),) + self.source.mass.shape)
         out[k, i, j] = p
@@ -281,10 +280,16 @@ class TranscriptLaw:
     @cached_property
     def _marginals(self) -> tuple:
         """P(tau, x) (T, nx) and P(tau, y) (T, ny): the dense joint table
-        summed over y and over x."""
+        summed over y and over x.  Raises TooLarge before any of it when
+        they and the conditionals made from them would pass the byte cap:
+        24 B a cell of the two tables (the marginals, the conditionals and
+        a quotient at a time) and 32 B an atom for the sums' keys."""
         k, i, j, _ = self.atoms
         T = len(self.transcripts)
         nx, ny = self.source.mass.shape
+        check_bytes(24 * T * (nx + ny) + 32 * k.size,
+                    f"transcript marginals of {T:,} transcripts over "
+                    f"{nx:,} x {ny:,} inputs")
         w = self._joint
         tx = _axis_sums(k * nx + i, j, w, T * nx, ny, True)
         ty = _axis_sums(k * ny + j, i, w, T * ny, nx, ny == 1)
@@ -401,8 +406,23 @@ class TranscriptLaw:
             raise OutOfRange("round index out of range")
         views = self._views.get(t)
         if views is None:
+            self._check_views()
             views = self._views[t] = self._round_views(t)
         return views
+
+    def _check_views(self):
+        """Raise TooLarge before a round's views are built when the views
+        of every round would pass the byte cap together, as a run keeps
+        them all.  Round t's build peaks at 260 B an atom, plus 8 B a cell
+        of its dense conditionals, their numerators and their denominators,
+        (H, nx + ny, 2U + 1) cells for its H histories and U messages."""
+        nx, ny = self.source.mass.shape
+        R = self.n_rounds
+        check_bytes(sum(8 * len(index.histories) * (nx + ny)
+                        * (2 * len(index.messages) + 1)
+                        + 260 * self.atoms[0].size
+                        for index in self._round_index),
+                    f"views of {R} round{'s' * (R > 1)}")
 
     def round_view(self, t: int, hist: tuple) -> RoundView:
         """Conditional law of the round-t message given history ``hist``,
@@ -425,6 +445,7 @@ class TranscriptLaw:
         P(hist + m | x, y) over transcripts in their order, P(hist | x, y)
         over messages in theirs, and the marginals of P(hist + m, x, y) and
         P(hist, x, y) over y and x as numpy sums those axes of dense tables.
+        :meth:`round_views` prices it first (see :meth:`_check_views`).
         """
         index = self._round_index[t - 1]
         present = index.present()
@@ -573,8 +594,10 @@ def transcript_law(tree: ProtocolTree, source: JointSource) -> TranscriptLaw:
     # a path that ends early sends empty messages in the rounds after it
     R = max(len(r[0]) for r in results)
     transcripts = tuple(r[0] + ("",) * (R - len(r[0])) for r in results)
-    table = np.stack([r[1][:, None] * r[2][None, :] for r in results])
-    return TranscriptLaw.from_table(source, transcripts, table)
+    _check_dense(len(results), nx, ny)
+    vx, vy = (np.stack([r[n] for r in results]) for n in (1, 2))
+    return TranscriptLaw.from_table(source, transcripts,
+                                    vx[:, :, None] * vy[:, None, :])
 
 
 def _runs(bits: str, owners: str) -> tuple:
@@ -597,14 +620,35 @@ def _runs(bits: str, owners: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _check_law_size(transcripts: int, nx: int, ny: int):
-    """Raise TooLarge before a dense law table over LAW_BYTES_CAP is built."""
-    size = 8 * transcripts * nx * ny
-    if size > LAW_BYTES_CAP:
-        raise TooLarge(
-            f"transcript law of {transcripts} transcripts over {nx} x {ny} "
-            f"inputs needs {size / 2 ** 20:,.0f} MiB, over the "
-            f"{LAW_BYTES_CAP >> 20} MiB cap")
+def _tuple_bytes(shape: tuple) -> int:
+    """Bytes of a new nested tuple of ``shape``: a tuple of ``shape[0]``
+    slots, each holding a new tuple of ``shape[1:]``; the innermost slots
+    hold shared objects (symbols, messages), which cost nothing more."""
+    if not shape:
+        return 0
+    return sys.getsizeof(()) + shape[0] * (8 + _tuple_bytes(shape[1:]))
+
+
+def _check_law(transcripts: int, atoms: int, shape: tuple = (),
+               held: int = 0):
+    """Raise TooLarge before a law of at most ``atoms`` atoms is built, or
+    its ``transcripts`` transcripts, new tuples of ``shape``, are listed,
+    when the build's peak, with the ``held`` bytes it keeps, would pass the
+    byte cap: an atom takes 80 B then, in its four arrays, their sort and
+    its joint mass, and a transcript its tuples and 48 B more, its slots in
+    the list being made and in the law's duplicate check."""
+    check_bytes(held + 80 * atoms + transcripts * (48 + _tuple_bytes(shape)),
+                f"transcript law of {transcripts:,} transcripts and "
+                f"{atoms:,} atoms")
+
+
+def _check_dense(transcripts: int, nx: int, ny: int, cell_bytes: int = 48):
+    """Raise TooLarge before a dense (transcripts, nx, ny) law table of
+    ``cell_bytes`` a cell passes the byte cap: 48 B when the table is made
+    and read into a law, which checks it and takes its atoms."""
+    check_bytes(cell_bytes * transcripts * nx * ny,
+                f"dense law table of {transcripts:,} transcripts over "
+                f"{nx:,} x {ny:,} inputs")
 
 
 def one_round_protocol(source: JointSource, channel: np.ndarray,
@@ -614,7 +658,7 @@ def one_round_protocol(source: JointSource, channel: np.ndarray,
     nx, ny = source.mass.shape
     if ch.shape != (nx, len(messages)):
         raise MismatchedSupport("channel shape disagrees with alphabet")
-    _check_law_size(len(messages), nx, ny)
+    _check_dense(len(messages), nx, ny)
     transcripts = tuple((m,) for m in messages)
     table = np.repeat(ch.T[:, :, None], ny, axis=2)
     return TranscriptLaw.from_table(source, transcripts, table)
@@ -631,13 +675,12 @@ def two_round_protocol(source: JointSource, channel1: np.ndarray,
         raise MismatchedSupport("first channel shape disagrees with alphabet")
     if ch2.shape != (ny, len(messages1), len(messages2)):
         raise MismatchedSupport("second channel shape disagrees with alphabet")
-    _check_law_size(len(messages1) * len(messages2), nx, ny)
-    transcripts, slabs = [], []
-    for a, m1 in enumerate(messages1):
-        for b, m2 in enumerate(messages2):
-            transcripts.append((m1, m2))
-            slabs.append(ch1[:, a][:, None] * ch2[:, a, b][None, :])
-    return TranscriptLaw.from_table(source, transcripts, np.stack(slabs))
+    _check_dense(len(messages1) * len(messages2), nx, ny)
+    transcripts = tuple((m1, m2) for m1 in messages1 for m2 in messages2)
+    # (m1, m2, x, y): P(m1 | x) P(m2 | y, m1)
+    table = ch1.T[:, None, :, None] * ch2.transpose(1, 2, 0)[:, :, None, :]
+    return TranscriptLaw.from_table(source, transcripts,
+                                    table.reshape(-1, nx, ny))
 
 
 def send_value_protocol(source: JointSource) -> TranscriptLaw:
@@ -666,8 +709,8 @@ def data_exchange_protocol(source: JointSource) -> TranscriptLaw:
     problem; its ic density equals the sum conditional entropy density.
     """
     nx, ny = source.mass.shape
-    # nx * ny transcripts: check the size before listing them
-    _check_law_size(nx * ny, nx, ny)
+    # nx * ny transcripts, (x, y) pairs: check the size before listing them
+    _check_law(nx * ny, nx * ny, (2,))
     return TranscriptLaw.from_index(
         source, tuple((x, y) for x in source.x_alphabet
                       for y in source.y_alphabet),
@@ -690,7 +733,8 @@ def exchange_bits_protocol(source: JointSource) -> TranscriptLaw:
         raise AlphabetMismatch(
             "bit exchange needs x and y inputs of one number of coordinates")
     nx, ny = source.mass.shape
-    _check_law_size(nx * ny, nx, ny)
+    # nx * ny transcripts, tuples of 2m coordinates
+    _check_law(nx * ny, nx * ny, (2 * len(xs[0]),))
     return TranscriptLaw.from_index(
         source, tuple(tuple(v for pair in zip(x, y) for v in pair)
                       for x in xs for y in ys),
@@ -744,9 +788,12 @@ class ProductProtocol:
         base = self.base
         if self.n == 1:
             return base
-        T = len(base.transcripts)
+        T, R = len(base.transcripts), base.n_rounds
         nx, ny = base.source.mass.shape
-        _check_law_size(T ** self.n, nx ** self.n, ny ** self.n)
+        # T^n transcripts, each R tuples of n messages; every n-tuple of
+        # base atoms is a candidate atom; the product source is held
+        _check_law(T ** self.n, base.atoms[0].size ** self.n, (R, self.n),
+                   _source_bytes(nx ** self.n, ny ** self.n))
         source = product_source(base.source, self.n)
         k, i, j, p = bk, bi, bj, bp = base.atoms
         for _ in range(self.n - 1):
@@ -756,9 +803,7 @@ class ProductProtocol:
             p = (p[:, None] * bp).ravel()
         keep = np.flatnonzero(p * source.mass[i, j] > 0)
         keep = keep[np.lexsort((j[keep], i[keep], k[keep]))]
-        copies = [()]
-        for _ in range(self.n):
-            copies = [c + (tau,) for c in copies for tau in base.transcripts]
+        copies = itertools.product(base.transcripts, repeat=self.n)
         return TranscriptLaw(source, tuple(tuple(zip(*c)) for c in copies),
                              (k[keep], i[keep], j[keep], p[keep]))
 
@@ -901,15 +946,18 @@ class ThresholdExample:
     def expand(self) -> TranscriptLaw:
         """The four-round protocol: "x" says whether x > t (1) or not (0),
         "y" whether y > t; then "x" sends x and "y" sends y if both are at
-        most t, else both send "-".  LAW_BYTES_CAP bounds it, as any law."""
+        most t, else both send "-".  It is refused, as any law, before its
+        source or transcripts are made when its build would pass the byte
+        cap (see :func:`_check_law`)."""
         size, t = 1 << self.n, self.threshold
-        _check_law_size(3 + t * t, size, size)  # before listing transcripts
+        # 3 + t^2 transcripts, 4-tuples of the alphabet's symbols
+        _check_law(3 + t * t, size * size, (4,))
         alphabet = tuple(range(1, size + 1))
         source = JointSource(alphabet, alphabet,
                              np.full((size, size), 1.0 / size ** 2))
         transcripts = (((1, 1, "-", "-"), (1, 0, "-", "-"), (0, 1, "-", "-"))
-                       + tuple((0, 0, x, y) for x in range(1, t + 1)
-                               for y in range(1, t + 1)))
+                       + tuple((0, 0, x, y) for x in alphabet[:t]
+                               for y in alphabet[:t]))
         v = np.arange(size)[:, None]  # x - 1 down the rows, y - 1 along v.T
         low = v < t
         index = np.where(low & low.T, 3 + v * t + v.T, 2 * low + low.T)

@@ -256,26 +256,68 @@ def test_eval_exact_too_large_fails_fast(tmp_path):
 
 
 def _limit_address_space():
-    # a law table allocated before the size check fails with MemoryError
-    # under this limit, instead of taking the machine's memory
+    # an allocation the byte cap does not price fails with MemoryError
+    # under this limit, a traceback, instead of taking the machine's memory
     import resource
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
 def test_eval_dense_law_too_large_fails_fast(tmp_path):
-    # send-x over dsbs^10 needs a (1024, 1024, 1024) float64 law, 8 GiB:
-    # TooLarge before any of it is allocated, not numpy's MemoryError
+    # send-x over dsbs^12 builds its law (2^24 atoms, 1.3 GiB at the
+    # build's peak), but its round views would peak at 4.6 GiB: TooLarge
+    # before any of them is allocated, not numpy's MemoryError
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"source": "dsbs^10:0.11", "protocol": "p4", "target": "send-x"}))
+        {"source": "dsbs^12:0.11", "protocol": "p4", "target": "send-x"}))
     proc = subprocess.run(
         CLI + ["eval", "--config", str(cfg), "--mode", "plugin",
                "--trials", "10"],
         capture_output=True, text=True, preexec_fn=_limit_address_space)
     assert proc.returncode == 1
     assert proc.stderr == (
-        "error: transcript law of 1024 transcripts over 1024 x 1024 inputs "
-        "needs 8,192 MiB, over the 256 MiB cap\n")
+        "error: views of 1 round needs 4,672 MiB, over the 2,048 MiB cap\n")
+    assert proc.stdout == ""
+
+
+def _simulate(source, protocol, target):
+    def command(cfg):
+        cfg.write_text(json.dumps(
+            {"source": source, "protocol": protocol, "target": target}))
+        return ["simulate", "--config", str(cfg), "--trials", "20000",
+                "--seed", "1"]
+    return command
+
+
+@pytest.mark.parametrize("command, what", [
+    (_simulate("dsbs^12:0.11", "p4", "send-x"),
+     "views of 1 round needs 4,672"),
+    (_simulate("dsbs^13:0.11", "p4", "send-x"),
+     "transcript law of 8,192 transcripts and 67,108,864 atoms needs 5,120"),
+    (_simulate("dsbs^14:0.11", "p4", "send-x"),
+     "product source of 16,384 x 16,384 inputs needs 3,096"),
+    (_simulate("dsbs^12:0.11", "p5", "data-exchange"),
+     "transcript law of 16,777,216 transcripts and 16,777,216 atoms needs "
+     "2,944"),
+    (_simulate("dsbs^9:0.11", "p5", "exchange-bits"),
+     "views of 18 rounds needs 11,410"),
+    (lambda cfg: ["bound", "second-order", "--target", "data-exchange",
+                  "--source", "dsbs^10:0.11", "--eps", "0.01", "--n", "4"],
+     "transcript marginals of 1,048,576 transcripts over 1,024 x 1,024 "
+     "inputs needs 49,184"),
+], ids=["p4-dsbs12", "p4-dsbs13", "p4-dsbs14", "p5-data-exchange-dsbs12",
+        "p5-exchange-bits-dsbs9", "bound-data-exchange-dsbs10"])
+def test_too_large_is_refused_in_one_line(tmp_path, command, what):
+    # each is refused by the byte cap before its largest build, in one
+    # line and within 10 s: no traceback, and no signal under the limit.
+    # The 18-round exchange is priced on all its rounds' views together,
+    # before the first is built
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        CLI + command(tmp_path / "cfg.json"), capture_output=True, text=True,
+        preexec_fn=_limit_address_space)
+    assert time.monotonic() - t0 < 10.0
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {what} MiB, over the 2,048 MiB cap\n"
     assert proc.stdout == ""
 
 

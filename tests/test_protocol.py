@@ -1,9 +1,12 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import icsim.errors
+import icsim.probcore
 import icsim.protocol
 import icsim.simulate
 from icsim.errors import (
@@ -22,7 +25,6 @@ from icsim.probcore import (
     spectrum,
 )
 from icsim.protocol import (
-    LAW_BYTES_CAP,
     LAW_SELECTORS,
     MixedProtocol,
     ProductProtocol,
@@ -32,6 +34,7 @@ from icsim.protocol import (
     appendix_threshold_example,
     constant_protocol,
     data_exchange_protocol,
+    exchange_bits_protocol,
     noisy_send_protocol,
     one_round_protocol,
     send_value_protocol,
@@ -477,16 +480,32 @@ class TestProduct:
         tvs = []
         for law in (ProductProtocol(send_value_protocol(src), 2).expand(),
                     send_value_protocol(product_source(src, 2))):
-            engine = ProtocolSimulator(law, auto_round_plans(law, gamma=3.0))
+            engine = ProtocolSimulator(law, auto_round_plans(law, gamma=1.0))
+            assert engine.tables[0].inner.n_slices == 2
             tvs.append(measure_sim_error(engine, "exact").value)
-        assert tvs[0] == tvs[1] == 0.011580657971303136
+        assert tvs[0] == tvs[1] == 0.016306152343938524
 
     def test_expand_checks_the_law_size(self, monkeypatch):
-        # data exchange over dsbs^2: 16 transcripts over 4 x 4 inputs
-        monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 8 * 16 * 16 - 1)
-        base = data_exchange_protocol(dsbs_source(0.25))
-        with pytest.raises(TooLarge, match="16 transcripts over 4 x 4"):
-            ProductProtocol(base, 2).expand()
+        # data exchange over dsbs^2 squared: 256 transcripts, each a tuple
+        # of two rounds' new pairs and 48 B more, 256 candidate atoms, 80 B
+        # each, and the 16 x 16 product source held, 12 B a cell and 768 B
+        # a symbol
+        base = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
+        pair = sys.getsizeof(()) + 16
+        price = (256 * (48 + sys.getsizeof(()) + 2 * (8 + pair)) + 256 * 80
+                 + 12 * 256 + 768 * 32)
+        monkeypatch.setattr(icsim.errors, "BYTES_CAP", price - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="^transcript law of 256 "
+                               "transcripts and 256 atoms needs 0 MiB"):
+                ProductProtocol(base, 2).expand()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < price // 4, peak  # refused before anything is built
+        monkeypatch.setattr(icsim.errors, "BYTES_CAP", price)
+        assert len(ProductProtocol(base, 2).expand().transcripts) == 256
 
 
 class TestMixed:
@@ -577,7 +596,8 @@ class TestThresholdExample:
                                              for x in range(1, 17)]
 
     @pytest.mark.parametrize("n, delta", [(4, 1 / 4), (5, 1 / 4),
-                                          (6, 1 / 8), (8, 1 / 16)])
+                                          (6, 1 / 8), (8, 1 / 16),
+                                          (8, 1 / 8)])
     def test_expand_ic_mean_matches_cells(self, n, delta):
         ex = ThresholdExample(n=n, delta=delta)
         law = ex.expand()
@@ -585,14 +605,15 @@ class TestThresholdExample:
         assert abs(law.ic_mean - ex.ic_mean) <= 1e-15
 
     def test_expand_over_the_cap_fails_before_building(self):
-        # t = 32: 1027 transcripts over 256 x 256 inputs, a 514 MiB
-        # nominal table.  The check comes first, so neither the uniform
-        # source nor the transcript list nor the index table (512 KiB
-        # each for the tables) is made
-        ex = ThresholdExample(n=8, delta=1 / 8)
+        # t = 1024: 1,048,579 transcripts and 2^26 atoms over 8192 x 8192
+        # inputs, 5 GiB at the build's peak.  The check comes first, so
+        # neither the uniform source nor the transcript list nor the index
+        # table (512 MiB each for the tables) is made
+        ex = ThresholdExample(n=13, delta=1 / 8)
         tracemalloc.start()
         try:
-            with pytest.raises(TooLarge, match="1027 transcripts"):
+            with pytest.raises(TooLarge, match="^transcript law of 1,048,579 "
+                               "transcripts and 67,108,864 atoms needs "):
                 ex.expand()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -628,29 +649,135 @@ def test_one_round_channel_shape_guard():
 
 
 def test_dense_law_size_cap(monkeypatch):
-    # send-x over dsbs^8 is a 128 MiB table and fits; dsbs^10 is 8 GiB
-    assert 8 * 256 ** 3 <= LAW_BYTES_CAP < 8 * 1024 ** 3
-    src = product_source(dsbs_source(0.25), 2)  # 4 x 4 inputs
-    # send-x: 4 transcripts; data exchange: 16
-    monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 8 * 4 * 16)
-    assert send_value_protocol(src).p_tau_given_xy.nbytes == 8 * 4 * 16
-    with pytest.raises(TooLarge, match="16 transcripts over 4 x 4 inputs"):
-        data_exchange_protocol(src)
-    monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 8 * 4 * 16 - 1)
-    with pytest.raises(TooLarge, match="4 transcripts over 4 x 4 inputs"):
-        send_value_protocol(src)
+    # the cap prices what is built, at each build's peak: over 4 x 4
+    # inputs, send-x's 16 atoms take 80 B each and its 4 transcripts 48 B,
+    # data exchange's 16 transcripts are new pairs, 56 B more each, a round
+    # view takes 260 B an atom and 8 B for each of (H, nx + ny, 2U + 1)
+    # cells, the marginals 24 B a cell of (T, nx + ny) and 32 B an atom,
+    # and the dense send-x table 8 B a cell
+    cap = icsim.errors.BYTES_CAP
+    assert cap == 2 << 30
+    src = product_source(dsbs_source(0.25), 2)
+    pair = sys.getsizeof(()) + 16
+    for price, match, build in [
+            (80 * 16 + 48 * 4, "transcript law of 4 transcripts and 16 atoms",
+             lambda law: send_value_protocol(src)),
+            (80 * 16 + (48 + pair) * 16, "transcript law of 16 transcripts "
+             "and 16 atoms", lambda law: data_exchange_protocol(src)),
+            (260 * 16 + 8 * 8 * 9, "views of 1 round",
+             lambda law: law.round_views(1)),
+            (24 * 4 * 8 + 32 * 16, "transcript marginals of 4 transcripts "
+             "over 4 x 4 inputs", lambda law: law.p_tau_given_y),
+            (8 * 4 * 16, "dense law table of 4 transcripts over 4 x 4 inputs",
+             lambda law: law.p_tau_given_xy)]:
+        for over in (False, True):
+            monkeypatch.setattr(icsim.errors, "BYTES_CAP", cap)
+            law = send_value_protocol(src)
+            monkeypatch.setattr(icsim.errors, "BYTES_CAP", price - over)
+            if not over:
+                build(law)
+                continue
+            with pytest.raises(TooLarge, match=f"^{match} needs 0 MiB, over "
+                               "the 0 MiB cap$"):
+                build(law)
+
+
+def _exchange_bits(m):
+    return exchange_bits_protocol(product_source(dsbs_source(0.11), m))
+
+
+def _two_round(m):
+    # "x" sends one of 4 messages, "y" replies with one of 4
+    rng = np.random.default_rng(5)
+    src = product_source(dsbs_source(0.11), m)
+    ch1 = rng.dirichlet(np.ones(4), 1 << m)
+    ch2 = rng.dirichlet(np.ones(4), (1 << m, 4))
+    return two_round_protocol(src, ch1, range(4), ch2, range(4))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: product_source(dsbs_source(0.11), 9),
+    lambda: send_value_protocol(product_source(dsbs_source(0.11), 6)),
+    lambda: data_exchange_protocol(product_source(dsbs_source(0.11), 6)),
+    lambda: _exchange_bits(6),
+    lambda: _two_round(5),
+    lambda: ProductProtocol(send_value_protocol(
+        product_source(dsbs_source(0.25), 2)), 4).expand(),
+    lambda: ProductProtocol(data_exchange_protocol(
+        product_source(dsbs_source(0.25), 2)), 3).expand(),
+    lambda: ThresholdExample(n=8, delta=1 / 8).expand(),
+], ids=["product-source", "send-x", "data-exchange", "exchange-bits",
+        "two-round", "product-send-x", "product-data-exchange", "threshold"])
+def test_price_bounds_the_build_peak(monkeypatch, build):
+    # each build's tracemalloc peak is at most the largest price checked
+    # while it runs (a product's law price holds its source's), up to 16 KiB
+    # of fixed overhead (interpreter frames, numpy's small temporaries); a
+    # first build runs untraced, so one-time initializations are not counted
+    prices = []
+
+    def check(nbytes, what):
+        prices.append(nbytes)
+
+    monkeypatch.setattr(icsim.probcore, "check_bytes", check)
+    monkeypatch.setattr(icsim.protocol, "check_bytes", check)
+    build()
+    prices.clear()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prices and peak <= max(prices) + (16 << 10), (peak, prices)
+
+
+@pytest.mark.parametrize("law, derive", [
+    (lambda: send_value_protocol(product_source(dsbs_source(0.11), 6)),
+     lambda law: law.round_views(1)),
+    (lambda: data_exchange_protocol(product_source(dsbs_source(0.11), 5)),
+     lambda law: [law.round_views(t) for t in (1, 2)]),
+    (lambda: _exchange_bits(5),
+     lambda law: [law.round_views(t) for t in range(1, 11)]),
+    (lambda: send_value_protocol(product_source(dsbs_source(0.11), 6)),
+     lambda law: (law.p_tau_given_x, law.p_tau_given_y)),
+    (lambda: data_exchange_protocol(product_source(dsbs_source(0.11), 5)),
+     lambda law: (law.p_tau_given_x, law.p_tau_given_y)),
+    (lambda: send_value_protocol(product_source(dsbs_source(0.11), 6)),
+     lambda law: law.p_tau_given_xy),
+], ids=["send-x-views", "data-exchange-views", "exchange-bits-views",
+        "send-x-marginals", "data-exchange-marginals", "send-x-dense"])
+def test_price_bounds_the_derived_tables_peak(monkeypatch, law, derive):
+    # every round's views together, the marginals with both conditionals,
+    # and the dense table, each from a built law: the peak is at most the
+    # price checked, up to 16 KiB of fixed overhead, on a second law after
+    # a first one untraced
+    derive(law())
+    law = law()
+    prices = []
+
+    def check(nbytes, what):
+        prices.append(nbytes)
+
+    monkeypatch.setattr(icsim.protocol, "check_bytes", check)
+    tracemalloc.start()
+    try:
+        derive(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prices and peak <= max(prices) + (16 << 10), (peak, prices)
 
 
 def test_data_exchange_fails_before_its_reply_channel(monkeypatch):
-    # over dsbs^7 the reply channel is a (128, 128, 128) table, 16 MiB, and
-    # the law 2 GiB; the size check comes before either
-    monkeypatch.setattr(icsim.protocol, "LAW_BYTES_CAP", 1 << 20)
+    # over dsbs^7 data exchange lists 16,384 transcripts (about 1.7 MB)
+    # and 16,384 atoms; under a 1 MiB cap the size check comes before either
+    monkeypatch.setattr(icsim.errors, "BYTES_CAP", 1 << 20)
     src = product_source(dsbs_source(0.11), 7)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="16384 transcripts"):
+        with pytest.raises(TooLarge, match="16,384 transcripts"):
             data_exchange_protocol(src)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 1 << 18

@@ -2291,12 +2291,16 @@ def test_lazy_slice_search_matches_dense_reference(name, k):
 
 
 def test_receiver_with_no_slice_ends_every_trial_as_tail():
-    # a range of 1e-13 below a slice width of 1 has no slice: the
-    # candidate lists are one padding column, no slice is searched, and
-    # every trial and every exact atom ends as a tail
+    # a range of 1e-13 below a slice width of 1 holds no slice, and would
+    # give a hash budget below l: it is refused
+    with pytest.raises(OutOfRange, match="holds no slice"):
+        SliceConfig(lambda_min=0.0, lambda_max=1e-13, delta=1.0, gamma=2.0)
+    # one slice, [5, 6), that no message reaches (the receiver's densities
+    # are log2(4/3) and 2): the candidate lists are one padding column, no
+    # slice is searched, and every trial and every exact atom ends as a tail
     src = dsbs_source(0.25)
-    cfg = SliceConfig(lambda_min=0.0, lambda_max=1e-13, delta=1.0, gamma=2.0)
-    assert cfg.n_slices == 0
+    cfg = SliceConfig(lambda_min=5.0, lambda_max=6.0, delta=1.0, gamma=2.0)
+    assert cfg.n_slices == 1
     sim = RoundSimulator(src, send_value_protocol(src).round_view(1, ()),
                          cfg, 0)
     cand, slc, starts = sim.table.candidates
