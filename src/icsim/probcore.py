@@ -39,6 +39,8 @@ _LOOP_ATOMS = 32
 #: past this many entries ``log2_each`` takes ``math.log2`` of each distinct
 #: value once, which is faster there than one call per entry
 _UNIQUE_LOG_ENTRIES = 384
+#: entries per chunk of :func:`density_ranks`, which bounds its temporaries
+_RANK_CHUNK = 1 << 16
 #: tolerance used when comparing tail masses against a threshold
 TAIL_TOL = 1e-12
 
@@ -67,6 +69,50 @@ def log2_each(p: np.ndarray) -> np.ndarray:
     # numpy 2.0.x shapes the inverse like the input, other versions flat
     return np.fromiter(map(math.log2, vals.tolist()), float,
                        vals.size)[inv.ravel()]
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a float vector, ascending: ``np.unique``
+    by one sort, as numpy 2's hashed ``np.unique`` of floats costs a
+    process several milliseconds on its first call."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def density_ranks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The densities -log2 of a vector of positive probabilities, as
+    ``(values, rank)``: ``values`` strictly increasing and ``values[rank]``
+    bit for bit ``-log2_each(p)``, so ``rank`` orders the entries by
+    density.
+
+    ``math.log2`` is taken as :func:`log2_each` takes it: once per entry
+    up to ``_UNIQUE_LOG_ENTRIES`` entries, then once per distinct entry,
+    with the ranks found ``_RANK_CHUNK`` entries at a time, so no
+    temporary is larger than a chunk.  ``rank`` has the smallest unsigned
+    dtype that holds it.
+    """
+    if p.size <= _UNIQUE_LOG_ENTRIES:
+        dens = [-math.log2(v) for v in p.tolist()]
+        values = sorted(set(dens))
+        index = {v: r for r, v in enumerate(values)}
+        return np.array(values, dtype=float), np.fromiter(
+            map(index.__getitem__, dens),
+            np.min_scalar_type(max(len(values) - 1, 0)), len(dens))
+    chunks = range(0, p.size, _RANK_CHUNK)
+    distinct = _distinct(np.concatenate(
+        [_distinct(p[a:a + _RANK_CHUNK]) for a in chunks]))
+    dens = -np.fromiter(map(math.log2, distinct.tolist()), float,
+                        distinct.size)
+    # distinct entries can share a logarithm
+    values, group = np.unique(dens, return_inverse=True)
+    group = group.ravel().astype(np.min_scalar_type(max(values.size - 1, 0)))
+    rank = np.empty(p.size, dtype=group.dtype)
+    for a in chunks:
+        rank[a:a + _RANK_CHUNK] = group[np.searchsorted(
+            distinct, p[a:a + _RANK_CHUNK])]
+    return values, rank
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +440,53 @@ class SpectrumTable:
                 anchor, acc = v, p
         merged_p.append(acc)
         return cls(np.array(merged_v), np.array(merged_p[1:]))
+
+    @classmethod
+    def from_ranks(cls, values: np.ndarray, rank: np.ndarray,
+                   probs: np.ndarray,
+                   merge_tol: float = MERGE_TOL) -> "SpectrumTable":
+        """``from_atoms(values[rank], probs)``, bit for bit, for strictly
+        increasing ``values``: atom n has value ``values[rank[n]]``.
+
+        The integer ranks already order the atoms by value, so the merge is
+        decided on ``values`` alone and no float ``lexsort`` is needed.
+        When each merged group holds atoms of one mass, any order of its
+        atoms gives the same left-to-right sum, and one ``bincount`` in
+        atom order is the merge's.  Otherwise the atoms are sorted as the
+        integers ``rank * K + mass rank`` (K distinct masses), and the
+        masses read back in that order are summed left to right.  Few
+        atoms, chains of near values and masses that are negative or -0.0
+        go to :meth:`from_atoms`.
+        """
+        probs = np.asarray(probs, dtype=float)
+        if probs.size <= _LOOP_ATOMS:
+            return cls.from_atoms(values[rank], probs, merge_tol)
+        start = np.ones(values.size, dtype=bool)
+        start[1:] = ~(values[1:] - values[:-1] <= merge_tol)
+        group = np.cumsum(start) - 1
+        anchors = values[start]
+        if (np.signbit(probs).any()
+                or not (values - anchors[group] <= merge_tol).all()):
+            return cls.from_atoms(values[rank], probs, merge_tol)
+        g = group[rank]
+        first = np.empty(anchors.size)
+        first[g] = probs
+        if (first[g] == probs).all():
+            # one mass in each merged group, summed in any order alike
+            return cls(anchors, np.bincount(g, weights=probs,
+                                            minlength=anchors.size))
+        del g, first
+        # the atoms in value order, then mass order, as integer keys
+        masses = _distinct(probs)
+        key = rank.astype(np.int64) * masses.size
+        for a in range(0, key.size, _RANK_CHUNK):
+            key[a:a + _RANK_CHUNK] += np.searchsorted(
+                masses, probs[a:a + _RANK_CHUNK])
+        key.sort()
+        r, m = np.divmod(key, masses.size, out=(np.empty_like(key), key))
+        np.take(group, r, out=r)
+        return cls(anchors, np.bincount(r, weights=masses[m],
+                                        minlength=anchors.size))
 
     @cached_property
     def _tail_after(self) -> np.ndarray:

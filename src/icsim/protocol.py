@@ -37,11 +37,15 @@ from .probcore import (
     JointSource,
     SpectrumTable,
     _source_bytes,
+    density_ranks,
     log2_each,
     product_source,
 )
 
 LAW_SELECTORS = ("ic", "h_xy", "h_x_given_ypi", "hsum_ext", "compression")
+#: ``TranscriptLaw._round_index`` numbers the histories of at most this many
+#: transcripts with dicts, which is faster there than its numpy calls
+_LOOP_TRANSCRIPTS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +97,34 @@ def _axis_sums(code: np.ndarray, pos: np.ndarray, w: np.ndarray, size: int,
     numpy sums the contiguous last axis pairwise, and so any axis whose
     trailing axes hold one element; it sums any other axis in order.
     ``pairwise`` says which; a pairwise sum needs ``code`` ascending.
+    Rows that fill at least half of their dense table are laid out in it
+    and summed by numpy itself; sparser ones go to :func:`_pairwise_sums`.
     """
     if not pairwise or n < 8:  # under 8 terms numpy also sums in order
         return np.bincount(code, weights=w, minlength=size)
     first = np.ones(code.size, dtype=bool)
     np.not_equal(code[1:], code[:-1], out=first[1:])
+    groups = int(first.sum())
     out = np.zeros(size)
-    out[code[first]] = _pairwise_sums(np.cumsum(first) - 1, pos, w,
-                                      int(first.sum()), n)
+    if groups * n <= 2 * code.size:  # rows dense enough to be laid out
+        rows = np.zeros((groups, n))
+        rows[np.cumsum(first) - 1, pos] = w
+        out[code[first]] = rows.sum(axis=1)
+    else:
+        out[code[first]] = _pairwise_sums(np.cumsum(first) - 1, pos, w,
+                                          groups, n)
     return out
 
 
 def _read_only(*arrays):
     for arr in arrays:
         arr.flags.writeable = False
+
+
+def _increasing(a: np.ndarray, strict: bool = True) -> bool:
+    """Whether a vector is increasing (strictly, unless not ``strict``)."""
+    return bool((np.greater if strict else np.greater_equal)(
+        a[1:], a[:-1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +139,12 @@ class RoundView:
     ``atoms`` holds arrays ``(a, i, j, weight)``: the positive atoms of
     P(hist, m, x, y), with ``a`` indexing ``messages``, in row-major
     (message, x, y) order.  ``prior`` is the speaker's input law given the
-    history.  Its arrays are read-only: :meth:`TranscriptLaw.round_view`
-    hands the same view to every caller.
+    history.  ``densities`` holds, for party x then party y, its density
+    -log2 P(m | own input, history) at every atom as ``(values, rank)``
+    (see :func:`~icsim.probcore.density_ranks`); None on a view made by
+    hand, whose engine takes them from the dense conditionals.  Its arrays
+    are read-only: :meth:`TranscriptLaw.round_view` hands the same view to
+    every caller.
     """
 
     messages: tuple
@@ -130,6 +152,7 @@ class RoundView:
     p_m_given_y: np.ndarray   # (ny, M)
     prior: np.ndarray         # (nx,) in odd rounds, (ny,) in even ones
     atoms: tuple
+    densities: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +167,11 @@ class RoundViews:
     holds ``(h, u, i, j, weight)`` in row-major (h, u, i, j) order, so
     each view's atoms are a contiguous run.  ``next[h, u]`` is the
     history index of ``histories[h] + (messages[u],)`` in the next round,
-    -1 if it has no mass there; None in the last round.
+    -1 if it has no mass there; None in the last round.  ``densities``
+    holds, for party x then party y, its density -log2 P(m | own input,
+    history) at every atom, as ``(values, rank)`` of
+    :func:`~icsim.probcore.density_ranks`: the one set of floats that the
+    round's spectra and slice tables read.
     """
 
     histories: tuple
@@ -155,19 +182,26 @@ class RoundViews:
     prior: np.ndarray         # (H, nx) in odd rounds, (H, ny) in even ones
     atoms: tuple
     next: np.ndarray | None   # (H, U)
+    densities: tuple
 
     def view(self, h: int) -> RoundView:
-        """The view of history ``h`` on its present messages."""
+        """The view of history ``h`` on its present messages: slices of
+        these arrays, copied only when some message is absent."""
         cols = np.flatnonzero(self.present[h])
         hh, u, i, j, w = self.atoms
         lo, hi = np.searchsorted(hh, [h, h + 1])
-        local = np.zeros(len(self.messages), dtype=np.int64)
-        local[cols] = np.arange(cols.size)
+        p_x, p_y, a = self.p_m_given_x[h], self.p_m_given_y[h], u[lo:hi]
+        if cols.size < len(self.messages):
+            local = np.zeros(len(self.messages), dtype=np.int64)
+            local[cols] = np.arange(cols.size)
+            p_x, p_y, a = p_x[:, cols], p_y[:, cols], local[a]
         view = RoundView(tuple(self.messages[c] for c in cols.tolist()),
-                         self.p_m_given_x[h][:, cols],
-                         self.p_m_given_y[h][:, cols], self.prior[h],
-                         (local[u[lo:hi]], i[lo:hi], j[lo:hi], w[lo:hi]))
-        _read_only(view.p_m_given_x, view.p_m_given_y, *view.atoms)
+                         p_x, p_y, self.prior[h],
+                         (a, i[lo:hi], j[lo:hi], w[lo:hi]),
+                         tuple((values, rank[lo:hi])
+                               for values, rank in self.densities))
+        _read_only(view.p_m_given_x, view.p_m_given_y, *view.atoms,
+                   *(rank for _, rank in view.densities))
         return view
 
 
@@ -253,9 +287,10 @@ class TranscriptLaw:
                 "transcript index table must map each (x, y) to a transcript")
         i, j = np.nonzero(source.mass > 0)
         k = idx[i, j].astype(np.int64)
-        order = np.argsort(k, kind="stable")
-        return cls(source, tuple(transcripts),
-                   (k[order], i[order], j[order], np.ones(k.size)))
+        if not _increasing(k, strict=False):
+            order = np.argsort(k, kind="stable")
+            k, i, j = k[order], i[order], j[order]
+        return cls(source, tuple(transcripts), (k, i, j, np.ones(k.size)))
 
     @cached_property
     def p_tau_given_xy(self) -> np.ndarray:
@@ -360,24 +395,45 @@ class TranscriptLaw:
 
     @cached_property
     def _round_index(self) -> tuple:
-        """One :class:`_RoundIndex` per round, from one pass over the
-        transcripts per round."""
-        massive = np.zeros(len(self.transcripts), dtype=bool)
+        """One :class:`_RoundIndex` per round.  Each round's messages are
+        read off one column of the transcripts and coded by C-level maps;
+        a transcript's history is an integer prefix code, made of the
+        previous round's code and message, and the histories with mass are
+        numbered in the order of their first transcript: by ``np.unique``,
+        or by dicts on laws of at most ``_LOOP_TRANSCRIPTS`` transcripts,
+        where numpy's calls cost more than the loop."""
+        T = len(self.transcripts)
+        massive = np.zeros(T, dtype=bool)
         massive[self.atoms[0]] = True
+        live = np.flatnonzero(massive)
+        small = T <= _LOOP_TRANSCRIPTS
+        prefix = [0] * T if small else np.zeros(T, dtype=np.int64)
         out = []
-        for t in range(1, self.n_rounds + 1):
-            messages = self.round_messages(t)
-            col = {m: u for u, m in enumerate(messages)}
-            # histories with mass, in the order their first transcript has
-            rank: dict = {}
-            for tau, live in zip(self.transcripts, massive.tolist()):
-                if live:
-                    rank.setdefault(tau[:t - 1], len(rank))
-            hist = [rank.get(tau[:t - 1], -1) for tau in self.transcripts]
-            msg = [col[tau[t - 1]] for tau in self.transcripts]
-            out.append(_RoundIndex(tuple(rank), messages,
-                                   np.array(hist, dtype=np.int64),
-                                   np.array(msg, dtype=np.int64)))
+        for t, column in enumerate(zip(*self.transcripts), start=1):
+            messages = tuple(sorted(set(column), key=repr))
+            msg = np.fromiter(map({m: u for u, m in enumerate(
+                messages)}.__getitem__, column), np.int64, T)
+            if small:
+                first: dict = {}  # prefix code -> its first live transcript
+                for k in live.tolist():
+                    first.setdefault(prefix[k], k)
+                rank = {c: r for r, c in enumerate(first)}
+                hist = np.fromiter((rank.get(c, -1) for c in prefix),
+                                   np.int64, T)
+                first = list(first.values())
+                codes: dict = {}
+                prefix = [codes.setdefault(c, len(codes)) for c in zip(
+                    prefix, msg.tolist())]
+            else:
+                codes, first = np.unique(prefix[live], return_index=True)
+                order = np.argsort(first)
+                rank = np.full(T, -1, dtype=np.int64)
+                rank[codes[order]] = np.arange(order.size)
+                hist, first = rank[prefix], live[first[order]].tolist()
+                prefix = np.unique(prefix * len(messages) + msg,
+                                   return_inverse=True)[1].ravel()
+            out.append(_RoundIndex(tuple(self.transcripts[k][:t - 1]
+                                         for k in first), messages, hist, msg))
         return tuple(out)
 
     def histories(self, t: int) -> tuple:
@@ -388,9 +444,11 @@ class TranscriptLaw:
         return self._round_index[t - 1].histories
 
     def round_messages(self, t: int) -> tuple:
-        """Every message spoken at round t across all histories, sorted."""
-        msgs = {tau[t - 1] for tau in self.transcripts}
-        return tuple(sorted(msgs, key=repr))
+        """Every message spoken at round t across all histories, sorted
+        by ``repr``."""
+        if not 1 <= t <= self.n_rounds:
+            raise OutOfRange("round index out of range")
+        return self._round_index[t - 1].messages
 
     @cached_property
     def _views(self) -> dict:
@@ -413,14 +471,16 @@ class TranscriptLaw:
     def _check_views(self):
         """Raise TooLarge before a round's views are built when the views
         of every round would pass the byte cap together, as a run keeps
-        them all.  Round t's build peaks at 260 B an atom, plus 8 B a cell
-        of its dense conditionals, their numerators and their denominators,
-        (H, nx + ny, 2U + 1) cells for its H histories and U messages."""
+        them all.  Round t's build peaks at 80 B an atom (the one pass's
+        keys, sums, densities and the (h, u, i, j, w) atoms it keeps, with
+        both sorts), plus 8 B a cell of its dense conditionals, their
+        numerators and their denominators, (H, nx + ny, 2U + 1) cells for
+        its H histories and U messages."""
         nx, ny = self.source.mass.shape
         R = self.n_rounds
         check_bytes(sum(8 * len(index.histories) * (nx + ny)
                         * (2 * len(index.messages) + 1)
-                        + 260 * self.atoms[0].size
+                        + 80 * self.atoms[0].size
                         for index in self._round_index),
                     f"views of {R} round{'s' * (R > 1)}")
 
@@ -437,78 +497,118 @@ class TranscriptLaw:
         return view
 
     def _round_views(self, t: int) -> RoundViews:
-        """All views of round t from one pass over the law's atoms.
+        """All views of round t, with both parties' densities, from one
+        pass over the law's atoms.
 
         The law's atoms are keyed by (history, message, x, y); one sort
-        groups them, and each sum is a ``bincount`` (or :func:`_axis_sums`)
-        in the order in which the dense computation sums it:
-        P(hist + m | x, y) over transcripts in their order, P(hist | x, y)
-        over messages in theirs, and the marginals of P(hist + m, x, y) and
-        P(hist, x, y) over y and x as numpy sums those axes of dense tables.
-        :meth:`round_views` prices it first (see :meth:`_check_views`).
+        groups them, unless the keys already increase (each atom is its own
+        group, as in every round of send-x and of data exchange).  Each sum
+        is a ``bincount`` (or :func:`_axis_sums`) in the order in which the
+        dense computation sums it: P(hist + m | x, y) over transcripts in
+        their order, P(hist | x, y) over messages in theirs (a second sort,
+        skipped likewise when each (hist, x, y) has one message), and the
+        marginals of P(hist + m, x, y) and P(hist, x, y) over y and x as
+        numpy sums those axes of dense tables.  Party x's density at an
+        atom is -log2 of its entry of P(m | hist, x), party y's of
+        P(m | hist, y), both from one :func:`density_ranks` each.  Each
+        temporary is freed once it is read.  :meth:`round_views` prices it
+        first (see :meth:`_check_views`).
         """
         index = self._round_index[t - 1]
         present = index.present()
         H, U = present.shape
         nx, ny = self.source.mass.shape
-        mass = self.source.mass.ravel()
         k, i, j, p = self.atoms
         # every atom's history has mass, so it has an index
-        h, u = index.hist[k], index.msg[k]
-        key = ((h * U + u) * nx + i) * ny + j
-        node_key, inv = np.unique(key, return_inverse=True)
-        p_hm = np.bincount(inv, weights=p)   # P(hist + m | x, y)
-        node, cell = np.divmod(node_key, nx * ny)   # (h, u) and (x, y)
-        hh, uu = np.divmod(node, U)
-        ii, jj = np.divmod(cell, ny)
-        # P(hist | x, y): the rows of one (h, x, y) come in message order
-        hist_key, hinv = np.unique(hh * (nx * ny) + cell, return_inverse=True)
-        if nx * ny == 1:  # numpy sums a lone cell's messages pairwise
-            size = present.sum(axis=1)
-            local = np.cumsum(present, axis=1) - 1
-            p_h = np.zeros(hist_key.size)
-            for n in np.unique(size[hh]).tolist():
-                sel = size[hh] == n
-                p_h += _axis_sums(hinv[sel], local[hh[sel], uu[sel]],
-                                  p_hm[sel], hist_key.size, n, True)
+        hh, uu = index.hist[k], index.msg[k]
+        key = ((hh * U + uu) * nx + i) * ny + j
+        if _increasing(key):
+            p_hm, ii, jj = p, i, j   # P(hist + m | x, y)
         else:
-            p_h = np.bincount(hinv, weights=p_hm)
-        hist_h, hist_cell = np.divmod(hist_key, nx * ny)
-        hist_i, hist_j = np.divmod(hist_cell, ny)
+            key, inv = np.unique(key, return_inverse=True)
+            p_hm = np.bincount(inv.ravel(), weights=p)
+            del inv
+            hh, key = np.divmod(key, U * nx * ny)
+            uu, key = np.divmod(key, nx * ny)
+            ii, jj = np.divmod(key, ny)
+        del key
+        cell = ii * ny + jj
+        # P(hist | x, y): the rows of one (h, x, y) come in message order
+        hinv = hh * (nx * ny) + cell
+        if _increasing(hinv):
+            # one message at each (h, x, y), of P(m | hist, x, y) = 1
+            p_h, hist_h, hist_i, hist_j, hinv = p_hm, hh, ii, jj, None
+        else:
+            hist_key, hinv = np.unique(hinv, return_inverse=True)
+            hinv = hinv.ravel()
+            if nx * ny == 1:  # numpy sums a lone cell's messages pairwise
+                size = present.sum(axis=1)
+                local = np.cumsum(present, axis=1) - 1
+                p_h = np.zeros(hist_key.size)
+                for n in np.unique(size[hh]).tolist():
+                    sel = size[hh] == n
+                    p_h += _axis_sums(hinv[sel], local[hh[sel], uu[sel]],
+                                      p_hm[sel], hist_key.size, n, True)
+            else:
+                p_h = np.bincount(hinv, weights=p_hm)
+            hist_h, hist_key = np.divmod(hist_key, nx * ny)
+            hist_i, hist_j = np.divmod(hist_key, ny)
+            del hist_key
+        mass = self.source.mass.ravel()
         joint_hm = p_hm * mass[cell]             # P(hist + m, x, y)
-        joint_h = p_h * mass[hist_cell]          # P(hist, x, y)
-        num_x = _axis_sums(node * nx + ii, jj, joint_hm, H * U * nx, ny, True)
-        num_y = _axis_sums(node * ny + jj, ii, joint_hm, H * U * ny, nx,
-                           ny == 1)
-        den_x = _axis_sums(hist_h * nx + hist_i, hist_j, joint_h, H * nx, ny,
-                           True).reshape(H, nx)
-        den_y = _axis_sums(hist_h * ny + hist_j, hist_i, joint_h, H * ny, nx,
-                           ny == 1).reshape(H, ny)
+        del cell
+        joint_h = (joint_hm if hinv is None      # P(hist, x, y)
+                   else p_h * mass[hist_i * ny + hist_j])
         # P(m | hist, x) (H, nx, U), 0 where P(hist, x) is; so for y
-        p_m_x, p_m_y = np.zeros((H, nx, U)), np.zeros((H, ny, U))
-        for out, num, den in ((p_m_x, num_x, den_x), (p_m_y, num_y, den_y)):
-            np.divide(num.reshape(H, U, -1).transpose(0, 2, 1),
+        conds, dens = [], []
+        for row, col, hist_row, hist_col, n, pairwise in (
+                (ii, jj, hist_i, hist_j, nx, True),
+                (jj, ii, hist_j, hist_i, ny, ny == 1)):
+            num = _axis_sums((hh * U + uu) * n + row, col, joint_hm,
+                             H * U * n, nx * ny // n, pairwise)
+            den = _axis_sums(hist_h * n + hist_row, hist_col, joint_h, H * n,
+                             nx * ny // n, pairwise).reshape(H, n)
+            out = np.zeros((H, n, U))
+            np.divide(num.reshape(H, U, n).transpose(0, 2, 1),
                       den[:, :, None], out=out, where=den[:, :, None] > 0)
+            del num
+            conds.append(out)
+            dens.append(den)
+        del joint_hm
         # the speaker's input law given the history
-        den = den_x if t % 2 else den_y
+        den = dens[1 - t % 2]
         prior = den / den.sum(axis=1, keepdims=True)
+        del dens, den
         # the positive atoms of P(hist, m, x, y), as P(hist, x, y) times
         # P(m | hist, x, y)
-        p_m_xy = p_hm / p_h[hinv]
-        w = joint_h[hinv] * p_m_xy
-        pos = (p_m_xy > 0) & (w > 0)
+        if hinv is None:
+            w = joint_h
+            keep = w > 0
+        else:
+            p_m_xy = p_hm / p_h[hinv]
+            w = joint_h[hinv] * p_m_xy
+            keep = (p_m_xy > 0) & (w > 0)
+            del p_m_xy
+        del joint_h, p_h, p_hm, hinv
+        atoms = (hh, uu, ii, jj, w)
+        if not keep.all():
+            atoms = tuple(a[keep] for a in atoms)
+        del hh, uu, ii, jj, w, keep
+        h, u = atoms[:2]
+        densities = tuple(
+            density_ranks(cond.ravel()[(h * cond.shape[1] + row) * U + u])
+            for cond, row in zip(conds, atoms[2:4]))
         nxt = None
         if t < self.n_rounds:
             ahead = self._round_index[t]
             cont = np.flatnonzero(ahead.hist >= 0)
             nxt = np.full((H, U), -1, dtype=np.int64)
             nxt[index.hist[cont], index.msg[cont]] = ahead.hist[cont]
-        views = RoundViews(
-            index.histories, index.messages, present,
-            p_m_x, p_m_y, prior,
-            (hh[pos], uu[pos], ii[pos], jj[pos], w[pos]), nxt)
+        views = RoundViews(index.histories, index.messages, present, *conds,
+                           prior, atoms, nxt, densities)
         _read_only(views.present, views.p_m_given_x, views.p_m_given_y,
-                   views.prior, *views.atoms)
+                   views.prior, *views.atoms,
+                   *(rank for _, rank in densities))
         return views
 
 

@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, TooLarge
+from .errors import OutOfRange, TooLarge, check_bytes
 from .hashing import (
     ENUMERATION_CAP,
     encode_universe,
@@ -75,6 +75,7 @@ from .probcore import (
     SliceConfig,
     SpectrumTable,
     auto_slice_config,
+    density_ranks,
     log2_each,
 )
 from .protocol import RoundView, TranscriptLaw
@@ -100,6 +101,9 @@ EXACT_BLOCK_BYTES = 1 << 21
 #: temporaries stay this small per thread.  Blocks of half this size were
 #: slower on two threads: more small numpy calls contend for the GIL
 TRIAL_BLOCK_BYTES = 1 << 22
+#: entries per chunk of the slice tables' scatter, which bounds its
+#: temporaries
+_SCATTER_CHUNK = 1 << 16
 #: most threads that the trial decode and the plug-in bootstrap each run
 #: on; each thread holds one block's temporaries, so this also bounds their
 #: memory on machines with many CPUs.  Both speed-ups were measured on two
@@ -261,18 +265,46 @@ def _conditional_density(cond: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slice_table(cond: np.ndarray, cfg: SliceConfig) -> np.ndarray:
-    """The slice of -log2 of every entry of a conditional table
-    (:func:`_conditional_density`); 0 (the tail) where the mass is zero.
+def _slice_table(shape: tuple, cells: np.ndarray, density: tuple,
+                 cfg: SliceConfig) -> np.ndarray:
+    """The slice of -log2 of every entry of a conditional table of
+    ``shape``: entry ``cells[n]`` (a flat index, repeats allowed) has the
+    density ``values[rank[n]]`` of ``density = (values, rank)``, and every
+    other entry, of zero mass, is in the tail slice 0.
 
     This is :meth:`SliceConfig.slice_of` on whole arrays, with the same
-    float operations, so the two agree entry for entry, at slice floors too.
+    float operations, once per distinct density; a round's tables are cut
+    from the densities its spectra are made of, so an entry at a slice
+    floor falls in the slice its spectrum atom falls in.
     """
-    h = _conditional_density(cond)
-    inside = (h >= cfg.lambda_min) & (h < cfg.lambda_max)
-    with np.errstate(invalid="ignore"):
-        i = (h - cfg.lambda_min) // cfg.delta + 1
-    return np.where(inside, np.minimum(i, cfg.n_slices), 0).astype(int)
+    values, rank = density
+    inside = (values >= cfg.lambda_min) & (values < cfg.lambda_max)
+    i = (values - cfg.lambda_min) // cfg.delta + 1
+    per = np.where(inside, np.minimum(i, cfg.n_slices), 0).astype(int)
+    out = np.zeros(math.prod(shape), dtype=int)
+    for a in range(0, cells.size, _SCATTER_CHUNK):
+        out[cells[a:a + _SCATTER_CHUNK]] = per[rank[a:a + _SCATTER_CHUNK]]
+    return out.reshape(shape)
+
+
+def _party_slices(view, conds: tuple, party: int, cfg: SliceConfig,
+                  shape: tuple | None = None) -> np.ndarray:
+    """Party ``party``'s slices of ``cfg`` (:func:`_slice_table`), 0 for x
+    and 1 for y, shaped as its table (or as ``shape``, of as many
+    entries): ``conds`` are both parties' P(m | hist, own input) tables
+    (..., n, U) of ``view``, a :class:`~icsim.protocol.RoundViews` or a
+    one-history :class:`~icsim.protocol.RoundView`, whose densities at its
+    atoms give the slices.  A view made by hand has none, and slices each
+    positive entry of the party's table by its own density."""
+    cond = conds[party]
+    if view.densities is None:
+        cells = np.flatnonzero(cond > 0)
+        density = density_ranks(cond.ravel()[cells])
+    else:
+        h, u, i, j = (0,) * (5 - len(view.atoms)) + tuple(view.atoms[:-1])
+        cells = (h * cond.shape[-2] + (i, j)[party]) * cond.shape[-1] + u
+        density = view.densities[party]
+    return _slice_table(shape or cond.shape, cells, density, cfg)
 
 
 def _int_param(value: float, name: str) -> int:
@@ -370,6 +402,11 @@ class SlepianWolfCoder:
             raise OutOfRange(f"gamma must be finite and nonnegative, got "
                              f"{gamma!r}")
         self.gamma = float(gamma)
+        nx, ny = source.mass.shape
+        # 72 B a cell at the peak: the conditional and its quotient, the
+        # densities with log2_each's sort of them, and the typical set
+        check_bytes(72 * nx * ny,
+                    f"engine 1's density tables of {nx:,} x {ny:,} inputs")
         self.h_q = _conditional_density(source.p_x_given_y)
         self.typical = self.h_q <= self.l - self.gamma + 1e-12
         self.width = encoding_width(len(source.x_alphabet))
@@ -517,7 +554,8 @@ class RoundSimulator(_OneRound):
                                                                 (ny, M)):
             raise OutOfRange("round view conditionals have the wrong shape")
         # rows at x values of zero mass are never read, and may be zero
-        rows = self.p_m_given_x[source.p_x > 0]
+        live = source.p_x > 0
+        rows = self.p_m_given_x if live.all() else self.p_m_given_x[live]
         if not ((rows >= 0).all()  # NaN fails too
                 and (np.abs(rows.sum(axis=1) - 1.0) <= NORM_TOL).all()):
             raise OutOfRange("message channel rows must be distributions "
@@ -530,11 +568,14 @@ class RoundSimulator(_OneRound):
         self.l, self.delta, self.n_slices = s.l, s.delta, s.n_slices
         self.total_hash_bits, self.width, self.chunk = (
             s.total_hash_bits, s.width, s.chunk)
+        conds = (self.p_m_given_x, self.p_m_given_y)
         # (M, ny), a view of the (ny, M) table that the round tables read
-        self.slice_rx = _slice_table(self.p_m_given_y, cfg_rx).T
-        self.table = _RoundTables.build(s, self.p_m_given_x[None],
-                                        self.slice_rx.T[None], prior[None],
-                                        self.cfg_tx, k)
+        self.slice_rx = _party_slices(view, conds, 1, cfg_rx).T
+        self.table = _RoundTables.build(
+            s, self.p_m_given_x[None], self.slice_rx.T[None],
+            None if self.cfg_tx is None else _party_slices(
+                view, conds, 0, self.cfg_tx, (1, nx, M)),
+            prior[None], self.cfg_tx, k)
 
     @property
     def k(self) -> int:
@@ -663,26 +704,26 @@ class ImprovedRoundSimulator(RoundSimulator):
     true_view_law = RoundSimulator.true_view_law
 
 
-def _tx_tables(p_m: np.ndarray, cfg_tx: SliceConfig | None,
-               prior: np.ndarray | None):
+def _tx_tables(p_m: np.ndarray, slice_tx: np.ndarray | None,
+               cfg_tx: SliceConfig | None, prior: np.ndarray | None):
     """``(slice_tx, p_j_given_x, p_j, good, j_cost)`` of message laws
-    ``p_m`` (..., n_x, M) under input priors ``prior`` (..., n_x), leading
-    axes carried through: each message's slice, P(J | x) summed over
-    messages in order, the law of J, the accepted indices (mass at least
-    1 / n_tx^2, never the tail index 0) and the bits that send J.  With
-    ``cfg_tx`` None, J = 0 always: every message in slice 0, accepted,
-    sent in no bits; ``prior`` is unread."""
+    ``p_m`` (..., n_x, M) whose messages fall in the slices ``slice_tx``
+    of ``cfg_tx`` (shaped as ``p_m``), under input priors ``prior``
+    (..., n_x), leading axes carried through: the slices, P(J | x) summed
+    over messages in order, the law of J, the accepted indices (mass at
+    least 1 / n_tx^2, never the tail index 0) and the bits that send J.
+    With ``cfg_tx`` None, J = 0 always: every message in slice 0,
+    accepted, sent in no bits; ``slice_tx`` and ``prior`` are unread."""
     if cfg_tx is None:
         one = np.ones(p_m.shape[:-1] + (1,))
         return (np.zeros(p_m.shape, dtype=int), one, one[..., 0, :],
                 one[..., 0, :] > 0, 0)
     n_tx = cfg_tx.n_slices
-    slice_tx = _slice_table(p_m, cfg_tx)
     # one bincount over the C-order (..., x, J) index: it adds each bin's
     # terms in message order from 0.0, as np.add.at would
     rows = math.prod(p_m.shape[:-1])
-    flat = (np.arange(rows).repeat(p_m.shape[-1]) * (n_tx + 1)
-            + slice_tx.ravel())
+    flat = (np.arange(rows) * (n_tx + 1)).repeat(p_m.shape[-1])
+    flat += slice_tx.ravel()
     p_j_given_x = np.bincount(
         flat, weights=p_m.ravel(), minlength=rows * (n_tx + 1)
     ).reshape(p_m.shape[:-1] + (n_tx + 1,))
@@ -1260,16 +1301,18 @@ class _RoundTables:
 
     @classmethod
     def build(cls, inner: _HashSchedule, p_m: np.ndarray,
-              slice_rx: np.ndarray, prior: np.ndarray | None,
-              cfg_tx: SliceConfig | None, k_override: int | None,
+              slice_rx: np.ndarray, slice_tx: np.ndarray | None,
+              prior: np.ndarray | None, cfg_tx: SliceConfig | None,
+              k_override: int | None,
               next: np.ndarray | None = None) -> _RoundTables:
         """A round's tables from per-history arrays: the speaker's message
-        laws ``p_m`` (H, n_tx, M) and input priors ``prior`` (H, n_tx),
-        sliced by ``cfg_tx``, and the listener's slices ``slice_rx``
-        (H, n_rx, M), by ``inner.cfg_rx``.  No ``cfg_tx`` (engines 2 and
-        3) gives J = 0 alone, with ``k_override`` shared bits."""
+        laws ``p_m`` (H, n_tx, M), their slices ``slice_tx`` of ``cfg_tx``
+        and input priors ``prior`` (H, n_tx), and the listener's slices
+        ``slice_rx`` (H, n_rx, M), of ``inner.cfg_rx``.  No ``cfg_tx``
+        (engines 2 and 3) gives J = 0 alone, with ``k_override`` shared
+        bits."""
         slice_tx, p_j_given_x, p_j, good, j_cost = _tx_tables(
-            p_m, cfg_tx, prior)
+            p_m, slice_tx, cfg_tx, prior)
         return cls(inner=inner, j_cost=j_cost, p_m=p_m, slice_rx=slice_rx,
                    k_of=_k_table(cfg_tx, inner.cfg_rx.gamma,
                                  inner.total_hash_bits, k_override),
@@ -1359,16 +1402,20 @@ class ProtocolSimulator:
         self.l_max = l_max
         self.k_override = k_override
         self.src = self.source = law.source
+        check_bytes(sum(_tables_bytes(law.round_views(t), t, plan)
+                        for t, plan in enumerate(self.plans, start=1)),
+                    f"round tables of {law.n_rounds} round"
+                    f"{'s' * (law.n_rounds > 1)}")
         self.tables = []
         for t, plan in enumerate(self.plans, start=1):
             views = law.round_views(t)
             own = (views.p_m_given_x, views.p_m_given_y)
-            # party x speaks in odd rounds
-            p_m, p_rx = own if t % 2 else own[::-1]
+            tx = 1 - t % 2  # party x speaks in odd rounds
             self.tables.append(_RoundTables.build(
-                _HashSchedule.of(views.messages, plan.rx), p_m,
-                _slice_table(p_rx, plan.rx), views.prior, plan.tx,
-                k_override, views.next))
+                _HashSchedule.of(views.messages, plan.rx), own[tx],
+                _party_slices(views, own, 1 - tx, plan.rx),
+                _party_slices(views, own, tx, plan.tx), views.prior,
+                plan.tx, k_override, views.next))
         # the largest round sets the chunk
         self.chunk = min(tab.inner.chunk for tab in self.tables)
 
@@ -1403,6 +1450,29 @@ class ProtocolSimulator:
         return _walk_law(self)
 
 
+def _tables_bytes(views, t: int, plan: RoundPlan) -> int:
+    """An upper bound on the bytes of round t's :class:`_RoundTables`
+    with its candidate lists, built from ``views`` on ``plan``: 8 B a
+    cell of the listener's (H, n_rx, U) slices and 16 B a cell of the
+    speaker's (its slices and the J law's flat index); 16 B an (H, n_tx)
+    row per slice index (P(J | x) and its running sum); 24 B an (H, n_tx)
+    row per support slot and 16 B an (H, n_rx) row per candidate slot, S
+    the most messages a speaker's row sends and C at most n_slices times
+    the most a listener's row can receive; and 64 B an atom for the cells
+    of the slicing and the sorts of the two lists."""
+    own = (views.p_m_given_x, views.p_m_given_y)
+    tx = 1 - t % 2  # party x speaks in odd rounds
+    p_tx, p_rx = own[tx], own[1 - tx]
+    H, n_tx, U = p_tx.shape
+    n_rx = p_rx.shape[1]
+    S, S_rx = (max(1, int((p > 0).sum(axis=-1).max(initial=0)))
+               for p in (p_tx, p_rx))
+    C = min(U, S_rx) * plan.rx.n_slices
+    return (8 * H * n_rx * U + 16 * H * n_tx * U
+            + H * n_tx * (16 * (plan.tx.n_slices + 1) + 24 * S)
+            + 16 * H * n_rx * C + 64 * views.atoms[0].size)
+
+
 def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:
     """Default slice plans from the per-round density spectra.
 
@@ -1425,16 +1495,18 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
     aggregated over histories with their true probabilities.  The round
     views come from :meth:`TranscriptLaw.round_views`, computed once per
     law and shared with the slice plans, engines and budgets built on it;
-    both sides read the views' positive atoms, history by history.  It is
-    built once per law too, kept read-only in the views' memo at (t, side).
+    the side's spectrum is made of the views' densities at their positive
+    atoms (:meth:`~icsim.probcore.SpectrumTable.from_ranks`), the floats
+    its slice tables are cut from.  It is built once per law too, kept
+    read-only in the views' memo at (t, side).
     """
     spec = law._views.get((t, side))
     if spec is None:
         views = law.round_views(t)
-        h, u, i, j, w = views.atoms
-        cond = (views.p_m_given_x[h, i, u] if (t % 2 == 1) == (side == "tx")
-                else views.p_m_given_y[h, j, u])
-        spec = law._views[(t, side)] = SpectrumTable.from_atoms(
-            -log2_each(cond), w)
+        # party x's density is the speaker's in odd rounds
+        values, rank = views.densities[
+            0 if (t % 2 == 1) == (side == "tx") else 1]
+        spec = law._views[(t, side)] = SpectrumTable.from_ranks(
+            values, rank, views.atoms[-1])
         spec.values.flags.writeable = spec.probs.flags.writeable = False
     return spec

@@ -189,6 +189,50 @@ def dense_round_inputs(law, t):
     return p_tx, p_rx, prior, nxt
 
 
+def conditional_density(cond):
+    """-log2 of every entry of a conditional table, by ``math.log2`` per
+    positive entry, +inf where the mass is zero."""
+    out = np.full(cond.shape, np.inf)
+    live = cond > 0
+    out[live] = [-math.log2(c) for c in cond[live].tolist()]
+    return out
+
+
+def slice_table(cond, cfg):
+    """The slice of -log2 of every entry of a dense conditional table, 0
+    (the tail) where the mass is zero: the slice tables as the engines cut
+    them before the round views carried densities, a second ``log2`` pass
+    over the dense conditionals."""
+    h = conditional_density(cond)
+    inside = (h >= cfg.lambda_min) & (h < cfg.lambda_max)
+    with np.errstate(invalid="ignore"):
+        i = (h - cfg.lambda_min) // cfg.delta + 1
+    return np.where(inside, np.minimum(i, cfg.n_slices), 0).astype(int)
+
+
+def atom_round_spectrum(law, t, side):
+    """``round_density_spectrum`` as the atom form first computed it:
+    -log2 of each positive atom's entry of its party's conditional in the
+    round views, one ``math.log2`` per atom, merged by
+    :func:`merge_atoms`."""
+    views = law.round_views(t)
+    h, u, i, j, w = views.atoms
+    cond = (views.p_m_given_x[h, i, u] if (t % 2 == 1) == (side == "tx")
+            else views.p_m_given_y[h, j, u])
+    return merge_atoms([-math.log2(c) for c in cond.tolist()], w.tolist())
+
+
+def k_table(cfg_tx, gamma, total_hash_bits):
+    """k(J) for J = 0 .. n_tx: lambda_min + (J - 1) delta - 2 log2 n_tx
+    - 2 gamma + 2, floored and clipped to [0, total_hash_bits], one index
+    at a time."""
+    n = cfg_tx.n_slices
+    return np.array([min(max(math.floor(
+        cfg_tx.lambda_min + (j - 1) * cfg_tx.delta - 2 * math.log2(n)
+        - 2 * gamma + 2), 0), total_hash_bits) for j in range(n + 1)],
+        dtype=np.int64)
+
+
 def add_at_j_given_x(p_m, slice_tx, n_j):
     """P(J | x) (..., n_x, n_j) of message laws ``p_m`` (..., n_x, M)
     whose messages fall in slices ``slice_tx``: ``np.add.at`` over the

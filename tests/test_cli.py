@@ -263,19 +263,20 @@ def _limit_address_space():
 
 
 def test_eval_dense_law_too_large_fails_fast(tmp_path):
-    # send-x over dsbs^12 builds its law (2^24 atoms, 1.3 GiB at the
-    # build's peak), but its round views would peak at 4.6 GiB: TooLarge
-    # before any of them is allocated, not numpy's MemoryError
+    # send-x over dsbs^13 has 2^26 atoms, a law priced at 5 GiB: TooLarge
+    # before any of them is allocated, not numpy's MemoryError (over
+    # dsbs^12 the views, priced at 1,792 MiB, fit the cap and engine 4 runs)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"source": "dsbs^12:0.11", "protocol": "p4", "target": "send-x"}))
+        {"source": "dsbs^13:0.11", "protocol": "p4", "target": "send-x"}))
     proc = subprocess.run(
         CLI + ["eval", "--config", str(cfg), "--mode", "plugin",
                "--trials", "10"],
         capture_output=True, text=True, preexec_fn=_limit_address_space)
     assert proc.returncode == 1
     assert proc.stderr == (
-        "error: views of 1 round needs 4,672 MiB, over the 2,048 MiB cap\n")
+        "error: transcript law of 8,192 transcripts and 67,108,864 atoms "
+        "needs 5,120 MiB, over the 2,048 MiB cap\n")
     assert proc.stdout == ""
 
 
@@ -288,9 +289,18 @@ def _simulate(source, protocol, target):
     return command
 
 
+def _simulate_p1(source, l):
+    def command(cfg):
+        cfg.write_text(json.dumps({"source": source, "protocol": "p1",
+                                   "l": l}))
+        return ["simulate", "--config", str(cfg), "--trials", "20000",
+                "--seed", "1"]
+    return command
+
+
 @pytest.mark.parametrize("command, what", [
-    (_simulate("dsbs^12:0.11", "p4", "send-x"),
-     "views of 1 round needs 4,672"),
+    (_simulate_p1("dsbs^13:0.11", 30),
+     "engine 1's density tables of 8,192 x 8,192 inputs needs 4,608"),
     (_simulate("dsbs^13:0.11", "p4", "send-x"),
      "transcript law of 8,192 transcripts and 67,108,864 atoms needs 5,120"),
     (_simulate("dsbs^14:0.11", "p4", "send-x"),
@@ -299,12 +309,12 @@ def _simulate(source, protocol, target):
      "transcript law of 16,777,216 transcripts and 16,777,216 atoms needs "
      "2,944"),
     (_simulate("dsbs^9:0.11", "p5", "exchange-bits"),
-     "views of 18 rounds needs 11,410"),
+     "views of 18 rounds needs 10,600"),
     (lambda cfg: ["bound", "second-order", "--target", "data-exchange",
                   "--source", "dsbs^10:0.11", "--eps", "0.01", "--n", "4"],
      "transcript marginals of 1,048,576 transcripts over 1,024 x 1,024 "
      "inputs needs 49,184"),
-], ids=["p4-dsbs12", "p4-dsbs13", "p4-dsbs14", "p5-data-exchange-dsbs12",
+], ids=["p1-dsbs13", "p4-dsbs13", "p4-dsbs14", "p5-data-exchange-dsbs12",
         "p5-exchange-bits-dsbs9", "bound-data-exchange-dsbs10"])
 def test_too_large_is_refused_in_one_line(tmp_path, command, what):
     # each is refused by the byte cap before its largest build, in one

@@ -7,6 +7,7 @@ the exact walk bounds every round's rows before it decodes anything.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from icsim.probcore import (
 )
 from icsim.protocol import (
     LAW_SELECTORS,
+    ProductProtocol,
     ProtocolTree,
+    ThresholdExample,
     TranscriptLaw,
     _axis_sums,
     _pairwise_sums,
@@ -42,13 +45,13 @@ from icsim.simulate import (
     ProtocolSimulator,
     RoundPlan,
     _RoundTables,
-    _slice_table,
     _tx_tables,
     auto_round_plans,
     round_density_spectrum,
 )
 from reference import (
     add_at_j_given_x,
+    atom_round_spectrum,
     dense_histories,
     dense_law_spectrum,
     dense_marginals,
@@ -59,6 +62,8 @@ from reference import (
     dense_true_view_law,
     dense_view_atoms,
     dense_view_prior,
+    k_table,
+    slice_table,
 )
 
 
@@ -190,8 +195,9 @@ def test_atom_law_matches_dense_reference(name):
         # the round's tables, built from the dense inputs
         p_tx, p_rx, prior, nxt = dense_round_inputs(law, t)
         tab = sim.tables[t - 1]
-        want = _RoundTables.build(tab.inner, p_tx, _slice_table(p_rx, plan.rx),
-                                  prior, plan.tx, None, nxt)
+        want = _RoundTables.build(tab.inner, p_tx, slice_table(p_rx, plan.rx),
+                                  slice_table(p_tx, plan.tx), prior, plan.tx,
+                                  None, nxt)
         for field in ("j_cost", "p_m", "slice_rx", "k_of", "slice_tx",
                       "p_j_given_x", "cum_j", "p_j", "good"):
             assert _same(getattr(tab, field), getattr(want, field)), field
@@ -227,7 +233,8 @@ def test_j_law_adds_many_terms_per_bin_in_message_order():
     p_m /= p_m.sum(axis=-1, keepdims=True)
     cfg = SliceConfig(lambda_min=0.0, lambda_max=12.0, delta=4.0, gamma=1.0)
     prior = np.full((3, 5), 0.2)
-    slice_tx, p_j_given_x, *_ = _tx_tables(p_m, cfg, prior)
+    slice_tx = slice_table(p_m, cfg)
+    _, p_j_given_x, *_ = _tx_tables(p_m, slice_tx, cfg, prior)
     want = add_at_j_given_x(p_m, slice_tx, cfg.n_slices + 1)
     assert _same(p_j_given_x, want)
     backwards = add_at_j_given_x(p_m[..., ::-1], slice_tx[..., ::-1],
@@ -261,14 +268,15 @@ def test_plugin_eval_never_builds_the_dense_law(monkeypatch, tmp_path, cfg):
 def test_engine4_receiver_table_computed_once(monkeypatch, target):
     """P(M | Y) is the x-ordered sum of the outer products of P(m | x) and
     P(x, y), computed once per build; the receiver table is sliced once,
-    and both the trial table and ``tail_mass`` read it."""
+    from the view's densities, and both the trial table and ``tail_mass``
+    read it."""
     src = "dsbs:0.25" if target.startswith("noisy") else "dsbs^3:0.11"
     slicings = []
     slice_table = icsim.simulate._slice_table
 
-    def spy(cond, cfg):
-        slicings.append(cond.shape)
-        return slice_table(cond, cfg)
+    def spy(shape, cells, density, cfg):
+        slicings.append(shape)
+        return slice_table(shape, cells, density, cfg)
 
     monkeypatch.setattr(icsim.simulate, "_slice_table", spy)
     engine = icsim.cli.build_engine({"source": src, "protocol": "p4",
@@ -335,3 +343,112 @@ def test_exact_walk_bounds_every_round_before_decoding(monkeypatch):
     with pytest.raises(TooLarge, match="rows in round 2"):
         sim.exact_view_law()
     assert calls == []
+
+
+# -- the one-pass set-up against the derivation it replaced ------------------
+
+
+# a zero cell (x = 0, y = 1) and a zero row (x = 1)
+_GAPPY = JointSource((0, 1, 2), (0, 1), np.array([[0.3, 0.0], [0.0, 0.0],
+                                                  [0.25, 0.45]]))
+# noisy-send needs a binary x: a zero cell and a zero column (y = 1)
+_GAPPY_BINARY = JointSource((0, 1), (0, 1, 2), np.array([[0.3, 0.0, 0.2],
+                                                         [0.35, 0.0, 0.15]]))
+
+# conditionals P(x | y) and P(y | x) that each hold an entry whose
+# np.log2 is one ulp off math.log2
+_ULP = JointSource((0, 1), (0, 1, 2), np.array([[0.14, 0.21, 0.07],
+                                                [0.07, 0.08, 0.43]]))
+
+
+def _setup_laws():
+    sources = [(f"dsbs^{m}", product_source(dsbs_source(0.2), m))
+               for m in range(1, 5)] + [("gappy", _GAPPY), ("ulp", _ULP)]
+    for s, src in sources:
+        for name, make in (("send-x", send_value_protocol),
+                           ("data-exchange", data_exchange_protocol),
+                           ("exchange-bits", exchange_bits_protocol)):
+            yield f"{name}-{s}", lambda make=make, src=src: make(src)
+    # past _LOOP_TRANSCRIPTS transcripts, _round_index numbers the
+    # histories by np.unique instead of dicts
+    yield "exchange-bits-dsbs^5", lambda: exchange_bits_protocol(
+        product_source(dsbs_source(0.2), 5))
+    for s, src in (("dsbs^1", dsbs_source(0.2)), ("gappy", _GAPPY_BINARY),
+                   ("ulp", _ULP)):
+        yield f"noisy-send:0.1-{s}", lambda src=src: noisy_send_protocol(
+            src, 0.1)
+    # over dsbs^m, noisy send runs as the m-fold product of its one round
+    for m in range(2, 5):
+        yield f"noisy-send:0.1-dsbs^{m}", lambda m=m: ProductProtocol(
+            noisy_send_protocol(dsbs_source(0.2), 0.1), m).expand()
+    yield "threshold-4-1/4", lambda: ThresholdExample(4, 0.25).expand()
+
+
+SETUP_LAWS = dict(_setup_laws())
+
+
+def _equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_LAWS))
+def test_one_pass_setup_matches_the_derivation_it_replaced(name):
+    # per round: the views, both sides' spectra, both slice tables, the J
+    # law and k(J), against -log2 of each atom's conditional merged by
+    # merge_atoms and the slice tables cut from the dense conditionals with
+    # a second log2 of their own, with no tolerance; and engine 4's tables
+    # on one-round laws
+    law = SETUP_LAWS[name]()
+    plans = auto_round_plans(law, gamma=3.0)
+    sim = ProtocolSimulator(law, plans)
+    for t, (plan, tab) in enumerate(zip(plans, sim.tables), start=1):
+        views = law.round_views(t)
+        assert views.histories == dense_histories(law, t)
+        p_tx, p_rx, prior, nxt = dense_round_inputs(law, t)
+        own = (p_tx, p_rx) if t % 2 else (p_rx, p_tx)
+        assert _equal(views.p_m_given_x, own[0])
+        assert _equal(views.p_m_given_y, own[1])
+        assert _equal(views.prior, prior)
+        assert (views.next is None) == (nxt is None)
+        assert nxt is None or _equal(views.next, nxt)
+        for side in ("tx", "rx"):
+            spec = round_density_spectrum(law, t, side)
+            want_v, want_p = atom_round_spectrum(law, t, side)
+            assert _equal(spec.values, want_v) and _equal(spec.probs, want_p)
+            dense_v, dense_p = dense_round_spectrum(law, t, side)
+            assert _equal(spec.values, dense_v) and _equal(spec.probs, dense_p)
+        slice_rx = slice_table(p_rx, plan.rx)
+        slice_tx = slice_table(p_tx, plan.tx)
+        assert _equal(tab.slice_rx, slice_rx), t
+        assert _equal(tab.slice_tx, slice_tx), t
+        assert _equal(tab.p_j_given_x, add_at_j_given_x(
+            p_tx, slice_tx, plan.tx.n_slices + 1)), t
+        assert _equal(tab.k_of, k_table(plan.tx, plan.rx.gamma,
+                                        tab.inner.total_hash_bits)), t
+    if law.n_rounds > 1:
+        return
+    view = law.round_view(1, ())
+    engine = ImprovedRoundSimulator(law.source, view, plans[0].rx,
+                                    plans[0].tx)
+    assert _equal(engine.slice_rx, slice_table(view.p_m_given_y,
+                                               plans[0].rx).T)
+    assert _equal(engine.slice_tx, slice_table(view.p_m_given_x,
+                                               plans[0].tx).T)
+    assert _equal(engine.k_table, sim.tables[0].k_of)
+
+
+def test_engine4_setup_over_dsbs10_peaks_under_128_mib():
+    # send-x over dsbs^10 (1,048,576 atoms): the source, the law, its
+    # views, both round spectra and engine 4, as the CLI builds them
+    cfg = {"source": "dsbs^10:0.11", "protocol": "p4", "target": "send-x",
+           "gamma": 3.0}
+    icsim.cli.build_engine({**cfg, "source": "dsbs^2:0.11"})
+    tracemalloc.start()
+    try:
+        engine = icsim.cli.build_engine(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(engine, ImprovedRoundSimulator)
+    assert peak < 128 << 20, peak

@@ -10,6 +10,7 @@ from icsim.errors import MismatchedSupport, OutOfRange, ZeroMassAtom
 from icsim.probcore import (
     MERGE_TOL,
     _LOOP_ATOMS,
+    _RANK_CHUNK,
     _UNIQUE_LOG_ENTRIES,
     FiniteDistribution,
     JointSource,
@@ -17,6 +18,7 @@ from icsim.probcore import (
     SpectrumTable,
     _repr_key,
     auto_slice_config,
+    density_ranks,
     dsbs_source,
     entropy_density,
     log2_each,
@@ -334,6 +336,10 @@ def _from_atoms_cases():
     grid = rng.integers(0, 20, 400) / 7.0
     v = grid + tol * rng.integers(-3, 4, 400) * rng.choice([0.3, 0.7], 400)
     cases["jittered-grid"] = (v, _masses(rng, v.size))
+    # three values, a hundred masses each: the order of each sum sets its
+    # last bits
+    v = rng.integers(0, 3, 300).astype(float)
+    cases["three-values"] = (v, _masses(rng, v.size))
     return cases
 
 
@@ -362,6 +368,23 @@ class TestFromAtoms:
         assert values.size > _LOOP_ATOMS
         assert_spectrum_bytes(SpectrumTable.from_atoms(values, probs),
                               values, probs)
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["few", "tiled"])
+    @pytest.mark.parametrize("name", sorted(FROM_ATOMS_CASES))
+    def test_from_ranks_is_from_atoms_on_the_ranked_values(self, name, tiled):
+        # each case as distinct values and ranks, at its own size and tiled
+        # past the loop's; the cases with one mass per group take the
+        # bincount, the others the integer-key sort or from_atoms
+        values, probs = FROM_ATOMS_CASES[name]
+        values, probs = np.asarray(values, float), np.asarray(probs, float)
+        if tiled:
+            reps = _LOOP_ATOMS // len(values) + 2
+            values, probs = np.tile(values, reps), np.tile(probs, reps) / reps
+        distinct, rank = np.unique(values, return_inverse=True)
+        got = SpectrumTable.from_ranks(distinct, rank, probs)
+        want = SpectrumTable.from_atoms(distinct[rank], probs)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
 
     def test_chain_is_split_at_the_group_anchor(self):
         values, probs = FROM_ATOMS_CASES["chain"]
@@ -434,6 +457,15 @@ class TestLog2Each:
             _log2_map(p)
         with pytest.raises(want.type):
             log2_each(p)
+
+    @pytest.mark.parametrize("kind", ["few", "distinct"])
+    @pytest.mark.parametrize("n", _LOG2_SIZES + [2 * _RANK_CHUNK + 5])
+    def test_density_ranks_have_the_bits_of_the_map(self, n, kind):
+        p = _log2_inputs(n)[kind]
+        values, rank = density_ranks(p)
+        assert (np.diff(values) > 0).all()
+        assert rank.dtype.kind == "u" and rank.shape == (n,)
+        assert values[rank].tobytes() == (-_log2_map(p)).tobytes()
 
     def test_spectrum_of_a_product_source_takes_the_deduplicated_path(self):
         source = product_source(dsbs_source(0.11), 5)

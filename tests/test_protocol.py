@@ -652,7 +652,7 @@ def test_dense_law_size_cap(monkeypatch):
     # the cap prices what is built, at each build's peak: over 4 x 4
     # inputs, send-x's 16 atoms take 80 B each and its 4 transcripts 48 B,
     # data exchange's 16 transcripts are new pairs, 56 B more each, a round
-    # view takes 260 B an atom and 8 B for each of (H, nx + ny, 2U + 1)
+    # view takes 80 B an atom and 8 B for each of (H, nx + ny, 2U + 1)
     # cells, the marginals 24 B a cell of (T, nx + ny) and 32 B an atom,
     # and the dense send-x table 8 B a cell
     cap = icsim.errors.BYTES_CAP
@@ -664,7 +664,7 @@ def test_dense_law_size_cap(monkeypatch):
              lambda law: send_value_protocol(src)),
             (80 * 16 + (48 + pair) * 16, "transcript law of 16 transcripts "
              "and 16 atoms", lambda law: data_exchange_protocol(src)),
-            (260 * 16 + 8 * 8 * 9, "views of 1 round",
+            (80 * 16 + 8 * 8 * 9, "views of 1 round",
              lambda law: law.round_views(1)),
             (24 * 4 * 8 + 32 * 16, "transcript marginals of 4 transcripts "
              "over 4 x 4 inputs", lambda law: law.p_tau_given_y),

@@ -2533,8 +2533,9 @@ def test_protocol_slices_each_history_once(monkeypatch):
     plans = auto_round_plans(law, gamma=2.0)
     shapes = []
     slice_table = icsim.simulate._slice_table
-    monkeypatch.setattr(icsim.simulate, "_slice_table", lambda cond, cfg: (
-        shapes.append(cond.shape) or slice_table(cond, cfg)))
+    monkeypatch.setattr(
+        icsim.simulate, "_slice_table", lambda shape, cells, density, cfg: (
+            shapes.append(shape) or slice_table(shape, cells, density, cfg)))
     sim = ProtocolSimulator(law, plans, k_override=0)
     want = []
     for tab in sim.tables:
@@ -2595,13 +2596,14 @@ def test_job_leaves_no_garbage_cycle(cfg, trials):
             gc.enable()
 
 
-def _slice_table_reference(cond, cfg):
+def _slice_table_reference(shape, cells, density, cfg):
     """``_slice_table`` as first written: ``SliceConfig.slice_of`` per
-    entry."""
-    h = icsim.simulate._conditional_density(cond)
-    finite = np.isfinite(h)
-    slices = np.vectorize(cfg.slice_of)(np.where(finite, h, 0.0))
-    return np.where(finite, slices, 0).astype(int)
+    entry, on each entry's density; 0 at the entries of zero mass."""
+    values, rank = density
+    out = np.zeros(int(np.prod(shape)), dtype=int)
+    for cell, h in zip(cells.tolist(), values[rank].tolist()):
+        out[cell] = cfg.slice_of(h)
+    return out.reshape(shape)
 
 
 def _cli(**cfg):
@@ -2685,16 +2687,16 @@ _SLICED_ENGINES = {
 def test_slice_table_matches_slice_of(name, monkeypatch):
     calls = []
 
-    def spy(cond, cfg):
-        out = _slice_table(cond, cfg)
-        calls.append((np.array(cond), cfg, out))
+    def spy(shape, cells, density, cfg):
+        out = _slice_table(shape, cells, density, cfg)
+        calls.append((shape, cells, density, cfg, out))
         return out
 
     monkeypatch.setattr(icsim.simulate, "_slice_table", spy)
     _SLICED_ENGINES[name]()
     assert calls
-    for cond, cfg, got in calls:
-        want = _slice_table_reference(cond, cfg)
+    for shape, cells, density, cfg, got in calls:
+        want = _slice_table_reference(shape, cells, density, cfg)
         assert got.dtype == want.dtype and np.array_equal(got, want), cfg
 
 
@@ -2707,20 +2709,20 @@ def test_slice_table_matches_slice_of(name, monkeypatch):
     SliceConfig(0.3, 5.7, 1.0, 0.0),
     SliceConfig(-0.5, 4.25, 0.5, 0.0),
 ], ids=["floors", "auto-like", "clip", "offset", "half-width"])
-def test_slice_table_edges(cfg, monkeypatch):
+def test_slice_table_edges(cfg):
     # densities at every slice floor, at lambda_max, an ulp either side of
-    # each, just below lambda_min, past lambda_max and at zero mass (+inf);
-    # the table is taken as its own density, so each value is exact
-    monkeypatch.setattr(icsim.simulate, "_conditional_density",
-                        lambda h: h)
+    # each, just below lambda_min, past lambda_max and at zero mass (+inf,
+    # an entry no density is given for); each value is exact
     floors = [cfg.lambda_min + (i - 1) * cfg.delta
               for i in range(1, cfg.n_slices + 2)] + [cfg.lambda_max]
     h = [np.inf, cfg.lambda_min - 1e-12, cfg.lambda_max + 5.0]
     for f in floors:
         h += [f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf)]
     h = np.array(h).reshape(3, -1)
-    got = _slice_table(h, cfg)
-    want = _slice_table_reference(h, cfg)
+    cells = np.flatnonzero(np.isfinite(h))
+    values, rank = np.unique(h.flat[cells], return_inverse=True)
+    got = _slice_table(h.shape, cells, (values, rank), cfg)
+    want = _slice_table_reference(h.shape, cells, (values, rank), cfg)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got.flat[0] == got.flat[1] == got.flat[2] == 0
     assert set(got.flat) == set(range(cfg.n_slices + 1))
@@ -2832,3 +2834,65 @@ def test_p4_build_memory_bounded():
         tracemalloc.stop()
     assert engine.slice_tx.shape == (128, 128)
     assert peak < 80 << 20, peak
+
+
+# -- the prices of the engines' own tables -------------------------------------
+
+
+def _priced_peak(builds, monkeypatch) -> tuple:
+    """The tracemalloc peak of the last of ``builds`` (callables), and the
+    prices ``icsim.simulate`` checks while it runs; the others run first,
+    untraced, so one-time initializations are not counted."""
+    prices = []
+    monkeypatch.setattr(icsim.simulate, "check_bytes",
+                        lambda nbytes, what: prices.append(nbytes))
+    for build in builds[:-1]:
+        build()
+    prices.clear()
+    tracemalloc.start()
+    try:
+        builds[-1]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, prices
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_engine1_price_bounds_its_build_peak(monkeypatch, m):
+    # the (nx, ny) conditional, its densities with log2_each's sort and the
+    # typical set, on a source whose conditional is not yet cached: the
+    # peak is at most the price, up to 16 KiB of fixed overhead
+    sources = [product_source(dsbs_source(0.11), m) for _ in range(2)]
+    peak, prices = _priced_peak(
+        [lambda src=src: SlepianWolfCoder(src, 20, 2.0) for src in sources],
+        monkeypatch)
+    assert len(prices) == 1 and peak <= prices[0] + (16 << 10), (peak, prices)
+
+
+def _two_round_law(m):
+    rng = np.random.default_rng(5)
+    src = product_source(dsbs_source(0.11), m)
+    return two_round_protocol(src, rng.dirichlet(np.ones(4), 1 << m),
+                              range(4), rng.dirichlet(np.ones(4), (1 << m, 4)),
+                              range(4))
+
+
+@pytest.mark.parametrize("law", [
+    lambda: send_value_protocol(product_source(dsbs_source(0.11), 6)),
+    lambda: data_exchange_protocol(product_source(dsbs_source(0.11), 4)),
+    lambda: exchange_bits_protocol(product_source(dsbs_source(0.11), 5)),
+    lambda: _two_round_law(5),
+], ids=["send-x", "data-exchange", "exchange-bits", "two-round"])
+def test_engine5_price_bounds_its_tables_peak(monkeypatch, law):
+    # every round's tables with their support and candidate lists, from
+    # views and plans already built: the peak is at most the one price
+    # checked before the first table, up to 16 KiB of fixed overhead
+    def tables():
+        target = law()
+        plans = auto_round_plans(target, gamma=3.0)
+        return lambda: [(tab.support, tab.candidates) for tab in
+                        ProtocolSimulator(target, plans, k_override=0).tables]
+
+    peak, prices = _priced_peak([tables(), tables()], monkeypatch)
+    assert len(prices) == 1 and peak <= prices[0] + (16 << 10), (peak, prices)
