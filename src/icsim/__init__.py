@@ -12,7 +12,6 @@ from .probcore import (
     product_source,
     q_inv,
     spectrum,
-    tv_distance,
 )
 from .protocol import (
     MixedProtocol,
@@ -31,7 +30,7 @@ from .protocol import (
     two_round_protocol,
     xor_reply_protocol,
 )
-from .hashing import HashFamily, MinEntropyReport, draw_hash, extract, min_entropy
+from .hashing import HashFamily, MinEntropyReport, draw_hash, min_entropy
 from .simulate import (
     ImprovedRoundSimulator,
     InteractiveSWCoder,
@@ -55,8 +54,6 @@ from .bounds import (
     lower_bound,
     round_budget_inputs,
     second_order_predict,
-    sk_bound,
-    sk_chain,
     upper_bound_budget,
 )
 from .evaluate import TVEstimate, comm_stats, exact_view_law, measure_sim_error

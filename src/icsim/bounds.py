@@ -25,7 +25,6 @@ from .errors import (
 from .hashing import min_entropy
 from .probcore import (
     FiniteDistribution,
-    JointSource,
     MomentSummary,
     SpectrumTable,
     q_inv,
@@ -356,7 +355,7 @@ def direct_product_thresholds(spec: SpectrumTable, n: int, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# hypothesis testing and secret keys
+# hypothesis testing
 # ---------------------------------------------------------------------------
 
 
@@ -423,41 +422,3 @@ def beta_eps_upper(p: FiniteDistribution, q: FiniteDistribution,
     if guard <= 0.0:
         return math.inf
     return lam - math.log2(guard)
-
-
-def sk_bound(source: JointSource, eps: float, eta: float,
-             q_x: np.ndarray | None = None,
-             q_y: np.ndarray | None = None) -> float:
-    """Upper bound on the eps-secret-key rate of a joint source.
-
-    -log2 beta_{eps + eta}(P_XY, Q_X x Q_Y) + 2 log2(1 / eta), with the
-    marginals as the default product reference.
-    """
-    if eta <= 0 or eps < 0 or eps + eta >= 1:
-        raise ParameterRange("need eps >= 0, eta > 0, eps + eta < 1")
-    qx = source.p_x if q_x is None else np.asarray(q_x, float)
-    qy = source.p_y if q_y is None else np.asarray(q_y, float)
-    syms, pp, qq = [], [], []
-    for i, x in enumerate(source.x_alphabet):
-        for j, y in enumerate(source.y_alphabet):
-            syms.append((x, y))
-            pp.append(float(source.mass[i, j]))
-            qq.append(float(qx[i] * qy[j]))
-    p = FiniteDistribution(tuple(syms), np.array(pp))
-    q = FiniteDistribution(tuple(syms), np.array(qq) / float(np.sum(qq)))
-    beta = beta_eps(p, q, eps + eta)
-    if beta <= 0:
-        raise ParameterRange("degenerate test: beta vanished")
-    return -math.log2(beta) + 2.0 * math.log2(1.0 / eta)
-
-
-def sk_chain(s_eps: float, log_v: float, eps: float) -> float:
-    """Key-rate loss from leaking log2|V| bits of communication.
-
-    S_{2 eps}(X, Y | Z V) >= S_eps(X, Y | Z) - log2|V| - 2 log2(1 / (2 eps)).
-    """
-    if eps <= 0 or eps >= 0.5:
-        raise ParameterRange("eps must lie in (0, 1/2)")
-    if log_v < 0:
-        raise ParameterRange("communication size must be nonnegative")
-    return s_eps - log_v - 2.0 * math.log2(1.0 / (2.0 * eps))

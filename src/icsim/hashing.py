@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -260,7 +259,7 @@ def enumerate_family(width: int, out_bits: int):
 
 
 # ---------------------------------------------------------------------------
-# min-entropy and extraction
+# min-entropy
 # ---------------------------------------------------------------------------
 
 
@@ -301,40 +300,3 @@ def min_entropy(p_xz: np.ndarray, q_z="optimize") -> MinEntropyReport:
             raise OutOfRange("conditioning distribution misses a live column")
         ratios.append(col_max[j] / q[j])
     return MinEntropyReport(-math.log2(max(ratios)), q, False)
-
-
-def extraction_bound(k: int, h_min: float, log_v: float = 0.0) -> float:
-    """Leftover-hash bound on the seed-average key defect.
-
-    Half the square root of |K| |V| 2^{-Hmin} with |K| = 2^k and
-    log2 |V| = ``log_v``.
-    """
-    if k < 0 or log_v < 0:
-        raise OutOfRange("key size and side information must be nonnegative")
-    return 0.5 * math.sqrt(2.0 ** (k + log_v - h_min))
-
-
-def extract(samples: Sequence[int], universe_size: int, k: int, seed,
-            probs: np.ndarray | None = None,
-            log_v: float = 0.0) -> tuple[np.ndarray, float]:
-    """Hash source samples down to k-bit keys.
-
-    Returns the packed keys together with the leftover-hash uniformity
-    bound.  ``probs`` is the source pmf over universe indices; uniform if
-    omitted.
-    """
-    w = encoding_width(universe_size)
-    fam = draw_hash(w, k, seed)
-    enc = encode_universe(universe_size, w)
-    idx = np.asarray(samples, dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx >= universe_size):
-        raise OutOfRange("sample index outside the universe")
-    keys = fam.apply_packed(enc[idx])
-    if probs is None:
-        h_min = math.log2(universe_size)
-    else:
-        p = np.asarray(probs, dtype=float)
-        if p.shape != (universe_size,):
-            raise MismatchedSupport("pmf length disagrees with universe size")
-        h_min = -math.log2(float(p.max()))
-    return keys, extraction_bound(k, h_min, log_v)

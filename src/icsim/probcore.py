@@ -36,8 +36,9 @@ MERGE_TOL = 1e-12
 #: ``SpectrumTable.from_atoms`` merges at most this many atoms in a Python
 #: loop, which is faster there than its vectorized pass
 _LOOP_ATOMS = 32
-#: past this many entries ``log2_each`` takes ``math.log2`` of each distinct
-#: value once, which is faster there than one call per entry
+#: past this many entries ``log2_each`` and ``density_ranks`` take
+#: ``math.log2`` of each distinct value once, which is faster there than one
+#: call per entry
 _UNIQUE_LOG_ENTRIES = 384
 #: entries per chunk of :func:`density_ranks`, which bounds its temporaries
 _RANK_CHUNK = 1 << 16
@@ -58,17 +59,15 @@ def log2_each(p: np.ndarray) -> np.ndarray:
     their plans and engine 1's typical set, so a table entry at a slice
     floor falls in its spectrum atom's slice (``np.log2`` can differ from
     ``math.log2`` in the last bit).  Past ``_UNIQUE_LOG_ENTRIES`` entries
-    it is taken once per distinct value and indexed back; the same float
-    has the same logarithm, so the bits are those of the per-entry map.
-    Product sources give spectra of many atoms and few distinct
-    probabilities.
+    it is :func:`density_ranks`' values read back at their ranks and
+    negated, ``math.log2`` once per distinct value; the same float has the
+    same logarithm, so the bits are those of the per-entry map.  Product
+    sources give spectra of many atoms and few distinct probabilities.
     """
     if p.size <= _UNIQUE_LOG_ENTRIES:
         return np.fromiter(map(math.log2, p.tolist()), float, p.size)
-    vals, inv = np.unique(p, return_inverse=True)
-    # numpy 2.0.x shapes the inverse like the input, other versions flat
-    return np.fromiter(map(math.log2, vals.tolist()), float,
-                       vals.size)[inv.ravel()]
+    values, rank = density_ranks(p)
+    return -values[rank]
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -84,14 +83,14 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 def density_ranks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The densities -log2 of a vector of positive probabilities, as
     ``(values, rank)``: ``values`` strictly increasing and ``values[rank]``
-    bit for bit ``-log2_each(p)``, so ``rank`` orders the entries by
-    density.
+    bit for bit ``-math.log2`` of each entry, so ``rank`` orders the
+    entries by density.
 
-    ``math.log2`` is taken as :func:`log2_each` takes it: once per entry
-    up to ``_UNIQUE_LOG_ENTRIES`` entries, then once per distinct entry,
-    with the ranks found ``_RANK_CHUNK`` entries at a time, so no
-    temporary is larger than a chunk.  ``rank`` has the smallest unsigned
-    dtype that holds it.
+    ``math.log2`` is taken once per entry up to ``_UNIQUE_LOG_ENTRIES``
+    entries, then once per distinct entry, with the ranks found
+    ``_RANK_CHUNK`` entries at a time, so no temporary is larger than a
+    chunk; past that size, this is the one place that takes it.  ``rank``
+    has the smallest unsigned dtype that holds it.
     """
     if p.size <= _UNIQUE_LOG_ENTRIES:
         dens = [-math.log2(v) for v in p.tolist()]
@@ -184,14 +183,6 @@ def _repr_key():
         return repr(s)
 
     return key
-
-
-def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Total variation distance between two pmfs on the same universe."""
-    if set(p.symbols) != set(q.symbols):
-        raise MismatchedSupport("total variation needs a common support universe")
-    qv = np.array([q.prob(s) for s in p.symbols])
-    return 0.5 * float(np.abs(p.probs - qv).sum())
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,12 @@ def _increasing(a: np.ndarray, strict: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def speaker(t: int) -> int:
+    """The party that speaks round t: 0, party x, in the odd rounds and 1,
+    party y, in the even ones; the other party listens."""
+    return 1 - t % 2
+
+
 @dataclass(frozen=True)
 class RoundView:
     """Conditional law of one round given a transcript history.
@@ -576,7 +582,7 @@ class TranscriptLaw:
             dens.append(den)
         del joint_hm
         # the speaker's input law given the history
-        den = dens[1 - t % 2]
+        den = dens[speaker(t)]
         prior = den / den.sum(axis=1, keepdims=True)
         del dens, den
         # the positive atoms of P(hist, m, x, y), as P(hist, x, y) times

@@ -78,7 +78,7 @@ from .probcore import (
     density_ranks,
     log2_each,
 )
-from .protocol import RoundView, TranscriptLaw
+from .protocol import RoundView, TranscriptLaw, speaker
 
 ERROR_CAUSES = ("tail", "no_match", "multiple_match", "bad_J",
                 "budget_exceeded")
@@ -754,7 +754,8 @@ def _k_table(cfg_tx: SliceConfig | None, gamma: float, total_hash_bits: int,
 
 
 def _pick_slice(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Slice index per trial from cumulative J-prior rows and uniforms.
+    """Index per trial from cumulative weight rows and uniforms: the slice
+    index J from P(J | x), and M*'s slot from :func:`_mstar_cum`.
 
     As ``np.searchsorted(row, u * row[-1], side="right")`` on each row: the
     first index whose cumulative mass exceeds u times the total, so one of
@@ -777,16 +778,16 @@ def _round_kernel(tab: _RoundTables, sup: np.ndarray, p_sup: np.ndarray,
     of ``blocks``, the shared string ``u`` (masked to k bits here) and the
     uniform ``u_m`` that picks M*.  Only the S support columns are hashed
     here.  M* is the message of the first slot whose cumulative weight in
-    :func:`_mstar_cum` exceeds u_m times the total; :func:`_slice_search`
-    decodes it, hashing only the candidates of the slices each trial
-    reaches.  Returns ``(m_star,) +`` its result, in message indices.
+    :func:`_mstar_cum` exceeds u_m times the total (:func:`_pick_slice`);
+    :func:`_slice_search` decodes it, hashing only the candidates of the
+    slices each trial reaches.  Returns ``(m_star,) +`` its result, in
+    message indices.
     """
     hashes = index_hasher(pack_columns(blocks))
     rows = np.arange(sup.shape[0])
     h = hashes(rows, sup)
     u = u & ((np.int64(1) << k_t) - 1)
-    cum = _mstar_cum(p_sup, restrict, h, k_t, u)
-    slot = (cum <= u_m[:, None] * cum[:, -1:]).sum(axis=1)
+    slot = _pick_slice(_mstar_cum(p_sup, restrict, h, k_t, u), u_m)
     m_star = sup[rows, slot]
     return (m_star,) + _slice_search(tab, r, m_star, h[rows, slot], hashes,
                                      k_t, u)
@@ -832,7 +833,8 @@ def _slice_search(tab: _RoundTables, r: np.ndarray, m_star: np.ndarray,
     i hash blocks it matches the first ``pos_at(i)`` bits in its slice i,
     the block of slice i of its candidate list
     (:attr:`_RoundTables.candidates`), hashed for the trials still
-    searching only: one match is an ACK, several after the first slice
+    searching only; a padding column, -1, hashes as some message and
+    never matches.  One match is an ACK, several after the first slice
     are declared.  A trial that matches in no slice is a tail when M* is
     in the receiver's slice 0, else a no match.  Returns ``(decoded,
     cause, bits, hit)``: the decoded message (-1 on a declared failure),
@@ -840,8 +842,8 @@ def _slice_search(tab: _RoundTables, r: np.ndarray, m_star: np.ndarray,
     ``tab.j_cost``, and the terminating slice.
     """
     inner = tab.inner
-    cand, slc, starts = tab.candidates
-    cand, slc = (a.reshape(-1, a.shape[-1]) for a in (cand, slc))
+    cand, starts = tab.candidates
+    cand = cand.reshape(-1, cand.shape[-1])
     T = r.size
     received = (h_star & ~((np.int64(1) << k_t) - 1)) | u
     decoded = np.full(T, -1, dtype=np.int64)
@@ -853,10 +855,9 @@ def _slice_search(tab: _RoundTables, r: np.ndarray, m_star: np.ndarray,
         a, b = starts[s - 1], starts[s]
         if a == b:
             continue
-        rl = r[live]
-        c = cand[:, a:b].take(rl, axis=0)
+        c = cand[:, a:b].take(r[live], axis=0)
         mask_pos = (1 << inner.pos_at(s)) - 1
-        match = (slc[:, a:b].take(rl, axis=0) == s) & ((
+        match = (c >= 0) & ((
             (hashes(live, c) ^ received[live, None]) & mask_pos) == 0)
         cnt = np.einsum("ij->i", match, dtype=np.int64)
         done = cnt == 1
@@ -894,6 +895,9 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
     by per-trial (history, symbol) arrays.  Draw order: the hash blocks
     (unless given), the J uniforms (none for a law of one index, where
     :func:`_pick_slice` is 0), the shared strings and the M* uniforms.
+    J is picked on the running sum of each trial's row of
+    ``p_j_given_x``, which a cumulative sum along the table's index axis
+    gives bit for bit.
     :func:`_round_kernel` decodes block by block, on the rows
     ``support[tx]`` with restrictions ``slice == J`` and the listener rows
     ``rx``; a block's rows are sized by the candidate width S + C, an
@@ -907,8 +911,9 @@ def _round_step(tab: _RoundTables, rng, tx: tuple, rx: tuple, blocks=None):
     ri = rx[0] * tab.slice_rx.shape[1] + rx[1]
     if blocks is None:
         blocks = draw_bits(rng, (T, inner.total_hash_bits, inner.width + 1))
-    jj = (_pick_slice(_rows(tab.cum_j, ti), rng.random(T))
-          if tab.cum_j.shape[-1] > 1 else np.zeros(T, dtype=np.int64))
+    p_j = tab.p_j_given_x
+    jj = (_pick_slice(np.cumsum(_rows(p_j, ti), axis=1), rng.random(T))
+          if p_j.shape[-1] > 1 else np.zeros(T, dtype=np.int64))
     k_t = tab.k_of[jj]
     u = _draw_prefix(rng, k_t)
     u_m = rng.random(T)
@@ -974,7 +979,7 @@ def _trial_walk(engine, rng, T: int, blocks=None,
     state[:, :2 * R] = -1
     state[:, 2 * R], state[:, 2 * R + 1] = xi, yj
     for t, tab in enumerate(tables, start=1):
-        tx = 1 - t % 2  # party x speaks in odd rounds
+        tx = speaker(t)
         rx = 1 - tx
         # every trial runs round 1, on a view of the states; a later round
         # copies the running ones out and back
@@ -1008,7 +1013,7 @@ def _write_back(rows: np.ndarray, R: int, t: int, tab: _RoundTables,
     of the trials that completed the round.
     """
     K = 2 * R + 2
-    tx = 1 - t % 2
+    tx = speaker(t)
     rx = 1 - tx
     rows[:, tx * R + t - 1] = m_star
     rows[:, rx * R + t - 1] = decoded
@@ -1079,13 +1084,14 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
     keep the same rows (:func:`_trial_walk`), and :func:`_write_back` writes
     a round into them in both.  Round t splits every running state by its
     slice index J, with the probability :func:`_pick_slice` draws it from
-    ``cum_j``; by each linear part of the round's hash family, standing for
-    its 2^L offsets (:mod:`icsim.hashing`); by each shared string u of k(J)
-    bits; and by each M* of positive weight in :func:`_mstar_cum`.  It
-    decodes in blocks of linear parts with :func:`_slice_search`, over the
-    tables' candidate lists as the trials do, and equal states merge, so
-    rounds add up rather than multiply.  Before decoding anything it bounds
-    every round's rows (:func:`_check_rows`).
+    the running sum of ``p_j_given_x``; by each linear part of the round's
+    hash family, standing for its 2^L offsets (:mod:`icsim.hashing`); by
+    each shared string u of k(J) bits; and by each M* of positive weight in
+    :func:`_mstar_cum`.  It decodes in blocks of linear parts with
+    :func:`_slice_search`, over the tables' candidate lists as the trials
+    do, and equal states merge, so rounds add up rather than multiply.
+    Before decoding anything it bounds every round's rows
+    (:func:`_check_rows`).
 
     Returns ``(keys, cause, p)``: keys hold each round's M* and decode,
     also in a round that failed, and -1 where unset.
@@ -1099,7 +1105,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
     state[:, 2 * R], state[:, 2 * R + 1] = live_i, live_j
     p = source.mass[live_i, live_j]
     for t, tab in enumerate(tables, start=1):
-        tx = 1 - t % 2  # party x speaks in odd rounds
+        tx = speaker(t)
         rx = 1 - tx
         running = state[:, K + 3] == 0
         # the round's states: the ended ones, then those the round makes
@@ -1108,7 +1114,7 @@ def _exact_walk(tables: Sequence[_RoundTables], source: JointSource,
         # each party's table rows: (history, symbol)
         t_tx, t_rx = ((state[:, K + i], state[:, 2 * R + i])
                       for i in (tx, rx))
-        cum = tab.cum_j[t_tx]
+        cum = np.cumsum(tab.p_j_given_x[t_tx], axis=1)
         p_j = np.diff(cum, axis=1, prepend=0.0) / cum[:, -1:]
         s, jj = np.nonzero(p_j > 0)
         p_s = p[s] * p_j[s, jj]
@@ -1177,10 +1183,11 @@ def _check_rows(tables: Sequence[_RoundTables], states: int):
     listener's row can decode, those in its slices 1 or more (at least 1).
     """
     for t, tab in enumerate(tables, start=1):
-        s_j = np.zeros(tab.cum_j.shape, dtype=np.int64)
+        cum_j = np.cumsum(tab.p_j_given_x, axis=-1)
+        s_j = np.zeros(cum_j.shape, dtype=np.int64)
         h, x, m = np.nonzero(tab.p_m > 0)
         np.add.at(s_j, (h, x, tab.slice_tx[h, x, m]), 1)
-        accepted = (np.diff(tab.cum_j, axis=-1, prepend=0.0) > 0) \
+        accepted = (np.diff(cum_j, axis=-1, prepend=0.0) > 0) \
             & tab.good[:, None, :]
         picks = np.where(accepted, np.maximum(s_j, 1), 0)
         opens = int((picks + np.where(accepted, (np.int64(1) << tab.k_of)
@@ -1275,9 +1282,10 @@ class _RoundTables:
     History h of engine 5's round t is ``law.histories(t)[h]``; engines 2
     to 4 have one history.  ``n_tx`` and ``n_rx`` are the speaker's and the
     listener's alphabet sizes.  Every table carries a law of the slice
-    index J over its n_j indices; on engines 2 and 3 it has the one index
-    J = 0 (see :meth:`build`).  ``inner`` is the :class:`_HashSchedule`
-    all histories share.
+    index J over its n_j indices, once, as ``p_j_given_x``: its readers
+    take the running sum along the index axis of the rows they read.  On
+    engines 2 and 3 it has the one index J = 0 (see :meth:`build`).
+    ``inner`` is the :class:`_HashSchedule` all histories share.
 
     The trials and the exact walk decode over candidate lists, built once
     per table on first use: ``support``, each speaker row's S supported
@@ -1294,7 +1302,6 @@ class _RoundTables:
     k_of: np.ndarray        # (n_j,) shared prefix length per slice index
     slice_tx: np.ndarray    # (H, n_tx, M) transmitter slices
     p_j_given_x: np.ndarray  # (H, n_tx, n_j) law of J
-    cum_j: np.ndarray       # (H, n_tx, n_j) cumulative J law
     p_j: np.ndarray         # (H, n_j) law of J under the prior
     good: np.ndarray        # (H, n_j) slice indices accepted
     next: np.ndarray | None = None   # (H, M) next history or -1; None last
@@ -1316,9 +1323,8 @@ class _RoundTables:
         return cls(inner=inner, j_cost=j_cost, p_m=p_m, slice_rx=slice_rx,
                    k_of=_k_table(cfg_tx, inner.cfg_rx.gamma,
                                  inner.total_hash_bits, k_override),
-                   slice_tx=slice_tx, p_j_given_x=p_j_given_x,
-                   cum_j=np.cumsum(p_j_given_x, axis=2), p_j=p_j, good=good,
-                   next=next)
+                   slice_tx=slice_tx, p_j_given_x=p_j_given_x, p_j=p_j,
+                   good=good, next=next)
 
     @cached_property
     def support(self) -> tuple:
@@ -1328,27 +1334,27 @@ class _RoundTables:
         widest row (at least 1)."""
         sup, (p, slc), _ = _column_lists(self.p_m > 0, 1, self.p_m,
                                          self.slice_tx)
+        np.maximum(sup, 0, out=sup)
         return sup, p, slc
 
     @cached_property
     def candidates(self) -> tuple:
-        """``(cand, slice, starts)``: every listener row's messages in
-        slice 1 or more and their slices, each (H, n_rx, C), slice-major.
-        Slice s holds the columns ``starts[s - 1]`` to ``starts[s] - 1``,
-        C_s of them, C_s the most messages a listener row has in slice s; a
-        row's messages of slice s are in message order, padded with
-        message 0 in slice 0 to C_s (C at least 1).  The receiver searches
-        these only, one slice after the other."""
-        cand, (slc,), starts = _column_lists(
-            self.slice_rx, self.inner.n_slices, self.slice_rx)
-        return cand, slc, starts
+        """``(cand, starts)``: every listener row's messages in slice 1 or
+        more, (H, n_rx, C), slice-major.  Slice s holds the columns
+        ``starts[s - 1]`` to ``starts[s] - 1``, C_s of them, C_s the most
+        messages a listener row has in slice s; a row's messages of slice
+        s are in message order, padded with -1 to C_s (C at least 1), so
+        a column's slice is its block's.  The receiver searches these only,
+        one slice after the other."""
+        cand, _, starts = _column_lists(self.slice_rx, self.inner.n_slices)
+        return cand, starts
 
 
 def _column_lists(group: np.ndarray, n: int, *tables: np.ndarray):
     """The columns of each row of the table ``group`` (..., M), of group
     numbers 0 to n, in blocks by group: block b holds each row's columns
-    of group b, in order, padded with column 0 to C_b, the most any row
-    has, and group 0 is left out.  Returns ``(cols, gathered, starts)``:
+    of group b, in order, padded with -1 to C_b, the most any row has, and
+    group 0 is left out.  Returns ``(cols, gathered, starts)``:
     the columns, each of ``tables`` (shaped as ``group``) gathered at them
     with 0 at the padding, and the first column of each block, block b
     spanning ``starts[b - 1]`` to ``starts[b] - 1``.  A bool ``group`` is
@@ -1369,7 +1375,7 @@ def _column_lists(group: np.ndarray, n: int, *tables: np.ndarray):
     slot = (starts[key % (n + 1) - 1] + np.arange(key.size)
             - (np.cumsum(counts) - counts)[key])
     shape = group.shape[:-1] + (int(starts[-1]),)
-    cols = np.zeros((flat.shape[0], shape[-1]), dtype=np.int64)
+    cols = np.full((flat.shape[0], shape[-1]), -1, dtype=np.int64)
     cols[r, slot] = c
     gathered = []
     for tab in tables:
@@ -1410,7 +1416,7 @@ class ProtocolSimulator:
         for t, plan in enumerate(self.plans, start=1):
             views = law.round_views(t)
             own = (views.p_m_given_x, views.p_m_given_y)
-            tx = 1 - t % 2  # party x speaks in odd rounds
+            tx = speaker(t)
             self.tables.append(_RoundTables.build(
                 _HashSchedule.of(views.messages, plan.rx), own[tx],
                 _party_slices(views, own, 1 - tx, plan.rx),
@@ -1454,14 +1460,14 @@ def _tables_bytes(views, t: int, plan: RoundPlan) -> int:
     """An upper bound on the bytes of round t's :class:`_RoundTables`
     with its candidate lists, built from ``views`` on ``plan``: 8 B a
     cell of the listener's (H, n_rx, U) slices and 16 B a cell of the
-    speaker's (its slices and the J law's flat index); 16 B an (H, n_tx)
-    row per slice index (P(J | x) and its running sum); 24 B an (H, n_tx)
-    row per support slot and 16 B an (H, n_rx) row per candidate slot, S
-    the most messages a speaker's row sends and C at most n_slices times
-    the most a listener's row can receive; and 64 B an atom for the cells
-    of the slicing and the sorts of the two lists."""
+    speaker's (its slices and the J law's flat index); 8 B an (H, n_tx)
+    row per slice index (P(J | x)); 24 B an (H, n_tx) row per support
+    slot and 8 B an (H, n_rx) row per candidate slot, S the most messages
+    a speaker's row sends and C at most n_slices times the most a
+    listener's row can receive; and 64 B an atom for the cells of the
+    slicing and the sorts of the two lists."""
     own = (views.p_m_given_x, views.p_m_given_y)
-    tx = 1 - t % 2  # party x speaks in odd rounds
+    tx = speaker(t)
     p_tx, p_rx = own[tx], own[1 - tx]
     H, n_tx, U = p_tx.shape
     n_rx = p_rx.shape[1]
@@ -1469,8 +1475,8 @@ def _tables_bytes(views, t: int, plan: RoundPlan) -> int:
                for p in (p_tx, p_rx))
     C = min(U, S_rx) * plan.rx.n_slices
     return (8 * H * n_rx * U + 16 * H * n_tx * U
-            + H * n_tx * (16 * (plan.tx.n_slices + 1) + 24 * S)
-            + 16 * H * n_rx * C + 64 * views.atoms[0].size)
+            + H * n_tx * (8 * (plan.tx.n_slices + 1) + 24 * S)
+            + 8 * H * n_rx * C + 64 * views.atoms[0].size)
 
 
 def auto_round_plans(law: TranscriptLaw, gamma: float = 4.0) -> list[RoundPlan]:
@@ -1503,9 +1509,8 @@ def round_density_spectrum(law: TranscriptLaw, t: int,
     spec = law._views.get((t, side))
     if spec is None:
         views = law.round_views(t)
-        # party x's density is the speaker's in odd rounds
         values, rank = views.densities[
-            0 if (t % 2 == 1) == (side == "tx") else 1]
+            speaker(t) if side == "tx" else 1 - speaker(t)]
         spec = law._views[(t, side)] = SpectrumTable.from_ranks(
             values, rank, views.atoms[-1])
         spec.values.flags.writeable = spec.probs.flags.writeable = False

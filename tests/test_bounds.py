@@ -15,8 +15,6 @@ from icsim.bounds import (
     direct_product_thresholds,
     lower_bound,
     second_order_predict,
-    sk_bound,
-    sk_chain,
     upper_bound_budget,
 )
 from icsim.errors import (
@@ -236,20 +234,3 @@ class TestBeta:
     def test_non_finite_lam_rejected(self, lam):
         with pytest.raises(ParameterRange, match="finite lam"):
             beta_eps_upper(bernoulli(0.5), bernoulli(0.5), 0.1, lam)
-
-
-class TestSecretKey:
-    def test_independent_source(self):
-        src = dsbs_source(0.5)  # X and Y independent
-        got = sk_bound(src, 0.05, 0.05)
-        assert got == pytest.approx(-math.log2(0.9) + 2 * math.log2(20),
-                                    abs=1e-9)
-
-    def test_chain_rule(self):
-        assert sk_chain(10.0, 3.0, 0.25) == pytest.approx(
-            10.0 - 3.0 - 2.0, abs=1e-12)
-        with pytest.raises(ParameterRange):
-            sk_chain(10.0, 3.0, 0.7)
-
-    def test_positive_for_correlated_source(self):
-        assert sk_bound(dsbs_source(0.1), 0.05, 0.05) > 0

@@ -12,8 +12,6 @@ from icsim.hashing import (
     encode_universe,
     encoding_width,
     enumerate_family,
-    extract,
-    extraction_bound,
     family_blocks,
     linear_blocks,
     family_size,
@@ -143,7 +141,7 @@ def test_pack_hashes_matches_apply_bits(M, L):
     w = encoding_width(M)
     enc = encode_universe(M, w)
     blocks = rng.integers(0, 2, size=(20, L, w + 1), dtype=np.uint8)
-    subset = enc[[M - 1, 0, M // 2, M - 1]]  # rows as ``extract`` picks them
+    subset = enc[[M - 1, 0, M // 2, M - 1]]  # rows out of order, repeated
     for bits in (enc, subset):
         got = pack_hashes(blocks, bits)
         assert got.dtype == np.int64 and got.shape == (20, len(bits))
@@ -236,10 +234,6 @@ def test_packing_past_62_bits_raises():
             draw_hash(3, out_bits, 5).apply_packed(enc)
     with pytest.raises(OutOfRange):
         pack_hashes(np.zeros((1, 63, 4), dtype=np.uint8), enc)
-    with pytest.raises(OutOfRange):
-        extract([0, 5, 7], 8, 63, seed=1)
-    keys, _ = extract([0, 5, 7], 8, 62, seed=1)
-    assert keys.dtype == np.int64 and keys.shape == (3,)
 
 
 def test_draw_reproducible():
@@ -300,19 +294,3 @@ class TestMinEntropy:
     def test_bad_conditioning(self):
         with pytest.raises(OutOfRange):
             min_entropy(np.array([[0.5], [0.5]]), q_z=np.array([0.0]))
-
-
-def test_extraction_bound_values():
-    assert extraction_bound(3, 3.0) == pytest.approx(0.5)
-    assert extraction_bound(0, 10.0) == pytest.approx(0.5 * 2 ** -5)
-    with pytest.raises(OutOfRange):
-        extraction_bound(-1, 1.0)
-
-
-def test_extract_runs():
-    rng = np.random.default_rng(0)
-    samples = rng.integers(0, 16, size=50)
-    keys, bound = extract(samples, 16, 3, seed=5)
-    assert keys.shape == (50,)
-    assert np.all((keys >= 0) & (keys < 8))
-    assert bound == pytest.approx(extraction_bound(3, 4.0))

@@ -199,7 +199,7 @@ def test_atom_law_matches_dense_reference(name):
                                   slice_table(p_tx, plan.tx), prior, plan.tx,
                                   None, nxt)
         for field in ("j_cost", "p_m", "slice_rx", "k_of", "slice_tx",
-                      "p_j_given_x", "cum_j", "p_j", "good"):
+                      "p_j_given_x", "p_j", "good"):
             assert _same(getattr(tab, field), getattr(want, field)), field
         assert (tab.next is None) == (nxt is None)
         assert nxt is None or _same(tab.next, nxt)

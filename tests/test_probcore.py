@@ -26,7 +26,6 @@ from icsim.probcore import (
     q_func,
     q_inv,
     spectrum,
-    tv_distance,
 )
 from reference import assert_spectrum_bytes, merge_atoms
 
@@ -86,15 +85,6 @@ def test_repr_key_equals_repr():
     counts = dict.fromkeys(symbols[1:], 1)  # equal symbols collapse
     law = FiniteDistribution.from_counts(counts)
     assert law.symbols == tuple(sorted(counts, key=repr))
-
-
-def test_tv_distance_basic():
-    p = FiniteDistribution((0, 1), np.array([0.5, 0.5]))
-    q = FiniteDistribution((0, 1), np.array([0.1, 0.9]))
-    assert tv_distance(p, q) == pytest.approx(0.4, abs=1e-15)
-    assert tv_distance(p, p) == 0.0
-    with pytest.raises(MismatchedSupport):
-        tv_distance(p, FiniteDistribution((0, 2), np.array([0.5, 0.5])))
 
 
 class TestJointSource:

@@ -1184,8 +1184,8 @@ def test_round_tables_match_history_engines(name):
                 [e.slice_tx.T for e in engs]))
             assert _same_array(tab.slice_rx, np.stack(
                 [e.slice_rx.T for e in engs]))
-            assert _same_array(tab.cum_j, np.cumsum(np.stack(
-                [e.p_j_given_x for e in engs]), axis=2))
+            assert _same_array(np.cumsum(tab.p_j_given_x, axis=2), np.cumsum(
+                np.stack([e.p_j_given_x for e in engs]), axis=2))
             assert _same_array(tab.good, np.stack([e.good for e in engs]))
             for e in engs:
                 assert _same_array(tab.k_of, [e.k_of(j) for j in range(n_j)])
@@ -1378,7 +1378,8 @@ def test_round_tables_match_scalar_formulas(name):
         slc, p_j_x, _, good, k_of, _ = _slice_index_reference(
             p_tx, prior, tx, gamma, tab.inner.total_hash_bits)
         assert np.array_equal(tab.slice_tx[h], slc)
-        assert np.array_equal(tab.cum_j[h], np.cumsum(p_j_x, axis=1))
+        assert np.array_equal(np.cumsum(tab.p_j_given_x[h], axis=1),
+                              np.cumsum(p_j_x, axis=1))
         assert tab.good[h].tolist() == good
         assert tab.k_of.tolist() == k_of
     if name == "two-round":
@@ -1574,7 +1575,8 @@ def test_interactive_coder_builds_its_table_once(monkeypatch):
 def _assert_one_index_law(tab, k):
     """The slice-index law of engines 2 and 3: the one index J = 0, every
     message in slice 0, accepted and sent in no bits, k shared bits."""
-    assert tab.cum_j.shape[-1] == 1 and tab.j_cost == 0 and tab.good.all()
+    assert tab.p_j_given_x.shape[-1] == 1 and tab.j_cost == 0 \
+        and tab.good.all()
     assert not tab.slice_tx.any() and tab.k_of.tolist() == [k]
 
 
@@ -1600,7 +1602,8 @@ def test_round_simulator_builds_its_table_once(monkeypatch):
     # law has the n_tx + 1 slice indices of its transmitter slicing
     improved = _big("p4")
     assert improved.table.inner is improved.schedule
-    assert improved.table.cum_j.shape[-1] == improved.cfg_tx.n_slices + 1
+    assert improved.table.p_j_given_x.shape[-1] == \
+        improved.cfg_tx.n_slices + 1
 
 
 def test_protocol_run_trials_chunks_on_part_streams():
@@ -2067,12 +2070,12 @@ def _round_rows(tab, rng, tx, rx):
     T = tx[0].size
     sup, p_sup, slc_tx = (None if a is None else a[tx] for a in tab.support)
     r = rx[0] * tab.slice_rx.shape[1] + rx[1]
-    if tab.cum_j is None:
+    if tab.p_j_given_x is None:
         jj = np.zeros(T, dtype=np.int64)
         dense_restrict = np.ones((T, tab.p_m.shape[-1]), dtype=bool)
         restrict = np.ones(sup.shape, dtype=bool)
     else:
-        cum = tab.cum_j[tx]
+        cum = np.cumsum(tab.p_j_given_x[tx], axis=1)
         jj = np.where(cum[:, -1] > 0, _pick_slice(cum, rng.random(T)), 1)
         dense_restrict = tab.slice_tx[tx] == jj[:, None]
         restrict = slc_tx == jj[:, None]
@@ -2250,16 +2253,14 @@ def test_lazy_slice_search_matches_dense_reference(name, k):
     tab = _lazy_search_table(name)
     inner = tab.inner
     n = inner.n_slices
-    cand, slc, starts = tab.candidates
+    cand, starts = tab.candidates
     rx_rows = tab.slice_rx.reshape(-1, tab.slice_rx.shape[-1])
-    for row, (c_row, s_row) in enumerate(zip(
-            cand.reshape(len(rx_rows), -1), slc.reshape(len(rx_rows), -1))):
+    for row, c_row in enumerate(cand.reshape(len(rx_rows), -1)):
         for s in range(1, n + 1):
-            c_blk, s_blk = (a[starts[s - 1]:starts[s]] for a in (c_row, s_row))
+            c_blk = c_row[starts[s - 1]:starts[s]]
             own = np.flatnonzero(rx_rows[row] == s)
             assert c_blk[:own.size].tolist() == own.tolist()
-            assert (s_blk[:own.size] == s).all()
-            assert not c_blk[own.size:].any() and not s_blk[own.size:].any()
+            assert (c_blk[own.size:] == -1).all()
     rng = np.random.default_rng([11, k])
     T = 4_000
     H, n_tx, M = tab.p_m.shape
@@ -2281,7 +2282,7 @@ def test_lazy_slice_search_matches_dense_reference(name, k):
     ends = set(zip(got[4].tolist(), got[2].tolist()))
     if name == "uneven-slices":
         assert starts.tolist() == [0, 4, 6]
-        assert (slc[..., :4] == 0).any()
+        assert (cand[..., :4] == -1).any()
         assert {(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)} <= ends
     else:
         assert starts.tolist() == [0, 1, 4, 7, 7]
@@ -2303,8 +2304,8 @@ def test_receiver_with_no_slice_ends_every_trial_as_tail():
     assert cfg.n_slices == 1
     sim = RoundSimulator(src, send_value_protocol(src).round_view(1, ()),
                          cfg, 0)
-    cand, slc, starts = sim.table.candidates
-    assert cand.shape[-1] == 1 and not cand.any() and not slc.any()
+    cand, starts = sim.table.candidates
+    assert cand.shape[-1] == 1 and (cand == -1).all()
     assert starts.tolist() == [0, 1]
     agg = run_trials(sim, 500, 1)
     assert agg.errors == {"tail": 500}
