@@ -33,6 +33,8 @@ from .errors import (
 NORM_TOL = 1e-9
 #: atoms whose values agree within this tolerance are merged
 MERGE_TOL = 1e-12
+#: the coarser tolerance of a convolution's merge
+CONVOLVE_MERGE_TOL = 1e-9
 #: ``SpectrumTable.from_atoms`` merges at most this many atoms in a Python
 #: loop, which is faster there than its vectorized pass
 _LOOP_ATOMS = 32
@@ -55,10 +57,10 @@ def _log2(p: float) -> float:
 def log2_each(p: np.ndarray) -> np.ndarray:
     """``math.log2`` of every entry of a vector.
 
-    Every density goes through here: the spectra, the slice tables cut by
-    their plans and engine 1's typical set, so a table entry at a slice
-    floor falls in its spectrum atom's slice (``np.log2`` can differ from
-    ``math.log2`` in the last bit).  Past ``_UNIQUE_LOG_ENTRIES`` entries
+    The densities of the source and law spectra and of engine 1's typical
+    set come from here, and a round's spectra and slice tables from
+    :func:`density_ranks` itself, so both take ``math.log2`` (``np.log2``
+    can differ in the last bit).  Past ``_UNIQUE_LOG_ENTRIES`` entries
     it is :func:`density_ranks`' values read back at their ranks and
     negated, ``math.log2`` once per distinct value; the same float has the
     same logarithm, so the bits are those of the per-entry map.  Product
@@ -434,8 +436,7 @@ class SpectrumTable:
 
     @classmethod
     def from_ranks(cls, values: np.ndarray, rank: np.ndarray,
-                   probs: np.ndarray,
-                   merge_tol: float = MERGE_TOL) -> "SpectrumTable":
+                   probs: np.ndarray) -> "SpectrumTable":
         """``from_atoms(values[rank], probs)``, bit for bit, for strictly
         increasing ``values``: atom n has value ``values[rank[n]]``.
 
@@ -451,14 +452,14 @@ class SpectrumTable:
         """
         probs = np.asarray(probs, dtype=float)
         if probs.size <= _LOOP_ATOMS:
-            return cls.from_atoms(values[rank], probs, merge_tol)
+            return cls.from_atoms(values[rank], probs)
         start = np.ones(values.size, dtype=bool)
-        start[1:] = ~(values[1:] - values[:-1] <= merge_tol)
+        start[1:] = ~(values[1:] - values[:-1] <= MERGE_TOL)
         group = np.cumsum(start) - 1
         anchors = values[start]
         if (np.signbit(probs).any()
-                or not (values - anchors[group] <= merge_tol).all()):
-            return cls.from_atoms(values[rank], probs, merge_tol)
+                or not (values - anchors[group] <= MERGE_TOL).all()):
+            return cls.from_atoms(values[rank], probs)
         g = group[rank]
         first = np.empty(anchors.size)
         first[g] = probs
@@ -526,20 +527,19 @@ class SpectrumTable:
         third = float(np.dot(d * d * d, self.probs))
         return MomentSummary(mean, var, third)
 
-    def convolve(self, other: "SpectrumTable",
-                 merge_tol: float = 1e-9) -> "SpectrumTable":
+    def convolve(self, other: "SpectrumTable") -> "SpectrumTable":
         """Spectrum of the sum of two independent densities."""
         v = (self.values[:, None] + other.values[None, :]).ravel()
         p = (self.probs[:, None] * other.probs[None, :]).ravel()
-        return SpectrumTable.from_atoms(v, p, merge_tol=merge_tol)
+        return SpectrumTable.from_atoms(v, p, CONVOLVE_MERGE_TOL)
 
-    def convolve_n(self, n: int, merge_tol: float = 1e-9) -> "SpectrumTable":
+    def convolve_n(self, n: int) -> "SpectrumTable":
         """Exact n-fold self-convolution (iid sum of n copies)."""
         if n < 1:
             raise OutOfRange("convolution power must be at least 1")
         out = self
         for _ in range(n - 1):
-            out = out.convolve(self, merge_tol=merge_tol)
+            out = out.convolve(self)
         return out
 
     def scale(self, c: float) -> "SpectrumTable":

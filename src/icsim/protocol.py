@@ -53,6 +53,13 @@ _LOOP_TRANSCRIPTS = 256
 # ---------------------------------------------------------------------------
 
 
+def _run_starts(code: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``code`` starts."""
+    first = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    return first
+
+
 def _pairwise_sums(group: np.ndarray, pos: np.ndarray, w: np.ndarray,
                    groups: int, n: int) -> np.ndarray:
     """numpy's float64 sum along a contiguous axis of length ``n``, of
@@ -66,16 +73,23 @@ def _pairwise_sums(group: np.ndarray, pos: np.ndarray, w: np.ndarray,
     the last multiple of 8 in order; a longer axis splits at half its
     length, rounded down to a multiple of 8.  Adding a zero changes no
     bit, so the nonzero terms, added in the same places, give the same sum.
+    ``group`` is ascending; the accumulators are kept only for the rows
+    with terms below the cut, numbered by their runs.
     """
     if n < 8:
         return np.bincount(group, weights=w, minlength=groups)
     if n <= 128:
         cut = n - n % 8
         main = pos < cut
-        r = np.bincount(group[main] * 8 + pos[main] % 8, weights=w[main],
-                        minlength=8 * groups).reshape(groups, 8)
-        out = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
-               + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+        g = group[main]
+        first = _run_starts(g)
+        r = np.bincount((np.cumsum(first) - 1) * 8 + pos[main] % 8,
+                        weights=w[main],
+                        minlength=8 * int(first.sum())).reshape(-1, 8)
+        for step in (1, 2, 4):  # the combination above, in place
+            r[:, ::2 * step] += r[:, step::2 * step]
+        out = np.zeros(groups)
+        out[g[first]] = r[:, 0]
         if cut < n:
             np.add.at(out, group[~main], w[~main])
         return out
@@ -102,17 +116,16 @@ def _axis_sums(code: np.ndarray, pos: np.ndarray, w: np.ndarray, size: int,
     """
     if not pairwise or n < 8:  # under 8 terms numpy also sums in order
         return np.bincount(code, weights=w, minlength=size)
-    first = np.ones(code.size, dtype=bool)
-    np.not_equal(code[1:], code[:-1], out=first[1:])
+    first = _run_starts(code)
     groups = int(first.sum())
-    out = np.zeros(size)
     if groups * n <= 2 * code.size:  # rows dense enough to be laid out
         rows = np.zeros((groups, n))
         rows[np.cumsum(first) - 1, pos] = w
-        out[code[first]] = rows.sum(axis=1)
+        sums = rows.sum(axis=1)
     else:
-        out[code[first]] = _pairwise_sums(np.cumsum(first) - 1, pos, w,
-                                          groups, n)
+        sums = _pairwise_sums(np.cumsum(first) - 1, pos, w, groups, n)
+    out = np.zeros(size)
+    out[code[first]] = sums
     return out
 
 
@@ -320,35 +333,20 @@ class TranscriptLaw:
 
     @cached_property
     def _marginals(self) -> tuple:
-        """P(tau, x) (T, nx) and P(tau, y) (T, ny): the dense joint table
-        summed over y and over x.  Raises TooLarge before any of it when
-        they and the conditionals made from them would pass the byte cap:
-        24 B a cell of the two tables (the marginals, the conditionals and
-        a quotient at a time) and 32 B an atom for the sums' keys."""
+        """P(tau, x) and P(tau, y) at each atom's (k, i) and (k, j) cell:
+        the dense joint table summed over y and over x, each cell once, by
+        its number among the cells with mass (runs of the atoms, which are
+        in (k, i, j) order, and ``np.unique``).  Raises TooLarge before any
+        of it when the build's peak, 128 B an atom, would pass the cap."""
         k, i, j, _ = self.atoms
-        T = len(self.transcripts)
         nx, ny = self.source.mass.shape
-        check_bytes(24 * T * (nx + ny) + 32 * k.size,
-                    f"transcript marginals of {T:,} transcripts over "
-                    f"{nx:,} x {ny:,} inputs")
+        check_bytes(128 * k.size, f"transcript marginals of {k.size:,} atoms")
         w = self._joint
-        tx = _axis_sums(k * nx + i, j, w, T * nx, ny, True)
-        ty = _axis_sums(k * ny + j, i, w, T * ny, nx, ny == 1)
-        return tx.reshape(T, nx), ty.reshape(T, ny)
-
-    @cached_property
-    def p_tau_given_x(self) -> np.ndarray:
-        px = self.source.p_x
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(px[None, :] > 0,
-                            self._marginals[0] / px[None, :], 0.0)
-
-    @cached_property
-    def p_tau_given_y(self) -> np.ndarray:
-        py = self.source.p_y
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(py[None, :] > 0,
-                            self._marginals[1] / py[None, :], 0.0)
+        rx = np.cumsum(_run_starts(k * nx + i)) - 1
+        tx = _axis_sums(rx, j, w, int(rx[-1]) + 1, ny, True)[rx]
+        cells, ry = np.unique(k * ny + j, return_inverse=True)
+        ty = _axis_sums(ry, i, w, cells.size, nx, ny == 1)[ry]
+        return tx, ty
 
     @cached_property
     def n_rounds(self) -> int:
@@ -378,19 +376,19 @@ class TranscriptLaw:
     def _densities(self, selector: str, n=slice(None)) -> np.ndarray:
         """The density ``selector`` at the atoms ``n``: ``log2_each`` of
         the same quotients, atom by atom, for the spectra and :meth:`ic`."""
-        t, i, j, pxy = (a[n] for a in self.atoms)
-        if selector == "ic":
-            return (log2_each(pxy / self.p_tau_given_x[t, i])
-                    + log2_each(pxy / self.p_tau_given_y[t, j]))
+        _, i, j, pxy = (a[n] for a in self.atoms)
         if selector == "h_xy":
             return -log2_each(self.source.mass[i, j])
-        if selector == "compression":  # h(tau | x) + h(tau | y)
-            return (-log2_each(self.p_tau_given_x[t, i])
-                    - log2_each(self.p_tau_given_y[t, j]))
+        tx, ty = (m[n] for m in self._marginals)
+        if selector in ("ic", "compression"):  # P(tau | x) and P(tau | y)
+            cx, cy = tx / self.source.p_x[i], ty / self.source.p_y[j]
+            if selector == "ic":
+                return log2_each(pxy / cx) + log2_each(pxy / cy)
+            return -log2_each(cx) - log2_each(cy)  # h(tau | x) + h(tau | y)
         w = self._joint[n]
-        v = -log2_each(w / self._marginals[1][t, j])  # h_x_given_ypi
+        v = -log2_each(w / ty)  # h_x_given_ypi
         if selector == "hsum_ext":
-            v = v - log2_each(w / self._marginals[0][t, i])
+            v = v - log2_each(w / tx)
         return v
 
     @cached_property

@@ -46,8 +46,9 @@ def dense_joint(law):
 
 
 def dense_marginals(law):
-    """``(p_tau_given_x, p_tau_given_y)``: the dense joint summed over y
-    and over x, divided by the input marginals (0 where they vanish)."""
+    """The dense (T, nx) P(tau | x) and (T, ny) P(tau | y): the dense joint
+    summed over y and over x, divided by the input marginals (0 where they
+    vanish)."""
     joint = dense_joint(law)
     px, py = law.source.p_x, law.source.p_y
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -311,11 +311,11 @@ def _simulate_p1(source, l):
     (_simulate("dsbs^9:0.11", "p5", "exchange-bits"),
      "views of 18 rounds needs 10,600"),
     (lambda cfg: ["bound", "second-order", "--target", "data-exchange",
-                  "--source", "dsbs^10:0.11", "--eps", "0.01", "--n", "4"],
-     "transcript marginals of 1,048,576 transcripts over 1,024 x 1,024 "
-     "inputs needs 49,184"),
+                  "--source", "dsbs^12:0.11", "--eps", "0.01", "--n", "4"],
+     "transcript law of 16,777,216 transcripts and 16,777,216 atoms needs "
+     "2,944"),
 ], ids=["p1-dsbs13", "p4-dsbs13", "p4-dsbs14", "p5-data-exchange-dsbs12",
-        "p5-exchange-bits-dsbs9", "bound-data-exchange-dsbs10"])
+        "p5-exchange-bits-dsbs9", "bound-data-exchange-dsbs12"])
 def test_too_large_is_refused_in_one_line(tmp_path, command, what):
     # each is refused by the byte cap before its largest build, in one
     # line and within 10 s: no traceback, and no signal under the limit.
@@ -329,6 +329,21 @@ def test_too_large_is_refused_in_one_line(tmp_path, command, what):
     assert proc.returncode == 1
     assert proc.stderr == f"error: {what} MiB, over the 2,048 MiB cap\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "second-order", "--target", "data-exchange", "--source",
+     "dsbs^10:0.11", "--eps", "0.1"],
+    ["analyze", "--source", "dsbs^10:0.11", "--protocol", "exchange-bits"],
+], ids=["bound-data-exchange-dsbs10", "analyze-exchange-bits-dsbs10"])
+def test_law_spectra_reach_a_million_atoms(argv):
+    # the law's spectra read its marginals at its 4^10 atoms, not in dense
+    # (T, nx) and (T, ny) tables of 8^10 cells, so both fit the byte cap
+    # and a 4 GiB address space
+    proc = subprocess.run(CLI + argv, capture_output=True, text=True,
+                          preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["config"]["source"] == "dsbs^10:0.11"
 
 
 def test_eval_p1_hash_past_62_bits_fails(tmp_path):

@@ -653,8 +653,8 @@ def test_dense_law_size_cap(monkeypatch):
     # inputs, send-x's 16 atoms take 80 B each and its 4 transcripts 48 B,
     # data exchange's 16 transcripts are new pairs, 56 B more each, a round
     # view takes 80 B an atom and 8 B for each of (H, nx + ny, 2U + 1)
-    # cells, the marginals 24 B a cell of (T, nx + ny) and 32 B an atom,
-    # and the dense send-x table 8 B a cell
+    # cells, the marginals 128 B an atom, and the dense
+    # send-x table 8 B a cell
     cap = icsim.errors.BYTES_CAP
     assert cap == 2 << 30
     src = product_source(dsbs_source(0.25), 2)
@@ -666,8 +666,8 @@ def test_dense_law_size_cap(monkeypatch):
              "and 16 atoms", lambda law: data_exchange_protocol(src)),
             (80 * 16 + 8 * 8 * 9, "views of 1 round",
              lambda law: law.round_views(1)),
-            (24 * 4 * 8 + 32 * 16, "transcript marginals of 4 transcripts "
-             "over 4 x 4 inputs", lambda law: law.p_tau_given_y),
+            (128 * 16, "transcript marginals of 16 atoms",
+             lambda law: law._marginals),
             (8 * 4 * 16, "dense law table of 4 transcripts over 4 x 4 inputs",
              lambda law: law.p_tau_given_xy)]:
         for over in (False, True):
@@ -738,19 +738,25 @@ def test_price_bounds_the_build_peak(monkeypatch, build):
      lambda law: [law.round_views(t) for t in (1, 2)]),
     (lambda: _exchange_bits(5),
      lambda law: [law.round_views(t) for t in range(1, 11)]),
-    (lambda: send_value_protocol(product_source(dsbs_source(0.11), 6)),
-     lambda law: (law.p_tau_given_x, law.p_tau_given_y)),
-    (lambda: data_exchange_protocol(product_source(dsbs_source(0.11), 5)),
-     lambda law: (law.p_tau_given_x, law.p_tau_given_y)),
+    (lambda: send_value_protocol(product_source(dsbs_source(0.11), 9)),
+     lambda law: law._marginals),
+    (lambda: data_exchange_protocol(product_source(dsbs_source(0.11), 8)),
+     lambda law: law._marginals),
+    (lambda: _exchange_bits(7), lambda law: law._marginals),
+    (lambda: ProductProtocol(noisy_send_protocol(dsbs_source(0.11), 0.1),
+                             5).expand(),
+     lambda law: law._marginals),
     (lambda: send_value_protocol(product_source(dsbs_source(0.11), 6)),
      lambda law: law.p_tau_given_xy),
 ], ids=["send-x-views", "data-exchange-views", "exchange-bits-views",
-        "send-x-marginals", "data-exchange-marginals", "send-x-dense"])
+        "send-x-marginals", "data-exchange-marginals",
+        "exchange-bits-marginals", "noisy-send-product-marginals",
+        "send-x-dense"])
 def test_price_bounds_the_derived_tables_peak(monkeypatch, law, derive):
-    # every round's views together, the marginals with both conditionals,
-    # and the dense table, each from a built law: the peak is at most the
-    # price checked, up to 16 KiB of fixed overhead, on a second law after
-    # a first one untraced
+    # every round's views together, the per-atom marginals, and the dense
+    # table, each from a built law: the peak is at most the price checked,
+    # up to 16 KiB of fixed overhead, on a second law after a first one
+    # untraced
     derive(law())
     law = law()
     prices = []
