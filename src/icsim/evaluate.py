@@ -4,16 +4,16 @@ The view of a trial is the tuple (transmitter result, receiver result, x, y).
 Exact mode enumerates every seed; plug-in mode runs trials and reports the
 empirical total variation with a multinomial bootstrap confidence interval.
 
-The bootstrap draws its resamples over the observed view atoms only, in
-blocks of rows bounded by ``EXACT_BLOCK_BYTES``, so its memory does not grow
-with the view universe times the resample count.  Block ``b`` draws from its
+The bootstrap is Efron's nonparametric one: a resample draws n trials from
+the observed view counts.  Both laws sum to 1, so a resample's TV is the
+true mass it leaves short, and only the counts of the observed atoms on the
+true support are drawn, the views the truth lacks pooled into one category;
+the resample law is still the full-width multinomial's, exactly (see
+:func:`_bootstrap_tvs`).  The resamples are drawn in blocks of rows whose
+arrays are bounded by ``EXACT_BLOCK_BYTES``.  Block ``b`` draws from its
 own stream ``[master_seed, 2**31 - 1 + b]``, so the blocks run on the
 threads of :func:`icsim.simulate._in_blocks`, as the trial decode does, and
 the interval depends on the seed alone, not on the number of threads.
-numpy's multinomial spends no random numbers on a zero-probability
-category, so each block's rows are those of one full-width
-``multinomial(n, phat, size=rows)`` call on its stream; a bootstrap of one
-block is one full-width ``multinomial(n, phat, size=1000)`` call.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ BOOTSTRAP_RESAMPLES = 1000
 #: + b]``; trial chunks draw from ``[master_seed, part]`` with far smaller
 #: parts, so the streams never meet
 _BOOTSTRAP_STREAM = 2 ** 31 - 1
+#: observed atoms of at least this many trials are categories of their
+#: own in the bootstrap's multinomial; the trials of lighter ones are shared
+#: out by index draws.  On a 2-core x86 box with numpy 2.4 an index draw,
+#: with its gather and count, took 6 ns and a binomial draw of mean 4 to 32
+#: took 75 to 150 ns, so an atom is cheaper as a category from about 16
+#: trials on, where the bootstrap of send-x over dsbs^6 was fastest
+_HEAVY_COUNT = 16
 
 
 @dataclass(frozen=True)
@@ -71,52 +78,88 @@ def _aligned(true_law: FiniteDistribution, symbols,
         pos[k] = i
     tp = np.zeros(size)
     tp[:len(index)] = true_law.probs
-    w = np.zeros(size)
+    w = np.zeros(size, dtype=weights.dtype)
     w[pos] = weights
     return tp, w
 
 
-def _bootstrap_tvs(master_seed: int, n: int, phat: np.ndarray,
-                   tp: np.ndarray) -> np.ndarray:
-    """TV from ``tp`` of each of BOOTSTRAP_RESAMPLES resamples of ``phat``.
+def _shortfall(t: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """``sum((t - c / n)^+)`` along each row of counts ``c``."""
+    d = c / n
+    np.subtract(t, d, out=d)
+    return np.maximum(d, 0.0, out=d).sum(axis=1)
 
-    The resamples are cut into blocks of ``rows`` rows, at most
-    EXACT_BLOCK_BYTES of float64 at full width A, and block ``b``, of ``m``
-    rows, is equal bit for bit to
-    ``0.5 * np.abs(rng.multinomial(n, phat, size=m) / n - tp).sum(axis=1)``
-    with ``rng = np.random.default_rng([master_seed, 2**31 - 1 + b])``,
-    without that formula's temporaries.  numpy draws a resample one
-    category at a time and draws nothing for a category of zero
-    probability, so a draw over the observed atoms uses the same random
-    numbers; the last atom stays in, observed or not, because the last
-    category takes the leftover count instead of a draw.  Each block is
-    scattered into full-width rows, so every row sums its A terms in the
-    formula's order.  A block starts from rows of ``tp``, the formula's
-    term at a count of 0, and computes the terms of the drawn atoms only.
 
-    The blocks are independent, so they run on the threads of
-    :func:`icsim.simulate._in_blocks` (numpy's multinomial and ufuncs
-    release the GIL); each computes in its own buffer and calls numpy
-    only.
+def _resample(rng, n: int, p: np.ndarray, labels: np.ndarray, L: int,
+              r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``r`` bootstrap rows of ``n`` trials, drawn as :func:`_bootstrap_tvs`
+    draws them: the (r, len(p)) counts of the heavy atoms, the light pool
+    and the off-support pool, from one multinomial, and the (r, L) counts
+    of the light atoms, each row's pool count shared out by uniform draws
+    among the pool's trials, whose light atoms are ``labels``.
     """
-    A = phat.size
-    drawn = np.flatnonzero(phat)
-    if drawn[-1] != A - 1:
-        drawn = np.append(drawn, A - 1)
-    p = phat[drawn]
-    rows = max(1, EXACT_BLOCK_BYTES // (8 * A))
+    c = rng.multinomial(n, p, size=r)
+    k = c[:, -2]
+    if not L:
+        return c, np.zeros((r, 0), dtype=np.int64)
+    keys = rng.integers(0, labels.size, size=int(k.sum()))
+    np.take(labels, keys, out=keys, mode="clip")
+    # row i's draws count in bins i * L .. i * L + L - 1
+    ends = np.cumsum(k)
+    for i in range(1, r):
+        keys[ends[i - 1]:ends[i]] += i * L
+    return c, np.bincount(keys, minlength=r * L).reshape(r, L)
+
+
+def _bootstrap_tvs(master_seed: int, n: int, counts: np.ndarray,
+                   tp: np.ndarray) -> np.ndarray:
+    """TV from ``tp`` of each of BOOTSTRAP_RESAMPLES resamples of ``counts``.
+
+    A resample is a draw C of multinomial(n, counts / n).  Both laws sum to
+    1, so its TV is the mass it leaves short, ``U + sum((tp - C / n)^+)``
+    over the observed atoms with tp > 0, where U is the true mass of the
+    unobserved atoms.  Only those atoms' counts are drawn: the trials of
+    atoms the truth lacks form one pooled category, which is never read.
+
+    Each row is drawn in two steps (:func:`_resample`).  One multinomial
+    draws the atoms of at least ``_HEAVY_COUNT`` trials, one category each,
+    then the light pool, the trials of the lighter atoms, then the
+    off-support pool, last.  A row's light-pool count K is then shared out
+    by K uniform draws among the pool's trials, counted by ``bincount``.
+    By the multinomial's aggregation property the heavy counts and K have
+    the law of the full-width draw, and given K the light counts are
+    multinomial(K, their counts / pool), the law of K draws among the
+    pool's trials.  So the rows have the law of
+    ``rng.multinomial(n, counts / n)`` exactly, not approximately.
+
+    Block ``b`` of ``rows`` rows draws from its own stream ``[master_seed,
+    2**31 - 1 + b]``, so the blocks run on the threads of
+    :func:`icsim.simulate._in_blocks` (numpy's draws and ufuncs release
+    the GIL) and the output does not depend on the number of threads.
+    ``rows`` keeps each of a block's arrays within EXACT_BLOCK_BYTES: the
+    multinomial counts, the light counts and, in expectation, the index
+    draws, the largest, which are gathered and offset in place; so every
+    block allocates arrays of about the same sizes, which the allocator
+    hands on from block to block.
+    """
+    seen = counts > 0
+    on = seen & (tp > 0)
+    heavy = on & (counts >= _HEAVY_COUNT)
+    light = on & ~heavy
+    unseen = float(tp[~seen].sum())
+    th, tl = tp[heavy], tp[light]
+    H, L = th.size, tl.size
+    pool = int(counts[light].sum())
+    p = np.append(counts[heavy], [pool, n - pool - counts[heavy].sum()]) / n
+    # the pool's trials, each labelled with its light atom
+    labels = np.repeat(np.arange(L), counts[light])
+    rows = max(1, EXACT_BLOCK_BYTES // (8 * max(H + 2, L, pool)))
 
     def block(a, b):
         rng = np.random.default_rng([master_seed,
                                      _BOOTSTRAP_STREAM + a // rows])
-        d = rng.multinomial(n, p, size=b - a) / n
-        np.subtract(d, tp[drawn], out=d)
-        # allocated after the counts are freed; an undrawn atom's term
-        # |0 / n - tp| is tp, exactly
-        res = np.empty((b - a, A))
-        res[:] = tp
-        res[:, drawn] = np.abs(d, out=d)
-        return (0.5 * res.sum(axis=1),)
+        c, m = _resample(rng, n, p, labels, L, b - a)
+        return (unseen + _shortfall(th, c[:, :H], n) + _shortfall(tl, m, n),)
 
     return _in_blocks(block, BOOTSTRAP_RESAMPLES, rows)[0]
 
@@ -128,11 +171,12 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
 
     ``mode="exact"`` enumerates seeds; ``mode="plugin"`` uses ``trials``
     Monte Carlo runs (or a precomputed aggregate) and bootstraps a 95 percent
-    confidence halfwidth from the empirical counts.  The bootstrap draws
-    only the observed view atoms, in blocks of rows of bounded size, each
-    block on its own seed stream and in parallel threads; every row still
-    sums over the whole universe in order, so each block's rows are those
-    of one full-width multinomial draw on its stream, bit for bit, and the
+    confidence halfwidth from the empirical view counts.  The estimate is
+    the TV of counts / n over the whole universe of atoms; the bootstrap
+    reads each resample's TV as the true mass it leaves short, so it draws
+    only the counts of the observed atoms on the true support, pooling the
+    rest, and gets the law of the full-width multinomial exactly.  Its
+    blocks draw on their own seed streams, in parallel threads, so the
     interval depends on ``master_seed`` alone (see :func:`_bootstrap_tvs`).
     """
     true_law = engine.true_view_law()
@@ -148,11 +192,10 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
         agg = run_trials(engine, trials, master_seed)
     n = agg.trials
     tp, counts = _aligned(true_law, agg.views,
-                          np.fromiter(agg.views.values(), dtype=float,
+                          np.fromiter(agg.views.values(), dtype=np.int64,
                                       count=len(agg.views)))
-    phat = counts / n
-    value = 0.5 * float(np.abs(tp - phat).sum())
-    tvs = _bootstrap_tvs(master_seed, n, phat, tp)
+    value = 0.5 * float(np.abs(tp - counts / n).sum())
+    tvs = _bootstrap_tvs(master_seed, n, counts, tp)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return TVEstimate(value, "plugin", 0.5 * float(hi - lo), n)
 

@@ -93,8 +93,8 @@ BATCH_BYTES = 1 << 26
 #: bytes per block of hash matrices that exact mode packs and decodes at
 #: once, counted as BATCH_BYTES is; a block this small stays in cache, which
 #: decodes faster than one BATCH_BYTES block and leaves the peak memory where
-#: it was; it also bounds the float64 rows of one block of the plug-in
-#: bootstrap in :mod:`icsim.evaluate`
+#: it was; it also bounds each array of one block of the plug-in bootstrap
+#: in :mod:`icsim.evaluate`
 EXACT_BLOCK_BYTES = 1 << 21
 #: bytes per block of rows that a batch path decodes at once, counted by
 #: :func:`_kernel_bytes`; a chunk's decode runs block by block, so its

@@ -2470,7 +2470,7 @@ def test_traced_trial_threads_call_no_span_target(monkeypatch):
         return recorder
 
     tracer.wrap = recording_wrap
-    decoders, samplers = set(), set()
+    decoders, samplers = set(), []
     for name in ("_sw_kernel", "_round_kernel"):
         def spy(*args, _kernel=getattr(icsim.simulate, name)):
             decoders.add(threading.get_ident())
@@ -2479,7 +2479,7 @@ def test_traced_trial_threads_call_no_span_target(monkeypatch):
     default_rng = np.random.default_rng
 
     def recording_rng(seed):
-        samplers.add(threading.get_ident())
+        samplers.append(threading.get_ident())
         return default_rng(seed)
 
     monkeypatch.setattr(icsim.simulate, "_usable_cpus", lambda: 2)
@@ -2507,7 +2507,8 @@ def test_traced_trial_threads_call_no_span_target(monkeypatch):
         s for s, _ in callers}
     assert {t for _, t in callers} == {main}
     assert decoders - {main}  # the blocks ran on the decode threads
-    assert samplers and main not in samplers  # and the bootstrap's too
+    # and the bootstrap's 1,000 blocks too
+    assert len(samplers) == 1_000 and main not in samplers
 
 
 def test_decode_blocks_sized_by_candidate_width(monkeypatch):
@@ -2571,7 +2572,7 @@ def test_trial_decode_memory_bounded(monkeypatch):
     ({"source": "dsbs^2:0.25", "protocol": "p2", "gamma": 2.0}, 2_000),
     ({"source": "dsbs^2:0.25", "protocol": "p3", "target": "send-x",
       "gamma": 2.0, "k": 1}, 2_000),
-    # the benchmark's p4-product6 job: a 17-block bootstrap on two threads
+    # the benchmark's p4-product6 job: an 18-block bootstrap on two threads
     ({"source": "dsbs^6:0.11", "protocol": "p4", "target": "send-x",
       "gamma": 3.0}, 10_000),
     ({"source": "dsbs:0.25", "protocol": "p5", "target": "data-exchange",
