@@ -4,6 +4,14 @@ The view of a trial is the tuple (transmitter result, receiver result, x, y).
 Exact mode enumerates every seed; plug-in mode runs trials and reports the
 empirical total variation with a multinomial bootstrap confidence interval.
 
+Every law here is read as integer key rows with their masses, in the key
+space the engines' walks produce (:mod:`icsim.simulate`): the engine's
+true and exact laws come as rows ordered as their views' reprs sort, and
+a :class:`~icsim.simulate.TrialAggregate` holds its distinct rows with
+their counts.  The estimate matches rows by value, so no view tuple is
+built, sorted or looked up; the universe and its order are those of the
+view laws all the same, so the numbers keep their bits.
+
 The bootstrap is Efron's nonparametric one: a resample draws n trials from
 the observed view counts.  Both laws sum to 1, so a resample's TV is the
 true mass it leaves short, and only the counts of the observed atoms on the
@@ -28,6 +36,7 @@ from .simulate import (
     EXACT_BLOCK_BYTES,
     TrialAggregate,
     _in_blocks,
+    _unique_rows,
     run_trials,
 )
 
@@ -60,25 +69,28 @@ def exact_view_law(engine) -> FiniteDistribution:
     return engine.exact_view_law()
 
 
-def _aligned(true_law: FiniteDistribution, symbols,
+def _aligned(true_keys: np.ndarray, true_p: np.ndarray, keys: np.ndarray,
              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """True probabilities and ``weights`` on one universe of atoms.
 
-    The universe is the true atoms in their order, then the atoms of
-    ``symbols`` that the truth lacks, in their order; ``weights[k]`` belongs
-    to ``symbols[k]``.  Both returned vectors are zero off their law's atoms.
+    The atoms are distinct key rows: ``true_keys`` with their masses
+    ``true_p``, and ``keys`` with their ``weights``.  The universe is the
+    true atoms in their order, then the rows of ``keys`` that the truth
+    lacks, in their order.  Rows match by value, through one
+    :func:`~icsim.simulate._unique_rows` of both sets.  Both returned
+    vectors are zero off their law's atoms.
     """
-    index = true_law.index
-    size = len(index)
-    pos = np.empty(len(weights), dtype=np.intp)
-    for k, s in enumerate(symbols):
-        i = index.get(s)
-        if i is None:
-            i, size = size, size + 1
-        pos[k] = i
-    tp = np.zeros(size)
-    tp[:len(index)] = true_law.probs
-    w = np.zeros(size, dtype=weights.dtype)
+    T = len(true_keys)
+    uniq, inverse, _ = _unique_rows(np.concatenate([true_keys, keys]))
+    # each distinct row's place in the universe; -1 off the truth
+    place = np.full(len(uniq), -1, dtype=np.intp)
+    place[inverse[:T]] = np.arange(T)
+    pos = place[inverse[T:]]
+    new = np.flatnonzero(pos < 0)
+    pos[new] = T + np.arange(new.size)
+    tp = np.zeros(T + new.size)
+    tp[:T] = true_p
+    w = np.zeros(T + new.size, dtype=weights.dtype)
     w[pos] = weights
     return tp, w
 
@@ -178,11 +190,18 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
     rest, and gets the law of the full-width multinomial exactly.  Its
     blocks draw on their own seed streams, in parallel threads, so the
     interval depends on ``master_seed`` alone (see :func:`_bootstrap_tvs`).
+
+    Both laws are read as key rows with their masses (the engine's
+    ``true_view_rows`` and ``exact_view_rows``, or the aggregate's
+    ``keys`` and ``counts``), on the universe of :func:`_aligned`: the
+    true atoms in the order of their views' reprs, then the other atoms
+    in their order, as the view laws would give them, with no view built.
     """
-    true_law = engine.true_view_law()
+    true_keys, true_p = engine.true_view_rows()
     if mode == "exact":
-        sim_law = exact_view_law(engine)
-        tp, sp = _aligned(true_law, sim_law.symbols, sim_law.probs)
+        if not hasattr(engine, "exact_view_rows"):
+            raise OutOfRange("engine does not support exact enumeration")
+        tp, sp = _aligned(true_keys, true_p, *engine.exact_view_rows())
         return TVEstimate(0.5 * float(np.abs(tp - sp).sum()), "exact", 0.0, 0)
     if mode != "plugin":
         raise OutOfRange(f"unknown mode {mode!r}")
@@ -191,9 +210,7 @@ def measure_sim_error(engine, mode: str, trials: int = 0,
             raise OutOfRange("plugin mode needs trials >= 1")
         agg = run_trials(engine, trials, master_seed)
     n = agg.trials
-    tp, counts = _aligned(true_law, agg.views,
-                          np.fromiter(agg.views.values(), dtype=np.int64,
-                                      count=len(agg.views)))
+    tp, counts = _aligned(true_keys, true_p, agg.keys, agg.counts)
     value = 0.5 * float(np.abs(tp - counts / n).sum())
     tvs = _bootstrap_tvs(master_seed, n, counts, tp)
     lo, hi = np.percentile(tvs, [2.5, 97.5])

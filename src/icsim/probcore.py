@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -123,12 +123,18 @@ def density_ranks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """A probability mass function on an explicit finite universe."""
+    """A probability mass function on an explicit finite universe.
+
+    ``distinct`` vouches that the symbols are distinct, which skips the
+    check that hashes every symbol: :func:`icsim.simulate._key_law` passes
+    it for views of distinct key rows over alphabets of distinct symbols.
+    """
 
     symbols: tuple
     probs: np.ndarray
+    distinct: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, distinct: bool):
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
         if len(self.symbols) != probs.shape[0]:
@@ -137,7 +143,7 @@ class FiniteDistribution:
             raise OutOfRange("negative or NaN probability mass")
         if abs(float(probs.sum()) - 1.0) > NORM_TOL:
             raise OutOfRange("probabilities do not sum to one")
-        if len(set(self.symbols)) != len(self.symbols):
+        if not distinct and len(set(self.symbols)) != len(self.symbols):
             raise MismatchedSupport("duplicate symbols in universe")
 
     @cached_property
@@ -146,13 +152,6 @@ class FiniteDistribution:
 
     def prob(self, symbol) -> float:
         return float(self.probs[self.index[symbol]])
-
-    @classmethod
-    def from_counts(cls, counts: dict) -> "FiniteDistribution":
-        symbols = tuple(sorted(counts, key=_repr_key()))
-        total = float(sum(counts.values()))
-        probs = np.array([counts[s] / total for s in symbols])
-        return cls(symbols, probs)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "FiniteDistribution":
@@ -647,11 +646,6 @@ class SliceConfig:
             return 0
         i = int((value - self.lambda_min) // self.delta) + 1
         return min(i, self.n_slices)
-
-    def slice_floor(self, i: int) -> float:
-        if not 1 <= i <= self.n_slices:
-            raise OutOfRange("slice index out of range")
-        return self.lambda_min + (i - 1) * self.delta
 
     def tail_mass(self, spec: SpectrumTable) -> float:
         """Probability that the spectrum falls in the tail slice."""

@@ -454,6 +454,13 @@ class TranscriptLaw:
             raise OutOfRange("round index out of range")
         return self._round_index[t - 1].messages
 
+    def message_codes(self, t: int) -> np.ndarray:
+        """Each transcript's round-t message as its index in
+        :meth:`round_messages`; the array is the law's own, not a copy."""
+        if not 1 <= t <= self.n_rounds:
+            raise OutOfRange("round index out of range")
+        return self._round_index[t - 1].msg
+
     @cached_property
     def _views(self) -> dict:
         """Computed round views: :class:`RoundViews` by t, and

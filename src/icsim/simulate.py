@@ -22,11 +22,15 @@ in one loop per mode, ``_trial_walk`` for trials and ``_exact_walk`` for
 exact mode, and both write a round into their trial states with
 ``_write_back``.  Engine 1's trials (``_sw_trials``) give the same key
 rows, as one round whose message is x, so one layer serves all five
-engines: ``_walk_chunk`` counts a chunk of ``run_trials``, ``_walk_run``
-is the scalar ``run``, and ``_key_law`` reads an exact law's key rows.
-Engine 5 alone blanks a failed trial's messages (``_view_keys``); each
-engine's ``views_of`` turns an array of key rows into their views, a
-column at a time.  Every exact mode walks one linear part of each hash family, standing for its 2^L offsets (see
+engines: ``_walk_chunk`` counts a chunk of ``run_trials`` by its distinct
+key rows, ``_walk_run`` is the scalar ``run``, and each engine's true and
+exact view laws are key rows with their masses (``true_view_rows``,
+``exact_view_rows``), which :mod:`icsim.evaluate` compares as integer
+rows.  Engine 5 alone blanks a failed trial's messages (``_view_keys``);
+each engine's ``views_of`` turns an array of key rows into their views, a
+column at a time, and ``_canonical`` orders key rows as their views' reprs
+sort, with no view built (``_key_law``).  Every exact mode walks one
+linear part of each hash family, standing for its 2^L offsets (see
 :mod:`icsim.hashing`); engine 1 keeps its own count loop over them.
 
 The batch paths cut their trials in two units:
@@ -50,9 +54,9 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,6 +78,7 @@ from .probcore import (
     JointSource,
     SliceConfig,
     SpectrumTable,
+    _repr_key,
     auto_slice_config,
     density_ranks,
     log2_each,
@@ -104,6 +109,8 @@ TRIAL_BLOCK_BYTES = 1 << 22
 #: entries per chunk of the slice tables' scatter, which bounds its
 #: temporaries
 _SCATTER_CHUNK = 1 << 16
+#: key rows per block of views that :func:`_key_law` makes at once
+_VIEW_ROWS = 1 << 16
 #: most threads that the trial decode and the plug-in bootstrap each run
 #: on; each thread holds one block's temporaries, so this also bounds their
 #: memory on machines with many CPUs.  Both speed-ups were measured on two
@@ -129,6 +136,11 @@ class SimOutcome:
 class TrialAggregate:
     """Counts of a batch of trials.
 
+    ``keys`` holds the distinct key rows of the trials (see
+    :func:`_exact_walk`) in the order they were first seen, and ``counts``
+    the trials of each.  ``views`` counts the same trials by view, a
+    ``Counter`` in that order, built from the rows by the engine's
+    ``views_of`` on first use; the plug-in estimate reads the rows only.
     ``mismatches`` counts the trials whose view has tau_x != tau_y.  The
     round walks keep M* and the decode of a failed round, and only engine
     5 blanks a failed trial's messages (:func:`_view_keys`).  So a declared
@@ -137,10 +149,17 @@ class TrialAggregate:
     never on engine 5 (a failed view is ``(None, None, x, y)``).
     """
     trials: int
-    views: Counter
+    keys: np.ndarray       # (V, 2 R + 2) distinct key rows
+    counts: np.ndarray     # (V,) trials of each row
     bits: np.ndarray
     errors: Counter
     mismatches: int        # trials where tau_x != tau_y
+    views_of: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def views(self) -> Counter:
+        return Counter(dict(zip(self.views_of(self.keys),
+                                self.counts.tolist())))
 
     @property
     def error_rate(self) -> float:
@@ -157,21 +176,41 @@ def run_trials(engine, trials: int, master_seed: int) -> TrialAggregate:
     Chunk ``part`` of ``engine.chunk`` trials (see :func:`_trial_chunk`)
     draws all of its randomness in bulk from the stream
     ``[master_seed, part]`` and decodes in blocks of rows
-    (:func:`_in_blocks`); :func:`_walk_chunk` counts it.
+    (:func:`_in_blocks`); :func:`_walk_chunk` counts it by its distinct
+    key rows, and the chunks' rows merge in the order they are first seen.
     """
     chunk = engine.chunk
-    views: Counter = Counter()
+    keys, counts, bits = [], [], []
     errors: Counter = Counter()
-    bits, mism = [], 0
-    for part, done in enumerate(range(0, trials, chunk)):
-        v, e, b, mm = _walk_chunk(engine, min(chunk, trials - done),
-                                  [master_seed, part])
-        views.update(v)
+    mism = 0
+    # no trials still make one empty chunk, whose keys have the engine's
+    # width
+    for part, done in enumerate(range(0, max(trials, 1), chunk)):
+        k, c, e, b, mm = _walk_chunk(engine, min(chunk, trials - done),
+                                     [master_seed, part])
+        keys.append(k)
+        counts.append(c)
         errors.update(e)
         bits.append(b)
         mism += mm
-    bits = np.concatenate(bits) if bits else np.empty(0, dtype=np.int64)
-    return TrialAggregate(trials, views, bits, errors, mism)
+    return TrialAggregate(trials, *_first_seen(keys, counts),
+                          np.concatenate(bits), errors, mism, engine.views_of)
+
+
+def _first_seen(keys: list, counts: list) -> tuple:
+    """The distinct rows of the chunks' distinct rows ``keys``, in the
+    order they are first seen, each with its ``counts`` summed: the order
+    and counts of ``Counter.update`` over the chunks' views."""
+    if len(keys) == 1:
+        return keys[0], counts[0]
+    rows = np.concatenate(keys)
+    uniq, inverse, _ = _unique_rows(rows)
+    first = np.full(len(uniq), len(rows))
+    np.minimum.at(first, inverse, np.arange(len(rows)))
+    total = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(total, inverse, np.concatenate(counts))
+    order = np.argsort(first)
+    return uniq[order], total[order]
 
 
 #: the trial loop under the name the benchmark's trial spans also patch
@@ -365,10 +404,17 @@ class _OneRound:
         the walks, in order, a column at a time; a message index of -1 is
         None."""
         msgs = _objects(self.messages)
-        return list(zip(*(col.tolist() for col in (
-            msgs[keys[:, 0]], msgs[keys[:, 1]],
-            _objects(self.source.x_alphabet)[keys[:, 2]],
-            _objects(self.source.y_alphabet)[keys[:, 3]]))))
+        return list(zip(msgs[keys[:, 0]], msgs[keys[:, 1]],
+                        _objects(self.source.x_alphabet)[keys[:, 2]],
+                        _objects(self.source.y_alphabet)[keys[:, 3]]))
+
+    def _key_columns(self) -> tuple:
+        """Each key column as :func:`_repr_ranks` reads it: its symbols
+        and whether None (key -1) ranks by its repr.  M* and the decode
+        are None on some failures; x and y never are."""
+        msgs = (self.messages, True)
+        return (msgs, msgs, (self.source.x_alphabet, False),
+                (self.source.y_alphabet, False))
 
 
 def _objects(items: Sequence) -> np.ndarray:
@@ -414,6 +460,7 @@ class SlepianWolfCoder:
         self.chunk = _trial_chunk(len(source.x_alphabet), self.l, self.width)
 
     views_of = _OneRound.views_of
+    _key_columns = _OneRound._key_columns
 
     def analytic_error_bound(self) -> float:
         atyp = float(self.source.mass[~self.typical].sum())
@@ -432,6 +479,9 @@ class SlepianWolfCoder:
         return live * family_size(self.width, self.l)
 
     def exact_view_law(self) -> FiniteDistribution:
+        return _key_law(self, self.exact_view_rows)
+
+    def exact_view_rows(self) -> tuple:
         """Decode every live (x, y) against every hash family.
 
         The decode tests h(x') = h(x), where the offset cancels, so only the
@@ -439,8 +489,8 @@ class SlepianWolfCoder:
         packed once and decoded against all live pairs in one kernel call;
         each stands for its 2^l families.  A view's probability is its
         pair's mass times the number of families that produce it over the
-        family size; :func:`_key_law` reads the key rows as the round
-        walks' are read.
+        family size.  Returns the key rows, as the round walks' are read,
+        with their masses, in the order of :func:`_canonical`.
         """
         if self.exact_atom_count() > ENUMERATION_CAP:
             raise TooLarge("seed space too large for exact enumeration")
@@ -468,13 +518,17 @@ class SlepianWolfCoder:
         p, d = np.nonzero(counts)
         i, j = live_i[p], live_j[p]
         probs = self.source.mass[i, j] * counts[p, d].astype(float) / n_fam
-        return _key_law(self, np.column_stack([i, d - 1, i, j]), probs)
+        return _canonical(self, np.array([i, d - 1, i, j]).T, probs)
 
     def true_view_law(self) -> FiniteDistribution:
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        return FiniteDistribution.from_mapping(
-            {(xs[i], xs[i], xs[i], ys[j]): self.source.mass[i, j]
-             for i, j in zip(*np.nonzero(self.source.mass > 0))})
+        return _key_law(self, self.true_view_rows)
+
+    def true_view_rows(self) -> tuple:
+        """The key rows ``(x, x, x, y)`` of every live pair with its mass,
+        in the order of :func:`_canonical`."""
+        i, j = np.nonzero(self.source.mass > 0)
+        return _canonical(self, np.array([i, i, i, j]).T,
+                          self.source.mass[i, j])
 
 
 def _sw_kernel(coder: SlepianWolfCoder, xi: np.ndarray, yj: np.ndarray,
@@ -612,20 +666,26 @@ class RoundSimulator(_OneRound):
         return _walk_run(self, rng, x, y)
 
     def exact_view_law(self) -> FiniteDistribution:
-        return _walk_law(self)
+        return _key_law(self, self.exact_view_rows)
+
+    def exact_view_rows(self) -> tuple:
+        return _walk_rows(self)
 
     def true_view_law(self) -> FiniteDistribution:
-        xs, ys = self.source.x_alphabet, self.source.y_alphabet
-        mass, msgs = self.source.mass, self.messages
+        return _key_law(self, self.true_view_rows)
+
+    def true_view_rows(self) -> tuple:
+        """The key rows ``(m, m, x, y)`` of each live pair (x, y) with each
+        message x sends, from the table's support, with their masses, in
+        the order of :func:`_canonical`."""
+        mass = self.source.mass
         sup, p, _ = (a[0] for a in self.table.support)
-        # each live pair (x, y) with each message x sends, in (x, y, m) order
         i, j = np.nonzero(mass > 0)
         pair, slot = np.nonzero((p > 0)[i])
         i, j = i[pair], j[pair]
-        return FiniteDistribution.from_mapping(
-            {(msgs[c], msgs[c], xs[a], ys[b]): w for a, b, c, w in zip(
-                i.tolist(), j.tolist(), sup[i, slot].tolist(),
-                (mass[i, j] * p[i, slot]).tolist())})
+        m = sup[i, slot]
+        return _canonical(self, np.array([m, m, i, j]).T,
+                          mass[i, j] * p[i, slot])
 
 
 # ---------------------------------------------------------------------------
@@ -1034,30 +1094,44 @@ def _index_pair(source: JointSource, x, y):
     return np.array([source.x_index[x]]), np.array([source.y_index[y]])
 
 
-def _unique_rows(keys: np.ndarray):
-    """``(uniq, inverse, counts)`` of the rows of the 2-D integer array
-    ``keys``: the values and order of
-    ``np.unique(keys, axis=0, return_inverse=True, return_counts=True)``
-    (rows in ascending lexicographic order).  The columns are packed in
-    mixed radix into as few int64 codes as hold them, in order, so one
-    ``np.lexsort`` of the codes sorts the rows: an ``np.argsort`` when one
-    code holds them, as on the keys of the one-round engines."""
-    lo = keys.min(axis=0, initial=0)
+def _packed(cols, sizes) -> list:
+    """Integer columns ``cols``, column c in [0, ``sizes[c]``), packed in
+    mixed radix, in order, into as few int64 codes as hold them, so that
+    rows compare as their codes do, lexicographically."""
     codes, room = [], 0
-    for col, n in zip(keys.T - lo[:, None],
-                      (keys.max(axis=0, initial=0) - lo + 1).tolist()):
+    for col, n in zip(cols, sizes):
         if codes and room * n <= 1 << 63:
             codes[-1] = codes[-1] * n + col
             room *= n
         else:
             codes.append(col)
             room = n
-    order = (np.argsort(codes[0]) if len(codes) == 1
-             else np.lexsort(codes[::-1]))
-    first = np.empty(len(order), dtype=bool)
+    return codes
+
+
+def _code_order(codes: list) -> np.ndarray:
+    """The order that sorts rows by their codes of :func:`_packed`: one
+    ``np.lexsort``, an ``np.argsort`` when one code holds them, as on the
+    keys of the one-round engines."""
+    return (np.argsort(codes[0]) if len(codes) == 1
+            else np.lexsort(codes[::-1]))
+
+
+def _unique_rows(keys: np.ndarray):
+    """``(uniq, inverse, counts)`` of the rows of the 2-D integer array
+    ``keys``: the values and order of
+    ``np.unique(keys, axis=0, return_inverse=True, return_counts=True)``
+    (rows in ascending lexicographic order), sorted by their codes of
+    :func:`_packed`."""
+    lo = keys.min(axis=0, initial=0)
+    codes = _packed(keys.T - lo[:, None],
+                    (keys.max(axis=0, initial=0) - lo + 1).tolist())
+    order = _code_order(codes)
+    first = np.zeros(len(order), dtype=bool)
     first[:1] = True
-    np.any([c[1:] != c[:-1] for c in (c[order] for c in codes)], axis=0,
-           out=first[1:])
+    for c in codes:
+        c = c[order]
+        first[1:] |= c[1:] != c[:-1]
     starts = np.flatnonzero(first)
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
@@ -1234,31 +1308,125 @@ def _walk_run(engine, rng, x, y) -> SimOutcome:
 
 
 def _walk_chunk(engine, T: int, seed):
-    """One chunk of :func:`run_trials` on any engine: the views of its
-    distinct key rows, in row order, and the trials whose keys differ
-    between the parties in some round."""
+    """One chunk of :func:`run_trials` on any engine: its distinct key
+    rows, in row order, with the trials of each, the cause counts, the
+    bits, and the trials whose keys differ between the parties in some
+    round."""
     batch = _trials(engine, np.random.default_rng(seed), T)
     keys = batch.keys
     uniq, _, counts = _unique_rows(keys)
-    views = Counter(dict(zip(engine.views_of(uniq), counts.tolist())))
     R = keys.shape[1] // 2 - 1
     mism = int(np.any(keys[:, :R] != keys[:, R:2 * R], axis=1).sum())
-    return views, _cause_counts(batch.cause), batch.bits, mism
+    return uniq, counts, _cause_counts(batch.cause), batch.bits, mism
 
 
-def _key_law(engine, keys: np.ndarray, p: np.ndarray) -> FiniteDistribution:
-    """The exact view law of any engine from its distinct key rows
-    ``keys`` and their masses ``p``, the rows read by ``engine.views_of``."""
-    return FiniteDistribution.from_mapping(
-        dict(zip(engine.views_of(keys), p.tolist())))
+def _repr_ranks(symbols: Sequence, none_by_repr: bool):
+    """The rank of each of ``symbols`` in the order of their reprs, then
+    the rank of None, read at key -1: by its repr among them if
+    ``none_by_repr``, else last.  None when the order of the column's
+    reprs may differ from that of the views' reprs (see
+    :func:`_canonical`): when a repr is a prefix of another, equal ones
+    included, that goes on with a character not above ``,``; or when two
+    symbols are equal.  If one repr extends a with such a character, the
+    repr right after a in sorted order does, so neighbours alone are
+    compared."""
+    reprs = [repr(s) for s in symbols] + ["None"] * none_by_repr
+    order = sorted(range(len(reprs)), key=reprs.__getitem__)
+    for a, b in zip(order, order[1:]):
+        ra, rb = reprs[a], reprs[b]
+        if rb.startswith(ra) and rb[len(ra):len(ra) + 1] <= ",":
+            return None
+    if len(set(symbols)) < len(symbols):
+        return None
+    ranks = [len(symbols)] * (len(symbols) + 1)
+    for rank, k in enumerate(order):
+        ranks[k] = rank
+    return np.array(ranks, dtype=np.int64)
 
 
-def _walk_law(engine) -> FiniteDistribution:
-    """Exact view law of engines 2 to 5: :func:`_exact_walk` on the
-    engine's ``tables``, its keys as :func:`_view_keys` leaves them, each
-    distinct row's terms summed left to right (:func:`_merge_rows`)."""
+def _view_ranks(engine) -> list | None:
+    """:func:`_repr_ranks` of each of the engine's key columns, each
+    alphabet ranked once, or None if one of them has none."""
+    memo: dict = {}
+    ranks = []
+    for symbols, none_by_repr in engine._key_columns():
+        key = (id(symbols), none_by_repr)
+        if key not in memo:
+            memo[key] = _repr_ranks(symbols, none_by_repr)
+        if memo[key] is None:
+            return None
+        ranks.append(memo[key])
+    return ranks
+
+
+def _canonical(engine, keys: np.ndarray, p: np.ndarray) -> tuple:
+    """The distinct key rows ``keys`` and their masses ``p`` in the order
+    in which ``FiniteDistribution.from_mapping`` sorts their views, by
+    :func:`~icsim.probcore._repr_key`, with no view built.
+
+    A view's repr joins the reprs of its key columns' symbols with fixed
+    text between them: ``"(" + a + ", " + b + ", " + x + ", " + y + ")"``
+    for engines 1 to 4, each party's history spelled out round by round
+    on engine 5.  Two rows' reprs agree up to the first column where the
+    rows differ, so they compare as that column's reprs do, unless one of
+    those is a proper prefix of the other: then the text after the
+    shorter one, ``,`` or ``)``, meets a character of the longer one.  No
+    column of numbers, strings, tuples or None has such a pair whose
+    longer repr goes on with a character at or below ``,`` (and so
+    none below ``)`` either; :func:`_repr_ranks` checks this per column),
+    so the views' repr order is the lexicographic order of the columns'
+    repr ranks: each alphabet is ranked once and the rows are sorted by
+    their packed ranks (:func:`_packed`).  An engine whose columns fail
+    the check is sorted by its views' reprs, as ``from_mapping`` sorts
+    them.
+    """
+    ranks = _view_ranks(engine)
+    if ranks is None:
+        key = _repr_key()
+        views = engine.views_of(keys)
+        order = sorted(range(len(views)), key=lambda k: key(views[k]))
+    else:
+        codes = _packed((r[c] for r, c in zip(ranks, keys.T)),
+                        [r.size for r in ranks])
+        if len(codes) == 1 and (codes[0][1:] > codes[0][:-1]).all():
+            # rows in index order over alphabets sorted by repr
+            return keys, p
+        order = _code_order(codes)
+    return keys[order], p[order]
+
+
+def _key_law(engine, rows: Callable) -> FiniteDistribution:
+    """The view law of any engine from ``rows()``, its distinct key rows
+    in the order of :func:`_canonical` and their masses: the law that
+    ``FiniteDistribution.from_mapping`` makes of their views, with no sort
+    and no hash of a view.  Distinct rows over alphabets of distinct
+    symbols are distinct views; an engine that fails the check of
+    :func:`_canonical` goes through ``from_mapping``.
+
+    The views are made ``_VIEW_ROWS`` rows at a time, so their object
+    columns stay small, and the rows are dropped before the views are
+    copied into the law's tuple: at the peak the law's views and masses
+    live with the rows and one list of the views.
+    """
+    keys, p = rows()
+    if _view_ranks(engine) is None:
+        return FiniteDistribution.from_mapping(
+            dict(zip(engine.views_of(keys), p.tolist())))
+    views = []
+    for a in range(0, len(keys), _VIEW_ROWS):
+        views += engine.views_of(keys[a:a + _VIEW_ROWS])
+    del keys
+    return FiniteDistribution(tuple(views), p, distinct=True)
+
+
+def _walk_rows(engine) -> tuple:
+    """Exact view law of engines 2 to 5 as key rows and masses:
+    :func:`_exact_walk` on the engine's ``tables``, its keys as
+    :func:`_view_keys` leaves them, each distinct row's terms summed left
+    to right (:func:`_merge_rows`), in the order of :func:`_canonical`."""
     keys, cause, p = _exact_walk(engine.tables, engine.source, engine.l_max)
-    return _key_law(engine, *_merge_rows(_view_keys(engine, keys, cause), p))
+    return _canonical(engine,
+                      *_merge_rows(_view_keys(engine, keys, cause), p))
 
 
 # ---------------------------------------------------------------------------
@@ -1443,17 +1611,36 @@ class ProtocolSimulator:
                 for failed, a, b, x, y in zip((keys[:, 0] < 0).tolist(),
                                               hist_x, hist_y, xs, ys)]
 
+    def _key_columns(self) -> tuple:
+        """Each key column as :func:`_repr_ranks` reads it (see
+        ``_OneRound._key_columns``): each party's round messages, then x
+        and y.  A history's repr is ``"(" + m_1 + ", " + ... + m_R +
+        ")"``, ``"(" + m_1 + ",)"`` at R = 1.  A failed trial's view
+        ``(None, None, x, y)`` sorts after every other, since ``N`` is
+        above the ``(`` that opens a history: its message columns are all
+        -1, so None ranks last."""
+        hist = tuple((tab.inner.messages, False) for tab in self.tables)
+        return hist + hist + ((self.src.x_alphabet, False),
+                              (self.src.y_alphabet, False))
+
     def true_view_law(self) -> FiniteDistribution:
-        taus, xs, ys = self.law.transcripts, self.src.x_alphabet, \
-            self.src.y_alphabet
+        return _key_law(self, self.true_view_rows)
+
+    def true_view_rows(self) -> tuple:
+        """The key rows of the law's atoms, both parties holding the
+        transcript's round messages, with their masses, in the order of
+        :func:`_canonical`."""
         k, i, j, p = self.law.atoms
-        return FiniteDistribution.from_mapping(
-            {(taus[a], taus[a], xs[b], ys[c]): w for a, b, c, w in zip(
-                k.tolist(), i.tolist(), j.tolist(),
-                (p * self.src.mass[i, j]).tolist())})
+        m = [self.law.message_codes(t)[k]
+             for t in range(1, self.law.n_rounds + 1)]
+        return _canonical(self, np.array(m + m + [i, j]).T,
+                          p * self.src.mass[i, j])
 
     def exact_view_law(self) -> FiniteDistribution:
-        return _walk_law(self)
+        return _key_law(self, self.exact_view_rows)
+
+    def exact_view_rows(self) -> tuple:
+        return _walk_rows(self)
 
 
 def _tables_bytes(views, t: int, plan: RoundPlan) -> int:

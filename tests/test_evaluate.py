@@ -337,9 +337,8 @@ def test_plugin_estimate_matches_one_shot(monkeypatch, cfg, trials, rows):
     engine = build_engine(cfg)
     for seed in (1, 7):
         agg = run_trials(engine, trials, seed)
-        true_law = engine.true_view_law()
         tp, counts = icsim.evaluate._aligned(
-            true_law, agg.views, np.array(list(agg.views.values())))
+            *engine.true_view_rows(), agg.keys, agg.counts)
         if rows is not None:
             _block_rows(monkeypatch, rows, counts, tp)
         est, made = _recorded(monkeypatch, lambda: measure_sim_error(

@@ -70,6 +70,7 @@ from icsim.simulate import (
     _RoundTables,
     _column_lists,
     _conditional_density,
+    _first_seen,
     _kernel_bytes,
     _pick_slice,
     _round_kernel,
@@ -1547,12 +1548,13 @@ def test_round_run_trials_chunks_on_part_streams(make, monkeypatch):
     agg = run_trials(engine, 700, 9)
     views, errors, bits, mism = Counter(), Counter(), [], 0
     for part, n in enumerate((300, 300, 100)):
-        v, e, b, mm = _walk_chunk(engine, n, [9, part])
-        views.update(v)
+        k, c, e, b, mm = _walk_chunk(engine, n, [9, part])
+        views.update(dict(zip(engine.views_of(k), c.tolist())))
         errors.update(e)
         bits.append(b)
         mism += mm
-    assert agg.views == views and agg.errors == errors
+    assert list(agg.views.items()) == list(views.items())
+    assert agg.errors == errors
     assert np.array_equal(agg.bits, np.concatenate(bits))
     assert agg.mismatches == mism
 
@@ -1653,6 +1655,24 @@ def test_unique_rows_matches_np_unique(keys):
     assert np.array_equal(uniq[inverse], keys)
 
 
+def test_first_seen_merges_chunks_as_counter_update():
+    # run_trials merges its chunks' distinct rows in the order they are
+    # first seen, as Counter.update merged the chunks' views
+    rng = np.random.default_rng(3)
+    keys, counts, ref = [], [], Counter()
+    for n in (40, 60, 1, 80):
+        k, _, c = _unique_rows(rng.integers(-1, 4, size=(n, 4)))
+        keys.append(k)
+        counts.append(c)
+        ref.update(dict(zip(map(tuple, k.tolist()), c.tolist())))
+    rows, total = _first_seen(keys, counts)
+    assert list(zip(map(tuple, rows.tolist()), total.tolist())) == \
+        list(ref.items())
+    assert total.dtype == np.int64
+    one = _first_seen(keys[:1], counts[:1])
+    assert one[0] is keys[0] and one[1] is counts[0]
+
+
 def test_write_back_ends_unknown_histories_and_spent_budgets():
     """Round 1 of 2 written back as both walks write it: M* and the decode
     into the keys, also when the round failed; the bits, past ``l_max``
@@ -1749,22 +1769,20 @@ def test_round_true_view_law_matches_pair_loop(make):
     assert law.probs.tobytes() == ref.probs.tobytes()
 
 
-def test_round_true_view_law_joins_pairs_with_the_support(monkeypatch):
+def test_round_true_view_law_joins_pairs_with_the_support():
     # engine 2 over dsbs^8 has 256 x values, 256 y values and 256
     # messages: an (x, y, m) mask of the live triples is 16 MiB, while the
-    # 65,536 views with their weights take about 13.  The sort of
-    # FiniteDistribution.from_mapping, common to both, is left out
+    # key form of the true law, 65,536 rows of 4 int64 keys with their
+    # weights, takes 2.5 MiB
     engine = build_engine({"source": "dsbs^8:0.11", "protocol": "p2",
                            "gamma": 3.0})
-    monkeypatch.setattr(icsim.simulate, "FiniteDistribution",
-                        SimpleNamespace(from_mapping=len))
     tracemalloc.start()
     try:
-        views = engine.true_view_law()
+        keys, p = engine.true_view_rows()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert views == 1 << 16
+    assert keys.shape == (1 << 16, 4) and p.shape == (1 << 16,)
     assert peak < 16 << 20, peak
 
 
@@ -2503,8 +2521,9 @@ def test_traced_trial_threads_call_no_span_target(monkeypatch):
     finally:
         tracer.restore()
     main = threading.get_ident()
-    assert {"simulate.build", "simulate.driver", "evaluate.true_law"} <= {
-        s for s, _ in callers}
+    # the estimate reads the engine's true law as key rows, through no
+    # span target (true_view_law is one)
+    assert {"simulate.build", "simulate.driver"} <= {s for s, _ in callers}
     assert {t for _, t in callers} == {main}
     assert decoders - {main}  # the blocks ran on the decode threads
     # and the bootstrap's 1,000 blocks too
