@@ -42,6 +42,10 @@ _LOOP_ATOMS = 32
 #: ``math.log2`` of each distinct value once, which is faster there than one
 #: call per entry
 _UNIQUE_LOG_ENTRIES = 384
+#: peak bytes an atom of taking a spectrum's densities at its atoms and
+#: merging them: about 81 B measured (index and value arrays, the sort
+#: order, the merge's groups), and the atom's source mass
+SPECTRUM_ATOM_BYTES = 96
 #: entries per chunk of :func:`density_ranks`, which bounds its temporaries
 _RANK_CHUNK = 1 << 16
 #: tolerance used when comparing tail masses against a threshold
@@ -584,8 +588,19 @@ def spectrum(obj, selector: str) -> SpectrumTable:
         if selector not in DENSITY_KINDS:
             raise OutOfRange(f"unknown density kind {selector!r}")
         # every atom of positive mass at once, with the float operations of
-        # entropy_density; the conditionals are positive wherever mass is
-        i, j = np.nonzero(obj.mass > 0)
+        # entropy_density; the conditionals are positive wherever mass is.
+        # Priced first, with 8 B a cell of each conditional it builds
+        live = obj.mass > 0
+        n = int(np.count_nonzero(live))
+        new = {"cond_x_given_y": ("p_x_given_y",),
+               "cond_y_given_x": ("p_y_given_x",),
+               "sum": ("p_x_given_y", "p_y_given_x"),
+               "mutual": ("p_x_given_y",)}.get(selector, ())
+        check_bytes(SPECTRUM_ATOM_BYTES * n + 8 * obj.mass.size * sum(
+            name not in obj.__dict__ for name in new),
+                    f"{selector} spectrum of {n:,} atoms")
+        i, j = np.nonzero(live)
+        del live
         probs = obj.mass[i, j]
         if selector == "joint":
             vals = -log2_each(probs)

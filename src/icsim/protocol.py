@@ -4,8 +4,9 @@ A protocol over a :class:`~icsim.probcore.JointSource` is represented by its
 transcript law P(transcript | x, y), kept as its positive atoms, together
 with a decomposition of each transcript into rounds, where consecutive
 rounds are spoken by alternating parties (party "x" speaks the odd rounds).
+A transcript is a row of integer codes into its rounds' message universes.
 Everything downstream (densities, spectra, simulation, bounds) is computed
-from these atoms.
+from the atoms and codes, with no Python object per transcript.
 
 Large constructions that would not fit as explicit laws (iid products,
 protocol mixtures, the two-threshold example on n-bit inputs) are kept in
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .probcore import (
     NORM_TOL,
+    SPECTRUM_ATOM_BYTES,
     JointSource,
     SpectrumTable,
     _source_bytes,
@@ -43,9 +44,6 @@ from .probcore import (
 )
 
 LAW_SELECTORS = ("ic", "h_xy", "h_x_given_ypi", "hsum_ext", "compression")
-#: ``TranscriptLaw._round_index`` numbers the histories of at most this many
-#: transcripts with dicts, which is faster there than its numpy calls
-_LOOP_TRANSCRIPTS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +176,20 @@ class RoundView:
 class RoundViews:
     """Every view of one round, stacked on a leading history axis.
 
-    History h is ``histories[h]``, in the order of
-    :meth:`TranscriptLaw.histories`, and message u is ``messages[u]``, the
-    round's sorted universe.  ``present[h, u]`` says whether some
-    transcript continues history h with message u; a view's columns are
-    its present messages, and the conditionals are 0 elsewhere.  ``atoms``
-    holds ``(h, u, i, j, weight)`` in row-major (h, u, i, j) order, so
-    each view's atoms are a contiguous run.  ``next[h, u]`` is the
-    history index of ``histories[h] + (messages[u],)`` in the next round,
-    -1 if it has no mass there; None in the last round.  ``densities``
+    History h is the h-th of :meth:`TranscriptLaw.histories`, and message
+    u is ``messages[u]``, the round's sorted universe.  ``present[h, u]``
+    says whether some transcript continues history h with message u; a
+    view's columns are its present messages, and the conditionals are 0
+    elsewhere.  ``atoms`` holds ``(h, u, i, j, weight)`` in row-major
+    (h, u, i, j) order, so each view's atoms are a contiguous run.
+    ``next[h, u]`` is the next round's index of history h followed by
+    message u, -1 if that has no mass; None in the last round.  ``densities``
     holds, for party x then party y, its density -log2 P(m | own input,
     history) at every atom, as ``(values, rank)`` of
     :func:`~icsim.probcore.density_ranks`: the one set of floats that the
     round's spectra and slice tables read.
     """
 
-    histories: tuple
     messages: tuple
     present: np.ndarray       # (H, U)
     p_m_given_x: np.ndarray   # (H, nx, U)
@@ -224,36 +220,44 @@ class RoundViews:
         return view
 
 
-@dataclass(frozen=True)
-class _RoundIndex:
-    """Round t's structure: for each transcript k, the index ``hist[k]``
-    of its history in ``histories`` (-1 when that history has no mass)
-    and ``msg[k]`` of its round-t message in ``messages``."""
+def _column(symbols: Sequence) -> tuple:
+    """``(messages, code)`` of one round's messages ``symbols``: the
+    distinct ones sorted by ``repr``, and each entry's index among them."""
+    messages = tuple(sorted(set(symbols), key=repr))
+    index = {m: u for u, m in enumerate(messages)}
+    return messages, np.fromiter(map(index.__getitem__, symbols), np.int64,
+                                 len(symbols))
 
-    histories: tuple
-    messages: tuple
-    hist: np.ndarray
-    msg: np.ndarray
 
-    def present(self) -> np.ndarray:
-        """(H, U): which messages some transcript of each history sends."""
-        present = np.zeros((len(self.histories), len(self.messages)),
-                           dtype=bool)
-        ks = np.flatnonzero(self.hist >= 0)
-        present[self.hist[ks], self.msg[ks]] = True
-        return present
+def coded(transcripts: Sequence) -> tuple:
+    """``(messages, codes)``, as :class:`TranscriptLaw` keeps them, of
+    transcripts given as tuples of one message per round; MismatchedSupport
+    on transcripts of different numbers of rounds or duplicates."""
+    if len({len(tau) for tau in transcripts}) > 1:
+        raise MismatchedSupport("transcripts have different numbers of "
+                                "rounds")
+    if len(set(transcripts)) != len(transcripts):
+        raise MismatchedSupport("duplicate transcripts")
+    messages, codes = zip(*map(_column, zip(*transcripts)))
+    return messages, np.stack(codes, axis=1)
 
 
 @dataclass(frozen=True)
 class TranscriptLaw:
     """Conditional law of a protocol's transcript, as its positive atoms.
 
-    ``transcripts[k]`` holds one message for each round of the law; party
-    "x" speaks rounds 1, 3, ... and "y" rounds 2, 4, ...  ``atoms`` holds
-    arrays ``(k, i, j, p)``, read-only: every (transcript, x, y) of positive
-    joint mass P(tau | x, y) P(x, y), in row-major (k, i, j) order, with
+    A transcript holds one message for each round; party "x" speaks rounds
+    1, 3, ... and "y" rounds 2, 4, ...  ``messages[t - 1]`` is round t's
+    universe, the messages of round t sorted by ``repr``, and the read-only
+    (T, R) int64 array ``codes`` holds transcript k's round-t message as
+    its index there, at ``codes[k, t - 1]``.  ``atoms`` holds arrays
+    ``(k, i, j, p)``, read-only: every (transcript, x, y) of positive joint
+    mass P(tau | x, y) P(x, y), in row-major (k, i, j) order, with
     p = P(tau | x, y).  Build a law with :meth:`from_index` (deterministic
-    targets) or :meth:`from_table` (a dense conditional table).
+    targets) or :meth:`from_table` (a dense conditional table), from
+    tuples through :func:`coded`.  :attr:`transcripts` and
+    :meth:`histories` spell the codes out as tuples on first use; no
+    spectrum, view or engine reads them.
 
     Each derived quantity is summed from the atoms in the order the dense
     (T, nx, ny) computation sums it (see :func:`_axis_sums`), so it has
@@ -261,26 +265,22 @@ class TranscriptLaw:
     """
 
     source: JointSource
-    transcripts: tuple
+    messages: tuple
+    codes: np.ndarray
     atoms: tuple
 
     def __post_init__(self):
-        if len(set(self.transcripts)) != len(self.transcripts):
-            raise MismatchedSupport("duplicate transcripts")
-        if len({len(tau) for tau in self.transcripts}) > 1:
-            raise MismatchedSupport("transcripts have different numbers of "
-                                    "rounds")
-        _read_only(*self.atoms)
+        _read_only(self.codes, *self.atoms)
 
     @classmethod
-    def from_table(cls, source: JointSource, transcripts: Sequence,
-                   table: np.ndarray) -> TranscriptLaw:
-        """The law of a dense table P(tau | x, y), shape (T, nx, ny),
-        checked and then kept as its atoms; entries off the source support
-        are dropped."""
+    def from_table(cls, source: JointSource, messages: tuple,
+                   codes: np.ndarray, table: np.ndarray) -> TranscriptLaw:
+        """The law of a dense table P(tau | x, y), shape (T, nx, ny), over
+        the transcripts ``codes`` of ``messages``, checked and then kept as
+        its atoms; entries off the source support are dropped."""
         p = np.asarray(table, dtype=float)
         nx, ny = source.mass.shape
-        if p.shape != (len(transcripts), nx, ny):
+        if p.shape != (len(codes), nx, ny):
             raise MismatchedSupport("conditional table shape is wrong")
         if np.any(p < -NORM_TOL):
             raise OutOfRange("negative transcript probability")
@@ -289,19 +289,19 @@ class TranscriptLaw:
             raise SupportViolation(
                 "transcript law does not normalize on the source support")
         k, i, j = np.nonzero(p * source.mass > 0)
-        return cls(source, tuple(transcripts), (k, i, j, p[k, i, j]))
+        return cls(source, messages, codes, (k, i, j, p[k, i, j]))
 
     @classmethod
-    def from_index(cls, source: JointSource, transcripts: Sequence,
-                   index: np.ndarray) -> TranscriptLaw:
-        """The deterministic law that sends ``transcripts[index[i, j]]`` at
-        (x_i, y_j).  Raises TooLarge, before its atoms are built, when they
-        would pass the byte cap (see :func:`_check_law`)."""
+    def from_index(cls, source: JointSource, messages: tuple,
+                   codes: np.ndarray, index: np.ndarray) -> TranscriptLaw:
+        """The deterministic law that sends transcript ``index[i, j]`` of
+        ``codes`` at (x_i, y_j).  Raises TooLarge, before its atoms are
+        built, when they would pass the byte cap (see :func:`_check_law`)."""
         nx, ny = source.mass.shape
-        _check_law(len(transcripts), nx * ny)
+        _check_law(len(codes), nx * ny, len(messages))
         idx = np.asarray(index)
         if idx.shape != (nx, ny) or not (
-                (idx >= 0).all() and (idx < len(transcripts)).all()):
+                (idx >= 0).all() and (idx < len(codes)).all()):
             raise MismatchedSupport(
                 "transcript index table must map each (x, y) to a transcript")
         i, j = np.nonzero(source.mass > 0)
@@ -309,21 +309,29 @@ class TranscriptLaw:
         if not _increasing(k, strict=False):
             order = np.argsort(k, kind="stable")
             k, i, j = k[order], i[order], j[order]
-        return cls(source, tuple(transcripts), (k, i, j, np.ones(k.size)))
+        return cls(source, messages, codes, (k, i, j, np.ones(k.size)))
+
+    @cached_property
+    def transcripts(self) -> tuple:
+        """Every transcript as the tuple of its round messages, in code
+        order; spelled out on first use, for tests and reports."""
+        return self._spelled(np.arange(len(self.codes)), self.n_rounds)
+
+    def _spelled(self, rows: np.ndarray, rounds: int) -> tuple:
+        """The transcripts ``rows``, cut to their first ``rounds`` rounds,
+        as tuples of messages."""
+        return tuple(zip(*(map(m.__getitem__, c.tolist()) for m, c in zip(
+            self.messages, self.codes[rows, :rounds].T)))) or ((),) * len(rows)
 
     @cached_property
     def p_tau_given_xy(self) -> np.ndarray:
         """The dense table P(tau | x, y), (T, nx, ny), 0 off the source
         support; built on first use, and read by no engine."""
-        _check_dense(len(self.transcripts), *self.source.mass.shape, 8)
+        _check_dense(len(self.codes), *self.source.mass.shape, 8)
         k, i, j, p = self.atoms
-        out = np.zeros((len(self.transcripts),) + self.source.mass.shape)
+        out = np.zeros((len(self.codes),) + self.source.mass.shape)
         out[k, i, j] = p
         return out
-
-    @cached_property
-    def transcript_index(self) -> dict:
-        return {t: i for i, t in enumerate(self.transcripts)}
 
     @cached_property
     def _joint(self) -> np.ndarray:
@@ -348,29 +356,42 @@ class TranscriptLaw:
         ty = _axis_sums(ry, i, w, cells.size, nx, ny == 1)[ry]
         return tx, ty
 
-    @cached_property
+    @property
     def n_rounds(self) -> int:
-        return max(len(t) for t in self.transcripts)
+        return len(self.messages)
 
     def ic(self, tau, x, y) -> float:
-        t = self.transcript_index[tau]
-        i, j = self.source.x_index[x], self.source.y_index[y]
-        k, ai, aj, _ = self.atoms
-        nx, ny = self.source.mass.shape
-        keys = (k * nx + ai) * ny + aj   # ascending: the atoms' order
-        key = (t * nx + i) * ny + j
-        n = int(np.searchsorted(keys, key))
-        if n == keys.size or keys[n] != key:
+        """The ic density at the atom (tau, x, y).  Raises AlphabetMismatch
+        when x or y is no input symbol, and ZeroMassAtom when tau is no
+        transcript of the law or the atom has no mass."""
+        if x not in self.source.x_index or y not in self.source.y_index:
+            raise AlphabetMismatch(f"({x!r}, {y!r}) is no pair of inputs")
+        code = ([u.index(m) if m in u else -1
+                 for m, u in zip(tau, self.messages)]
+                if len(tau) == self.n_rounds else -1)
+        k, i, j, _ = self.atoms
+        n = np.flatnonzero((i == self.source.x_index[x])
+                           & (j == self.source.y_index[y]))
+        n = n[(self.codes[k[n]] == code).all(axis=1)]
+        if not n.size:
             raise ZeroMassAtom("transcript has zero probability here")
-        return float(self._densities("ic", slice(n, n + 1))[0])
+        return float(self._densities("ic", n)[0])
 
     def spectrum(self, selector: str) -> SpectrumTable:
         """Information spectrum of a density involving the transcript.
 
-        Its atoms are the law's atoms, valued by :meth:`_densities`.
+        Its atoms are the law's atoms, valued by :meth:`_densities`.  It is
+        priced first: the law's and its source's arrays, held,
+        ``SPECTRUM_ATOM_BYTES`` an atom, and 24 B an atom for the joint
+        masses and marginals when it builds them.
         """
         if selector not in LAW_SELECTORS:
             raise OutOfRange(f"unknown selector {selector!r}")
+        n = self.atoms[0].size
+        check_bytes(sum(a.nbytes for a in (self.codes, self.source.mass,
+                                           *self.atoms)) + n * (
+            SPECTRUM_ATOM_BYTES + 24 * ("_marginals" not in self.__dict__)),
+                    f"{selector} spectrum of {n:,} atoms")
         return SpectrumTable.from_atoms(self._densities(selector), self._joint)
 
     def _densities(self, selector: str, n=slice(None)) -> np.ndarray:
@@ -399,73 +420,47 @@ class TranscriptLaw:
 
     @cached_property
     def _round_index(self) -> tuple:
-        """One :class:`_RoundIndex` per round.  Each round's messages are
-        read off one column of the transcripts and coded by C-level maps;
-        a transcript's history is an integer prefix code, made of the
-        previous round's code and message, and the histories with mass are
-        numbered in the order of their first transcript: by ``np.unique``,
-        or by dicts on laws of at most ``_LOOP_TRANSCRIPTS`` transcripts,
-        where numpy's calls cost more than the loop."""
-        T = len(self.transcripts)
-        massive = np.zeros(T, dtype=bool)
-        massive[self.atoms[0]] = True
-        live = np.flatnonzero(massive)
-        small = T <= _LOOP_TRANSCRIPTS
-        prefix = [0] * T if small else np.zeros(T, dtype=np.int64)
-        out = []
-        for t, column in enumerate(zip(*self.transcripts), start=1):
-            messages = tuple(sorted(set(column), key=repr))
-            msg = np.fromiter(map({m: u for u, m in enumerate(
-                messages)}.__getitem__, column), np.int64, T)
-            if small:
-                first: dict = {}  # prefix code -> its first live transcript
-                for k in live.tolist():
-                    first.setdefault(prefix[k], k)
-                rank = {c: r for r, c in enumerate(first)}
-                hist = np.fromiter((rank.get(c, -1) for c in prefix),
-                                   np.int64, T)
-                first = list(first.values())
-                codes: dict = {}
-                prefix = [codes.setdefault(c, len(codes)) for c in zip(
-                    prefix, msg.tolist())]
-            else:
-                codes, first = np.unique(prefix[live], return_index=True)
-                order = np.argsort(first)
-                rank = np.full(T, -1, dtype=np.int64)
-                rank[codes[order]] = np.arange(order.size)
-                hist, first = rank[prefix], live[first[order]].tolist()
-                prefix = np.unique(prefix * len(messages) + msg,
-                                   return_inverse=True)[1].ravel()
-            out.append(_RoundIndex(tuple(self.transcripts[k][:t - 1]
-                                         for k in first), messages, hist, msg))
+        """``(first, hist)`` of each round: history h's first transcript
+        ``first[h]``, and transcript k's history ``hist[k]``, -1 without
+        mass.  Histories with mass are numbered in the order of their first
+        transcript, from a prefix code per transcript: its round-1 message
+        in round 2, then the last round's code and message, renumbered by
+        ``np.unique`` when they would reach T."""
+        T, R = self.codes.shape
+        k = self.atoms[0]
+        live = k[_run_starts(k)]   # the atoms come in transcript order
+        out = [(live[:1], np.zeros(T, dtype=np.int64))]
+        prefix = self.codes[:, 0]
+        for t in range(2, R + 1):
+            keys, first = np.unique(prefix[live], return_index=True)
+            order = np.argsort(first)
+            rank = np.full(T, -1, dtype=np.int64)
+            rank[keys[order]] = np.arange(order.size)
+            out.append((live[first[order]], rank[prefix]))
+            if t < R:
+                prefix = prefix * len(self.messages[t - 1]) \
+                    + self.codes[:, t - 1]
+                if prefix.max() >= T:
+                    prefix = np.unique(prefix, return_inverse=True)[1].ravel()
         return tuple(out)
 
     def histories(self, t: int) -> tuple:
         """Distinct transcript prefixes of length t - 1 with positive mass,
-        in the order of the first transcript that has each."""
+        in the order of the first transcript that has each; spelled out on
+        first use."""
         if not 1 <= t <= self.n_rounds:
             raise OutOfRange("round index out of range")
-        return self._round_index[t - 1].histories
-
-    def round_messages(self, t: int) -> tuple:
-        """Every message spoken at round t across all histories, sorted
-        by ``repr``."""
-        if not 1 <= t <= self.n_rounds:
-            raise OutOfRange("round index out of range")
-        return self._round_index[t - 1].messages
-
-    def message_codes(self, t: int) -> np.ndarray:
-        """Each transcript's round-t message as its index in
-        :meth:`round_messages`; the array is the law's own, not a copy."""
-        if not 1 <= t <= self.n_rounds:
-            raise OutOfRange("round index out of range")
-        return self._round_index[t - 1].msg
+        if ("histories", t) not in self._views:
+            self._views[("histories", t)] = self._spelled(
+                self._round_index[t - 1][0], t - 1)
+        return self._views[("histories", t)]
 
     @cached_property
     def _views(self) -> dict:
         """Computed round views: :class:`RoundViews` by t, and
-        :class:`RoundView` by (t, hist); and the round density spectra of
-        :func:`icsim.simulate.round_density_spectrum` by (t, side)."""
+        :class:`RoundView` by (t, hist); the round density spectra of
+        :func:`icsim.simulate.round_density_spectrum` by (t, side); and
+        :meth:`histories` by ("histories", t)."""
         return {}
 
     def round_views(self, t: int) -> RoundViews:
@@ -489,10 +484,10 @@ class TranscriptLaw:
         its H histories and U messages."""
         nx, ny = self.source.mass.shape
         R = self.n_rounds
-        check_bytes(sum(8 * len(index.histories) * (nx + ny)
-                        * (2 * len(index.messages) + 1)
+        check_bytes(sum(8 * first.size * (nx + ny) * (2 * len(messages) + 1)
                         + 80 * self.atoms[0].size
-                        for index in self._round_index),
+                        for (first, _), messages in zip(self._round_index,
+                                                        self.messages)),
                     f"views of {R} round{'s' * (R > 1)}")
 
     def round_view(self, t: int, hist: tuple) -> RoundView:
@@ -502,9 +497,8 @@ class TranscriptLaw:
         if view is None:
             if not 1 <= t <= self.n_rounds or hist not in self.histories(t):
                 raise SupportViolation("history never occurs in this law")
-            views = self.round_views(t)
-            view = self._views[(t, hist)] = views.view(
-                views.histories.index(hist))
+            view = self._views[(t, hist)] = self.round_views(t).view(
+                self.histories(t).index(hist))
         return view
 
     def _round_views(self, t: int) -> RoundViews:
@@ -525,13 +519,14 @@ class TranscriptLaw:
         temporary is freed once it is read.  :meth:`round_views` prices it
         first (see :meth:`_check_views`).
         """
-        index = self._round_index[t - 1]
-        present = index.present()
-        H, U = present.shape
+        (first, hist), msg = self._round_index[t - 1], self.codes[:, t - 1]
+        H, U = first.size, len(self.messages[t - 1])
+        present, ks = np.zeros((H, U), dtype=bool), hist >= 0
+        present[hist[ks], msg[ks]] = True
         nx, ny = self.source.mass.shape
         k, i, j, p = self.atoms
         # every atom's history has mass, so it has an index
-        hh, uu = index.hist[k], index.msg[k]
+        hh, uu = hist[k], msg[k]
         key = ((hh * U + uu) * nx + i) * ny + j
         if _increasing(key):
             p_hm, ii, jj = p, i, j   # P(hist + m | x, y)
@@ -611,12 +606,11 @@ class TranscriptLaw:
             for cond, row in zip(conds, atoms[2:4]))
         nxt = None
         if t < self.n_rounds:
-            ahead = self._round_index[t]
-            cont = np.flatnonzero(ahead.hist >= 0)
-            nxt = np.full((H, U), -1, dtype=np.int64)
-            nxt[index.hist[cont], index.msg[cont]] = ahead.hist[cont]
-        views = RoundViews(index.histories, index.messages, present, *conds,
-                           prior, atoms, nxt, densities)
+            ahead = self._round_index[t][1]
+            nxt, cont = np.full((H, U), -1, dtype=np.int64), ahead >= 0
+            nxt[hist[cont], msg[cont]] = ahead[cont]
+        views = RoundViews(self.messages[t - 1], present, *conds, prior,
+                           atoms, nxt, densities)
         _read_only(views.present, views.p_m_given_x, views.p_m_given_y,
                    views.prior, *views.atoms,
                    *(rank for _, rank in densities))
@@ -651,14 +645,10 @@ class ProtocolTree:
     def from_json(cls, doc: str | dict) -> "ProtocolTree":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        nodes = []
-        for nd in doc["nodes"]:
-            nodes.append(TreeNode(
-                owner=nd["owner"],
-                bit_one={k: float(v) for k, v in nd["bit_one"].items()},
-                children=tuple(nd["children"]),
-            ))
-        return cls(tuple(nodes))
+        return cls(tuple(TreeNode(
+            owner=nd["owner"],
+            bit_one={k: float(v) for k, v in nd["bit_one"].items()},
+            children=tuple(nd["children"])) for nd in doc["nodes"]))
 
 
 def transcript_law(tree: ProtocolTree, source: JointSource) -> TranscriptLaw:
@@ -707,7 +697,7 @@ def transcript_law(tree: ProtocolTree, source: JointSource) -> TranscriptLaw:
     transcripts = tuple(r[0] + ("",) * (R - len(r[0])) for r in results)
     _check_dense(len(results), nx, ny)
     vx, vy = (np.stack([r[n] for r in results]) for n in (1, 2))
-    return TranscriptLaw.from_table(source, transcripts,
+    return TranscriptLaw.from_table(source, *coded(transcripts),
                                     vx[:, :, None] * vy[:, None, :])
 
 
@@ -731,24 +721,13 @@ def _runs(bits: str, owners: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _tuple_bytes(shape: tuple) -> int:
-    """Bytes of a new nested tuple of ``shape``: a tuple of ``shape[0]``
-    slots, each holding a new tuple of ``shape[1:]``; the innermost slots
-    hold shared objects (symbols, messages), which cost nothing more."""
-    if not shape:
-        return 0
-    return sys.getsizeof(()) + shape[0] * (8 + _tuple_bytes(shape[1:]))
-
-
-def _check_law(transcripts: int, atoms: int, shape: tuple = (),
-               held: int = 0):
-    """Raise TooLarge before a law of at most ``atoms`` atoms is built, or
-    its ``transcripts`` transcripts, new tuples of ``shape``, are listed,
-    when the build's peak, with the ``held`` bytes it keeps, would pass the
-    byte cap: an atom takes 80 B then, in its four arrays, their sort and
-    its joint mass, and a transcript its tuples and 48 B more, its slots in
-    the list being made and in the law's duplicate check."""
-    check_bytes(held + 80 * atoms + transcripts * (48 + _tuple_bytes(shape)),
+def _check_law(transcripts: int, atoms: int, rounds: int, held: int = 0):
+    """Raise TooLarge before a law of at most ``atoms`` atoms, and the
+    codes of its ``transcripts`` transcripts of ``rounds`` rounds, are
+    built when the build's peak, with the ``held`` bytes it keeps, would
+    pass the byte cap: 80 B an atom (its four arrays, their sort and its
+    joint mass), and 8 B a round and 24 B a transcript for its codes."""
+    check_bytes(held + 80 * atoms + transcripts * (8 * rounds + 24),
                 f"transcript law of {transcripts:,} transcripts and "
                 f"{atoms:,} atoms")
 
@@ -770,9 +749,9 @@ def one_round_protocol(source: JointSource, channel: np.ndarray,
     if ch.shape != (nx, len(messages)):
         raise MismatchedSupport("channel shape disagrees with alphabet")
     _check_dense(len(messages), nx, ny)
-    transcripts = tuple((m,) for m in messages)
     table = np.repeat(ch.T[:, :, None], ny, axis=2)
-    return TranscriptLaw.from_table(source, transcripts, table)
+    return TranscriptLaw.from_table(
+        source, *coded(tuple((m,) for m in messages)), table)
 
 
 def two_round_protocol(source: JointSource, channel1: np.ndarray,
@@ -790,15 +769,16 @@ def two_round_protocol(source: JointSource, channel1: np.ndarray,
     transcripts = tuple((m1, m2) for m1 in messages1 for m2 in messages2)
     # (m1, m2, x, y): P(m1 | x) P(m2 | y, m1)
     table = ch1.T[:, None, :, None] * ch2.transpose(1, 2, 0)[:, :, None, :]
-    return TranscriptLaw.from_table(source, transcripts,
+    return TranscriptLaw.from_table(source, *coded(transcripts),
                                     table.reshape(-1, nx, ny))
 
 
 def send_value_protocol(source: JointSource) -> TranscriptLaw:
     """Deterministic one-round protocol announcing X."""
     nx, ny = source.mass.shape
+    messages, code = _column(source.x_alphabet)
     return TranscriptLaw.from_index(
-        source, tuple((x,) for x in source.x_alphabet),
+        source, (messages,), code[:, None],
         np.repeat(np.arange(nx)[:, None], ny, axis=1))
 
 
@@ -819,13 +799,7 @@ def data_exchange_protocol(source: JointSource) -> TranscriptLaw:
     Simulating this protocol is the omniscient-coordinator data exchange
     problem; its ic density equals the sum conditional entropy density.
     """
-    nx, ny = source.mass.shape
-    # nx * ny transcripts, (x, y) pairs: check the size before listing them
-    _check_law(nx * ny, nx * ny, (2,))
-    return TranscriptLaw.from_index(
-        source, tuple((x, y) for x in source.x_alphabet
-                      for y in source.y_alphabet),
-        np.arange(nx * ny).reshape(nx, ny))
+    return _exchange(source, [source.x_alphabet], [source.y_alphabet])
 
 
 def exchange_bits_protocol(source: JointSource) -> TranscriptLaw:
@@ -843,26 +817,39 @@ def exchange_bits_protocol(source: JointSource) -> TranscriptLaw:
     if len({len(s) for s in xs + ys}) != 1:
         raise AlphabetMismatch(
             "bit exchange needs x and y inputs of one number of coordinates")
-    nx, ny = source.mass.shape
-    # nx * ny transcripts, tuples of 2m coordinates
-    _check_law(nx * ny, nx * ny, (2 * len(xs[0]),))
-    return TranscriptLaw.from_index(
-        source, tuple(tuple(v for pair in zip(x, y) for v in pair)
-                      for x in xs for y in ys),
-        np.arange(nx * ny).reshape(nx, ny))
+    return _exchange(source, list(zip(*xs)), list(zip(*ys)))
+
+
+def _exchange(source: JointSource, xs: list, ys: list) -> TranscriptLaw:
+    """The deterministic law whose transcript a ny + b, at (x_a, y_b),
+    sends coordinates ``xs[c][a]`` and ``ys[c][b]`` in turn for each c:
+    its codes are theirs, interleaved."""
+    nx, ny, m = len(xs[0]), len(ys[0]), len(xs)
+    _check_law(nx * ny, nx * ny, 2 * m)  # before any code is made
+    codes = np.empty((nx, ny, m, 2), dtype=np.int64)
+    messages = []
+    for c in range(m):
+        (mx, cx), (my, cy) = _column(xs[c]), _column(ys[c])
+        codes[:, :, c, 0] = cx[:, None]
+        codes[:, :, c, 1] = cy
+        messages += [mx, my]
+    return TranscriptLaw.from_index(source, tuple(messages),
+                                    codes.reshape(nx * ny, 2 * m),
+                                    np.arange(nx * ny).reshape(nx, ny))
 
 
 def xor_reply_protocol(source: JointSource) -> TranscriptLaw:
     """X announced, then party "y" replies with the parity X xor Y."""
     if source.x_alphabet != (0, 1) or source.y_alphabet != (0, 1):
         raise AlphabetMismatch("parity reply needs binary alphabets (0, 1)")
-    return TranscriptLaw.from_index(source, ((0, 0), (0, 1), (1, 0), (1, 1)),
-                                    np.array([[0, 1], [3, 2]]))
+    return TranscriptLaw.from_index(
+        source, *coded(((0, 0), (0, 1), (1, 0), (1, 1))),
+        np.array([[0, 1], [3, 2]]))
 
 
 def constant_protocol(source: JointSource) -> TranscriptLaw:
     """One fixed message regardless of inputs; zero information complexity."""
-    return TranscriptLaw.from_index(source, (("0",),),
+    return TranscriptLaw.from_index(source, *coded((("0",),)),
                                     np.zeros(source.mass.shape, dtype=int))
 
 
@@ -896,26 +883,34 @@ class ProductProtocol:
         messages.  Its atoms are n-tuples of base atoms: k = k1 T + k2 (so
         i and j), p = p1 p2 multiplied left to right, kept at positive
         joint mass in row-major (k, i, j) order."""
-        base = self.base
-        if self.n == 1:
+        base, n = self.base, self.n
+        if n == 1:
             return base
-        T, R = len(base.transcripts), base.n_rounds
+        T, R = base.codes.shape
         nx, ny = base.source.mass.shape
-        # T^n transcripts, each R tuples of n messages; every n-tuple of
-        # base atoms is a candidate atom; the product source is held
-        _check_law(T ** self.n, base.atoms[0].size ** self.n, (R, self.n),
-                   _source_bytes(nx ** self.n, ny ** self.n))
-        source = product_source(base.source, self.n)
+        # T^n transcripts of R rounds; every n-tuple of base atoms is a
+        # candidate atom; the product source is held
+        _check_law(T ** n, base.atoms[0].size ** n, R,
+                   _source_bytes(nx ** n, ny ** n))
+        source = product_source(base.source, n)
         k, i, j, p = bk, bi, bj, bp = base.atoms
-        for _ in range(self.n - 1):
+        c = bc = base.codes
+        for _ in range(n - 1):
             k = (k[:, None] * T + bk).ravel()
             i = (i[:, None] * nx + bi).ravel()
             j = (j[:, None] * ny + bj).ravel()
             p = (p[:, None] * bp).ravel()
+            c = (c[:, None] * [len(m) for m in base.messages] + bc).reshape(
+                -1, R)
         keep = np.flatnonzero(p * source.mass[i, j] > 0)
         keep = keep[np.lexsort((j[keep], i[keep], k[keep]))]
-        copies = itertools.product(base.transcripts, repeat=self.n)
-        return TranscriptLaw(source, tuple(tuple(zip(*c)) for c in copies),
+        # round t's message is the n-tuple of the copies', numbered in mixed
+        # radix in ``c``, then among the n-tuples sorted by repr
+        said = [_column(list(itertools.product(m, repeat=n)))
+                for m in base.messages]
+        for t, (_, rank) in enumerate(said):
+            c[:, t] = rank[c[:, t]]
+        return TranscriptLaw(source, tuple(m for m, _ in said), c,
                              (k[keep], i[keep], j[keep], p[keep]))
 
 
@@ -1061,18 +1056,22 @@ class ThresholdExample:
         source or transcripts are made when its build would pass the byte
         cap (see :func:`_check_law`)."""
         size, t = 1 << self.n, self.threshold
-        # 3 + t^2 transcripts, 4-tuples of the alphabet's symbols
-        _check_law(3 + t * t, size * size, (4,))
+        _check_law(3 + t * t, size * size, 4)
         alphabet = tuple(range(1, size + 1))
         source = JointSource(alphabet, alphabet,
                              np.full((size, size), 1.0 / size ** 2))
-        transcripts = (((1, 1, "-", "-"), (1, 0, "-", "-"), (0, 1, "-", "-"))
-                       + tuple((0, 0, x, y) for x in alphabet[:t]
-                               for y in alphabet[:t]))
+        # rounds 3 and 4 send "-" (code d) or a low input (codes low)
+        said, code = _column(("-",) + alphabet[:t])
+        d, low = code[0], code[1:]
+        a, b = np.divmod(np.arange(t * t), t)
+        codes = np.concatenate([[[1, 1, d, d], [1, 0, d, d], [0, 1, d, d]],
+                                np.stack([0 * a, 0 * a, low[a], low[b]], 1)])
         v = np.arange(size)[:, None]  # x - 1 down the rows, y - 1 along v.T
-        low = v < t
-        index = np.where(low & low.T, 3 + v * t + v.T, 2 * low + low.T)
-        return TranscriptLaw.from_index(source, transcripts, index)
+        below = v < t
+        index = np.where(below & below.T, 3 + v * t + v.T,
+                         2 * below + below.T)
+        return TranscriptLaw.from_index(source, ((0, 1), (0, 1), said, said),
+                                        codes, index)
 
 
 def appendix_threshold_example(n: int) -> ThresholdExample:

@@ -1631,9 +1631,8 @@ class ProtocolSimulator:
         transcript's round messages, with their masses, in the order of
         :func:`_canonical`."""
         k, i, j, p = self.law.atoms
-        m = [self.law.message_codes(t)[k]
-             for t in range(1, self.law.n_rounds + 1)]
-        return _canonical(self, np.array(m + m + [i, j]).T,
+        m = self.law.codes[k]
+        return _canonical(self, np.column_stack([m, m, i, j]),
                           p * self.src.mass[i, j])
 
     def exact_view_law(self) -> FiniteDistribution:

@@ -306,21 +306,23 @@ def _simulate_p1(source, l):
     (_simulate("dsbs^14:0.11", "p4", "send-x"),
      "product source of 16,384 x 16,384 inputs needs 3,096"),
     (_simulate("dsbs^12:0.11", "p5", "data-exchange"),
-     "transcript law of 16,777,216 transcripts and 16,777,216 atoms needs "
-     "2,944"),
+     "views of 2 rounds needs 2,100,480"),
     (_simulate("dsbs^9:0.11", "p5", "exchange-bits"),
      "views of 18 rounds needs 10,600"),
     (lambda cfg: ["bound", "second-order", "--target", "data-exchange",
                   "--source", "dsbs^12:0.11", "--eps", "0.01", "--n", "4"],
-     "transcript law of 16,777,216 transcripts and 16,777,216 atoms needs "
-     "2,944"),
+     "ic spectrum of 16,777,216 atoms needs 2,816"),
+    (lambda cfg: ["analyze", "--source", "dsbs^13:0.11"],
+     "cond_x_given_y spectrum of 67,108,864 atoms needs 6,656"),
 ], ids=["p1-dsbs13", "p4-dsbs13", "p4-dsbs14", "p5-data-exchange-dsbs12",
-        "p5-exchange-bits-dsbs9", "bound-data-exchange-dsbs12"])
+        "p5-exchange-bits-dsbs9", "bound-data-exchange-dsbs12",
+        "analyze-dsbs13"])
 def test_too_large_is_refused_in_one_line(tmp_path, command, what):
     # each is refused by the byte cap before its largest build, in one
     # line and within 10 s: no traceback, and no signal under the limit.
     # The 18-round exchange is priced on all its rounds' views together,
-    # before the first is built
+    # before the first is built; data exchange over dsbs^12 is a law of
+    # 1,920 MiB, within the cap, refused at its views or its ic spectrum
     t0 = time.monotonic()
     proc = subprocess.run(
         CLI + command(tmp_path / "cfg.json"), capture_output=True, text=True,

@@ -15,6 +15,7 @@ import pytest
 import icsim.cli
 import icsim.simulate
 from icsim.errors import TooLarge
+from icsim.evaluate import measure_sim_error
 from icsim.probcore import (
     FiniteDistribution,
     JointSource,
@@ -32,6 +33,7 @@ from icsim.protocol import (
     TranscriptLaw,
     _axis_sums,
     _pairwise_sums,
+    coded,
     constant_protocol,
     data_exchange_protocol,
     exchange_bits_protocol,
@@ -174,7 +176,7 @@ def test_atom_law_matches_dense_reference(name):
     sim = ProtocolSimulator(law, plans)
     for t in range(1, law.n_rounds + 1):
         assert law.histories(t) == dense_histories(law, t)
-        assert law.round_messages(t) == dense_round_messages(law, t)
+        assert law.messages[t - 1] == dense_round_messages(law, t)
         for hist in law.histories(t):
             view = law.round_view(t, hist)
             msgs, p_m_x, p_m_y, p_m_xy, joint_h = dense_round_view(law, t,
@@ -305,6 +307,20 @@ def test_exchange_bits_over_dsbs_is_data_exchange():
     assert all(_same(u, v) for u, v in zip(a.atoms, b.atoms))
 
 
+def test_engines_and_spectra_read_codes_not_transcripts():
+    # engine 5 on data exchange, as the p5-exchange benchmark builds and
+    # estimates it, and an ic spectrum over dsbs^4 never spell out the
+    # transcripts as tuples
+    engine = icsim.cli.build_engine(
+        {"source": "dsbs:0.25", "protocol": "p5", "target": "data-exchange",
+         "gamma": 2.0, "k_override": 0})
+    measure_sim_error(engine, "plugin", trials=200, master_seed=1)
+    law = exchange_bits_protocol(product_source(dsbs_source(0.11), 4))
+    law.spectrum("ic")
+    for made in (engine.law, law):
+        assert "transcripts" not in made.__dict__
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_exchange_bits_exact_matches_dense_build(m):
     src = product_source(dsbs_source(0.25), m)
@@ -315,8 +331,8 @@ def test_exchange_bits_exact_matches_dense_build(m):
     for i, x in enumerate(src.x_alphabet):
         for j, y in enumerate(src.y_alphabet):
             tau = tuple(v for pair in zip(x, y) for v in pair)
-            table[law.transcript_index[tau], i, j] = 1.0
-    dense = TranscriptLaw.from_table(src, law.transcripts, table)
+            table[law.transcripts.index(tau), i, j] = 1.0
+    dense = TranscriptLaw.from_table(src, *coded(law.transcripts), table)
     laws = []
     for made in (law, dense):
         sim = ProtocolSimulator(made, auto_round_plans(made, gamma=2.0),
@@ -371,8 +387,8 @@ def _setup_laws():
                            ("data-exchange", data_exchange_protocol),
                            ("exchange-bits", exchange_bits_protocol)):
             yield f"{name}-{s}", lambda make=make, src=src: make(src)
-    # past _LOOP_TRANSCRIPTS transcripts, _round_index numbers the
-    # histories by np.unique instead of dicts
+    # 1,024 transcripts of 10 rounds, whose history codes reach T from
+    # round 7 on, so _round_index renumbers them by np.unique
     yield "exchange-bits-dsbs^5", lambda: exchange_bits_protocol(
         product_source(dsbs_source(0.2), 5))
     for s, src in (("dsbs^1", dsbs_source(0.2)), ("gappy", _GAPPY_BINARY),
@@ -406,7 +422,7 @@ def test_one_pass_setup_matches_the_derivation_it_replaced(name):
     sim = ProtocolSimulator(law, plans)
     for t, (plan, tab) in enumerate(zip(plans, sim.tables), start=1):
         views = law.round_views(t)
-        assert views.histories == dense_histories(law, t)
+        assert law.histories(t) == dense_histories(law, t)
         p_tx, p_rx, prior, nxt = dense_round_inputs(law, t)
         own = (p_tx, p_rx) if t % 2 else (p_rx, p_tx)
         assert _equal(views.p_m_given_x, own[0])

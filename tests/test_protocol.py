@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +31,7 @@ from icsim.protocol import (
     ThresholdExample,
     TranscriptLaw,
     appendix_threshold_example,
+    coded,
     constant_protocol,
     data_exchange_protocol,
     exchange_bits_protocol,
@@ -90,11 +90,22 @@ class TestSendValue:
     # (x, y) = (1, 0) has no mass
     lambda: noisy_send_protocol(JointSource(
         (0, 1), (0, 1), np.array([[0.5, 0.2], [0.0, 0.3]])), 0.15),
-], ids=["data-exchange", "noisy-send"])
+    lambda: send_value_protocol(dsbs_source(0.25)),
+], ids=["data-exchange", "noisy-send", "send-x"])
 def test_ic_density_reads_the_atoms(make):
     # law.ic is the dense ic density on every atom, raises ZeroMassAtom off
-    # them, and builds no dense table
+    # them and at a transcript the law does not have (2 is no message, and
+    # a transcript has n_rounds of them), AlphabetMismatch at a symbol
+    # outside the alphabets, and builds no dense table
     law = make()
+    tau, x, y = law.transcripts[0], law.source.x_alphabet[0], \
+        law.source.y_alphabet[0]
+    for foreign in ((2,) * law.n_rounds, tau + tau, tau[:-1]):
+        with pytest.raises(ZeroMassAtom):
+            law.ic(foreign, x, y)
+    for pair in ((2, y), (x, 2)):
+        with pytest.raises(AlphabetMismatch):
+            law.ic(tau, *pair)
     xs, ys, taus = law.source.x_alphabet, law.source.y_alphabet, \
         law.transcripts
     live = list(zip(*(a.tolist() for a in law.atoms[:3])))
@@ -230,7 +241,7 @@ class TestTree:
         ]}
         law = transcript_law(ProtocolTree.from_json(doc), dsbs_source(0.1))
         assert law.transcripts == (("0", ""), ("1", "0"), ("1", "1"))
-        assert law.round_messages(2) == ("", "0", "1")
+        assert law.messages[1] == ("", "0", "1")
         engine = ProtocolSimulator(law, auto_round_plans(law, gamma=3.0))
         tv = measure_sim_error(engine, "exact").value
         assert tv == pytest.approx(0.05078125, abs=1e-9)
@@ -238,7 +249,7 @@ class TestTree:
     def test_ragged_transcripts_rejected(self):
         src = dsbs_source(0.1)
         with pytest.raises(MismatchedSupport, match="numbers of rounds"):
-            TranscriptLaw.from_index(src, (("0",), ("1", "0")),
+            TranscriptLaw.from_index(src, *coded((("0",), ("1", "0"))),
                                      np.array([[0, 0], [1, 1]]))
 
     def test_unknown_symbol(self):
@@ -253,7 +264,7 @@ class TestRoundStructure:
         law = data_exchange_protocol(dsbs_source(0.25))
         assert law.histories(1) == ((),)
         assert set(law.histories(2)) == {(0,), (1,)}
-        assert law.round_messages(2) == (0, 1)
+        assert law.messages[1] == (0, 1)
 
     def test_round_view_normalizes(self):
         law = data_exchange_protocol(dsbs_source(0.25))
@@ -472,7 +483,7 @@ class TestProduct:
                               2).expand()
         assert law.n_rounds == 2
         assert law.transcripts[1] == ((0, 0), (0, 1))
-        assert law.round_messages(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert law.messages[1] == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_send_x_product_simulates_as_send_x(self):
         # engine 5 gives round 1 to x on both laws, so the views agree
@@ -486,14 +497,12 @@ class TestProduct:
         assert tvs[0] == tvs[1] == 0.016306152343938524
 
     def test_expand_checks_the_law_size(self, monkeypatch):
-        # data exchange over dsbs^2 squared: 256 transcripts, each a tuple
-        # of two rounds' new pairs and 48 B more, 256 candidate atoms, 80 B
-        # each, and the 16 x 16 product source held, 12 B a cell and 768 B
-        # a symbol
+        # data exchange over dsbs^2 squared: 256 transcripts, each the
+        # codes of two rounds, 8 B each, and 24 B more, 256 candidate atoms,
+        # 80 B each, and the 16 x 16 product source held, 12 B a cell and
+        # 768 B a symbol
         base = data_exchange_protocol(product_source(dsbs_source(0.25), 2))
-        pair = sys.getsizeof(()) + 16
-        price = (256 * (48 + sys.getsizeof(()) + 2 * (8 + pair)) + 256 * 80
-                 + 12 * 256 + 768 * 32)
+        price = 256 * (8 * 2 + 24) + 256 * 80 + 12 * 256 + 768 * 32
         monkeypatch.setattr(icsim.errors, "BYTES_CAP", price - 1)
         tracemalloc.start()
         try:
@@ -589,7 +598,7 @@ class TestThresholdExample:
             (1, 1, "-", "-"), (1, 0, "-", "-"), (0, 1, "-", "-"),
             *((0, 0, x, y) for x in range(1, 5) for y in range(1, 5)))
         # each party's first message is its own side of t
-        assert law.round_messages(1) == law.round_messages(2) == (0, 1)
+        assert law.messages[0] == law.messages[1] == (0, 1)
         view = law.round_view(1, ())
         assert view.p_m_given_x.tolist() == [[0.0, 1.0] if x > 4
                                              else [1.0, 0.0]
@@ -650,20 +659,22 @@ def test_one_round_channel_shape_guard():
 
 def test_dense_law_size_cap(monkeypatch):
     # the cap prices what is built, at each build's peak: over 4 x 4
-    # inputs, send-x's 16 atoms take 80 B each and its 4 transcripts 48 B,
-    # data exchange's 16 transcripts are new pairs, 56 B more each, a round
-    # view takes 80 B an atom and 8 B for each of (H, nx + ny, 2U + 1)
-    # cells, the marginals 128 B an atom, and the dense
-    # send-x table 8 B a cell
+    # inputs, send-x's 16 atoms take 80 B each and its 4 transcripts 8 B a
+    # round and 24 B more, data exchange's 16 transcripts 8 B more each, a
+    # round view takes 80 B an atom and 8 B for each of (H, nx + ny, 2U + 1)
+    # cells, the marginals 128 B an atom, the ic spectrum the law's 672 B
+    # (four 8 B arrays of atoms, 4 codes and 16 masses) and 120 B an atom,
+    # and the dense send-x table 8 B a cell
     cap = icsim.errors.BYTES_CAP
     assert cap == 2 << 30
     src = product_source(dsbs_source(0.25), 2)
-    pair = sys.getsizeof(()) + 16
     for price, match, build in [
-            (80 * 16 + 48 * 4, "transcript law of 4 transcripts and 16 atoms",
+            (80 * 16 + 32 * 4, "transcript law of 4 transcripts and 16 atoms",
              lambda law: send_value_protocol(src)),
-            (80 * 16 + (48 + pair) * 16, "transcript law of 16 transcripts "
-             "and 16 atoms", lambda law: data_exchange_protocol(src)),
+            (80 * 16 + 40 * 16, "transcript law of 16 transcripts and 16 "
+             "atoms", lambda law: data_exchange_protocol(src)),
+            (4 * 8 * 16 + 8 * 4 + 8 * 16 + 120 * 16, "ic spectrum of 16 atoms",
+             lambda law: law.spectrum("ic")),
             (80 * 16 + 8 * 8 * 9, "views of 1 round",
              lambda law: law.round_views(1)),
             (128 * 16, "transcript marginals of 16 atoms",
@@ -706,8 +717,12 @@ def _two_round(m):
     lambda: ProductProtocol(data_exchange_protocol(
         product_source(dsbs_source(0.25), 2)), 3).expand(),
     lambda: ThresholdExample(n=8, delta=1 / 8).expand(),
+    lambda: spectrum(product_source(dsbs_source(0.11), 6), "sum"),
+    lambda: data_exchange_protocol(
+        product_source(dsbs_source(0.11), 5)).spectrum("ic"),
 ], ids=["product-source", "send-x", "data-exchange", "exchange-bits",
-        "two-round", "product-send-x", "product-data-exchange", "threshold"])
+        "two-round", "product-send-x", "product-data-exchange", "threshold",
+        "source-spectrum", "data-exchange-ic-spectrum"])
 def test_price_bounds_the_build_peak(monkeypatch, build):
     # each build's tracemalloc peak is at most the largest price checked
     # while it runs (a product's law price holds its source's), up to 16 KiB

@@ -825,7 +825,7 @@ def _history_inputs(sim):
     """
     law, inputs = sim.law, {}
     for t in range(1, law.n_rounds + 1):
-        universe = law.round_messages(t)
+        universe = law.messages[t - 1]
         index = {m: a for a, m in enumerate(universe)}
         src = law.source if t % 2 else JointSource(
             law.source.y_alphabet, law.source.x_alphabet, law.source.mass.T)
@@ -848,7 +848,7 @@ def _history_engines(sim):
     engines = {}
     for (t, hist), (src, p_tx, p_rx, prior) in _history_inputs(sim).items():
         plan = sim.plans[t - 1]
-        view = RoundView(sim.law.round_messages(t), p_tx, p_rx, prior, ())
+        view = RoundView(sim.law.messages[t - 1], p_tx, p_rx, prior, ())
         engines[(t, hist)] = ImprovedRoundSimulator(
             src, view, plan.rx, plan.tx, sim.k_override)
     return engines
@@ -1192,7 +1192,7 @@ def test_round_tables_match_history_engines(name):
                 assert _same_array(tab.k_of, [e.k_of(j) for j in range(n_j)])
                 assert tab.j_cost == e.j_cost
             first, inner = engs[0], tab.inner
-            assert inner.messages == first.messages == law.round_messages(t)
+            assert inner.messages == first.messages == law.messages[t - 1]
             assert (inner.width, inner.l, inner.delta, inner.n_slices,
                     inner.total_hash_bits, inner.chunk) == (
                 first.width, first.l, first.delta, first.n_slices,
@@ -2777,7 +2777,7 @@ def _count_view_computations(monkeypatch) -> Counter:
 
     def spy(law, t):
         views = compute(law, t)
-        counts.update((id(law), t, hist) for hist in views.histories)
+        counts.update((id(law), t, hist) for hist in law.histories(t))
         return views
 
     monkeypatch.setattr(TranscriptLaw, "_round_views", spy)

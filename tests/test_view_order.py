@@ -21,7 +21,7 @@ from icsim.cli import build_engine
 from icsim.errors import TooLarge
 from icsim.probcore import FiniteDistribution, JointSource, SliceConfig, \
     _repr_key
-from icsim.protocol import TranscriptLaw
+from icsim.protocol import TranscriptLaw, coded
 from icsim.simulate import (
     ProtocolSimulator,
     RoundPlan,
@@ -109,11 +109,11 @@ def test_protocol_order_is_the_repr_order(xs, ys, rounds, data, seed):
             for _ in range(nx * ny)}
     taus = sorted(taus, key=repr)
     index = rng.integers(len(taus), size=(nx, ny))
-    law = TranscriptLaw.from_index(src, taus, index)
+    law = TranscriptLaw.from_index(src, *coded(taus), index)
     plan = RoundPlan(SliceConfig(0.0, 2.0, 1.0, 1.0),
                      SliceConfig(0.0, 1e-9, 1e-9, 1.0))
     engine = ProtocolSimulator(law, [plan] * law.n_rounds)
-    sizes = [len(law.round_messages(t)) for t in range(1, rounds + 1)]
+    sizes = [len(law.messages[t - 1]) for t in range(1, rounds + 1)]
     cols = [(0, u - 1) for u in sizes] * 2 + [(0, nx - 1), (0, ny - 1)]
     keys = _rows(rng, cols, 40)
     failed = rng.random(len(keys)) < 0.3
