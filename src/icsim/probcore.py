@@ -592,12 +592,12 @@ def spectrum(obj, selector: str) -> SpectrumTable:
         # Priced first, with 8 B a cell of each conditional it builds
         live = obj.mass > 0
         n = int(np.count_nonzero(live))
-        new = {"cond_x_given_y": ("p_x_given_y",),
-               "cond_y_given_x": ("p_y_given_x",),
-               "sum": ("p_x_given_y", "p_y_given_x"),
-               "mutual": ("p_x_given_y",)}.get(selector, ())
-        check_bytes(SPECTRUM_ATOM_BYTES * n + 8 * obj.mass.size * sum(
-            name not in obj.__dict__ for name in new),
+        new = sum(name not in obj.__dict__ for name in {
+            "cond_x_given_y": ("p_x_given_y",),
+            "cond_y_given_x": ("p_y_given_x",),
+            "sum": ("p_x_given_y", "p_y_given_x"),
+            "mutual": ("p_x_given_y",)}.get(selector, ()))
+        check_bytes(SPECTRUM_ATOM_BYTES * n + 8 * obj.mass.size * new,
                     f"{selector} spectrum of {n:,} atoms")
         i, j = np.nonzero(live)
         del live

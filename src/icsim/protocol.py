@@ -366,9 +366,11 @@ class TranscriptLaw:
         transcript of the law or the atom has no mass."""
         if x not in self.source.x_index or y not in self.source.y_index:
             raise AlphabetMismatch(f"({x!r}, {y!r}) is no pair of inputs")
-        code = ([u.index(m) if m in u else -1
-                 for m, u in zip(tau, self.messages)]
-                if len(tau) == self.n_rounds else -1)
+        try:
+            code = [u.index(m) for m, u in zip(tau, self.messages,
+                                               strict=True)]
+        except ValueError:  # a message no round has, or too few or many
+            code = -1
         k, i, j, _ = self.atoms
         n = np.flatnonzero((i == self.source.x_index[x])
                            & (j == self.source.y_index[y]))
@@ -388,10 +390,10 @@ class TranscriptLaw:
         if selector not in LAW_SELECTORS:
             raise OutOfRange(f"unknown selector {selector!r}")
         n = self.atoms[0].size
-        check_bytes(sum(a.nbytes for a in (self.codes, self.source.mass,
-                                           *self.atoms)) + n * (
-            SPECTRUM_ATOM_BYTES + 24 * ("_marginals" not in self.__dict__)),
-                    f"{selector} spectrum of {n:,} atoms")
+        held = sum(a.nbytes for a in (self.codes, self.source.mass,
+                                      *self.atoms))
+        per_atom = SPECTRUM_ATOM_BYTES + 24 * ("_marginals" not in vars(self))
+        check_bytes(held + n * per_atom, f"{selector} spectrum of {n:,} atoms")
         return SpectrumTable.from_atoms(self._densities(selector), self._joint)
 
     def _densities(self, selector: str, n=slice(None)) -> np.ndarray:
@@ -431,15 +433,14 @@ class TranscriptLaw:
         live = k[_run_starts(k)]   # the atoms come in transcript order
         out = [(live[:1], np.zeros(T, dtype=np.int64))]
         prefix = self.codes[:, 0]
-        for t in range(2, R + 1):
+        for t in range(1, R):   # round t + 1's histories: t rounds each
             keys, first = np.unique(prefix[live], return_index=True)
             order = np.argsort(first)
             rank = np.full(T, -1, dtype=np.int64)
             rank[keys[order]] = np.arange(order.size)
             out.append((live[first[order]], rank[prefix]))
-            if t < R:
-                prefix = prefix * len(self.messages[t - 1]) \
-                    + self.codes[:, t - 1]
+            if t + 1 < R:
+                prefix = prefix * len(self.messages[t]) + self.codes[:, t]
                 if prefix.max() >= T:
                     prefix = np.unique(prefix, return_inverse=True)[1].ravel()
         return tuple(out)
@@ -1060,16 +1061,15 @@ class ThresholdExample:
         alphabet = tuple(range(1, size + 1))
         source = JointSource(alphabet, alphabet,
                              np.full((size, size), 1.0 / size ** 2))
-        # rounds 3 and 4 send "-" (code d) or a low input (codes low)
+        # rounds 3 and 4 send "-" (code d) or an input of at most t (codes s)
         said, code = _column(("-",) + alphabet[:t])
-        d, low = code[0], code[1:]
+        d, s = code[0], code[1:]
         a, b = np.divmod(np.arange(t * t), t)
         codes = np.concatenate([[[1, 1, d, d], [1, 0, d, d], [0, 1, d, d]],
-                                np.stack([0 * a, 0 * a, low[a], low[b]], 1)])
+                                np.stack([0 * a, 0 * a, s[a], s[b]], 1)])
         v = np.arange(size)[:, None]  # x - 1 down the rows, y - 1 along v.T
-        below = v < t
-        index = np.where(below & below.T, 3 + v * t + v.T,
-                         2 * below + below.T)
+        low = v < t
+        index = np.where(low & low.T, 3 + v * t + v.T, 2 * low + low.T)
         return TranscriptLaw.from_index(source, ((0, 1), (0, 1), said, said),
                                         codes, index)
 
